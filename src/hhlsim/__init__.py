@@ -83,4 +83,4 @@ __all__ = [
     "reduced_encoding_equivalence_check",
 ]
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

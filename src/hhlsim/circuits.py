@@ -453,6 +453,8 @@ def _lower(g: Gate) -> list[Gate]:
     if k == "ccry":
         return _ccry_gates(g.params[0], *g.qubits)
     if k == "unitary":
+        if len(g.qubits) != 1:
+            raise CompileError("unitary lowering supports exactly one qubit")
         alpha, beta, gamma, delta = zyz_angles(g.matrix)
         q = g.qubits[0]
         out = []

@@ -188,7 +188,9 @@ def cmd_compare(args) -> int:
                 "c_minus_sq": _float(outcome.c_minus_sq),
                 "cnot_count": outcome.cnot_count,
                 "success_prob": _float(outcome.success_probability),
-                "survival_bound": _float(
+                "survival_bound": None
+                if outcome.cnot_count is None
+                else _float(
                     noise_mod.survival_bound(
                         outcome.cnot_count, noise or noise_mod.NoiseParams()
                     )

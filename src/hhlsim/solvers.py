@@ -17,6 +17,7 @@ import numpy as np
 from . import circuits, noise as noise_mod, qpe, qstate
 from .circuits import Circuit, gate
 from .errors import (
+    CompileError,
     ConstraintError,
     DomainError,
     NotReducibleError,
@@ -310,7 +311,7 @@ def _run_noisy_pipeline(problem, n, aqe_spec, noise, shots, seed):
 def _try_cnot_count(problem, n, aqe_spec) -> int | None:
     try:
         compiled = circuits.compile_circuit(build_hhl_circuit(problem, n, aqe_spec))
-    except Exception:
+    except CompileError:
         return None
     return compiled.cnot_count
 

@@ -218,6 +218,11 @@ class TestCompile:
         u = circuit_unitary(gates + adjoint(gates), 3)
         assert equal_up_to_phase(u, np.eye(8), atol=1e-9)
 
+    def test_multi_qubit_unitary_rejected(self):
+        circ = Circuit(2, (gate("unitary", 0, 1, matrix=np.eye(4)),), {})
+        with pytest.raises(CompileError):
+            compile_circuit(circ)
+
     def test_durations(self):
         circ = Circuit(2, (gate("cnot", 0, 1), gate("h", 0), gate("rz", 1, params=(0.3,))), {})
         compiled = compile_circuit(circ, GateDurations())

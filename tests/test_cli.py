@@ -5,6 +5,7 @@ import json
 import pytest
 
 from hhlsim.cli import EXIT_NOT_REDUCIBLE, EXIT_OK, EXIT_VALIDATION, main
+from hhlsim.noise import survival_bound
 
 
 def run(tmp_path, *argv):
@@ -126,6 +127,26 @@ class TestCompare:
         assert by_lambda[0.25]["modes"]["hybrid"]["fidelity"] > by_lambda[0.25]["modes"]["original"]["fidelity"]
         assert by_lambda[0.25]["theoretical"]["c_plus_sq"] == pytest.approx(0.9, abs=1e-9)
         assert by_lambda[0.5]["theoretical"]["c_plus_sq"] == pytest.approx(0.5, abs=1e-9)
+
+    def test_n3_without_noise_reports_null_bound(self, tmp_path):
+        code, raw = run(tmp_path, "compare", "--n", "3")
+        assert code == EXIT_OK
+        for row in json.loads(raw)["rows"]:
+            original, hybrid = row["modes"]["original"], row["modes"]["hybrid"]
+            assert original["cnot_count"] is None
+            assert original["survival_bound"] is None
+            assert hybrid["survival_bound"] == pytest.approx(
+                survival_bound(hybrid["cnot_count"]), abs=1e-15
+            )
+
+    def test_n3_noisy_original_is_a_config_error(self, tmp_path, capsys):
+        noise = tmp_path / "noise.json"
+        noise.write_text('{"t1_ns":50000}')
+        code, _ = run(tmp_path, "compare", "--n", "3", "--noise", str(noise))
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
 
 class TestEmitQasm:

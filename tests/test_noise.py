@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hhlsim import circuits, solvers
-from hhlsim.circuits import Circuit, compile_circuit, gate
+from hhlsim.circuits import Circuit, CompiledCircuit, compile_circuit, gate
 from hhlsim.errors import ValidationError
 from hhlsim.noise import NoiseParams, damping_channel, run_noisy, survival_bound
 from hhlsim.problem import build_a_lambda
@@ -35,6 +35,76 @@ class TestNoiseParams:
         assert q == p
 
 
+def _random_rho(n, rng):
+    z = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    rho = z @ z.conj().T
+    return rho / np.trace(rho)
+
+
+def _kraus_damp(rho, n, qubit, t, t1):
+    """Explicit Kraus sum K0 rho K0^+ + K1 rho K1^+ with full-size operators."""
+    gamma = 1.0 - np.exp(-t / t1)
+    out = np.zeros_like(rho)
+    for k in (
+        np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]]),
+        np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]]),
+    ):
+        big = np.kron(np.kron(np.eye(2**qubit), k), np.eye(2 ** (n - qubit - 1)))
+        out = out + big @ rho @ big.conj().T
+    return out
+
+
+def _eager_run(compiled, noise, rho):
+    """Reference executor: after every timed gate, damp each aged qubit at once."""
+    n = compiled.num_qubits
+    measured = []
+    for g in compiled.gates:
+        if g.kind == "measure":
+            measured.append(g.qubits[0])
+            continue
+        u = circuits.circuit_unitary([g], n)
+        rho = u @ rho @ u.conj().T
+        dt = noise.durations.of(g)
+        if dt > 0:
+            for q in range(n) if noise.idle_damping else g.qubits:
+                rho = _kraus_damp(rho, n, q, dt, noise.t1_ns)
+    targets = measured or list(range(n))
+    k = len(targets)
+    true = np.zeros(2**k)
+    for i, p in enumerate(np.real(np.diag(rho))):
+        bits = format(i, f"0{n}b")
+        true[int("".join(bits[q] for q in targets), 2)] += p
+    true = true / true.sum()
+    f = noise.readout_flip
+    seen = np.zeros(2**k)
+    for x in range(2**k):
+        for y in range(2**k):
+            flips = bin(x ^ y).count("1")
+            seen[y] += true[x] * f**flips * (1 - f) ** (k - flips)
+    return rho, {format(y, f"0{k}b"): p for y, p in enumerate(seen)}
+
+
+def _random_compiled(n, rng, num_gates=40):
+    """Random basis-gate circuit with zero-duration rz and measures mid-list."""
+    gates = []
+    unmeasured = list(range(n))
+    for _ in range(num_gates):
+        kind = rng.choice(["h", "x", "rx", "ry", "rz", "rz", "cnot", "cnot", "measure"])
+        if kind == "measure":
+            if unmeasured:
+                gates.append(gate("measure", unmeasured.pop(rng.integers(len(unmeasured)))))
+        elif kind == "cnot":
+            c, t = rng.choice(n, size=2, replace=False)
+            gates.append(gate("cnot", int(c), int(t)))
+        elif kind in ("rx", "ry", "rz"):
+            gates.append(gate(kind, int(rng.integers(n)), params=(rng.uniform(-np.pi, np.pi),)))
+        else:
+            gates.append(gate(kind, int(rng.integers(n))))
+    assert any(g.kind == "measure" for g in gates[:-1])
+    cnots = sum(g.kind == "cnot" for g in gates)
+    return CompiledCircuit(n, tuple(gates), cnots, 0.0)
+
+
 class TestDampingChannel:
     def test_zero_time_is_identity(self):
         rho = basis_state(1, 1).to_density_matrix()
@@ -58,6 +128,21 @@ class TestDampingChannel:
         rho = rho / np.trace(rho)
         out = damping_channel(DensityMatrix(2, rho), 1, 137.0, 50000.0)
         assert np.real(np.trace(out.entries)) == pytest.approx(1.0, abs=1e-12)
+
+
+    @pytest.mark.parametrize("qubit", [0, 1, 2])
+    def test_closed_form_equals_kraus_sum(self, qubit):
+        rho = _random_rho(3, np.random.default_rng(qubit))
+        out = damping_channel(DensityMatrix(3, rho), qubit, 7000.0, 50000.0)
+        want = _kraus_damp(rho, 3, qubit, 7000.0, 50000.0)
+        np.testing.assert_allclose(out.entries, want, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("qubit", [0, 1, 2])
+    def test_durations_compose(self, qubit):
+        rho = DensityMatrix(3, _random_rho(3, np.random.default_rng(10 + qubit)))
+        two_steps = damping_channel(damping_channel(rho, qubit, 900.0, 5000.0), qubit, 2300.0, 5000.0)
+        one_step = damping_channel(rho, qubit, 3200.0, 5000.0)
+        np.testing.assert_allclose(two_steps.entries, one_step.entries, rtol=0, atol=1e-13)
 
 
 class TestSurvivalBound:
@@ -105,3 +190,31 @@ class TestRunNoisy:
         _, flipped = run_noisy(compiled, NoiseParams(readout_flip=0.1))
         assert clean.outcomes["0"] == pytest.approx(1.0, abs=1e-12)
         assert flipped.outcomes["1"] == pytest.approx(0.1, abs=1e-12)
+
+
+class TestLazyDamping:
+    """Lazy damping must equal damping every qubit after every timed gate."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("idle_damping", [True, False])
+    @pytest.mark.parametrize("readout_flip", [0.0, 0.07])
+    def test_matches_eager_kraus_reference(self, seed, idle_damping, readout_flip):
+        rng = np.random.default_rng(seed)
+        n = 3 + seed % 3
+        compiled = _random_compiled(n, rng)
+        noise = NoiseParams(t1_ns=3000.0, readout_flip=readout_flip, idle_damping=idle_damping)
+        initial = _random_rho(n, rng)
+        rho, hist = run_noisy(compiled, noise, initial=DensityMatrix(n, initial))
+        want_rho, want_probs = _eager_run(compiled, noise, initial)
+        np.testing.assert_allclose(rho.entries, want_rho, rtol=0, atol=1e-12)
+        assert hist.shots is None
+        assert set(hist.outcomes) == set(want_probs)
+        for key, p in want_probs.items():
+            assert hist.outcomes[key] == pytest.approx(p, abs=1e-12)
+
+    def test_idle_damping_off_spares_untouched_qubits(self):
+        compiled = CompiledCircuit(2, (gate("x", 0), gate("x", 1), gate("h", 0)), 0, 0.0)
+        rho, _ = run_noisy(compiled, NoiseParams(t1_ns=100.0, idle_damping=False))
+        # qubit 1 aged only during its own x gate: excited population e^{-60/100}
+        excited = np.real(rho.entries[1, 1] + rho.entries[3, 3])
+        assert excited == pytest.approx(np.exp(-0.6), abs=1e-12)

@@ -178,6 +178,15 @@ class TestCircuitBuilder:
         assert c_full.cnot_count == 28
         assert c_red.cnot_count == 14
 
+    def test_cnot_count_unavailable_when_circuit_does_not_compile(self):
+        # three free register bits exceed the multiplexed-Ry lowering
+        assert run_original_hhl(build_a_lambda(0.25), 3).cnot_count is None
+        # d = 4 needs a two-qubit state-preparation unitary, which is not lowered
+        problem = random_perfectly_estimated_problem(np.random.default_rng(11), d=4, n=2, k=1)
+        outcome = run_original_hhl(problem, 2)
+        assert outcome.cnot_count is None
+        assert 0.0 <= outcome.fidelity <= 1.0 + 1e-9
+
     def test_compiled_circuit_matches_pipeline(self):
         problem = build_a_lambda(0.3)
         full = build_aqe(problem, 2)
