@@ -4,7 +4,12 @@ Gate kinds fall into two tiers. Basis kinds survive compilation: ``h``, ``x``,
 ``rx``, ``ry``, ``rz``, ``cnot``, ``measure``. Structured kinds are lowered by
 :func:`compile_circuit`: ``phase`` (-> rz up to global phase), ``swap``,
 ``cphase``, ``cry``, ``ccry``, ``unitary`` (explicit 1-qubit matrix),
-``cunitary`` (one control, explicit 1-qubit matrix).
+``cunitary`` (one control, explicit 1-qubit matrix), ``mry`` (multiplexed Ry:
+qubits ``(*controls, target)``, one angle per control pattern).
+
+Executors apply every kind directly through :func:`gate_matrix`; an ``mry``
+is the block-diagonal matrix of its Ry blocks, so it runs for any number of
+controls, while its lowering supports at most two.
 
 Documented decomposition set (gate-count accounting relies on it):
 controlled 1-qubit unitaries use the two-CNOT ABC construction; a controlled
@@ -15,7 +20,6 @@ doubly-controlled Ry is a Toffoli conjugation (two 6-CNOT Toffolis), 12 CNOTs.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 
@@ -38,6 +42,8 @@ class Gate:
         for p in self.params:
             if not math.isfinite(p):
                 raise ValidationError(f"non-finite gate parameter {p}")
+        if self.kind == "mry" and len(self.params) != 2 ** (len(self.qubits) - 1):
+            raise ValidationError("an mry gate needs one angle per control pattern")
         if self.matrix is not None:
             m = np.asarray(self.matrix, dtype=complex)
             qstate._check_unitary(m)
@@ -122,6 +128,18 @@ def _phase(t):
     return np.array([[1, 0], [0, np.exp(1j * t)]])
 
 
+def _mry(angles) -> np.ndarray:
+    """Block-diagonal Ry(angles[p]) over control patterns p (target last)."""
+    half = np.asarray(angles) / 2
+    c, s = np.cos(half), np.sin(half)
+    idx = 2 * np.arange(len(angles))
+    m = np.zeros((2 * len(angles), 2 * len(angles)), dtype=complex)
+    m[idx, idx] = m[idx + 1, idx + 1] = c
+    m[idx, idx + 1] = -s
+    m[idx + 1, idx] = s
+    return m
+
+
 def _controlled(u: np.ndarray) -> np.ndarray:
     d = u.shape[0]
     big = np.eye(2 * d, dtype=complex)
@@ -163,14 +181,20 @@ def gate_matrix(g: Gate) -> np.ndarray:
         return g.matrix
     if k == "cunitary":
         return _controlled(g.matrix)
+    if k == "mry":
+        return _mry(p)
     raise DomainError(f"gate kind {k!r} has no matrix form")
 
 
 def apply_gate(state, g: Gate):
-    """Apply one (non-measure) gate to a StateVector or DensityMatrix."""
+    """Apply one (non-measure) gate to a StateVector or DensityMatrix.
+
+    Gate matrices are unitary by construction (explicit ones are checked when
+    the gate is made), so they are not validated again here.
+    """
     if g.kind == "measure":
         raise DomainError("measure gates are not unitary")
-    return qstate.apply_unitary(state, gate_matrix(g), list(g.qubits))
+    return qstate.apply_unitary(state, gate_matrix(g), g.qubits, check=False)
 
 
 def circuit_unitary(gates, num_qubits: int) -> np.ndarray:
@@ -203,7 +227,7 @@ def adjoint(gates) -> list[Gate]:
     for g in reversed(list(gates)):
         if g.kind in ("h", "x", "cnot", "swap"):
             out.append(g)
-        elif g.kind in ("rx", "ry", "rz", "phase", "cphase", "cry", "ccry"):
+        elif g.kind in ("rx", "ry", "rz", "phase", "cphase", "cry", "ccry", "mry"):
             out.append(replace(g, params=tuple(-p for p in g.params)))
         elif g.kind in ("unitary", "cunitary"):
             out.append(replace(g, matrix=g.matrix.conj().T))
@@ -356,11 +380,6 @@ def _rev_swap(wires, i):
     return [gate("swap", wires[i], wires[len(wires) - 1 - i])]
 
 
-def inverse_qft2(q0: int = 0, q1: int = 1, physical_swap: bool = False):
-    """Two-qubit inverse QFT; see :func:`inverse_qft_gates` for the swap flag."""
-    return inverse_qft_gates([q0, q1], physical_swap=physical_swap)
-
-
 def controlled_ry_chain(pattern_angles: dict, controls, target: int) -> list[Gate]:
     """Multiplexed Ry on ``target``: control pattern p receives total angle
     ``pattern_angles[p]`` (patterns are bitstrings over ``controls`` in order,
@@ -471,6 +490,12 @@ def _lower(g: Gate) -> list[Gate]:
                 "cunitary lowering supports exactly one control and one target"
             )
         return decompose_controlled_unitary(g.matrix, g.qubits[0], g.qubits[1])
+    if k == "mry":
+        *controls, target = g.qubits
+        width = len(controls)
+        patterns = {format(i, f"0{width}b") if width else "": a for i, a in enumerate(g.params)}
+        chain = controlled_ry_chain(patterns, controls, target)
+        return [basis for c in chain for basis in _lower(c)]
     raise CompileError(f"unknown gate kind {k!r}")
 
 
@@ -542,23 +567,3 @@ def emit_qasm(compiled: CompiledCircuit) -> str:
     for role, idx, q in measured:
         lines.append(f"measure q[{q}] -> {role}[{idx}];")
     return "\n".join(lines) + "\n"
-
-
-def circuit_to_json(circuit) -> str:
-    """Debug dump of a (compiled or source) circuit's gate list."""
-    payload = {
-        "num_qubits": circuit.num_qubits,
-        "roles": {k: list(v) for k, v in circuit.roles.items()},
-        "gates": [
-            {
-                "kind": g.kind,
-                "qubits": list(g.qubits),
-                "params": list(g.params),
-            }
-            for g in circuit.gates
-        ],
-    }
-    if hasattr(circuit, "cnot_count"):
-        payload["cnot_count"] = circuit.cnot_count
-        payload["total_duration_ns"] = circuit.total_duration_ns
-    return json.dumps(payload, sort_keys=True, indent=2)

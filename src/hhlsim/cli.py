@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -64,15 +62,6 @@ def _dump_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _threads() -> int:
-    raw = os.environ.get("HHL_THREADS", "")
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    return max(1, value) if value > 0 else max(1, os.cpu_count() or 1)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -118,9 +107,9 @@ def cmd_solve(args) -> int:
 
 
 def _sweep_point(lam: float, k: int):
+    """Closed-form and simulated fidelity at one grid point."""
     outcome = solvers.run_original_hhl(build_a_lambda(lam), k)
-    analytic = oracles.fidelity_closed_form(lam, k)
-    return lam, k, analytic, _float(outcome.fidelity)
+    return oracles.fidelity_closed_form(lam, k), _float(outcome.fidelity)
 
 
 def cmd_sweep(args) -> int:
@@ -132,13 +121,11 @@ def cmd_sweep(args) -> int:
     if args.points < 1:
         raise ValidationError("--points must be >= 1")
     lambdas = [(i + 1) / (args.points + 1) for i in range(args.points)]
-    jobs = [(lam, k) for k in ks for lam in lambdas]
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        rows = list(pool.map(lambda j: _sweep_point(*j), jobs))
-    rows.sort(key=lambda r: (r[1], r[0]))
     lines = ["lambda,k,F_analytic,F_simulated,abs_err"]
-    for lam, k, fa, fs in rows:
-        lines.append(f"{lam!r},{k},{fa!r},{fs!r},{abs(fa - fs)!r}")
+    for k in sorted(ks):
+        for lam in lambdas:
+            fa, fs = _sweep_point(lam, k)
+            lines.append(f"{lam!r},{k},{fa!r},{fs!r},{abs(fa - fs)!r}")
     _write(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 

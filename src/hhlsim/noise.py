@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qstate
-from .circuits import CompiledCircuit, GateDurations, gate_matrix
+from .circuits import CompiledCircuit, GateDurations, apply_gate
 from .errors import DomainError, ValidationError
 from .qstate import DensityMatrix, MeasurementHistogram, StateVector
 
@@ -139,13 +139,15 @@ def run_noisy(
     pending = [0.0] * n  # decay time owed by each qubit, applied when next touched
     for g in compiled.gates:
         if g.kind == "measure":
+            if g.qubits[0] in measured:
+                raise DomainError(f"qubit {g.qubits[0]} is measured more than once")
             measured.append(g.qubits[0])
             continue
         for q in g.qubits:
             if pending[q] > 0:
                 rho = damping_channel(rho, q, pending[q], noise.t1_ns)
                 pending[q] = 0.0
-        rho = qstate.apply_unitary(rho, gate_matrix(g), list(g.qubits))
+        rho = apply_gate(rho, g)
         dt = durations.of(g)
         if dt > 0:
             for q in range(n) if noise.idle_damping else g.qubits:

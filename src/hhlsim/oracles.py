@@ -9,8 +9,6 @@ closed-form expressions for the two-dimensional one-parameter problem family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError
@@ -287,28 +285,3 @@ def brute_force_fidelity(lam: float, n: int) -> float:
     rho, _ = brute_force_hhl(problem, n)
     x_exact, _ = classical_solution(problem)
     return fidelity_pure(rho, StateVector(1, x_exact))
-
-
-@dataclass(frozen=True)
-class FidelityCurvePoint:
-    lam: float
-    n: int
-    f_analytic: float
-    f_simulated: float
-
-    @property
-    def abs_err(self) -> float:
-        return abs(self.f_analytic - self.f_simulated)
-
-
-def fidelity_curve(lambdas, ns=(1, 2, 3), simulate=brute_force_fidelity):
-    """Closed-form vs simulated fidelity over a lambda grid."""
-    points = []
-    for n in ns:
-        for lam in lambdas:
-            points.append(
-                FidelityCurvePoint(
-                    float(lam), n, fidelity_closed_form(float(lam), n), float(simulate(float(lam), n))
-                )
-            )
-    return points

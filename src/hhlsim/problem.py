@@ -176,19 +176,44 @@ def classical_solution(problem: HermitianProblem):
     return x / norm, norm
 
 
+def _integer(v) -> int:
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise TypeError(f"expected an integer, got {v!r}")
+    return v
+
+
+def _real(v) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise TypeError(f"expected a real number, got {v!r}")
+    return float(v)
+
+
+def _field(spec: dict, key: str, convert):
+    """``convert(spec[key])``, with a missing or malformed value reported as
+    a :class:`ValidationError`."""
+    try:
+        return convert(spec[key])
+    except KeyError:
+        raise ValidationError(f"problem description lacks {key!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"problem field {key!r} is malformed: {exc}") from None
+
+
 def problem_from_dict(spec: dict) -> HermitianProblem:
     """Build a problem from the JSON schema ({"kind": "lambda"|"matrix", ...})."""
+    if not isinstance(spec, dict):
+        raise ValidationError("a problem description must be a JSON object")
     kind = spec.get("kind")
     if kind == "lambda":
-        return build_a_lambda(float(spec["lambda"]))
+        return build_a_lambda(_field(spec, "lambda", _real))
     if kind == "matrix":
-        d = int(spec["dim"])
-        a = np.array(spec["a_real"], dtype=float).reshape(d, d) + 1j * np.array(
-            spec["a_imag"], dtype=float
-        ).reshape(d, d)
-        b = np.array(spec["b_real"], dtype=float) + 1j * np.array(
-            spec["b_imag"], dtype=float
-        )
+        d = _field(spec, "dim", _integer)
+
+        def part(key, shape):
+            return _field(spec, key, lambda v: np.array(v, dtype=float).reshape(shape))
+
+        a = part("a_real", (d, d)) + 1j * part("a_imag", (d, d))
+        b = part("b_real", d) + 1j * part("b_imag", d)
         return HermitianProblem(a, b)
     raise ValidationError(f"unknown problem kind {kind!r}")
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import circuits, qstate
+from . import circuits
 from .circuits import Circuit, gate
 from .errors import DomainError, ValidationError
 from .problem import HermitianProblem, unitary_power
@@ -22,13 +22,10 @@ from .qstate import MeasurementHistogram
 class QpeConfig:
     n: int
     problem: HermitianProblem
-    direction: str = "forward"  # forward | inverse
 
     def __post_init__(self):
         if self.n < 1:
             raise ValidationError("register size must be >= 1")
-        if self.direction not in ("forward", "inverse"):
-            raise ValidationError(f"unknown direction {self.direction!r}")
 
 
 def qpe_block(problem: HermitianProblem, n: int, register, v_qubits, physical_swap=False):
@@ -52,11 +49,8 @@ def qpe_block(problem: HermitianProblem, n: int, register, v_qubits, physical_sw
 
 
 def build_qpe(config: QpeConfig, physical_swap: bool = False) -> Circuit:
-    """Standalone QPE(A) circuit: register on wires 0..n-1, input state after.
-
-    Forward direction appends register measurements (the QPEA); the inverse
-    direction is the exact adjoint of the unmeasured block.
-    """
+    """Standalone measured QPE(A) circuit (the QPEA): register on wires
+    0..n-1, input state after, register measurements at the end."""
     n = config.n
     q = config.problem.num_qubits
     register = list(range(n))
@@ -65,8 +59,6 @@ def build_qpe(config: QpeConfig, physical_swap: bool = False) -> Circuit:
         config.problem, n, register, v_qubits, physical_swap=physical_swap
     )
     roles = {"register": tuple(out_register), "input": tuple(v_qubits)}
-    if config.direction == "inverse":
-        return Circuit(n + q, tuple(circuits.adjoint(gates)), roles)
     gates = gates + [gate("measure", w) for w in out_register]
     return Circuit(n + q, tuple(gates), roles)
 

@@ -148,13 +148,15 @@ def _apply_on_axes(tensor: np.ndarray, u: np.ndarray, axes: list[int]) -> np.nda
     return np.moveaxis(t, range(k), axes)
 
 
-def apply_unitary(state, u, targets):
+def apply_unitary(state, u, targets, check: bool = True):
     """Apply a unitary on the listed target qubits.
 
     ``targets[0]`` is the most significant bit of the operator's own index.
-    Works on StateVector and DensityMatrix alike.
+    Works on StateVector and DensityMatrix alike. ``check=False`` skips the
+    unitarity check, for a complex ndarray already known to be unitary.
     """
-    u = _check_unitary(u)
+    if check:
+        u = _check_unitary(u)
     targets = _check_targets(state.num_qubits, targets)
     if u.shape[0] != 2 ** len(targets):
         raise DomainError(

@@ -6,6 +6,11 @@ integer register-value convention: register value x >= 1 receives the ancilla
 rotation 2*arcsin(c/x) with c = 1 / ||A^{-1} b||; the x = 0 branch is left
 untouched (it carries no weight for spectra inside (0,1) under perfect
 estimation, and post-selection discards it otherwise).
+
+There is one HHL circuit, :func:`build_hhl_circuit`: state preparation, QPE,
+the encoding as a single multiplexed Ry (``mry``) on the ancilla, inverse QPE.
+The exact run applies its gates one by one to a statevector; the noisy run,
+the CNOT count and the QASM output use its compiled form.
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ from .problem import (
     binary_estimate,
     classical_solution,
     profile_from_bitstrings,
-    unitary_power,
 )
 from .qstate import DensityMatrix, MeasurementHistogram, StateVector
 
@@ -101,24 +105,6 @@ def synthesize_reduced_aqe(estimate: "EigenEstimate", c: float, force: bool = Fa
     return AqeSpec(n, c, y_prime, free, table)
 
 
-def aqe_unitary(spec: AqeSpec) -> np.ndarray:
-    """Block unitary on (ancilla, register), ancilla most significant."""
-    n = spec.n
-    dim = 2 ** (n + 1)
-    m = np.zeros((dim, dim), dtype=complex)
-    for x in range(2**n):
-        theta = spec.angle_for_register_value(x)
-        if theta is None:
-            r = np.eye(2)
-        else:
-            ct, st = np.cos(theta / 2), np.sin(theta / 2)
-            r = np.array([[ct, -st], [st, ct]])
-        for a in (0, 1):
-            for a2 in (0, 1):
-                m[a * 2**n + x, a2 * 2**n + x] = r[a, a2]
-    return m
-
-
 # ---------------------------------------------------------------------------
 # eigenvalue-bit analysis
 
@@ -170,44 +156,6 @@ def estimate_from_spectral(problem: HermitianProblem, n: int) -> EigenEstimate:
 # ---------------------------------------------------------------------------
 # exact pipelines
 
-def _iqft_matrix(n: int) -> np.ndarray:
-    x, y = np.meshgrid(np.arange(2**n), np.arange(2**n), indexing="ij")
-    return np.exp(-2j * np.pi * x * y / 2**n) / np.sqrt(2**n)
-
-
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-
-
-def _initial_state(problem: HermitianProblem, n: int) -> StateVector:
-    q = problem.num_qubits
-    amps = np.zeros(2 ** (1 + n + q), dtype=complex)
-    amps[: problem.dimension] = 0  # ancilla 0, register 0 block comes first
-    amps[0 : problem.dimension] = problem.b
-    return StateVector(1 + n + q, amps)
-
-
-def _qpe_exact(state: StateVector, problem: HermitianProblem, n: int, inverse=False) -> StateVector:
-    reg = list(range(1, n + 1))
-    v = list(range(n + 1, n + 1 + problem.num_qubits))
-    spectral = problem.spectral
-    if not inverse:
-        for w in reg:
-            state = qstate.apply_unitary(state, _H, [w])
-        for i, w in enumerate(reg):
-            state = qstate.apply_controlled(
-                state, unitary_power(spectral, 2 ** (n - 1 - i)), [w], v
-            )
-        return qstate.apply_unitary(state, _iqft_matrix(n), reg)
-    state = qstate.apply_unitary(state, _iqft_matrix(n).conj().T, reg)
-    for i, w in reversed(list(enumerate(reg))):
-        state = qstate.apply_controlled(
-            state, unitary_power(spectral, -(2 ** (n - 1 - i))), [w], v
-        )
-    for w in reg:
-        state = qstate.apply_unitary(state, _H, [w])
-    return state
-
-
 @dataclass
 class HHLOutcome:
     """Post-selected solver result plus diagnostics."""
@@ -238,56 +186,24 @@ def _x_basis_weights(rho_v: DensityMatrix):
     )
 
 
-def _finish_outcome(
-    mode, problem, n, rho_v, success, reset_mass, aqe_spec, shots, seed, estimate, noise
-) -> HHLOutcome:
-    x_exact, _ = classical_solution(problem)
-    psi = StateVector(problem.num_qubits, x_exact)
-    fid = qstate.fidelity_pure(rho_v, psi)
-    cplus, cminus = _x_basis_weights(rho_v)
-    cnot_count = _try_cnot_count(problem, n, aqe_spec)
-    histograms = {}
-    if shots > 0 and rho_v.num_qubits == 1 and cplus is not None:
-        rng = np.random.default_rng(seed)
-        draws = rng.multinomial(shots, [cplus, max(1.0 - cplus, 0.0)])
-        histograms["v_x_basis"] = MeasurementHistogram(
-            {"+": int(draws[0]), "-": int(draws[1])}, shots
-        )
-    return HHLOutcome(
-        mode,
-        n,
-        success,
-        rho_v,
-        fid,
-        cplus,
-        cminus,
-        cnot_count,
-        reset_mass,
-        histograms,
-        shots,
-        seed,
-        estimate,
-    )
-
-
-def _run_exact_pipeline(problem: HermitianProblem, n: int, aqe_spec: AqeSpec):
-    """Statevector pipeline; returns (rho_v, success probability, reset mass)."""
-    state = _initial_state(problem, n)
-    state = _qpe_exact(state, problem, n)
-    state = qstate.apply_unitary(
-        state, aqe_unitary(aqe_spec), list(range(0, n + 1))
-    )
-    state = _qpe_exact(state, problem, n, inverse=True)
+def _run_exact_pipeline(circuit: Circuit, n: int):
+    """Statevector run of the HHL circuit, gate by gate; returns (rho_v,
+    success probability, reset mass). Measure gates are left to the
+    post-selection below."""
+    state = qstate.basis_state(circuit.num_qubits, 0)
+    for g in circuit.gates:
+        if g.kind != "measure":
+            state = circuits.apply_gate(state, g)
     post, prob = qstate.postselect(state, 0, 1)
     reg_dist = qstate.exact_distribution(post, list(range(n)))
     reset_mass = 1.0 - reg_dist.outcomes["0" * n]
     rho_v = qstate.partial_trace(
-        post.to_density_matrix(), list(range(n, n + problem.num_qubits))
+        post.to_density_matrix(), list(range(n, post.num_qubits))
     )
     return rho_v, prob, reset_mass
 
 
-def _run_noisy_pipeline(problem, n, aqe_spec, noise, shots, seed):
+def _run_noisy_pipeline(compiled: circuits.CompiledCircuit, n, noise, seed):
     """Density-matrix run of the compiled circuit.
 
     Successful runs are those where the ancilla reads 1 *and* the register
@@ -295,9 +211,6 @@ def _run_noisy_pipeline(problem, n, aqe_spec, noise, shots, seed):
     errors propagated through the circuit populate other register outcomes,
     which are discarded here exactly as hardware runs discard them.
     """
-    compiled = circuits.compile_circuit(
-        build_hhl_circuit(problem, n, aqe_spec), noise.durations
-    )
     rho, _ = noise_mod.run_noisy(compiled, noise, shots=0, seed=seed)
     post, prob = qstate.postselect(rho, 0, 1)
     reg_dist = qstate.exact_distribution(post, list(range(n)))
@@ -308,12 +221,50 @@ def _run_noisy_pipeline(problem, n, aqe_spec, noise, shots, seed):
     return post, prob, reset_mass
 
 
-def _try_cnot_count(problem, n, aqe_spec) -> int | None:
-    try:
-        compiled = circuits.compile_circuit(build_hhl_circuit(problem, n, aqe_spec))
-    except CompileError:
-        return None
-    return compiled.cnot_count
+def _solve(mode, problem, n, aqe_spec, shots, seed, noise, estimate=None) -> HHLOutcome:
+    """Build the HHL circuit once, run it exactly or under noise, and score
+    the post-selected state against the classical solution.
+
+    The circuit is compiled at most once: under noise the compiled circuit is
+    what runs, and it also gives the CNOT count. The exact run applies the
+    source gates; its CNOT count is None when the circuit does not lower.
+    """
+    circuit = build_hhl_circuit(problem, n, aqe_spec)
+    if noise is None:
+        rho_v, prob, reset = _run_exact_pipeline(circuit, n)
+        try:
+            cnot_count = circuits.compile_circuit(circuit).cnot_count
+        except CompileError:
+            cnot_count = None
+    else:
+        compiled = circuits.compile_circuit(circuit, noise.durations)
+        rho_v, prob, reset = _run_noisy_pipeline(compiled, n, noise, seed)
+        cnot_count = compiled.cnot_count
+    x_exact, _ = classical_solution(problem)
+    fid = qstate.fidelity_pure(rho_v, StateVector(problem.num_qubits, x_exact))
+    cplus, cminus = _x_basis_weights(rho_v)
+    histograms = {}
+    if shots > 0 and rho_v.num_qubits == 1 and cplus is not None:
+        rng = np.random.default_rng(seed)
+        draws = rng.multinomial(shots, [cplus, max(1.0 - cplus, 0.0)])
+        histograms["v_x_basis"] = MeasurementHistogram(
+            {"+": int(draws[0]), "-": int(draws[1])}, shots
+        )
+    return HHLOutcome(
+        mode,
+        n,
+        prob,
+        rho_v,
+        fid,
+        cplus,
+        cminus,
+        cnot_count,
+        reset,
+        histograms,
+        shots,
+        seed,
+        estimate,
+    )
 
 
 def build_hhl_circuit(
@@ -337,20 +288,19 @@ def build_hhl_circuit(
         gates.append(circuits.gate("unitary", *v, matrix=_prep_matrix(problem.b)))
     qpe_gates, out_reg = qpe.qpe_block(problem, n, reg, v, physical_swap=physical_swap)
     gates.extend(qpe_gates)
-    # conditional rotations controlled by the wires of the free register bits
+    # one multiplexed Ry on the ancilla, controlled by the wires of the free
+    # register bits; control pattern p gets the angle of free-bit value y(p)
     free = aqe_spec.free_positions
     controls = [out_reg[pos - 1] for pos in free]
-    pattern_angles = {}
+    angles = []
     for bits in range(2 ** len(free)):
-        pattern = format(bits, f"0{len(free)}b") if free else ""
         y = sum(
             2 ** (aqe_spec.n - pos)
             for j, pos in enumerate(free)
             if bits & (1 << (len(free) - 1 - j))
         )
-        if y in aqe_spec.angle_table:
-            pattern_angles[pattern] = aqe_spec.angle_table[y]
-    gates.extend(circuits.controlled_ry_chain(pattern_angles, controls, ancilla))
+        angles.append(float(aqe_spec.angle_table.get(y, 0.0)))
+    gates.append(gate("mry", *controls, ancilla, params=angles))
     gates.extend(circuits.adjoint(qpe_gates))
     gates.append(gate("measure", ancilla))
     for w in reg:
@@ -379,14 +329,7 @@ def run_original_hhl(
     """Full-register HHL; exact statevector run, or density-matrix run under noise."""
     if n < 1:
         raise DomainError("register size must be >= 1")
-    aqe_spec = build_aqe(problem, n)
-    if noise is None:
-        rho_v, prob, reset = _run_exact_pipeline(problem, n, aqe_spec)
-    else:
-        rho_v, prob, reset = _run_noisy_pipeline(problem, n, aqe_spec, noise, shots, seed)
-    return _finish_outcome(
-        "original", problem, n, rho_v, prob, reset, aqe_spec, shots, seed, None, noise
-    )
+    return _solve("original", problem, n, build_aqe(problem, n), shots, seed, noise)
 
 
 @dataclass(frozen=True)
@@ -395,6 +338,12 @@ class HybridPolicy:
     coverage: float = 0.9
     max_n: int = 4
     n_step: int = 1
+
+    def __post_init__(self):
+        if not (0.0 <= self.tau <= 1.0 and 0.0 <= self.coverage <= 1.0):
+            raise ValidationError("tau and coverage must lie in [0, 1]")
+        if self.max_n < 1 or self.n_step < 1:
+            raise ValidationError("max_n and n_step must be >= 1")
 
 
 def run_hybrid_hhl(
@@ -429,15 +378,7 @@ def run_hybrid_hhl(
         estimate = analyze_qpea(hist, n, policy.tau, policy.coverage)
         if estimate.reducible:
             aqe_spec = synthesize_reduced_aqe(estimate, c)
-            if noise is None:
-                rho_v, prob, reset = _run_exact_pipeline(problem, n, aqe_spec)
-            else:
-                rho_v, prob, reset = _run_noisy_pipeline(
-                    problem, n, aqe_spec, noise, shots, seed
-                )
-            outcome = _finish_outcome(
-                "hybrid", problem, n, rho_v, prob, reset, aqe_spec, shots, seed, estimate, noise
-            )
+            outcome = _solve("hybrid", problem, n, aqe_spec, shots, seed, noise, estimate)
             outcome.histograms["qpea"] = hist
             return outcome
         last_estimate = estimate
@@ -498,8 +439,8 @@ def reduced_encoding_equivalence_check(problem: HermitianProblem, n: int) -> boo
     estimate = estimate_from_spectral(problem, n)
     full_spec = build_aqe(problem, n)
     reduced_spec = synthesize_reduced_aqe(estimate, full_spec.c, force=True)
-    rho_full, p_full, _ = _run_exact_pipeline(problem, n, full_spec)
-    rho_red, p_red, _ = _run_exact_pipeline(problem, n, reduced_spec)
+    rho_full, p_full, _ = _run_exact_pipeline(build_hhl_circuit(problem, n, full_spec), n)
+    rho_red, p_red, _ = _run_exact_pipeline(build_hhl_circuit(problem, n, reduced_spec), n)
     overlap = float(np.real(np.trace(rho_full.entries @ rho_red.entries)))
     # both states are pure here, so the trace overlap is the fidelity
     purity = min(rho_full.purity(), rho_red.purity())

@@ -18,7 +18,6 @@ from hhlsim.circuits import (
     equal_up_to_phase,
     gate,
     gate_matrix,
-    inverse_qft2,
     inverse_qft_gates,
     simplify,
     zyz_angles,
@@ -102,7 +101,7 @@ class TestControlledDecomposition:
 
 class TestInverseQft:
     def test_two_qubit_matrix(self):
-        gates, out = inverse_qft2()
+        gates, out = inverse_qft_gates([0, 1])
         u = circuit_unitary(gates, 2)
         dft = np.exp(2j * np.pi * np.outer(np.arange(4), np.arange(4)) / 4) / 2
         iqft = dft.conj().T
@@ -115,7 +114,7 @@ class TestInverseQft:
         np.testing.assert_allclose(perm.T @ u, iqft, atol=1e-10)
 
     def test_physical_swap_variant(self):
-        gates, out = inverse_qft2(physical_swap=True)
+        gates, out = inverse_qft_gates([0, 1], physical_swap=True)
         assert out == [0, 1]
         u = circuit_unitary(gates, 2)
         dft = np.exp(2j * np.pi * np.outer(np.arange(4), np.arange(4)) / 4) / 2
@@ -124,7 +123,7 @@ class TestInverseQft:
         assert lowered.cnot_count == 5  # 3 for the swap + 2 for the controlled phase
 
     def test_relabeled_variant_uses_two_cnots(self):
-        gates, _ = inverse_qft2()
+        gates, _ = inverse_qft_gates([0, 1])
         lowered = compile_circuit(Circuit(2, tuple(gates), {}))
         assert lowered.cnot_count == 2
 
@@ -166,6 +165,32 @@ class TestMultiplexedRy:
     def test_three_controls_rejected(self):
         with pytest.raises(CompileError):
             controlled_ry_chain({"111": 1.0}, [0, 1, 2], 3)
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_mry_lowering_matches_its_matrix(self, k):
+        angles = np.random.default_rng(k).uniform(-np.pi, np.pi, size=2**k)
+        g = gate("mry", *range(k + 1), params=angles)
+        compiled = compile_circuit(Circuit(k + 1, (g,), {}))
+        pattern_angles = {format(x, f"0{k}b") if k else "": a for x, a in enumerate(angles)}
+        np.testing.assert_allclose(gate_matrix(g), self._reference(pattern_angles, k), atol=1e-12)
+        assert {c.kind for c in compiled.gates} <= {"ry", "rz", "h", "cnot"}
+        got = circuit_unitary(compiled.gates, k + 1)
+        assert equal_up_to_phase(got, gate_matrix(g), atol=1e-9)
+
+    def test_mry_three_controls_rejected_at_compile(self):
+        g = gate("mry", 0, 1, 2, 3, params=[0.1 * i for i in range(8)])
+        with pytest.raises(CompileError, match="at most two control"):
+            compile_circuit(Circuit(4, (g,), {}))
+
+    def test_mry_needs_one_angle_per_pattern(self):
+        with pytest.raises(ValidationError):
+            gate("mry", 0, 1, params=(0.1,))
+
+    def test_mry_adjoint_negates_angles(self):
+        g = gate("mry", 0, 1, params=(0.3, -1.1))
+        (inv,) = adjoint([g])
+        assert inv.params == (-0.3, 1.1)
+        np.testing.assert_allclose(gate_matrix(inv), gate_matrix(g).conj().T, atol=1e-12)
 
 
 _KINDS = ["h", "x", "rx", "ry", "rz", "phase", "cnot", "swap", "cphase", "cry"]

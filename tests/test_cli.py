@@ -51,6 +51,28 @@ class TestSolve:
         code, _ = run(tmp_path, "solve", "--lambda", "1.5")
         assert code == EXIT_VALIDATION
 
+    @pytest.mark.parametrize(
+        "text",
+        ['{"kind":"matrix","dim":2}', '{"kind":"lambda"}', "[1,2]"],
+        ids=["matrix-missing-entries", "lambda-missing-value", "not-an-object"],
+    )
+    def test_malformed_problem_file(self, tmp_path, capsys, text):
+        path = tmp_path / "problem.json"
+        path.write_text(text)
+        code, _ = run(tmp_path, "solve", "--problem-file", str(path))
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flag,value", [("--tau", "2"), ("--coverage", "-0.5"), ("--max-n", "0")]
+    )
+    def test_policy_out_of_range(self, tmp_path, capsys, flag, value):
+        code, _ = run(tmp_path, "solve", "--lambda", "0.25", "--mode", "hybrid", flag, value)
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestSweep:
     def test_curves_hit_dyadic_points(self, tmp_path):
@@ -161,6 +183,14 @@ class TestEmitQasm:
         text = raw.decode()
         assert text.startswith("OPENQASM 2.0;")
         assert sum(1 for line in text.splitlines() if line.startswith("cx ")) == expected
+
+    def test_original_n3_does_not_lower(self, tmp_path, capsys):
+        code, raw = run(
+            tmp_path, "emit-qasm", "--lambda", "0.3", "--circuit", "original", "--n", "3"
+        )
+        assert code == EXIT_VALIDATION and raw == b""
+        err = capsys.readouterr().err
+        assert err == "error: multiplexed Ry supports at most two control qubits\n"
 
 
 class TestDeterminism:

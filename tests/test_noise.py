@@ -5,7 +5,7 @@ import pytest
 
 from hhlsim import circuits, solvers
 from hhlsim.circuits import Circuit, CompiledCircuit, compile_circuit, gate
-from hhlsim.errors import ValidationError
+from hhlsim.errors import DomainError, ValidationError
 from hhlsim.noise import NoiseParams, damping_channel, run_noisy, survival_bound
 from hhlsim.problem import build_a_lambda
 from hhlsim.qstate import DensityMatrix, basis_state
@@ -182,6 +182,12 @@ class TestRunNoisy:
         zero = solvers.run_original_hhl(problem, 2)
         noisy = solvers.run_original_hhl(problem, 2, noise=NoiseParams())
         assert noisy.fidelity < zero.fidelity
+
+    def test_repeated_measure_rejected(self):
+        gates = (gate("x", 0), gate("measure", 0), gate("measure", 0))
+        compiled = CompiledCircuit(2, gates, 0, 0.0)
+        with pytest.raises(DomainError, match="measured more than once"):
+            run_noisy(compiled, NoiseParams())
 
     def test_readout_flip_changes_histogram(self):
         circ = Circuit(1, (gate("measure", 0),), {})

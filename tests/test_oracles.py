@@ -124,6 +124,6 @@ class TestBruteForce:
         assert np.real(np.trace(rho.entries)) == pytest.approx(1.0, abs=1e-10)
 
     def test_curve_points(self):
-        points = oracles.fidelity_curve([0.25, 0.475], ns=(2,))
-        assert all(p.abs_err < 1e-10 for p in points)
-        assert points[0].f_analytic == pytest.approx(1.0, abs=1e-9)
+        for lam in (0.25, 0.475):
+            assert abs(oracles.brute_force_fidelity(lam, 2) - oracles.f2(lam)) < 1e-10
+        assert oracles.f2(0.25) == pytest.approx(1.0, abs=1e-9)

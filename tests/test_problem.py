@@ -155,3 +155,48 @@ class TestProblemIO:
     def test_unknown_kind_rejected(self):
         with pytest.raises((DomainError, ValidationError)):
             problem_from_dict({"kind": "nope"})
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            [1, 2],
+            {"kind": "lambda"},
+            {"kind": "lambda", "lambda": [0.25]},
+            {"kind": "lambda", "lambda": True},
+            {"kind": "matrix", "dim": 2},
+            {"kind": "matrix", "dim": "two"},
+            {"kind": "matrix", "dim": 2.9},
+            {"kind": "matrix", "dim": True},
+            {
+                "kind": "matrix",
+                "dim": 2,
+                "a_real": [0.5, 0.1, 0.1],
+                "a_imag": [[0.0, 0.0], [0.0, 0.0]],
+                "b_real": [1.0, 0.0],
+                "b_imag": [0.0, 0.0],
+            },
+            {
+                "kind": "matrix",
+                "dim": 2,
+                "a_real": [[0.5, 0.1], [0.1, 0.5]],
+                "a_imag": [[0.0, 0.0], [0.0, 0.0]],
+                "b_real": [1.0, 0.0],
+                "b_imag": [0.0, 0.0, 0.0],
+            },
+        ],
+        ids=[
+            "not-an-object",
+            "lambda-missing",
+            "lambda-not-a-number",
+            "lambda-bool",
+            "matrix-entries-missing",
+            "dim-not-an-integer",
+            "dim-fractional",
+            "dim-bool",
+            "a-wrong-shape",
+            "b-wrong-shape",
+        ],
+    )
+    def test_malformed_description_rejected(self, spec):
+        with pytest.raises(ValidationError):
+            problem_from_dict(spec)

@@ -9,6 +9,7 @@ from hhlsim.qpe import (
     QpeConfig,
     beta_coefficient,
     build_qpe,
+    qpe_block,
     qpea_distribution_noisy,
     register_distribution_exact,
     run_qpea,
@@ -64,9 +65,9 @@ class TestBuildQpe:
     def test_inverse_direction_is_adjoint(self):
         problem = build_a_lambda(0.3)
         fwd = build_qpe(QpeConfig(2, problem))
-        inv = build_qpe(QpeConfig(2, problem, direction="inverse"))
+        inv = circuits.adjoint(qpe_block(problem, 2, [0, 1], [2])[0])
         fwd_gates = [g for g in fwd.gates if g.kind != "measure"]
-        u = circuits.circuit_unitary(list(fwd_gates) + list(inv.gates), fwd.num_qubits)
+        u = circuits.circuit_unitary(fwd_gates + inv, fwd.num_qubits)
         assert circuits.equal_up_to_phase(u, np.eye(2**fwd.num_qubits), atol=1e-9)
 
 

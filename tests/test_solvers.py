@@ -4,14 +4,19 @@ import numpy as np
 import pytest
 
 from hhlsim import circuits, oracles, solvers
-from hhlsim.errors import ConstraintError, DomainError, NotReducibleError
+from hhlsim.errors import (
+    CompileError,
+    ConstraintError,
+    DomainError,
+    NotReducibleError,
+    ValidationError,
+)
 from hhlsim.noise import NoiseParams
 from hhlsim.problem import HermitianProblem, build_a_lambda, classical_solution
 from hhlsim.qstate import MeasurementHistogram
 from hhlsim.solvers import (
     HybridPolicy,
     analyze_qpea,
-    aqe_unitary,
     build_aqe,
     build_hhl_circuit,
     estimate_from_spectral,
@@ -34,13 +39,15 @@ class TestAqeSpec:
         assert spec.angle_for_register_value(0) is None
 
     def test_unitary_is_block_rotation(self):
-        spec = build_aqe(build_a_lambda(0.25), 2)
-        u = aqe_unitary(spec)
+        problem = build_a_lambda(0.25)
+        spec = build_aqe(problem, 2)
+        (mry,) = [g for g in build_hhl_circuit(problem, 2, spec).gates if g.kind == "mry"]
+        u = circuits.gate_matrix(mry)
         np.testing.assert_allclose(u @ u.conj().T, np.eye(8), atol=1e-12)
-        # register value 0 untouched
+        # register value 0 untouched (index = 2 * register pattern + ancilla)
         assert u[0, 0] == pytest.approx(1.0)
         # register value 1 mixes the ancilla by angle 2 arcsin(c)
-        assert np.real(u[4 + 1, 1]) == pytest.approx(spec.c, abs=1e-12)
+        assert np.real(u[2 * 1 + 1, 2 * 1]) == pytest.approx(spec.c, abs=1e-12)
 
 
 class TestAnalyzeQpea:
@@ -128,6 +135,20 @@ class TestOriginalSolver:
         outcome = run_original_hhl(build_a_lambda(0.5), 2)
         assert outcome.success_probability == pytest.approx(1 / 16, abs=1e-12)
 
+    @pytest.mark.parametrize("d", [2, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_random_problem_matches_brute_force(self, d, n):
+        rng = np.random.default_rng(100 * d + n)
+        z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        q_mat, _ = np.linalg.qr(z)
+        a = (q_mat * rng.uniform(0.05, 0.95, size=d)) @ q_mat.conj().T
+        b = rng.normal(size=d) + 1j * rng.normal(size=d)
+        problem = HermitianProblem((a + a.conj().T) / 2, b / np.linalg.norm(b))
+        outcome = run_original_hhl(problem, n)
+        rho_ref, succ_ref = oracles.brute_force_hhl(problem, n)
+        assert outcome.success_probability == pytest.approx(succ_ref, abs=1e-10)
+        np.testing.assert_allclose(outcome.rho_v.entries, rho_ref.entries, atol=1e-10)
+
     def test_general_basis_input(self):
         # a problem whose b is not a computational basis vector
         rng = np.random.default_rng(5)
@@ -155,6 +176,14 @@ class TestHybridSolver:
         outcome = run_hybrid_hhl(build_a_lambda(0.125), 2)
         assert outcome.n == 3
         assert outcome.fidelity == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("tau", -0.1), ("tau", 2.0), ("coverage", 1.5), ("max_n", 0), ("n_step", 0)],
+    )
+    def test_policy_rejects_out_of_range(self, field, value):
+        with pytest.raises(ValidationError):
+            HybridPolicy(**{field: value})
 
     def test_not_reducible_carries_estimate(self):
         with pytest.raises(NotReducibleError) as err:
@@ -186,6 +215,18 @@ class TestCircuitBuilder:
         outcome = run_original_hhl(problem, 2)
         assert outcome.cnot_count is None
         assert 0.0 <= outcome.fidelity <= 1.0 + 1e-9
+
+    def test_three_free_bits_build_but_do_not_lower(self):
+        problem = build_a_lambda(0.3)
+        circuit = build_hhl_circuit(problem, 3, build_aqe(problem, 3))
+        (mry,) = [g for g in circuit.gates if g.kind == "mry"]
+        assert len(mry.qubits) == 4 and len(mry.params) == 8
+        with pytest.raises(CompileError):
+            circuits.compile_circuit(circuit)
+        outcome = run_original_hhl(problem, 3)
+        assert outcome.cnot_count is None
+        rho_ref, succ_ref = oracles.brute_force_hhl(problem, 3)
+        assert outcome.success_probability == pytest.approx(succ_ref, abs=1e-12)
 
     def test_compiled_circuit_matches_pipeline(self):
         problem = build_a_lambda(0.3)
