@@ -11,6 +11,10 @@ Executors apply every kind directly through :func:`gate_matrix`; an ``mry``
 is the block-diagonal matrix of its Ry blocks, so it runs for any number of
 controls, while its lowering supports at most two.
 
+A gate is checked once, when :func:`gate` makes it. Gates derived from it
+(adjoints, lowerings, the ``phase`` -> ``rz`` rewrite) and its application by
+:func:`apply_gate` are not checked again.
+
 Documented decomposition set (gate-count accounting relies on it):
 controlled 1-qubit unitaries use the two-CNOT ABC construction; a controlled
 phase costs 2 CNOTs; a SWAP costs 3 CNOTs when physical, 0 when absorbed by
@@ -33,26 +37,27 @@ _ANGLE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Gate:
+    """One gate; make it with :func:`gate`, which checks it."""
+
     kind: str
     qubits: tuple
     params: tuple = ()
     matrix: np.ndarray | None = None
 
-    def __post_init__(self):
-        for p in self.params:
-            if not math.isfinite(p):
-                raise ValidationError(f"non-finite gate parameter {p}")
-        if self.kind == "mry" and len(self.params) != 2 ** (len(self.qubits) - 1):
-            raise ValidationError("an mry gate needs one angle per control pattern")
-        if self.matrix is not None:
-            m = np.asarray(self.matrix, dtype=complex)
-            qstate._check_unitary(m)
-            m.setflags(write=False)
-            object.__setattr__(self, "matrix", m)
-
 
 def gate(kind, *qubits, params=(), matrix=None) -> Gate:
-    return Gate(kind, tuple(qubits), tuple(params), matrix)
+    """A checked gate: finite parameters, one ``mry`` angle per control
+    pattern, and an explicit ``matrix`` that is unitary (stored read-only)."""
+    params = tuple(params)
+    for p in params:
+        if not math.isfinite(p):
+            raise ValidationError(f"non-finite gate parameter {p}")
+    if kind == "mry" and len(params) != 2 ** (len(qubits) - 1):
+        raise ValidationError("an mry gate needs one angle per control pattern")
+    if matrix is not None:
+        matrix = qstate._check_unitary(matrix)
+        matrix.setflags(write=False)
+    return Gate(kind, qubits, params, matrix)
 
 
 @dataclass(frozen=True)
@@ -189,8 +194,9 @@ def gate_matrix(g: Gate) -> np.ndarray:
 def apply_gate(state, g: Gate):
     """Apply one (non-measure) gate to a StateVector or DensityMatrix.
 
-    Gate matrices are unitary by construction (explicit ones are checked when
-    the gate is made), so they are not validated again here.
+    Nothing is checked again: explicit matrices were checked when :func:`gate`
+    made the gate, parametric ones are unitary by form, and the new state is
+    built by the trusted state constructor (no norm check or renormalization).
     """
     if g.kind == "measure":
         raise DomainError("measure gates are not unitary")
@@ -230,7 +236,9 @@ def adjoint(gates) -> list[Gate]:
         elif g.kind in ("rx", "ry", "rz", "phase", "cphase", "cry", "ccry", "mry"):
             out.append(replace(g, params=tuple(-p for p in g.params)))
         elif g.kind in ("unitary", "cunitary"):
-            out.append(replace(g, matrix=g.matrix.conj().T))
+            m = g.matrix.conj().T
+            m.setflags(write=False)
+            out.append(replace(g, matrix=m))
         else:
             raise DomainError(f"cannot take adjoint of gate kind {g.kind!r}")
     return out
@@ -242,7 +250,6 @@ def adjoint(gates) -> list[Gate]:
 def zyz_angles(u: np.ndarray):
     """(alpha, beta, gamma, delta) with u = e^{i alpha} Rz(beta) Ry(gamma) Rz(delta)."""
     u = np.asarray(u, dtype=complex)
-    qstate._check_unitary(u)
     if u.shape != (2, 2):
         raise DomainError("zyz decomposition needs a 2x2 unitary")
     alpha = np.angle(np.linalg.det(u)) / 2
@@ -270,7 +277,6 @@ def decompose_controlled_unitary(u, control: int, target: int) -> list[Gate]:
     circuit family. The determinant phase becomes a phase gate on the control.
     """
     u = np.asarray(u, dtype=complex)
-    qstate._check_unitary(u)
     if u.shape != (2, 2):
         raise DomainError("expected a 2x2 unitary")
     alpha, beta, gamma, delta = zyz_angles(u)
@@ -364,7 +370,7 @@ def inverse_qft_gates(wires, physical_swap: bool = False):
     gates_out: list[Gate] = []
     if physical_swap:
         for i in range(n // 2):
-            gates_out.extend(_rev_swap(wires, i))
+            gates_out.append(gate("swap", wires[i], wires[n - 1 - i]))
         w = wires
     else:
         w = list(reversed(wires))
@@ -374,10 +380,6 @@ def inverse_qft_gates(wires, physical_swap: bool = False):
             gates_out.append(gate("cphase", w[j], w[i], params=(angle,)))
         gates_out.append(gate("h", w[i]))
     return gates_out, w
-
-
-def _rev_swap(wires, i):
-    return [gate("swap", wires[i], wires[len(wires) - 1 - i])]
 
 
 def controlled_ry_chain(pattern_angles: dict, controls, target: int) -> list[Gate]:

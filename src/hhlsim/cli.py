@@ -65,10 +65,16 @@ def _dump_json(payload: dict) -> str:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_solve(args) -> int:
-    problem, problem_desc = _problem_from_args(args)
+def _check_shots(args) -> None:
+    if args.shots < 0:
+        raise ValidationError("--shots must be >= 0")
     if args.shots > 0 and args.seed is None:
         raise ValidationError("--seed is required when --shots > 0")
+
+
+def cmd_solve(args) -> int:
+    problem, problem_desc = _problem_from_args(args)
+    _check_shots(args)
     noise = _noise_from_args(args)
     if args.mode == "original":
         outcome = solvers.run_original_hhl(
@@ -106,12 +112,6 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _sweep_point(lam: float, k: int):
-    """Closed-form and simulated fidelity at one grid point."""
-    outcome = solvers.run_original_hhl(build_a_lambda(lam), k)
-    return oracles.fidelity_closed_form(lam, k), _float(outcome.fidelity)
-
-
 def cmd_sweep(args) -> int:
     ks = _parse_int_list(args.k)
     if not ks:
@@ -124,7 +124,8 @@ def cmd_sweep(args) -> int:
     lines = ["lambda,k,F_analytic,F_simulated,abs_err"]
     for k in sorted(ks):
         for lam in lambdas:
-            fa, fs = _sweep_point(lam, k)
+            fs = _float(solvers.run_original_hhl(build_a_lambda(lam), k).fidelity)
+            fa = oracles.fidelity_closed_form(lam, k)
             lines.append(f"{lam!r},{k},{fa!r},{fs!r},{abs(fa - fs)!r}")
     _write(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
@@ -133,8 +134,7 @@ def cmd_sweep(args) -> int:
 def cmd_qpea(args) -> int:
     problem, _ = _problem_from_args(args)
     noise = _noise_from_args(args)
-    if args.shots > 0 and args.seed is None:
-        raise ValidationError("--seed is required when --shots > 0")
+    _check_shots(args)
     if args.shots > 0:
         hist = qpe.run_qpea(problem, args.n, args.shots, args.seed, noise=noise)
     elif noise is not None:

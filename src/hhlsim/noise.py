@@ -13,7 +13,8 @@ independent per-bit flips applied to the measured distribution.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -33,10 +34,11 @@ class NoiseParams:
     idle_damping: bool = True
 
     def __post_init__(self):
-        if self.t1_ns <= 0:
+        if not self.t1_ns > 0:  # NaN fails too
             raise ValidationError("t1_ns must be positive")
-        if min(self.cnot_ns, self.rz_ns, self.single_ns) < 0:
-            raise ValidationError("gate durations must be nonnegative")
+        for t in (self.cnot_ns, self.rz_ns, self.single_ns):
+            if not (math.isfinite(t) and t >= 0):
+                raise ValidationError("gate durations must be finite and nonnegative")
         if not (0.0 <= self.readout_flip <= 0.5):
             raise ValidationError("readout_flip must be in [0, 0.5]")
 
@@ -45,28 +47,25 @@ class NoiseParams:
         return GateDurations(self.cnot_ns, self.rz_ns, self.single_ns)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "t1_ns": self.t1_ns,
-                "cnot_ns": self.cnot_ns,
-                "rz_ns": self.rz_ns,
-                "single_ns": self.single_ns,
-                "readout_flip": self.readout_flip,
-                "idle_damping": self.idle_damping,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "NoiseParams":
-        return cls(
-            t1_ns=float(d.get("t1_ns", 50_000.0)),
-            cnot_ns=float(d.get("cnot_ns", 200.0)),
-            rz_ns=float(d.get("rz_ns", 0.0)),
-            single_ns=float(d.get("single_ns", 60.0)),
-            readout_flip=float(d.get("readout_flip", 0.0)),
-            idle_damping=bool(d.get("idle_damping", True)),
-        )
+    def from_dict(cls, d) -> "NoiseParams":
+        """Parameters from a JSON object, absent keys at their defaults. An
+        unknown key, or a value that is not a JSON number (``idle_damping``:
+        not a JSON boolean), raises ValidationError."""
+        if not isinstance(d, dict):
+            raise ValidationError("a noise description must be a JSON object")
+        for key, v in d.items():
+            if key not in cls.__dataclass_fields__:
+                raise ValidationError(f"unknown noise parameter {key!r}")
+            if key == "idle_damping":
+                ok, want = isinstance(v, bool), "true or false"
+            else:
+                ok, want = isinstance(v, (int, float)) and not isinstance(v, bool), "a number"
+            if not ok:
+                raise ValidationError(f"noise parameter {key!r} must be {want}, got {v!r}")
+        return cls(**{k: v if k == "idle_damping" else float(v) for k, v in d.items()})
 
     @classmethod
     def load(cls, path) -> "NoiseParams":
@@ -94,7 +93,7 @@ def damping_channel(rho: DensityMatrix, qubit: int, t: float, t1: float) -> Dens
     v[:, 1, :, :, 1, :] *= 1.0 - gamma
     v[:, 0, :, :, 1, :] *= np.sqrt(1.0 - gamma)
     v[:, 1, :, :, 0, :] *= np.sqrt(1.0 - gamma)
-    return DensityMatrix(n, out, _validate=False)
+    return DensityMatrix._trusted(n, out)
 
 
 def survival_bound(cnot_count: int, noise: NoiseParams = NoiseParams()) -> float:
@@ -159,15 +158,9 @@ def run_noisy(
     probs = qstate._marginal_probabilities(rho, targets)
     probs = probs / probs.sum()
     probs = _flip_distribution(probs, len(targets), noise.readout_flip)
-    k = len(targets)
     if shots == 0:
-        hist = MeasurementHistogram(
-            {format(i, f"0{k}b"): float(p) for i, p in enumerate(probs)}, None
+        labels = qstate._labels(len(targets))
+        return rho, MeasurementHistogram(
+            {label: float(p) for label, p in zip(labels, probs)}, None
         )
-    else:
-        rng = np.random.default_rng(seed)
-        draws = rng.multinomial(shots, probs / probs.sum())
-        hist = MeasurementHistogram(
-            {format(i, f"0{k}b"): int(c) for i, c in enumerate(draws) if c > 0}, shots
-        )
-    return rho, hist
+    return rho, qstate._draw(probs, shots, seed)

@@ -30,7 +30,7 @@ class SpectralData:
         return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EigenmeanProfile:
     """Per-position bit means over the distinct eigenvalue bitstrings."""
 

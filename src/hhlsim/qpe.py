@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import circuits
+from . import circuits, qstate
 from .circuits import Circuit, gate
 from .errors import DomainError, ValidationError
 from .problem import HermitianProblem, unitary_power
@@ -81,7 +81,7 @@ def register_distribution_exact(problem: HermitianProblem, n: int) -> Measuremen
             w * abs(beta_coefficient(lam, x, n)) ** 2
             for w, lam in zip(weights, spectral.eigenvalues)
         )
-        probs[format(x, f"0{n}b")] = float(p)
+        probs[qstate._labels(n)[x]] = float(p)
     total = sum(probs.values())
     return MeasurementHistogram({k: v / total for k, v in probs.items()}, None)
 
@@ -102,7 +102,8 @@ def run_qpea(
         raise DomainError("shots must be >= 1")
     if noise is None:
         dist = register_distribution_exact(problem, n)
-        return _sample_histogram(dist, shots, seed)
+        p = np.array([dist.outcomes[x] for x in sorted(dist.outcomes)])
+        return qstate._draw(p, shots, seed)
     from . import noise as noise_mod
 
     compiled = circuits.compile_circuit(build_qpe(QpeConfig(n, problem)), noise.durations)
@@ -118,12 +119,3 @@ def qpea_distribution_noisy(problem: HermitianProblem, n: int, noise) -> Measure
     _, hist = noise_mod.run_noisy(compiled, noise, shots=0, seed=0)
     return hist
 
-
-def _sample_histogram(dist: MeasurementHistogram, shots: int, seed: int) -> MeasurementHistogram:
-    labels = sorted(dist.outcomes)
-    p = np.array([dist.outcomes[k] for k in labels])
-    p = p / p.sum()
-    rng = np.random.default_rng(seed)
-    draws = rng.multinomial(shots, p)
-    counts = {lab: int(c) for lab, c in zip(labels, draws) if c > 0}
-    return MeasurementHistogram(counts, shots)

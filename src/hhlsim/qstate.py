@@ -4,10 +4,16 @@ State vectors and density matrices over qubit registers, gate application,
 post-selection, partial trace, fidelity, and seeded measurement sampling.
 Qubit 0 is the most significant bit of a basis-state index, so the bitstring
 label of index ``x`` reads left to right as qubits 0, 1, 2, ...
+
+Values are checked where they enter: in the public state constructors and
+for the operator of ``apply_unitary`` (unless ``check=False``) and
+``apply_controlled``. States derived from checked states are built by
+``_State._trusted``: not copied, renormalized or checked again.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,13 +45,33 @@ def _check_targets(num_qubits: int, targets) -> list[int]:
     return targets
 
 
-class StateVector:
+class _State:
+    """Base of both state kinds; a subclass's one slot holds its read-only array."""
+
+    __slots__ = ("num_qubits",)
+
+    def _store(self, num_qubits: int, data: np.ndarray):
+        data.setflags(write=False)
+        self.num_qubits = num_qubits
+        setattr(self, self.__slots__[0], data)
+        return self
+
+    @classmethod
+    def _trusted(cls, num_qubits: int, data: np.ndarray):
+        """Wrap an array derived from checked states by an exact operation,
+        without copying, renormalizing or checking it."""
+        return object.__new__(cls)._store(num_qubits, data)
+
+
+class StateVector(_State):
     """Pure state over ``num_qubits`` qubits; amplitudes are read-only."""
+
+    __slots__ = ("amplitudes",)
 
     def __init__(self, num_qubits: int, amplitudes):
         if num_qubits < 1:
             raise DomainError("num_qubits must be >= 1")
-        amps = np.array(amplitudes, dtype=complex).reshape(-1)
+        amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
         if amps.size != 2**num_qubits:
             raise ValidationError(
                 f"expected {2**num_qubits} amplitudes, got {amps.size}"
@@ -53,46 +79,41 @@ class StateVector:
         norm = np.linalg.norm(amps)
         if abs(norm - 1.0) > 1e-8:
             raise ValidationError(f"state norm {norm} is not 1")
-        # renormalize away float dust so invariants hold after long pipelines
-        amps = amps / norm
-        amps.setflags(write=False)
-        self.num_qubits = num_qubits
-        self.amplitudes = amps
+        self._store(num_qubits, amps / norm)
 
     def probability(self, index: int) -> float:
         return float(abs(self.amplitudes[index]) ** 2)
 
     def to_density_matrix(self) -> "DensityMatrix":
         a = self.amplitudes
-        return DensityMatrix(self.num_qubits, np.outer(a, a.conj()))
+        return DensityMatrix._trusted(self.num_qubits, np.outer(a, a.conj()))
 
     def __repr__(self):
         return f"StateVector(num_qubits={self.num_qubits})"
 
 
-class DensityMatrix:
+class DensityMatrix(_State):
     """Mixed state; Hermitian, unit trace, positive semidefinite within tolerance."""
 
-    def __init__(self, num_qubits: int, entries, *, _validate: bool = True):
+    __slots__ = ("entries",)
+
+    def __init__(self, num_qubits: int, entries):
         if num_qubits < 1:
             raise DomainError("num_qubits must be >= 1")
         d = 2**num_qubits
-        rho = np.array(entries, dtype=complex)
+        rho = np.asarray(entries, dtype=complex)
         if rho.shape != (d, d):
             raise ValidationError(f"expected {d}x{d} matrix, got shape {rho.shape}")
-        if _validate:
-            if not np.allclose(rho, rho.conj().T, atol=ATOL):
-                raise ValidationError("density matrix is not Hermitian")
-            tr = np.trace(rho).real
-            if abs(tr - 1.0) > 1e-8:
-                raise ValidationError(f"density matrix trace {tr} is not 1")
-            rho = rho / tr
-            eigs = np.linalg.eigvalsh(rho)
-            if eigs.min() < -1e-8:
-                raise ValidationError(f"density matrix has negative eigenvalue {eigs.min()}")
-        rho.setflags(write=False)
-        self.num_qubits = num_qubits
-        self.entries = rho
+        if not np.allclose(rho, rho.conj().T, atol=ATOL):
+            raise ValidationError("density matrix is not Hermitian")
+        tr = np.trace(rho).real
+        if abs(tr - 1.0) > 1e-8:
+            raise ValidationError(f"density matrix trace {tr} is not 1")
+        rho = rho / tr
+        eigs = np.linalg.eigvalsh(rho)
+        if eigs.min() < -1e-8:
+            raise ValidationError(f"density matrix has negative eigenvalue {eigs.min()}")
+        self._store(num_qubits, rho)
 
     def purity(self) -> float:
         return float(np.trace(self.entries @ self.entries).real)
@@ -101,7 +122,7 @@ class DensityMatrix:
         return f"DensityMatrix(num_qubits={self.num_qubits})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MeasurementHistogram:
     """Outcome bitstrings (MSB first) mapped to counts or exact probabilities.
 
@@ -112,14 +133,12 @@ class MeasurementHistogram:
     shots: int | None = None
 
     def __post_init__(self):
+        total = sum(self.outcomes.values())
         if self.shots is not None:
-            total = sum(self.outcomes.values())
             if total != self.shots:
                 raise ValidationError(f"counts sum to {total}, expected {self.shots}")
-        else:
-            total = sum(self.outcomes.values())
-            if self.outcomes and abs(total - 1.0) > 1e-9:
-                raise ValidationError(f"probabilities sum to {total}, expected 1")
+        elif self.outcomes and abs(total - 1.0) > 1e-9:
+            raise ValidationError(f"probabilities sum to {total}, expected 1")
 
     def probabilities(self) -> dict:
         """Normalized view, identical for counts and exact modes."""
@@ -136,7 +155,7 @@ def basis_state(num_qubits: int, index: int) -> StateVector:
         raise DomainError(f"index {index} out of range for {num_qubits} qubits")
     amps = np.zeros(2**num_qubits, dtype=complex)
     amps[index] = 1.0
-    return StateVector(num_qubits, amps)
+    return StateVector._trusted(num_qubits, amps)
 
 
 def _apply_on_axes(tensor: np.ndarray, u: np.ndarray, axes: list[int]) -> np.ndarray:
@@ -165,12 +184,12 @@ def apply_unitary(state, u, targets, check: bool = True):
     n = state.num_qubits
     if isinstance(state, StateVector):
         psi = _apply_on_axes(state.amplitudes.reshape((2,) * n), u, targets)
-        return StateVector(n, psi.reshape(-1))
+        return StateVector._trusted(n, psi.reshape(-1))
     if isinstance(state, DensityMatrix):
         t = state.entries.reshape((2,) * (2 * n))
         t = _apply_on_axes(t, u, targets)
         t = _apply_on_axes(t, u.conj(), [n + q for q in targets])
-        return DensityMatrix(n, t.reshape(2**n, 2**n), _validate=False)
+        return DensityMatrix._trusted(n, t.reshape(2**n, 2**n))
     raise DomainError(f"unsupported state type {type(state)!r}")
 
 
@@ -201,12 +220,11 @@ def _marginal_probabilities(state, qubits: list[int]) -> np.ndarray:
         p = np.real(np.diagonal(state.entries)).reshape((2,) * n)
     else:
         raise DomainError(f"unsupported state type {type(state)!r}")
-    keep_sorted = qubits
     drop = [q for q in range(n) if q not in qubits]
     p = p.sum(axis=tuple(drop)) if drop else p
     # after summing, remaining axes are in ascending qubit order
     remaining = sorted(qubits)
-    order = [remaining.index(q) for q in keep_sorted]
+    order = [remaining.index(q) for q in qubits]
     p = np.transpose(p, order)
     return np.maximum(p.reshape(-1), 0.0)
 
@@ -225,40 +243,29 @@ def postselect(state, qubit: int, outcome: int, remove: bool = True):
     if remove and n < 2:
         raise DomainError("cannot postselect the only qubit away")
     if isinstance(state, StateVector):
-        t = np.moveaxis(state.amplitudes.reshape((2,) * n), qubit, 0)
-        psi = t[outcome]
-        prob = float(np.sum(np.abs(psi) ** 2))
-        if prob <= 1e-14:
-            raise ImpossibleOutcomeError(
-                f"outcome {outcome} on qubit {qubit} has zero probability"
-            )
-        if remove:
-            return StateVector(n - 1, psi.reshape(-1) / np.sqrt(prob)), prob
-        full = np.zeros_like(t)
-        full[outcome] = psi
-        full = np.moveaxis(full, 0, qubit)
-        return StateVector(n, full.reshape(-1) / np.sqrt(prob)), prob
-    if isinstance(state, DensityMatrix):
-        t = state.entries.reshape((2,) * (2 * n))
-        t = np.moveaxis(t, (qubit, n + qubit), (0, 1))
-        block_t = t[outcome, outcome]
-        d = 2 ** (n - 1)
-        block = block_t.reshape(d, d)
-        prob = float(np.trace(block).real)
-        if prob <= 1e-14:
-            raise ImpossibleOutcomeError(
-                f"outcome {outcome} on qubit {qubit} has zero probability"
-            )
-        if remove:
-            return DensityMatrix(n - 1, block / prob, _validate=False), prob
-        full = np.zeros_like(t)
-        full[outcome, outcome] = block_t
-        full = np.moveaxis(full, (0, 1), (qubit, n + qubit))
-        return (
-            DensityMatrix(n, full.reshape(2**n, 2**n) / prob, _validate=False),
-            prob,
+        axes, data = [qubit], state.amplitudes
+    elif isinstance(state, DensityMatrix):
+        axes, data = [qubit, n + qubit], state.entries
+    else:
+        raise DomainError(f"unsupported state type {type(state)!r}")
+    k = len(axes)  # 1 for amplitudes, 2 (row and column) for a density matrix
+    t = np.moveaxis(data.reshape((2,) * (k * n)), axes, range(k))
+    branch = t[(outcome,) * k]
+    if k == 1:
+        prob = float(np.sum(np.abs(branch) ** 2))
+    else:
+        prob = float(np.trace(branch.reshape(2 ** (n - 1), -1)).real)
+    if prob <= 1e-14:
+        raise ImpossibleOutcomeError(
+            f"outcome {outcome} on qubit {qubit} has zero probability"
         )
-    raise DomainError(f"unsupported state type {type(state)!r}")
+    scale = np.sqrt(prob) if k == 1 else prob
+    if remove:
+        return type(state)._trusted(n - 1, branch.reshape((2 ** (n - 1),) * k) / scale), prob
+    full = np.zeros_like(t)
+    full[(outcome,) * k] = branch
+    full = np.moveaxis(full, range(k), axes)
+    return type(state)._trusted(n, full.reshape((2**n,) * k) / scale), prob
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
@@ -276,8 +283,8 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     remaining = sorted(keep)
     m = len(keep)
     order = [remaining.index(q) for q in keep]
-    t = np.transpose(t, order + [m + i for i in order])
-    return DensityMatrix(m, t.reshape(2**m, 2**m), _validate=False)
+    t = np.transpose(t, order + [m + i for i in order]).reshape(2**m, 2**m)
+    return DensityMatrix._trusted(m, t.copy())  # owned: keeps no chain of views alive
 
 
 def fidelity_overlap(rho, psi) -> float:
@@ -305,8 +312,7 @@ def exact_distribution(state, qubits) -> MeasurementHistogram:
     """Exact computational-basis marginal over the listed qubits."""
     qubits = _check_targets(state.num_qubits, list(qubits))
     p = _marginal_probabilities(state, qubits)
-    k = len(qubits)
-    outcomes = {format(i, f"0{k}b"): float(p[i]) for i in range(2**k)}
+    outcomes = {label: float(x) for label, x in zip(_labels(len(qubits)), p)}
     total = sum(outcomes.values())
     return MeasurementHistogram({k_: v / total for k_, v in outcomes.items()}, None)
 
@@ -316,12 +322,20 @@ def sample(state, qubits, shots: int, seed: int) -> MeasurementHistogram:
     if shots < 1:
         raise DomainError("shots must be >= 1")
     qubits = _check_targets(state.num_qubits, list(qubits))
-    p = _marginal_probabilities(state, qubits)
-    p = p / p.sum()
+    return _draw(_marginal_probabilities(state, qubits), shots, seed)
+
+
+def _draw(p: np.ndarray, shots: int, seed) -> MeasurementHistogram:
+    """Seeded multinomial draw of ``shots`` outcomes from ``p``, indexed by
+    k-bit outcome; zero counts are left out."""
     rng = np.random.default_rng(seed)
-    draws = rng.multinomial(shots, p)
-    k = len(qubits)
-    outcomes = {
-        format(i, f"0{k}b"): int(c) for i, c in enumerate(draws) if c > 0
-    }
+    draws = rng.multinomial(shots, p / p.sum())
+    labels = _labels(p.size.bit_length() - 1)
+    outcomes = {labels[i]: int(c) for i, c in enumerate(draws) if c > 0}
     return MeasurementHistogram(outcomes, shots)
+
+
+@functools.cache
+def _labels(k: int) -> tuple:
+    """Bitstring labels of the 2^k outcomes, MSB first, shared by all histograms."""
+    return tuple(format(i, f"0{k}b") for i in range(2**k))

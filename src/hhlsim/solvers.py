@@ -53,10 +53,6 @@ class AqeSpec:
     free_positions: tuple  # 1-based register positions, ascending
     angle_table: dict
 
-    @property
-    def register_width(self) -> int:
-        return len(self.free_positions)
-
     def angle_for_register_value(self, x: int) -> float | None:
         """Rotation received by full-register value x; None means identity."""
         bits = format(x, f"0{self.n}b")
@@ -108,7 +104,7 @@ def synthesize_reduced_aqe(estimate: "EigenEstimate", c: float, force: bool = Fa
 # ---------------------------------------------------------------------------
 # eigenvalue-bit analysis
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EigenEstimate:
     """Detected eigenvalue bitstrings plus the reducibility verdict."""
 
@@ -156,7 +152,7 @@ def estimate_from_spectral(problem: HermitianProblem, n: int) -> EigenEstimate:
 # ---------------------------------------------------------------------------
 # exact pipelines
 
-@dataclass
+@dataclass(slots=True)
 class HHLOutcome:
     """Post-selected solver result plus diagnostics."""
 

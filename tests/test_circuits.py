@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hhlsim import circuits
+from hhlsim import circuits, qstate
 from hhlsim.circuits import (
     Circuit,
     GateDurations,
@@ -22,7 +22,7 @@ from hhlsim.circuits import (
     simplify,
     zyz_angles,
 )
-from hhlsim.errors import CompileError, ValidationError
+from hhlsim.errors import CompileError, DomainError, ValidationError
 from hhlsim.problem import build_a_lambda, unitary_power
 
 
@@ -253,6 +253,66 @@ class TestCompile:
         compiled = compile_circuit(circ, GateDurations())
         assert compiled.cnot_count == 1
         assert compiled.total_duration_ns == pytest.approx(260.0)
+
+
+def _any_gate(rng, n):
+    """One random gate: a _random_circuit kind, or ccry, an explicit matrix
+    or an mry with 0-3 controls."""
+    kind = str(rng.choice(["basic", "ccry", "unitary", "cunitary", "mry"]))
+    if kind == "basic":
+        return _random_circuit(rng, n, 1)[0]
+    wires = [int(q) for q in rng.permutation(n)]
+    if kind == "ccry":
+        return gate(kind, *wires[:3], params=(float(rng.uniform(-np.pi, np.pi)),))
+    if kind == "unitary":
+        k = int(rng.integers(1, 3))
+        return gate(kind, *wires[:k], matrix=_random_unitary(rng, 2**k))
+    if kind == "cunitary":
+        return gate(kind, *wires[:2], matrix=_random_unitary(rng, 2))
+    k = int(rng.integers(0, 4))
+    return gate(kind, *wires[: k + 1], params=rng.uniform(-np.pi, np.pi, 2**k))
+
+
+class TestValidateOnce:
+    """Gates are checked when gate() makes them, and not again."""
+
+    def _count_checks(self, monkeypatch):
+        calls = []
+        check = qstate._check_unitary
+        monkeypatch.setattr(
+            qstate, "_check_unitary", lambda *a, **k: calls.append(1) or check(*a, **k)
+        )
+        return calls
+
+    def test_only_gate_construction_checks(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        calls = self._count_checks(monkeypatch)
+        u = gate("unitary", 1, matrix=_random_unitary(rng, 2))
+        cu = gate("cunitary", 0, 1, matrix=_random_unitary(rng, 2))
+        assert len(calls) == 2
+        gates = [u, gate("phase", 0, params=(0.4,)), cu]
+        inverse = adjoint(gates)
+        compile_circuit(Circuit(2, tuple(gates + inverse), {}))
+        state = qstate.basis_state(2, 0)
+        for g in gates + inverse:
+            state = circuits.apply_gate(state, g)
+        assert len(calls) == 2
+        assert not inverse[0].matrix.flags.writeable
+
+    def test_random_gates_keep_the_norm(self):
+        rng = np.random.default_rng(2024)
+        state = qstate.basis_state(4, 0)
+        worst = 0.0
+        for _ in range(400):
+            state = circuits.apply_gate(state, _any_gate(rng, 4))
+            worst = max(worst, abs(np.linalg.norm(state.amplitudes) - 1.0))
+        assert worst <= 1e-12
+
+    def test_decompositions_still_need_a_2x2_matrix(self):
+        with pytest.raises(DomainError):
+            zyz_angles(np.eye(4))
+        with pytest.raises(DomainError):
+            decompose_controlled_unitary(np.eye(4), 0, 1)
 
 
 class TestQasm:

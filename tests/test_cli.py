@@ -73,6 +73,28 @@ class TestSolve:
         assert code == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "text",
+        ["[1]", '{"t1_ns": null}', '{"t1_ns": NaN}', '{"cnot_ns": NaN}',
+         '{"idle_damping": "false"}', '{"t1": 10}'],
+        ids=["not-an-object", "null-number", "nan-t1", "nan-duration",
+             "string-boolean", "unknown-key"],
+    )
+    def test_malformed_noise_file(self, tmp_path, capsys, text):
+        path = tmp_path / "noise.json"
+        path.write_text(text)
+        code, _ = run(tmp_path, "solve", "--lambda", "0.25", "--noise", str(path))
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_negative_shots(self, tmp_path, capsys):
+        code, raw = run(tmp_path, "solve", "--lambda", "0.25", "--shots", "-5")
+        assert code == EXIT_VALIDATION
+        assert raw == b""
+        assert capsys.readouterr().err.startswith("error: --shots")
+
 
 class TestSweep:
     def test_curves_hit_dyadic_points(self, tmp_path):
@@ -125,6 +147,12 @@ class TestQpea:
         rows = dict(line.split(",") for line in raw.decode().strip().split("\n")[1:])
         assert float(rows["01"]) >= 0.3
         assert float(rows["11"]) >= 0.3
+
+    def test_negative_shots(self, tmp_path, capsys):
+        code, raw = run(tmp_path, "qpea", "--lambda", "0.25", "--shots", "-3")
+        assert code == EXIT_VALIDATION
+        assert raw == b""
+        assert capsys.readouterr().err.startswith("error: --shots")
 
 
 class TestCompare:

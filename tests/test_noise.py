@@ -27,6 +27,37 @@ class TestNoiseParams:
         with pytest.raises(ValidationError):
             NoiseParams(readout_flip=0.7)
 
+    @pytest.mark.parametrize(
+        "value",
+        [float("nan"), -1.0],
+        ids=["nan", "negative"],
+    )
+    def test_rejects_bad_t1(self, value):
+        with pytest.raises(ValidationError):
+            NoiseParams(t1_ns=value)
+
+    @pytest.mark.parametrize("field", ["cnot_ns", "rz_ns", "single_ns"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_rejects_bad_duration(self, field, value):
+        with pytest.raises(ValidationError):
+            NoiseParams(**{field: value})
+
+    @pytest.mark.parametrize(
+        "spec",
+        [[1], {"t1_ns": None}, {"t1_ns": "5"}, {"cnot_ns": True},
+         {"idle_damping": "false"}, {"idle_damping": 0}, {"t1": 10}],
+        ids=["list", "null", "string", "bool-number", "string-bool", "int-bool", "unknown-key"],
+    )
+    def test_from_dict_rejects_malformed(self, spec):
+        with pytest.raises(ValidationError):
+            NoiseParams.from_dict(spec)
+
+    def test_from_dict_defaults_and_types(self):
+        assert NoiseParams.from_dict({}) == NoiseParams()
+        p = NoiseParams.from_dict({"t1_ns": 30000, "idle_damping": False})
+        assert p.t1_ns == 30000.0 and isinstance(p.t1_ns, float)
+        assert p.idle_damping is False
+
     def test_json_roundtrip(self, tmp_path):
         p = NoiseParams(t1_ns=30000, readout_flip=0.01)
         path = tmp_path / "noise.json"
@@ -129,6 +160,13 @@ class TestDampingChannel:
         out = damping_channel(DensityMatrix(2, rho), 1, 137.0, 50000.0)
         assert np.real(np.trace(out.entries)) == pytest.approx(1.0, abs=1e-12)
 
+
+    def test_result_is_read_only(self):
+        rho = DensityMatrix(3, _random_rho(3, np.random.default_rng(1)))
+        out = damping_channel(rho, 1, 700.0, 5000.0)
+        assert isinstance(out, DensityMatrix) and out.num_qubits == 3
+        assert not out.entries.flags.writeable
+        assert not np.shares_memory(out.entries, rho.entries)
 
     @pytest.mark.parametrize("qubit", [0, 1, 2])
     def test_closed_form_equals_kraus_sum(self, qubit):

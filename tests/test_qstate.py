@@ -115,6 +115,50 @@ class TestApplyUnitary:
         np.testing.assert_allclose(out.amplitudes, s.amplitudes, atol=1e-10)
 
 
+class TestDerivedStates:
+    """Results built from checked states are read-only and sized right."""
+
+    def _assert_state(self, state, kind, num_qubits):
+        assert isinstance(state, kind)
+        assert state.num_qubits == num_qubits
+        data = state.amplitudes if kind is StateVector else state.entries
+        assert data.shape == (2**num_qubits,) * (1 if kind is StateVector else 2)
+        assert not data.flags.writeable
+        with pytest.raises(ValueError):
+            data[0] = 0.5
+
+    def test_apply_unitary(self):
+        rng = np.random.default_rng(3)
+        s = _random_state(rng, 3)
+        u = _random_unitary(rng, 4)
+        self._assert_state(apply_unitary(s, u, [2, 0]), StateVector, 3)
+        self._assert_state(
+            apply_unitary(s.to_density_matrix(), u, [2, 0]), DensityMatrix, 3
+        )
+
+    @pytest.mark.parametrize("remove", [True, False])
+    def test_postselect(self, remove):
+        s = _random_state(np.random.default_rng(4), 3)
+        n_out = 2 if remove else 3
+        post, _ = postselect(s, 1, 0, remove=remove)
+        self._assert_state(post, StateVector, n_out)
+        post, _ = postselect(s.to_density_matrix(), 1, 0, remove=remove)
+        self._assert_state(post, DensityMatrix, n_out)
+
+    def test_partial_trace_and_density_matrix(self):
+        s = _random_state(np.random.default_rng(5), 3)
+        rho = s.to_density_matrix()
+        self._assert_state(rho, DensityMatrix, 3)
+        self._assert_state(partial_trace(rho, [2, 0]), DensityMatrix, 2)
+
+    def test_public_constructors_leave_caller_arrays_writable(self):
+        amps = np.array([1.0, 0.0], dtype=complex)
+        rho = np.diag([1.0, 0.0]).astype(complex)
+        StateVector(1, amps)
+        DensityMatrix(1, rho)
+        assert amps.flags.writeable and rho.flags.writeable
+
+
 class TestApplyControlled:
     def test_cnot_truth_table(self):
         s = apply_controlled(basis_state(2, 2), X, [0], [1])

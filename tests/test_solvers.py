@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hhlsim import circuits, oracles, solvers
+from hhlsim import circuits, oracles, qstate, solvers
 from hhlsim.errors import (
     CompileError,
     ConstraintError,
@@ -239,6 +239,28 @@ class TestCircuitBuilder:
             [g for g in compiled.gates if g.kind != "measure"], circ.num_qubits
         )
         assert circuits.equal_up_to_phase(u_cmp, u_src, atol=1e-8)
+
+
+class TestValidateOnce:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_exact_run_checks_only_where_values_enter(self, monkeypatch, n):
+        """One unitarity check per cunitary gate made (the input is |0>, so
+        there is no state-preparation gate) and no eigenvalue check of the
+        derived density matrices."""
+        problem = build_a_lambda(0.3)
+        problem.spectral  # the problem's own checks and cache are not counted
+        unitary_checks, eig_checks = [], []
+        check, eigvalsh = qstate._check_unitary, np.linalg.eigvalsh
+        monkeypatch.setattr(
+            qstate, "_check_unitary",
+            lambda *a, **k: unitary_checks.append(1) or check(*a, **k),
+        )
+        monkeypatch.setattr(
+            np.linalg, "eigvalsh", lambda *a, **k: eig_checks.append(1) or eigvalsh(*a, **k)
+        )
+        run_original_hhl(problem, n)
+        assert len(unitary_checks) == n
+        assert len(eig_checks) == 0
 
 
 class TestReducedEncodingEquivalence:
