@@ -46,8 +46,12 @@ class Gate:
 
 
 def gate(kind, *qubits, params=(), matrix=None) -> Gate:
-    """A checked gate: finite parameters, one ``mry`` angle per control
-    pattern, and an explicit ``matrix`` that is unitary (stored read-only)."""
+    """A checked gate: distinct qubits, finite parameters, one ``mry`` angle
+    per control pattern, and an explicit ``matrix`` that is unitary and fits
+    its target qubits (all of them, or all but the control of a
+    ``cunitary``); the matrix is stored read-only."""
+    if len(set(qubits)) != len(qubits):
+        raise ValidationError(f"gate {kind} repeats a qubit: {qubits}")
     params = tuple(params)
     for p in params:
         if not math.isfinite(p):
@@ -56,6 +60,12 @@ def gate(kind, *qubits, params=(), matrix=None) -> Gate:
         raise ValidationError("an mry gate needs one angle per control pattern")
     if matrix is not None:
         matrix = qstate._check_unitary(matrix)
+        targets = len(qubits) - (kind == "cunitary")
+        if matrix.shape[0] != 2**targets:
+            raise ValidationError(
+                f"a {matrix.shape[0]}x{matrix.shape[0]} matrix does not fit "
+                f"{targets} target qubit(s) of gate {kind}"
+            )
         matrix.setflags(write=False)
     return Gate(kind, qubits, params, matrix)
 

@@ -135,12 +135,7 @@ def cmd_qpea(args) -> int:
     problem, _ = _problem_from_args(args)
     noise = _noise_from_args(args)
     _check_shots(args)
-    if args.shots > 0:
-        hist = qpe.run_qpea(problem, args.n, args.shots, args.seed, noise=noise)
-    elif noise is not None:
-        hist = qpe.qpea_distribution_noisy(problem, args.n, noise)
-    else:
-        hist = qpe.register_distribution_exact(problem, args.n)
+    hist = qpe.run_qpea(problem, args.n, args.shots, args.seed, noise=noise)
     lines = ["outcome,value"]
     for key in sorted(hist.outcomes):
         lines.append(f"{key},{_float(hist.outcomes[key])!r}")
@@ -259,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("qpea", help="measured phase-estimation histogram")
+    p = sub.add_parser("qpea", help="phase-estimation register distribution on b")
     _add_problem_flags(p)
     _add_common_flags(p)
     p.set_defaults(func=cmd_qpea)

@@ -118,16 +118,14 @@ def _flip_distribution(probs: np.ndarray, k: int, flip: float) -> np.ndarray:
 def run_noisy(
     compiled: CompiledCircuit,
     noise: NoiseParams,
-    shots: int = 0,
-    seed: int | None = None,
     initial: StateVector | qstate.DensityMatrix | None = None,
 ):
     """Execute a compiled circuit under amplitude damping.
 
-    Returns ``(final density matrix, histogram)``. The histogram covers the
-    measured qubits in gate order (all qubits, MSB first, if nothing is
-    measured); ``shots == 0`` means exact probabilities. The returned density
-    matrix is the pre-measurement state.
+    Returns ``(final density matrix, histogram)``. The histogram holds exact
+    probabilities, readout flips included, of the measured qubits in gate
+    order (all qubits, MSB first, if nothing is measured). The returned
+    density matrix is the pre-measurement state.
     """
     n = compiled.num_qubits
     if initial is None:
@@ -158,9 +156,5 @@ def run_noisy(
     probs = qstate._marginal_probabilities(rho, targets)
     probs = probs / probs.sum()
     probs = _flip_distribution(probs, len(targets), noise.readout_flip)
-    if shots == 0:
-        labels = qstate._labels(len(targets))
-        return rho, MeasurementHistogram(
-            {label: float(p) for label, p in zip(labels, probs)}, None
-        )
-    return rho, qstate._draw(probs, shots, seed)
+    labels = qstate._labels(len(targets))
+    return rho, MeasurementHistogram({k: float(p) for k, p in zip(labels, probs)}, None)

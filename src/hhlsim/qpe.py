@@ -3,6 +3,9 @@ and the measured QPEA used as the hybrid solver's first step.
 
 Register bit 1 (most significant) controls the highest unitary power, so a
 measured register string reads directly as the n-bit eigenvalue estimate.
+The QPEA circuit prepares b (:func:`prepare_b`) as the HHL circuit does.
+:func:`run_qpea` is the one QPEA entry: exact probabilities for ``shots == 0``,
+with or without noise, and a seeded draw from them for ``shots > 0``.
 """
 
 from __future__ import annotations
@@ -11,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import circuits, qstate
-from .circuits import Circuit, gate
+from . import circuits, noise as noise_mod, qstate
+from .circuits import Circuit, Gate, gate
 from .errors import DomainError, ValidationError
 from .problem import HermitianProblem, unitary_power
 from .qstate import MeasurementHistogram
@@ -28,6 +31,20 @@ class QpeConfig:
             raise ValidationError("register size must be >= 1")
 
 
+def prepare_b(problem: HermitianProblem, v_qubits) -> list[Gate]:
+    """Gates sending |0...0> on the input wires to b: none if b is |0...0>,
+    else one ``unitary`` gate whose first column is b. Builders put it before
+    :func:`qpe_block`, not inside: the HHL circuit undoes that block."""
+    b = problem.b
+    d = b.size
+    if np.allclose(b, np.eye(d)[:, 0], atol=1e-12):
+        return []
+    q_mat, _ = np.linalg.qr(np.column_stack([b, np.eye(d, dtype=complex)]))
+    q_mat = q_mat[:, :d]
+    q_mat[:, 0] *= np.vdot(q_mat[:, 0], b)  # undo QR's column phase
+    return [gate("unitary", *v_qubits, matrix=q_mat)]
+
+
 def qpe_block(problem: HermitianProblem, n: int, register, v_qubits, physical_swap=False):
     """Forward QPE gate sequence on explicit wires.
 
@@ -41,8 +58,7 @@ def qpe_block(problem: HermitianProblem, n: int, register, v_qubits, physical_sw
     gates = [gate("h", q) for q in register]
     for i, q in enumerate(register):
         u = unitary_power(spectral, 2 ** (n - 1 - i))
-        kind = "cunitary"
-        gates.append(circuits.gate(kind, q, *v_qubits, matrix=u))
+        gates.append(gate("cunitary", q, *v_qubits, matrix=u))
     iqft, out_register = circuits.inverse_qft_gates(register, physical_swap=physical_swap)
     gates.extend(iqft)
     return gates, out_register
@@ -50,7 +66,7 @@ def qpe_block(problem: HermitianProblem, n: int, register, v_qubits, physical_sw
 
 def build_qpe(config: QpeConfig, physical_swap: bool = False) -> Circuit:
     """Standalone measured QPE(A) circuit (the QPEA): register on wires
-    0..n-1, input state after, register measurements at the end."""
+    0..n-1, input wires after, prepared in b; register measurements at the end."""
     n = config.n
     q = config.problem.num_qubits
     register = list(range(n))
@@ -58,8 +74,9 @@ def build_qpe(config: QpeConfig, physical_swap: bool = False) -> Circuit:
     gates, out_register = qpe_block(
         config.problem, n, register, v_qubits, physical_swap=physical_swap
     )
+    gates = prepare_b(config.problem, v_qubits) + gates
+    gates += [gate("measure", w) for w in out_register]
     roles = {"register": tuple(out_register), "input": tuple(v_qubits)}
-    gates = gates + [gate("measure", w) for w in out_register]
     return Circuit(n + q, tuple(gates), roles)
 
 
@@ -89,33 +106,32 @@ def register_distribution_exact(problem: HermitianProblem, n: int) -> Measuremen
 def run_qpea(
     problem: HermitianProblem,
     n: int,
-    shots: int,
-    seed: int,
+    shots: int = 0,
+    seed: int | None = None,
     noise=None,
 ) -> MeasurementHistogram:
-    """Sampled QPEA histogram; deterministic for a fixed seed.
+    """The QPEA register histogram; deterministic for a fixed seed.
 
-    With ``noise`` the compiled circuit runs on the density-matrix substrate
-    (see :mod:`hhlsim.noise`); otherwise sampling uses the exact distribution.
+    ``shots == 0`` gives exact probabilities: :func:`register_distribution_exact`
+    without ``noise``, :func:`qpea_distribution_noisy` with it. ``shots > 0``
+    draws that many outcomes from the same probabilities.
     """
-    if shots < 1:
-        raise DomainError("shots must be >= 1")
+    if shots < 0:
+        raise DomainError("shots must be >= 0")
+    qstate.check_width(n + problem.num_qubits)
     if noise is None:
         dist = register_distribution_exact(problem, n)
-        p = np.array([dist.outcomes[x] for x in sorted(dist.outcomes)])
-        return qstate._draw(p, shots, seed)
-    from . import noise as noise_mod
-
-    compiled = circuits.compile_circuit(build_qpe(QpeConfig(n, problem)), noise.durations)
-    _, hist = noise_mod.run_noisy(compiled, noise, shots=shots, seed=seed)
-    return hist
+    else:
+        dist = qpea_distribution_noisy(problem, n, noise)
+    if shots == 0:
+        return dist
+    p = np.array([dist.outcomes[x] for x in sorted(dist.outcomes)])
+    return qstate._draw(p, shots, seed)
 
 
 def qpea_distribution_noisy(problem: HermitianProblem, n: int, noise) -> MeasurementHistogram:
-    """Exact-probability register distribution under the noise model."""
-    from . import noise as noise_mod
-
-    compiled = circuits.compile_circuit(build_qpe(QpeConfig(n, problem)))
-    _, hist = noise_mod.run_noisy(compiled, noise, shots=0, seed=0)
+    """Exact-probability register distribution of the compiled QPEA circuit
+    under the noise model."""
+    compiled = circuits.compile_circuit(build_qpe(QpeConfig(n, problem)), noise.durations)
+    _, hist = noise_mod.run_noisy(compiled, noise)
     return hist
-

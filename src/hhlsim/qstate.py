@@ -22,6 +22,20 @@ from .errors import DomainError, ImpossibleOutcomeError, ValidationError
 
 ATOL = 1e-10
 
+# Widest circuit the solvers simulate. The largest dense arrays are a density
+# matrix, 16 * 4^width bytes of complex128, and the HHL encoding's mry matrix,
+# 16 * 4^(n + 1) bytes with n + 1 < width. A budget of 256 MiB = 2^28 bytes
+# per array bounds 4^width by 2^24, so width <= 12.
+MAX_QUBITS = 12
+
+
+def check_width(num_qubits: int) -> None:
+    """Refuse a circuit wider than MAX_QUBITS, before anything is built."""
+    if num_qubits > MAX_QUBITS:
+        raise ValidationError(
+            f"a {num_qubits}-qubit circuit exceeds the limit of {MAX_QUBITS} qubits"
+        )
+
 
 def _check_unitary(u: np.ndarray, atol: float = ATOL) -> np.ndarray:
     u = np.asarray(u, dtype=complex)

@@ -199,7 +199,7 @@ def _run_exact_pipeline(circuit: Circuit, n: int):
     return rho_v, prob, reset_mass
 
 
-def _run_noisy_pipeline(compiled: circuits.CompiledCircuit, n, noise, seed):
+def _run_noisy_pipeline(compiled: circuits.CompiledCircuit, n, noise):
     """Density-matrix run of the compiled circuit.
 
     Successful runs are those where the ancilla reads 1 *and* the register
@@ -207,7 +207,7 @@ def _run_noisy_pipeline(compiled: circuits.CompiledCircuit, n, noise, seed):
     errors propagated through the circuit populate other register outcomes,
     which are discarded here exactly as hardware runs discard them.
     """
-    rho, _ = noise_mod.run_noisy(compiled, noise, shots=0, seed=seed)
+    rho, _ = noise_mod.run_noisy(compiled, noise)
     post, prob = qstate.postselect(rho, 0, 1)
     reg_dist = qstate.exact_distribution(post, list(range(n)))
     reset_mass = 1.0 - reg_dist.outcomes["0" * n]
@@ -234,7 +234,7 @@ def _solve(mode, problem, n, aqe_spec, shots, seed, noise, estimate=None) -> HHL
             cnot_count = None
     else:
         compiled = circuits.compile_circuit(circuit, noise.durations)
-        rho_v, prob, reset = _run_noisy_pipeline(compiled, n, noise, seed)
+        rho_v, prob, reset = _run_noisy_pipeline(compiled, n, noise)
         cnot_count = compiled.cnot_count
     x_exact, _ = classical_solution(problem)
     fid = qstate.fidelity_pure(rho_v, StateVector(problem.num_qubits, x_exact))
@@ -279,9 +279,7 @@ def build_hhl_circuit(
     ancilla = 0
     reg = list(range(1, n + 1))
     v = list(range(n + 1, n + 1 + q))
-    gates: list = []
-    if not np.allclose(problem.b, np.eye(problem.dimension)[:, 0], atol=1e-12):
-        gates.append(circuits.gate("unitary", *v, matrix=_prep_matrix(problem.b)))
+    gates = qpe.prepare_b(problem, v)
     qpe_gates, out_reg = qpe.qpe_block(problem, n, reg, v, physical_swap=physical_swap)
     gates.extend(qpe_gates)
     # one multiplexed Ry on the ancilla, controlled by the wires of the free
@@ -305,16 +303,6 @@ def build_hhl_circuit(
     return Circuit(1 + n + q, tuple(gates), roles)
 
 
-def _prep_matrix(b: np.ndarray) -> np.ndarray:
-    """A unitary whose first column is b, so it sends |0...0> to b."""
-    d = b.size
-    seed = np.column_stack([b, np.eye(d, dtype=complex)])
-    q_mat, _ = np.linalg.qr(seed)
-    q_mat = q_mat[:, :d]
-    q_mat[:, 0] *= np.vdot(q_mat[:, 0], b)  # undo QR's column phase
-    return q_mat
-
-
 def run_original_hhl(
     problem: HermitianProblem,
     n: int,
@@ -325,6 +313,7 @@ def run_original_hhl(
     """Full-register HHL; exact statevector run, or density-matrix run under noise."""
     if n < 1:
         raise DomainError("register size must be >= 1")
+    qstate.check_width(1 + n + problem.num_qubits)
     return _solve("original", problem, n, build_aqe(problem, n), shots, seed, noise)
 
 
@@ -363,14 +352,8 @@ def run_hybrid_hhl(
     n = n_init
     last_estimate = None
     while n <= policy.max_n:
-        if shots == 0:
-            hist = (
-                qpe.register_distribution_exact(problem, n)
-                if noise is None
-                else qpe.qpea_distribution_noisy(problem, n, noise)
-            )
-        else:
-            hist = qpe.run_qpea(problem, n, shots, seed, noise=noise)
+        qstate.check_width(1 + n + problem.num_qubits)
+        hist = qpe.run_qpea(problem, n, shots, seed, noise=noise)
         estimate = analyze_qpea(hist, n, policy.tau, policy.coverage)
         if estimate.reducible:
             aqe_spec = synthesize_reduced_aqe(estimate, c)

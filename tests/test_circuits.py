@@ -47,6 +47,16 @@ class TestGate:
         with pytest.raises(ValidationError):
             gate("ry", 0, params=(np.nan,))
 
+    def test_rejects_repeated_qubits_and_misfit_matrices(self):
+        with pytest.raises(ValidationError, match="repeats a qubit"):
+            gate("cnot", 0, 0)
+        with pytest.raises(ValidationError, match="does not fit"):
+            gate("unitary", 0, matrix=np.eye(4))
+        with pytest.raises(ValidationError, match="does not fit"):
+            gate("cunitary", 0, 1, matrix=np.eye(4))
+        # a controlled operator on two input qubits fits: one control, two targets
+        assert gate("cunitary", 0, 1, 2, matrix=np.eye(4)).matrix.shape == (4, 4)
+
     def test_cnot_matrix(self):
         m = gate_matrix(gate("cnot", 0, 1))
         expected = np.eye(4)[[0, 1, 3, 2]]

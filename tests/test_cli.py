@@ -89,6 +89,16 @@ class TestSolve:
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("mode", ["original", "hybrid"])
+    def test_register_too_wide(self, tmp_path, capsys, mode):
+        code, raw = run(
+            tmp_path, "solve", "--lambda", "0.3", "--n", "40", "--max-n", "40", "--mode", mode
+        )
+        assert code == EXIT_VALIDATION and raw == b""
+        assert capsys.readouterr().err == (
+            "error: a 42-qubit circuit exceeds the limit of 12 qubits\n"
+        )
+
     def test_negative_shots(self, tmp_path, capsys):
         code, raw = run(tmp_path, "solve", "--lambda", "0.25", "--shots", "-5")
         assert code == EXIT_VALIDATION
@@ -121,6 +131,70 @@ class TestSweep:
         assert code == EXIT_VALIDATION
 
 
+# A = diag(1/4, 3/4), b = |+>: the QPEA must see both eigenvalues, on every path
+DIAG_PLUS = (
+    '{"kind": "matrix", "dim": 2, "a_real": [[0.25, 0], [0, 0.75]],'
+    ' "a_imag": [[0, 0], [0, 0]], "b_real": [0.7071067811865476, 0.7071067811865476],'
+    ' "b_imag": [0, 0]}'
+)
+ZERO_NOISE = '{"t1_ns": 1e18}'
+
+
+def _files(tmp_path, **texts):
+    paths = {}
+    for name, text in texts.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(text)
+    return {k: str(v) for k, v in paths.items()}
+
+
+class TestPreparedB:
+    def test_hybrid_zero_noise_matches_noiseless(self, tmp_path):
+        f = _files(tmp_path, problem=DIAG_PLUS, noise=ZERO_NOISE)
+        args = ("solve", "--problem-file", f["problem"], "--mode", "hybrid")
+        code, raw = run(tmp_path, *args)
+        assert code == EXIT_OK
+        noiseless = json.loads(raw)
+        code, raw = run(tmp_path, *args, "--noise", f["noise"])
+        assert code == EXIT_OK
+        noisy = json.loads(raw)
+        assert noiseless["qpea_analysis"]["fixed_positions"] == [2]
+        assert noisy["qpea_analysis"]["fixed_positions"] == [2]
+        assert noisy["fidelity"] == pytest.approx(noiseless["fidelity"], abs=1e-9)
+
+    def test_qpea_zero_noise_matches_noiseless(self, tmp_path):
+        f = _files(tmp_path, problem=DIAG_PLUS, noise=ZERO_NOISE)
+        rows = []
+        for extra in ((), ("--noise", f["noise"])):
+            code, raw = run(tmp_path, "qpea", "--problem-file", f["problem"], *extra)
+            assert code == EXIT_OK
+            rows.append(dict(line.split(",") for line in raw.decode().split()[1:]))
+        for row in rows:
+            assert float(row["01"]) == pytest.approx(0.5, abs=1e-12)
+            assert float(row["11"]) == pytest.approx(0.5, abs=1e-12)
+
+    def test_emit_qpea_prepares_b(self, tmp_path):
+        f = _files(tmp_path, problem=DIAG_PLUS)
+        code, raw = run(tmp_path, "emit-qasm", "--problem-file", f["problem"], "--circuit", "qpea")
+        assert code == EXIT_OK
+        # the first gate after the headers sends the input qubit to |+>
+        assert raw.decode().splitlines()[4] == "ry(1.5707963267949) q[2];"
+
+    def test_noisy_qpea_d4_does_not_lower(self, tmp_path, capsys):
+        # a 4x4 diagonal A with b = |++>: the 2-qubit prep gate, the circuit's
+        # first, has no lowering (nor has the 2-target controlled power after it)
+        h = [0.5, 0.5, 0.5, 0.5]
+        problem = json.dumps({
+            "kind": "matrix", "dim": 4,
+            "a_real": [[0.125 * (i + 1) * (i == j) for j in range(4)] for i in range(4)],
+            "a_imag": [[0] * 4] * 4, "b_real": h, "b_imag": [0] * 4,
+        })
+        f = _files(tmp_path, problem=problem, noise=ZERO_NOISE)
+        code, raw = run(tmp_path, "qpea", "--problem-file", f["problem"], "--noise", f["noise"])
+        assert code == EXIT_VALIDATION and raw == b""
+        assert capsys.readouterr().err == "error: unitary lowering supports exactly one qubit\n"
+
+
 class TestQpea:
     def test_quarter_rows(self, tmp_path):
         code, raw = run(tmp_path, "qpea", "--lambda", "0.25", "--n", "2")
@@ -147,6 +221,13 @@ class TestQpea:
         rows = dict(line.split(",") for line in raw.decode().strip().split("\n")[1:])
         assert float(rows["01"]) >= 0.3
         assert float(rows["11"]) >= 0.3
+
+    def test_register_too_wide(self, tmp_path, capsys):
+        code, raw = run(tmp_path, "qpea", "--lambda", "0.3", "--n", "40")
+        assert code == EXIT_VALIDATION and raw == b""
+        assert capsys.readouterr().err == (
+            "error: a 41-qubit circuit exceeds the limit of 12 qubits\n"
+        )
 
     def test_negative_shots(self, tmp_path, capsys):
         code, raw = run(tmp_path, "qpea", "--lambda", "0.25", "--shots", "-3")

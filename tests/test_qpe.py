@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from hhlsim import circuits, noise as noise_mod
-from hhlsim.problem import build_a_lambda
+from hhlsim.errors import DomainError, ValidationError
+from hhlsim.problem import HermitianProblem, build_a_lambda
 from hhlsim.qpe import (
     QpeConfig,
     beta_coefficient,
@@ -14,6 +15,16 @@ from hhlsim.qpe import (
     register_distribution_exact,
     run_qpea,
 )
+
+
+def _random_problem(seed: int) -> HermitianProblem:
+    """d = 2, eigenvalues anywhere in [0.05, 0.95], a random complex b."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    q, _ = np.linalg.qr(z)
+    a = (q * rng.uniform(0.05, 0.95, size=2)) @ q.conj().T
+    b = rng.normal(size=2) + 1j * rng.normal(size=2)
+    return HermitianProblem((a + a.conj().T) / 2, b / np.linalg.norm(b))
 
 
 class TestBetaCoefficient:
@@ -52,13 +63,19 @@ class TestRegisterDistribution:
 
 
 class TestBuildQpe:
-    def test_circuit_reproduces_distribution(self):
-        problem = build_a_lambda(0.3)
-        circuit = build_qpe(QpeConfig(2, problem))
-        compiled = circuits.compile_circuit(circuit)
-        zero = noise_mod.NoiseParams(t1_ns=1e18)
-        _, hist = noise_mod.run_noisy(compiled, zero)
-        ref = register_distribution_exact(problem, 2).outcomes
+    @pytest.mark.parametrize(
+        "problem,n",
+        [(build_a_lambda(0.3), 2)]
+        + [(_random_problem(seed), n) for n in (1, 2, 3) for seed in (0, 1, 2)],
+        ids=["lambda0.3-n2"] + [f"b{seed}-n{n}" for n in (1, 2, 3) for seed in (0, 1, 2)],
+    )
+    def test_circuit_reproduces_distribution(self, problem, n):
+        """The compiled QPEA at zero noise gives the closed-form distribution,
+        also for a b that the circuit has to prepare."""
+        compiled = circuits.compile_circuit(build_qpe(QpeConfig(n, problem)))
+        _, hist = noise_mod.run_noisy(compiled, noise_mod.NoiseParams(t1_ns=1e18))
+        ref = register_distribution_exact(problem, n).outcomes
+        assert hist.outcomes.keys() == ref.keys()
         for key, val in ref.items():
             assert hist.outcomes[key] == pytest.approx(val, abs=1e-10)
 
@@ -78,6 +95,33 @@ class TestRunQpea:
         b = run_qpea(problem, 2, shots=512, seed=3)
         assert a.outcomes == b.outcomes
         assert sum(a.outcomes.values()) == 512
+
+    @pytest.mark.parametrize("problem", [build_a_lambda(0.3), _random_problem(1)])
+    def test_zero_shots_gives_exact_probabilities(self, problem):
+        assert run_qpea(problem, 3).outcomes == register_distribution_exact(problem, 3).outcomes
+        noise = noise_mod.NoiseParams(t1_ns=20_000.0, readout_flip=0.02)
+        got = run_qpea(problem, 2, noise=noise)
+        assert got.shots is None
+        assert got.outcomes == qpea_distribution_noisy(problem, 2, noise).outcomes
+
+    def test_shots_draw_from_the_noisy_distribution(self):
+        problem = _random_problem(2)
+        noise = noise_mod.NoiseParams(t1_ns=20_000.0)
+        a = run_qpea(problem, 2, shots=4000, seed=5, noise=noise)
+        assert a.outcomes == run_qpea(problem, 2, shots=4000, seed=5, noise=noise).outcomes
+        assert sum(a.outcomes.values()) == 4000
+        exact = qpea_distribution_noisy(problem, 2, noise).outcomes
+        for key, count in a.outcomes.items():
+            assert count / 4000 == pytest.approx(exact[key], abs=0.05)
+
+    def test_negative_shots_rejected(self):
+        with pytest.raises(DomainError):
+            run_qpea(build_a_lambda(0.25), 2, shots=-1)
+
+    def test_width_limit(self):
+        # 12 register bits + 1 input qubit: refused before anything is built
+        with pytest.raises(ValidationError, match="13-qubit"):
+            run_qpea(build_a_lambda(0.3), 12)
 
     def test_noisy_distribution_keeps_peaks(self):
         problem = build_a_lambda(0.25)

@@ -263,6 +263,33 @@ class TestValidateOnce:
         assert len(eig_checks) == 0
 
 
+class TestWidthLimit:
+    """Circuits wider than qstate.MAX_QUBITS are refused before they are built."""
+
+    def test_limit_boundary(self):
+        qstate.check_width(qstate.MAX_QUBITS)
+        with pytest.raises(ValidationError):
+            qstate.check_width(qstate.MAX_QUBITS + 1)
+
+    def test_original_refused_before_building(self, monkeypatch):
+        monkeypatch.setattr(solvers, "build_aqe", lambda *a: pytest.fail("built"))
+        # ancilla + 11 register bits + 1 input qubit
+        with pytest.raises(ValidationError, match="13-qubit"):
+            run_original_hhl(build_a_lambda(0.3), 11)
+
+    def test_hybrid_checks_each_register_size(self, monkeypatch):
+        tried = []
+
+        def flat_qpea(problem, n, *args, **kwargs):
+            tried.append(n)
+            return MeasurementHistogram({format(x, f"0{n}b"): 2.0**-n for x in range(2**n)})
+
+        monkeypatch.setattr(solvers.qpe, "run_qpea", flat_qpea)
+        with pytest.raises(ValidationError, match="13-qubit"):
+            run_hybrid_hhl(build_a_lambda(0.3), 9, policy=HybridPolicy(max_n=20))
+        assert tried == [9, 10]
+
+
 class TestReducedEncodingEquivalence:
     def test_dyadic_family_members(self):
         for lam in (0.25, 0.5, 0.75):
