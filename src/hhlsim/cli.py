@@ -50,6 +50,30 @@ def _histogram_json(hist: MeasurementHistogram) -> dict:
     }
 
 
+def _optional(x):
+    return None if x is None else _float(x)
+
+
+def _outcome_json(outcome) -> dict:
+    """The keys a solve record and a compare mode share: the estimator named
+    by ``postselection`` at the top, both named estimators under ``estimators``."""
+    named = (("ancilla", outcome.ancilla), ("uncomputed", outcome.uncomputed))
+    return {
+        "fidelity": _float(outcome.fidelity),
+        "success_prob": _float(outcome.success_probability),
+        "c_plus_sq": _optional(outcome.c_plus_sq),
+        "c_minus_sq": _optional(outcome.c_minus_sq),
+        "cnot_count": outcome.cnot_count,
+        "postselection": outcome.postselection,
+        "estimators": {
+            name: None
+            if est is None
+            else {"fidelity": _float(est[0]), "success_prob": _float(est[1])}
+            for name, est in named
+        },
+    }
+
+
 def _write(out_path, text: str) -> None:
     if out_path:
         with open(out_path, "w") as fh:
@@ -93,14 +117,10 @@ def cmd_solve(args) -> int:
         "problem": problem_desc,
         "n": outcome.n,
         "mode": outcome.mode,
-        "success_prob": _float(outcome.success_probability),
-        "fidelity": _float(outcome.fidelity),
-        "c_plus_sq": None if outcome.c_plus_sq is None else _float(outcome.c_plus_sq),
-        "c_minus_sq": None if outcome.c_minus_sq is None else _float(outcome.c_minus_sq),
-        "cnot_count": outcome.cnot_count,
         "seed": args.seed,
         "shots": args.shots,
         "histograms": {k: _histogram_json(h) for k, h in sorted(outcome.histograms.items())},
+        **_outcome_json(outcome),
     }
     if outcome.estimate is not None:
         record["qpea_analysis"] = {
@@ -152,32 +172,18 @@ def cmd_compare(args) -> int:
     for lam in lambdas:
         problem = build_a_lambda(lam)
         x_exact, _ = classical_solution(problem)
-        plus = np.array([1, 1]) / np.sqrt(2)
-        minus = np.array([1, -1]) / np.sqrt(2)
         theoretical = {
-            "c_plus_sq": _float(abs(np.vdot(plus, x_exact)) ** 2),
-            "c_minus_sq": _float(abs(np.vdot(minus, x_exact)) ** 2),
+            f"c_{name}_sq": _float(abs(np.vdot(np.array([1, sign]) / np.sqrt(2), x_exact)) ** 2)
+            for name, sign in (("plus", 1), ("minus", -1))
         }
         modes = {}
-        for mode in ("original", "hybrid"):
-            if mode == "original":
-                outcome = solvers.run_original_hhl(problem, args.n, noise=noise)
-            else:
-                outcome = solvers.run_hybrid_hhl(problem, args.n, noise=noise)
-            modes[mode] = {
-                "fidelity": _float(outcome.fidelity),
-                "c_plus_sq": _float(outcome.c_plus_sq),
-                "c_minus_sq": _float(outcome.c_minus_sq),
-                "cnot_count": outcome.cnot_count,
-                "success_prob": _float(outcome.success_probability),
-                "survival_bound": None
-                if outcome.cnot_count is None
-                else _float(
-                    noise_mod.survival_bound(
-                        outcome.cnot_count, noise or noise_mod.NoiseParams()
-                    )
-                ),
-            }
+        runs = (("original", solvers.run_original_hhl), ("hybrid", solvers.run_hybrid_hhl))
+        for mode, run in runs:
+            outcome = run(problem, args.n, noise=noise)
+            bound = None if outcome.cnot_count is None else noise_mod.survival_bound(
+                outcome.cnot_count, noise or noise_mod.NoiseParams()
+            )
+            modes[mode] = {**_outcome_json(outcome), "survival_bound": _optional(bound)}
         entries.append({"lambda": lam, "theoretical": theoretical, "modes": modes})
     payload = {"schema": 1, "command": "compare", "noise": args.noise, "rows": entries}
     _write(args.out, _dump_json(payload))

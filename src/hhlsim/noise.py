@@ -1,11 +1,12 @@
-"""Amplitude-damping (T1) execution of compiled circuits on density matrices.
+"""The circuit executor, :func:`run_noisy`: without noise on a statevector,
+with amplitude damping (T1) on a density matrix.
 
-Every gate advances the wall clock by its duration; each qubit decays for
-that long (idle qubits too, unless ``idle_damping`` is off). The decay is
-applied lazily: a qubit's pending time is applied in one damping step when a
-gate next touches it, and once more after the last gate. This is exact, not an
-approximation: damping on one qubit commutes with gates on other qubits, and
-damping for t1 then t2 equals damping for t1 + t2, since
+Under noise every gate advances the wall clock by its duration; each qubit
+decays for that long (idle qubits too, unless ``idle_damping`` is off). The
+decay is applied lazily: a qubit's pending time is applied in one damping
+step when a gate next touches it, and once more after the last gate. This is
+exact, not an approximation: damping on one qubit commutes with gates on
+other qubits, and damping for t1 then t2 equals damping for t1 + t2, since
 (1 - gamma1)(1 - gamma2) = exp(-(t1 + t2) / T1). Readout errors are
 independent per-bit flips applied to the measured distribution.
 """
@@ -19,7 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import qstate
-from .circuits import CompiledCircuit, GateDurations, apply_gate
+from .circuits import GateDurations, apply_gate
 from .errors import DomainError, ValidationError
 from .qstate import DensityMatrix, MeasurementHistogram, StateVector
 
@@ -115,46 +116,47 @@ def _flip_distribution(probs: np.ndarray, k: int, flip: float) -> np.ndarray:
     return t.reshape(-1)
 
 
-def run_noisy(
-    compiled: CompiledCircuit,
-    noise: NoiseParams,
-    initial: StateVector | qstate.DensityMatrix | None = None,
-):
-    """Execute a compiled circuit under amplitude damping.
-
-    Returns ``(final density matrix, histogram)``. The histogram holds exact
-    probabilities, readout flips included, of the measured qubits in gate
-    order (all qubits, MSB first, if nothing is measured). The returned
-    density matrix is the pre-measurement state.
-    """
-    n = compiled.num_qubits
-    if initial is None:
-        initial = qstate.basis_state(n, 0)
-    rho = initial if isinstance(initial, qstate.DensityMatrix) else initial.to_density_matrix()
-    durations = noise.durations
-    measured: list[int] = []
+def run_noisy(circuit, noise: NoiseParams | None = None, initial=None):
+    """The one circuit executor: apply the gates of a Circuit or
+    CompiledCircuit in order, measure gates aside, to ``initial`` (default
+    |0...0>) and return the final, pre-measurement state. Without ``noise``
+    nothing decays and a statevector stays one; with it the run is on a
+    density matrix under amplitude damping."""
+    n = circuit.num_qubits
+    state = qstate.basis_state(n, 0) if initial is None else initial
+    durations = None if noise is None else noise.durations
+    if durations is not None and isinstance(state, StateVector):
+        state = state.to_density_matrix()
+    measured: set[int] = set()
     pending = [0.0] * n  # decay time owed by each qubit, applied when next touched
-    for g in compiled.gates:
+    for g in circuit.gates:
         if g.kind == "measure":
             if g.qubits[0] in measured:
                 raise DomainError(f"qubit {g.qubits[0]} is measured more than once")
-            measured.append(g.qubits[0])
+            measured.add(g.qubits[0])
             continue
-        for q in g.qubits:
-            if pending[q] > 0:
-                rho = damping_channel(rho, q, pending[q], noise.t1_ns)
-                pending[q] = 0.0
-        rho = apply_gate(rho, g)
-        dt = durations.of(g)
-        if dt > 0:
+        if durations is not None:
+            for q in g.qubits:
+                if pending[q] > 0:
+                    state = damping_channel(state, q, pending[q], noise.t1_ns)
+                    pending[q] = 0.0
+        state = apply_gate(state, g)
+        if durations is not None and (dt := durations.of(g)) > 0:
             for q in range(n) if noise.idle_damping else g.qubits:
                 pending[q] += dt
     for q in range(n):
         if pending[q] > 0:
-            rho = damping_channel(rho, q, pending[q], noise.t1_ns)
-    targets = measured if measured else list(range(n))
-    probs = qstate._marginal_probabilities(rho, targets)
-    probs = probs / probs.sum()
-    probs = _flip_distribution(probs, len(targets), noise.readout_flip)
+            state = damping_channel(state, q, pending[q], noise.t1_ns)
+    return state
+
+
+def readout_distribution(state, circuit, noise: NoiseParams) -> MeasurementHistogram:
+    """Exact outcome probabilities, readout flips included, of the qubits
+    ``circuit`` measures, in gate order (all qubits, MSB first, if none),
+    in its final ``state`` from :func:`run_noisy`."""
+    targets = [g.qubits[0] for g in circuit.gates if g.kind == "measure"]
+    targets = targets or list(range(state.num_qubits))
+    probs = qstate._marginal_probabilities(state, targets)
+    probs = _flip_distribution(probs / probs.sum(), len(targets), noise.readout_flip)
     labels = qstate._labels(len(targets))
-    return rho, MeasurementHistogram({k: float(p) for k, p in zip(labels, probs)}, None)
+    return MeasurementHistogram({k: float(p) for k, p in zip(labels, probs)}, None)

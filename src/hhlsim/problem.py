@@ -131,24 +131,6 @@ def binary_estimate(lam: float, n: int) -> str:
     return format(value, f"0{n}b")
 
 
-def _distinct_eigenvalues(spectral: SpectralData, tol: float = 1e-9) -> list[float]:
-    distinct: list[float] = []
-    for lam in spectral.eigenvalues:
-        if not any(abs(lam - seen) <= tol for seen in distinct):
-            distinct.append(float(lam))
-    return distinct
-
-
-def eigenmean_profile(spectral: SpectralData, n: int) -> EigenmeanProfile:
-    """Bit means over the distinct eigenvalues' n-bit estimates.
-
-    Degenerate spectra contribute each eigenvalue once; duplicates agree at
-    every bit so fixedness is unaffected.
-    """
-    strings = tuple(binary_estimate(lam, n) for lam in _distinct_eigenvalues(spectral))
-    return profile_from_bitstrings(strings, n)
-
-
 def profile_from_bitstrings(bitstrings, n: int) -> EigenmeanProfile:
     """Eigenmean profile of an explicit collection of n-bit strings."""
     strings = tuple(dict.fromkeys(bitstrings))
@@ -161,12 +143,6 @@ def profile_from_bitstrings(bitstrings, n: int) -> EigenmeanProfile:
         sum(int(s[k]) for s in strings) / len(strings) for k in range(n)
     )
     return EigenmeanProfile(n, means, strings)
-
-
-def is_perfectly_estimated(spectral: SpectralData, n: int) -> bool:
-    """True iff 2^n * lambda is an integer (within 1e-9) for every eigenvalue."""
-    scaled = spectral.eigenvalues * 2**n
-    return bool(np.all(np.abs(scaled - np.round(scaled)) < 1e-9))
 
 
 def classical_solution(problem: HermitianProblem):

@@ -133,5 +133,5 @@ def qpea_distribution_noisy(problem: HermitianProblem, n: int, noise) -> Measure
     """Exact-probability register distribution of the compiled QPEA circuit
     under the noise model."""
     compiled = circuits.compile_circuit(build_qpe(QpeConfig(n, problem)), noise.durations)
-    _, hist = noise_mod.run_noisy(compiled, noise)
-    return hist
+    rho = noise_mod.run_noisy(compiled, noise)
+    return noise_mod.readout_distribution(rho, compiled, noise)

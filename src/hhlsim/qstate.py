@@ -243,18 +243,17 @@ def _marginal_probabilities(state, qubits: list[int]) -> np.ndarray:
     return np.maximum(p.reshape(-1), 0.0)
 
 
-def postselect(state, qubit: int, outcome: int, remove: bool = True):
-    """Project one qubit onto ``outcome`` and renormalize.
+def postselect(state, qubit: int, outcome: int):
+    """Project one qubit onto ``outcome``, drop it, and renormalize.
 
-    With ``remove`` (default) the projected qubit is dropped from the result;
-    otherwise it stays, pinned to the basis state ``outcome``. Returns the
-    conditioned state and the branch probability.
+    Returns the conditioned state on the remaining qubits and the branch
+    probability.
     """
     if outcome not in (0, 1):
         raise DomainError(f"outcome must be 0 or 1, got {outcome}")
     _check_targets(state.num_qubits, [qubit])
     n = state.num_qubits
-    if remove and n < 2:
+    if n < 2:
         raise DomainError("cannot postselect the only qubit away")
     if isinstance(state, StateVector):
         axes, data = [qubit], state.amplitudes
@@ -274,12 +273,7 @@ def postselect(state, qubit: int, outcome: int, remove: bool = True):
             f"outcome {outcome} on qubit {qubit} has zero probability"
         )
     scale = np.sqrt(prob) if k == 1 else prob
-    if remove:
-        return type(state)._trusted(n - 1, branch.reshape((2 ** (n - 1),) * k) / scale), prob
-    full = np.zeros_like(t)
-    full[(outcome,) * k] = branch
-    full = np.moveaxis(full, range(k), axes)
-    return type(state)._trusted(n, full.reshape((2**n,) * k) / scale), prob
+    return type(state)._trusted(n - 1, branch.reshape((2 ** (n - 1),) * k) / scale), prob
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
@@ -312,11 +306,6 @@ def fidelity_overlap(rho, psi) -> float:
     return min(max(val, 0.0), 1.0)
 
 
-def fidelity_sqrt(rho, psi) -> float:
-    """Square-root convention sqrt(<psi|rho|psi>)."""
-    return float(np.sqrt(fidelity_overlap(rho, psi)))
-
-
 # Pinned by the closed-form calibration in tests/test_oracles.py: the
 # Appendix-style fidelity curves match the overlap convention on a lambda grid.
 fidelity_pure = fidelity_overlap
@@ -329,14 +318,6 @@ def exact_distribution(state, qubits) -> MeasurementHistogram:
     outcomes = {label: float(x) for label, x in zip(_labels(len(qubits)), p)}
     total = sum(outcomes.values())
     return MeasurementHistogram({k_: v / total for k_, v in outcomes.items()}, None)
-
-
-def sample(state, qubits, shots: int, seed: int) -> MeasurementHistogram:
-    """Seeded multinomial sampling of the marginal over the listed qubits."""
-    if shots < 1:
-        raise DomainError("shots must be >= 1")
-    qubits = _check_targets(state.num_qubits, list(qubits))
-    return _draw(_marginal_probabilities(state, qubits), shots, seed)
 
 
 def _draw(p: np.ndarray, shots: int, seed) -> MeasurementHistogram:

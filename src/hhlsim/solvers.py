@@ -9,8 +9,10 @@ estimation, and post-selection discards it otherwise).
 
 There is one HHL circuit, :func:`build_hhl_circuit`: state preparation, QPE,
 the encoding as a single multiplexed Ry (``mry``) on the ancilla, inverse QPE.
-The exact run applies its gates one by one to a statevector; the noisy run,
-the CNOT count and the QASM output use its compiled form.
+Both runs execute it with :func:`noise.run_noisy`: the exact run its source
+gates on a statevector, the noisy run its compiled form on a density matrix.
+The compiled form also gives the CNOT count and the QASM output. One
+post-selection, :func:`postselect_hhl`, scores either final state two ways.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .errors import (
     CompileError,
     ConstraintError,
     DomainError,
+    ImpossibleOutcomeError,
     NotReducibleError,
     ValidationError,
 )
@@ -53,18 +56,16 @@ class AqeSpec:
     free_positions: tuple  # 1-based register positions, ascending
     angle_table: dict
 
-    def angle_for_register_value(self, x: int) -> float | None:
-        """Rotation received by full-register value x; None means identity."""
-        bits = format(x, f"0{self.n}b")
-        y = sum(2 ** (self.n - i) for i in self.free_positions if bits[i - 1] == "1")
-        x_eff = self.y_prime + y
-        if x_eff == 0:
-            return None
-        return 2.0 * np.arcsin(self.c / x_eff)
-
 
 def build_aqe(problem: HermitianProblem, n: int) -> AqeSpec:
-    """Full encoding over every register value x in [1, 2^n - 1]."""
+    """Full encoding over every register value x in [1, 2^n - 1].
+
+    Refuses a register size below 1 or an HHL circuit wider than
+    ``qstate.MAX_QUBITS`` before its 2^n-entry table is built.
+    """
+    if n < 1:
+        raise DomainError("register size must be >= 1")
+    qstate.check_width(1 + n + problem.num_qubits)
     _, norm = classical_solution(problem)
     c = 1.0 / norm
     table = {x: 2.0 * np.arcsin(c / x) for x in range(1, 2**n)}
@@ -87,18 +88,21 @@ def synthesize_reduced_aqe(estimate: "EigenEstimate", c: float, force: bool = Fa
         int(profile.means[i - 1]) * 2 ** (n - i) for i in profile.fixed_positions
     )
     free = profile.free_positions
-    table = {}
-    for bits in range(2 ** len(free)):
-        y = sum(
-            2 ** (n - pos)
-            for j, pos in enumerate(free)
-            if bits & (1 << (len(free) - 1 - j))
-        )
-        x_eff = y_prime + y
-        if x_eff == 0:
-            continue
-        table[y] = 2.0 * np.arcsin(c / x_eff)
+    table = {
+        y: 2.0 * np.arcsin(c / (y_prime + y))
+        for y in _pattern_values(n, free)
+        if y_prime + y != 0
+    }
     return AqeSpec(n, c, y_prime, free, table)
+
+
+def _pattern_values(n: int, free) -> list[int]:
+    """Free-bit value y of each control pattern over the 1-based register
+    positions ``free`` (pattern bit j, MSB first, is position free[j])."""
+    return [
+        sum(2 ** (n - pos) for j, pos in enumerate(free) if bits & (1 << (len(free) - 1 - j)))
+        for bits in range(2 ** len(free))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -150,11 +154,20 @@ def estimate_from_spectral(problem: HermitianProblem, n: int) -> EigenEstimate:
 
 
 # ---------------------------------------------------------------------------
-# exact pipelines
+# HHL runs
 
 @dataclass(slots=True)
 class HHLOutcome:
-    """Post-selected solver result plus diagnostics."""
+    """Post-selected solver result plus diagnostics.
+
+    ``ancilla`` and ``uncomputed`` are the two estimators of
+    :func:`postselect_hhl` as (fidelity, success probability); ``uncomputed``
+    is None when no run's register returned to 0...0.
+    ``fidelity``, ``success_probability`` and ``rho_v`` are those named by
+    ``postselection``: ``ancilla`` for exact runs (the closed-form curves),
+    ``uncomputed`` under noise (as hardware runs discard the runs whose
+    register did not return to 0).
+    """
 
     mode: str
     n: int
@@ -164,7 +177,9 @@ class HHLOutcome:
     c_plus_sq: float | None
     c_minus_sq: float | None
     cnot_count: int | None
-    register_reset_mass: float | None
+    postselection: str
+    ancilla: tuple[float, float]
+    uncomputed: tuple[float, float] | None
     histograms: dict = field(default_factory=dict)
     shots: int = 0
     seed: int | None = None
@@ -174,52 +189,33 @@ class HHLOutcome:
 def _x_basis_weights(rho_v: DensityMatrix):
     if rho_v.num_qubits != 1:
         return None, None
-    plus = StateVector(1, np.array([1, 1]) / np.sqrt(2))
-    minus = StateVector(1, np.array([1, -1]) / np.sqrt(2))
-    return (
-        qstate.fidelity_overlap(rho_v, plus),
-        qstate.fidelity_overlap(rho_v, minus),
+    return tuple(
+        qstate.fidelity_overlap(rho_v, StateVector(1, np.array([1, sign]) / np.sqrt(2)))
+        for sign in (1, -1)
     )
 
 
-def _run_exact_pipeline(circuit: Circuit, n: int):
-    """Statevector run of the HHL circuit, gate by gate; returns (rho_v,
-    success probability, reset mass). Measure gates are left to the
-    post-selection below."""
-    state = qstate.basis_state(circuit.num_qubits, 0)
-    for g in circuit.gates:
-        if g.kind != "measure":
-            state = circuits.apply_gate(state, g)
-    post, prob = qstate.postselect(state, 0, 1)
-    reg_dist = qstate.exact_distribution(post, list(range(n)))
-    reset_mass = 1.0 - reg_dist.outcomes["0" * n]
-    rho_v = qstate.partial_trace(
-        post.to_density_matrix(), list(range(n, post.num_qubits))
-    )
-    return rho_v, prob, reset_mass
-
-
-def _run_noisy_pipeline(compiled: circuits.CompiledCircuit, n, noise):
-    """Density-matrix run of the compiled circuit.
-
-    Successful runs are those where the ancilla reads 1 *and* the register
-    returns to |0...0| (certifying that the estimation block was uncomputed);
-    errors propagated through the circuit populate other register outcomes,
-    which are discarded here exactly as hardware runs discard them.
+def postselect_hhl(state, n: int) -> dict:
+    """Post-select the final state of an HHL run on ancilla = 1, once, and
+    return ``{"ancilla": (rho_v, p), "uncomputed": (rho_v, p) or None}``:
+    input-register state and success probability with the register traced
+    out, and with only its 0...0 block kept (None if that has no weight).
     """
-    rho, _ = noise_mod.run_noisy(compiled, noise)
-    post, prob = qstate.postselect(rho, 0, 1)
-    reg_dist = qstate.exact_distribution(post, list(range(n)))
-    reset_mass = 1.0 - reg_dist.outcomes["0" * n]
-    for _ in range(n):
-        post, p_reg = qstate.postselect(post, 0, 0)
-        prob *= p_reg
-    return post, prob, reset_mass
+    post, p_ancilla = qstate.postselect(state, 0, 1)
+    rho = post if isinstance(post, DensityMatrix) else post.to_density_matrix()
+    q = rho.num_qubits - n
+    block = rho.entries.reshape(2**n, 2**q, 2**n, 2**q)[0, :, 0, :]
+    p_reset = float(np.trace(block).real)
+    uncomputed = None
+    if p_reset > 1e-14:  # the zero-probability threshold of qstate.postselect
+        uncomputed = (DensityMatrix._trusted(q, block / p_reset), p_ancilla * p_reset)
+    ancilla = (qstate.partial_trace(rho, range(n, n + q)), p_ancilla)
+    return {"ancilla": ancilla, "uncomputed": uncomputed}
 
 
 def _solve(mode, problem, n, aqe_spec, shots, seed, noise, estimate=None) -> HHLOutcome:
-    """Build the HHL circuit once, run it exactly or under noise, and score
-    the post-selected state against the classical solution.
+    """Build the HHL circuit once, run it exactly or under noise, post-select
+    it, and score both estimators against the classical solution.
 
     The circuit is compiled at most once: under noise the compiled circuit is
     what runs, and it also gives the CNOT count. The exact run applies the
@@ -227,39 +223,39 @@ def _solve(mode, problem, n, aqe_spec, shots, seed, noise, estimate=None) -> HHL
     """
     circuit = build_hhl_circuit(problem, n, aqe_spec)
     if noise is None:
-        rho_v, prob, reset = _run_exact_pipeline(circuit, n)
+        state = noise_mod.run_noisy(circuit)
         try:
             cnot_count = circuits.compile_circuit(circuit).cnot_count
         except CompileError:
             cnot_count = None
+        postselection = "ancilla"
     else:
         compiled = circuits.compile_circuit(circuit, noise.durations)
-        rho_v, prob, reset = _run_noisy_pipeline(compiled, n, noise)
+        state = noise_mod.run_noisy(compiled, noise)
         cnot_count = compiled.cnot_count
+        postselection = "uncomputed"
+    estimators = postselect_hhl(state, n)
+    if estimators[postselection] is None:
+        raise ImpossibleOutcomeError("register outcome 0...0 has zero probability")
     x_exact, _ = classical_solution(problem)
-    fid = qstate.fidelity_pure(rho_v, StateVector(problem.num_qubits, x_exact))
+    x_state = StateVector(problem.num_qubits, x_exact)
+    scores = {
+        name: None if post is None else (qstate.fidelity_pure(post[0], x_state), post[1])
+        for name, post in estimators.items()
+    }
+    rho_v = estimators[postselection][0]
+    fid, prob = scores[postselection]
     cplus, cminus = _x_basis_weights(rho_v)
     histograms = {}
-    if shots > 0 and rho_v.num_qubits == 1 and cplus is not None:
+    if shots > 0 and cplus is not None:
         rng = np.random.default_rng(seed)
         draws = rng.multinomial(shots, [cplus, max(1.0 - cplus, 0.0)])
         histograms["v_x_basis"] = MeasurementHistogram(
             {"+": int(draws[0]), "-": int(draws[1])}, shots
         )
     return HHLOutcome(
-        mode,
-        n,
-        prob,
-        rho_v,
-        fid,
-        cplus,
-        cminus,
-        cnot_count,
-        reset,
-        histograms,
-        shots,
-        seed,
-        estimate,
+        mode, n, prob, rho_v, fid, cplus, cminus, cnot_count, postselection,
+        scores["ancilla"], scores["uncomputed"], histograms, shots, seed, estimate,
     )
 
 
@@ -286,14 +282,8 @@ def build_hhl_circuit(
     # register bits; control pattern p gets the angle of free-bit value y(p)
     free = aqe_spec.free_positions
     controls = [out_reg[pos - 1] for pos in free]
-    angles = []
-    for bits in range(2 ** len(free)):
-        y = sum(
-            2 ** (aqe_spec.n - pos)
-            for j, pos in enumerate(free)
-            if bits & (1 << (len(free) - 1 - j))
-        )
-        angles.append(float(aqe_spec.angle_table.get(y, 0.0)))
+    table = aqe_spec.angle_table
+    angles = [float(table.get(y, 0.0)) for y in _pattern_values(aqe_spec.n, free)]
     gates.append(gate("mry", *controls, ancilla, params=angles))
     gates.extend(circuits.adjoint(qpe_gates))
     gates.append(gate("measure", ancilla))
@@ -311,9 +301,6 @@ def run_original_hhl(
     noise: noise_mod.NoiseParams | None = None,
 ) -> HHLOutcome:
     """Full-register HHL; exact statevector run, or density-matrix run under noise."""
-    if n < 1:
-        raise DomainError("register size must be >= 1")
-    qstate.check_width(1 + n + problem.num_qubits)
     return _solve("original", problem, n, build_aqe(problem, n), shots, seed, noise)
 
 
@@ -347,6 +334,10 @@ def run_hybrid_hhl(
     """
     if n_init < 1:
         raise DomainError("register size must be >= 1")
+    if n_init > policy.max_n:
+        raise ValidationError(
+            f"initial register size {n_init} exceeds the largest allowed, {policy.max_n}"
+        )
     _, norm = classical_solution(problem)
     c = 1.0 / norm
     n = n_init
@@ -418,8 +409,10 @@ def reduced_encoding_equivalence_check(problem: HermitianProblem, n: int) -> boo
     estimate = estimate_from_spectral(problem, n)
     full_spec = build_aqe(problem, n)
     reduced_spec = synthesize_reduced_aqe(estimate, full_spec.c, force=True)
-    rho_full, p_full, _ = _run_exact_pipeline(build_hhl_circuit(problem, n, full_spec), n)
-    rho_red, p_red, _ = _run_exact_pipeline(build_hhl_circuit(problem, n, reduced_spec), n)
+    (rho_full, p_full), (rho_red, p_red) = (
+        postselect_hhl(noise_mod.run_noisy(build_hhl_circuit(problem, n, spec)), n)["ancilla"]
+        for spec in (full_spec, reduced_spec)
+    )
     overlap = float(np.real(np.trace(rho_full.entries @ rho_red.entries)))
     # both states are pure here, so the trace overlap is the fidelity
     purity = min(rho_full.purity(), rho_red.purity())

@@ -66,7 +66,8 @@ class TestSolve:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "flag,value", [("--tau", "2"), ("--coverage", "-0.5"), ("--max-n", "0")]
+        "flag,value",
+        [("--tau", "2"), ("--coverage", "-0.5"), ("--max-n", "0"), ("--n", "5")],
     )
     def test_policy_out_of_range(self, tmp_path, capsys, flag, value):
         code, _ = run(tmp_path, "solve", "--lambda", "0.25", "--mode", "hybrid", flag, value)
@@ -98,6 +99,23 @@ class TestSolve:
         assert capsys.readouterr().err == (
             "error: a 42-qubit circuit exceeds the limit of 12 qubits\n"
         )
+
+    def test_named_estimators_agree_at_zero_noise(self, tmp_path):
+        f = _files(tmp_path, noise=ZERO_NOISE)
+        records = []
+        for extra in ((), ("--noise", f["noise"])):
+            code, raw = run(tmp_path, "solve", "--lambda", "0.3", "--n", "2", *extra)
+            assert code == EXIT_OK
+            records.append(json.loads(raw))
+        exact, noisy = records
+        assert (exact["postselection"], noisy["postselection"]) == ("ancilla", "uncomputed")
+        for record in records:
+            named = record["estimators"][record["postselection"]]
+            assert named == {"fidelity": record["fidelity"], "success_prob": record["success_prob"]}
+        for name in ("ancilla", "uncomputed"):
+            assert noisy["estimators"][name]["fidelity"] == pytest.approx(
+                exact["estimators"][name]["fidelity"], abs=1e-9
+            )
 
     def test_negative_shots(self, tmp_path, capsys):
         code, raw = run(tmp_path, "solve", "--lambda", "0.25", "--shots", "-5")
@@ -259,6 +277,17 @@ class TestCompare:
         assert by_lambda[0.25]["theoretical"]["c_plus_sq"] == pytest.approx(0.9, abs=1e-9)
         assert by_lambda[0.5]["theoretical"]["c_plus_sq"] == pytest.approx(0.5, abs=1e-9)
 
+    def test_modes_report_both_estimators(self, tmp_path):
+        f = _files(tmp_path, noise='{"t1_ns": 50000}')
+        for extra, rule in (((), "ancilla"), (("--noise", f["noise"]), "uncomputed")):
+            code, raw = run(tmp_path, "compare", *extra)
+            assert code == EXIT_OK
+            for row in json.loads(raw)["rows"]:
+                for record in row["modes"].values():
+                    assert record["postselection"] == rule
+                    assert set(record["estimators"]) == {"ancilla", "uncomputed"}
+                    assert record["estimators"][rule]["fidelity"] == record["fidelity"]
+
     def test_n3_without_noise_reports_null_bound(self, tmp_path):
         code, raw = run(tmp_path, "compare", "--n", "3")
         assert code == EXIT_OK
@@ -292,6 +321,17 @@ class TestEmitQasm:
         text = raw.decode()
         assert text.startswith("OPENQASM 2.0;")
         assert sum(1 for line in text.splitlines() if line.startswith("cx ")) == expected
+
+    @pytest.mark.parametrize("circuit", ["original", "hybrid"])
+    @pytest.mark.parametrize(
+        "n,message",
+        [("0", "register size must be >= 1"), ("-2", "register size must be >= 1"),
+         ("40", "a 42-qubit circuit exceeds the limit of 12 qubits")],
+    )
+    def test_register_size_checked(self, tmp_path, capsys, circuit, n, message):
+        code, raw = run(tmp_path, "emit-qasm", "--lambda", "0.3", "--circuit", circuit, "--n", n)
+        assert code == EXIT_VALIDATION and raw == b""
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_original_n3_does_not_lower(self, tmp_path, capsys):
         code, raw = run(

@@ -6,7 +6,13 @@ import pytest
 from hhlsim import circuits, solvers
 from hhlsim.circuits import Circuit, CompiledCircuit, compile_circuit, gate
 from hhlsim.errors import DomainError, ValidationError
-from hhlsim.noise import NoiseParams, damping_channel, run_noisy, survival_bound
+from hhlsim.noise import (
+    NoiseParams,
+    damping_channel,
+    readout_distribution,
+    run_noisy,
+    survival_bound,
+)
 from hhlsim.problem import build_a_lambda
 from hhlsim.qstate import DensityMatrix, basis_state
 
@@ -209,7 +215,7 @@ class TestRunNoisy:
         circ = Circuit(2, gates, {})
         compiled = compile_circuit(circ, NoiseParams().durations)
         initial = basis_state(2, 3).to_density_matrix()  # |11>
-        rho, _ = run_noisy(compiled, NoiseParams(), initial=initial)
+        rho = run_noisy(compiled, NoiseParams(), initial=initial)
         survived = np.real(rho.entries[3, 3])
         # the target qubit toggles, so compare the control qubit's excited mass
         control_excited = np.real(rho.entries[2, 2] + rho.entries[3, 3])
@@ -230,8 +236,10 @@ class TestRunNoisy:
     def test_readout_flip_changes_histogram(self):
         circ = Circuit(1, (gate("measure", 0),), {})
         compiled = compile_circuit(circ, NoiseParams().durations)
-        _, clean = run_noisy(compiled, NoiseParams())
-        _, flipped = run_noisy(compiled, NoiseParams(readout_flip=0.1))
+        clean, flipped = (
+            readout_distribution(run_noisy(compiled, noise), compiled, noise)
+            for noise in (NoiseParams(), NoiseParams(readout_flip=0.1))
+        )
         assert clean.outcomes["0"] == pytest.approx(1.0, abs=1e-12)
         assert flipped.outcomes["1"] == pytest.approx(0.1, abs=1e-12)
 
@@ -248,7 +256,8 @@ class TestLazyDamping:
         compiled = _random_compiled(n, rng)
         noise = NoiseParams(t1_ns=3000.0, readout_flip=readout_flip, idle_damping=idle_damping)
         initial = _random_rho(n, rng)
-        rho, hist = run_noisy(compiled, noise, initial=DensityMatrix(n, initial))
+        rho = run_noisy(compiled, noise, initial=DensityMatrix(n, initial))
+        hist = readout_distribution(rho, compiled, noise)
         want_rho, want_probs = _eager_run(compiled, noise, initial)
         np.testing.assert_allclose(rho.entries, want_rho, rtol=0, atol=1e-12)
         assert hist.shots is None
@@ -258,7 +267,7 @@ class TestLazyDamping:
 
     def test_idle_damping_off_spares_untouched_qubits(self):
         compiled = CompiledCircuit(2, (gate("x", 0), gate("x", 1), gate("h", 0)), 0, 0.0)
-        rho, _ = run_noisy(compiled, NoiseParams(t1_ns=100.0, idle_damping=False))
+        rho = run_noisy(compiled, NoiseParams(t1_ns=100.0, idle_damping=False))
         # qubit 1 aged only during its own x gate: excited population e^{-60/100}
         excited = np.real(rho.entries[1, 1] + rho.entries[3, 3])
         assert excited == pytest.approx(np.exp(-0.6), abs=1e-12)

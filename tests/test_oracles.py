@@ -8,7 +8,7 @@ from hhlsim import oracles
 from hhlsim.errors import DomainError
 from hhlsim.problem import build_a_lambda, classical_solution
 from hhlsim.qpe import register_distribution_exact
-from hhlsim.qstate import StateVector, fidelity_overlap, fidelity_sqrt
+from hhlsim.qstate import StateVector, fidelity_overlap
 
 GRID = np.linspace(0.005, 0.995, 199)
 
@@ -29,7 +29,8 @@ class TestFidelityConventionCalibration:
         problem = build_a_lambda(0.3)
         rho, _ = oracles.brute_force_hhl(problem, 1)
         x, _ = classical_solution(problem)
-        assert abs(fidelity_sqrt(rho, StateVector(1, x)) - oracles.f1(0.3)) > 0.05
+        sqrt_convention = np.sqrt(fidelity_overlap(rho, StateVector(1, x)))
+        assert abs(sqrt_convention - oracles.f1(0.3)) > 0.05
 
 
 class TestClosedForms:

@@ -13,13 +13,12 @@ from hhlsim.problem import (
     binary_estimate,
     build_a_lambda,
     classical_solution,
-    eigenmean_profile,
-    is_perfectly_estimated,
     load_problem,
     problem_from_dict,
     profile_from_bitstrings,
     unitary_power,
 )
+from hhlsim.solvers import estimate_from_spectral
 
 
 class TestBuildALambda:
@@ -109,21 +108,17 @@ class TestBinaryEstimate:
     def test_near_dyadic_rounds(self):
         assert binary_estimate(0.25 + 1e-12, 2) == "01"
 
-    def test_perfectly_estimated(self):
-        assert is_perfectly_estimated(build_a_lambda(0.25).spectral, 2)
-        assert not is_perfectly_estimated(build_a_lambda(0.3).spectral, 2)
-
 
 class TestEigenmeanProfile:
     def test_quarter_profile(self):
-        profile = eigenmean_profile(build_a_lambda(0.25).spectral, 2)
+        profile = estimate_from_spectral(build_a_lambda(0.25), 2).profile
         # eigenvalues 1/4 -> 01 and 3/4 -> 11: bit 1 varies, bit 2 fixed at 1
         assert profile.fixed_positions == (2,)
         assert profile.free_positions == (1,)
         assert profile.means[1] == pytest.approx(1.0)
 
     def test_half_profile_all_fixed(self):
-        profile = eigenmean_profile(build_a_lambda(0.5).spectral, 2)
+        profile = estimate_from_spectral(build_a_lambda(0.5), 2).profile
         assert profile.fixed_positions == (1, 2)
 
     def test_profile_from_bitstrings(self):

@@ -73,7 +73,8 @@ class TestBuildQpe:
         """The compiled QPEA at zero noise gives the closed-form distribution,
         also for a b that the circuit has to prepare."""
         compiled = circuits.compile_circuit(build_qpe(QpeConfig(n, problem)))
-        _, hist = noise_mod.run_noisy(compiled, noise_mod.NoiseParams(t1_ns=1e18))
+        noise = noise_mod.NoiseParams(t1_ns=1e18)
+        hist = noise_mod.readout_distribution(noise_mod.run_noisy(compiled, noise), compiled, noise)
         ref = register_distribution_exact(problem, n).outcomes
         assert hist.outcomes.keys() == ref.keys()
         for key, val in ref.items():

@@ -1,5 +1,7 @@
 """Original and hybrid solver pipelines plus the reduction machinery."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,18 +10,20 @@ from hhlsim.errors import (
     CompileError,
     ConstraintError,
     DomainError,
+    ImpossibleOutcomeError,
     NotReducibleError,
     ValidationError,
 )
-from hhlsim.noise import NoiseParams
+from hhlsim.noise import NoiseParams, damping_channel
 from hhlsim.problem import HermitianProblem, build_a_lambda, classical_solution
-from hhlsim.qstate import MeasurementHistogram
+from hhlsim.qstate import DensityMatrix, MeasurementHistogram, StateVector
 from hhlsim.solvers import (
     HybridPolicy,
     analyze_qpea,
     build_aqe,
     build_hhl_circuit,
     estimate_from_spectral,
+    postselect_hhl,
     random_perfectly_estimated_problem,
     run_hybrid_hhl,
     run_original_hhl,
@@ -36,7 +40,7 @@ class TestAqeSpec:
         assert spec.c == pytest.approx(c, abs=1e-12)
         for x in (1, 2, 3):
             assert spec.angle_table[x] == pytest.approx(2 * np.arcsin(c / x), abs=1e-12)
-        assert spec.angle_for_register_value(0) is None
+        assert 0 not in spec.angle_table  # register value 0 gets no rotation
 
     def test_unitary_is_block_rotation(self):
         problem = build_a_lambda(0.25)
@@ -190,6 +194,11 @@ class TestHybridSolver:
             run_hybrid_hhl(build_a_lambda(0.3), 2, policy=HybridPolicy(max_n=2))
         assert err.value.estimate is not None
 
+    def test_initial_register_above_max_n_rejected(self, monkeypatch):
+        monkeypatch.setattr(solvers.qpe, "run_qpea", lambda *a, **k: pytest.fail("ran"))
+        with pytest.raises(ValidationError, match="initial register size 5"):
+            run_hybrid_hhl(build_a_lambda(0.25), 5, policy=HybridPolicy(max_n=4))
+
     def test_sampled_run_deterministic(self):
         problem = build_a_lambda(0.25)
         a = run_hybrid_hhl(problem, 2, shots=1024, seed=9)
@@ -272,7 +281,9 @@ class TestWidthLimit:
             qstate.check_width(qstate.MAX_QUBITS + 1)
 
     def test_original_refused_before_building(self, monkeypatch):
-        monkeypatch.setattr(solvers, "build_aqe", lambda *a: pytest.fail("built"))
+        # build_aqe refuses before its angle table or the circuit is built
+        monkeypatch.setattr(solvers, "classical_solution", lambda *a: pytest.fail("built"))
+        monkeypatch.setattr(solvers, "build_hhl_circuit", lambda *a: pytest.fail("built"))
         # ancilla + 11 register bits + 1 input qubit
         with pytest.raises(ValidationError, match="13-qubit"):
             run_original_hhl(build_a_lambda(0.3), 11)
@@ -307,3 +318,113 @@ class TestReducedEncodingEquivalence:
             random_perfectly_estimated_problem(rng, d=2, n=2, k=0)
         with pytest.raises(ConstraintError):
             random_perfectly_estimated_problem(rng, d=2, n=2, k=3)
+
+
+def _random_rho(rng, num_qubits):
+    dim = 2**num_qubits
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = z @ z.conj().T
+    return DensityMatrix(num_qubits, rho / np.trace(rho))
+
+
+class TestPostselectHHL:
+    @pytest.mark.parametrize("n,q", [(1, 1), (2, 1), (2, 2), (3, 1)])
+    def test_uncomputed_equals_sequential_register_postselection(self, n, q):
+        rho = _random_rho(np.random.default_rng(10 * n + q), 1 + n + q)
+        estimators = postselect_hhl(rho, n)
+        post, p_ancilla = qstate.postselect(rho, 0, 1)
+        want_anc = qstate.partial_trace(post, range(n, n + q))
+        got_anc, got_p = estimators["ancilla"]
+        np.testing.assert_allclose(got_anc.entries, want_anc.entries, atol=1e-14)
+        assert got_p == p_ancilla
+        prob = p_ancilla
+        for _ in range(n):
+            post, p_reg = qstate.postselect(post, 0, 0)
+            prob *= p_reg
+        got_unc, got_p = estimators["uncomputed"]
+        np.testing.assert_allclose(got_unc.entries, post.entries, atol=1e-14)
+        assert got_p == pytest.approx(prob, abs=1e-15)
+
+    def test_statevector_and_density_matrix_agree(self):
+        rng = np.random.default_rng(3)
+        amps = rng.normal(size=16) + 1j * rng.normal(size=16)
+        psi = StateVector(4, amps / np.linalg.norm(amps))
+        pure, mixed = postselect_hhl(psi, 2), postselect_hhl(psi.to_density_matrix(), 2)
+        for name in ("ancilla", "uncomputed"):
+            np.testing.assert_allclose(pure[name][0].entries, mixed[name][0].entries, atol=1e-15)
+            assert pure[name][1] == pytest.approx(mixed[name][1], abs=1e-15)
+
+    def test_uncomputed_none_when_register_never_resets(self):
+        # ancilla 1, register 1: the register = 0 block has no probability
+        estimators = postselect_hhl(qstate.basis_state(3, 0b110), 1)
+        assert estimators["ancilla"][1] == pytest.approx(1.0)
+        assert estimators["uncomputed"] is None
+
+    def test_noisy_run_needs_its_estimator(self, monkeypatch):
+        problem = build_a_lambda(0.25)
+        assert run_original_hhl(problem, 2).uncomputed is not None
+        monkeypatch.setattr(
+            solvers, "postselect_hhl", lambda *a: {"ancilla": None, "uncomputed": None}
+        )
+        with pytest.raises(ImpossibleOutcomeError):
+            run_original_hhl(problem, 2, noise=NoiseParams())
+
+    def test_rule_per_path(self):
+        problem = build_a_lambda(0.3)
+        exact = run_original_hhl(problem, 2)
+        noisy = run_original_hhl(problem, 2, noise=NoiseParams())
+        assert exact.postselection == "ancilla"
+        assert (exact.fidelity, exact.success_probability) == exact.ancilla
+        assert noisy.postselection == "uncomputed"
+        assert (noisy.fidelity, noisy.success_probability) == noisy.uncomputed
+        # closed-form curve F2 is the ancilla-only estimator
+        assert exact.fidelity == pytest.approx(oracles.f2(0.3), abs=1e-12)
+        assert exact.uncomputed[1] < exact.ancilla[1]
+
+
+# exactly no decay: 1 - exp(-t / inf) is 0.0
+ZERO_NOISE = NoiseParams(t1_ns=math.inf)
+SWEEP_GRID = [(i + 1) / 200 for i in range(199)]
+
+
+def _assert_estimators_match(exact, noisy):
+    """Per named estimator: the same success probability and unnormalised
+    overlap F * P to 1e-12, and None on both sides or on neither. F itself is
+    not compared: where P ~ 3e-11 the compiled and source gates differ in F
+    by up to 6e-8."""
+    for name in ("ancilla", "uncomputed"):
+        a, b = getattr(exact, name), getattr(noisy, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            (f_a, p_a), (f_b, p_b) = a, b
+            assert abs(p_a - p_b) <= 1e-12, name
+            assert abs(f_a * p_a - f_b * p_b) <= 1e-12, name
+
+
+class TestZeroNoiseEstimators:
+    """A run under zero noise gives each named estimator its noiseless value."""
+
+    def test_no_decay_at_infinite_t1(self):
+        rho = qstate.basis_state(1, 1).to_density_matrix()
+        out = damping_channel(rho, 0, 1e9, ZERO_NOISE.t1_ns)
+        assert np.array_equal(out.entries, rho.entries)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_original_over_sweep_grid(self, n):
+        for lam in SWEEP_GRID:
+            problem = build_a_lambda(lam)
+            _assert_estimators_match(
+                run_original_hhl(problem, n), run_original_hhl(problem, n, noise=ZERO_NOISE)
+            )
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_hybrid_on_random_problems(self, n):
+        rng = np.random.default_rng(600 + n)
+        policy = HybridPolicy(max_n=n)
+        for k in range(1, n + 1):
+            for _ in range(3):
+                problem = random_perfectly_estimated_problem(rng, 2, n, k)
+                exact = run_hybrid_hhl(problem, n, policy=policy)
+                noisy = run_hybrid_hhl(problem, n, policy=policy, noise=ZERO_NOISE)
+                assert noisy.estimate.profile == exact.estimate.profile
+                _assert_estimators_match(exact, noisy)
