@@ -1,0 +1,47 @@
+"""Compiled circuits pinned to recorded OpenQASM.
+
+Each file under ``data/qasm`` is ``hhlsim emit-qasm --lambda L --circuit C
+--n N`` as recorded, named ``C_nN_lambdaL.qasm``. Emitting it again must give
+the same lines: the same gate names on the same qubits, with angles within
+1e-12, and every other line (header, registers, measures) identical.
+"""
+
+import re
+from pathlib import Path
+
+import pytest
+
+from hhlsim import cli
+
+_DATA = Path(__file__).parent / "data" / "qasm"
+_FILES = sorted(_DATA.glob("*.qasm"))
+_NAME = re.compile(r"(original|hybrid|qpea)_n(\d+)_lambda([0-9.]+)\.qasm")
+_GATE = re.compile(r"(\w+)\(([^)]*)\) (.*);")
+
+
+def _split(line):
+    """(name and qubits, angle) of a parametric gate line, else (line, None)."""
+    m = _GATE.fullmatch(line)
+    if m is None:
+        return line, None
+    return f"{m.group(1)} {m.group(3)}", float(m.group(2))
+
+
+def test_all_recorded_circuits_present():
+    assert len(_FILES) == 12
+
+
+@pytest.mark.parametrize("path", _FILES, ids=lambda p: p.stem)
+def test_emit_qasm_matches_recording(path, tmp_path):
+    circuit, n, lam = _NAME.fullmatch(path.name).groups()
+    out = tmp_path / "out.qasm"
+    argv = ["emit-qasm", "--lambda", lam, "--circuit", circuit, "--n", n, "--out", str(out)]
+    assert cli.main(argv) == 0
+    got = out.read_text().splitlines()
+    want = path.read_text().splitlines()
+    assert len(got) == len(want)
+    for i, (g, w) in enumerate(zip(got, want)):
+        (g_op, g_angle), (w_op, w_angle) = _split(g), _split(w)
+        assert g_op == w_op, (i, g, w)
+        if w_angle is not None:
+            assert abs(g_angle - w_angle) <= 1e-12, (i, g, w)
