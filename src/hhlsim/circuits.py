@@ -2,24 +2,26 @@
 
 Gate kinds fall into two tiers. Basis kinds survive compilation: ``h``, ``x``,
 ``rx``, ``ry``, ``rz``, ``cnot``, ``measure``. Structured kinds are lowered by
-:func:`compile_circuit`: ``phase`` (-> rz up to global phase), ``swap``,
-``cphase``, ``cry``, ``ccry``, ``unitary`` (explicit 1-qubit matrix),
-``cunitary`` (one control, explicit 1-qubit matrix), ``mry`` (multiplexed Ry:
-qubits ``(*controls, target)``, one angle per control pattern).
+:func:`compile_circuit` straight to basis gates: ``swap``, ``cphase``,
+``unitary`` (explicit 1-qubit matrix), ``cunitary`` (one control, explicit
+1-qubit matrix), ``mry`` (multiplexed Ry: qubits ``(*controls, target)``, one
+angle per control pattern).
 
 Executors apply every kind directly through :func:`gate_matrix`; an ``mry``
 is the block-diagonal matrix of its Ry blocks, so it runs for any number of
 controls, while its lowering supports at most two.
 
 A gate is checked once, when :func:`gate` makes it. Gates derived from it
-(adjoints, lowerings, the ``phase`` -> ``rz`` rewrite) and its application by
-:func:`apply_gate` are not checked again.
+(adjoints, lowerings) and its application by :func:`apply_gate` are not
+checked again.
 
-Documented decomposition set (gate-count accounting relies on it):
+Documented decomposition set (gate-count accounting relies on it), exact up
+to global phase, so a diagonal phase on one qubit is emitted as ``rz``:
 controlled 1-qubit unitaries use the two-CNOT ABC construction; a controlled
 phase costs 2 CNOTs; a SWAP costs 3 CNOTs when physical, 0 when absorbed by
-wire relabeling; a single-controlled Ry multiplexor costs 2 CNOTs; a
-doubly-controlled Ry is a Toffoli conjugation (two 6-CNOT Toffolis), 12 CNOTs.
+wire relabeling; a multiplexed Ry is a sum over control subsets, where a
+single control costs 2 CNOTs and a pair is a Toffoli conjugation (two 6-CNOT
+Toffolis), 12 CNOTs.
 """
 
 from __future__ import annotations
@@ -45,28 +47,52 @@ class Gate:
     matrix: np.ndarray | None = None
 
 
+# kind -> (qubits, parameters); None means as many qubits as the matrix fits
+# (unitary, cunitary) or, for mry, one angle per pattern of its controls
+_SIGNATURES = {
+    "h": (1, 0), "x": (1, 0), "measure": (1, 0),
+    "rx": (1, 1), "ry": (1, 1), "rz": (1, 1),
+    "cnot": (2, 0), "swap": (2, 0), "cphase": (2, 1),
+    "unitary": (None, 0), "cunitary": (None, 0), "mry": (None, None),
+}
+
+
 def gate(kind, *qubits, params=(), matrix=None) -> Gate:
-    """A checked gate: distinct qubits, finite parameters, one ``mry`` angle
-    per control pattern, and an explicit ``matrix`` that is unitary and fits
+    """A checked gate: a known kind with its number of qubits and of finite
+    parameters (``mry``: one angle per control pattern), distinct qubits, and
+    a ``matrix`` exactly for ``unitary`` and ``cunitary``, unitary and fitting
     its target qubits (all of them, or all but the control of a
     ``cunitary``); the matrix is stored read-only."""
+    if kind not in _SIGNATURES:
+        raise ValidationError(f"unknown gate kind {kind!r}")
+    width, arity = _SIGNATURES[kind]
     if len(set(qubits)) != len(qubits):
         raise ValidationError(f"gate {kind} repeats a qubit: {qubits}")
     params = tuple(params)
     for p in params:
         if not math.isfinite(p):
             raise ValidationError(f"non-finite gate parameter {p}")
-    if kind == "mry" and len(params) != 2 ** (len(qubits) - 1):
-        raise ValidationError("an mry gate needs one angle per control pattern")
+    if kind == "mry":
+        width, arity = len(qubits), 2 ** (len(qubits) - 1)
+        if len(params) != arity:
+            raise ValidationError("an mry gate needs one angle per control pattern")
+    needs_matrix = kind in ("unitary", "cunitary")
+    if (matrix is not None) != needs_matrix:
+        raise ValidationError(f"gate {kind} {'needs a' if needs_matrix else 'takes no'} matrix")
     if matrix is not None:
         matrix = qstate._check_unitary(matrix)
         targets = len(qubits) - (kind == "cunitary")
-        if matrix.shape[0] != 2**targets:
+        if targets < 1 or matrix.shape[0] != 2**targets:
             raise ValidationError(
                 f"a {matrix.shape[0]}x{matrix.shape[0]} matrix does not fit "
                 f"{targets} target qubit(s) of gate {kind}"
             )
         matrix.setflags(write=False)
+        width = len(qubits)
+    if len(qubits) != width:
+        raise ValidationError(f"gate {kind} acts on {width} qubit(s), got {len(qubits)}")
+    if len(params) != arity:
+        raise ValidationError(f"gate {kind} takes {arity} parameter(s), got {len(params)}")
     return Gate(kind, qubits, params, matrix)
 
 
@@ -89,32 +115,10 @@ class Circuit:
 
 
 @dataclass(frozen=True)
-class GateDurations:
-    """Wall-clock gate durations in nanoseconds; rz (and phase) are virtual."""
-
-    cnot_ns: float = 200.0
-    rz_ns: float = 0.0
-    single_ns: float = 60.0
-
-    def of(self, g: Gate) -> float:
-        if g.kind == "cnot":
-            return self.cnot_ns
-        if g.kind in ("rz", "phase"):
-            return self.rz_ns
-        if g.kind == "measure":
-            return 0.0
-        return self.single_ns
-
-
-DEFAULT_DURATIONS = GateDurations()
-
-
-@dataclass(frozen=True)
 class CompiledCircuit:
     num_qubits: int
     gates: tuple
     cnot_count: int
-    total_duration_ns: float
     roles: dict = field(default_factory=dict)
 
 
@@ -137,10 +141,6 @@ def _ry(t):
 
 def _rz(t):
     return np.array([[np.exp(-1j * t / 2), 0], [0, np.exp(1j * t / 2)]])
-
-
-def _phase(t):
-    return np.array([[1, 0], [0, np.exp(1j * t)]])
 
 
 def _mry(angles) -> np.ndarray:
@@ -180,18 +180,12 @@ def gate_matrix(g: Gate) -> np.ndarray:
         return _ry(p[0])
     if k == "rz":
         return _rz(p[0])
-    if k == "phase":
-        return _phase(p[0])
     if k == "cnot":
         return _controlled(_X)
     if k == "swap":
         return _SWAP
     if k == "cphase":
-        return _controlled(_phase(p[0]))
-    if k == "cry":
-        return _controlled(_ry(p[0]))
-    if k == "ccry":
-        return _controlled(_controlled(_ry(p[0])))
+        return np.diag([1, 1, 1, np.exp(1j * p[0])])
     if k == "unitary":
         return g.matrix
     if k == "cunitary":
@@ -243,7 +237,7 @@ def adjoint(gates) -> list[Gate]:
     for g in reversed(list(gates)):
         if g.kind in ("h", "x", "cnot", "swap"):
             out.append(g)
-        elif g.kind in ("rx", "ry", "rz", "phase", "cphase", "cry", "ccry", "mry"):
+        elif g.kind in ("rx", "ry", "rz", "cphase", "mry"):
             out.append(replace(g, params=tuple(-p for p in g.params)))
         elif g.kind in ("unitary", "cunitary"):
             m = g.matrix.conj().T
@@ -284,7 +278,9 @@ def decompose_controlled_unitary(u, control: int, target: int) -> list[Gate]:
 
     Always emits the full two-CNOT skeleton, even when rotation angles vanish
     or the input is a Pauli, so the entangling cost is uniform across a
-    circuit family. The determinant phase becomes a phase gate on the control.
+    circuit family. Exact up to global phase: the determinant phase
+    e^{i alpha} on the control's 1 branch is emitted as rz(alpha) on the
+    control.
     """
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
@@ -307,17 +303,17 @@ def decompose_controlled_unitary(u, control: int, target: int) -> list[Gate]:
     if abs(beta) > _ANGLE_TOL:
         out.append(gate("rz", target, params=(beta,)))
     if abs(alpha) > _ANGLE_TOL:
-        out.append(gate("phase", control, params=(alpha,)))
+        out.append(gate("rz", control, params=(alpha,)))
     return out
 
 
 def _cphase_gates(angle: float, control: int, target: int) -> list[Gate]:
     half = angle / 2
     return [
-        gate("phase", control, params=(half,)),
-        gate("phase", target, params=(half,)),
+        gate("rz", control, params=(half,)),
+        gate("rz", target, params=(half,)),
         gate("cnot", control, target),
-        gate("phase", target, params=(-half,)),
+        gate("rz", target, params=(-half,)),
         gate("cnot", control, target),
     ]
 
@@ -336,23 +332,23 @@ def _cry_gates(angle: float, control: int, target: int) -> list[Gate]:
 
 
 def _toffoli_gates(a: int, b: int, t: int) -> list[Gate]:
-    """Standard six-CNOT Toffoli with T = phase(pi/4)."""
+    """Standard six-CNOT Toffoli with T = rz(pi/4), up to global phase."""
     T = np.pi / 4
     return [
         gate("h", t),
         gate("cnot", b, t),
-        gate("phase", t, params=(-T,)),
+        gate("rz", t, params=(-T,)),
         gate("cnot", a, t),
-        gate("phase", t, params=(T,)),
+        gate("rz", t, params=(T,)),
         gate("cnot", b, t),
-        gate("phase", t, params=(-T,)),
+        gate("rz", t, params=(-T,)),
         gate("cnot", a, t),
-        gate("phase", b, params=(T,)),
-        gate("phase", t, params=(T,)),
+        gate("rz", b, params=(T,)),
+        gate("rz", t, params=(T,)),
         gate("h", t),
         gate("cnot", a, b),
-        gate("phase", a, params=(T,)),
-        gate("phase", b, params=(-T,)),
+        gate("rz", a, params=(T,)),
+        gate("rz", b, params=(-T,)),
         gate("cnot", a, b),
     ]
 
@@ -392,10 +388,10 @@ def inverse_qft_gates(wires, physical_swap: bool = False):
     return gates_out, w
 
 
-def controlled_ry_chain(pattern_angles: dict, controls, target: int) -> list[Gate]:
-    """Multiplexed Ry on ``target``: control pattern p receives total angle
-    ``pattern_angles[p]`` (patterns are bitstrings over ``controls`` in order,
-    missing patterns default to 0).
+def controlled_ry_chain(angles, controls, target: int) -> list[Gate]:
+    """Basis gates of a multiplexed Ry on ``target``: control pattern p
+    (bits over ``controls`` in order, the first the most significant)
+    receives angle ``angles[p]``.
 
     Realized by inclusion-exclusion over control subsets: the empty subset is a
     bare Ry, singletons are 2-CNOT controlled-Ry multiplexors, pairs are
@@ -405,33 +401,23 @@ def controlled_ry_chain(pattern_angles: dict, controls, target: int) -> list[Gat
     k = len(controls)
     if k > 2:
         raise CompileError("multiplexed Ry supports at most two control qubits")
-    theta = {}
-    for subset in range(2**k):
-        pattern = format(subset, f"0{k}b") if k else ""
-        theta[subset] = float(pattern_angles.get(pattern, 0.0))
-    # Moebius inversion over subsets: sum of phi over subsets of p equals theta[p]
-    phi = {}
-    for s in range(2**k):
-        acc = 0.0
-        t = s
-        while True:
-            sign = (-1) ** (bin(s ^ t).count("1"))
-            acc += sign * theta[t]
-            if t == 0:
-                break
-            t = (t - 1) & s
-        phi[s] = acc
     out: list[Gate] = []
-    if abs(phi.get(0, 0.0)) > _ANGLE_TOL:
-        out.append(gate("ry", target, params=(phi[0],)))
-    for s in range(1, 2**k):
-        if abs(phi[s]) <= _ANGLE_TOL:
+    for s in range(2**k):
+        # Moebius inversion: the subset angles phi over subsets of p sum to angles[p]
+        phi = sum(
+            (-1) ** bin(s ^ t).count("1") * float(angles[t])
+            for t in range(s, -1, -1)
+            if t & s == t
+        )
+        if abs(phi) <= _ANGLE_TOL:
             continue
         members = [controls[i] for i in range(k) if s & (1 << (k - 1 - i))]
-        if len(members) == 1:
-            out.append(gate("cry", members[0], target, params=(phi[s],)))
+        if not members:
+            out.append(gate("ry", target, params=(phi,)))
+        elif len(members) == 1:
+            out.extend(_cry_gates(phi, members[0], target))
         else:
-            out.append(gate("ccry", members[0], members[1], target, params=(phi[s],)))
+            out.extend(_ccry_gates(phi, *members, target))
     return out
 
 
@@ -443,46 +429,36 @@ _BASIS_KINDS = {"h", "x", "rx", "ry", "rz", "cnot", "measure"}
 # kept so that the compiled entangling-gate count reflects the fixed circuit
 # skeleton a device would execute, independent of the problem parameters.
 _INVOLUTIONS = {"h", "x"}
-_ROTATIONS = {"rx", "ry", "rz", "phase", "cphase", "cry", "ccry"}
+_ROTATIONS = {"rx", "ry", "rz"}
 
 
 def simplify(gates) -> list[Gate]:
-    """Drop zero-angle rotations and cancel adjacent self-inverse pairs."""
-    out = list(gates)
-    changed = True
-    while changed:
-        changed = False
-        kept: list[Gate] = []
-        for g in out:
-            if g.kind in _ROTATIONS and abs(g.params[0]) <= _ANGLE_TOL:
-                changed = True
-                continue
-            if (
-                kept
-                and g.kind in _INVOLUTIONS
-                and kept[-1].kind == g.kind
-                and kept[-1].qubits == g.qubits
-            ):
-                kept.pop()
-                changed = True
-                continue
+    """Drop zero-angle rotations and cancel adjacent self-inverse pairs.
+
+    One stack pass suffices: a gate is kept only if it does not cancel the
+    kept gate before it, and a cancellation exposes a gate already checked
+    against its own predecessor.
+    """
+    kept: list[Gate] = []
+    for g in gates:
+        if g.kind in _ROTATIONS and abs(g.params[0]) <= _ANGLE_TOL:
+            continue
+        if kept and g.kind in _INVOLUTIONS and (kept[-1].kind, kept[-1].qubits) == (g.kind, g.qubits):
+            kept.pop()
+        else:
             kept.append(g)
-        out = kept
-    return out
+    return kept
 
 
 def _lower(g: Gate) -> list[Gate]:
+    """Basis gates of one gate, up to global phase."""
     k = g.kind
-    if k in _BASIS_KINDS or k == "phase":
+    if k in _BASIS_KINDS:
         return [g]
     if k == "swap":
         return _swap_gates(*g.qubits)
     if k == "cphase":
         return _cphase_gates(g.params[0], *g.qubits)
-    if k == "cry":
-        return _cry_gates(g.params[0], *g.qubits)
-    if k == "ccry":
-        return _ccry_gates(g.params[0], *g.qubits)
     if k == "unitary":
         if len(g.qubits) != 1:
             raise CompileError("unitary lowering supports exactly one qubit")
@@ -502,38 +478,20 @@ def _lower(g: Gate) -> list[Gate]:
                 "cunitary lowering supports exactly one control and one target"
             )
         return decompose_controlled_unitary(g.matrix, g.qubits[0], g.qubits[1])
-    if k == "mry":
-        *controls, target = g.qubits
-        width = len(controls)
-        patterns = {format(i, f"0{width}b") if width else "": a for i, a in enumerate(g.params)}
-        chain = controlled_ry_chain(patterns, controls, target)
-        return [basis for c in chain for basis in _lower(c)]
-    raise CompileError(f"unknown gate kind {k!r}")
+    *controls, target = g.qubits  # mry, the last structured kind
+    return controlled_ry_chain(g.params, controls, target)
 
 
-def compile_circuit(
-    circuit: Circuit, durations: GateDurations = DEFAULT_DURATIONS
-) -> CompiledCircuit:
-    """Lower to {CNOT + 1-qubit gates}, simplify, count CNOTs, sum durations.
+def compile_circuit(circuit: Circuit) -> CompiledCircuit:
+    """Lower every gate to {CNOT + 1-qubit gates}, simplify, count CNOTs.
 
     Measure gates pass through untouched. The composed unitary of the output
     matches the source up to global phase (asserted by the test suite, not at
     runtime).
     """
-    lowered: list[Gate] = []
-    for g in circuit.gates:
-        lowered.extend(_lower(g))
-    # phase differs from rz by a global phase only, which is invisible once
-    # the gate sits in a flat top-level sequence
-    lowered = [
-        replace(g, kind="rz") if g.kind == "phase" else g for g in lowered
-    ]
-    lowered = simplify(lowered)
+    lowered = simplify(b for g in circuit.gates for b in _lower(g))
     cnot_count = sum(1 for g in lowered if g.kind == "cnot")
-    total = sum(durations.of(g) for g in lowered)
-    return CompiledCircuit(
-        circuit.num_qubits, tuple(lowered), cnot_count, total, dict(circuit.roles)
-    )
+    return CompiledCircuit(circuit.num_qubits, tuple(lowered), cnot_count, dict(circuit.roles))
 
 
 # ---------------------------------------------------------------------------

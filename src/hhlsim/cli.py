@@ -3,7 +3,8 @@
 All commands write deterministic bytes for a given configuration and seed
 (JSON with sorted keys, CSV with fixed column order and repr-stable floats),
 so repeated invocations are byte-identical. Exit codes: 0 success, 1 invalid
-configuration, 2 hybrid reduction not certified.
+configuration, 2 hybrid reduction not certified (``compare`` still writes
+every row, the uncertified hybrid as a ``not_reducible`` verdict).
 """
 
 from __future__ import annotations
@@ -169,6 +170,7 @@ def cmd_compare(args) -> int:
         raise ValidationError("--lambdas list must not be empty")
     noise = _noise_from_args(args)
     entries = []
+    code = EXIT_OK
     for lam in lambdas:
         problem = build_a_lambda(lam)
         x_exact, _ = classical_solution(problem)
@@ -179,7 +181,13 @@ def cmd_compare(args) -> int:
         modes = {}
         runs = (("original", solvers.run_original_hhl), ("hybrid", solvers.run_hybrid_hhl))
         for mode, run in runs:
-            outcome = run(problem, args.n, noise=noise)
+            try:
+                outcome = run(problem, args.n, noise=noise)
+            except NotReducibleError as exc:
+                modes[mode] = {"verdict": "not_reducible", "message": str(exc)}
+                print(f"not reducible: {mode} at lambda {lam!r}: {exc}", file=sys.stderr)
+                code = EXIT_NOT_REDUCIBLE
+                continue
             bound = None if outcome.cnot_count is None else noise_mod.survival_bound(
                 outcome.cnot_count, noise or noise_mod.NoiseParams()
             )
@@ -187,7 +195,7 @@ def cmd_compare(args) -> int:
         entries.append({"lambda": lam, "theoretical": theoretical, "modes": modes})
     payload = {"schema": 1, "command": "compare", "noise": args.noise, "rows": entries}
     _write(args.out, _dump_json(payload))
-    return EXIT_OK
+    return code
 
 
 def cmd_emit_qasm(args) -> int:

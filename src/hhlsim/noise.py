@@ -1,7 +1,9 @@
-"""The circuit executor, :func:`run_noisy`: without noise on a statevector,
-with amplitude damping (T1) on a density matrix.
+"""The noise model and the circuit executor, :func:`run_noisy`: without
+noise on a statevector, with amplitude damping (T1) on a density matrix.
 
-Under noise every gate advances the wall clock by its duration; each qubit
+:class:`NoiseParams` owns the gate durations: a CNOT, a virtual ``rz`` and
+every other 1-qubit gate each take their own time, a measure none. Under
+noise every gate advances the wall clock by its duration; each qubit
 decays for that long (idle qubits too, unless ``idle_damping`` is off). The
 decay is applied lazily: a qubit's pending time is applied in one damping
 step when a gate next touches it, and once more after the last gate. This is
@@ -20,7 +22,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import qstate
-from .circuits import GateDurations, apply_gate
+from .circuits import apply_gate
 from .errors import DomainError, ValidationError
 from .qstate import DensityMatrix, MeasurementHistogram, StateVector
 
@@ -43,9 +45,13 @@ class NoiseParams:
         if not (0.0 <= self.readout_flip <= 0.5):
             raise ValidationError("readout_flip must be in [0, 0.5]")
 
-    @property
-    def durations(self) -> GateDurations:
-        return GateDurations(self.cnot_ns, self.rz_ns, self.single_ns)
+    def duration(self, g) -> float:
+        """Wall-clock time of gate ``g`` in nanoseconds."""
+        if g.kind == "cnot":
+            return self.cnot_ns
+        if g.kind == "rz":
+            return self.rz_ns
+        return 0.0 if g.kind == "measure" else self.single_ns
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -124,8 +130,7 @@ def run_noisy(circuit, noise: NoiseParams | None = None, initial=None):
     density matrix under amplitude damping."""
     n = circuit.num_qubits
     state = qstate.basis_state(n, 0) if initial is None else initial
-    durations = None if noise is None else noise.durations
-    if durations is not None and isinstance(state, StateVector):
+    if noise is not None and isinstance(state, StateVector):
         state = state.to_density_matrix()
     measured: set[int] = set()
     pending = [0.0] * n  # decay time owed by each qubit, applied when next touched
@@ -135,13 +140,13 @@ def run_noisy(circuit, noise: NoiseParams | None = None, initial=None):
                 raise DomainError(f"qubit {g.qubits[0]} is measured more than once")
             measured.add(g.qubits[0])
             continue
-        if durations is not None:
+        if noise is not None:
             for q in g.qubits:
                 if pending[q] > 0:
                     state = damping_channel(state, q, pending[q], noise.t1_ns)
                     pending[q] = 0.0
         state = apply_gate(state, g)
-        if durations is not None and (dt := durations.of(g)) > 0:
+        if noise is not None and (dt := noise.duration(g)) > 0:
             for q in range(n) if noise.idle_damping else g.qubits:
                 pending[q] += dt
     for q in range(n):

@@ -132,6 +132,6 @@ def run_qpea(
 def qpea_distribution_noisy(problem: HermitianProblem, n: int, noise) -> MeasurementHistogram:
     """Exact-probability register distribution of the compiled QPEA circuit
     under the noise model."""
-    compiled = circuits.compile_circuit(build_qpe(QpeConfig(n, problem)), noise.durations)
+    compiled = circuits.compile_circuit(build_qpe(QpeConfig(n, problem)))
     rho = noise_mod.run_noisy(compiled, noise)
     return noise_mod.readout_distribution(rho, compiled, noise)

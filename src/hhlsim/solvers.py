@@ -181,8 +181,6 @@ class HHLOutcome:
     ancilla: tuple[float, float]
     uncomputed: tuple[float, float] | None
     histograms: dict = field(default_factory=dict)
-    shots: int = 0
-    seed: int | None = None
     estimate: EigenEstimate | None = None
 
 
@@ -230,7 +228,7 @@ def _solve(mode, problem, n, aqe_spec, shots, seed, noise, estimate=None) -> HHL
             cnot_count = None
         postselection = "ancilla"
     else:
-        compiled = circuits.compile_circuit(circuit, noise.durations)
+        compiled = circuits.compile_circuit(circuit)
         state = noise_mod.run_noisy(compiled, noise)
         cnot_count = compiled.cnot_count
         postselection = "uncomputed"
@@ -255,7 +253,7 @@ def _solve(mode, problem, n, aqe_spec, shots, seed, noise, estimate=None) -> HHL
         )
     return HHLOutcome(
         mode, n, prob, rho_v, fid, cplus, cminus, cnot_count, postselection,
-        scores["ancilla"], scores["uncomputed"], histograms, shots, seed, estimate,
+        scores["ancilla"], scores["uncomputed"], histograms, estimate,
     )
 
 

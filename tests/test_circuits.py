@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from hhlsim import circuits, qstate
 from hhlsim.circuits import (
     Circuit,
-    GateDurations,
     adjoint,
     circuit_unitary,
     compile_circuit,
@@ -57,6 +56,28 @@ class TestGate:
         # a controlled operator on two input qubits fits: one control, two targets
         assert gate("cunitary", 0, 1, 2, matrix=np.eye(4)).matrix.shape == (4, 4)
 
+    @pytest.mark.parametrize(
+        "kind,qubits,kwargs,match",
+        [
+            ("ry", (0,), {}, "takes 1 parameter"),
+            ("h", (0,), {"params": (0.1,)}, "takes 0 parameter"),
+            ("rz", (0,), {"params": (0.1, 0.2)}, "takes 1 parameter"),
+            ("cnot", (0,), {}, "acts on 2 qubit"),
+            ("x", (0, 1), {}, "acts on 1 qubit"),
+            ("unitary", (0,), {}, "needs a matrix"),
+            ("cunitary", (0, 1), {}, "needs a matrix"),
+            ("h", (0,), {"matrix": np.eye(2)}, "takes no matrix"),
+            ("mry", (0, 1), {"params": (0.1, 0.2), "matrix": np.eye(4)}, "takes no matrix"),
+            ("cunitary", (0,), {"matrix": np.eye(1)}, "does not fit"),
+            ("foo", (0,), {}, "unknown gate kind"),
+            ("phase", (0,), {"params": (0.1,)}, "unknown gate kind"),
+            ("ccry", (0, 1, 2), {"params": (0.1,)}, "unknown gate kind"),
+        ],
+    )
+    def test_rejects_wrong_signature(self, kind, qubits, kwargs, match):
+        with pytest.raises(ValidationError, match=match):
+            gate(kind, *qubits, **kwargs)
+
     def test_cnot_matrix(self):
         m = gate_matrix(gate("cnot", 0, 1))
         expected = np.eye(4)[[0, 1, 3, 2]]
@@ -86,12 +107,12 @@ class TestControlledDecomposition:
         expected = np.block(
             [[np.eye(2), np.zeros((2, 2))], [np.zeros((2, 2)), u]]
         )
-        np.testing.assert_allclose(got, expected, atol=1e-9)
+        assert equal_up_to_phase(got, expected, atol=1e-9)
 
     def test_controlled_x_equivalent_to_cnot(self):
         gates = decompose_controlled_unitary(np.array([[0, 1], [1, 0]], dtype=complex), 0, 1)
         got = circuit_unitary(gates, 2)
-        np.testing.assert_allclose(got, gate_matrix(gate("cnot", 0, 1)), atol=1e-9)
+        assert equal_up_to_phase(got, gate_matrix(gate("cnot", 0, 1)), atol=1e-9)
 
     def test_uniform_two_cnot_skeleton(self):
         # the entangling cost does not depend on the rotation angles
@@ -106,7 +127,7 @@ class TestControlledDecomposition:
         assert sum(1 for g in gates if g.kind == "cnot") == 2
         got = circuit_unitary(gates, 2)
         expected = np.block([[np.eye(2), np.zeros((2, 2))], [np.zeros((2, 2)), u]])
-        np.testing.assert_allclose(got, expected, atol=1e-9)
+        assert equal_up_to_phase(got, expected, atol=1e-9)
 
 
 class TestInverseQft:
@@ -139,50 +160,47 @@ class TestInverseQft:
 
 
 class TestMultiplexedRy:
-    def _reference(self, pattern_angles, k):
+    def _reference(self, angles, k):
         dim = 2 ** (k + 1)
         m = np.zeros((dim, dim), dtype=complex)
         for x in range(2**k):
-            pattern = format(x, f"0{k}b") if k else ""
-            r = _ry(pattern_angles.get(pattern, 0.0))
-            m[2 * x : 2 * x + 2, 2 * x : 2 * x + 2] = r
+            m[2 * x : 2 * x + 2, 2 * x : 2 * x + 2] = _ry(angles[x])
         return m
 
     @pytest.mark.parametrize(
         "angles,k",
         [
-            ({"": 0.4}, 0),
-            ({"1": 0.7}, 1),
-            ({"0": 0.3, "1": 0.7}, 1),
-            ({"01": 0.5, "10": 0.9, "11": 1.3}, 2),
-            ({"00": 0.2, "01": 0.5, "10": 0.9, "11": 1.3}, 2),
+            ([0.4], 0),
+            ([0.0, 0.7], 1),
+            ([0.3, 0.7], 1),
+            ([0.0, 0.5, 0.9, 1.3], 2),
+            ([0.2, 0.5, 0.9, 1.3], 2),
         ],
     )
     def test_matches_block_diagonal(self, angles, k):
         gates = controlled_ry_chain(angles, list(range(k)), k)
         got = circuit_unitary(gates, k + 1)
-        np.testing.assert_allclose(got, self._reference(angles, k), atol=1e-9)
+        assert equal_up_to_phase(got, self._reference(angles, k), atol=1e-9)
 
     def test_cnot_costs(self):
-        chain0 = controlled_ry_chain({"": 0.4}, [], 0)
-        chain1 = controlled_ry_chain({"0": 0.3, "1": 0.7}, [0], 1)
-        chain2 = controlled_ry_chain({"11": 1.0, "01": 0.2}, [0, 1], 2)
+        chain0 = controlled_ry_chain([0.4], [], 0)
+        chain1 = controlled_ry_chain([0.3, 0.7], [0], 1)
+        chain2 = controlled_ry_chain([0.0, 0.2, 0.0, 1.0], [0, 1], 2)
         count = lambda gs, n: compile_circuit(Circuit(n, tuple(gs), {})).cnot_count
         assert count(chain0, 1) == 0
         assert count(chain1, 2) == 2
-        assert count(chain2, 3) == 14  # one cry (2 cx) + one ccry (12 cx)
+        assert count(chain2, 3) == 14  # one single-control term (2 cx) + one pair (12 cx)
 
     def test_three_controls_rejected(self):
         with pytest.raises(CompileError):
-            controlled_ry_chain({"111": 1.0}, [0, 1, 2], 3)
+            controlled_ry_chain([0.0] * 7 + [1.0], [0, 1, 2], 3)
 
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_mry_lowering_matches_its_matrix(self, k):
         angles = np.random.default_rng(k).uniform(-np.pi, np.pi, size=2**k)
         g = gate("mry", *range(k + 1), params=angles)
         compiled = compile_circuit(Circuit(k + 1, (g,), {}))
-        pattern_angles = {format(x, f"0{k}b") if k else "": a for x, a in enumerate(angles)}
-        np.testing.assert_allclose(gate_matrix(g), self._reference(pattern_angles, k), atol=1e-12)
+        np.testing.assert_allclose(gate_matrix(g), self._reference(angles, k), atol=1e-12)
         assert {c.kind for c in compiled.gates} <= {"ry", "rz", "h", "cnot"}
         got = circuit_unitary(compiled.gates, k + 1)
         assert equal_up_to_phase(got, gate_matrix(g), atol=1e-9)
@@ -203,23 +221,30 @@ class TestMultiplexedRy:
         np.testing.assert_allclose(gate_matrix(inv), gate_matrix(g).conj().T, atol=1e-12)
 
 
-_KINDS = ["h", "x", "rx", "ry", "rz", "phase", "cnot", "swap", "cphase", "cry"]
+# every kind compile_circuit lowers, in the shapes it lowers
+_KINDS = ["h", "x", "rx", "ry", "rz", "cnot", "swap", "cphase", "unitary", "cunitary", "mry"]
 
 
 def _random_circuit(rng, n, length):
     gates = []
     for _ in range(length):
         kind = _KINDS[rng.integers(len(_KINDS))]
+        wires = [int(q) for q in rng.permutation(n)]
+        angle = float(rng.uniform(-np.pi, np.pi))
         if kind in ("h", "x"):
-            gates.append(gate(kind, int(rng.integers(n))))
-        elif kind in ("rx", "ry", "rz", "phase"):
-            gates.append(gate(kind, int(rng.integers(n)), params=(float(rng.uniform(-np.pi, np.pi)),)))
+            gates.append(gate(kind, wires[0]))
+        elif kind in ("rx", "ry", "rz"):
+            gates.append(gate(kind, wires[0], params=(angle,)))
+        elif kind in ("cnot", "swap"):
+            gates.append(gate(kind, *wires[:2]))
+        elif kind == "cphase":
+            gates.append(gate(kind, *wires[:2], params=(angle,)))
+        elif kind in ("unitary", "cunitary"):
+            width = 1 + (kind == "cunitary")
+            gates.append(gate(kind, *wires[:width], matrix=_random_unitary(rng)))
         else:
-            a, b = rng.choice(n, size=2, replace=False)
-            if kind in ("cnot", "swap"):
-                gates.append(gate(kind, int(a), int(b)))
-            else:
-                gates.append(gate(kind, int(a), int(b), params=(float(rng.uniform(-np.pi, np.pi)),)))
+            k = int(rng.integers(min(2, n - 1) + 1))
+            gates.append(gate(kind, *wires[: k + 1], params=rng.uniform(-np.pi, np.pi, 2**k)))
     return gates
 
 
@@ -258,22 +283,14 @@ class TestCompile:
         with pytest.raises(CompileError):
             compile_circuit(circ)
 
-    def test_durations(self):
-        circ = Circuit(2, (gate("cnot", 0, 1), gate("h", 0), gate("rz", 1, params=(0.3,))), {})
-        compiled = compile_circuit(circ, GateDurations())
-        assert compiled.cnot_count == 1
-        assert compiled.total_duration_ns == pytest.approx(260.0)
-
 
 def _any_gate(rng, n):
-    """One random gate: a _random_circuit kind, or ccry, an explicit matrix
-    or an mry with 0-3 controls."""
-    kind = str(rng.choice(["basic", "ccry", "unitary", "cunitary", "mry"]))
+    """One random gate: a _random_circuit kind, an explicit matrix on one or
+    two qubits, or an mry with 0-3 controls."""
+    kind = str(rng.choice(["basic", "unitary", "cunitary", "mry"]))
     if kind == "basic":
         return _random_circuit(rng, n, 1)[0]
     wires = [int(q) for q in rng.permutation(n)]
-    if kind == "ccry":
-        return gate(kind, *wires[:3], params=(float(rng.uniform(-np.pi, np.pi)),))
     if kind == "unitary":
         k = int(rng.integers(1, 3))
         return gate(kind, *wires[:k], matrix=_random_unitary(rng, 2**k))
@@ -300,7 +317,7 @@ class TestValidateOnce:
         u = gate("unitary", 1, matrix=_random_unitary(rng, 2))
         cu = gate("cunitary", 0, 1, matrix=_random_unitary(rng, 2))
         assert len(calls) == 2
-        gates = [u, gate("phase", 0, params=(0.4,)), cu]
+        gates = [u, gate("rz", 0, params=(0.4,)), cu]
         inverse = adjoint(gates)
         compile_circuit(Circuit(2, tuple(gates + inverse), {}))
         state = qstate.basis_state(2, 0)

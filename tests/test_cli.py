@@ -299,6 +299,17 @@ class TestCompare:
                 survival_bound(hybrid["cnot_count"]), abs=1e-15
             )
 
+    def test_uncertified_hybrid_keeps_every_row(self, tmp_path, capsys):
+        code, raw = run(tmp_path, "compare", "--lambdas", "0.25,0.3")
+        assert code == EXIT_NOT_REDUCIBLE
+        rows = {row["lambda"]: row["modes"] for row in json.loads(raw)["rows"]}
+        assert set(rows) == {0.25, 0.3}
+        assert rows[0.25]["hybrid"]["fidelity"] == pytest.approx(1.0, abs=1e-9)
+        assert rows[0.3]["original"]["cnot_count"] == 28
+        assert rows[0.3]["hybrid"]["verdict"] == "not_reducible"
+        assert "register size 4" in rows[0.3]["hybrid"]["message"]
+        assert capsys.readouterr().err.startswith("not reducible: hybrid at lambda 0.3")
+
     def test_n3_noisy_original_is_a_config_error(self, tmp_path, capsys):
         noise = tmp_path / "noise.json"
         noise.write_text('{"t1_ns":50000}')

@@ -27,6 +27,15 @@ class TestNoiseParams:
         assert p.readout_flip == 0.0
         assert p.idle_damping
 
+    def test_duration(self):
+        p = NoiseParams(cnot_ns=200.0, rz_ns=5.0, single_ns=60.0)
+        gates = (gate("cnot", 0, 1), gate("h", 0), gate("rz", 1, params=(0.3,)))
+        assert [p.duration(g) for g in gates] == [200.0, 60.0, 5.0]
+        assert p.duration(gate("measure", 0)) == 0.0
+        compiled = compile_circuit(Circuit(2, gates, {}))
+        assert compiled.cnot_count == 1
+        assert sum(NoiseParams().duration(g) for g in compiled.gates) == pytest.approx(260.0)
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             NoiseParams(t1_ns=0)
@@ -101,7 +110,7 @@ def _eager_run(compiled, noise, rho):
             continue
         u = circuits.circuit_unitary([g], n)
         rho = u @ rho @ u.conj().T
-        dt = noise.durations.of(g)
+        dt = noise.duration(g)
         if dt > 0:
             for q in range(n) if noise.idle_damping else g.qubits:
                 rho = _kraus_damp(rho, n, q, dt, noise.t1_ns)
@@ -139,7 +148,7 @@ def _random_compiled(n, rng, num_gates=40):
             gates.append(gate(kind, int(rng.integers(n))))
     assert any(g.kind == "measure" for g in gates[:-1])
     cnots = sum(g.kind == "cnot" for g in gates)
-    return CompiledCircuit(n, tuple(gates), cnots, 0.0)
+    return CompiledCircuit(n, tuple(gates), cnots)
 
 
 class TestDampingChannel:
@@ -213,7 +222,7 @@ class TestRunNoisy:
     def test_fifty_cnot_survival(self):
         gates = tuple(gate("cnot", 0, 1) for _ in range(50))
         circ = Circuit(2, gates, {})
-        compiled = compile_circuit(circ, NoiseParams().durations)
+        compiled = compile_circuit(circ)
         initial = basis_state(2, 3).to_density_matrix()  # |11>
         rho = run_noisy(compiled, NoiseParams(), initial=initial)
         survived = np.real(rho.entries[3, 3])
@@ -229,13 +238,13 @@ class TestRunNoisy:
 
     def test_repeated_measure_rejected(self):
         gates = (gate("x", 0), gate("measure", 0), gate("measure", 0))
-        compiled = CompiledCircuit(2, gates, 0, 0.0)
+        compiled = CompiledCircuit(2, gates, 0)
         with pytest.raises(DomainError, match="measured more than once"):
             run_noisy(compiled, NoiseParams())
 
     def test_readout_flip_changes_histogram(self):
         circ = Circuit(1, (gate("measure", 0),), {})
-        compiled = compile_circuit(circ, NoiseParams().durations)
+        compiled = compile_circuit(circ)
         clean, flipped = (
             readout_distribution(run_noisy(compiled, noise), compiled, noise)
             for noise in (NoiseParams(), NoiseParams(readout_flip=0.1))
@@ -266,7 +275,7 @@ class TestLazyDamping:
             assert hist.outcomes[key] == pytest.approx(p, abs=1e-12)
 
     def test_idle_damping_off_spares_untouched_qubits(self):
-        compiled = CompiledCircuit(2, (gate("x", 0), gate("x", 1), gate("h", 0)), 0, 0.0)
+        compiled = CompiledCircuit(2, (gate("x", 0), gate("x", 1), gate("h", 0)), 0)
         rho = run_noisy(compiled, NoiseParams(t1_ns=100.0, idle_damping=False))
         # qubit 1 aged only during its own x gate: excited population e^{-60/100}
         excited = np.real(rho.entries[1, 1] + rho.entries[3, 3])
