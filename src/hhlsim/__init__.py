@@ -39,6 +39,7 @@ from .solvers import (
     build_hhl_circuit,
     run_hybrid_hhl,
     run_original_hhl,
+    run_original_hhl_batch,
     synthesize_reduced_aqe,
     reduced_encoding_equivalence_check,
 )
@@ -77,6 +78,7 @@ __all__ = [
     "register_distribution_exact",
     "run_hybrid_hhl",
     "run_original_hhl",
+    "run_original_hhl_batch",
     "run_qpea",
     "survival_bound",
     "synthesize_reduced_aqe",

@@ -7,13 +7,15 @@ Gate kinds fall into two tiers. Basis kinds survive compilation: ``h``, ``x``,
 1-qubit matrix), ``mry`` (multiplexed Ry: qubits ``(*controls, target)``, one
 angle per control pattern).
 
-Executors apply every kind directly through :func:`gate_matrix`; an ``mry``
-is the block-diagonal matrix of its Ry blocks, so it runs for any number of
-controls, while its lowering supports at most two.
+The executor (:func:`noise.run_noisy`) applies every kind directly through
+:func:`gate_matrix`; an ``mry`` is the block-diagonal matrix of its Ry
+blocks, so it runs for any number of controls, while its lowering supports
+at most two. :func:`cnot_count` gives the compiled CNOT count without
+compiling.
 
 A gate is checked once, when :func:`gate` makes it. Gates derived from it
-(adjoints, lowerings) and its application by :func:`apply_gate` are not
-checked again.
+(adjoints, lowerings) and its application by the executor are not checked
+again.
 
 Documented decomposition set (gate-count accounting relies on it), exact up
 to global phase, so a diagonal phase on one qubit is emitted as ``rz``:
@@ -37,7 +39,7 @@ from .errors import CompileError, DomainError, ValidationError
 _ANGLE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
     """One gate; make it with :func:`gate`, which checks it."""
 
@@ -195,30 +197,14 @@ def gate_matrix(g: Gate) -> np.ndarray:
     raise DomainError(f"gate kind {k!r} has no matrix form")
 
 
-def apply_gate(state, g: Gate):
-    """Apply one (non-measure) gate to a StateVector or DensityMatrix.
-
-    Nothing is checked again: explicit matrices were checked when :func:`gate`
-    made the gate, parametric ones are unitary by form, and the new state is
-    built by the trusted state constructor (no norm check or renormalization).
-    """
-    if g.kind == "measure":
-        raise DomainError("measure gates are not unitary")
-    return qstate.apply_unitary(state, gate_matrix(g), g.qubits, check=False)
-
-
 def circuit_unitary(gates, num_qubits: int) -> np.ndarray:
     """Composed unitary of a gate sequence (measure gates rejected)."""
-    u = np.eye(2**num_qubits, dtype=complex)
+    u = np.eye(2**num_qubits, dtype=complex)[None]
     for g in gates:
         if g.kind == "measure":
             raise DomainError("circuit contains measure gates")
-        m = gate_matrix(g)
-        t = qstate._apply_on_axes(
-            u.reshape((2,) * num_qubits + (2**num_qubits,)), m, list(g.qubits)
-        )
-        u = t.reshape(2**num_qubits, 2**num_qubits)
-    return u
+        u = qstate.apply_operator(u, gate_matrix(g), g.qubits, num_qubits)
+    return u[0]
 
 
 def equal_up_to_phase(a: np.ndarray, b: np.ndarray, atol: float = 1e-8) -> bool:
@@ -388,6 +374,25 @@ def inverse_qft_gates(wires, physical_swap: bool = False):
     return gates_out, w
 
 
+def _subset_angles(angles, k: int) -> list[tuple[int, float]]:
+    """(subset, angle) of each control subset of a k-control multiplexed Ry
+    whose angle is not zero. The subset angles are the Moebius inversion of
+    the pattern angles: those over the subsets of pattern p sum to
+    ``angles[p]``. More than two controls raise CompileError."""
+    if k > 2:
+        raise CompileError("multiplexed Ry supports at most two control qubits")
+    out = []
+    for s in range(2**k):
+        phi = sum(
+            (-1) ** bin(s ^ t).count("1") * float(angles[t])
+            for t in range(s, -1, -1)
+            if t & s == t
+        )
+        if abs(phi) > _ANGLE_TOL:
+            out.append((s, phi))
+    return out
+
+
 def controlled_ry_chain(angles, controls, target: int) -> list[Gate]:
     """Basis gates of a multiplexed Ry on ``target``: control pattern p
     (bits over ``controls`` in order, the first the most significant)
@@ -399,18 +404,8 @@ def controlled_ry_chain(angles, controls, target: int) -> list[Gate]:
     """
     controls = list(controls)
     k = len(controls)
-    if k > 2:
-        raise CompileError("multiplexed Ry supports at most two control qubits")
     out: list[Gate] = []
-    for s in range(2**k):
-        # Moebius inversion: the subset angles phi over subsets of p sum to angles[p]
-        phi = sum(
-            (-1) ** bin(s ^ t).count("1") * float(angles[t])
-            for t in range(s, -1, -1)
-            if t & s == t
-        )
-        if abs(phi) <= _ANGLE_TOL:
-            continue
+    for s, phi in _subset_angles(angles, k):
         members = [controls[i] for i in range(k) if s & (1 << (k - 1 - i))]
         if not members:
             out.append(gate("ry", target, params=(phi,)))
@@ -451,7 +446,8 @@ def simplify(gates) -> list[Gate]:
 
 
 def _lower(g: Gate) -> list[Gate]:
-    """Basis gates of one gate, up to global phase."""
+    """Basis gates of one gate, up to global phase; :func:`cnot_count` has
+    rejected the shapes this cannot lower."""
     k = g.kind
     if k in _BASIS_KINDS:
         return [g]
@@ -460,8 +456,6 @@ def _lower(g: Gate) -> list[Gate]:
     if k == "cphase":
         return _cphase_gates(g.params[0], *g.qubits)
     if k == "unitary":
-        if len(g.qubits) != 1:
-            raise CompileError("unitary lowering supports exactly one qubit")
         alpha, beta, gamma, delta = zyz_angles(g.matrix)
         q = g.qubits[0]
         out = []
@@ -473,13 +467,33 @@ def _lower(g: Gate) -> list[Gate]:
             out.append(gate("rz", q, params=(beta,)))
         return out  # global phase dropped
     if k == "cunitary":
-        if len(g.qubits) != 2:
-            raise CompileError(
-                "cunitary lowering supports exactly one control and one target"
-            )
         return decompose_controlled_unitary(g.matrix, g.qubits[0], g.qubits[1])
     *controls, target = g.qubits  # mry, the last structured kind
     return controlled_ry_chain(g.params, controls, target)
+
+
+# CNOTs in the lowering of each kind; an mry costs per non-zero subset angle
+_CNOTS = {"cnot": 1, "swap": 3, "cphase": 2, "cunitary": 2}
+_SUBSET_CNOTS = (0, 2, 12)  # bare Ry, controlled Ry, Toffoli-conjugated Ry
+
+
+def _gate_cnots(g: Gate) -> int:
+    if g.kind == "mry":
+        subsets = _subset_angles(g.params, len(g.qubits) - 1)
+        return sum(_SUBSET_CNOTS[bin(s).count("1")] for s, _ in subsets)
+    if g.kind == "unitary" and len(g.qubits) != 1:
+        raise CompileError("unitary lowering supports exactly one qubit")
+    if g.kind == "cunitary" and len(g.qubits) != 2:
+        raise CompileError("cunitary lowering supports exactly one control and one target")
+    return _CNOTS.get(g.kind, 0)
+
+
+def cnot_count(circuit) -> int:
+    """CNOTs in the compiled form of ``circuit``, counted per gate without
+    lowering it. Raises the CompileError that :func:`compile_circuit` raises
+    on a gate it cannot lower. :func:`simplify` drops rotations and h/x pairs,
+    never a CNOT, so the count equals the compiled one."""
+    return sum(_gate_cnots(g) for g in circuit.gates)
 
 
 def compile_circuit(circuit: Circuit) -> CompiledCircuit:
@@ -489,9 +503,9 @@ def compile_circuit(circuit: Circuit) -> CompiledCircuit:
     matches the source up to global phase (asserted by the test suite, not at
     runtime).
     """
+    count = cnot_count(circuit)
     lowered = simplify(b for g in circuit.gates for b in _lower(g))
-    cnot_count = sum(1 for g in lowered if g.kind == "cnot")
-    return CompiledCircuit(circuit.num_qubits, tuple(lowered), cnot_count, dict(circuit.roles))
+    return CompiledCircuit(circuit.num_qubits, tuple(lowered), count, dict(circuit.roles))
 
 
 # ---------------------------------------------------------------------------

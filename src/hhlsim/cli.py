@@ -144,8 +144,10 @@ def cmd_sweep(args) -> int:
     lambdas = [(i + 1) / (args.points + 1) for i in range(args.points)]
     lines = ["lambda,k,F_analytic,F_simulated,abs_err"]
     for k in sorted(ks):
-        for lam in lambdas:
-            fs = _float(solvers.run_original_hhl(build_a_lambda(lam), k).fidelity)
+        problems = [build_a_lambda(lam) for lam in lambdas]
+        outcomes = solvers.run_original_hhl_batch(problems, k)
+        for lam, outcome in zip(lambdas, outcomes):
+            fs = _float(outcome.fidelity)
             fa = oracles.fidelity_closed_form(lam, k)
             lines.append(f"{lam!r},{k},{fa!r},{fs!r},{abs(fa - fs)!r}")
     _write(args.out, "\n".join(lines) + "\n")

@@ -1,5 +1,7 @@
 """The noise model and the circuit executor, :func:`run_noisy`: without
-noise on a statevector, with amplitude damping (T1) on a density matrix.
+noise on a statevector, with amplitude damping (T1) on a density matrix,
+for one circuit or, over a leading batch axis, several that share one
+skeleton.
 
 :class:`NoiseParams` owns the gate durations: a CNOT, a virtual ``rz`` and
 every other 1-qubit gate each take their own time, a measure none. Under
@@ -22,7 +24,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import qstate
-from .circuits import apply_gate
+from .circuits import gate_matrix
 from .errors import DomainError, ValidationError
 from .qstate import DensityMatrix, MeasurementHistogram, StateVector
 
@@ -91,16 +93,22 @@ def damping_channel(rho: DensityMatrix, qubit: int, t: float, t1: float) -> Dens
         raise DomainError("elapsed time must be nonnegative")
     if t == 0:
         return rho
-    gamma = 1.0 - np.exp(-t / t1)
     n = rho.num_qubits
+    return DensityMatrix._trusted(n, _damp(rho.entries[None], n, qubit, t, t1)[0])
+
+
+def _damp(entries: np.ndarray, n: int, qubit: int, t: float, t1: float) -> np.ndarray:
+    """:func:`damping_channel` on a batch of density matrices (B, 2^n, 2^n),
+    the same for every item; returns new entries."""
+    gamma = 1.0 - np.exp(-t / t1)
     hi, lo = 2**qubit, 2 ** (n - qubit - 1)
-    out = rho.entries.copy()
-    v = out.reshape(hi, 2, lo, hi, 2, lo)
-    v[:, 0, :, :, 0, :] += gamma * v[:, 1, :, :, 1, :]
-    v[:, 1, :, :, 1, :] *= 1.0 - gamma
-    v[:, 0, :, :, 1, :] *= np.sqrt(1.0 - gamma)
-    v[:, 1, :, :, 0, :] *= np.sqrt(1.0 - gamma)
-    return DensityMatrix._trusted(n, out)
+    out = entries.copy()
+    v = out.reshape(-1, hi, 2, lo, hi, 2, lo)
+    v[:, :, 0, :, :, 0, :] += gamma * v[:, :, 1, :, :, 1, :]
+    v[:, :, 1, :, :, 1, :] *= 1.0 - gamma
+    v[:, :, 0, :, :, 1, :] *= np.sqrt(1.0 - gamma)
+    v[:, :, 1, :, :, 0, :] *= np.sqrt(1.0 - gamma)
+    return out
 
 
 def survival_bound(cnot_count: int, noise: NoiseParams = NoiseParams()) -> float:
@@ -116,10 +124,10 @@ def _flip_distribution(probs: np.ndarray, k: int, flip: float) -> np.ndarray:
     if flip == 0.0:
         return probs
     m = np.array([[1 - flip, flip], [flip, 1 - flip]])
-    t = probs.reshape((2,) * k)
-    for axis in range(k):
-        t = np.moveaxis(np.tensordot(m, np.moveaxis(t, axis, 0), axes=(1, 0)), 0, axis)
-    return t.reshape(-1)
+    t = probs[None]
+    for q in range(k):
+        t = qstate.apply_operator(t, m, (q,), k)
+    return t[0]
 
 
 def run_noisy(circuit, noise: NoiseParams | None = None, initial=None):
@@ -127,14 +135,32 @@ def run_noisy(circuit, noise: NoiseParams | None = None, initial=None):
     CompiledCircuit in order, measure gates aside, to ``initial`` (default
     |0...0>) and return the final, pre-measurement state. Without ``noise``
     nothing decays and a statevector stays one; with it the run is on a
-    density matrix under amplitude damping."""
-    n = circuit.num_qubits
+    density matrix under amplitude damping.
+
+    ``circuit`` may also be a sequence of circuits that share one skeleton
+    (the same gate kinds on the same qubits; DomainError otherwise), all run
+    from ``initial`` in one pass over a leading batch axis: where the items'
+    gates are equal one matrix serves all, elsewhere a stack of one matrix
+    per item. A list of final states is returned then, in circuit order.
+    """
+    single = hasattr(circuit, "gates")
+    items = [circuit] if single else list(circuit)
+    if not items:
+        raise DomainError("no circuit to run")
+    first = items[0]
+    n = first.num_qubits
+    skeleton = [(g.kind, g.qubits) for g in first.gates]
+    for c in items[1:]:
+        if c.num_qubits != n or [(g.kind, g.qubits) for g in c.gates] != skeleton:
+            raise DomainError("the circuits of a batch do not share one skeleton")
     state = qstate.basis_state(n, 0) if initial is None else initial
     if noise is not None and isinstance(state, StateVector):
         state = state.to_density_matrix()
+    density = isinstance(state, DensityMatrix)
+    data = (state.entries if density else state.amplitudes)[None]
     measured: set[int] = set()
     pending = [0.0] * n  # decay time owed by each qubit, applied when next touched
-    for g in circuit.gates:
+    for i, g in enumerate(first.gates):
         if g.kind == "measure":
             if g.qubits[0] in measured:
                 raise DomainError(f"qubit {g.qubits[0]} is measured more than once")
@@ -143,16 +169,42 @@ def run_noisy(circuit, noise: NoiseParams | None = None, initial=None):
         if noise is not None:
             for q in g.qubits:
                 if pending[q] > 0:
-                    state = damping_channel(state, q, pending[q], noise.t1_ns)
+                    data = _damp(data, n, q, pending[q], noise.t1_ns)
                     pending[q] = 0.0
-        state = apply_gate(state, g)
+        others = [c.gates[i] for c in items[1:]]
+        u = gate_matrix(g)
+        if not all(_same(h, g) for h in others):
+            u = _stacked(u, others)
+        if density:
+            data = qstate._apply_to_entries(data, u, g.qubits, n)
+        else:
+            data = qstate.apply_operator(data, u, g.qubits, n)
         if noise is not None and (dt := noise.duration(g)) > 0:
             for q in range(n) if noise.idle_damping else g.qubits:
                 pending[q] += dt
     for q in range(n):
         if pending[q] > 0:
-            state = damping_channel(state, q, pending[q], noise.t1_ns)
-    return state
+            data = _damp(data, n, q, pending[q], noise.t1_ns)
+    data = np.broadcast_to(data, (len(items),) + data.shape[1:])
+    states = [type(state)._trusted(n, item) for item in data]
+    return states[0] if single else states
+
+
+def _stacked(first: np.ndarray, others) -> np.ndarray:
+    """The matrices of one skeleton position, one per item, filled into a
+    single array (no list of per-item arrays held beside it)."""
+    out = np.empty((1 + len(others),) + first.shape, dtype=complex)
+    out[0] = first
+    for b, h in enumerate(others, 1):
+        out[b] = gate_matrix(h)
+    return out
+
+
+def _same(h, g) -> bool:
+    """Whether gates of one skeleton position have equal parameters and matrices."""
+    return h.params == g.params and (
+        h.matrix is g.matrix or np.array_equal(h.matrix, g.matrix)
+    )
 
 
 def readout_distribution(state, circuit, noise: NoiseParams) -> MeasurementHistogram:

@@ -4,6 +4,8 @@ State vectors and density matrices over qubit registers, gate application,
 post-selection, partial trace, fidelity, and seeded measurement sampling.
 Qubit 0 is the most significant bit of a basis-state index, so the bitstring
 label of index ``x`` reads left to right as qubits 0, 1, 2, ...
+Every gate goes through one kernel, :func:`apply_operator`, which works on
+arrays with a leading batch axis.
 
 Values are checked where they enter: in the public state constructors and
 for the operator of ``apply_unitary`` (unless ``check=False``) and
@@ -172,13 +174,40 @@ def basis_state(num_qubits: int, index: int) -> StateVector:
     return StateVector._trusted(num_qubits, amps)
 
 
-def _apply_on_axes(tensor: np.ndarray, u: np.ndarray, axes: list[int]) -> np.ndarray:
-    """Apply matrix ``u`` on the given tensor axes (each of dimension 2)."""
-    k = len(axes)
-    t = np.moveaxis(tensor, axes, range(k))
-    rest = t.shape[k:]
-    t = (u @ t.reshape(2**k, -1)).reshape((2,) * k + rest)
-    return np.moveaxis(t, range(k), axes)
+def apply_operator(data: np.ndarray, u: np.ndarray, targets, num_qubits: int) -> np.ndarray:
+    """The gate kernel: apply ``u`` on the ``targets`` of every item of a batch.
+
+    ``data`` has a leading batch axis; the rest of each item indexes
+    ``num_qubits`` qubit axes (qubit 0 most significant), then any trailing
+    non-qubit axis, such as the columns of a matrix. ``u`` is one 2^k x 2^k
+    operator for every item, or a stack (B, 2^k, 2^k) with one per item (a
+    batch axis of 1 in ``data`` then broadcasts to B). ``targets[0]`` is the
+    most significant bit of the operator's index. Adjacent ascending targets
+    take a reshape and one matmul; any others a transpose that brings them to
+    the front, the matmul and the inverse transpose. Nothing is checked; a
+    new array is returned.
+    """
+    b, k, t0 = data.shape[0], len(targets), targets[0]
+    if u.ndim == 3:
+        u = u[:, None]  # one operator per item, shared by its leading qubits
+    if tuple(targets) == tuple(range(t0, t0 + k)):
+        out = u @ data.reshape(b, 2**t0, 2**k, -1)
+        return out.reshape(out.shape[:1] + data.shape[1:])
+    rest = [q for q in range(num_qubits) if q not in targets]
+    perm = [0, *(1 + q for q in targets), *(1 + q for q in rest), num_qubits + 1]
+    qubit_axes = (2,) * num_qubits + (-1,)
+    out = u @ data.reshape((b,) + qubit_axes).transpose(perm).reshape(b, 1, 2**k, -1)
+    inverse = sorted(range(len(perm)), key=perm.__getitem__)
+    out = out.reshape(out.shape[:1] + qubit_axes).transpose(inverse)
+    return out.reshape(out.shape[:1] + data.shape[1:])
+
+
+def _apply_to_entries(entries: np.ndarray, u: np.ndarray, targets, num_qubits: int):
+    """``u rho u^+`` for a batch of density matrices (B, 2^n, 2^n): the kernel
+    on the rows with ``u``, then on the columns, brought to the front by a
+    transposed view, with ``u.conj()``."""
+    rows = apply_operator(entries, u, targets, num_qubits)
+    return apply_operator(rows.swapaxes(1, 2), u.conj(), targets, num_qubits).swapaxes(1, 2)
 
 
 def apply_unitary(state, u, targets, check: bool = True):
@@ -197,13 +226,9 @@ def apply_unitary(state, u, targets, check: bool = True):
         )
     n = state.num_qubits
     if isinstance(state, StateVector):
-        psi = _apply_on_axes(state.amplitudes.reshape((2,) * n), u, targets)
-        return StateVector._trusted(n, psi.reshape(-1))
+        return StateVector._trusted(n, apply_operator(state.amplitudes[None], u, targets, n)[0])
     if isinstance(state, DensityMatrix):
-        t = state.entries.reshape((2,) * (2 * n))
-        t = _apply_on_axes(t, u, targets)
-        t = _apply_on_axes(t, u.conj(), [n + q for q in targets])
-        return DensityMatrix._trusted(n, t.reshape(2**n, 2**n))
+        return DensityMatrix._trusted(n, _apply_to_entries(state.entries[None], u, targets, n)[0])
     raise DomainError(f"unsupported state type {type(state)!r}")
 
 
@@ -255,25 +280,23 @@ def postselect(state, qubit: int, outcome: int):
     n = state.num_qubits
     if n < 2:
         raise DomainError("cannot postselect the only qubit away")
+    hi, lo, m = 2**qubit, 2 ** (n - qubit - 1), 2 ** (n - 1)
     if isinstance(state, StateVector):
-        axes, data = [qubit], state.amplitudes
+        branch = state.amplitudes.reshape(hi, 2, lo)[:, outcome, :].reshape(m)
+        prob = float(np.sum(np.abs(branch) ** 2))
+        scale = np.sqrt(prob)
     elif isinstance(state, DensityMatrix):
-        axes, data = [qubit, n + qubit], state.entries
+        v = state.entries.reshape(hi, 2, lo, hi, 2, lo)
+        branch = v[:, outcome, :, :, outcome, :].reshape(m, m)
+        prob = float(np.trace(branch).real)
+        scale = prob
     else:
         raise DomainError(f"unsupported state type {type(state)!r}")
-    k = len(axes)  # 1 for amplitudes, 2 (row and column) for a density matrix
-    t = np.moveaxis(data.reshape((2,) * (k * n)), axes, range(k))
-    branch = t[(outcome,) * k]
-    if k == 1:
-        prob = float(np.sum(np.abs(branch) ** 2))
-    else:
-        prob = float(np.trace(branch.reshape(2 ** (n - 1), -1)).real)
     if prob <= 1e-14:
         raise ImpossibleOutcomeError(
             f"outcome {outcome} on qubit {qubit} has zero probability"
         )
-    scale = np.sqrt(prob) if k == 1 else prob
-    return type(state)._trusted(n - 1, branch.reshape((2 ** (n - 1),) * k) / scale), prob
+    return type(state)._trusted(n - 1, branch / scale), prob
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:

@@ -11,8 +11,12 @@ There is one HHL circuit, :func:`build_hhl_circuit`: state preparation, QPE,
 the encoding as a single multiplexed Ry (``mry``) on the ancilla, inverse QPE.
 Both runs execute it with :func:`noise.run_noisy`: the exact run its source
 gates on a statevector, the noisy run its compiled form on a density matrix.
-The compiled form also gives the CNOT count and the QASM output. One
-post-selection, :func:`postselect_hhl`, scores either final state two ways.
+The exact run counts CNOTs with :func:`circuits.cnot_count` and never
+compiles; the compiled form gives the noisy run's count and the QASM output.
+:func:`run_original_hhl_batch` runs the exact circuits of many problems in
+one batched executor pass; :func:`run_original_hhl` is its one-problem case.
+One post-selection, :func:`postselect_hhl`, scores either final state two
+ways.
 """
 
 from __future__ import annotations
@@ -211,27 +215,44 @@ def postselect_hhl(state, n: int) -> dict:
     return {"ancilla": ancilla, "uncomputed": uncomputed}
 
 
-def _solve(mode, problem, n, aqe_spec, shots, seed, noise, estimate=None) -> HHLOutcome:
-    """Build the HHL circuit once, run it exactly or under noise, post-select
-    it, and score both estimators against the classical solution.
+def _solve(mode, problems, n, specs, shots, seed, noise, estimate=None) -> list[HHLOutcome]:
+    """Build one HHL circuit per problem, run them exactly or under noise,
+    post-select each final state, and score both estimators against its
+    classical solution.
 
-    The circuit is compiled at most once: under noise the compiled circuit is
-    what runs, and it also gives the CNOT count. The exact run applies the
-    source gates; its CNOT count is None when the circuit does not lower.
+    The exact runs apply the source gates, all in one batched executor pass;
+    their CNOT counts come from :func:`circuits.cnot_count`, None when a
+    circuit does not lower. Under noise each circuit is compiled once, and the
+    compiled circuit is what runs and gives the CNOT count; each runs on its
+    own, because compilation drops zero angles, so compiled circuits of
+    different problems rarely share a skeleton.
     """
-    circuit = build_hhl_circuit(problem, n, aqe_spec)
+    built = [build_hhl_circuit(p, n, spec) for p, spec in zip(problems, specs)]
     if noise is None:
-        state = noise_mod.run_noisy(circuit)
-        try:
-            cnot_count = circuits.compile_circuit(circuit).cnot_count
-        except CompileError:
-            cnot_count = None
+        states = noise_mod.run_noisy(built)
+        cnot_counts = [_cnot_count_or_none(c) for c in built]
         postselection = "ancilla"
     else:
-        compiled = circuits.compile_circuit(circuit)
-        state = noise_mod.run_noisy(compiled, noise)
-        cnot_count = compiled.cnot_count
+        compiled = [circuits.compile_circuit(c) for c in built]
+        states = [noise_mod.run_noisy(c, noise) for c in compiled]
+        cnot_counts = [c.cnot_count for c in compiled]
         postselection = "uncomputed"
+    return [
+        _score(mode, p, n, state, count, postselection, shots, seed, estimate)
+        for p, state, count in zip(problems, states, cnot_counts)
+    ]
+
+
+def _cnot_count_or_none(circuit) -> int | None:
+    try:
+        return circuits.cnot_count(circuit)
+    except CompileError:
+        return None
+
+
+def _score(mode, problem, n, state, cnot_count, postselection, shots, seed, estimate):
+    """The outcome of one final state: both estimators, the one named by
+    ``postselection`` at the top, and the seeded x-basis histogram."""
     estimators = postselect_hhl(state, n)
     if estimators[postselection] is None:
         raise ImpossibleOutcomeError("register outcome 0...0 has zero probability")
@@ -291,6 +312,23 @@ def build_hhl_circuit(
     return Circuit(1 + n + q, tuple(gates), roles)
 
 
+def run_original_hhl_batch(
+    problems,
+    n: int,
+    shots: int = 0,
+    seed: int | None = None,
+    noise: noise_mod.NoiseParams | None = None,
+) -> list[HHLOutcome]:
+    """Full-register HHL on several problems at one register size; outcomes
+    in problem order, each as :func:`run_original_hhl` gives it. Without
+    noise all circuits run in one batched executor pass, so they must share
+    one skeleton (DomainError otherwise): the problems share a dimension,
+    and b is |0...0> for all of them or for none (:func:`qpe.prepare_b`
+    emits no gate for it)."""
+    specs = [build_aqe(p, n) for p in problems]
+    return _solve("original", problems, n, specs, shots, seed, noise)
+
+
 def run_original_hhl(
     problem: HermitianProblem,
     n: int,
@@ -299,7 +337,7 @@ def run_original_hhl(
     noise: noise_mod.NoiseParams | None = None,
 ) -> HHLOutcome:
     """Full-register HHL; exact statevector run, or density-matrix run under noise."""
-    return _solve("original", problem, n, build_aqe(problem, n), shots, seed, noise)
+    return run_original_hhl_batch([problem], n, shots, seed, noise)[0]
 
 
 @dataclass(frozen=True)
@@ -346,7 +384,7 @@ def run_hybrid_hhl(
         estimate = analyze_qpea(hist, n, policy.tau, policy.coverage)
         if estimate.reducible:
             aqe_spec = synthesize_reduced_aqe(estimate, c)
-            outcome = _solve("hybrid", problem, n, aqe_spec, shots, seed, noise, estimate)
+            (outcome,) = _solve("hybrid", [problem], n, [aqe_spec], shots, seed, noise, estimate)
             outcome.histograms["qpea"] = hist
             return outcome
         last_estimate = estimate

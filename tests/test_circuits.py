@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hhlsim import circuits, qstate
+from hhlsim import circuits, qpe, qstate, solvers
 from hhlsim.circuits import (
     Circuit,
     adjoint,
@@ -22,7 +22,8 @@ from hhlsim.circuits import (
     zyz_angles,
 )
 from hhlsim.errors import CompileError, DomainError, ValidationError
-from hhlsim.problem import build_a_lambda, unitary_power
+from hhlsim.noise import run_noisy
+from hhlsim.problem import HermitianProblem, build_a_lambda, unitary_power
 
 
 def _random_unitary(rng, dim=2):
@@ -284,6 +285,84 @@ class TestCompile:
             compile_circuit(circ)
 
 
+def _random_d2_problem(rng):
+    """A random 2x2 Hermitian problem, spectrum inside (0.05, 0.95), random b."""
+    v = _random_unitary(rng)
+    a = (v * rng.uniform(0.05, 0.95, size=2)) @ v.conj().T
+    b = rng.normal(size=2) + 1j * rng.normal(size=2)
+    return HermitianProblem((a + a.conj().T) / 2, b / np.linalg.norm(b))
+
+
+def _paper_corpus():
+    """Original and reduced HHL circuits at lambda = j/32 and on 40 random
+    d = 2 problems for n = 1..3, QPEA for n = 1..4, each with the swap layer
+    relabeled and physical."""
+    rng = np.random.default_rng(8)
+    problems = [build_a_lambda(j / 32) for j in range(1, 32)]
+    problems += [_random_d2_problem(rng) for _ in range(40)]
+    for problem in problems:
+        for swap in (False, True):
+            for n in (1, 2, 3):
+                full = solvers.build_aqe(problem, n)
+                specs = [full]
+                estimate = solvers.estimate_from_spectral(problem, n)
+                if estimate.reducible:
+                    specs.append(solvers.synthesize_reduced_aqe(estimate, full.c))
+                for spec in specs:
+                    yield solvers.build_hhl_circuit(problem, n, spec, physical_swap=swap)
+            for n in (1, 2, 3, 4):
+                yield qpe.build_qpe(qpe.QpeConfig(n, problem), physical_swap=swap)
+
+
+class TestCnotCount:
+    """cnot_count counts without compiling what compile_circuit emits."""
+
+    def test_equals_compiled_count_on_paper_corpus(self):
+        lowered = failed = 0
+        for circuit in _paper_corpus():
+            try:
+                compiled = compile_circuit(circuit)
+            except CompileError:
+                with pytest.raises(CompileError):
+                    circuits.cnot_count(circuit)
+                failed += 1
+                continue
+            emitted = sum(1 for g in compiled.gates if g.kind == "cnot")
+            assert circuits.cnot_count(circuit) == emitted == compiled.cnot_count
+            lowered += 1
+        assert lowered > 500 and failed > 100
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_equals_compiled_count_on_random_circuits(self, seed):
+        rng = np.random.default_rng(seed)
+        circuit = Circuit(4, tuple(_random_circuit(rng, 4, 30)), {})
+        emitted = sum(1 for g in compile_circuit(circuit).gates if g.kind == "cnot")
+        assert circuits.cnot_count(circuit) == emitted
+
+    def test_zero_angle_subsets_cost_nothing(self):
+        # pattern angles (0, a, 0, a): only the subset of the second control is non-zero
+        g = gate("mry", 0, 1, 2, params=(0.0, 0.4, 0.0, 0.4))
+        assert circuits.cnot_count(Circuit(3, (g,), {})) == 2
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            gate("mry", 0, 1, 2, 3, params=[0.1 * i for i in range(8)]),
+            gate("unitary", 0, 1, matrix=np.eye(4)),
+            gate("cunitary", 0, 1, 2, matrix=np.eye(4)),
+        ],
+        ids=["mry-3-controls", "unitary-2-qubits", "cunitary-2-targets"],
+    )
+    def test_raises_where_lowering_does(self, g):
+        circuit = Circuit(4, (gate("h", 0), g), {})
+        with pytest.raises(CompileError) as counted:
+            circuits.cnot_count(circuit)
+        with pytest.raises(CompileError) as compiled:
+            compile_circuit(circuit)
+        assert str(counted.value) == str(compiled.value)
+
+
 def _any_gate(rng, n):
     """One random gate: a _random_circuit kind, an explicit matrix on one or
     two qubits, or an mry with 0-3 controls."""
@@ -320,9 +399,7 @@ class TestValidateOnce:
         gates = [u, gate("rz", 0, params=(0.4,)), cu]
         inverse = adjoint(gates)
         compile_circuit(Circuit(2, tuple(gates + inverse), {}))
-        state = qstate.basis_state(2, 0)
-        for g in gates + inverse:
-            state = circuits.apply_gate(state, g)
+        run_noisy(Circuit(2, tuple(gates + inverse), {}))
         assert len(calls) == 2
         assert not inverse[0].matrix.flags.writeable
 
@@ -331,7 +408,7 @@ class TestValidateOnce:
         state = qstate.basis_state(4, 0)
         worst = 0.0
         for _ in range(400):
-            state = circuits.apply_gate(state, _any_gate(rng, 4))
+            state = run_noisy(Circuit(4, (_any_gate(rng, 4),), {}), initial=state)
             worst = max(worst, abs(np.linalg.norm(state.amplitudes) - 1.0))
         assert worst <= 1e-12
 

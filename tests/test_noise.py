@@ -1,5 +1,7 @@
 """Amplitude-damping channel and noisy circuit execution."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -251,6 +253,67 @@ class TestRunNoisy:
         )
         assert clean.outcomes["0"] == pytest.approx(1.0, abs=1e-12)
         assert flipped.outcomes["1"] == pytest.approx(0.1, abs=1e-12)
+
+
+def _reparametrized(circuit, rng):
+    """The same skeleton with fresh random angles on every rotation."""
+    gates = tuple(
+        replace(g, params=(rng.uniform(-np.pi, np.pi),)) if g.params else g for g in circuit.gates
+    )
+    return replace(circuit, gates=gates)
+
+
+class TestBatch:
+    """Circuits that share a skeleton run in one pass, item by item as alone."""
+
+    def test_exact_batch_matches_single_runs(self):
+        built = [
+            solvers.build_hhl_circuit(p, 2, solvers.build_aqe(p, 2))
+            for p in map(build_a_lambda, (0.1, 0.25, 0.3, 0.5, 0.77))
+        ]
+        batch = run_noisy(built)
+        assert len(batch) == len(built)
+        for circuit, state in zip(built, batch):
+            np.testing.assert_allclose(
+                state.amplitudes, run_noisy(circuit).amplitudes, rtol=0, atol=1e-12
+            )
+
+    @pytest.mark.parametrize("idle_damping", [True, False])
+    def test_noisy_batch_matches_single_runs(self, idle_damping):
+        rng = np.random.default_rng(31)
+        base = _random_compiled(4, rng)
+        items = [base] + [_reparametrized(base, rng) for _ in range(3)]
+        noise = NoiseParams(t1_ns=3000.0, idle_damping=idle_damping)
+        initial = DensityMatrix(4, _random_rho(4, rng))
+        batch = run_noisy(items, noise, initial=initial)
+        for circuit, rho in zip(items, batch):
+            want = run_noisy(circuit, noise, initial=initial)
+            np.testing.assert_allclose(rho.entries, want.entries, rtol=0, atol=1e-12)
+
+    def test_equal_items_share_one_run(self):
+        circuit = _random_compiled(3, np.random.default_rng(4))
+        one, two = run_noisy([circuit, circuit], NoiseParams())
+        np.testing.assert_array_equal(one.entries, two.entries)
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            (gate("h", 0), gate("rx", 1, params=(0.2,))),  # another kind
+            (gate("h", 1), gate("ry", 1, params=(0.2,))),  # another qubit
+            (gate("h", 0), gate("ry", 1, params=(0.2,)), gate("x", 0)),  # longer
+        ],
+        ids=["kind", "qubits", "length"],
+    )
+    def test_rejects_circuits_whose_skeletons_differ(self, other):
+        base = Circuit(2, (gate("h", 0), gate("ry", 1, params=(0.7,))), {})
+        with pytest.raises(DomainError):
+            run_noisy([base, Circuit(2, other, {})])
+
+    def test_rejects_other_width_and_empty_batch(self):
+        with pytest.raises(DomainError):
+            run_noisy([Circuit(2, (gate("h", 0),), {}), Circuit(3, (gate("h", 0),), {})])
+        with pytest.raises(DomainError):
+            run_noisy([])
 
 
 class TestLazyDamping:

@@ -112,6 +112,79 @@ class TestApplyUnitary:
         np.testing.assert_allclose(out.amplitudes, s.amplitudes, atol=1e-10)
 
 
+def _kron_oracle(u, targets, n):
+    """The 2^n operator of ``u`` on ``targets`` by brute force: u (x) I on the
+    qubit order (targets, others), conjugated by the basis permutation back to
+    the natural order."""
+    order = list(targets) + [q for q in range(n) if q not in targets]
+    full = np.kron(u, np.eye(2 ** (n - len(targets))))
+    perm = np.zeros((2**n, 2**n))
+    for i in range(2**n):
+        bits = [(i >> (n - 1 - q)) & 1 for q in range(n)]
+        perm[sum(bits[q] << (n - 1 - pos) for pos, q in enumerate(order)), i] = 1
+    return perm.T @ full @ perm
+
+
+# unsorted and non-adjacent targets, plus the adjacent ascending shapes
+KERNEL_TARGETS = [[3], [0], [4], [3, 0], [0, 2], [4, 1, 2], [2, 0, 4], [1, 2], [2, 3, 4]]
+
+
+class TestKernel:
+    """apply_operator against the Kronecker oracle, on 5 qubits, to 1e-12."""
+
+    @pytest.mark.parametrize("targets", KERNEL_TARGETS)
+    def test_statevector(self, targets):
+        rng = np.random.default_rng(len(targets) * 10 + targets[0])
+        psi = _random_state(rng, 5).amplitudes
+        u = _random_unitary(rng, 2 ** len(targets))
+        got = qstate.apply_operator(psi[None], u, targets, 5)
+        assert got.shape == (1, 32)
+        np.testing.assert_allclose(got[0], _kron_oracle(u, targets, 5) @ psi, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("targets", KERNEL_TARGETS)
+    def test_density_matrix(self, targets):
+        rng = np.random.default_rng(len(targets) * 10 + targets[0] + 1)
+        amps = rng.normal(size=(32, 3)) + 1j * rng.normal(size=(32, 3))
+        rho = amps @ amps.conj().T
+        rho = DensityMatrix(5, rho / np.trace(rho))
+        u = _random_unitary(rng, 2 ** len(targets))
+        big = _kron_oracle(u, targets, 5)
+        got = apply_unitary(rho, u, targets)
+        np.testing.assert_allclose(got.entries, big @ rho.entries @ big.conj().T, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("targets", KERNEL_TARGETS)
+    def test_stack_of_distinct_operators(self, targets):
+        rng = np.random.default_rng(len(targets) * 10 + targets[0] + 2)
+        k = len(targets)
+        stack = np.stack([_random_unitary(rng, 2**k) for _ in range(3)])
+        data = np.stack([_random_state(rng, 5).amplitudes for _ in range(3)])
+        got = qstate.apply_operator(data, stack, targets, 5)
+        # a batch axis of 1 broadcasts to the stack's three items
+        shared = qstate.apply_operator(data[:1], stack, targets, 5)
+        for b in range(3):
+            want = _kron_oracle(stack[b], targets, 5)
+            np.testing.assert_allclose(got[b], want @ data[b], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(shared[b], want @ data[0], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("targets", KERNEL_TARGETS)
+    def test_trailing_non_qubit_axis(self, targets):
+        rng = np.random.default_rng(len(targets) * 10 + targets[0] + 3)
+        m = rng.normal(size=(32, 6)) + 1j * rng.normal(size=(32, 6))
+        u = _random_unitary(rng, 2 ** len(targets))
+        got = qstate.apply_operator(m[None], u, targets, 5)
+        assert got.shape == (1, 32, 6)
+        np.testing.assert_allclose(got[0], _kron_oracle(u, targets, 5) @ m, rtol=0, atol=1e-12)
+
+    def test_real_operator_on_real_data(self):
+        # the readout channel's bit flips are real
+        rng = np.random.default_rng(5)
+        p = rng.random(8)
+        m = np.array([[0.9, 0.1], [0.1, 0.9]])
+        got = qstate.apply_operator(p[None], m, (2,), 3)
+        assert got.dtype == np.float64
+        np.testing.assert_allclose(got[0], _kron_oracle(m, [2], 3) @ p, rtol=0, atol=1e-15)
+
+
 class TestDerivedStates:
     """Results built from checked states are read-only and sized right."""
 

@@ -237,6 +237,16 @@ class TestCircuitBuilder:
         rho_ref, succ_ref = oracles.brute_force_hhl(problem, 3)
         assert outcome.success_probability == pytest.approx(succ_ref, abs=1e-12)
 
+    def test_exact_runs_never_compile(self, monkeypatch):
+        def refuse(circuit):
+            raise AssertionError("compile_circuit called on an exact run")
+
+        monkeypatch.setattr(circuits, "compile_circuit", refuse)
+        problem = build_a_lambda(0.25)
+        assert run_original_hhl(problem, 2).cnot_count == 28
+        assert run_hybrid_hhl(problem, 2).cnot_count == 14
+        assert run_original_hhl(problem, 3).cnot_count is None
+
     def test_compiled_circuit_matches_pipeline(self):
         problem = build_a_lambda(0.3)
         full = build_aqe(problem, 2)
@@ -325,6 +335,40 @@ def _random_rho(rng, num_qubits):
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = z @ z.conj().T
     return DensityMatrix(num_qubits, rho / np.trace(rho))
+
+
+class TestOriginalBatch:
+    def test_batch_matches_one_problem_runs(self):
+        rng = np.random.default_rng(21)
+        # b = |0> prepares nothing, a random b one unitary: two skeletons, two batches
+        groups = (
+            [build_a_lambda(lam) for lam in (0.05, 0.25, 0.3, 0.5, 0.9)],
+            [random_perfectly_estimated_problem(rng, 2, 2, 1) for _ in range(3)],
+        )
+        for n, problems in ((n, g) for n in (1, 2, 3) for g in groups):
+            batch = solvers.run_original_hhl_batch(problems, n, shots=64, seed=5)
+            for problem, got in zip(problems, batch):
+                want = run_original_hhl(problem, n, shots=64, seed=5)
+                assert got.cnot_count == want.cnot_count
+                assert got.histograms["v_x_basis"] == want.histograms["v_x_basis"]
+                for name in ("ancilla", "uncomputed"):
+                    assert getattr(got, name) == pytest.approx(getattr(want, name), abs=1e-12)
+                np.testing.assert_allclose(got.rho_v.entries, want.rho_v.entries, atol=1e-12)
+
+    def test_noisy_batch_of_other_compiled_skeletons(self):
+        # compilation drops different zero angles at 0.25 and 0.3
+        problems = [build_a_lambda(0.25), build_a_lambda(0.3)]
+        noise = NoiseParams()
+        batch = solvers.run_original_hhl_batch(problems, 2, noise=noise)
+        for problem, got in zip(problems, batch):
+            want = run_original_hhl(problem, 2, noise=noise)
+            assert (got.fidelity, got.success_probability) == (want.fidelity, want.success_probability)
+
+    def test_batch_of_mixed_dimensions_rejected(self):
+        rng = np.random.default_rng(2)
+        d4 = random_perfectly_estimated_problem(rng, 4, 2, 1)
+        with pytest.raises(DomainError):
+            solvers.run_original_hhl_batch([build_a_lambda(0.3), d4], 2)
 
 
 class TestPostselectHHL:
