@@ -10,8 +10,9 @@ angle per control pattern).
 The executor (:func:`noise.run_noisy`) applies every kind directly through
 :func:`gate_matrix`; an ``mry`` is the block-diagonal matrix of its Ry
 blocks, so it runs for any number of controls, while its lowering supports
-at most two. :func:`cnot_count` gives the compiled CNOT count without
-compiling.
+at most two. A compiled circuit is a :class:`Circuit` of basis gates;
+:func:`cnot_count` gives its CNOT count, or that of a source circuit,
+without compiling (``Circuit.cnot_count`` returns it).
 
 A gate is checked once, when :func:`gate` makes it. Gates derived from it
 (adjoints, lowerings) and its application by the executor are not checked
@@ -100,7 +101,7 @@ def gate(kind, *qubits, params=(), matrix=None) -> Gate:
 
 @dataclass(frozen=True)
 class Circuit:
-    """Ordered gate list with named qubit roles (ancilla / register / input)."""
+    """Gate list with named qubit roles (ancilla / register / input), source or compiled."""
 
     num_qubits: int
     gates: tuple
@@ -115,13 +116,10 @@ class Circuit:
                     )
         object.__setattr__(self, "gates", tuple(self.gates))
 
-
-@dataclass(frozen=True)
-class CompiledCircuit:
-    num_qubits: int
-    gates: tuple
-    cnot_count: int
-    roles: dict = field(default_factory=dict)
+    @property
+    def cnot_count(self) -> int:
+        """:func:`cnot_count` of this circuit."""
+        return cnot_count(self)
 
 
 # ---------------------------------------------------------------------------
@@ -268,9 +266,6 @@ def decompose_controlled_unitary(u, control: int, target: int) -> list[Gate]:
     e^{i alpha} on the control's 1 branch is emitted as rz(alpha) on the
     control.
     """
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2):
-        raise DomainError("expected a 2x2 unitary")
     alpha, beta, gamma, delta = zyz_angles(u)
     out: list[Gate] = []
     # application order: C, CX, B, CX, A; A B C = I and A X B X C = u (phase aside)
@@ -496,16 +491,16 @@ def cnot_count(circuit) -> int:
     return sum(_gate_cnots(g) for g in circuit.gates)
 
 
-def compile_circuit(circuit: Circuit) -> CompiledCircuit:
-    """Lower every gate to {CNOT + 1-qubit gates}, simplify, count CNOTs.
+def compile_circuit(circuit: Circuit) -> Circuit:
+    """Lower every gate to {CNOT + 1-qubit gates} and simplify, keeping the roles.
 
     Measure gates pass through untouched. The composed unitary of the output
     matches the source up to global phase (asserted by the test suite, not at
     runtime).
     """
-    count = cnot_count(circuit)
+    cnot_count(circuit)  # raises CompileError on a gate that cannot lower
     lowered = simplify(b for g in circuit.gates for b in _lower(g))
-    return CompiledCircuit(circuit.num_qubits, tuple(lowered), count, dict(circuit.roles))
+    return Circuit(circuit.num_qubits, tuple(lowered), dict(circuit.roles))
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +513,7 @@ def _fmt(x: float) -> str:
     return f"{x:.15g}"
 
 
-def emit_qasm(compiled: CompiledCircuit) -> str:
+def emit_qasm(compiled: Circuit) -> str:
     """Deterministic OpenQASM 2.0 text for a compiled circuit."""
     lines = ['OPENQASM 2.0;', 'include "qelib1.inc";', f"qreg q[{compiled.num_qubits}];"]
     measured: list[tuple[str, int, int]] = []  # (creg, creg index, qubit)

@@ -18,11 +18,15 @@ import numpy as np
 from . import circuits, noise as noise_mod, oracles, qpe, solvers
 from .errors import HhlError, NotReducibleError, ValidationError
 from .problem import build_a_lambda, classical_solution, load_problem
-from .qstate import MeasurementHistogram
+from .qstate import MeasurementHistogram, StateVector
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NOT_REDUCIBLE = 2
+
+# Most lambdas ``sweep`` solves in one batched pass (about 3.5 MB live at
+# k = 3); the paper's 199-point grid stays one pass per register size.
+SWEEP_BATCH = 256
 
 
 def _float(x) -> float:
@@ -144,12 +148,13 @@ def cmd_sweep(args) -> int:
     lambdas = [(i + 1) / (args.points + 1) for i in range(args.points)]
     lines = ["lambda,k,F_analytic,F_simulated,abs_err"]
     for k in sorted(ks):
-        problems = [build_a_lambda(lam) for lam in lambdas]
-        outcomes = solvers.run_original_hhl_batch(problems, k)
-        for lam, outcome in zip(lambdas, outcomes):
-            fs = _float(outcome.fidelity)
-            fa = oracles.fidelity_closed_form(lam, k)
-            lines.append(f"{lam!r},{k},{fa!r},{fs!r},{abs(fa - fs)!r}")
+        for start in range(0, len(lambdas), SWEEP_BATCH):
+            chunk = lambdas[start:start + SWEEP_BATCH]
+            outcomes = solvers.run_original_hhl_batch([build_a_lambda(lam) for lam in chunk], k)
+            for lam, outcome in zip(chunk, outcomes):
+                fs = _float(outcome.fidelity)
+                fa = oracles.fidelity_closed_form(lam, k)
+                lines.append(f"{lam!r},{k},{fa!r},{fs!r},{abs(fa - fs)!r}")
     _write(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -176,10 +181,8 @@ def cmd_compare(args) -> int:
     for lam in lambdas:
         problem = build_a_lambda(lam)
         x_exact, _ = classical_solution(problem)
-        theoretical = {
-            f"c_{name}_sq": _float(abs(np.vdot(np.array([1, sign]) / np.sqrt(2), x_exact)) ** 2)
-            for name, sign in (("plus", 1), ("minus", -1))
-        }
+        weights = solvers.x_basis_weights(StateVector(problem.num_qubits, x_exact))
+        theoretical = dict(zip(("c_plus_sq", "c_minus_sq"), weights))
         modes = {}
         runs = (("original", solvers.run_original_hhl), ("hybrid", solvers.run_hybrid_hhl))
         for mode, run in runs:

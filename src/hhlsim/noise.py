@@ -131,8 +131,8 @@ def _flip_distribution(probs: np.ndarray, k: int, flip: float) -> np.ndarray:
 
 
 def run_noisy(circuit, noise: NoiseParams | None = None, initial=None):
-    """The one circuit executor: apply the gates of a Circuit or
-    CompiledCircuit in order, measure gates aside, to ``initial`` (default
+    """The one circuit executor: apply the gates of a Circuit, source or
+    compiled, in order, measure gates aside, to ``initial`` (default
     |0...0>) and return the final, pre-measurement state. Without ``noise``
     nothing decays and a statevector stays one; with it the run is on a
     density matrix under amplitude damping.

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -52,10 +51,13 @@ class EigenmeanProfile:
 
 
 class HermitianProblem:
-    """A Hermitian system matrix, a unit vector b, and lazily cached spectral data."""
+    """A Hermitian system matrix, a unit vector b and their spectral data, made once."""
 
     def __init__(self, matrix, b):
         a = np.array(matrix, dtype=complex)
+        vec = np.array(b, dtype=complex).reshape(-1)
+        if not (np.isfinite(a).all() and np.isfinite(vec).all()):
+            raise ValidationError("matrix and b must have finite entries")
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValidationError(f"matrix must be square, got shape {a.shape}")
         d = a.shape[0]
@@ -63,17 +65,11 @@ class HermitianProblem:
             raise ValidationError(f"dimension {d} is not a power of two >= 2")
         if not np.allclose(a, a.conj().T, atol=1e-10):
             raise ValidationError("matrix is not Hermitian")
-        vec = np.array(b, dtype=complex).reshape(-1)
         if vec.size != d:
             raise ValidationError(f"b has size {vec.size}, expected {d}")
         norm = np.linalg.norm(vec)
         if abs(norm - 1.0) > 1e-10:
             raise ValidationError(f"b has norm {norm}, expected a unit vector")
-        eigs = np.linalg.eigvalsh(a)
-        if eigs.min() < SPECTRUM_MARGIN or eigs.max() > 1.0 - SPECTRUM_MARGIN:
-            raise ValidationError(
-                f"eigenvalues {eigs} must lie strictly inside (0, 1)"
-            )
         a.setflags(write=False)
         vec = vec / norm
         vec.setflags(write=False)
@@ -81,10 +77,10 @@ class HermitianProblem:
         self.b = vec
         self.dimension = d
         self.num_qubits = d.bit_length() - 1
-
-    @cached_property
-    def spectral(self) -> SpectralData:
-        return spectral_decompose(self)
+        self.spectral = spectral_decompose(self)
+        eigs = self.spectral.eigenvalues
+        if eigs[0] < SPECTRUM_MARGIN or eigs[-1] > 1.0 - SPECTRUM_MARGIN:
+            raise ValidationError(f"eigenvalues {eigs} must lie strictly inside (0, 1)")
 
     def __repr__(self):
         return f"HermitianProblem(dimension={self.dimension})"

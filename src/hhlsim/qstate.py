@@ -8,9 +8,9 @@ Every gate goes through one kernel, :func:`apply_operator`, which works on
 arrays with a leading batch axis.
 
 Values are checked where they enter: in the public state constructors and
-for the operator of ``apply_unitary`` (unless ``check=False``) and
-``apply_controlled``. States derived from checked states are built by
-``_State._trusted``: not copied, renormalized or checked again.
+for the operator of ``apply_unitary`` and ``apply_controlled``. States
+derived from checked states are built by ``_State._trusted``: not copied,
+renormalized or checked again.
 """
 
 from __future__ import annotations
@@ -29,6 +29,9 @@ ATOL = 1e-10
 # 16 * 4^(n + 1) bytes with n + 1 < width. A budget of 256 MiB = 2^28 bytes
 # per array bounds 4^width by 2^24, so width <= 12.
 MAX_QUBITS = 12
+
+# A branch probability at or below this is zero: post-selecting it is refused.
+ZERO_PROBABILITY = 1e-14
 
 
 def check_width(num_qubits: int) -> None:
@@ -210,15 +213,13 @@ def _apply_to_entries(entries: np.ndarray, u: np.ndarray, targets, num_qubits: i
     return apply_operator(rows.swapaxes(1, 2), u.conj(), targets, num_qubits).swapaxes(1, 2)
 
 
-def apply_unitary(state, u, targets, check: bool = True):
-    """Apply a unitary on the listed target qubits.
+def apply_unitary(state, u, targets):
+    """Apply a unitary, checked for unitarity, on the listed target qubits.
 
     ``targets[0]`` is the most significant bit of the operator's own index.
-    Works on StateVector and DensityMatrix alike. ``check=False`` skips the
-    unitarity check, for a complex ndarray already known to be unitary.
+    Works on StateVector and DensityMatrix alike.
     """
-    if check:
-        u = _check_unitary(u)
+    u = _check_unitary(u)
     targets = _check_targets(state.num_qubits, targets)
     if u.shape[0] != 2 ** len(targets):
         raise DomainError(
@@ -292,7 +293,7 @@ def postselect(state, qubit: int, outcome: int):
         scale = prob
     else:
         raise DomainError(f"unsupported state type {type(state)!r}")
-    if prob <= 1e-14:
+    if prob <= ZERO_PROBABILITY:
         raise ImpossibleOutcomeError(
             f"outcome {outcome} on qubit {qubit} has zero probability"
         )
@@ -318,8 +319,10 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     return DensityMatrix._trusted(m, t.copy())  # owned: keeps no chain of views alive
 
 
-def fidelity_overlap(rho, psi) -> float:
-    """Overlap fidelity <psi|rho|psi> of a mixed state against a pure reference."""
+def fidelity_pure(rho, psi) -> float:
+    """Overlap fidelity <psi|rho|psi> of a state, pure or mixed, against a pure
+    reference: the convention the Appendix-style closed-form curves match on a
+    lambda grid, not its square root (pinned in tests/test_oracles.py)."""
     if isinstance(rho, StateVector):
         rho = rho.to_density_matrix()
     if rho.num_qubits != psi.num_qubits:
@@ -327,11 +330,6 @@ def fidelity_overlap(rho, psi) -> float:
     v = psi.amplitudes
     val = float(np.real(v.conj() @ rho.entries @ v))
     return min(max(val, 0.0), 1.0)
-
-
-# Pinned by the closed-form calibration in tests/test_oracles.py: the
-# Appendix-style fidelity curves match the overlap convention on a lambda grid.
-fidelity_pure = fidelity_overlap
 
 
 def exact_distribution(state, qubits) -> MeasurementHistogram:

@@ -11,12 +11,13 @@ There is one HHL circuit, :func:`build_hhl_circuit`: state preparation, QPE,
 the encoding as a single multiplexed Ry (``mry``) on the ancilla, inverse QPE.
 Both runs execute it with :func:`noise.run_noisy`: the exact run its source
 gates on a statevector, the noisy run its compiled form on a density matrix.
-The exact run counts CNOTs with :func:`circuits.cnot_count` and never
-compiles; the compiled form gives the noisy run's count and the QASM output.
+Both take their CNOT count from the source circuit through
+:func:`circuits.cnot_count`; the exact run never compiles.
 :func:`run_original_hhl_batch` runs the exact circuits of many problems in
 one batched executor pass; :func:`run_original_hhl` is its one-problem case.
 One post-selection, :func:`postselect_hhl`, scores either final state two
-ways.
+ways, and :func:`x_basis_weights` gives the x-basis weights of a one-qubit
+solution, simulated or classical.
 """
 
 from __future__ import annotations
@@ -188,13 +189,15 @@ class HHLOutcome:
     estimate: EigenEstimate | None = None
 
 
-def _x_basis_weights(rho_v: DensityMatrix):
-    if rho_v.num_qubits != 1:
+_X_BASIS = tuple(StateVector(1, np.array([1, sign]) / np.sqrt(2)) for sign in (1, -1))
+
+
+def x_basis_weights(state):
+    """(|<+|v>|^2, |<-|v>|^2) of a one-qubit state, pure or mixed;
+    (None, None) for a wider one."""
+    if state.num_qubits != 1:
         return None, None
-    return tuple(
-        qstate.fidelity_overlap(rho_v, StateVector(1, np.array([1, sign]) / np.sqrt(2)))
-        for sign in (1, -1)
-    )
+    return tuple(qstate.fidelity_pure(state, ket) for ket in _X_BASIS)
 
 
 def postselect_hhl(state, n: int) -> dict:
@@ -209,7 +212,7 @@ def postselect_hhl(state, n: int) -> dict:
     block = rho.entries.reshape(2**n, 2**q, 2**n, 2**q)[0, :, 0, :]
     p_reset = float(np.trace(block).real)
     uncomputed = None
-    if p_reset > 1e-14:  # the zero-probability threshold of qstate.postselect
+    if p_reset > qstate.ZERO_PROBABILITY:
         uncomputed = (DensityMatrix._trusted(q, block / p_reset), p_ancilla * p_reset)
     ancilla = (qstate.partial_trace(rho, range(n, n + q)), p_ancilla)
     return {"ancilla": ancilla, "uncomputed": uncomputed}
@@ -220,22 +223,19 @@ def _solve(mode, problems, n, specs, shots, seed, noise, estimate=None) -> list[
     post-select each final state, and score both estimators against its
     classical solution.
 
-    The exact runs apply the source gates, all in one batched executor pass;
-    their CNOT counts come from :func:`circuits.cnot_count`, None when a
-    circuit does not lower. Under noise each circuit is compiled once, and the
-    compiled circuit is what runs and gives the CNOT count; each runs on its
+    The CNOT counts come from the source circuits, None where a circuit does
+    not lower. The exact runs apply the source gates, all in one batched
+    executor pass. Under noise each circuit is compiled, then runs on its
     own, because compilation drops zero angles, so compiled circuits of
     different problems rarely share a skeleton.
     """
     built = [build_hhl_circuit(p, n, spec) for p, spec in zip(problems, specs)]
+    cnot_counts = [_cnot_count_or_none(c) for c in built]
     if noise is None:
         states = noise_mod.run_noisy(built)
-        cnot_counts = [_cnot_count_or_none(c) for c in built]
         postselection = "ancilla"
     else:
-        compiled = [circuits.compile_circuit(c) for c in built]
-        states = [noise_mod.run_noisy(c, noise) for c in compiled]
-        cnot_counts = [c.cnot_count for c in compiled]
+        states = [noise_mod.run_noisy(circuits.compile_circuit(c), noise) for c in built]
         postselection = "uncomputed"
     return [
         _score(mode, p, n, state, count, postselection, shots, seed, estimate)
@@ -264,7 +264,7 @@ def _score(mode, problem, n, state, cnot_count, postselection, shots, seed, esti
     }
     rho_v = estimators[postselection][0]
     fid, prob = scores[postselection]
-    cplus, cminus = _x_basis_weights(rho_v)
+    cplus, cminus = x_basis_weights(rho_v)
     histograms = {}
     if shots > 0 and cplus is not None:
         rng = np.random.default_rng(seed)

@@ -1,5 +1,7 @@
 """Gate IR, decompositions, compilation, and QASM emission."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -250,6 +252,14 @@ def _random_circuit(rng, n, length):
 
 
 class TestCompile:
+    def test_compiled_circuit_is_a_checked_circuit(self):
+        """A compiled circuit is a Circuit, so its qubit range is checked too."""
+        compiled = compile_circuit(Circuit(2, (gate("swap", 0, 1), gate("measure", 1)), {"c": (1,)}))
+        assert type(compiled) is Circuit
+        assert compiled.roles == {"c": (1,)} and compiled.cnot_count == 3
+        with pytest.raises(DomainError, match="outside"):
+            replace(compiled, num_qubits=1)
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10**9), st.integers(2, 4), st.integers(1, 40))
     def test_compiled_unitary_equivalent(self, seed, n, length):

@@ -4,14 +4,28 @@ import json
 
 import pytest
 
+from hhlsim import solvers
 from hhlsim.cli import EXIT_NOT_REDUCIBLE, EXIT_OK, EXIT_VALIDATION, main
 from hhlsim.noise import survival_bound
+from hhlsim.problem import build_a_lambda, classical_solution
+from hhlsim.qstate import StateVector
 
 
 def run(tmp_path, *argv):
     out = tmp_path / "out.txt"
     code = main(list(argv) + ["--out", str(out)])
     return code, out.read_bytes() if out.exists() else b""
+
+
+# problem files whose checks all compare with a non-finite entry
+INFINITE_A = (
+    '{"kind": "matrix", "dim": 2, "a_real": [[Infinity, 0.1], [0.1, 0.5]],'
+    ' "a_imag": [[0, 0], [0, 0]], "b_real": [1, 0], "b_imag": [0, 0]}'
+)
+NAN_B = (
+    '{"kind": "matrix", "dim": 2, "a_real": [[0.5, 0.1], [0.1, 0.5]],'
+    ' "a_imag": [[0, 0], [0, 0]], "b_real": [NaN, 0], "b_imag": [0, 0]}'
+)
 
 
 class TestSolve:
@@ -53,8 +67,9 @@ class TestSolve:
 
     @pytest.mark.parametrize(
         "text",
-        ['{"kind":"matrix","dim":2}', '{"kind":"lambda"}', "[1,2]"],
-        ids=["matrix-missing-entries", "lambda-missing-value", "not-an-object"],
+        ['{"kind":"matrix","dim":2}', '{"kind":"lambda"}', "[1,2]", INFINITE_A, NAN_B],
+        ids=["matrix-missing-entries", "lambda-missing-value", "not-an-object",
+             "a-infinite", "b-nan"],
     )
     def test_malformed_problem_file(self, tmp_path, capsys, text):
         path = tmp_path / "problem.json"
@@ -143,6 +158,21 @@ class TestSweep:
         rows = [line.split(",") for line in raw.decode().strip().split("\n")[1:]]
         half = [r for r in rows if float(r[0]) == 0.5]
         assert float(half[0][2]) == pytest.approx(1.0, abs=1e-9)
+
+    def test_solved_in_bounded_batches(self, tmp_path, monkeypatch):
+        """A grid larger than one batch is solved in chunks, row for row."""
+        sizes = []
+        batch = solvers.run_original_hhl_batch
+        monkeypatch.setattr(
+            solvers, "run_original_hhl_batch",
+            lambda problems, k: sizes.append(len(problems)) or batch(problems, k),
+        )
+        code, raw = run(tmp_path, "sweep", "--points", "300", "--k", "1")
+        assert code == EXIT_OK
+        assert sizes and max(sizes) <= 256 and sum(sizes) == 300
+        rows = [line.split(",") for line in raw.decode().strip().split("\n")[1:]]
+        assert len(rows) == 300
+        assert all(float(row[4]) <= 1e-8 for row in rows)
 
     def test_empty_k_rejected(self, tmp_path):
         code, _ = run(tmp_path, "sweep", "--k", "")
@@ -247,6 +277,14 @@ class TestQpea:
             "error: a 41-qubit circuit exceeds the limit of 12 qubits\n"
         )
 
+    @pytest.mark.parametrize("text", [INFINITE_A, NAN_B], ids=["a-infinite", "b-nan"])
+    def test_non_finite_problem_file(self, tmp_path, capsys, text):
+        path = tmp_path / "problem.json"
+        path.write_text(text)
+        code, raw = run(tmp_path, "qpea", "--problem-file", str(path))
+        assert code == EXIT_VALIDATION and raw == b""
+        assert capsys.readouterr().err == "error: matrix and b must have finite entries\n"
+
     def test_negative_shots(self, tmp_path, capsys):
         code, raw = run(tmp_path, "qpea", "--lambda", "0.25", "--shots", "-3")
         assert code == EXIT_VALIDATION
@@ -276,6 +314,16 @@ class TestCompare:
         assert by_lambda[0.25]["modes"]["hybrid"]["fidelity"] > by_lambda[0.25]["modes"]["original"]["fidelity"]
         assert by_lambda[0.25]["theoretical"]["c_plus_sq"] == pytest.approx(0.9, abs=1e-9)
         assert by_lambda[0.5]["theoretical"]["c_plus_sq"] == pytest.approx(0.5, abs=1e-9)
+
+    def test_theory_rows_use_the_shared_x_basis_helper(self, tmp_path):
+        lambdas = (0.125, 0.3, 0.5, 0.7)
+        code, raw = run(tmp_path, "compare", "--lambdas", ",".join(map(str, lambdas)))
+        assert code == EXIT_NOT_REDUCIBLE  # the hybrid at 0.3 and 0.7 is not certified
+        for lam, row in zip(lambdas, json.loads(raw)["rows"]):
+            x, _ = classical_solution(build_a_lambda(lam))
+            plus, minus = solvers.x_basis_weights(StateVector(1, x))
+            assert row["theoretical"]["c_plus_sq"] == pytest.approx(plus, abs=1e-15)
+            assert row["theoretical"]["c_minus_sq"] == pytest.approx(minus, abs=1e-15)
 
     def test_modes_report_both_estimators(self, tmp_path):
         f = _files(tmp_path, noise='{"t1_ns": 50000}')

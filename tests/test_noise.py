@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hhlsim import circuits, solvers
-from hhlsim.circuits import Circuit, CompiledCircuit, compile_circuit, gate
+from hhlsim.circuits import Circuit, compile_circuit, gate
 from hhlsim.errors import DomainError, ValidationError
 from hhlsim.noise import (
     NoiseParams,
@@ -149,8 +149,7 @@ def _random_compiled(n, rng, num_gates=40):
         else:
             gates.append(gate(kind, int(rng.integers(n))))
     assert any(g.kind == "measure" for g in gates[:-1])
-    cnots = sum(g.kind == "cnot" for g in gates)
-    return CompiledCircuit(n, tuple(gates), cnots)
+    return Circuit(n, tuple(gates))
 
 
 class TestDampingChannel:
@@ -240,7 +239,7 @@ class TestRunNoisy:
 
     def test_repeated_measure_rejected(self):
         gates = (gate("x", 0), gate("measure", 0), gate("measure", 0))
-        compiled = CompiledCircuit(2, gates, 0)
+        compiled = Circuit(2, gates)
         with pytest.raises(DomainError, match="measured more than once"):
             run_noisy(compiled, NoiseParams())
 
@@ -338,7 +337,7 @@ class TestLazyDamping:
             assert hist.outcomes[key] == pytest.approx(p, abs=1e-12)
 
     def test_idle_damping_off_spares_untouched_qubits(self):
-        compiled = CompiledCircuit(2, (gate("x", 0), gate("x", 1), gate("h", 0)), 0)
+        compiled = Circuit(2, (gate("x", 0), gate("x", 1), gate("h", 0)))
         rho = run_noisy(compiled, NoiseParams(t1_ns=100.0, idle_damping=False))
         # qubit 1 aged only during its own x gate: excited population e^{-60/100}
         excited = np.real(rho.entries[1, 1] + rho.entries[3, 3])

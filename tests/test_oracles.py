@@ -8,7 +8,7 @@ from hhlsim import oracles
 from hhlsim.errors import DomainError
 from hhlsim.problem import build_a_lambda, classical_solution
 from hhlsim.qpe import register_distribution_exact
-from hhlsim.qstate import StateVector, fidelity_overlap
+from hhlsim.qstate import StateVector, fidelity_pure
 
 GRID = np.linspace(0.005, 0.995, 199)
 
@@ -23,13 +23,13 @@ class TestFidelityConventionCalibration:
             rho, _ = oracles.brute_force_hhl(problem, 1)
             x, _ = classical_solution(problem)
             psi = StateVector(1, x)
-            assert fidelity_overlap(rho, psi) == pytest.approx(oracles.f1(lam), abs=1e-12)
+            assert fidelity_pure(rho, psi) == pytest.approx(oracles.f1(lam), abs=1e-12)
 
     def test_sqrt_convention_does_not_match(self):
         problem = build_a_lambda(0.3)
         rho, _ = oracles.brute_force_hhl(problem, 1)
         x, _ = classical_solution(problem)
-        sqrt_convention = np.sqrt(fidelity_overlap(rho, StateVector(1, x)))
+        sqrt_convention = np.sqrt(fidelity_pure(rho, StateVector(1, x)))
         assert abs(sqrt_convention - oracles.f1(0.3)) > 0.05
 
 

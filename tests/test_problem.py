@@ -66,6 +66,15 @@ class TestHermitianProblem:
         with pytest.raises(ValidationError):
             HermitianProblem(np.eye(2) * 0.5, np.array([1, 1]))
 
+    def test_decomposed_once_when_made(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a: calls.append("eigh") or eigh(*a))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a: calls.append("eigvalsh"))
+        problem = HermitianProblem(np.diag([0.25, 0.75]), np.array([1, 0]))
+        np.testing.assert_array_equal(problem.spectral.eigenvalues, [0.25, 0.75])
+        assert calls == ["eigh"]
+
     def test_rejects_spectrum_outside_open_interval(self):
         with pytest.raises(ValidationError):
             HermitianProblem(np.diag([0.5, 1.5]), np.array([1, 0]))
@@ -178,6 +187,22 @@ class TestProblemIO:
                 "b_real": [1.0, 0.0],
                 "b_imag": [0.0, 0.0, 0.0],
             },
+            {
+                "kind": "matrix",
+                "dim": 2,
+                "a_real": [[float("inf"), 0.1], [0.1, 0.5]],
+                "a_imag": [[0.0, 0.0], [0.0, 0.0]],
+                "b_real": [1.0, 0.0],
+                "b_imag": [0.0, 0.0],
+            },
+            {
+                "kind": "matrix",
+                "dim": 2,
+                "a_real": [[0.5, 0.1], [0.1, 0.5]],
+                "a_imag": [[0.0, 0.0], [0.0, 0.0]],
+                "b_real": [float("nan"), 0.0],
+                "b_imag": [0.0, 0.0],
+            },
         ],
         ids=[
             "not-an-object",
@@ -190,6 +215,8 @@ class TestProblemIO:
             "dim-bool",
             "a-wrong-shape",
             "b-wrong-shape",
+            "a-infinite",
+            "b-nan",
         ],
     )
     def test_malformed_description_rejected(self, spec):

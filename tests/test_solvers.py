@@ -266,8 +266,7 @@ class TestValidateOnce:
         """One unitarity check per cunitary gate made (the input is |0>, so
         there is no state-preparation gate) and no eigenvalue check of the
         derived density matrices."""
-        problem = build_a_lambda(0.3)
-        problem.spectral  # the problem's own checks and cache are not counted
+        problem = build_a_lambda(0.3)  # the problem's own checks are not counted
         unitary_checks, eig_checks = [], []
         check, eigvalsh = qstate._check_unitary, np.linalg.eigvalsh
         monkeypatch.setattr(
