@@ -14,9 +14,9 @@ at most two. A compiled circuit is a :class:`Circuit` of basis gates;
 :func:`cnot_count` gives its CNOT count, or that of a source circuit,
 without compiling (``Circuit.cnot_count`` returns it).
 
-A gate is checked once, when :func:`gate` makes it. Gates derived from it
-(adjoints, lowerings) and its application by the executor are not checked
-again.
+A gate is checked once, when :func:`gate` makes it; lowerings make their
+gates through it too. Adjoints and the executor do not check again.
+:func:`simplify` is the one place zero rotations are dropped.
 
 Documented decomposition set (gate-count accounting relies on it), exact up
 to global phase, so a diagonal phase on one qubit is emitted as ``rz``:
@@ -208,11 +208,11 @@ def circuit_unitary(gates, num_qubits: int) -> np.ndarray:
 def equal_up_to_phase(a: np.ndarray, b: np.ndarray, atol: float = 1e-8) -> bool:
     idx = np.unravel_index(np.argmax(np.abs(b)), b.shape)
     if abs(b[idx]) < atol:
-        return np.allclose(a, b, atol=atol)
+        return qstate.within_atol(a, b, atol)
     phase = a[idx] / b[idx]
     if abs(abs(phase) - 1.0) > atol:
         return False
-    return np.allclose(a, phase * b, atol=atol)
+    return qstate.within_atol(a, phase * b, atol)
 
 
 def adjoint(gates) -> list[Gate]:
@@ -260,32 +260,23 @@ def zyz_angles(u: np.ndarray):
 def decompose_controlled_unitary(u, control: int, target: int) -> list[Gate]:
     """Two-CNOT ABC construction of a controlled 1-qubit unitary.
 
-    Always emits the full two-CNOT skeleton, even when rotation angles vanish
-    or the input is a Pauli, so the entangling cost is uniform across a
-    circuit family. Exact up to global phase: the determinant phase
-    e^{i alpha} on the control's 1 branch is emitted as rz(alpha) on the
-    control.
+    Always emits the full skeleton, zero angles included (:func:`simplify`
+    drops them), so the entangling cost is uniform across a circuit family.
+    Exact up to global phase: the determinant phase e^{i alpha} on the
+    control's 1 branch is emitted as rz(alpha) on the control.
     """
     alpha, beta, gamma, delta = zyz_angles(u)
-    out: list[Gate] = []
     # application order: C, CX, B, CX, A; A B C = I and A X B X C = u (phase aside)
-    c_angle = (delta - beta) / 2
-    if abs(c_angle) > _ANGLE_TOL:
-        out.append(gate("rz", target, params=(c_angle,)))
-    out.append(gate("cnot", control, target))
-    b1 = -(delta + beta) / 2
-    if abs(b1) > _ANGLE_TOL:
-        out.append(gate("rz", target, params=(b1,)))
-    if abs(gamma) > _ANGLE_TOL:
-        out.append(gate("ry", target, params=(-gamma / 2,)))
-    out.append(gate("cnot", control, target))
-    if abs(gamma) > _ANGLE_TOL:
-        out.append(gate("ry", target, params=(gamma / 2,)))
-    if abs(beta) > _ANGLE_TOL:
-        out.append(gate("rz", target, params=(beta,)))
-    if abs(alpha) > _ANGLE_TOL:
-        out.append(gate("rz", control, params=(alpha,)))
-    return out
+    return [
+        gate("rz", target, params=((delta - beta) / 2,)),
+        gate("cnot", control, target),
+        gate("rz", target, params=(-(delta + beta) / 2,)),
+        gate("ry", target, params=(-gamma / 2,)),
+        gate("cnot", control, target),
+        gate("ry", target, params=(gamma / 2,)),
+        gate("rz", target, params=(beta,)),
+        gate("rz", control, params=(alpha,)),
+    ]
 
 
 def _cphase_gates(angle: float, control: int, target: int) -> list[Gate]:
@@ -373,7 +364,8 @@ def _subset_angles(angles, k: int) -> list[tuple[int, float]]:
     """(subset, angle) of each control subset of a k-control multiplexed Ry
     whose angle is not zero. The subset angles are the Moebius inversion of
     the pattern angles: those over the subsets of pattern p sum to
-    ``angles[p]``. More than two controls raise CompileError."""
+    ``angles[p]``; skipping a zero one saves its CNOTs, which :func:`simplify`
+    never removes. More than two controls raise CompileError."""
     if k > 2:
         raise CompileError("multiplexed Ry supports at most two control qubits")
     out = []
@@ -423,7 +415,7 @@ _ROTATIONS = {"rx", "ry", "rz"}
 
 
 def simplify(gates) -> list[Gate]:
-    """Drop zero-angle rotations and cancel adjacent self-inverse pairs.
+    """Drop zero rotations (only here) and cancel adjacent self-inverse pairs.
 
     One stack pass suffices: a gate is kept only if it does not cancel the
     kept gate before it, and a cancellation exposes a gate already checked
@@ -451,16 +443,9 @@ def _lower(g: Gate) -> list[Gate]:
     if k == "cphase":
         return _cphase_gates(g.params[0], *g.qubits)
     if k == "unitary":
-        alpha, beta, gamma, delta = zyz_angles(g.matrix)
-        q = g.qubits[0]
-        out = []
-        if abs(delta) > _ANGLE_TOL:
-            out.append(gate("rz", q, params=(delta,)))
-        if abs(gamma) > _ANGLE_TOL:
-            out.append(gate("ry", q, params=(gamma,)))
-        if abs(beta) > _ANGLE_TOL:
-            out.append(gate("rz", q, params=(beta,)))
-        return out  # global phase dropped
+        _, beta, gamma, delta = zyz_angles(g.matrix)  # global phase dropped
+        rotations = (("rz", delta), ("ry", gamma), ("rz", beta))
+        return [gate(r, *g.qubits, params=(angle,)) for r, angle in rotations]
     if k == "cunitary":
         return decompose_controlled_unitary(g.matrix, g.qubits[0], g.qubits[1])
     *controls, target = g.qubits  # mry, the last structured kind

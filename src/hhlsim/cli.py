@@ -97,6 +97,8 @@ def _dump_json(payload: dict) -> str:
 def _check_shots(args) -> None:
     if args.shots < 0:
         raise ValidationError("--shots must be >= 0")
+    if args.seed is not None and args.seed < 0:
+        raise ValidationError(f"--seed must be >= 0, got {args.seed}")
     if args.shots > 0 and args.seed is None:
         raise ValidationError("--seed is required when --shots > 0")
 
@@ -145,11 +147,11 @@ def cmd_sweep(args) -> int:
         raise ValidationError("register sizes in --k must be in {1, 2, 3}")
     if args.points < 1:
         raise ValidationError("--points must be >= 1")
-    lambdas = [(i + 1) / (args.points + 1) for i in range(args.points)]
+    grid = range(1, args.points + 1)  # lazy: each batch makes its own floats
     lines = ["lambda,k,F_analytic,F_simulated,abs_err"]
     for k in sorted(ks):
-        for start in range(0, len(lambdas), SWEEP_BATCH):
-            chunk = lambdas[start:start + SWEEP_BATCH]
+        for start in range(0, args.points, SWEEP_BATCH):
+            chunk = [i / (args.points + 1) for i in grid[start:start + SWEEP_BATCH]]
             outcomes = solvers.run_original_hhl_batch([build_a_lambda(lam) for lam in chunk], k)
             for lam, outcome in zip(chunk, outcomes):
                 fs = _float(outcome.fidelity)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ValidationError
+from .qstate import within_atol
 
 SPECTRUM_MARGIN = 1e-6
 
@@ -63,7 +64,7 @@ class HermitianProblem:
         d = a.shape[0]
         if not (d > 1 and (d & (d - 1)) == 0):
             raise ValidationError(f"dimension {d} is not a power of two >= 2")
-        if not np.allclose(a, a.conj().T, atol=1e-10):
+        if not within_atol(a, a.conj().T, 1e-10):
             raise ValidationError("matrix is not Hermitian")
         if vec.size != d:
             raise ValidationError(f"b has size {vec.size}, expected {d}")
@@ -142,8 +143,10 @@ def profile_from_bitstrings(bitstrings, n: int) -> EigenmeanProfile:
 
 
 def classical_solution(problem: HermitianProblem):
-    """Normalized solution state A^{-1} b / ||A^{-1} b|| and the norm ||A^{-1} b||."""
-    x = np.linalg.solve(problem.matrix, problem.b)
+    """Normalized solution state A^{-1} b / ||A^{-1} b|| and the norm ||A^{-1} b||,
+    read from the eigendecomposition: A^{-1} b = V (alpha / lambda)."""
+    spectral = problem.spectral
+    x = spectral.eigenvectors @ (spectral.amplitudes / spectral.eigenvalues)
     norm = float(np.linalg.norm(x))
     return x / norm, norm
 

@@ -37,7 +37,7 @@ def prepare_b(problem: HermitianProblem, v_qubits) -> list[Gate]:
     :func:`qpe_block`, not inside: the HHL circuit undoes that block."""
     b = problem.b
     d = b.size
-    if np.allclose(b, np.eye(d)[:, 0], atol=1e-12):
+    if qstate.within_atol(b, np.eye(d)[:, 0], 1e-12):
         return []
     q_mat, _ = np.linalg.qr(np.column_stack([b, np.eye(d, dtype=complex)]))
     q_mat = q_mat[:, :d]

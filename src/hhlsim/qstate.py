@@ -7,10 +7,11 @@ label of index ``x`` reads left to right as qubits 0, 1, 2, ...
 Every gate goes through one kernel, :func:`apply_operator`, which works on
 arrays with a leading batch axis.
 
-Values are checked where they enter: in the public state constructors and
-for the operator of ``apply_unitary`` and ``apply_controlled``. States
-derived from checked states are built by ``_State._trusted``: not copied,
-renormalized or checked again.
+Values are checked where they enter, against an absolute tolerance
+(:func:`within_atol`): in the public state constructors and for the operator
+of ``apply_unitary`` and ``apply_controlled``. States derived from checked
+states are built by ``_State._trusted``: not copied, renormalized or checked
+again.
 """
 
 from __future__ import annotations
@@ -42,6 +43,11 @@ def check_width(num_qubits: int) -> None:
         )
 
 
+def within_atol(a, b, atol: float) -> bool:
+    """No entry of ``a`` is further than ``atol`` from ``b`` (no relative part; NaN fails)."""
+    return bool(np.abs(np.asarray(a) - b).max() <= atol)
+
+
 def _check_unitary(u: np.ndarray, atol: float = ATOL) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
@@ -49,7 +55,7 @@ def _check_unitary(u: np.ndarray, atol: float = ATOL) -> np.ndarray:
     d = u.shape[0]
     if not (d > 0 and (d & (d - 1)) == 0):
         raise ValidationError(f"operator dimension {d} is not a power of two")
-    if not np.allclose(u.conj().T @ u, np.eye(d), atol=atol):
+    if not within_atol(u.conj().T @ u, np.eye(d), atol):
         raise ValidationError("operator is not unitary within tolerance")
     return u
 
@@ -123,7 +129,7 @@ class DensityMatrix(_State):
         rho = np.asarray(entries, dtype=complex)
         if rho.shape != (d, d):
             raise ValidationError(f"expected {d}x{d} matrix, got shape {rho.shape}")
-        if not np.allclose(rho, rho.conj().T, atol=ATOL):
+        if not within_atol(rho, rho.conj().T, ATOL):
             raise ValidationError("density matrix is not Hermitian")
         tr = np.trace(rho).real
         if abs(tr - 1.0) > 1e-8:

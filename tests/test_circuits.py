@@ -45,6 +45,13 @@ class TestGate:
         with pytest.raises(ValidationError):
             gate("unitary", 0, matrix=np.array([[1, 1], [0, 1]], dtype=complex))
 
+    def test_unitarity_tolerance_is_absolute(self):
+        # off by 4e-6: within a relative tolerance of 1e-5, far outside 1e-10
+        with pytest.raises(ValidationError, match="not unitary"):
+            gate("unitary", 0, matrix=np.diag([1 + 4e-6, 1]))
+        with pytest.raises(ValidationError, match="not unitary"):
+            gate("unitary", 0, matrix=np.diag([np.nan, 1]))
+
     def test_rejects_non_finite_params(self):
         with pytest.raises(ValidationError):
             gate("ry", 0, params=(np.nan,))

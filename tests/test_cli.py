@@ -1,10 +1,14 @@
 """Command-line interface: exit codes, file outputs, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from hhlsim import solvers
+from hhlsim import cli, solvers
 from hhlsim.cli import EXIT_NOT_REDUCIBLE, EXIT_OK, EXIT_VALIDATION, main
 from hhlsim.noise import survival_bound
 from hhlsim.problem import build_a_lambda, classical_solution
@@ -138,6 +142,15 @@ class TestSolve:
         assert raw == b""
         assert capsys.readouterr().err.startswith("error: --shots")
 
+    @pytest.mark.parametrize("shots", ["10", "0"])
+    def test_negative_seed(self, tmp_path, capsys, shots):
+        code, raw = run(
+            tmp_path, "solve", "--lambda", "0.3", "--mode", "hybrid",
+            "--shots", shots, "--seed", "-1",
+        )
+        assert (code, raw) == (EXIT_VALIDATION, b"")
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+
 
 class TestSweep:
     def test_curves_hit_dyadic_points(self, tmp_path):
@@ -173,6 +186,30 @@ class TestSweep:
         rows = [line.split(",") for line in raw.decode().strip().split("\n")[1:]]
         assert len(rows) == 300
         assert all(float(row[4]) <= 1e-8 for row in rows)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is a Linux limit")
+    def test_grid_made_batch_by_batch(self):
+        """60 million points do not fit a 1.5 GB address space as one list of
+        floats; the first batch must still reach its first problem, which
+        stops the run."""
+        script = (
+            "import resource\n"
+            "from hhlsim import cli\n"
+            "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1_500_000 * 1024, hard))\n"
+            "def stop(lam):\n"
+            "    raise SystemExit(0)\n"
+            "cli.build_a_lambda = stop\n"
+            "cli.main(['sweep', '--points', '60000000', '--k', '1'])\n"
+            "raise SystemExit(3)\n"
+        )
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert "MemoryError" not in proc.stderr
+        assert proc.returncode == 0, proc.stderr
 
     def test_empty_k_rejected(self, tmp_path):
         code, _ = run(tmp_path, "sweep", "--k", "")
@@ -290,6 +327,11 @@ class TestQpea:
         assert code == EXIT_VALIDATION
         assert raw == b""
         assert capsys.readouterr().err.startswith("error: --shots")
+
+    def test_negative_seed(self, tmp_path, capsys):
+        code, raw = run(tmp_path, "qpea", "--lambda", "0.3", "--shots", "10", "--seed", "-1")
+        assert (code, raw) == (EXIT_VALIDATION, b"")
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
 
 
 class TestCompare:

@@ -62,6 +62,25 @@ class TestHermitianProblem:
         with pytest.raises(ValidationError):
             HermitianProblem(np.array([[0.5, 0.3], [0.1, 0.5]]), np.array([1, 0]))
 
+    def test_hermitian_tolerance_is_absolute(self):
+        # eigh reads only the lower triangle, so the upper one must be checked
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            HermitianProblem([[0.3, 0.1 + 1e-6], [0.1, 0.6]], [1, 0])
+
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_solution_from_eigendecomposition_matches_direct_solve(self, d):
+        rng = np.random.default_rng(d)
+        for _ in range(20):
+            z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            q, _ = np.linalg.qr(z)
+            a = (q * rng.uniform(0.02, 0.98, size=d)) @ q.conj().T
+            b = rng.normal(size=d) + 1j * rng.normal(size=d)
+            problem = HermitianProblem((a + a.conj().T) / 2, b / np.linalg.norm(b))
+            direct = np.linalg.solve(problem.matrix, problem.b)
+            x, norm = classical_solution(problem)
+            assert norm == pytest.approx(np.linalg.norm(direct), rel=1e-12)
+            np.testing.assert_allclose(x, direct / np.linalg.norm(direct), rtol=0, atol=1e-12)
+
     def test_rejects_unnormalized_b(self):
         with pytest.raises(ValidationError):
             HermitianProblem(np.eye(2) * 0.5, np.array([1, 1]))

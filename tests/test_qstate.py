@@ -65,6 +65,10 @@ class TestDensityMatrix:
         with pytest.raises(ValidationError):
             DensityMatrix(1, np.array([[0.5, 0.4], [0.1, 0.5]]))
 
+    def test_hermitian_tolerance_is_absolute(self):
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            DensityMatrix(1, [[0.5, 0.1 + 5e-7], [0.1, 0.5]])
+
     def test_rejects_wrong_trace(self):
         with pytest.raises(ValidationError):
             DensityMatrix(1, np.eye(2))
