@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import circuits, noise as noise_mod, oracles, qpe, solvers
 from .errors import HhlError, NotReducibleError, ValidationError
-from .problem import build_a_lambda, classical_solution, load_problem
+from .problem import SPECTRUM_MARGIN, build_a_lambda, classical_solution, load_problem
 from .qstate import MeasurementHistogram, StateVector
 
 EXIT_OK = 0
@@ -147,6 +148,14 @@ def cmd_sweep(args) -> int:
         raise ValidationError("register sizes in --k must be in {1, 2, 3}")
     if args.points < 1:
         raise ValidationError("--points must be >= 1")
+    # the first lambda, 1/(points + 1), must lie above the spectrum margin:
+    # at the margin itself eigh's rounding falls below it
+    max_points = math.ceil(1 / SPECTRUM_MARGIN) - 2
+    if args.points > max_points:
+        raise ValidationError(
+            f"--points must be <= {max_points}, got {args.points}: the grid's"
+            f" first lambda, 1/(points + 1), must lie above {SPECTRUM_MARGIN}"
+        )
     grid = range(1, args.points + 1)  # lazy: each batch makes its own floats
     lines = ["lambda,k,F_analytic,F_simulated,abs_err"]
     for k in sorted(ks):

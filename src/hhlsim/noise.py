@@ -207,13 +207,14 @@ def _same(h, g) -> bool:
     )
 
 
-def readout_distribution(state, circuit, noise: NoiseParams) -> MeasurementHistogram:
-    """Exact outcome probabilities, readout flips included, of the qubits
-    ``circuit`` measures, in gate order (all qubits, MSB first, if none),
-    in its final ``state`` from :func:`run_noisy`."""
+def readout_distribution(state, circuit, noise: NoiseParams | None) -> MeasurementHistogram:
+    """Exact outcome probabilities, readout flips included (none without
+    ``noise``), of the qubits ``circuit`` measures, in gate order (all
+    qubits, MSB first, if none), in its final ``state`` from :func:`run_noisy`."""
     targets = [g.qubits[0] for g in circuit.gates if g.kind == "measure"]
     targets = targets or list(range(state.num_qubits))
     probs = qstate._marginal_probabilities(state, targets)
-    probs = _flip_distribution(probs / probs.sum(), len(targets), noise.readout_flip)
+    flip = 0.0 if noise is None else noise.readout_flip
+    probs = _flip_distribution(probs / probs.sum(), len(targets), flip)
     labels = qstate._labels(len(targets))
     return MeasurementHistogram({k: float(p) for k, p in zip(labels, probs)}, None)

@@ -172,7 +172,18 @@ def fidelity_closed_form(lam: float, n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# two-qubit-register phase-estimation outcome probabilities
+# phase-estimation outcome probabilities
+
+def qpea_distribution(problem: HermitianProblem, n: int) -> np.ndarray:
+    """Pr(x), indexed by x, of the measured n-bit phase estimation on b:
+    sum_j |alpha_j|^2 |beta_{x|j}|^2, beta_{x|j} = 2^-n sum_y e^{2 pi i y
+    (lambda_j - x/2^n)} (Cleve, Ekert, Macchiavello & Mosca, Proc. R. Soc. A
+    454, 339, 1998)."""
+    x = y = np.arange(2**n)
+    lam, alpha = problem.spectral.eigenvalues, problem.spectral.amplitudes
+    beta = np.exp(2j * np.pi * y * (lam[:, None, None] - x[:, None] / 2**n)).mean(axis=2)
+    return np.abs(alpha) ** 2 @ np.abs(beta) ** 2
+
 
 _OUTCOMES_2 = ("00", "01", "10", "11")
 

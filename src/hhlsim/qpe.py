@@ -5,7 +5,8 @@ Register bit 1 (most significant) controls the highest unitary power, so a
 measured register string reads directly as the n-bit eigenvalue estimate.
 The QPEA circuit prepares b (:func:`prepare_b`) as the HHL circuit does.
 :func:`run_qpea` is the one QPEA entry: exact probabilities for ``shots == 0``,
-with or without noise, and a seeded draw from them for ``shots > 0``.
+with or without noise, and a seeded draw from them for ``shots > 0``; every
+path runs :func:`build_qpe` (its closed form is ``oracles.qpea_distribution``).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ class QpeConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValidationError("register size must be >= 1")
+        qstate.check_width(self.n + self.problem.num_qubits)
 
 
 def prepare_b(problem: HermitianProblem, v_qubits) -> list[Gate]:
@@ -80,27 +82,9 @@ def build_qpe(config: QpeConfig, physical_swap: bool = False) -> Circuit:
     return Circuit(n + q, tuple(gates), roles)
 
 
-def beta_coefficient(lam: float, x: int, n: int) -> complex:
-    """(1/2^n) sum_y exp(2 pi i y (lam - x/2^n)) - the register amplitude weight."""
-    y = np.arange(2**n)
-    return complex(np.sum(np.exp(2j * np.pi * y * (lam - x / 2**n))) / 2**n)
-
-
 def register_distribution_exact(problem: HermitianProblem, n: int) -> MeasurementHistogram:
-    """Exact QPEA outcome distribution Pr(x) = sum_j |alpha_j|^2 |beta_{x|j}|^2."""
-    if n < 1:
-        raise DomainError("register size must be >= 1")
-    spectral = problem.spectral
-    weights = np.abs(spectral.amplitudes) ** 2
-    probs = {}
-    for x in range(2**n):
-        p = sum(
-            w * abs(beta_coefficient(lam, x, n)) ** 2
-            for w, lam in zip(weights, spectral.eigenvalues)
-        )
-        probs[qstate._labels(n)[x]] = float(p)
-    total = sum(probs.values())
-    return MeasurementHistogram({k: v / total for k, v in probs.items()}, None)
+    """Exact QPEA outcome probabilities: the circuit run on a statevector."""
+    return qpea_distribution_noisy(problem, n, None)
 
 
 def run_qpea(
@@ -118,7 +102,6 @@ def run_qpea(
     """
     if shots < 0:
         raise DomainError("shots must be >= 0")
-    qstate.check_width(n + problem.num_qubits)
     if noise is None:
         dist = register_distribution_exact(problem, n)
     else:
@@ -130,8 +113,10 @@ def run_qpea(
 
 
 def qpea_distribution_noisy(problem: HermitianProblem, n: int, noise) -> MeasurementHistogram:
-    """Exact-probability register distribution of the compiled QPEA circuit
-    under the noise model."""
-    compiled = circuits.compile_circuit(build_qpe(QpeConfig(n, problem)))
-    rho = noise_mod.run_noisy(compiled, noise)
-    return noise_mod.readout_distribution(rho, compiled, noise)
+    """Exact register distribution of the QPEA circuit: compiled and under
+    ``noise`` if given, else its source gates on a statevector."""
+    circuit = build_qpe(QpeConfig(n, problem))
+    if noise is not None:
+        circuit = circuits.compile_circuit(circuit)
+    state = noise_mod.run_noisy(circuit, noise)
+    return noise_mod.readout_distribution(state, circuit, noise)

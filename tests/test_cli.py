@@ -1,10 +1,7 @@
 """Command-line interface: exit codes, file outputs, determinism."""
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
+import tracemalloc
 
 import pytest
 
@@ -187,29 +184,45 @@ class TestSweep:
         assert len(rows) == 300
         assert all(float(row[4]) <= 1e-8 for row in rows)
 
-    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is a Linux limit")
-    def test_grid_made_batch_by_batch(self):
-        """60 million points do not fit a 1.5 GB address space as one list of
-        floats; the first batch must still reach its first problem, which
-        stops the run."""
-        script = (
-            "import resource\n"
-            "from hhlsim import cli\n"
-            "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (1_500_000 * 1024, hard))\n"
-            "def stop(lam):\n"
-            "    raise SystemExit(0)\n"
-            "cli.build_a_lambda = stop\n"
-            "cli.main(['sweep', '--points', '60000000', '--k', '1'])\n"
-            "raise SystemExit(3)\n"
-        )
-        src = str(Path(cli.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
-        proc = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
-        )
-        assert "MemoryError" not in proc.stderr
-        assert proc.returncode == 0, proc.stderr
+    def test_grid_made_batch_by_batch(self, monkeypatch):
+        """The largest grid accepted is never held as one list of floats
+        (about 32 MB at 999998 points): the first batch reaches its first
+        problem, which stops the run, having allocated little."""
+        class Reached(Exception):
+            pass
+
+        def stop(lam):
+            raise Reached
+
+        monkeypatch.setattr(cli, "build_a_lambda", stop)
+        tracemalloc.start()
+        try:
+            with pytest.raises(Reached):
+                main(["sweep", "--points", "999998", "--k", "1"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+
+    def test_points_past_the_spectrum_margin_rejected(self, tmp_path, capsys):
+        """At 999999 points the first lambda, 1e-6, is no longer inside the
+        spectrum margin; the message names the flag, not a matrix."""
+        code, raw = run(tmp_path, "sweep", "--points", "999999", "--k", "1")
+        assert (code, raw) == (EXIT_VALIDATION, b"")
+        err = capsys.readouterr().err
+        assert err.startswith("error: --points must be <= 999998, got 999999")
+
+    def test_largest_points_reaches_first_batch(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def stop(problems, k):
+            raise Reached(len(problems))
+
+        monkeypatch.setattr(solvers, "run_original_hhl_batch", stop)
+        with pytest.raises(Reached) as info:
+            main(["sweep", "--points", "999998", "--k", "1"])
+        assert info.value.args == (256,)
 
     def test_empty_k_rejected(self, tmp_path):
         code, _ = run(tmp_path, "sweep", "--k", "")
@@ -433,6 +446,21 @@ class TestEmitQasm:
         code, raw = run(tmp_path, "emit-qasm", "--lambda", "0.3", "--circuit", circuit, "--n", n)
         assert code == EXIT_VALIDATION and raw == b""
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("n", ["1100", "12"])
+    def test_qpea_register_too_wide(self, tmp_path, capsys, n):
+        """e^{2 pi i 2^(n-1) A} is never formed: the width check comes first."""
+        code, raw = run(tmp_path, "emit-qasm", "--lambda", "0.3", "--circuit", "qpea", "--n", n)
+        assert code == EXIT_VALIDATION and raw == b""
+        width = int(n) + 1
+        assert capsys.readouterr().err == (
+            f"error: a {width}-qubit circuit exceeds the limit of 12 qubits\n"
+        )
+
+    def test_qpea_widest_register(self, tmp_path):
+        code, raw = run(tmp_path, "emit-qasm", "--lambda", "0.3", "--circuit", "qpea", "--n", "11")
+        assert code == EXIT_OK
+        assert raw.startswith(b"OPENQASM 2.0;")
 
     def test_original_n3_does_not_lower(self, tmp_path, capsys):
         code, raw = run(

@@ -4,9 +4,9 @@ independent matrix-algebra solver they are checked against."""
 import numpy as np
 import pytest
 
-from hhlsim import oracles
+from hhlsim import oracles, solvers
 from hhlsim.errors import DomainError
-from hhlsim.problem import build_a_lambda, classical_solution
+from hhlsim.problem import HermitianProblem, build_a_lambda, classical_solution
 from hhlsim.qpe import register_distribution_exact
 from hhlsim.qstate import StateVector, fidelity_pure
 
@@ -113,6 +113,25 @@ class TestQpeaAnalytic:
     def test_unknown_outcome_rejected(self):
         with pytest.raises(DomainError):
             oracles.qpea_prob_analytic(0.3, "2")
+
+
+class TestQpeaDistribution:
+    """The general closed form, Pr(x) = sum_j |alpha_j|^2 |beta_{x|j}|^2."""
+
+    def test_exact_phase_gives_unit_weight(self):
+        problem = HermitianProblem(np.diag([0.25, 0.75]), np.array([1.0, 0.0]))
+        probs = oracles.qpea_distribution(problem, 2)
+        assert probs[1] == pytest.approx(1.0, abs=1e-12)
+        assert probs[2] == pytest.approx(0.0, abs=1e-12)
+
+    def test_weights_sum_to_one(self):
+        rng = np.random.default_rng(4)
+        problems = [build_a_lambda(lam) for lam in (0.1, 0.3, 0.77)]
+        problems.append(solvers.random_perfectly_estimated_problem(rng, 4, 3, 1))
+        for problem in problems:
+            probs = oracles.qpea_distribution(problem, 3)
+            assert probs.shape == (8,)
+            assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestBruteForce:

@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from hhlsim import circuits, noise as noise_mod
+from hhlsim import circuits, noise as noise_mod, oracles, qpe, solvers
 from hhlsim.errors import DomainError, ValidationError
 from hhlsim.problem import HermitianProblem, build_a_lambda
 from hhlsim.qpe import (
     QpeConfig,
-    beta_coefficient,
     build_qpe,
     qpe_block,
     qpea_distribution_noisy,
@@ -27,17 +26,6 @@ def _random_problem(seed: int) -> HermitianProblem:
     return HermitianProblem((a + a.conj().T) / 2, b / np.linalg.norm(b))
 
 
-class TestBetaCoefficient:
-    def test_exact_phase_gives_unit_weight(self):
-        assert abs(beta_coefficient(0.25, 1, 2)) == pytest.approx(1.0)
-        assert abs(beta_coefficient(0.25, 2, 2)) == pytest.approx(0.0, abs=1e-12)
-
-    def test_weights_sum_to_one(self):
-        for lam in (0.1, 0.3, 0.77):
-            total = sum(abs(beta_coefficient(lam, x, 3)) ** 2 for x in range(8))
-            assert total == pytest.approx(1.0, abs=1e-12)
-
-
 class TestRegisterDistribution:
     def test_quarter(self):
         dist = register_distribution_exact(build_a_lambda(0.25), 2).outcomes
@@ -49,17 +37,40 @@ class TestRegisterDistribution:
         assert dist["10"] == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_beta_expansion(self):
-        lam, n = 0.3, 3
-        problem = build_a_lambda(lam)
+        problem, n = build_a_lambda(0.3), 3
         dist = register_distribution_exact(problem, n).outcomes
-        alphas = problem.spectral.amplitudes
-        lams = problem.spectral.eigenvalues
+        expected = oracles.qpea_distribution(problem, n)
         for x in range(2**n):
-            expected = sum(
-                abs(a) ** 2 * abs(beta_coefficient(l, x, n)) ** 2
-                for a, l in zip(alphas, lams)
-            )
-            assert dist[format(x, f"0{n}b")] == pytest.approx(expected, abs=1e-12)
+            assert dist[format(x, f"0{n}b")] == pytest.approx(expected[x], abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_oracle_on_lambda_grid(self, n):
+        for j in range(1, 32):
+            problem = build_a_lambda(j / 32 + 0.003)
+            got = list(register_distribution_exact(problem, n).outcomes.values())
+            assert np.abs(got - oracles.qpea_distribution(problem, n)).max() <= 1e-12
+
+    @pytest.mark.parametrize("d,m,k", [(2, 2, 1), (4, 3, 1), (4, 3, 2), (8, 4, 2)])
+    def test_matches_oracle_on_random_problems(self, d, m, k):
+        """Problems of the classes the hybrid is benchmarked on, d = 2, 4, 8,
+        at every register size up to 4, not only the one they are exact at."""
+        rng = np.random.default_rng(d * 10 + k)
+        for _ in range(3):
+            problem = solvers.random_perfectly_estimated_problem(rng, d, m, k)
+            for n in range(1, 5):
+                got = list(register_distribution_exact(problem, n).outcomes.values())
+                assert np.abs(got - oracles.qpea_distribution(problem, n)).max() <= 1e-12
+
+    def test_runs_the_circuit_once(self, monkeypatch):
+        runs = []
+        run_noisy = noise_mod.run_noisy
+        monkeypatch.setattr(
+            noise_mod, "run_noisy", lambda c, noise=None: runs.append(c) or run_noisy(c, noise)
+        )
+        register_distribution_exact(build_a_lambda(0.3), 3)
+        assert len(runs) == 1
+        # the source circuit, not its compiled form
+        assert [g.kind for g in runs[0].gates].count("cunitary") == 3
 
 
 class TestBuildQpe:
@@ -75,10 +86,10 @@ class TestBuildQpe:
         compiled = circuits.compile_circuit(build_qpe(QpeConfig(n, problem)))
         noise = noise_mod.NoiseParams(t1_ns=1e18)
         hist = noise_mod.readout_distribution(noise_mod.run_noisy(compiled, noise), compiled, noise)
-        ref = register_distribution_exact(problem, n).outcomes
-        assert hist.outcomes.keys() == ref.keys()
-        for key, val in ref.items():
-            assert hist.outcomes[key] == pytest.approx(val, abs=1e-10)
+        ref = oracles.qpea_distribution(problem, n)
+        assert list(hist.outcomes) == [format(x, f"0{n}b") for x in range(2**n)]
+        for val, expected in zip(hist.outcomes.values(), ref):
+            assert val == pytest.approx(expected, abs=1e-10)
 
     def test_inverse_direction_is_adjoint(self):
         problem = build_a_lambda(0.3)
@@ -123,6 +134,12 @@ class TestRunQpea:
         # 12 register bits + 1 input qubit: refused before anything is built
         with pytest.raises(ValidationError, match="13-qubit"):
             run_qpea(build_a_lambda(0.3), 12)
+
+    def test_config_refuses_width_before_any_power(self, monkeypatch):
+        """e^{2 pi i 2^1099 A} cannot be formed; the width check comes first."""
+        monkeypatch.setattr(qpe, "unitary_power", lambda *a: pytest.fail("built"))
+        with pytest.raises(ValidationError, match="1101-qubit"):
+            build_qpe(QpeConfig(1100, build_a_lambda(0.3)))
 
     def test_noisy_distribution_keeps_peaks(self):
         problem = build_a_lambda(0.25)
