@@ -14,9 +14,9 @@ at most two. A compiled circuit is a :class:`Circuit` of basis gates;
 :func:`cnot_count` gives its CNOT count, or that of a source circuit,
 without compiling (``Circuit.cnot_count`` returns it).
 
-A gate is checked once, when :func:`gate` makes it; lowerings make their
-gates through it too. Adjoints and the executor do not check again.
-:func:`simplify` is the one place zero rotations are dropped.
+A gate is checked once, when :func:`gate` makes it (lowerings do too), or,
+for b's preparation, by its problem. Adjoints and the executor do not check
+again. :func:`simplify` is the one place zero rotations are dropped.
 
 Documented decomposition set (gate-count accounting relies on it), exact up
 to global phase, so a diagonal phase on one qubit is emitted as ``rz``:
@@ -162,6 +162,7 @@ def _controlled(u: np.ndarray) -> np.ndarray:
     return big
 
 
+_CNOT = _controlled(_X)
 _SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
 )
@@ -181,7 +182,7 @@ def gate_matrix(g: Gate) -> np.ndarray:
     if k == "rz":
         return _rz(p[0])
     if k == "cnot":
-        return _controlled(_X)
+        return _CNOT
     if k == "swap":
         return _SWAP
     if k == "cphase":

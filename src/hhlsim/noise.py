@@ -1,18 +1,23 @@
 """The noise model and the circuit executor, :func:`run_noisy`: without
 noise on a statevector, with amplitude damping (T1) on a density matrix,
 for one circuit or, over a leading batch axis, several that share one
-skeleton.
+skeleton. Readout errors are per-bit flips of the measured distribution.
 
-:class:`NoiseParams` owns the gate durations: a CNOT, a virtual ``rz`` and
-every other 1-qubit gate each take their own time, a measure none. Under
-noise every gate advances the wall clock by its duration; each qubit
-decays for that long (idle qubits too, unless ``idle_damping`` is off). The
-decay is applied lazily: a qubit's pending time is applied in one damping
-step when a gate next touches it, and once more after the last gate. This is
-exact, not an approximation: damping on one qubit commutes with gates on
-other qubits, and damping for t1 then t2 equals damping for t1 + t2, since
-(1 - gamma1)(1 - gamma2) = exp(-(t1 + t2) / T1). Readout errors are
-independent per-bit flips applied to the measured distribution.
+:class:`NoiseParams` owns the gate durations. Under noise each gate advances
+the clock by its duration, and each qubit (only the gate's own, if
+``idle_damping`` is off) decays for that long. A density matrix is run as a
+vector over 2n qubit indices, row bits then column bits, where a gate u is
+u (x) u* (Havel, J. Math. Phys. 44, 534, 2003). Each qubit owes one 4x4
+superoperator: its 1-qubit gates join it, with no kernel call, after its
+decay (Nielsen & Chuang 8.3.5) over the time it has aged. A 2-qubit gate
+runs its qubits' entries and itself in one kernel call; a wider one runs
+its qubits' entries, then u on the row and u* on the column bits (no 16^k
+operator); after the last gate each qubit that owes work gets one call.
+This fusion (Haner & Steiger, SC'17) is exact: damping on one qubit
+commutes with gates on others, and damping for t1 then t2 is damping for
+t1 + t2. A statevector run is not fused: that made ``hybrid_random`` 15 %
+slower (188 -> 161 ops per kref), as a 2x2 on at most 256 amplitudes costs
+less than the Kronecker products.
 """
 
 from __future__ import annotations
@@ -83,32 +88,26 @@ class NoiseParams:
 
 
 def damping_channel(rho: DensityMatrix, qubit: int, t: float, t1: float) -> DensityMatrix:
-    """Single-qubit amplitude damping for duration ``t`` with decay time ``t1``.
-
-    Closed form of the Kraus sum K0 rho K0^+ + K1 rho K1^+ (Nielsen & Chuang
-    8.3.5) on the qubit's row/column slices: rho_00 += gamma rho_11, the
-    coherences rho_01 and rho_10 scale by sqrt(1 - gamma), rho_11 by 1 - gamma.
-    """
+    """Single-qubit amplitude damping for duration ``t`` with decay time
+    ``t1``: :func:`_decay` on the qubit's row and column bits."""
     if t < 0:
         raise DomainError("elapsed time must be nonnegative")
     if t == 0:
         return rho
     n = rho.num_qubits
-    return DensityMatrix._trusted(n, _damp(rho.entries[None], n, qubit, t, t1)[0])
+    out = qstate.apply_operator(rho.entries[None], _decay(t, t1), (qubit, qubit + n), 2 * n)
+    return DensityMatrix._trusted(n, out[0])
 
 
-def _damp(entries: np.ndarray, n: int, qubit: int, t: float, t1: float) -> np.ndarray:
-    """:func:`damping_channel` on a batch of density matrices (B, 2^n, 2^n),
-    the same for every item; returns new entries."""
-    gamma = 1.0 - np.exp(-t / t1)
-    hi, lo = 2**qubit, 2 ** (n - qubit - 1)
-    out = entries.copy()
-    v = out.reshape(-1, hi, 2, lo, hi, 2, lo)
-    v[:, :, 0, :, :, 0, :] += gamma * v[:, :, 1, :, :, 1, :]
-    v[:, :, 1, :, :, 1, :] *= 1.0 - gamma
-    v[:, :, 0, :, :, 1, :] *= np.sqrt(1.0 - gamma)
-    v[:, :, 1, :, :, 0, :] *= np.sqrt(1.0 - gamma)
-    return out
+def _decay(t: float, t1: float) -> np.ndarray:
+    """The Kraus sum K0 rho K0^+ + K1 rho K1^+ over (row bit, column bit):
+    rho_00 += gamma rho_11, the coherences scale by sqrt(1 - gamma) and
+    rho_11 by 1 - gamma, where gamma = 1 - exp(-t / t1)."""
+    gamma = 1.0 - math.exp(-t / t1)
+    d = np.zeros((4, 4), dtype=complex)
+    d[0, 0], d[0, 3], d[3, 3] = 1.0, gamma, 1.0 - gamma
+    d[1, 1] = d[2, 2] = math.sqrt(1.0 - gamma)
+    return d
 
 
 def survival_bound(cnot_count: int, noise: NoiseParams = NoiseParams()) -> float:
@@ -158,36 +157,78 @@ def run_noisy(circuit, noise: NoiseParams | None = None, initial=None):
         state = state.to_density_matrix()
     density = isinstance(state, DensityMatrix)
     data = (state.entries if density else state.amplitudes)[None]
+    pending = _Pending(n, noise)
     measured: set[int] = set()
-    pending = [0.0] * n  # decay time owed by each qubit, applied when next touched
     for i, g in enumerate(first.gates):
         if g.kind == "measure":
             if g.qubits[0] in measured:
                 raise DomainError(f"qubit {g.qubits[0]} is measured more than once")
             measured.add(g.qubits[0])
             continue
-        if noise is not None:
-            for q in g.qubits:
-                if pending[q] > 0:
-                    data = _damp(data, n, q, pending[q], noise.t1_ns)
-                    pending[q] = 0.0
         others = [c.gates[i] for c in items[1:]]
         u = gate_matrix(g)
         if not all(_same(h, g) for h in others):
             u = _stacked(u, others)
-        if density:
-            data = qstate._apply_to_entries(data, u, g.qubits, n)
-        else:
-            data = qstate.apply_operator(data, u, g.qubits, n)
-        if noise is not None and (dt := noise.duration(g)) > 0:
-            for q in range(n) if noise.idle_damping else g.qubits:
-                pending[q] += dt
-    for q in range(n):
-        if pending[q] > 0:
-            data = _damp(data, n, q, pending[q], noise.t1_ns)
+        data = pending.apply(data, g, u) if density else qstate.apply_operator(data, u, g.qubits, n)
+    data = pending.flush(data, range(n))  # a statevector run owes nothing
     data = np.broadcast_to(data, (len(items),) + data.shape[1:])
     states = [type(state)._trusted(n, item) for item in data]
     return states[0] if single else states
+
+
+# kron(F_a, F_b) indexes (row a, column a, row b, column b); the kernel's
+# targets (a, b, a + n, b + n) index (row a, row b, column a, column b)
+_PAIR = np.arange(16).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(-1)
+_IDENTITY = np.eye(4, dtype=complex)
+
+
+class _Pending:
+    """What each qubit of a density-matrix run owes: a superoperator over its
+    (row bit, column bit) or None, and the time it has decayed since."""
+
+    def __init__(self, n: int, noise: NoiseParams | None):
+        self.n, self.noise, self.ops, self.times = n, noise, [None] * n, [0.0] * n
+
+    def take(self, q: int):
+        """Qubit q's superoperator, its decay applied last, or None; q then owes nothing."""
+        op, t = self.ops[q], self.times[q]
+        if t > 0:
+            decay = _decay(t, self.noise.t1_ns)
+            op = decay if op is None else decay @ op
+        self.ops[q], self.times[q] = None, 0.0
+        return op
+
+    def apply(self, data: np.ndarray, g, u: np.ndarray) -> np.ndarray:
+        """Gate ``g`` with matrix (or stack) ``u``, fused as the module says."""
+        n, qubits = self.n, g.qubits
+        if len(qubits) > 2:
+            data = qstate.apply_on_both_sides(self.flush(data, qubits), u, qubits, n)
+        else:
+            owed = [self.take(q) for q in qubits]
+            op = _kron(u, u.conj())
+            if len(qubits) == 1:
+                self.ops[qubits[0]] = op if owed[0] is None else op @ owed[0]
+            else:
+                before = _kron(*(_IDENTITY if f is None else f for f in owed))
+                op = op @ before[..., _PAIR[:, None], _PAIR]
+                data = qstate.apply_operator(data, op, (*qubits, *(q + n for q in qubits)), 2 * n)
+        if self.noise is not None and (dt := self.noise.duration(g)) > 0:
+            for q in range(n) if self.noise.idle_damping else qubits:
+                self.times[q] += dt
+        return data
+
+    def flush(self, data: np.ndarray, qubits) -> np.ndarray:
+        """Apply what each of ``qubits`` owes, one kernel call per qubit."""
+        for q in qubits:
+            if (op := self.take(q)) is not None:
+                data = qstate.apply_operator(data, op, (q, q + self.n), 2 * self.n)
+        return data
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of square matrices, or of stacks of them."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (out.shape[-1] * out.shape[-3],) * 2)
 
 
 def _stacked(first: np.ndarray, others) -> np.ndarray:
@@ -202,9 +243,7 @@ def _stacked(first: np.ndarray, others) -> np.ndarray:
 
 def _same(h, g) -> bool:
     """Whether gates of one skeleton position have equal parameters and matrices."""
-    return h.params == g.params and (
-        h.matrix is g.matrix or np.array_equal(h.matrix, g.matrix)
-    )
+    return h.params == g.params and (h.matrix is g.matrix or np.array_equal(h.matrix, g.matrix))
 
 
 def readout_distribution(state, circuit, noise: NoiseParams | None) -> MeasurementHistogram:

@@ -7,13 +7,14 @@ integer value of an n-bit string s is sum_i 2^(n-i) s_i.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .qstate import within_atol
+from .qstate import _check_unitary, within_atol
 
 SPECTRUM_MARGIN = 1e-6
 
@@ -82,6 +83,17 @@ class HermitianProblem:
         eigs = self.spectral.eigenvalues
         if eigs[0] < SPECTRUM_MARGIN or eigs[-1] > 1.0 - SPECTRUM_MARGIN:
             raise ValidationError(f"eigenvalues {eigs} must lie strictly inside (0, 1)")
+
+    @functools.cached_property
+    def b_preparation(self) -> np.ndarray | None:
+        """A unitary with first column b, checked once, read-only; None for b = |0...0>."""
+        if within_atol(self.b, np.eye(self.dimension)[:, 0], 1e-12):
+            return None
+        q_mat = np.linalg.qr(np.column_stack([self.b, np.eye(self.dimension, dtype=complex)]))[0]
+        q_mat[:, 0] *= np.vdot(q_mat[:, 0], self.b)  # undo QR's column phase
+        q_mat = _check_unitary(q_mat)
+        q_mat.setflags(write=False)
+        return q_mat
 
     def __repr__(self):
         return f"HermitianProblem(dimension={self.dimension})"

@@ -35,16 +35,11 @@ class QpeConfig:
 
 def prepare_b(problem: HermitianProblem, v_qubits) -> list[Gate]:
     """Gates sending |0...0> on the input wires to b: none if b is |0...0>,
-    else one ``unitary`` gate whose first column is b. Builders put it before
-    :func:`qpe_block`, not inside: the HHL circuit undoes that block."""
-    b = problem.b
-    d = b.size
-    if qstate.within_atol(b, np.eye(d)[:, 0], 1e-12):
-        return []
-    q_mat, _ = np.linalg.qr(np.column_stack([b, np.eye(d, dtype=complex)]))
-    q_mat = q_mat[:, :d]
-    q_mat[:, 0] *= np.vdot(q_mat[:, 0], b)  # undo QR's column phase
-    return [gate("unitary", *v_qubits, matrix=q_mat)]
+    else one ``unitary`` gate of ``problem.b_preparation``, checked once per
+    problem. Builders put it before :func:`qpe_block`, not inside: the HHL
+    circuit undoes that block."""
+    u = problem.b_preparation
+    return [] if u is None else [Gate("unitary", tuple(v_qubits), (), u)]
 
 
 def qpe_block(problem: HermitianProblem, n: int, register, v_qubits, physical_swap=False):

@@ -5,7 +5,8 @@ post-selection, partial trace, fidelity, and seeded measurement sampling.
 Qubit 0 is the most significant bit of a basis-state index, so the bitstring
 label of index ``x`` reads left to right as qubits 0, 1, 2, ...
 Every gate goes through one kernel, :func:`apply_operator`, which works on
-arrays with a leading batch axis.
+arrays with a leading batch axis. A density matrix over n qubits is, by a
+reshape, a vector over 2n qubit indices: row bits, then column bits.
 
 Values are checked where they enter, against an absolute tolerance
 (:func:`within_atol`): in the public state constructors and for the operator
@@ -211,12 +212,12 @@ def apply_operator(data: np.ndarray, u: np.ndarray, targets, num_qubits: int) ->
     return out.reshape(out.shape[:1] + data.shape[1:])
 
 
-def _apply_to_entries(entries: np.ndarray, u: np.ndarray, targets, num_qubits: int):
+def apply_on_both_sides(data: np.ndarray, u: np.ndarray, targets, num_qubits: int):
     """``u rho u^+`` for a batch of density matrices (B, 2^n, 2^n): the kernel
-    on the rows with ``u``, then on the columns, brought to the front by a
-    transposed view, with ``u.conj()``."""
-    rows = apply_operator(entries, u, targets, num_qubits)
-    return apply_operator(rows.swapaxes(1, 2), u.conj(), targets, num_qubits).swapaxes(1, 2)
+    with ``u`` on the row bits ``targets``, then with ``u*`` on the column
+    bits, ``targets`` shifted by n; no superoperator of ``u`` is formed."""
+    rows = apply_operator(data, u, targets, 2 * num_qubits)
+    return apply_operator(rows, u.conj(), [t + num_qubits for t in targets], 2 * num_qubits)
 
 
 def apply_unitary(state, u, targets):
@@ -228,33 +229,25 @@ def apply_unitary(state, u, targets):
     u = _check_unitary(u)
     targets = _check_targets(state.num_qubits, targets)
     if u.shape[0] != 2 ** len(targets):
-        raise DomainError(
-            f"operator dimension {u.shape[0]} does not match {len(targets)} targets"
-        )
+        raise DomainError(f"operator dimension {u.shape[0]} does not match {len(targets)} targets")
     n = state.num_qubits
     if isinstance(state, StateVector):
         return StateVector._trusted(n, apply_operator(state.amplitudes[None], u, targets, n)[0])
     if isinstance(state, DensityMatrix):
-        return DensityMatrix._trusted(n, _apply_to_entries(state.entries[None], u, targets, n)[0])
+        return DensityMatrix._trusted(n, apply_on_both_sides(state.entries[None], u, targets, n)[0])
     raise DomainError(f"unsupported state type {type(state)!r}")
 
 
 def apply_controlled(state, u, controls, targets):
-    """Apply ``u`` on targets only where every control qubit is |1>."""
-    u = _check_unitary(u)
-    controls = _check_targets(state.num_qubits, controls)
-    targets = _check_targets(state.num_qubits, targets)
-    if set(controls) & set(targets):
-        raise DomainError("controls and targets overlap")
-    if u.shape[0] != 2 ** len(targets):
-        raise DomainError(
-            f"operator dimension {u.shape[0]} does not match {len(targets)} targets"
-        )
-    nc, nt = len(controls), len(targets)
-    big = np.eye(2 ** (nc + nt), dtype=complex)
-    sub = 2**nt
-    big[-sub:, -sub:] = u
-    return apply_unitary(state, big, controls + targets)
+    """Apply ``u`` on targets only where every control qubit is |1>: its
+    block-diagonal embedding on ``controls + targets``, which
+    :func:`apply_unitary` checks once."""
+    u = np.asarray(u, dtype=complex)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise ValidationError(f"operator must be square, got shape {u.shape}")
+    big = np.eye(2 ** len(controls) * len(u), dtype=complex)
+    big[len(big) - len(u):, len(big) - len(u):] = u
+    return apply_unitary(state, big, [*controls, *targets])
 
 
 def _marginal_probabilities(state, qubits: list[int]) -> np.ndarray:

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hhlsim import circuits, solvers
+from hhlsim import circuits, qstate, solvers
 from hhlsim.circuits import Circuit, compile_circuit, gate
 from hhlsim.errors import DomainError, ValidationError
 from hhlsim.noise import (
@@ -15,7 +15,7 @@ from hhlsim.noise import (
     run_noisy,
     survival_bound,
 )
-from hhlsim.problem import build_a_lambda
+from hhlsim.problem import HermitianProblem, build_a_lambda, classical_solution
 from hhlsim.qstate import DensityMatrix, basis_state
 
 
@@ -342,3 +342,70 @@ class TestLazyDamping:
         # qubit 1 aged only during its own x gate: excited population e^{-60/100}
         excited = np.real(rho.entries[1, 1] + rho.entries[3, 3])
         assert excited == pytest.approx(np.exp(-0.6), abs=1e-12)
+
+
+def _hhl_compiled(n):
+    """A compiled HHL circuit: the original at n = 2; at n = 4 the hybrid's
+    reduced encoding, whose two free bits make an mry on two controls."""
+    problem = build_a_lambda(0.125 if n == 4 else 0.25)
+    if n == 4:
+        estimate = solvers.estimate_from_spectral(problem, n)
+        spec = solvers.synthesize_reduced_aqe(estimate, 1.0 / classical_solution(problem)[1])
+    else:
+        spec = solvers.build_aqe(problem, n)
+    return compile_circuit(solvers.build_hhl_circuit(problem, n, spec))
+
+
+class TestFusedExecutor:
+    """A density-matrix run takes one kernel call per CNOT, and one per qubit
+    that still owes a superoperator after the last gate."""
+
+    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("idle_damping", [True, False])
+    def test_one_kernel_call_per_cnot(self, monkeypatch, n, idle_damping):
+        compiled = _hhl_compiled(n)
+        kernel, calls = qstate.apply_operator, []
+        monkeypatch.setattr(
+            qstate, "apply_operator", lambda *a: calls.append(a[2]) or kernel(*a)
+        )
+        run_noisy(compiled, NoiseParams(idle_damping=idle_damping))
+        # every CNOT ages its own qubits, so all touched qubits owe decay at the end
+        touched = {q for g in compiled.gates if g.kind != "measure" for q in g.qubits}
+        owing = compiled.num_qubits if idle_damping else len(touched)
+        assert len(calls) == compiled.cnot_count + owing
+        assert sum(len(t) == 4 for t in calls) == compiled.cnot_count
+
+    @pytest.mark.parametrize("idle_damping", [True, False])
+    def test_entries_pending_on_both_cnot_qubits(self, idle_damping):
+        gates = (
+            gate("h", 0), gate("ry", 1, params=(0.4,)), gate("x", 2),
+            gate("rx", 0, params=(-1.1,)), gate("rz", 1, params=(0.9,)),
+            gate("cnot", 0, 1), gate("h", 1), gate("ry", 2, params=(2.0,)),
+            gate("cnot", 2, 1), gate("x", 0), gate("cnot", 1, 0), gate("rz", 2, params=(0.3,)),
+        )
+        compiled = Circuit(3, gates)
+        noise = NoiseParams(t1_ns=900.0, idle_damping=idle_damping)
+        initial = _random_rho(3, np.random.default_rng(5))
+        rho = run_noisy(compiled, noise, initial=DensityMatrix(3, initial))
+        want, _ = _eager_run(compiled, noise, initial)
+        np.testing.assert_allclose(rho.entries, want, rtol=0, atol=1e-12)
+
+    def test_batch_of_stacked_matrices_matches_eager_reference(self):
+        rng = np.random.default_rng(17)
+        base = _random_compiled(4, rng)
+        items = [base] + [_reparametrized(base, rng) for _ in range(3)]
+        noise = NoiseParams(t1_ns=2000.0)
+        initial = _random_rho(4, rng)
+        for circuit, rho in zip(items, run_noisy(items, noise, initial=DensityMatrix(4, initial))):
+            want, _ = _eager_run(circuit, noise, initial)
+            np.testing.assert_allclose(rho.entries, want, rtol=0, atol=1e-12)
+
+    def test_uncompiled_hhl_circuit_on_a_density_matrix(self):
+        # mry on four qubits, cunitary and b's unitary: the wide-gate path
+        problem = HermitianProblem([[0.25, 0.0], [0.0, 0.75]], [0.6, 0.8])
+        circuit = solvers.build_hhl_circuit(problem, 3, solvers.build_aqe(problem, 3))
+        assert max(len(g.qubits) for g in circuit.gates) == 4
+        initial = _random_rho(5, np.random.default_rng(9))
+        rho = run_noisy(circuit, initial=DensityMatrix(5, initial))
+        u = circuits.circuit_unitary([g for g in circuit.gates if g.kind != "measure"], 5)
+        np.testing.assert_allclose(rho.entries, u @ initial @ u.conj().T, rtol=0, atol=1e-12)

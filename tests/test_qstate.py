@@ -1,5 +1,7 @@
 """State-vector and density-matrix substrate tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -179,6 +181,23 @@ class TestKernel:
         assert got.shape == (1, 32, 6)
         np.testing.assert_allclose(got[0], _kron_oracle(u, targets, 5) @ m, rtol=0, atol=1e-12)
 
+    def test_four_qubit_unitary_on_density_matrix_forms_no_superoperator(self):
+        rng = np.random.default_rng(8)
+        amps = rng.normal(size=(32, 4)) + 1j * rng.normal(size=(32, 4))
+        rho = DensityMatrix(5, amps @ amps.conj().T / np.trace(amps @ amps.conj().T))
+        u = _random_unitary(rng, 16)
+        targets = [3, 0, 4, 1]
+        tracemalloc.start()
+        try:
+            got = apply_unitary(rho, u, targets)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        big = _kron_oracle(u, targets, 5)
+        np.testing.assert_allclose(got.entries, big @ rho.entries @ big.conj().T, rtol=0, atol=1e-12)
+        # u (x) u* on 8 of the vectorized rho's 10 qubit indices would take 1 MiB
+        assert peak < 4 * rho.entries.nbytes
+
     def test_real_operator_on_real_data(self):
         # the readout channel's bit flips are real
         rng = np.random.default_rng(5)
@@ -243,6 +262,30 @@ class TestApplyControlled:
         u = _random_unitary(rng, 2)
         s = apply_controlled(basis_state(2, 1), u, [0], [1])
         assert s.probability(1) == pytest.approx(1.0)
+
+    def test_matches_its_embedding_on_a_density_matrix(self):
+        rng = np.random.default_rng(3)
+        rho = _random_state(rng, 3).to_density_matrix()
+        u = _random_unitary(rng, 2)
+        big = np.eye(8, dtype=complex)
+        big[6:, 6:] = u
+        got = apply_controlled(rho, u, [2, 0], [1])
+        np.testing.assert_allclose(got.entries, apply_unitary(rho, big, [2, 0, 1]).entries, atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "u, controls, targets, error",
+        [
+            (X, [0], [0], DomainError),  # overlap
+            (X, [0], [1, 2], DomainError),  # too few rows for the targets
+            (np.ones((2, 4)), [0], [1], ValidationError),  # not square
+            (np.ones((2, 2)), [0], [1], ValidationError),  # not unitary
+            (X, [5], [1], DomainError),  # out of range
+        ],
+        ids=["overlap", "size", "square", "unitary", "range"],
+    )
+    def test_rejects_bad_input(self, u, controls, targets, error):
+        with pytest.raises(error):
+            apply_controlled(basis_state(3, 0), u, controls, targets)
 
 
 class TestPostselect:
