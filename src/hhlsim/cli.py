@@ -141,11 +141,13 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    ks = _parse_int_list(args.k)
+    ks = _parse_list(args.k, int)
     if not ks:
         raise ValidationError("--k list must not be empty")
     if any(k not in (1, 2, 3) for k in ks):
         raise ValidationError("register sizes in --k must be in {1, 2, 3}")
+    if len(set(ks)) < len(ks):
+        raise ValidationError(f"register sizes in --k must be distinct, got {args.k}")
     if args.points < 1:
         raise ValidationError("--points must be >= 1")
     # the first lambda, 1/(points + 1), must lie above the spectrum margin:
@@ -183,7 +185,7 @@ def cmd_qpea(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    lambdas = _parse_float_list(args.lambdas)
+    lambdas = _parse_list(args.lambdas, float)
     if not lambdas:
         raise ValidationError("--lambdas list must not be empty")
     noise = _noise_from_args(args)
@@ -219,17 +221,10 @@ def cmd_emit_qasm(args) -> int:
     if args.circuit == "qpea":
         circuit = qpe.build_qpe(qpe.QpeConfig(args.n, problem))
     else:
-        full_spec = solvers.build_aqe(problem, args.n)
-        if args.circuit == "original":
-            aqe_spec = full_spec
-        else:
+        aqe_spec = solvers.build_aqe(problem, args.n)
+        if args.circuit == "hybrid":
             estimate = solvers.estimate_from_spectral(problem, args.n)
-            if not estimate.reducible:
-                raise NotReducibleError(
-                    "the spectrum admits no reduced encoding at this register size",
-                    estimate=estimate,
-                )
-            aqe_spec = solvers.synthesize_reduced_aqe(estimate, full_spec.c)
+            aqe_spec = solvers.synthesize_reduced_aqe(estimate, aqe_spec.c)
         circuit = solvers.build_hhl_circuit(problem, args.n, aqe_spec)
     compiled = circuits.compile_circuit(circuit)
     _write(args.out, circuits.emit_qasm(compiled))
@@ -239,12 +234,8 @@ def cmd_emit_qasm(args) -> int:
 # ---------------------------------------------------------------------------
 # argument plumbing
 
-def _parse_int_list(raw: str):
-    return [int(tok) for tok in raw.split(",") if tok.strip()]
-
-
-def _parse_float_list(raw: str):
-    return [float(tok) for tok in raw.split(",") if tok.strip()]
+def _parse_list(raw: str, convert):
+    return [convert(tok) for tok in raw.split(",") if tok.strip()]
 
 
 def _add_problem_flags(p):

@@ -1,8 +1,9 @@
 """Linear systems A x = b, the parameterized 2x2 family, and eigenvalue-bit analysis.
 
-All matrices are Hermitian with spectrum strictly inside (0, 1); position k of a
-register bitstring is the k-th bit of the binary expansion (MSB first), so the
-integer value of an n-bit string s is sum_i 2^(n-i) s_i.
+All matrices are Hermitian with spectrum in [SPECTRUM_MARGIN, 1 - SPECTRUM_MARGIN]
+= [1e-06, 0.999999]; position k of a register bitstring is the k-th bit of the
+binary expansion (MSB first), so the integer value of an n-bit string s is
+sum_i 2^(n-i) s_i.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ class EigenmeanProfile:
 
     n: int
     means: tuple  # position k in 1..n maps to means[k-1] in [0, 1]
-    bitstrings: tuple  # the distinct n-bit strings the means were taken over
 
     def is_fixed(self, k: int) -> bool:
         """True when every eigenvalue bitstring agrees at 1-based position k."""
@@ -81,8 +81,9 @@ class HermitianProblem:
         self.num_qubits = d.bit_length() - 1
         self.spectral = spectral_decompose(self)
         eigs = self.spectral.eigenvalues
-        if eigs[0] < SPECTRUM_MARGIN or eigs[-1] > 1.0 - SPECTRUM_MARGIN:
-            raise ValidationError(f"eigenvalues {eigs} must lie strictly inside (0, 1)")
+        low, high = SPECTRUM_MARGIN, 1.0 - SPECTRUM_MARGIN
+        if eigs[0] < low or eigs[-1] > high:
+            raise ValidationError(f"eigenvalues {eigs} must lie in [{low}, {high}]")
 
     @functools.cached_property
     def b_preparation(self) -> np.ndarray | None:
@@ -151,7 +152,7 @@ def profile_from_bitstrings(bitstrings, n: int) -> EigenmeanProfile:
     means = tuple(
         sum(int(s[k]) for s in strings) / len(strings) for k in range(n)
     )
-    return EigenmeanProfile(n, means, strings)
+    return EigenmeanProfile(n, means)
 
 
 def classical_solution(problem: HermitianProblem):

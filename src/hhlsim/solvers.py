@@ -51,8 +51,9 @@ class AqeSpec:
     """Conditional-rotation table for the ancilla encoding.
 
     ``angle_table`` maps the weighted free-bit value y (so the effective
-    register integer is y' + y) to the rotation angle 2*arcsin(c / (y' + y)).
-    The full encoding is the special case with every position free and y' = 0.
+    register integer is y' + y) to the rotation angle 2*arcsin(c / (y' + y));
+    an effective integer of 0 gets no rotation. The full encoding is the
+    special case with every position free and y' = 0.
     """
 
     n: int
@@ -72,42 +73,35 @@ def build_aqe(problem: HermitianProblem, n: int) -> AqeSpec:
         raise DomainError("register size must be >= 1")
     qstate.check_width(1 + n + problem.num_qubits)
     _, norm = classical_solution(problem)
-    c = 1.0 / norm
-    table = {x: 2.0 * np.arcsin(c / x) for x in range(1, 2**n)}
-    return AqeSpec(n, c, 0, tuple(range(1, n + 1)), table)
+    return _encoding(n, 1.0 / norm, 0, tuple(range(1, n + 1)))
 
 
-def synthesize_reduced_aqe(estimate: "EigenEstimate", c: float, force: bool = False) -> AqeSpec:
-    """Reduced-rotation synthesis: fold fixed bits into y', keep free bits as controls.
+def synthesize_reduced_aqe(estimate: "EigenEstimate", c: float) -> AqeSpec:
+    """Reduced-rotation synthesis: fold fixed bits into y', keep free bits as
+    controls. Raises :class:`NotReducibleError`, carrying ``estimate``, when
+    the estimate certifies no reduction."""
+    n, profile = estimate.n, estimate.profile
+    if not estimate.reducible:
+        message = f"no reduced encoding certified at register size {n}"
+        raise NotReducibleError(message, estimate=estimate)
+    y_prime = sum(int(profile.means[i - 1]) * 2 ** (n - i) for i in profile.fixed_positions)
+    return _encoding(n, c, y_prime, profile.free_positions)
 
-    With zero fixed positions (``force``) the result coincides with the full
-    encoding.
-    """
-    if not estimate.reducible and not force:
-        raise DomainError("estimate is not reducible; cannot synthesize a reduced encoding")
-    profile = estimate.profile
-    if profile is None:
-        raise DomainError("estimate carries no eigenmean profile")
-    n = estimate.n
-    y_prime = sum(
-        int(profile.means[i - 1]) * 2 ** (n - i) for i in profile.fixed_positions
-    )
-    free = profile.free_positions
-    table = {
-        y: 2.0 * np.arcsin(c / (y_prime + y))
-        for y in _pattern_values(n, free)
-        if y_prime + y != 0
-    }
+
+def _encoding(n: int, c: float, y_prime: int, free: tuple) -> AqeSpec:
+    """The one constructor of :class:`AqeSpec`: fixed bits worth y', controls ``free``."""
+    values = _pattern_values(n, free)
+    table = {y: 2.0 * np.arcsin(c / (y_prime + y)) for y in values if y_prime + y}
     return AqeSpec(n, c, y_prime, free, table)
 
 
 def _pattern_values(n: int, free) -> list[int]:
     """Free-bit value y of each control pattern over the 1-based register
     positions ``free`` (pattern bit j, MSB first, is position free[j])."""
-    return [
-        sum(2 ** (n - pos) for j, pos in enumerate(free) if bits & (1 << (len(free) - 1 - j)))
-        for bits in range(2 ** len(free))
-    ]
+    values = [0]
+    for pos in free:
+        values = [v + bit for v in values for bit in (0, 2 ** (n - pos))]
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -142,20 +136,20 @@ def analyze_qpea(
     coverage = sum(peaks.values())
     if not peaks:
         return EigenEstimate(n, {}, None, False, 0.0)
-    profile = profile_from_bitstrings(sorted(peaks), n)
+    profile = profile_from_bitstrings(peaks, n)
     reducible = bool(profile.fixed_positions) and coverage >= coverage_bound
     return EigenEstimate(n, peaks, profile, reducible, coverage)
 
 
 def estimate_from_spectral(problem: HermitianProblem, n: int) -> EigenEstimate:
-    """Estimate built from the true spectrum (used by equivalence checks)."""
+    """:func:`analyze_qpea` of a perfect QPEA: each eigenvalue's binary
+    estimate weighted by |alpha_j|^2, every string a peak."""
     spectral = problem.spectral
     weights: dict[str, float] = {}
     for lam, alpha in zip(spectral.eigenvalues, spectral.amplitudes):
         s = binary_estimate(float(lam), n)
         weights[s] = weights.get(s, 0.0) + float(abs(alpha) ** 2)
-    profile = profile_from_bitstrings(sorted(weights), n)
-    return EigenEstimate(n, weights, profile, bool(profile.fixed_positions), 1.0)
+    return analyze_qpea(MeasurementHistogram(weights, None), n, tau=0.0, coverage_bound=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -444,10 +438,11 @@ def reduced_encoding_equivalence_check(problem: HermitianProblem, n: int) -> boo
     (within 1e-10)."""
     estimate = estimate_from_spectral(problem, n)
     full_spec = build_aqe(problem, n)
-    reduced_spec = synthesize_reduced_aqe(estimate, full_spec.c, force=True)
+    # with no fixed bit the reduced encoding is the full one
+    reduced = synthesize_reduced_aqe(estimate, full_spec.c) if estimate.reducible else full_spec
     (rho_full, p_full), (rho_red, p_red) = (
         postselect_hhl(noise_mod.run_noisy(build_hhl_circuit(problem, n, spec)), n)["ancilla"]
-        for spec in (full_spec, reduced_spec)
+        for spec in (full_spec, reduced)
     )
     overlap = float(np.real(np.trace(rho_full.entries @ rho_red.entries)))
     # both states are pure here, so the trace overlap is the fidelity

@@ -54,6 +54,17 @@ class TestSolve:
         )
         assert code == EXIT_NOT_REDUCIBLE
 
+    @pytest.mark.parametrize(
+        "argv", [["solve", "--lambda", "1e-7"], ["compare", "--lambdas", "0.9999999"]]
+    )
+    def test_spectrum_message_names_the_margin(self, tmp_path, capsys, argv):
+        """Both eigenvalues lie inside (0, 1); the check refuses them for the
+        margin, and its message names the interval it checks."""
+        code, raw = run(tmp_path, *argv)
+        assert (code, raw) == (EXIT_VALIDATION, b"")
+        err = capsys.readouterr().err
+        assert err.startswith("error: eigenvalues [") and "must lie in [1e-06, 0.999999]" in err
+
     def test_shots_require_seed(self, tmp_path):
         code, _ = run(tmp_path, "solve", "--lambda", "0.25", "--shots", "100")
         assert code == EXIT_VALIDATION
@@ -227,6 +238,12 @@ class TestSweep:
     def test_empty_k_rejected(self, tmp_path):
         code, _ = run(tmp_path, "sweep", "--k", "")
         assert code == EXIT_VALIDATION
+
+    def test_repeated_k_rejected(self, tmp_path, capsys):
+        code, raw = run(tmp_path, "sweep", "--points", "3", "--k", "1,1")
+        assert (code, raw) == (EXIT_VALIDATION, b"")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--k" in err
 
 
 # A = diag(1/4, 3/4), b = |+>: the QPEA must see both eigenvalues, on every path
@@ -461,6 +478,14 @@ class TestEmitQasm:
         code, raw = run(tmp_path, "emit-qasm", "--lambda", "0.3", "--circuit", "qpea", "--n", "11")
         assert code == EXIT_OK
         assert raw.startswith(b"OPENQASM 2.0;")
+
+    def test_hybrid_not_reducible(self, capsys):
+        """At lambda = 0.3, n = 2 the eigenvalue bits 01 and 10 fix no
+        position: exit 2, nothing on stdout, the register size named."""
+        code = main(["emit-qasm", "--circuit", "hybrid", "--lambda", "0.3", "--n", "2"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (EXIT_NOT_REDUCIBLE, "")
+        assert err.startswith("not reducible:") and "register size 2" in err
 
     def test_original_n3_does_not_lower(self, tmp_path, capsys):
         code, raw = run(

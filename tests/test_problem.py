@@ -1,5 +1,6 @@
 """Problem family, spectral analysis, and eigenvalue-bit bookkeeping."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -153,6 +154,7 @@ class TestEigenmeanProfile:
         profile = profile_from_bitstrings(["010", "110"], 3)
         assert profile.fixed_positions == (2, 3)
         assert profile.free_positions == (1,)
+        assert [f.name for f in dataclasses.fields(profile)] == ["n", "means"]
 
 
 class TestProblemIO:

@@ -16,6 +16,7 @@ from hhlsim.errors import (
 )
 from hhlsim.noise import NoiseParams, damping_channel
 from hhlsim.problem import HermitianProblem, build_a_lambda, classical_solution
+from hhlsim.qpe import run_qpea
 from hhlsim.qstate import DensityMatrix, MeasurementHistogram, StateVector
 from hhlsim.solvers import (
     HybridPolicy,
@@ -104,20 +105,40 @@ class TestSynthesizeReduced:
         assert spec.free_positions == ()
         assert spec.angle_table == {0: pytest.approx(2 * np.arcsin(c / 2))}
 
-    def test_zero_fixed_positions_reproduces_full(self):
+    def test_not_reducible_raises_with_its_estimate(self):
         hist = MeasurementHistogram({"00": 0.25, "01": 0.25, "10": 0.25, "11": 0.25}, None)
         est = analyze_qpea(hist, 2, tau=0.1)
-        c = 0.4
-        spec = synthesize_reduced_aqe(est, c, force=True)
-        assert spec.y_prime == 0
-        assert spec.free_positions == (1, 2)
-        assert set(spec.angle_table) == {1, 2, 3}
-
-    def test_not_reducible_raises_without_force(self):
-        hist = MeasurementHistogram({"00": 0.25, "01": 0.25, "10": 0.25, "11": 0.25}, None)
-        est = analyze_qpea(hist, 2, tau=0.1)
-        with pytest.raises(DomainError):
+        with pytest.raises(NotReducibleError, match="register size 2") as info:
             synthesize_reduced_aqe(est, 0.4)
+        assert info.value.estimate is est
+
+    def test_full_encoding_is_the_reduction_of_no_fixed_bit(self):
+        """At lambda = 0.3, n = 2 the bits 01 and 10 fix no position: the
+        equivalence check compares the full encoding with itself."""
+        problem = build_a_lambda(0.3)
+        assert not estimate_from_spectral(problem, 2).reducible
+        assert reduced_encoding_equivalence_check(problem, 2)
+
+
+class TestEigenvalueBitSources:
+    def test_qpea_and_spectral_estimates_agree(self):
+        """Acceptance 5's problems: the analysis of the exact QPEA circuit's
+        register distribution and the spectral estimate find the same peaks,
+        means and verdict."""
+        rng = np.random.default_rng(20240817)
+        for trial in range(100):
+            d = int(rng.choice([2, 4]))
+            n = int(rng.choice([2, 3]))
+            k = int(rng.integers(1, n + 1))
+            problem = random_perfectly_estimated_problem(rng, d, n, k)
+            from_qpea = analyze_qpea(run_qpea(problem, n), n, tau=1e-9, coverage_bound=0.0)
+            spectral = estimate_from_spectral(problem, n)
+            where = f"trial {trial}: d={d} n={n} k={k}"
+            assert set(from_qpea.peaks) == set(spectral.peaks), where
+            assert from_qpea.profile.means == spectral.profile.means, where
+            assert from_qpea.reducible == spectral.reducible, where
+            for key, weight in spectral.peaks.items():
+                assert abs(from_qpea.peaks[key] - weight) <= 1e-12, where
 
 
 class TestOriginalSolver:
