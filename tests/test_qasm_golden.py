@@ -28,7 +28,7 @@ def _split(line):
 
 
 def test_all_recorded_circuits_present():
-    assert len(_FILES) == 12
+    assert len(_FILES) == 15
 
 
 @pytest.mark.parametrize("path", _FILES, ids=lambda p: p.stem)
