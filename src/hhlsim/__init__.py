@@ -12,7 +12,6 @@ from .errors import (
 )
 from .noise import NoiseParams, survival_bound
 from .problem import (
-    EigenmeanProfile,
     HermitianProblem,
     SpectralData,
     build_a_lambda,
@@ -51,7 +50,6 @@ __all__ = [
     "DensityMatrix",
     "DomainError",
     "EigenEstimate",
-    "EigenmeanProfile",
     "HHLOutcome",
     "HermitianProblem",
     "HhlError",

@@ -1,11 +1,12 @@
 """Gate-level IR, lowering to the {CNOT, 1-qubit rotation} basis, and OpenQASM output.
 
 Gate kinds fall into two tiers. Basis kinds survive compilation: ``h``, ``x``,
-``rx``, ``ry``, ``rz``, ``cnot``, ``measure``. Structured kinds are lowered by
+``rx``, ``ry``, ``rz``, ``cnot``. Structured kinds are lowered by
 :func:`compile_circuit` straight to basis gates: ``swap``, ``cphase``,
 ``unitary`` (explicit 1-qubit matrix), ``cunitary`` (one control, explicit
 1-qubit matrix), ``mry`` (multiplexed Ry: qubits ``(*controls, target)``, one
-angle per control pattern).
+angle per control pattern). No gate measures: every measurement is deferred
+to the end (Nielsen & Chuang 4.4), on the qubits ``Circuit.measured`` lists.
 
 The executor (:func:`noise.run_noisy`) applies every kind directly through
 :func:`gate_matrix`; an ``mry`` is the block-diagonal matrix of its Ry
@@ -53,7 +54,7 @@ class Gate:
 # kind -> (qubits, parameters); None means as many qubits as the matrix fits
 # (unitary, cunitary) or, for mry, one angle per pattern of its controls
 _SIGNATURES = {
-    "h": (1, 0), "x": (1, 0), "measure": (1, 0),
+    "h": (1, 0), "x": (1, 0),
     "rx": (1, 1), "ry": (1, 1), "rz": (1, 1),
     "cnot": (2, 0), "swap": (2, 0), "cphase": (2, 1),
     "unitary": (None, 0), "cunitary": (None, 0), "mry": (None, None),
@@ -101,11 +102,13 @@ def gate(kind, *qubits, params=(), matrix=None) -> Gate:
 
 @dataclass(frozen=True)
 class Circuit:
-    """Gate list with named qubit roles (ancilla / register / input), source or compiled."""
+    """Gate list with named qubit roles (ancilla / register / input), source or
+    compiled, and the qubits ``measured`` after its last gate, in readout order."""
 
     num_qubits: int
     gates: tuple
     roles: dict = field(default_factory=dict)
+    measured: tuple = ()
 
     def __post_init__(self):
         for g in self.gates:
@@ -115,6 +118,12 @@ class Circuit:
                         f"gate {g.kind} addresses qubit {q} outside 0..{self.num_qubits - 1}"
                     )
         object.__setattr__(self, "gates", tuple(self.gates))
+        object.__setattr__(self, "measured", tuple(self.measured))
+        for i, q in enumerate(self.measured):
+            if not (0 <= q < self.num_qubits):
+                raise DomainError(f"measured qubit {q} lies outside 0..{self.num_qubits - 1}")
+            if q in self.measured[:i]:
+                raise DomainError(f"qubit {q} is measured more than once")
 
     @property
     def cnot_count(self) -> int:
@@ -191,17 +200,13 @@ def gate_matrix(g: Gate) -> np.ndarray:
         return g.matrix
     if k == "cunitary":
         return _controlled(g.matrix)
-    if k == "mry":
-        return _mry(p)
-    raise DomainError(f"gate kind {k!r} has no matrix form")
+    return _mry(p)  # mry, the last kind
 
 
 def circuit_unitary(gates, num_qubits: int) -> np.ndarray:
-    """Composed unitary of a gate sequence (measure gates rejected)."""
+    """Composed unitary of a gate sequence."""
     u = np.eye(2**num_qubits, dtype=complex)[None]
     for g in gates:
-        if g.kind == "measure":
-            raise DomainError("circuit contains measure gates")
         u = qstate.apply_operator(u, gate_matrix(g), g.qubits, num_qubits)
     return u[0]
 
@@ -407,7 +412,7 @@ def controlled_ry_chain(angles, controls, target: int) -> list[Gate]:
 # ---------------------------------------------------------------------------
 # compilation
 
-_BASIS_KINDS = {"h", "x", "rx", "ry", "rz", "cnot", "measure"}
+_BASIS_KINDS = {"h", "x", "rx", "ry", "rz", "cnot"}
 # Only single-qubit involutions are cancelled: adjacent CNOT/SWAP pairs are
 # kept so that the compiled entangling-gate count reflects the fixed circuit
 # skeleton a device would execute, independent of the problem parameters.
@@ -478,15 +483,15 @@ def cnot_count(circuit) -> int:
 
 
 def compile_circuit(circuit: Circuit) -> Circuit:
-    """Lower every gate to {CNOT + 1-qubit gates} and simplify, keeping the roles.
+    """Lower every gate to {CNOT + 1-qubit gates} and simplify, keeping the
+    roles and the measured qubits.
 
-    Measure gates pass through untouched. The composed unitary of the output
-    matches the source up to global phase (asserted by the test suite, not at
-    runtime).
+    The composed unitary of the output matches the source up to global phase
+    (asserted by the test suite, not at runtime).
     """
     cnot_count(circuit)  # raises CompileError on a gate that cannot lower
     lowered = simplify(b for g in circuit.gates for b in _lower(g))
-    return Circuit(circuit.num_qubits, tuple(lowered), dict(circuit.roles))
+    return Circuit(circuit.num_qubits, tuple(lowered), dict(circuit.roles), circuit.measured)
 
 
 # ---------------------------------------------------------------------------
@@ -508,10 +513,7 @@ def emit_qasm(compiled: Circuit) -> str:
     for role, qubits in compiled.roles.items():
         for q in qubits:
             qubit_role[q] = role
-    for g in compiled.gates:
-        if g.kind != "measure":
-            continue
-        q = g.qubits[0]
+    for q in compiled.measured:
         role = qubit_role.get(q, "c")
         idx = creg_sizes.get(role, 0)
         creg_sizes[role] = idx + 1
@@ -519,8 +521,6 @@ def emit_qasm(compiled: Circuit) -> str:
     for role in creg_sizes:
         lines.append(f"creg {role}[{creg_sizes[role]}];")
     for g in compiled.gates:
-        if g.kind == "measure":
-            continue
         name = _QASM_NAMES.get(g.kind)
         if name is None:
             raise CompileError(f"gate kind {g.kind!r} is not in the emission basis")

@@ -134,7 +134,7 @@ def cmd_solve(args) -> int:
         record["qpea_analysis"] = {
             "coverage": _float(outcome.estimate.coverage),
             "peaks": {k: _float(v) for k, v in sorted(outcome.estimate.peaks.items())},
-            "fixed_positions": list(outcome.estimate.profile.fixed_positions),
+            "fixed_positions": list(outcome.estimate.fixed_positions),
         }
     _write(args.out, _dump_json(record))
     return EXIT_OK

@@ -58,7 +58,7 @@ class NoiseParams:
             return self.cnot_ns
         if g.kind == "rz":
             return self.rz_ns
-        return 0.0 if g.kind == "measure" else self.single_ns
+        return self.single_ns
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -131,10 +131,10 @@ def _flip_distribution(probs: np.ndarray, k: int, flip: float) -> np.ndarray:
 
 def run_noisy(circuit, noise: NoiseParams | None = None, initial=None):
     """The one circuit executor: apply the gates of a Circuit, source or
-    compiled, in order, measure gates aside, to ``initial`` (default
-    |0...0>) and return the final, pre-measurement state. Without ``noise``
-    nothing decays and a statevector stays one; with it the run is on a
-    density matrix under amplitude damping.
+    compiled, in order, to ``initial`` (default |0...0>) and return the
+    final, pre-measurement state. Without ``noise`` nothing decays and a
+    statevector stays one; with it the run is on a density matrix under
+    amplitude damping.
 
     ``circuit`` may also be a sequence of circuits that share one skeleton
     (the same gate kinds on the same qubits; DomainError otherwise), all run
@@ -158,13 +158,7 @@ def run_noisy(circuit, noise: NoiseParams | None = None, initial=None):
     density = isinstance(state, DensityMatrix)
     data = (state.entries if density else state.amplitudes)[None]
     pending = _Pending(n, noise)
-    measured: set[int] = set()
     for i, g in enumerate(first.gates):
-        if g.kind == "measure":
-            if g.qubits[0] in measured:
-                raise DomainError(f"qubit {g.qubits[0]} is measured more than once")
-            measured.add(g.qubits[0])
-            continue
         others = [c.gates[i] for c in items[1:]]
         u = gate_matrix(g)
         if not all(_same(h, g) for h in others):
@@ -248,10 +242,9 @@ def _same(h, g) -> bool:
 
 def readout_distribution(state, circuit, noise: NoiseParams | None) -> MeasurementHistogram:
     """Exact outcome probabilities, readout flips included (none without
-    ``noise``), of the qubits ``circuit`` measures, in gate order (all
+    ``noise``), of the qubits ``circuit`` measures, in readout order (all
     qubits, MSB first, if none), in its final ``state`` from :func:`run_noisy`."""
-    targets = [g.qubits[0] for g in circuit.gates if g.kind == "measure"]
-    targets = targets or list(range(state.num_qubits))
+    targets = list(circuit.measured) or list(range(state.num_qubits))
     probs = qstate._marginal_probabilities(state, targets)
     flip = 0.0 if noise is None else noise.readout_flip
     probs = _flip_distribution(probs / probs.sum(), len(targets), flip)

@@ -1,4 +1,4 @@
-"""Linear systems A x = b, the parameterized 2x2 family, and eigenvalue-bit analysis.
+"""Linear systems A x = b, the parameterized 2x2 family, and binary eigenvalue estimates.
 
 All matrices are Hermitian with spectrum in [SPECTRUM_MARGIN, 1 - SPECTRUM_MARGIN]
 = [1e-06, 0.999999]; position k of a register bitstring is the k-th bit of the
@@ -30,26 +30,6 @@ class SpectralData:
 
     def reconstruct(self) -> np.ndarray:
         return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
-
-
-@dataclass(frozen=True, slots=True)
-class EigenmeanProfile:
-    """Per-position bit means over the distinct eigenvalue bitstrings."""
-
-    n: int
-    means: tuple  # position k in 1..n maps to means[k-1] in [0, 1]
-
-    def is_fixed(self, k: int) -> bool:
-        """True when every eigenvalue bitstring agrees at 1-based position k."""
-        return self.means[k - 1] in (0.0, 1.0)
-
-    @property
-    def fixed_positions(self) -> tuple:
-        return tuple(k for k in range(1, self.n + 1) if self.is_fixed(k))
-
-    @property
-    def free_positions(self) -> tuple:
-        return tuple(k for k in range(1, self.n + 1) if not self.is_fixed(k))
 
 
 class HermitianProblem:
@@ -139,20 +119,6 @@ def binary_estimate(lam: float, n: int) -> str:
     value = nearest if abs(scaled - nearest) < 1e-9 else int(np.floor(scaled))
     value = min(max(value, 0), 2**n - 1)
     return format(value, f"0{n}b")
-
-
-def profile_from_bitstrings(bitstrings, n: int) -> EigenmeanProfile:
-    """Eigenmean profile of an explicit collection of n-bit strings."""
-    strings = tuple(dict.fromkeys(bitstrings))
-    if not strings:
-        raise DomainError("need at least one bitstring")
-    for s in strings:
-        if len(s) != n or set(s) - {"0", "1"}:
-            raise DomainError(f"{s!r} is not an {n}-bit string")
-    means = tuple(
-        sum(int(s[k]) for s in strings) / len(strings) for k in range(n)
-    )
-    return EigenmeanProfile(n, means)
 
 
 def classical_solution(problem: HermitianProblem):

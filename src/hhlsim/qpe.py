@@ -63,7 +63,7 @@ def qpe_block(problem: HermitianProblem, n: int, register, v_qubits, physical_sw
 
 def build_qpe(config: QpeConfig, physical_swap: bool = False) -> Circuit:
     """Standalone measured QPE(A) circuit (the QPEA): register on wires
-    0..n-1, input wires after, prepared in b; register measurements at the end."""
+    0..n-1, input wires after, prepared in b; the relabeled register is measured."""
     n = config.n
     q = config.problem.num_qubits
     register = list(range(n))
@@ -72,9 +72,8 @@ def build_qpe(config: QpeConfig, physical_swap: bool = False) -> Circuit:
         config.problem, n, register, v_qubits, physical_swap=physical_swap
     )
     gates = prepare_b(config.problem, v_qubits) + gates
-    gates += [gate("measure", w) for w in out_register]
     roles = {"register": tuple(out_register), "input": tuple(v_qubits)}
-    return Circuit(n + q, tuple(gates), roles)
+    return Circuit(n + q, tuple(gates), roles, tuple(out_register))
 
 
 def register_distribution_exact(problem: HermitianProblem, n: int) -> MeasurementHistogram:

@@ -36,13 +36,7 @@ from .errors import (
     NotReducibleError,
     ValidationError,
 )
-from .problem import (
-    EigenmeanProfile,
-    HermitianProblem,
-    binary_estimate,
-    classical_solution,
-    profile_from_bitstrings,
-)
+from .problem import HermitianProblem, binary_estimate, classical_solution
 from .qstate import DensityMatrix, MeasurementHistogram, StateVector
 
 
@@ -80,12 +74,12 @@ def synthesize_reduced_aqe(estimate: "EigenEstimate", c: float) -> AqeSpec:
     """Reduced-rotation synthesis: fold fixed bits into y', keep free bits as
     controls. Raises :class:`NotReducibleError`, carrying ``estimate``, when
     the estimate certifies no reduction."""
-    n, profile = estimate.n, estimate.profile
+    n = estimate.n
     if not estimate.reducible:
         message = f"no reduced encoding certified at register size {n}"
         raise NotReducibleError(message, estimate=estimate)
-    y_prime = sum(int(profile.means[i - 1]) * 2 ** (n - i) for i in profile.fixed_positions)
-    return _encoding(n, c, y_prime, profile.free_positions)
+    y_prime = sum(int(estimate.means[i - 1]) * 2 ** (n - i) for i in estimate.fixed_positions)
+    return _encoding(n, c, y_prime, estimate.free_positions)
 
 
 def _encoding(n: int, c: float, y_prime: int, free: tuple) -> AqeSpec:
@@ -109,13 +103,23 @@ def _pattern_values(n: int, free) -> list[int]:
 
 @dataclass(frozen=True, slots=True)
 class EigenEstimate:
-    """Detected eigenvalue bitstrings plus the reducibility verdict."""
+    """Detected eigenvalue bitstrings, their per-position bit means and the
+    reducibility verdict."""
 
     n: int
     peaks: dict  # bitstring -> empirical probability
-    profile: EigenmeanProfile | None
+    means: tuple  # means[k-1]: mean of bit k (1-based) over the peaks; () if none
     reducible: bool
     coverage: float
+
+    @property
+    def fixed_positions(self) -> tuple:
+        """1-based register positions where every peak has the same bit."""
+        return tuple(k for k, m in enumerate(self.means, 1) if m in (0.0, 1.0))
+
+    @property
+    def free_positions(self) -> tuple:
+        return tuple(k for k, m in enumerate(self.means, 1) if m not in (0.0, 1.0))
 
 
 def analyze_qpea(
@@ -135,10 +139,11 @@ def analyze_qpea(
     peaks = {k: p for k, p in sorted(probs.items()) if p >= tau}
     coverage = sum(peaks.values())
     if not peaks:
-        return EigenEstimate(n, {}, None, False, 0.0)
-    profile = profile_from_bitstrings(peaks, n)
-    reducible = bool(profile.fixed_positions) and coverage >= coverage_bound
-    return EigenEstimate(n, peaks, profile, reducible, coverage)
+        return EigenEstimate(n, {}, (), False, 0.0)
+    means = tuple(sum(int(s[k]) for s in peaks) / len(peaks) for k in range(n))
+    estimate = EigenEstimate(n, peaks, means, False, coverage)
+    reducible = bool(estimate.fixed_positions) and coverage >= coverage_bound
+    return EigenEstimate(n, peaks, means, reducible, coverage)
 
 
 def estimate_from_spectral(problem: HermitianProblem, n: int) -> EigenEstimate:
@@ -299,11 +304,8 @@ def build_hhl_circuit(
     angles = [float(table.get(y, 0.0)) for y in _pattern_values(aqe_spec.n, free)]
     gates.append(gate("mry", *controls, ancilla, params=angles))
     gates.extend(circuits.adjoint(qpe_gates))
-    gates.append(gate("measure", ancilla))
-    for w in reg:
-        gates.append(gate("measure", w))
     roles = {"ancilla": (ancilla,), "register": tuple(reg), "input": tuple(v)}
-    return Circuit(1 + n + q, tuple(gates), roles)
+    return Circuit(1 + n + q, tuple(gates), roles, (ancilla, *reg))
 
 
 def run_original_hhl_batch(
@@ -342,10 +344,12 @@ class HybridPolicy:
     n_step: int = 1
 
     def __post_init__(self):
-        if not (0.0 <= self.tau <= 1.0 and 0.0 <= self.coverage <= 1.0):
-            raise ValidationError("tau and coverage must lie in [0, 1]")
-        if self.max_n < 1 or self.n_step < 1:
-            raise ValidationError("max_n and n_step must be >= 1")
+        for name, value in (("tau", self.tau), ("coverage", self.coverage)):
+            if not 0.0 <= value <= 1.0:
+                raise ValidationError(f"{name} must lie in [0, 1], got {value}")
+        for name, value in (("max_n", self.max_n), ("n_step", self.n_step)):
+            if value < 1:
+                raise ValidationError(f"{name} must be >= 1, got {value}")
 
 
 def run_hybrid_hhl(
@@ -437,13 +441,15 @@ def reduced_encoding_equivalence_check(problem: HermitianProblem, n: int) -> boo
     post-selected states (fidelity >= 1 - 1e-9) and success probabilities
     (within 1e-10)."""
     estimate = estimate_from_spectral(problem, n)
-    full_spec = build_aqe(problem, n)
-    # with no fixed bit the reduced encoding is the full one
-    reduced = synthesize_reduced_aqe(estimate, full_spec.c) if estimate.reducible else full_spec
-    (rho_full, p_full), (rho_red, p_red) = (
+    specs = [build_aqe(problem, n)]
+    # with no fixed bit the reduced encoding is the full one: run it once
+    if estimate.reducible:
+        specs.append(synthesize_reduced_aqe(estimate, specs[0].c))
+    posts = [
         postselect_hhl(noise_mod.run_noisy(build_hhl_circuit(problem, n, spec)), n)["ancilla"]
-        for spec in (full_spec, reduced)
-    )
+        for spec in specs
+    ]
+    (rho_full, p_full), (rho_red, p_red) = posts[0], posts[-1]
     overlap = float(np.real(np.trace(rho_full.entries @ rho_red.entries)))
     # both states are pure here, so the trace overlap is the fidelity
     purity = min(rho_full.purity(), rho_red.purity())

@@ -82,6 +82,7 @@ class TestGate:
             ("foo", (0,), {}, "unknown gate kind"),
             ("phase", (0,), {"params": (0.1,)}, "unknown gate kind"),
             ("ccry", (0, 1, 2), {"params": (0.1,)}, "unknown gate kind"),
+            ("measure", (0,), {}, "unknown gate kind"),
         ],
     )
     def test_rejects_wrong_signature(self, kind, qubits, kwargs, match):
@@ -258,12 +259,43 @@ def _random_circuit(rng, n, length):
     return gates
 
 
+class TestMeasured:
+    """The qubits a circuit reads out after its last gate."""
+
+    def test_repeated_qubit_rejected(self):
+        with pytest.raises(DomainError, match="qubit 0 is measured more than once"):
+            Circuit(2, (gate("x", 0),), {}, (0, 1, 0))
+
+    def test_out_of_range_qubit_rejected(self):
+        for q in (2, -1):
+            with pytest.raises(DomainError, match=f"measured qubit {q} lies outside 0..1"):
+                Circuit(2, (gate("x", 0),), {}, (1, q))
+
+    def test_hhl_circuit_measures_ancilla_then_register(self):
+        problem = build_a_lambda(0.25)
+        for n in (1, 2, 3):
+            circuit = solvers.build_hhl_circuit(problem, n, solvers.build_aqe(problem, n))
+            assert circuit.measured == tuple(range(n + 1))
+
+    @pytest.mark.parametrize("physical_swap", [False, True])
+    def test_qpe_circuit_measures_its_relabeled_register(self, physical_swap):
+        config = qpe.QpeConfig(3, build_a_lambda(0.3))
+        circuit = qpe.build_qpe(config, physical_swap=physical_swap)
+        assert circuit.measured == circuit.roles["register"]
+        assert circuit.measured == ((0, 1, 2) if physical_swap else (2, 1, 0))
+
+    def test_compile_keeps_measured(self):
+        source = qpe.build_qpe(qpe.QpeConfig(2, build_a_lambda(0.25)))
+        assert compile_circuit(source).measured == source.measured == (1, 0)
+
+
 class TestCompile:
     def test_compiled_circuit_is_a_checked_circuit(self):
         """A compiled circuit is a Circuit, so its qubit range is checked too."""
-        compiled = compile_circuit(Circuit(2, (gate("swap", 0, 1), gate("measure", 1)), {"c": (1,)}))
+        compiled = compile_circuit(Circuit(2, (gate("swap", 0, 1),), {"c": (1,)}, (1,)))
         assert type(compiled) is Circuit
         assert compiled.roles == {"c": (1,)} and compiled.cnot_count == 3
+        assert compiled.measured == (1,)
         with pytest.raises(DomainError, match="outside"):
             replace(compiled, num_qubits=1)
 
@@ -273,7 +305,7 @@ class TestCompile:
         rng = np.random.default_rng(seed)
         gates = _random_circuit(rng, n, length)
         compiled = compile_circuit(Circuit(n, tuple(gates), {}))
-        assert all(g.kind in ("cnot", "h", "x", "rx", "ry", "rz", "measure") for g in compiled.gates)
+        assert all(g.kind in ("cnot", "h", "x", "rx", "ry", "rz") for g in compiled.gates)
         u_src = circuit_unitary(gates, n)
         u_cmp = circuit_unitary([g for g in compiled.gates], n)
         assert equal_up_to_phase(u_cmp, u_src, atol=1e-8)
@@ -448,11 +480,7 @@ class TestQasm:
         assert emit_qasm(compile_circuit(circ)) == emit_qasm(compile_circuit(circ))
 
     def test_measures_serialized(self):
-        circ = Circuit(
-            2,
-            (gate("h", 0), gate("measure", 0), gate("measure", 1)),
-            {"register": (0, 1)},
-        )
+        circ = Circuit(2, (gate("h", 0),), {"register": (0, 1)}, (1, 0))
         text = emit_qasm(compile_circuit(circ))
         assert "creg register[2];" in text
-        assert "measure" in text
+        assert text.endswith("measure q[1] -> register[0];\nmeasure q[0] -> register[1];\n")

@@ -33,7 +33,6 @@ class TestNoiseParams:
         p = NoiseParams(cnot_ns=200.0, rz_ns=5.0, single_ns=60.0)
         gates = (gate("cnot", 0, 1), gate("h", 0), gate("rz", 1, params=(0.3,)))
         assert [p.duration(g) for g in gates] == [200.0, 60.0, 5.0]
-        assert p.duration(gate("measure", 0)) == 0.0
         compiled = compile_circuit(Circuit(2, gates, {}))
         assert compiled.cnot_count == 1
         assert sum(NoiseParams().duration(g) for g in compiled.gates) == pytest.approx(260.0)
@@ -105,18 +104,14 @@ def _kraus_damp(rho, n, qubit, t, t1):
 def _eager_run(compiled, noise, rho):
     """Reference executor: after every timed gate, damp each aged qubit at once."""
     n = compiled.num_qubits
-    measured = []
     for g in compiled.gates:
-        if g.kind == "measure":
-            measured.append(g.qubits[0])
-            continue
         u = circuits.circuit_unitary([g], n)
         rho = u @ rho @ u.conj().T
         dt = noise.duration(g)
         if dt > 0:
             for q in range(n) if noise.idle_damping else g.qubits:
                 rho = _kraus_damp(rho, n, q, dt, noise.t1_ns)
-    targets = measured or list(range(n))
+    targets = list(compiled.measured) or list(range(n))
     k = len(targets)
     true = np.zeros(2**k)
     for i, p in enumerate(np.real(np.diag(rho))):
@@ -133,23 +128,20 @@ def _eager_run(compiled, noise, rho):
 
 
 def _random_compiled(n, rng, num_gates=40):
-    """Random basis-gate circuit with zero-duration rz and measures mid-list."""
+    """Random basis-gate circuit with zero-duration rz that reads out a
+    random subset of its qubits in random order."""
     gates = []
-    unmeasured = list(range(n))
     for _ in range(num_gates):
-        kind = rng.choice(["h", "x", "rx", "ry", "rz", "rz", "cnot", "cnot", "measure"])
-        if kind == "measure":
-            if unmeasured:
-                gates.append(gate("measure", unmeasured.pop(rng.integers(len(unmeasured)))))
-        elif kind == "cnot":
+        kind = rng.choice(["h", "x", "rx", "ry", "rz", "rz", "cnot", "cnot"])
+        if kind == "cnot":
             c, t = rng.choice(n, size=2, replace=False)
             gates.append(gate("cnot", int(c), int(t)))
         elif kind in ("rx", "ry", "rz"):
             gates.append(gate(kind, int(rng.integers(n)), params=(rng.uniform(-np.pi, np.pi),)))
         else:
             gates.append(gate(kind, int(rng.integers(n))))
-    assert any(g.kind == "measure" for g in gates[:-1])
-    return Circuit(n, tuple(gates))
+    measured = rng.permutation(n)[: rng.integers(1, n + 1)]
+    return Circuit(n, tuple(gates), {}, tuple(int(q) for q in measured))
 
 
 class TestDampingChannel:
@@ -237,14 +229,8 @@ class TestRunNoisy:
         noisy = solvers.run_original_hhl(problem, 2, noise=NoiseParams())
         assert noisy.fidelity < zero.fidelity
 
-    def test_repeated_measure_rejected(self):
-        gates = (gate("x", 0), gate("measure", 0), gate("measure", 0))
-        compiled = Circuit(2, gates)
-        with pytest.raises(DomainError, match="measured more than once"):
-            run_noisy(compiled, NoiseParams())
-
     def test_readout_flip_changes_histogram(self):
-        circ = Circuit(1, (gate("measure", 0),), {})
+        circ = Circuit(1, (), {}, (0,))
         compiled = compile_circuit(circ)
         clean, flipped = (
             readout_distribution(run_noisy(compiled, noise), compiled, noise)
@@ -370,7 +356,7 @@ class TestFusedExecutor:
         )
         run_noisy(compiled, NoiseParams(idle_damping=idle_damping))
         # every CNOT ages its own qubits, so all touched qubits owe decay at the end
-        touched = {q for g in compiled.gates if g.kind != "measure" for q in g.qubits}
+        touched = {q for g in compiled.gates for q in g.qubits}
         owing = compiled.num_qubits if idle_damping else len(touched)
         assert len(calls) == compiled.cnot_count + owing
         assert sum(len(t) == 4 for t in calls) == compiled.cnot_count
@@ -407,5 +393,5 @@ class TestFusedExecutor:
         assert max(len(g.qubits) for g in circuit.gates) == 4
         initial = _random_rho(5, np.random.default_rng(9))
         rho = run_noisy(circuit, initial=DensityMatrix(5, initial))
-        u = circuits.circuit_unitary([g for g in circuit.gates if g.kind != "measure"], 5)
+        u = circuits.circuit_unitary(circuit.gates, 5)
         np.testing.assert_allclose(rho.entries, u @ initial @ u.conj().T, rtol=0, atol=1e-12)

@@ -1,6 +1,5 @@
-"""Problem family, spectral analysis, and eigenvalue-bit bookkeeping."""
+"""Problem family, spectral analysis, and binary eigenvalue estimates."""
 
-import dataclasses
 import json
 
 import numpy as np
@@ -16,10 +15,8 @@ from hhlsim.problem import (
     classical_solution,
     load_problem,
     problem_from_dict,
-    profile_from_bitstrings,
     unitary_power,
 )
-from hhlsim.solvers import estimate_from_spectral
 
 
 class TestBuildALambda:
@@ -136,25 +133,6 @@ class TestBinaryEstimate:
 
     def test_near_dyadic_rounds(self):
         assert binary_estimate(0.25 + 1e-12, 2) == "01"
-
-
-class TestEigenmeanProfile:
-    def test_quarter_profile(self):
-        profile = estimate_from_spectral(build_a_lambda(0.25), 2).profile
-        # eigenvalues 1/4 -> 01 and 3/4 -> 11: bit 1 varies, bit 2 fixed at 1
-        assert profile.fixed_positions == (2,)
-        assert profile.free_positions == (1,)
-        assert profile.means[1] == pytest.approx(1.0)
-
-    def test_half_profile_all_fixed(self):
-        profile = estimate_from_spectral(build_a_lambda(0.5), 2).profile
-        assert profile.fixed_positions == (1, 2)
-
-    def test_profile_from_bitstrings(self):
-        profile = profile_from_bitstrings(["010", "110"], 3)
-        assert profile.fixed_positions == (2, 3)
-        assert profile.free_positions == (1,)
-        assert [f.name for f in dataclasses.fields(profile)] == ["n", "means"]
 
 
 class TestProblemIO:

@@ -95,8 +95,7 @@ class TestBuildQpe:
         problem = build_a_lambda(0.3)
         fwd = build_qpe(QpeConfig(2, problem))
         inv = circuits.adjoint(qpe_block(problem, 2, [0, 1], [2])[0])
-        fwd_gates = [g for g in fwd.gates if g.kind != "measure"]
-        u = circuits.circuit_unitary(fwd_gates + inv, fwd.num_qubits)
+        u = circuits.circuit_unitary(fwd.gates + tuple(inv), fwd.num_qubits)
         assert circuits.equal_up_to_phase(u, np.eye(2**fwd.num_qubits), atol=1e-9)
 
 

@@ -60,7 +60,7 @@ class TestAnalyzeQpea:
         hist = MeasurementHistogram({"01": 0.5, "11": 0.5}, None)
         est = analyze_qpea(hist, 2)
         assert est.reducible
-        assert est.profile.fixed_positions == (2,)
+        assert est.fixed_positions == (2,)
         assert est.coverage == pytest.approx(1.0)
 
     def test_threshold_drops_noise_floor(self):
@@ -82,6 +82,37 @@ class TestAnalyzeQpea:
     def test_bad_outcome_key_rejected(self):
         with pytest.raises(DomainError):
             analyze_qpea(MeasurementHistogram({"0": 1.0}, None), 2)
+
+
+class TestEigenEstimate:
+    """Per-position bit means over the peaks, and the positions they fix."""
+
+    def test_quarter_means(self):
+        estimate = estimate_from_spectral(build_a_lambda(0.25), 2)
+        # eigenvalues 1/4 -> 01 and 3/4 -> 11: bit 1 varies, bit 2 fixed at 1
+        assert estimate.means == (0.5, 1.0)
+        assert estimate.fixed_positions == (2,)
+        assert estimate.free_positions == (1,)
+
+    def test_half_all_fixed(self):
+        estimate = estimate_from_spectral(build_a_lambda(0.5), 2)
+        assert estimate.means == (1.0, 0.0)
+        assert estimate.fixed_positions == (1, 2)
+        assert estimate.free_positions == ()
+
+    def test_means_count_each_peak_once_whatever_its_weight(self):
+        hist = MeasurementHistogram({"010": 0.9, "110": 0.08, "111": 0.02}, None)
+        estimate = analyze_qpea(hist, 3)
+        assert estimate.means == (0.5, 1.0, 0.0)
+        assert estimate.fixed_positions == (2, 3)
+        assert estimate.free_positions == (1,)
+
+    def test_no_peak_estimate(self):
+        hist = MeasurementHistogram({"00": 0.25, "01": 0.25, "10": 0.25, "11": 0.25}, None)
+        estimate = analyze_qpea(hist, 2, tau=0.5)
+        assert estimate.peaks == {} and estimate.means == ()
+        assert estimate.fixed_positions == estimate.free_positions == ()
+        assert not estimate.reducible and estimate.coverage == 0.0
 
 
 class TestSynthesizeReduced:
@@ -135,7 +166,7 @@ class TestEigenvalueBitSources:
             spectral = estimate_from_spectral(problem, n)
             where = f"trial {trial}: d={d} n={n} k={k}"
             assert set(from_qpea.peaks) == set(spectral.peaks), where
-            assert from_qpea.profile.means == spectral.profile.means, where
+            assert from_qpea.means == spectral.means, where
             assert from_qpea.reducible == spectral.reducible, where
             for key, weight in spectral.peaks.items():
                 assert abs(from_qpea.peaks[key] - weight) <= 1e-12, where
@@ -207,7 +238,7 @@ class TestHybridSolver:
         [("tau", -0.1), ("tau", 2.0), ("coverage", 1.5), ("max_n", 0), ("n_step", 0)],
     )
     def test_policy_rejects_out_of_range(self, field, value):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=f"{field} must .* got {value}"):
             HybridPolicy(**{field: value})
 
     def test_not_reducible_carries_estimate(self):
@@ -272,12 +303,9 @@ class TestCircuitBuilder:
         problem = build_a_lambda(0.3)
         full = build_aqe(problem, 2)
         circ = build_hhl_circuit(problem, 2, full)
-        gates = [g for g in circ.gates if g.kind != "measure"]
         compiled = circuits.compile_circuit(circ)
-        u_src = circuits.circuit_unitary(gates, circ.num_qubits)
-        u_cmp = circuits.circuit_unitary(
-            [g for g in compiled.gates if g.kind != "measure"], circ.num_qubits
-        )
+        u_src = circuits.circuit_unitary(circ.gates, circ.num_qubits)
+        u_cmp = circuits.circuit_unitary(compiled.gates, circ.num_qubits)
         assert circuits.equal_up_to_phase(u_cmp, u_src, atol=1e-8)
 
 
@@ -336,11 +364,20 @@ class TestReducedEncodingEquivalence:
         for lam in (0.25, 0.5, 0.75):
             assert reduced_encoding_equivalence_check(build_a_lambda(lam), 2)
 
+    @pytest.mark.parametrize("lam,circuits_built", [(0.3, 1), (0.25, 2)])
+    def test_no_fixed_bit_builds_one_circuit(self, monkeypatch, lam, circuits_built):
+        """At lambda = 0.3, n = 2 no bit is fixed, so the reduced encoding is
+        the full one and its circuit is built and run once."""
+        build, calls = solvers.build_hhl_circuit, []
+        monkeypatch.setattr(solvers, "build_hhl_circuit", lambda *a: calls.append(a) or build(*a))
+        assert reduced_encoding_equivalence_check(build_a_lambda(lam), 2)
+        assert len(calls) == circuits_built
+
     def test_random_problem_has_requested_structure(self):
         rng = np.random.default_rng(11)
         problem = random_perfectly_estimated_problem(rng, d=4, n=3, k=2)
         estimate = estimate_from_spectral(problem, 3)
-        assert len(estimate.profile.fixed_positions) == 2
+        assert len(estimate.fixed_positions) == 2
 
     def test_invalid_k_rejected(self):
         rng = np.random.default_rng(12)
@@ -490,5 +527,5 @@ class TestZeroNoiseEstimators:
                 problem = random_perfectly_estimated_problem(rng, 2, n, k)
                 exact = run_hybrid_hhl(problem, n, policy=policy)
                 noisy = run_hybrid_hhl(problem, n, policy=policy, noise=ZERO_NOISE)
-                assert noisy.estimate.profile == exact.estimate.profile
+                assert noisy.estimate.means == exact.estimate.means
                 _assert_estimators_match(exact, noisy)
