@@ -1,19 +1,21 @@
 """Gate-level IR, lowering to the {CNOT, 1-qubit rotation} basis, and OpenQASM output.
 
-Gate kinds fall into two tiers. Basis kinds survive compilation: ``h``, ``x``,
-``rx``, ``ry``, ``rz``, ``cnot``. Structured kinds are lowered by
+Gate kinds fall into two tiers. Basis kinds survive compilation: ``h``,
+``ry``, ``rz``, ``cnot``. Structured kinds are lowered by
 :func:`compile_circuit` straight to basis gates: ``swap``, ``cphase``,
 ``unitary`` (explicit 1-qubit matrix), ``cunitary`` (one control, explicit
 1-qubit matrix), ``mry`` (multiplexed Ry: qubits ``(*controls, target)``, one
-angle per control pattern). No gate measures: every measurement is deferred
-to the end (Nielsen & Chuang 4.4), on the qubits ``Circuit.measured`` lists.
+angle per control pattern). Each kind is one ``_KINDS`` record: signature,
+matrix, lowering, CNOTs and OpenQASM name. No gate measures: every
+measurement is deferred to the end (Nielsen & Chuang 4.4), on the qubits
+``Circuit.measured`` lists.
 
 The executor (:func:`noise.run_noisy`) applies every kind directly through
-:func:`gate_matrix`; an ``mry`` is the block-diagonal matrix of its Ry
-blocks, so it runs for any number of controls, while its lowering supports
-at most two. A compiled circuit is a :class:`Circuit` of basis gates;
-:func:`cnot_count` gives its CNOT count, or that of a source circuit,
-without compiling (``Circuit.cnot_count`` returns it).
+:func:`gate_matrix`, under noise only basis kinds; an ``mry`` is the
+block-diagonal matrix of its Ry blocks, so it runs for any number of
+controls, while its lowering supports at most two. A compiled circuit is a
+:class:`Circuit` of basis gates; :func:`cnot_count` gives its CNOT count, or
+that of a source circuit, without compiling (``Circuit.cnot_count``).
 
 A gate is checked once, when :func:`gate` makes it (lowerings do too), or,
 for b's preparation, by its problem. Adjoints and the executor do not check
@@ -31,6 +33,7 @@ Toffolis), 12 CNOTs.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -51,41 +54,32 @@ class Gate:
     matrix: np.ndarray | None = None
 
 
-# kind -> (qubits, parameters); None means as many qubits as the matrix fits
-# (unitary, cunitary) or, for mry, one angle per pattern of its controls
-_SIGNATURES = {
-    "h": (1, 0), "x": (1, 0),
-    "rx": (1, 1), "ry": (1, 1), "rz": (1, 1),
-    "cnot": (2, 0), "swap": (2, 0), "cphase": (2, 1),
-    "unitary": (None, 0), "cunitary": (None, 0), "mry": (None, None),
-}
-
-
 def gate(kind, *qubits, params=(), matrix=None) -> Gate:
     """A checked gate: a known kind with its number of qubits and of finite
     parameters (``mry``: one angle per control pattern), distinct qubits, and
     a ``matrix`` exactly for ``unitary`` and ``cunitary``, unitary and fitting
     its target qubits (all of them, or all but the control of a
     ``cunitary``); the matrix is stored read-only."""
-    if kind not in _SIGNATURES:
+    spec = _KINDS.get(kind)
+    if spec is None:
         raise ValidationError(f"unknown gate kind {kind!r}")
-    width, arity = _SIGNATURES[kind]
+    width, arity = spec.qubits, spec.params
     if len(set(qubits)) != len(qubits):
         raise ValidationError(f"gate {kind} repeats a qubit: {qubits}")
     params = tuple(params)
     for p in params:
         if not math.isfinite(p):
             raise ValidationError(f"non-finite gate parameter {p}")
-    if kind == "mry":
+    if arity is None:
         width, arity = len(qubits), 2 ** (len(qubits) - 1)
         if len(params) != arity:
-            raise ValidationError("an mry gate needs one angle per control pattern")
-    needs_matrix = kind in ("unitary", "cunitary")
+            raise ValidationError(f"an {kind} gate needs one angle per control pattern")
+    needs_matrix = spec.controls is not None
     if (matrix is not None) != needs_matrix:
         raise ValidationError(f"gate {kind} {'needs a' if needs_matrix else 'takes no'} matrix")
     if matrix is not None:
         matrix = qstate._check_unitary(matrix)
-        targets = len(qubits) - (kind == "cunitary")
+        targets = len(qubits) - spec.controls
         if targets < 1 or matrix.shape[0] != 2**targets:
             raise ValidationError(
                 f"a {matrix.shape[0]}x{matrix.shape[0]} matrix does not fit "
@@ -135,12 +129,8 @@ class Circuit:
 # gate matrices and circuit evaluation
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-
-
-def _rx(t):
-    c, s = np.cos(t / 2), np.sin(t / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]])
+_CNOT = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
+_SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
 
 
 def _ry(t):
@@ -164,43 +154,16 @@ def _mry(angles) -> np.ndarray:
     return m
 
 
-def _controlled(u: np.ndarray) -> np.ndarray:
-    d = u.shape[0]
+def _controlled(g: Gate) -> np.ndarray:
+    d = g.matrix.shape[0]
     big = np.eye(2 * d, dtype=complex)
-    big[d:, d:] = u
+    big[d:, d:] = g.matrix
     return big
-
-
-_CNOT = _controlled(_X)
-_SWAP = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-)
 
 
 def gate_matrix(g: Gate) -> np.ndarray:
     """Unitary of a single gate on its own qubits (MSB = first listed qubit)."""
-    k, p = g.kind, g.params
-    if k == "h":
-        return _H
-    if k == "x":
-        return _X
-    if k == "rx":
-        return _rx(p[0])
-    if k == "ry":
-        return _ry(p[0])
-    if k == "rz":
-        return _rz(p[0])
-    if k == "cnot":
-        return _CNOT
-    if k == "swap":
-        return _SWAP
-    if k == "cphase":
-        return np.diag([1, 1, 1, np.exp(1j * p[0])])
-    if k == "unitary":
-        return g.matrix
-    if k == "cunitary":
-        return _controlled(g.matrix)
-    return _mry(p)  # mry, the last kind
+    return _KINDS[g.kind].matrix(g)
 
 
 def circuit_unitary(gates, num_qubits: int) -> np.ndarray:
@@ -222,19 +185,18 @@ def equal_up_to_phase(a: np.ndarray, b: np.ndarray, atol: float = 1e-8) -> bool:
 
 
 def adjoint(gates) -> list[Gate]:
-    """Adjoint of a gate sequence (reversed order, each gate inverted)."""
+    """Adjoint of a gate sequence (reversed order, each gate inverted): a
+    gate with a matrix takes its dagger, one with parameters negates them,
+    and one with neither is its own inverse."""
     out = []
     for g in reversed(list(gates)):
-        if g.kind in ("h", "x", "cnot", "swap"):
-            out.append(g)
-        elif g.kind in ("rx", "ry", "rz", "cphase", "mry"):
-            out.append(replace(g, params=tuple(-p for p in g.params)))
-        elif g.kind in ("unitary", "cunitary"):
+        if g.matrix is not None:
             m = g.matrix.conj().T
             m.setflags(write=False)
-            out.append(replace(g, matrix=m))
-        else:
-            raise DomainError(f"cannot take adjoint of gate kind {g.kind!r}")
+            g = replace(g, matrix=m)
+        elif g.params:
+            g = replace(g, params=tuple(-p for p in g.params))
+        out.append(g)
     return out
 
 
@@ -285,8 +247,8 @@ def decompose_controlled_unitary(u, control: int, target: int) -> list[Gate]:
     ]
 
 
-def _cphase_gates(angle: float, control: int, target: int) -> list[Gate]:
-    half = angle / 2
+def _cphase_gates(g: Gate) -> list[Gate]:
+    half, (control, target) = g.params[0] / 2, g.qubits
     return [
         gate("rz", control, params=(half,)),
         gate("rz", target, params=(half,)),
@@ -296,7 +258,15 @@ def _cphase_gates(angle: float, control: int, target: int) -> list[Gate]:
     ]
 
 
-def _swap_gates(a: int, b: int) -> list[Gate]:
+def _zyz_gates(g: Gate) -> list[Gate]:
+    """rz, ry, rz of a 1-qubit unitary, its global phase dropped."""
+    _, beta, gamma, delta = zyz_angles(g.matrix)
+    rotations = (("rz", delta), ("ry", gamma), ("rz", beta))
+    return [gate(r, *g.qubits, params=(angle,)) for r, angle in rotations]
+
+
+def _swap_gates(g: Gate) -> list[Gate]:
+    a, b = g.qubits
     return [gate("cnot", a, b), gate("cnot", b, a), gate("cnot", a, b)]
 
 
@@ -410,76 +380,101 @@ def controlled_ry_chain(angles, controls, target: int) -> list[Gate]:
 
 
 # ---------------------------------------------------------------------------
+# gate kinds
+
+@dataclass(frozen=True, slots=True)
+class _Kind:
+    """One gate kind. Signature: ``qubits``, ``params`` (None: as many as the
+    matrix fits, or for mry one angle per control pattern) and ``controls``
+    before an explicit matrix's targets (None: no matrix). ``lower`` (None
+    for a basis kind) gives a gate's basis gates, ``cnots`` their CNOTs
+    without lowering, raising CompileError where the lowering would."""
+
+    qubits: int | None
+    params: int | None
+    matrix: Callable[[Gate], np.ndarray]
+    controls: int | None = None
+    cnots: Callable[[Gate], int] = lambda g: 0
+    lower: Callable[[Gate], list[Gate]] | None = None
+    qasm: str | None = None  # the OpenQASM name of a basis kind
+
+
+def _unitary_cnots(g: Gate) -> int:
+    if len(g.qubits) != 1:
+        raise CompileError("unitary lowering supports exactly one qubit")
+    return 0
+
+
+def _cunitary_cnots(g: Gate) -> int:
+    if len(g.qubits) != 2:
+        raise CompileError("cunitary lowering supports exactly one control and one target")
+    return 2
+
+
+def _mry_cnots(g: Gate) -> int:
+    # per non-zero subset angle: bare Ry 0, controlled Ry 2, Toffoli-conjugated Ry 12
+    subsets = _subset_angles(g.params, len(g.qubits) - 1)
+    return sum((0, 2, 12)[bin(s).count("1")] for s, _ in subsets)
+
+
+_KINDS = {
+    "h": _Kind(1, 0, lambda g: _H, qasm="h"),
+    "ry": _Kind(1, 1, lambda g: _ry(g.params[0]), qasm="ry"),
+    "rz": _Kind(1, 1, lambda g: _rz(g.params[0]), qasm="rz"),
+    "cnot": _Kind(2, 0, lambda g: _CNOT, cnots=lambda g: 1, qasm="cx"),
+    "swap": _Kind(2, 0, lambda g: _SWAP, cnots=lambda g: 3, lower=_swap_gates),
+    "cphase": _Kind(2, 1, lambda g: np.diag([1, 1, 1, np.exp(1j * g.params[0])]),
+                    cnots=lambda g: 2, lower=_cphase_gates),
+    "unitary": _Kind(None, 0, lambda g: g.matrix, controls=0, cnots=_unitary_cnots,
+                     lower=_zyz_gates),
+    "cunitary": _Kind(None, 0, _controlled, controls=1, cnots=_cunitary_cnots,
+                      lower=lambda g: decompose_controlled_unitary(g.matrix, *g.qubits)),
+    "mry": _Kind(None, None, lambda g: _mry(g.params), cnots=_mry_cnots,
+                 lower=lambda g: controlled_ry_chain(g.params, g.qubits[:-1], g.qubits[-1])),
+}
+
+
+def is_basis(kind: str) -> bool:
+    """Whether gates of ``kind`` survive compilation."""
+    return _KINDS[kind].lower is None
+
+
+# ---------------------------------------------------------------------------
 # compilation
 
-_BASIS_KINDS = {"h", "x", "rx", "ry", "rz", "cnot"}
-# Only single-qubit involutions are cancelled: adjacent CNOT/SWAP pairs are
-# kept so that the compiled entangling-gate count reflects the fixed circuit
-# skeleton a device would execute, independent of the problem parameters.
-_INVOLUTIONS = {"h", "x"}
-_ROTATIONS = {"rx", "ry", "rz"}
-
-
 def simplify(gates) -> list[Gate]:
-    """Drop zero rotations (only here) and cancel adjacent self-inverse pairs.
-
-    One stack pass suffices: a gate is kept only if it does not cancel the
-    kept gate before it, and a cancellation exposes a gate already checked
-    against its own predecessor.
+    """Drop zero rotations (only here) and cancel adjacent self-inverse pairs:
+    on one qubit, a gate with a parameter and no matrix is a rotation, and
+    one with neither is its own inverse (as in :func:`adjoint`). CNOT/SWAP
+    pairs are kept, so the compiled entangling-gate count reflects the fixed
+    skeleton, independent of the problem parameters. One stack pass
+    suffices: a cancellation exposes a gate checked against its predecessor.
     """
     kept: list[Gate] = []
     for g in gates:
-        if g.kind in _ROTATIONS and abs(g.params[0]) <= _ANGLE_TOL:
-            continue
-        if kept and g.kind in _INVOLUTIONS and (kept[-1].kind, kept[-1].qubits) == (g.kind, g.qubits):
-            kept.pop()
-        else:
-            kept.append(g)
+        if len(g.qubits) == 1 and g.matrix is None:
+            if g.params and abs(g.params[0]) <= _ANGLE_TOL:
+                continue
+            if not g.params and kept and (kept[-1].kind, kept[-1].qubits) == (g.kind, g.qubits):
+                kept.pop()
+                continue
+        kept.append(g)
     return kept
 
 
 def _lower(g: Gate) -> list[Gate]:
     """Basis gates of one gate, up to global phase; :func:`cnot_count` has
     rejected the shapes this cannot lower."""
-    k = g.kind
-    if k in _BASIS_KINDS:
-        return [g]
-    if k == "swap":
-        return _swap_gates(*g.qubits)
-    if k == "cphase":
-        return _cphase_gates(g.params[0], *g.qubits)
-    if k == "unitary":
-        _, beta, gamma, delta = zyz_angles(g.matrix)  # global phase dropped
-        rotations = (("rz", delta), ("ry", gamma), ("rz", beta))
-        return [gate(r, *g.qubits, params=(angle,)) for r, angle in rotations]
-    if k == "cunitary":
-        return decompose_controlled_unitary(g.matrix, g.qubits[0], g.qubits[1])
-    *controls, target = g.qubits  # mry, the last structured kind
-    return controlled_ry_chain(g.params, controls, target)
-
-
-# CNOTs in the lowering of each kind; an mry costs per non-zero subset angle
-_CNOTS = {"cnot": 1, "swap": 3, "cphase": 2, "cunitary": 2}
-_SUBSET_CNOTS = (0, 2, 12)  # bare Ry, controlled Ry, Toffoli-conjugated Ry
-
-
-def _gate_cnots(g: Gate) -> int:
-    if g.kind == "mry":
-        subsets = _subset_angles(g.params, len(g.qubits) - 1)
-        return sum(_SUBSET_CNOTS[bin(s).count("1")] for s, _ in subsets)
-    if g.kind == "unitary" and len(g.qubits) != 1:
-        raise CompileError("unitary lowering supports exactly one qubit")
-    if g.kind == "cunitary" and len(g.qubits) != 2:
-        raise CompileError("cunitary lowering supports exactly one control and one target")
-    return _CNOTS.get(g.kind, 0)
+    lower = _KINDS[g.kind].lower
+    return [g] if lower is None else lower(g)
 
 
 def cnot_count(circuit) -> int:
     """CNOTs in the compiled form of ``circuit``, counted per gate without
     lowering it. Raises the CompileError that :func:`compile_circuit` raises
-    on a gate it cannot lower. :func:`simplify` drops rotations and h/x pairs,
+    on a gate it cannot lower. :func:`simplify` drops rotations and h pairs,
     never a CNOT, so the count equals the compiled one."""
-    return sum(_gate_cnots(g) for g in circuit.gates)
+    return sum(_KINDS[g.kind].cnots(g) for g in circuit.gates)
 
 
 def compile_circuit(circuit: Circuit) -> Circuit:
@@ -496,13 +491,6 @@ def compile_circuit(circuit: Circuit) -> Circuit:
 
 # ---------------------------------------------------------------------------
 # serialization
-
-_QASM_NAMES = {"h": "h", "x": "x", "rx": "rx", "ry": "ry", "rz": "rz", "cnot": "cx"}
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.15g}"
-
 
 def emit_qasm(compiled: Circuit) -> str:
     """Deterministic OpenQASM 2.0 text for a compiled circuit."""
@@ -521,14 +509,12 @@ def emit_qasm(compiled: Circuit) -> str:
     for role in creg_sizes:
         lines.append(f"creg {role}[{creg_sizes[role]}];")
     for g in compiled.gates:
-        name = _QASM_NAMES.get(g.kind)
+        name = _KINDS[g.kind].qasm
         if name is None:
             raise CompileError(f"gate kind {g.kind!r} is not in the emission basis")
         args = ",".join(f"q[{q}]" for q in g.qubits)
-        if g.params:
-            lines.append(f"{name}({_fmt(g.params[0])}) {args};")
-        else:
-            lines.append(f"{name} {args};")
+        angle = f"({g.params[0]:.15g})" if g.params else ""
+        lines.append(f"{name}{angle} {args};")
     for role, idx, q in measured:
         lines.append(f"measure q[{q}] -> {role}[{idx}];")
     return "\n".join(lines) + "\n"

@@ -141,7 +141,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    ks = _parse_list(args.k, int)
+    ks = _parse_list(args.k, int, "--k")
     if not ks:
         raise ValidationError("--k list must not be empty")
     if any(k not in (1, 2, 3) for k in ks):
@@ -185,7 +185,7 @@ def cmd_qpea(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    lambdas = _parse_list(args.lambdas, float)
+    lambdas = _parse_list(args.lambdas, float, "--lambdas")
     if not lambdas:
         raise ValidationError("--lambdas list must not be empty")
     noise = _noise_from_args(args)
@@ -234,8 +234,14 @@ def cmd_emit_qasm(args) -> int:
 # ---------------------------------------------------------------------------
 # argument plumbing
 
-def _parse_list(raw: str, convert):
-    return [convert(tok) for tok in raw.split(",") if tok.strip()]
+def _parse_list(raw: str, convert, flag: str):
+    out = []
+    for tok in filter(str.strip, raw.split(",")):
+        try:
+            out.append(convert(tok))
+        except ValueError:
+            raise ValidationError(f"{flag} takes {convert.__name__} values, got {tok!r}") from None
+    return out
 
 
 def _add_problem_flags(p):

@@ -3,16 +3,18 @@ noise on a statevector, with amplitude damping (T1) on a density matrix,
 for one circuit or, over a leading batch axis, several that share one
 skeleton. Readout errors are per-bit flips of the measured distribution.
 
-:class:`NoiseParams` owns the gate durations. Under noise each gate advances
-the clock by its duration, and each qubit (only the gate's own, if
-``idle_damping`` is off) decays for that long. A density matrix is run as a
-vector over 2n qubit indices, row bits then column bits, where a gate u is
-u (x) u* (Havel, J. Math. Phys. 44, 534, 2003). Each qubit owes one 4x4
-superoperator: its 1-qubit gates join it, with no kernel call, after its
-decay (Nielsen & Chuang 8.3.5) over the time it has aged. A 2-qubit gate
-runs its qubits' entries and itself in one kernel call; a wider one runs
-its qubits' entries, then u on the row and u* on the column bits (no 16^k
-operator); after the last gate each qubit that owes work gets one call.
+:class:`NoiseParams` owns the gate durations, which only basis kinds have.
+Under noise each gate of a compiled circuit advances the clock by its
+duration, and each qubit (only the gate's own, if ``idle_damping`` is off)
+decays for that long. A density matrix is run as a vector over 2n qubit
+indices, row bits then column bits, where a gate u is u (x) u* (Havel,
+J. Math. Phys. 44, 534, 2003). Each qubit owes one 4x4 superoperator: its
+1-qubit gates join it, with no kernel call, after its decay (Nielsen &
+Chuang 8.3.5) over the time it has aged. A 2-qubit gate runs its qubits'
+entries and itself in one kernel call; a wider one (only in a noiseless
+run) runs its qubits' entries, then u on the row and u* on the column bits
+(no 16^k operator); after the last gate each qubit that owes work gets one
+call.
 This fusion (Haner & Steiger, SC'17) is exact: damping on one qubit
 commutes with gates on others, and damping for t1 then t2 is damping for
 t1 + t2. A statevector run is not fused: that made ``hybrid_random`` 15 %
@@ -29,8 +31,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import qstate
-from .circuits import gate_matrix
-from .errors import DomainError, ValidationError
+from .circuits import gate_matrix, is_basis
+from .errors import CompileError, DomainError, ValidationError
 from .qstate import DensityMatrix, MeasurementHistogram, StateVector
 
 
@@ -134,7 +136,7 @@ def run_noisy(circuit, noise: NoiseParams | None = None, initial=None):
     compiled, in order, to ``initial`` (default |0...0>) and return the
     final, pre-measurement state. Without ``noise`` nothing decays and a
     statevector stays one; with it the run is on a density matrix under
-    amplitude damping.
+    amplitude damping, and a gate of a non-basis kind raises CompileError.
 
     ``circuit`` may also be a sequence of circuits that share one skeleton
     (the same gate kinds on the same qubits; DomainError otherwise), all run
@@ -152,6 +154,10 @@ def run_noisy(circuit, noise: NoiseParams | None = None, initial=None):
     for c in items[1:]:
         if c.num_qubits != n or [(g.kind, g.qubits) for g in c.gates] != skeleton:
             raise DomainError("the circuits of a batch do not share one skeleton")
+    if noise is not None:
+        for g in first.gates:
+            if not is_basis(g.kind):
+                raise CompileError(f"gate kind {g.kind!r} has no duration: compile first")
     state = qstate.basis_state(n, 0) if initial is None else initial
     if noise is not None and isinstance(state, StateVector):
         state = state.to_density_matrix()

@@ -9,10 +9,10 @@ arrays with a leading batch axis. A density matrix over n qubits is, by a
 reshape, a vector over 2n qubit indices: row bits, then column bits.
 
 Values are checked where they enter, against an absolute tolerance
-(:func:`within_atol`): in the public state constructors and for the operator
-of ``apply_unitary`` and ``apply_controlled``. States derived from checked
-states are built by ``_State._trusted``: not copied, renormalized or checked
-again.
+(:func:`within_atol`): in the public state constructors, in
+:func:`circuits.gate` and in :class:`problem.HermitianProblem`. States
+derived from checked states are built by ``_State._trusted``: not copied,
+renormalized or checked again.
 """
 
 from __future__ import annotations

@@ -141,9 +141,8 @@ def analyze_qpea(
     if not peaks:
         return EigenEstimate(n, {}, (), False, 0.0)
     means = tuple(sum(int(s[k]) for s in peaks) / len(peaks) for k in range(n))
-    estimate = EigenEstimate(n, peaks, means, False, coverage)
-    reducible = bool(estimate.fixed_positions) and coverage >= coverage_bound
-    return EigenEstimate(n, peaks, means, reducible, coverage)
+    fixed = any(m in (0.0, 1.0) for m in means)  # as EigenEstimate.fixed_positions
+    return EigenEstimate(n, peaks, means, fixed and coverage >= coverage_bound, coverage)
 
 
 def estimate_from_spectral(problem: HermitianProblem, n: int) -> EigenEstimate:

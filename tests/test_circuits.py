@@ -73,7 +73,7 @@ class TestGate:
             ("h", (0,), {"params": (0.1,)}, "takes 0 parameter"),
             ("rz", (0,), {"params": (0.1, 0.2)}, "takes 1 parameter"),
             ("cnot", (0,), {}, "acts on 2 qubit"),
-            ("x", (0, 1), {}, "acts on 1 qubit"),
+            ("h", (0, 1), {}, "acts on 1 qubit"),
             ("unitary", (0,), {}, "needs a matrix"),
             ("cunitary", (0, 1), {}, "needs a matrix"),
             ("h", (0,), {"matrix": np.eye(2)}, "takes no matrix"),
@@ -83,6 +83,8 @@ class TestGate:
             ("phase", (0,), {"params": (0.1,)}, "unknown gate kind"),
             ("ccry", (0, 1, 2), {"params": (0.1,)}, "unknown gate kind"),
             ("measure", (0,), {}, "unknown gate kind"),
+            ("x", (0,), {}, "unknown gate kind"),
+            ("rx", (0,), {"params": (0.1,)}, "unknown gate kind"),
         ],
     )
     def test_rejects_wrong_signature(self, kind, qubits, kwargs, match):
@@ -232,31 +234,46 @@ class TestMultiplexedRy:
         np.testing.assert_allclose(gate_matrix(inv), gate_matrix(g).conj().T, atol=1e-12)
 
 
-# every kind compile_circuit lowers, in the shapes it lowers
-_KINDS = ["h", "x", "rx", "ry", "rz", "cnot", "swap", "cphase", "unitary", "cunitary", "mry"]
+# every kind of the table, so none can be left out
+_KINDS = list(circuits._KINDS)
+
+
+def _random_gate(rng, kind, n):
+    """A random gate of ``kind`` on random wires of n, in a shape
+    compile_circuit lowers: one target for an explicit matrix, at most two
+    controls for an mry."""
+    spec = circuits._KINDS[kind]
+    wires = [int(q) for q in rng.permutation(n)]
+    if spec.controls is not None:
+        return gate(kind, *wires[: spec.controls + 1], matrix=_random_unitary(rng))
+    if spec.params is None:
+        k = int(rng.integers(min(2, n - 1) + 1))
+        return gate(kind, *wires[: k + 1], params=rng.uniform(-np.pi, np.pi, 2**k))
+    return gate(kind, *wires[: spec.qubits], params=rng.uniform(-np.pi, np.pi, spec.params))
 
 
 def _random_circuit(rng, n, length):
-    gates = []
-    for _ in range(length):
-        kind = _KINDS[rng.integers(len(_KINDS))]
-        wires = [int(q) for q in rng.permutation(n)]
-        angle = float(rng.uniform(-np.pi, np.pi))
-        if kind in ("h", "x"):
-            gates.append(gate(kind, wires[0]))
-        elif kind in ("rx", "ry", "rz"):
-            gates.append(gate(kind, wires[0], params=(angle,)))
-        elif kind in ("cnot", "swap"):
-            gates.append(gate(kind, *wires[:2]))
-        elif kind == "cphase":
-            gates.append(gate(kind, *wires[:2], params=(angle,)))
-        elif kind in ("unitary", "cunitary"):
-            width = 1 + (kind == "cunitary")
-            gates.append(gate(kind, *wires[:width], matrix=_random_unitary(rng)))
-        else:
-            k = int(rng.integers(min(2, n - 1) + 1))
-            gates.append(gate(kind, *wires[: k + 1], params=rng.uniform(-np.pi, np.pi, 2**k)))
-    return gates
+    return [_random_gate(rng, _KINDS[rng.integers(len(_KINDS))], n) for _ in range(length)]
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_kind_record_agrees_with_itself(kind):
+    """Each record's matrix, adjoint, lowering and CNOT count agree."""
+    rng = np.random.default_rng(_KINDS.index(kind))
+    spec = circuits._KINDS[kind]
+    assert (spec.lower is None) == circuits.is_basis(kind) == (spec.qasm is not None)
+    for _ in range(10):
+        g = _random_gate(rng, kind, 3)
+        m = gate_matrix(g)
+        assert m.shape == (2 ** len(g.qubits),) * 2
+        np.testing.assert_allclose(m @ m.conj().T, np.eye(len(m)), atol=1e-12)
+        (inverse,) = adjoint([g])
+        np.testing.assert_allclose(gate_matrix(inverse), m.conj().T, atol=1e-12)
+        lowered = circuits._lower(g)
+        assert all(circuits.is_basis(b.kind) for b in lowered)
+        assert equal_up_to_phase(circuit_unitary(lowered, 3), circuit_unitary([g], 3), atol=1e-9)
+        emitted = sum(1 for b in lowered if b.kind == "cnot")
+        assert circuits.cnot_count(Circuit(3, (g,))) == emitted
 
 
 class TestMeasured:
@@ -264,12 +281,12 @@ class TestMeasured:
 
     def test_repeated_qubit_rejected(self):
         with pytest.raises(DomainError, match="qubit 0 is measured more than once"):
-            Circuit(2, (gate("x", 0),), {}, (0, 1, 0))
+            Circuit(2, (gate("h", 0),), {}, (0, 1, 0))
 
     def test_out_of_range_qubit_rejected(self):
         for q in (2, -1):
             with pytest.raises(DomainError, match=f"measured qubit {q} lies outside 0..1"):
-                Circuit(2, (gate("x", 0),), {}, (1, q))
+                Circuit(2, (gate("h", 0),), {}, (1, q))
 
     def test_hhl_circuit_measures_ancilla_then_register(self):
         problem = build_a_lambda(0.25)
@@ -305,7 +322,7 @@ class TestCompile:
         rng = np.random.default_rng(seed)
         gates = _random_circuit(rng, n, length)
         compiled = compile_circuit(Circuit(n, tuple(gates), {}))
-        assert all(g.kind in ("cnot", "h", "x", "rx", "ry", "rz") for g in compiled.gates)
+        assert all(circuits.is_basis(g.kind) for g in compiled.gates)
         u_src = circuit_unitary(gates, n)
         u_cmp = circuit_unitary([g for g in compiled.gates], n)
         assert equal_up_to_phase(u_cmp, u_src, atol=1e-8)

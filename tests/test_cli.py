@@ -245,6 +245,20 @@ class TestSweep:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "--k" in err
 
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["sweep", "--points", "3", "--k", "1,x"], "--k"),
+            (["compare", "--lambdas", "x"], "--lambdas"),
+        ],
+        ids=["k", "lambdas"],
+    )
+    def test_list_entry_that_does_not_convert_names_its_flag(self, tmp_path, capsys, argv, flag):
+        code, raw = run(tmp_path, *argv)
+        assert (code, raw) == (EXIT_VALIDATION, b"")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} takes ") and err.rstrip().endswith("got 'x'")
+
 
 # A = diag(1/4, 3/4), b = |+>: the QPEA must see both eigenvalues, on every path
 DIAG_PLUS = (

@@ -5,9 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hhlsim import circuits, qstate, solvers
+from hhlsim import circuits, qpe, qstate, solvers
 from hhlsim.circuits import Circuit, compile_circuit, gate
-from hhlsim.errors import DomainError, ValidationError
+from hhlsim.errors import CompileError, DomainError, ValidationError
 from hhlsim.noise import (
     NoiseParams,
     damping_channel,
@@ -127,19 +127,18 @@ def _eager_run(compiled, noise, rho):
     return rho, {format(y, f"0{k}b"): p for y, p in enumerate(seen)}
 
 
+_BASIS = [kind for kind in circuits._KINDS if circuits.is_basis(kind)]
+
+
 def _random_compiled(n, rng, num_gates=40):
-    """Random basis-gate circuit with zero-duration rz that reads out a
-    random subset of its qubits in random order."""
+    """Random circuit over every basis kind (rz of zero duration) that reads
+    out a random subset of its qubits in random order."""
     gates = []
     for _ in range(num_gates):
-        kind = rng.choice(["h", "x", "rx", "ry", "rz", "rz", "cnot", "cnot"])
-        if kind == "cnot":
-            c, t = rng.choice(n, size=2, replace=False)
-            gates.append(gate("cnot", int(c), int(t)))
-        elif kind in ("rx", "ry", "rz"):
-            gates.append(gate(kind, int(rng.integers(n)), params=(rng.uniform(-np.pi, np.pi),)))
-        else:
-            gates.append(gate(kind, int(rng.integers(n))))
+        kind = _BASIS[rng.integers(len(_BASIS))]
+        spec = circuits._KINDS[kind]
+        qubits = (int(q) for q in rng.choice(n, size=spec.qubits, replace=False))
+        gates.append(gate(kind, *qubits, params=rng.uniform(-np.pi, np.pi, spec.params)))
     measured = rng.permutation(n)[: rng.integers(1, n + 1)]
     return Circuit(n, tuple(gates), {}, tuple(int(q) for q in measured))
 
@@ -229,6 +228,18 @@ class TestRunNoisy:
         noisy = solvers.run_original_hhl(problem, 2, noise=NoiseParams())
         assert noisy.fidelity < zero.fidelity
 
+    def test_refuses_uncompiled_gates(self):
+        # a cunitary timed as one 60 ns single-qubit gate gave Pr(00) = 0.0349, not 0.0399
+        source = qpe.build_qpe(qpe.QpeConfig(2, build_a_lambda(0.3)))
+        with pytest.raises(CompileError, match="'cunitary' has no duration: compile first"):
+            run_noisy(source, NoiseParams())
+        with pytest.raises(CompileError, match="'swap'"):
+            run_noisy([Circuit(2, (gate("h", 0), gate("swap", 0, 1)))] * 2, NoiseParams())
+        compiled = compile_circuit(source)
+        hist = readout_distribution(run_noisy(compiled, NoiseParams()), compiled, NoiseParams())
+        assert hist.outcomes == qpe.run_qpea(build_a_lambda(0.3), 2, noise=NoiseParams()).outcomes
+        assert hist.outcomes["00"] == pytest.approx(0.0399, abs=5e-5)
+
     def test_readout_flip_changes_histogram(self):
         circ = Circuit(1, (), {}, (0,))
         compiled = compile_circuit(circ)
@@ -283,9 +294,9 @@ class TestBatch:
     @pytest.mark.parametrize(
         "other",
         [
-            (gate("h", 0), gate("rx", 1, params=(0.2,))),  # another kind
+            (gate("h", 0), gate("rz", 1, params=(0.2,))),  # another kind
             (gate("h", 1), gate("ry", 1, params=(0.2,))),  # another qubit
-            (gate("h", 0), gate("ry", 1, params=(0.2,)), gate("x", 0)),  # longer
+            (gate("h", 0), gate("ry", 1, params=(0.2,)), gate("h", 0)),  # longer
         ],
         ids=["kind", "qubits", "length"],
     )
@@ -323,9 +334,11 @@ class TestLazyDamping:
             assert hist.outcomes[key] == pytest.approx(p, abs=1e-12)
 
     def test_idle_damping_off_spares_untouched_qubits(self):
-        compiled = Circuit(2, (gate("x", 0), gate("x", 1), gate("h", 0)))
+        flip = (np.pi,)  # ry(pi) takes |0> to |1>
+        gates = (gate("ry", 0, params=flip), gate("ry", 1, params=flip), gate("h", 0))
+        compiled = Circuit(2, gates)
         rho = run_noisy(compiled, NoiseParams(t1_ns=100.0, idle_damping=False))
-        # qubit 1 aged only during its own x gate: excited population e^{-60/100}
+        # qubit 1 aged only during its own ry gate: excited population e^{-60/100}
         excited = np.real(rho.entries[1, 1] + rho.entries[3, 3])
         assert excited == pytest.approx(np.exp(-0.6), abs=1e-12)
 
@@ -364,10 +377,10 @@ class TestFusedExecutor:
     @pytest.mark.parametrize("idle_damping", [True, False])
     def test_entries_pending_on_both_cnot_qubits(self, idle_damping):
         gates = (
-            gate("h", 0), gate("ry", 1, params=(0.4,)), gate("x", 2),
-            gate("rx", 0, params=(-1.1,)), gate("rz", 1, params=(0.9,)),
+            gate("h", 0), gate("ry", 1, params=(0.4,)), gate("ry", 2, params=(np.pi,)),
+            gate("ry", 0, params=(-1.1,)), gate("rz", 1, params=(0.9,)),
             gate("cnot", 0, 1), gate("h", 1), gate("ry", 2, params=(2.0,)),
-            gate("cnot", 2, 1), gate("x", 0), gate("cnot", 1, 0), gate("rz", 2, params=(0.3,)),
+            gate("cnot", 2, 1), gate("h", 0), gate("cnot", 1, 0), gate("rz", 2, params=(0.3,)),
         )
         compiled = Circuit(3, gates)
         noise = NoiseParams(t1_ns=900.0, idle_damping=idle_damping)
