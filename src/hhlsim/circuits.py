@@ -11,15 +11,17 @@ measurement is deferred to the end (Nielsen & Chuang 4.4), on the qubits
 ``Circuit.measured`` lists.
 
 The executor (:func:`noise.run_noisy`) applies every kind directly through
-:func:`gate_matrix`, under noise only basis kinds; an ``mry`` is the
+:func:`gate_matrix`, on a density matrix only basis kinds; an ``mry`` is the
 block-diagonal matrix of its Ry blocks, so it runs for any number of
 controls, while its lowering supports at most two. A compiled circuit is a
 :class:`Circuit` of basis gates; :func:`cnot_count` gives its CNOT count, or
 that of a source circuit, without compiling (``Circuit.cnot_count``).
 
-A gate is checked once, when :func:`gate` makes it (lowerings do too), or,
-for b's preparation, by its problem. Adjoints and the executor do not check
-again. :func:`simplify` is the one place zero rotations are dropped.
+A gate is checked once, when :func:`gate` makes it, or, for b's
+preparation, by its problem. Lowerings build their basis gates as
+:class:`Gate` directly, on the checked gate's qubits with finite angles
+derived from its own; adjoints and the executor do not check again.
+:func:`simplify` is the one place zero rotations are dropped.
 
 Documented decomposition set (gate-count accounting relies on it), exact up
 to global phase, so a diagonal phase on one qubit is emitted as ``rz``:
@@ -236,25 +238,25 @@ def decompose_controlled_unitary(u, control: int, target: int) -> list[Gate]:
     alpha, beta, gamma, delta = zyz_angles(u)
     # application order: C, CX, B, CX, A; A B C = I and A X B X C = u (phase aside)
     return [
-        gate("rz", target, params=((delta - beta) / 2,)),
-        gate("cnot", control, target),
-        gate("rz", target, params=(-(delta + beta) / 2,)),
-        gate("ry", target, params=(-gamma / 2,)),
-        gate("cnot", control, target),
-        gate("ry", target, params=(gamma / 2,)),
-        gate("rz", target, params=(beta,)),
-        gate("rz", control, params=(alpha,)),
+        Gate("rz", (target,), ((delta - beta) / 2,)),
+        Gate("cnot", (control, target)),
+        Gate("rz", (target,), (-(delta + beta) / 2,)),
+        Gate("ry", (target,), (-gamma / 2,)),
+        Gate("cnot", (control, target)),
+        Gate("ry", (target,), (gamma / 2,)),
+        Gate("rz", (target,), (beta,)),
+        Gate("rz", (control,), (alpha,)),
     ]
 
 
 def _cphase_gates(g: Gate) -> list[Gate]:
     half, (control, target) = g.params[0] / 2, g.qubits
     return [
-        gate("rz", control, params=(half,)),
-        gate("rz", target, params=(half,)),
-        gate("cnot", control, target),
-        gate("rz", target, params=(-half,)),
-        gate("cnot", control, target),
+        Gate("rz", (control,), (half,)),
+        Gate("rz", (target,), (half,)),
+        Gate("cnot", (control, target)),
+        Gate("rz", (target,), (-half,)),
+        Gate("cnot", (control, target)),
     ]
 
 
@@ -262,20 +264,20 @@ def _zyz_gates(g: Gate) -> list[Gate]:
     """rz, ry, rz of a 1-qubit unitary, its global phase dropped."""
     _, beta, gamma, delta = zyz_angles(g.matrix)
     rotations = (("rz", delta), ("ry", gamma), ("rz", beta))
-    return [gate(r, *g.qubits, params=(angle,)) for r, angle in rotations]
+    return [Gate(r, g.qubits, (angle,)) for r, angle in rotations]
 
 
 def _swap_gates(g: Gate) -> list[Gate]:
     a, b = g.qubits
-    return [gate("cnot", a, b), gate("cnot", b, a), gate("cnot", a, b)]
+    return [Gate("cnot", (a, b)), Gate("cnot", (b, a)), Gate("cnot", (a, b))]
 
 
 def _cry_gates(angle: float, control: int, target: int) -> list[Gate]:
     return [
-        gate("ry", target, params=(angle / 2,)),
-        gate("cnot", control, target),
-        gate("ry", target, params=(-angle / 2,)),
-        gate("cnot", control, target),
+        Gate("ry", (target,), (angle / 2,)),
+        Gate("cnot", (control, target)),
+        Gate("ry", (target,), (-angle / 2,)),
+        Gate("cnot", (control, target)),
     ]
 
 
@@ -283,30 +285,30 @@ def _toffoli_gates(a: int, b: int, t: int) -> list[Gate]:
     """Standard six-CNOT Toffoli with T = rz(pi/4), up to global phase."""
     T = np.pi / 4
     return [
-        gate("h", t),
-        gate("cnot", b, t),
-        gate("rz", t, params=(-T,)),
-        gate("cnot", a, t),
-        gate("rz", t, params=(T,)),
-        gate("cnot", b, t),
-        gate("rz", t, params=(-T,)),
-        gate("cnot", a, t),
-        gate("rz", b, params=(T,)),
-        gate("rz", t, params=(T,)),
-        gate("h", t),
-        gate("cnot", a, b),
-        gate("rz", a, params=(T,)),
-        gate("rz", b, params=(-T,)),
-        gate("cnot", a, b),
+        Gate("h", (t,)),
+        Gate("cnot", (b, t)),
+        Gate("rz", (t,), (-T,)),
+        Gate("cnot", (a, t)),
+        Gate("rz", (t,), (T,)),
+        Gate("cnot", (b, t)),
+        Gate("rz", (t,), (-T,)),
+        Gate("cnot", (a, t)),
+        Gate("rz", (b,), (T,)),
+        Gate("rz", (t,), (T,)),
+        Gate("h", (t,)),
+        Gate("cnot", (a, b)),
+        Gate("rz", (a,), (T,)),
+        Gate("rz", (b,), (-T,)),
+        Gate("cnot", (a, b)),
     ]
 
 
 def _ccry_gates(angle: float, c1: int, c2: int, target: int) -> list[Gate]:
     """Toffoli conjugation: Ry(angle) on the target iff both controls are set."""
     return (
-        [gate("ry", target, params=(angle / 2,))]
+        [Gate("ry", (target,), (angle / 2,))]
         + _toffoli_gates(c1, c2, target)
-        + [gate("ry", target, params=(-angle / 2,))]
+        + [Gate("ry", (target,), (-angle / 2,))]
         + _toffoli_gates(c1, c2, target)
     )
 
@@ -371,7 +373,7 @@ def controlled_ry_chain(angles, controls, target: int) -> list[Gate]:
     for s, phi in _subset_angles(angles, k):
         members = [controls[i] for i in range(k) if s & (1 << (k - 1 - i))]
         if not members:
-            out.append(gate("ry", target, params=(phi,)))
+            out.append(Gate("ry", (target,), (phi,)))
         elif len(members) == 1:
             out.extend(_cry_gates(phi, members[0], target))
         else:

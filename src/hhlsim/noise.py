@@ -1,25 +1,26 @@
 """The noise model and the circuit executor, :func:`run_noisy`: without
 noise on a statevector, with amplitude damping (T1) on a density matrix,
-for one circuit or, over a leading batch axis, several that share one
-skeleton. Readout errors are per-bit flips of the measured distribution.
+for one circuit or several that share one skeleton. Readout errors are
+per-bit flips of the measured distribution.
 
 :class:`NoiseParams` owns the gate durations, which only basis kinds have.
-Under noise each gate of a compiled circuit advances the clock by its
+Under noise each gate of a compiled circuit advances one clock by its
 duration, and each qubit (only the gate's own, if ``idle_damping`` is off)
 decays for that long. A density matrix is run as a vector over 2n qubit
 indices, row bits then column bits, where a gate u is u (x) u* (Havel,
-J. Math. Phys. 44, 534, 2003). Each qubit owes one 4x4 superoperator: its
-1-qubit gates join it, with no kernel call, after its decay (Nielsen &
-Chuang 8.3.5) over the time it has aged. A 2-qubit gate runs its qubits'
-entries and itself in one kernel call; a wider one (only in a noiseless
-run) runs its qubits' entries, then u on the row and u* on the column bits
-(no 16^k operator); after the last gate each qubit that owes work gets one
-call.
-This fusion (Haner & Steiger, SC'17) is exact: damping on one qubit
-commutes with gates on others, and damping for t1 then t2 is damping for
-t1 + t2. A statevector run is not fused: that made ``hybrid_random`` 15 %
-slower (188 -> 161 ops per kref), as a 2x2 on at most 256 amplitudes costs
-less than the Kronecker products.
+J. Math. Phys. 44, 534, 2003), in three steps (after Haner & Steiger,
+SC'17). A plan in plain Python gives each qubit its chain of 1-qubit gates
+and decays (Nielsen & Chuang 8.3.5), each decay over the clock since the
+qubit last settled, and groups the CNOTs into blocks: maximal runs on one
+qubit pair with no other 2-qubit gate on either qubit between them. Every
+superoperator is then made in a few batched calls: the 1-qubit u (x) u*,
+the decays, the chain products, the chains before each CNOT joined to it,
+the product of each block. Last, each block takes one kernel call, and
+each qubit that still owes work one more. This is exact: damping on one
+qubit commutes with gates on others, and damping for t1 then t2 is damping
+for t1 + t2. A statevector run is not fused: that made ``hybrid_random``
+15 % slower (188 -> 161 ops per kref), as a 2x2 on at most 256 amplitudes
+costs less than the Kronecker products.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import qstate
-from .circuits import gate_matrix, is_basis
+from .circuits import gate, gate_matrix, is_basis
 from .errors import CompileError, DomainError, ValidationError
 from .qstate import DensityMatrix, MeasurementHistogram, StateVector
 
@@ -101,14 +102,15 @@ def damping_channel(rho: DensityMatrix, qubit: int, t: float, t1: float) -> Dens
     return DensityMatrix._trusted(n, out[0])
 
 
-def _decay(t: float, t1: float) -> np.ndarray:
-    """The Kraus sum K0 rho K0^+ + K1 rho K1^+ over (row bit, column bit):
-    rho_00 += gamma rho_11, the coherences scale by sqrt(1 - gamma) and
-    rho_11 by 1 - gamma, where gamma = 1 - exp(-t / t1)."""
-    gamma = 1.0 - math.exp(-t / t1)
-    d = np.zeros((4, 4), dtype=complex)
-    d[0, 0], d[0, 3], d[3, 3] = 1.0, gamma, 1.0 - gamma
-    d[1, 1] = d[2, 2] = math.sqrt(1.0 - gamma)
+def _decay(t, t1: float) -> np.ndarray:
+    """The Kraus sum K0 rho K0^+ + K1 rho K1^+ over (row bit, column bit),
+    for a time ``t`` or a stack over an array of them: rho_00 += gamma rho_11,
+    the coherences scale by sqrt(1 - gamma) and rho_11 by 1 - gamma, where
+    gamma = 1 - exp(-t / t1)."""
+    gamma = 1.0 - np.exp(-np.asarray(t, dtype=float) / t1)
+    d = np.zeros(gamma.shape + (4, 4), dtype=complex)
+    d[..., 0, 0], d[..., 0, 3], d[..., 3, 3] = 1.0, gamma, 1.0 - gamma
+    d[..., 1, 1] = d[..., 2, 2] = np.sqrt(1.0 - gamma)
     return d
 
 
@@ -136,13 +138,15 @@ def run_noisy(circuit, noise: NoiseParams | None = None, initial=None):
     compiled, in order, to ``initial`` (default |0...0>) and return the
     final, pre-measurement state. Without ``noise`` nothing decays and a
     statevector stays one; with it the run is on a density matrix under
-    amplitude damping, and a gate of a non-basis kind raises CompileError.
+    amplitude damping. On a density matrix a gate of a non-basis kind
+    raises CompileError.
 
     ``circuit`` may also be a sequence of circuits that share one skeleton
     (the same gate kinds on the same qubits; DomainError otherwise), all run
-    from ``initial`` in one pass over a leading batch axis: where the items'
-    gates are equal one matrix serves all, elsewhere a stack of one matrix
-    per item. A list of final states is returned then, in circuit order.
+    from ``initial``: on a statevector in one pass over a leading batch axis,
+    where the items' gates are equal one matrix serves all, elsewhere a stack
+    of one matrix per item; on a density matrix one by one. A list of final
+    states is returned then, in circuit order.
     """
     single = hasattr(circuit, "gates")
     items = [circuit] if single else list(circuit)
@@ -154,81 +158,115 @@ def run_noisy(circuit, noise: NoiseParams | None = None, initial=None):
     for c in items[1:]:
         if c.num_qubits != n or [(g.kind, g.qubits) for g in c.gates] != skeleton:
             raise DomainError("the circuits of a batch do not share one skeleton")
-    if noise is not None:
-        for g in first.gates:
-            if not is_basis(g.kind):
-                raise CompileError(f"gate kind {g.kind!r} has no duration: compile first")
     state = qstate.basis_state(n, 0) if initial is None else initial
     if noise is not None and isinstance(state, StateVector):
         state = state.to_density_matrix()
-    density = isinstance(state, DensityMatrix)
-    data = (state.entries if density else state.amplitudes)[None]
-    pending = _Pending(n, noise)
+    if isinstance(state, DensityMatrix):
+        for g in first.gates:
+            if not is_basis(g.kind):
+                raise CompileError(f"gate kind {g.kind!r} has no duration: compile first")
+        data = state.entries[None]
+        states = [DensityMatrix._trusted(n, _run_density(c, noise, data)[0]) for c in items]
+        return states[0] if single else states
+    data = state.amplitudes[None]
     for i, g in enumerate(first.gates):
-        others = [c.gates[i] for c in items[1:]]
         u = gate_matrix(g)
-        if not all(_same(h, g) for h in others):
-            u = _stacked(u, others)
-        data = pending.apply(data, g, u) if density else qstate.apply_operator(data, u, g.qubits, n)
-    data = pending.flush(data, range(n))  # a statevector run owes nothing
-    data = np.broadcast_to(data, (len(items),) + data.shape[1:])
-    states = [type(state)._trusted(n, item) for item in data]
+        if not single and not all(_same(c.gates[i], g) for c in items[1:]):
+            u = _stacked(u, [c.gates[i] for c in items[1:]])
+        data = qstate.apply_operator(data, u, g.qubits, n)
+    states = [StateVector._trusted(n, item) for item in np.broadcast_to(data, (len(items), 2**n))]
     return states[0] if single else states
+
+
+def _run_density(circuit, noise: NoiseParams | None, data: np.ndarray) -> np.ndarray:
+    """A compiled circuit on a batch of one vectorized density matrix:
+    planned, its superoperators batched, one kernel call per CNOT block."""
+    n, idle = circuit.num_qubits, noise is None or noise.idle_damping
+    clock, since, last = 0.0, [0.0] * n, [0.0] * n  # per qubit: settled at, last gate's time
+    chains = [[] for _ in range(n)]  # each qubit's items since its last CNOT
+    ones, times, runs, flips, blocks, open_block = [], [], [], [], [], [None] * n
+
+    def settle(q):  # decay j is item ~j: ops[~j], at the end of the stack
+        if (t := clock - since[q] if idle else last[q]) > 0:
+            chains[q].append(~len(times))
+            times.append(t)
+
+    for g in circuit.gates:
+        dt = 0.0 if noise is None else noise.duration(g)
+        for q in g.qubits:
+            settle(q)
+            since[q], last[q] = clock, dt
+        clock += dt
+        if len(g.qubits) == 1:
+            chains[g.qubits[0]].append(len(ones))
+            ones.append(gate_matrix(g))
+            continue
+        a, b = g.qubits
+        block = open_block[a]
+        if block is None or block is not open_block[b]:
+            for closed in (open_block[a], open_block[b]):
+                for q in closed[0] if closed else ():
+                    open_block[q] = None
+            block = open_block[a] = open_block[b] = (g.qubits, [])
+            blocks.append(block)
+        block[1].append(len(flips))
+        flips.append(block[0] != g.qubits)
+        for q in block[0]:
+            runs.append(chains[q])
+            chains[q] = []
+    for q in range(n):
+        settle(q)
+    owing = [q for q in range(n) if chains[q]]
+    runs += [chains[q] for q in owing]
+    u = np.array(ones).reshape(-1, 2, 2)
+    decays = _decay(times[::-1], noise.t1_ns) if times else np.empty((0, 4, 4))
+    ops = np.concatenate([_kron(u, u.conj()), np.eye(4)[None], decays])
+    products = _products(ops, runs, len(ones))
+    if flips:
+        before = _kron(products[0 : 2 * len(flips) : 2], products[1 : 2 * len(flips) : 2])
+        steps = _CNOT_SUPER[np.array(flips, dtype=np.intp)] @ before[:, _PAIR[:, None], _PAIR]
+        steps = np.concatenate([steps, np.eye(16)[None]])
+        for (pair, _), op in zip(blocks, _products(steps, [m for _, m in blocks], len(flips))):
+            data = qstate.apply_operator(data, op, (*pair, *(q + n for q in pair)), 2 * n)
+    for q, op in zip(owing, products[len(runs) - len(owing) :]):
+        data = qstate.apply_operator(data, op, (q, q + n), 2 * n)
+    return data
+
+
+def _products(ops: np.ndarray, runs, identity: int) -> np.ndarray:
+    """The product of each run of indices into the stack ``ops``, its first
+    applied first: the runs, padded with ``identity`` into one table with the
+    longest first, are scanned column by column, each step one batched
+    matmul over the runs that long."""
+    lengths = np.array([len(run) for run in runs], dtype=np.intp)
+    filled = np.arange(max(1, lengths.max(initial=0))) < lengths[:, None]
+    table = np.full(filled.shape, identity)
+    table[filled] = [i for run in runs for i in run]
+    order, active = np.argsort(-lengths, kind="stable"), filled.sum(axis=0)
+    table = table[order]
+    out = ops[table[:, 0]]
+    for j in range(1, table.shape[1]):
+        out[: active[j]] = ops[table[: active[j], j]] @ out[: active[j]]
+    return out[np.argsort(order)]
 
 
 # kron(F_a, F_b) indexes (row a, column a, row b, column b); the kernel's
 # targets (a, b, a + n, b + n) index (row a, row b, column a, column b)
 _PAIR = np.arange(16).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(-1)
-_IDENTITY = np.eye(4, dtype=complex)
-
-
-class _Pending:
-    """What each qubit of a density-matrix run owes: a superoperator over its
-    (row bit, column bit) or None, and the time it has decayed since."""
-
-    def __init__(self, n: int, noise: NoiseParams | None):
-        self.n, self.noise, self.ops, self.times = n, noise, [None] * n, [0.0] * n
-
-    def take(self, q: int):
-        """Qubit q's superoperator, its decay applied last, or None; q then owes nothing."""
-        op, t = self.ops[q], self.times[q]
-        if t > 0:
-            decay = _decay(t, self.noise.t1_ns)
-            op = decay if op is None else decay @ op
-        self.ops[q], self.times[q] = None, 0.0
-        return op
-
-    def apply(self, data: np.ndarray, g, u: np.ndarray) -> np.ndarray:
-        """Gate ``g`` with matrix (or stack) ``u``, fused as the module says."""
-        n, qubits = self.n, g.qubits
-        if len(qubits) > 2:
-            data = qstate.apply_on_both_sides(self.flush(data, qubits), u, qubits, n)
-        else:
-            owed = [self.take(q) for q in qubits]
-            op = _kron(u, u.conj())
-            if len(qubits) == 1:
-                self.ops[qubits[0]] = op if owed[0] is None else op @ owed[0]
-            else:
-                before = _kron(*(_IDENTITY if f is None else f for f in owed))
-                op = op @ before[..., _PAIR[:, None], _PAIR]
-                data = qstate.apply_operator(data, op, (*qubits, *(q + n for q in qubits)), 2 * n)
-        if self.noise is not None and (dt := self.noise.duration(g)) > 0:
-            for q in range(n) if self.noise.idle_damping else qubits:
-                self.times[q] += dt
-        return data
-
-    def flush(self, data: np.ndarray, qubits) -> np.ndarray:
-        """Apply what each of ``qubits`` owes, one kernel call per qubit."""
-        for q in qubits:
-            if (op := self.take(q)) is not None:
-                data = qstate.apply_operator(data, op, (q, q + self.n), 2 * self.n)
-        return data
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of square matrices, or of stacks of them."""
     out = a[..., :, None, :, None] * b[..., None, :, None, :]
     return out.reshape(out.shape[:-4] + (out.shape[-1] * out.shape[-3],) * 2)
+
+
+# u (x) u* over (row a, row b, column a, column b) of cnot(a, b), and of
+# cnot(b, a), which is the same with a's and b's bits exchanged
+_FLIP = np.arange(16).reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(-1)
+_CNOT = gate_matrix(gate("cnot", 0, 1))
+_CNOT_SUPER = _kron(_CNOT, _CNOT.conj())
+_CNOT_SUPER = np.stack([_CNOT_SUPER, _CNOT_SUPER[_FLIP[:, None], _FLIP]])
 
 
 def _stacked(first: np.ndarray, others) -> np.ndarray:

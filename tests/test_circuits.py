@@ -23,8 +23,8 @@ from hhlsim.circuits import (
     simplify,
     zyz_angles,
 )
-from hhlsim.errors import CompileError, DomainError, ValidationError
-from hhlsim.noise import run_noisy
+from hhlsim.errors import CompileError, DomainError, HhlError, ValidationError
+from hhlsim.noise import NoiseParams, run_noisy
 from hhlsim.problem import HermitianProblem, build_a_lambda, unitary_power
 
 
@@ -468,6 +468,25 @@ class TestValidateOnce:
         run_noisy(Circuit(2, tuple(gates + inverse), {}))
         assert len(calls) == 2
         assert not inverse[0].matrix.flags.writeable
+
+    def test_lowerings_build_what_gate_would(self, monkeypatch):
+        # the noisy benchmark's solves: original at n = 2, hybrid from n = 2, 3, 4
+        compile_, emitted = circuits.compile_circuit, []
+        monkeypatch.setattr(
+            circuits, "compile_circuit", lambda c: emitted.append(compile_(c)) or emitted[-1]
+        )
+        for j in range(1, 32):
+            problem = build_a_lambda(j / 32)
+            solvers.run_original_hhl(problem, 2, noise=NoiseParams())
+            for n in (2, 3, 4):
+                try:
+                    solvers.run_hybrid_hhl(problem, n, noise=NoiseParams())
+                except HhlError:  # a verdict, as in the benchmark
+                    pass
+        lowered = [g for c in emitted for g in c.gates]
+        assert len(emitted) > 150 and len(lowered) > 10000
+        for g in lowered:
+            assert g == gate(g.kind, *g.qubits, params=g.params)
 
     def test_random_gates_keep_the_norm(self):
         rng = np.random.default_rng(2024)

@@ -355,24 +355,69 @@ def _hhl_compiled(n):
     return compile_circuit(solvers.build_hhl_circuit(problem, n, spec))
 
 
+def _cnot_blocks(gates):
+    """CNOT blocks counted from the gate list alone: a CNOT continues a block
+    when one gate was the last 2-qubit gate on both of its qubits."""
+    last, blocks = {}, 0
+    for i, g in enumerate(gates):
+        if g.kind == "cnot":
+            a, b = g.qubits
+            blocks += last.get(a) is None or last.get(a) != last.get(b)
+            last[a] = last[b] = i
+    return blocks
+
+
 class TestFusedExecutor:
-    """A density-matrix run takes one kernel call per CNOT, and one per qubit
-    that still owes a superoperator after the last gate."""
+    """A density-matrix run takes one kernel call per CNOT block, and one per
+    qubit that still owes a superoperator after the last gate."""
 
     @pytest.mark.parametrize("n", [2, 4])
     @pytest.mark.parametrize("idle_damping", [True, False])
-    def test_one_kernel_call_per_cnot(self, monkeypatch, n, idle_damping):
-        compiled = _hhl_compiled(n)
+    def test_one_kernel_call_per_cnot_block(self, monkeypatch, n, idle_damping):
+        compiled, blocks = _hhl_compiled(n), {2: 17, 4: 31}[n]
         kernel, calls = qstate.apply_operator, []
         monkeypatch.setattr(
             qstate, "apply_operator", lambda *a: calls.append(a[2]) or kernel(*a)
         )
         run_noisy(compiled, NoiseParams(idle_damping=idle_damping))
+        assert _cnot_blocks(compiled.gates) == blocks < compiled.cnot_count
         # every CNOT ages its own qubits, so all touched qubits owe decay at the end
         touched = {q for g in compiled.gates for q in g.qubits}
         owing = compiled.num_qubits if idle_damping else len(touched)
-        assert len(calls) == compiled.cnot_count + owing
-        assert sum(len(t) == 4 for t in calls) == compiled.cnot_count
+        assert len(calls) == blocks + owing
+        assert sum(len(t) == 4 for t in calls) == blocks
+
+    @pytest.mark.parametrize("idle_damping", [True, False])
+    def test_reversed_cnot_inside_a_block(self, idle_damping):
+        # the physical swap lowers to cnot(a, b), cnot(b, a), cnot(a, b): one block
+        source = qpe.build_qpe(qpe.QpeConfig(3, build_a_lambda(0.3)), physical_swap=True)
+        compiled = compile_circuit(source)
+        cnots = [g.qubits for g in compiled.gates if g.kind == "cnot"]
+        assert any(tuple(reversed(c)) in cnots[i + 1 : i + 2] for i, c in enumerate(cnots))
+        noise = NoiseParams(t1_ns=2000.0, idle_damping=idle_damping)
+        initial = _random_rho(4, np.random.default_rng(23))
+        rho = run_noisy(compiled, noise, initial=DensityMatrix(4, initial))
+        want, _ = _eager_run(compiled, noise, initial)
+        np.testing.assert_allclose(rho.entries, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("idle_damping", [True, False])
+    def test_block_broken_by_an_overlapping_pair(self, monkeypatch, idle_damping):
+        gates = (
+            gate("h", 0), gate("cnot", 0, 1), gate("ry", 1, params=(0.7,)),
+            gate("cnot", 1, 2), gate("rz", 0, params=(-0.4,)), gate("cnot", 0, 1),
+        )
+        compiled = Circuit(3, gates)
+        assert _cnot_blocks(gates) == 3
+        kernel, calls = qstate.apply_operator, []
+        monkeypatch.setattr(
+            qstate, "apply_operator", lambda *a: calls.append(a[2]) or kernel(*a)
+        )
+        noise = NoiseParams(t1_ns=700.0, idle_damping=idle_damping)
+        initial = _random_rho(3, np.random.default_rng(29))
+        rho = run_noisy(compiled, noise, initial=DensityMatrix(3, initial))
+        assert calls[:3] == [(0, 1, 3, 4), (1, 2, 4, 5), (0, 1, 3, 4)]
+        want, _ = _eager_run(compiled, noise, initial)
+        np.testing.assert_allclose(rho.entries, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("idle_damping", [True, False])
     def test_entries_pending_on_both_cnot_qubits(self, idle_damping):
@@ -399,12 +444,22 @@ class TestFusedExecutor:
             want, _ = _eager_run(circuit, noise, initial)
             np.testing.assert_allclose(rho.entries, want, rtol=0, atol=1e-12)
 
-    def test_uncompiled_hhl_circuit_on_a_density_matrix(self):
-        # mry on four qubits, cunitary and b's unitary: the wide-gate path
+    def test_compiled_hhl_circuit_on_a_density_matrix(self):
+        # mry on three qubits, cunitary and b's unitary, lowered; no noise
         problem = HermitianProblem([[0.25, 0.0], [0.0, 0.75]], [0.6, 0.8])
-        circuit = solvers.build_hhl_circuit(problem, 3, solvers.build_aqe(problem, 3))
-        assert max(len(g.qubits) for g in circuit.gates) == 4
-        initial = _random_rho(5, np.random.default_rng(9))
-        rho = run_noisy(circuit, initial=DensityMatrix(5, initial))
-        u = circuits.circuit_unitary(circuit.gates, 5)
+        circuit = solvers.build_hhl_circuit(problem, 2, solvers.build_aqe(problem, 2))
+        assert max(len(g.qubits) for g in circuit.gates) == 3
+        initial = _random_rho(4, np.random.default_rng(9))
+        rho = run_noisy(compile_circuit(circuit), initial=DensityMatrix(4, initial))
+        # the global phase the lowering drops cancels in u rho u^+
+        u = circuits.circuit_unitary(circuit.gates, 4)
         np.testing.assert_allclose(rho.entries, u @ initial @ u.conj().T, rtol=0, atol=1e-12)
+
+    def test_density_matrix_refuses_uncompiled_gates_without_noise(self):
+        circuit = Circuit(2, (gate("h", 0), gate("swap", 0, 1)))
+        initial = DensityMatrix(2, _random_rho(2, np.random.default_rng(3)))
+        with pytest.raises(CompileError, match="'swap' has no duration: compile first"):
+            run_noisy(circuit, initial=initial)
+        with pytest.raises(CompileError, match="'swap'"):
+            run_noisy([circuit, circuit], initial=initial)
+        run_noisy(circuit, initial=basis_state(2, 1))  # a statevector runs it
