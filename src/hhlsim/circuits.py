@@ -18,9 +18,10 @@ controls, while its lowering supports at most two. A compiled circuit is a
 that of a source circuit, without compiling (``Circuit.cnot_count``).
 
 A gate is checked once, when :func:`gate` makes it, or, for b's
-preparation, by its problem. Lowerings build their basis gates as
-:class:`Gate` directly, on the checked gate's qubits with finite angles
-derived from its own; adjoints and the executor do not check again.
+preparation and the unitary powers of QPE, by its problem. Lowerings build
+their basis gates as :class:`Gate` directly, on the checked gate's qubits
+with finite angles derived from its own; adjoints and the executor do not
+check again.
 :func:`simplify` is the one place zero rotations are dropped.
 
 Documented decomposition set (gate-count accounting relies on it), exact up

@@ -139,7 +139,8 @@ def run_noisy(circuit, noise: NoiseParams | None = None, initial=None):
     final, pre-measurement state. Without ``noise`` nothing decays and a
     statevector stays one; with it the run is on a density matrix under
     amplitude damping. On a density matrix a gate of a non-basis kind
-    raises CompileError.
+    raises CompileError; one over ``qstate.MAX_DENSITY_BYTES`` raises
+    ValidationError before it is made.
 
     ``circuit`` may also be a sequence of circuits that share one skeleton
     (the same gate kinds on the same qubits; DomainError otherwise), all run
@@ -160,6 +161,9 @@ def run_noisy(circuit, noise: NoiseParams | None = None, initial=None):
             raise DomainError("the circuits of a batch do not share one skeleton")
     state = qstate.basis_state(n, 0) if initial is None else initial
     if noise is not None and isinstance(state, StateVector):
+        if 16 * 4**n > qstate.MAX_DENSITY_BYTES:
+            limit = qstate.MAX_DENSITY_BYTES >> 20
+            raise ValidationError(f"a {n}-qubit density matrix exceeds the limit of {limit} MiB")
         state = state.to_density_matrix()
     if isinstance(state, DensityMatrix):
         for g in first.gates:

@@ -99,9 +99,12 @@ def spectral_decompose(problem: HermitianProblem) -> SpectralData:
 
 
 def unitary_power(spectral: SpectralData, m: int) -> np.ndarray:
-    """(e^{2 pi i A})^m assembled from the spectral form; m may be negative."""
+    """(e^{2 pi i A})^m from the spectral form, read-only; m may be negative.
+    Unitary by construction, V diag(phases) V^+, so gates take it unchecked."""
     phases = np.exp(2j * np.pi * m * spectral.eigenvalues)
-    return (spectral.eigenvectors * phases) @ spectral.eigenvectors.conj().T
+    u = (spectral.eigenvectors * phases) @ spectral.eigenvectors.conj().T
+    u.setflags(write=False)
+    return u
 
 
 def binary_estimate(lam: float, n: int) -> str:

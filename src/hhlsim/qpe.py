@@ -54,8 +54,8 @@ def qpe_block(problem: HermitianProblem, n: int, register, v_qubits, physical_sw
     spectral = problem.spectral
     gates = [gate("h", q) for q in register]
     for i, q in enumerate(register):
-        u = unitary_power(spectral, 2 ** (n - 1 - i))
-        gates.append(gate("cunitary", q, *v_qubits, matrix=u))
+        u = unitary_power(spectral, 2 ** (n - 1 - i))  # unitary by construction
+        gates.append(Gate("cunitary", (q, *v_qubits), (), u))
     iqft, out_register = circuits.inverse_qft_gates(register, physical_swap=physical_swap)
     gates.extend(iqft)
     return gates, out_register

@@ -26,11 +26,15 @@ from .errors import DomainError, ImpossibleOutcomeError, ValidationError
 
 ATOL = 1e-10
 
-# Widest circuit the solvers simulate. The largest dense arrays are a density
-# matrix, 16 * 4^width bytes of complex128, and the HHL encoding's mry matrix,
-# 16 * 4^(n + 1) bytes with n + 1 < width. A budget of 256 MiB = 2^28 bytes
-# per array bounds 4^width by 2^24, so width <= 12.
+# Widest circuit the solvers simulate. The largest dense array of an exact
+# run is the HHL encoding's mry matrix, 16 * 4^(n + 1) bytes of complex128
+# with n + 1 < width. A budget of 256 MiB = 2^28 bytes per array bounds
+# 4^width by 2^24, so width <= 12; a density matrix has its own budget.
 MAX_QUBITS = 12
+
+# Largest density matrix a run may hold, 64 MiB = 16 * 4^11 bytes of
+# complex128: at most 11 qubits, beside the kernel's few working copies.
+MAX_DENSITY_BYTES = 16 * 4**11
 
 # A branch probability at or below this is zero: post-selecting it is refused.
 ZERO_PROBABILITY = 1e-14

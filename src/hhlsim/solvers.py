@@ -15,9 +15,11 @@ Both take their CNOT count from the source circuit through
 :func:`circuits.cnot_count`; the exact run never compiles.
 :func:`run_original_hhl_batch` runs the exact circuits of many problems in
 one batched executor pass; :func:`run_original_hhl` is its one-problem case.
-One post-selection, :func:`postselect_hhl`, scores either final state two
-ways, and :func:`x_basis_weights` gives the x-basis weights of a one-qubit
-solution, simulated or classical.
+The final states of a batch are then scored in one pass: one post-selection,
+:func:`postselect_hhl`, gives both estimators of every item as stacks, read
+from a statevector's amplitudes without forming its density matrix, and one
+``einsum`` each gives their fidelities and, for a one-qubit solution, the
+x-basis weights (:func:`x_basis_weights` for a single state).
 """
 
 from __future__ import annotations
@@ -187,7 +189,13 @@ class HHLOutcome:
     estimate: EigenEstimate | None = None
 
 
-_X_BASIS = tuple(StateVector(1, np.array([1, sign]) / np.sqrt(2)) for sign in (1, -1))
+_X_KETS = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+
+
+def _overlaps(rho: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """<k|rho|k> of each ket of ``kets`` (B, K, 2^q) against item b of a stack
+    ``rho`` (B, 2^q, 2^q), clamped to [0, 1] as :func:`qstate.fidelity_pure`."""
+    return np.clip(np.einsum("bkx,bxy,bky->bk", kets.conj(), rho, kets).real, 0.0, 1.0)
 
 
 def x_basis_weights(state):
@@ -195,37 +203,50 @@ def x_basis_weights(state):
     (None, None) for a wider one."""
     if state.num_qubits != 1:
         return None, None
-    return tuple(qstate.fidelity_pure(state, ket) for ket in _X_BASIS)
+    rho = state if isinstance(state, DensityMatrix) else state.to_density_matrix()
+    return tuple(float(w) for w in _overlaps(rho.entries[None], _X_KETS[None])[0])
 
 
-def postselect_hhl(state, n: int) -> dict:
-    """Post-select the final state of an HHL run on ancilla = 1, once, and
-    return ``{"ancilla": (rho_v, p), "uncomputed": (rho_v, p) or None}``:
-    input-register state and success probability with the register traced
-    out, and with only its 0...0 block kept (None if that has no weight).
+def postselect_hhl(states, n: int) -> dict:
+    """Post-select the final states of one batch of HHL runs, all
+    statevectors or all density matrices, on ancilla = 1. Returns
+    ``{"ancilla": (rho_v, p), "uncomputed": (rho_v, p)}``, stacks of input
+    states (B, 2^q, 2^q) and success probabilities (B,): with the register
+    traced out, and with only its 0...0 block kept (p = 0 and rho_v = 0 for
+    an item where that block has no weight). A statevector's ancilla-1
+    amplitudes phi, as (register, input), give rho_v = phi^T phi* / p
+    (Nielsen & Chuang 2.4.3), so no density matrix of the whole run is made.
     """
-    post, p_ancilla = qstate.postselect(state, 0, 1)
-    rho = post if isinstance(post, DensityMatrix) else post.to_density_matrix()
-    q = rho.num_qubits - n
-    block = rho.entries.reshape(2**n, 2**q, 2**n, 2**q)[0, :, 0, :]
-    p_reset = float(np.trace(block).real)
-    uncomputed = None
-    if p_reset > qstate.ZERO_PROBABILITY:
-        uncomputed = (DensityMatrix._trusted(q, block / p_reset), p_ancilla * p_reset)
-    ancilla = (qstate.partial_trace(rho, range(n, n + q)), p_ancilla)
-    return {"ancilla": ancilla, "uncomputed": uncomputed}
+    q, r = states[0].num_qubits - 1 - n, 2**n
+    if isinstance(states[0], StateVector):
+        phi = np.array([s.amplitudes.reshape(2, r, 2**q)[1] for s in states])
+        traced = np.einsum("brx,bry->bxy", phi, phi.conj())
+        block = phi[:, 0, :, None] * phi[:, 0, None, :].conj()
+    else:
+        rho = np.array([s.entries.reshape(2, r, 2**q, 2, r, 2**q)[1, :, :, 1] for s in states])
+        traced = np.einsum("brxry->bxy", rho)
+        block = rho[:, 0, :, 0]
+    p, p_reset = np.einsum("bxx->b", traced).real, np.einsum("bxx->b", block).real
+    if p.min() <= qstate.ZERO_PROBABILITY:
+        raise ImpossibleOutcomeError("outcome 1 on qubit 0 has zero probability")
+    p_reset[p_reset <= qstate.ZERO_PROBABILITY * p] = 0.0
+    scale = np.divide(1.0, p_reset, out=np.zeros_like(p), where=p_reset > 0)
+    uncomputed = (block * scale[:, None, None], p_reset)
+    return {"ancilla": (traced / p[:, None, None], p), "uncomputed": uncomputed}
 
 
 def _solve(mode, problems, n, specs, shots, seed, noise, estimate=None) -> list[HHLOutcome]:
     """Build one HHL circuit per problem, run them exactly or under noise,
-    post-select each final state, and score both estimators against its
-    classical solution.
+    post-select and score all final states in one pass, and return one
+    outcome per problem.
 
     The CNOT counts come from the source circuits, None where a circuit does
     not lower. The exact runs apply the source gates, all in one batched
     executor pass. Under noise each circuit is compiled, then runs on its
     own, because compilation drops zero angles, so compiled circuits of
-    different problems rarely share a skeleton.
+    different problems rarely share a skeleton. Both estimators are scored
+    against each problem's classical solution; the one named by
+    ``postselection`` heads the outcome, with the seeded x-basis histogram.
     """
     built = [build_hhl_circuit(p, n, spec) for p, spec in zip(problems, specs)]
     cnot_counts = [_cnot_count_or_none(c) for c in built]
@@ -235,10 +256,35 @@ def _solve(mode, problems, n, specs, shots, seed, noise, estimate=None) -> list[
     else:
         states = [noise_mod.run_noisy(circuits.compile_circuit(c), noise) for c in built]
         postselection = "uncomputed"
-    return [
-        _score(mode, p, n, state, count, postselection, shots, seed, estimate)
-        for p, state, count in zip(problems, states, cnot_counts)
-    ]
+    estimators = postselect_hhl(states, n)
+    rho, named = estimators[postselection]
+    if not named.all():
+        raise ImpossibleOutcomeError("register outcome 0...0 has zero probability")
+    x = np.array([classical_solution(p)[0] for p in problems])[:, None]
+    fids = {name: _overlaps(r, x)[:, 0] for name, (r, _) in estimators.items()}
+    q = problems[0].num_qubits
+    weights = _overlaps(rho, np.broadcast_to(_X_KETS, (len(x), 2, 2))) if q == 1 else None
+    outcomes = []
+    for i, count in enumerate(cnot_counts):
+        scores = {
+            name: (float(fids[name][i]), float(p[i])) if p[i] else None
+            for name, (_, p) in estimators.items()
+        }
+        cplus, cminus = (None, None) if weights is None else map(float, weights[i])
+        histograms = {}
+        if shots > 0 and cplus is not None:
+            rng = np.random.default_rng(seed)
+            draws = rng.multinomial(shots, [cplus, max(1.0 - cplus, 0.0)])
+            histograms["v_x_basis"] = MeasurementHistogram(
+                {"+": int(draws[0]), "-": int(draws[1])}, shots
+            )
+        fid, prob = scores[postselection]
+        rho_v = DensityMatrix._trusted(q, rho[i].copy())  # owned, not a view into the stack
+        outcomes.append(HHLOutcome(
+            mode, n, prob, rho_v, fid, cplus, cminus, count, postselection,
+            scores["ancilla"], scores["uncomputed"], histograms, estimate,
+        ))
+    return outcomes
 
 
 def _cnot_count_or_none(circuit) -> int | None:
@@ -246,34 +292,6 @@ def _cnot_count_or_none(circuit) -> int | None:
         return circuits.cnot_count(circuit)
     except CompileError:
         return None
-
-
-def _score(mode, problem, n, state, cnot_count, postselection, shots, seed, estimate):
-    """The outcome of one final state: both estimators, the one named by
-    ``postselection`` at the top, and the seeded x-basis histogram."""
-    estimators = postselect_hhl(state, n)
-    if estimators[postselection] is None:
-        raise ImpossibleOutcomeError("register outcome 0...0 has zero probability")
-    x_exact, _ = classical_solution(problem)
-    x_state = StateVector(problem.num_qubits, x_exact)
-    scores = {
-        name: None if post is None else (qstate.fidelity_pure(post[0], x_state), post[1])
-        for name, post in estimators.items()
-    }
-    rho_v = estimators[postselection][0]
-    fid, prob = scores[postselection]
-    cplus, cminus = x_basis_weights(rho_v)
-    histograms = {}
-    if shots > 0 and cplus is not None:
-        rng = np.random.default_rng(seed)
-        draws = rng.multinomial(shots, [cplus, max(1.0 - cplus, 0.0)])
-        histograms["v_x_basis"] = MeasurementHistogram(
-            {"+": int(draws[0]), "-": int(draws[1])}, shots
-        )
-    return HHLOutcome(
-        mode, n, prob, rho_v, fid, cplus, cminus, cnot_count, postselection,
-        scores["ancilla"], scores["uncomputed"], histograms, estimate,
-    )
 
 
 def build_hhl_circuit(
@@ -444,13 +462,10 @@ def reduced_encoding_equivalence_check(problem: HermitianProblem, n: int) -> boo
     # with no fixed bit the reduced encoding is the full one: run it once
     if estimate.reducible:
         specs.append(synthesize_reduced_aqe(estimate, specs[0].c))
-    posts = [
-        postselect_hhl(noise_mod.run_noisy(build_hhl_circuit(problem, n, spec)), n)["ancilla"]
-        for spec in specs
-    ]
-    (rho_full, p_full), (rho_red, p_red) = posts[0], posts[-1]
-    overlap = float(np.real(np.trace(rho_full.entries @ rho_red.entries)))
+    states = [noise_mod.run_noisy(build_hhl_circuit(problem, n, spec)) for spec in specs]
+    rho, p = postselect_hhl(states, n)["ancilla"]
     # both states are pure here, so the trace overlap is the fidelity
-    purity = min(rho_full.purity(), rho_red.purity())
+    overlap = float(np.einsum("xy,yx->", rho[0], rho[-1]).real)
+    purity = float(np.einsum("bxy,byx->b", rho, rho).real.min())
     fid = overlap / purity if purity > 0 else 0.0
-    return fid >= 1.0 - 1e-9 and abs(p_full - p_red) <= 1e-10
+    return fid >= 1.0 - 1e-9 and float(abs(p[0] - p[-1])) <= 1e-10

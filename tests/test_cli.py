@@ -358,6 +358,23 @@ class TestQpea:
             "error: a 41-qubit circuit exceeds the limit of 12 qubits\n"
         )
 
+    def test_density_matrix_over_budget_refused_before_allocation(self, tmp_path, capsys):
+        """11 register bits and 1 input qubit pass the width limit, but their
+        density matrix, 256 MiB, is refused before it is made."""
+        noise = tmp_path / "noise.json"
+        noise.write_text('{"t1_ns": 30000}')
+        tracemalloc.start()
+        try:
+            code, raw = run(tmp_path, "qpea", "--lambda", "0.3", "--n", "11", "--noise", str(noise))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, raw) == (EXIT_VALIDATION, b"")
+        assert capsys.readouterr().err == (
+            "error: a 12-qubit density matrix exceeds the limit of 64 MiB\n"
+        )
+        assert peak < 10_000_000
+
     @pytest.mark.parametrize("text", [INFINITE_A, NAN_B], ids=["a-infinite", "b-nan"])
     def test_non_finite_problem_file(self, tmp_path, capsys, text):
         path = tmp_path / "problem.json"

@@ -190,6 +190,17 @@ class TestDampingChannel:
         np.testing.assert_allclose(two_steps.entries, one_step.entries, rtol=0, atol=1e-13)
 
 
+class TestDensityBudget:
+    def test_only_the_density_matrix_run_is_refused(self):
+        """A 12-qubit density matrix (256 MiB) is over the budget; the same
+        circuit still runs on a statevector."""
+        assert qstate.MAX_DENSITY_BYTES == 16 * 4**11
+        circuit = compile_circuit(qpe.build_qpe(qpe.QpeConfig(11, build_a_lambda(0.3))))
+        with pytest.raises(ValidationError, match="12-qubit density matrix .* 64 MiB"):
+            run_noisy(circuit, NoiseParams())
+        assert run_noisy(circuit).num_qubits == 12
+
+
 class TestSurvivalBound:
     def test_fifty_cnots(self):
         assert survival_bound(50) == pytest.approx(0.8187, abs=1e-4)

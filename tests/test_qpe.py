@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from hhlsim import circuits, noise as noise_mod, oracles, qpe, solvers
+from hhlsim import circuits, noise as noise_mod, oracles, qpe, qstate, solvers
 from hhlsim.errors import DomainError, ValidationError
-from hhlsim.problem import HermitianProblem, build_a_lambda
+from hhlsim.problem import build_a_lambda
 from hhlsim.qpe import (
     QpeConfig,
     build_qpe,
@@ -14,16 +14,7 @@ from hhlsim.qpe import (
     register_distribution_exact,
     run_qpea,
 )
-
-
-def _random_problem(seed: int) -> HermitianProblem:
-    """d = 2, eigenvalues anywhere in [0.05, 0.95], a random complex b."""
-    rng = np.random.default_rng(seed)
-    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    q, _ = np.linalg.qr(z)
-    a = (q * rng.uniform(0.05, 0.95, size=2)) @ q.conj().T
-    b = rng.normal(size=2) + 1j * rng.normal(size=2)
-    return HermitianProblem((a + a.conj().T) / 2, b / np.linalg.norm(b))
+from problem_helpers import random_problem
 
 
 class TestRegisterDistribution:
@@ -77,7 +68,7 @@ class TestBuildQpe:
     @pytest.mark.parametrize(
         "problem,n",
         [(build_a_lambda(0.3), 2)]
-        + [(_random_problem(seed), n) for n in (1, 2, 3) for seed in (0, 1, 2)],
+        + [(random_problem(seed), n) for n in (1, 2, 3) for seed in (0, 1, 2)],
         ids=["lambda0.3-n2"] + [f"b{seed}-n{n}" for n in (1, 2, 3) for seed in (0, 1, 2)],
     )
     def test_circuit_reproduces_distribution(self, problem, n):
@@ -90,6 +81,20 @@ class TestBuildQpe:
         assert list(hist.outcomes) == [format(x, f"0{n}b") for x in range(2**n)]
         for val, expected in zip(hist.outcomes.values(), ref):
             assert val == pytest.approx(expected, abs=1e-10)
+
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_unitary_powers_are_read_only_and_unitary(self, d, n):
+        """The cunitary gates take the unitary powers unchecked: each is
+        read-only and unitary to 1e-12."""
+        for seed in range(3):
+            problem = random_problem(seed, d)
+            gates, _ = qpe_block(problem, n, range(n), range(n, n + d.bit_length() - 1))
+            powers = [g.matrix for g in gates if g.kind == "cunitary"]
+            assert len(powers) == n
+            for u in powers:
+                assert not u.flags.writeable
+                qstate._check_unitary(u, atol=1e-12)
 
     def test_inverse_direction_is_adjoint(self):
         problem = build_a_lambda(0.3)
@@ -107,7 +112,7 @@ class TestRunQpea:
         assert a.outcomes == b.outcomes
         assert sum(a.outcomes.values()) == 512
 
-    @pytest.mark.parametrize("problem", [build_a_lambda(0.3), _random_problem(1)])
+    @pytest.mark.parametrize("problem", [build_a_lambda(0.3), random_problem(1)])
     def test_zero_shots_gives_exact_probabilities(self, problem):
         assert run_qpea(problem, 3).outcomes == register_distribution_exact(problem, 3).outcomes
         noise = noise_mod.NoiseParams(t1_ns=20_000.0, readout_flip=0.02)
@@ -116,7 +121,7 @@ class TestRunQpea:
         assert got.outcomes == qpea_distribution_noisy(problem, 2, noise).outcomes
 
     def test_shots_draw_from_the_noisy_distribution(self):
-        problem = _random_problem(2)
+        problem = random_problem(2)
         noise = noise_mod.NoiseParams(t1_ns=20_000.0)
         a = run_qpea(problem, 2, shots=4000, seed=5, noise=noise)
         assert a.outcomes == run_qpea(problem, 2, shots=4000, seed=5, noise=noise).outcomes

@@ -1,6 +1,7 @@
 """Original and hybrid solver pipelines plus the reduction machinery."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from hhlsim.solvers import (
     synthesize_reduced_aqe,
     reduced_encoding_equivalence_check,
 )
+from problem_helpers import random_problem
 
 
 class TestAqeSpec:
@@ -194,12 +196,7 @@ class TestOriginalSolver:
     @pytest.mark.parametrize("d", [2, 4])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_random_problem_matches_brute_force(self, d, n):
-        rng = np.random.default_rng(100 * d + n)
-        z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        q_mat, _ = np.linalg.qr(z)
-        a = (q_mat * rng.uniform(0.05, 0.95, size=d)) @ q_mat.conj().T
-        b = rng.normal(size=d) + 1j * rng.normal(size=d)
-        problem = HermitianProblem((a + a.conj().T) / 2, b / np.linalg.norm(b))
+        problem = random_problem(100 * d + n, d)
         outcome = run_original_hhl(problem, n)
         rho_ref, succ_ref = oracles.brute_force_hhl(problem, n)
         assert outcome.success_probability == pytest.approx(succ_ref, abs=1e-10)
@@ -312,8 +309,9 @@ class TestCircuitBuilder:
 class TestValidateOnce:
     @pytest.mark.parametrize("n", [2, 3])
     def test_exact_run_checks_only_where_values_enter(self, monkeypatch, n):
-        """One unitarity check per cunitary gate made (the input is |0>, so
-        there is no state-preparation gate) and no eigenvalue check of the
+        """No unitarity check (the input is |0>, so there is no
+        state-preparation gate, and the cunitary gates take unitary powers
+        that are unitary by construction) and no eigenvalue check of the
         derived density matrices."""
         problem = build_a_lambda(0.3)  # the problem's own checks are not counted
         unitary_checks, eig_checks = [], []
@@ -326,7 +324,7 @@ class TestValidateOnce:
             np.linalg, "eigvalsh", lambda *a, **k: eig_checks.append(1) or eigvalsh(*a, **k)
         )
         run_original_hhl(problem, n)
-        assert len(unitary_checks) == n
+        assert len(unitary_checks) == 0
         assert len(eig_checks) == 0
 
 
@@ -421,6 +419,21 @@ class TestOriginalBatch:
             want = run_original_hhl(problem, 2, noise=noise)
             assert (got.fidelity, got.success_probability) == (want.fidelity, want.success_probability)
 
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_random_batch_matches_one_problem_runs(self, d, n):
+        rng = np.random.default_rng(100 * d + n)
+        problems = [random_problem(rng, d) for _ in range(3)]
+        batch = solvers.run_original_hhl_batch(problems, n)
+        for problem, got in zip(problems, batch):
+            want = run_original_hhl(problem, n)
+            for name in ("ancilla", "uncomputed", "c_plus_sq", "c_minus_sq"):
+                assert getattr(got, name) == pytest.approx(getattr(want, name), abs=1e-12)
+            assert (got.c_plus_sq is None) == (d > 2)
+            np.testing.assert_allclose(got.rho_v.entries, want.rho_v.entries, atol=1e-12)
+            # each outcome owns its state: no view into the batch's stack
+            assert got.rho_v.entries.base is None
+
     def test_batch_of_mixed_dimensions_rejected(self):
         rng = np.random.default_rng(2)
         d4 = random_perfectly_estimated_problem(rng, 4, 2, 1)
@@ -428,45 +441,90 @@ class TestOriginalBatch:
             solvers.run_original_hhl_batch([build_a_lambda(0.3), d4], 2)
 
 
+def _sequential_postselection(rho, n):
+    """Reference estimators of one density matrix: ``qstate.postselect`` on
+    the ancilla, then ``partial_trace`` of the register, or ``postselect`` on
+    each register bit."""
+    q = rho.num_qubits - 1 - n
+    post, p_ancilla = qstate.postselect(rho, 0, 1)
+    ancilla = (qstate.partial_trace(post, range(n, n + q)).entries, p_ancilla)
+    prob = p_ancilla
+    for _ in range(n):
+        post, p_reg = qstate.postselect(post, 0, 0)
+        prob *= p_reg
+    return {"ancilla": ancilla, "uncomputed": (post.entries, prob)}
+
+
 class TestPostselectHHL:
     @pytest.mark.parametrize("n,q", [(1, 1), (2, 1), (2, 2), (3, 1)])
     def test_uncomputed_equals_sequential_register_postselection(self, n, q):
         rho = _random_rho(np.random.default_rng(10 * n + q), 1 + n + q)
-        estimators = postselect_hhl(rho, n)
-        post, p_ancilla = qstate.postselect(rho, 0, 1)
-        want_anc = qstate.partial_trace(post, range(n, n + q))
-        got_anc, got_p = estimators["ancilla"]
-        np.testing.assert_allclose(got_anc.entries, want_anc.entries, atol=1e-14)
-        assert got_p == p_ancilla
-        prob = p_ancilla
-        for _ in range(n):
-            post, p_reg = qstate.postselect(post, 0, 0)
-            prob *= p_reg
-        got_unc, got_p = estimators["uncomputed"]
-        np.testing.assert_allclose(got_unc.entries, post.entries, atol=1e-14)
-        assert got_p == pytest.approx(prob, abs=1e-15)
+        estimators = postselect_hhl([rho], n)
+        for name, (want_rho, want_p) in _sequential_postselection(rho, n).items():
+            got_rho, got_p = estimators[name]
+            np.testing.assert_allclose(got_rho[0], want_rho, atol=1e-14)
+            assert got_p[0] == pytest.approx(want_p, abs=1e-15)
+
+    def test_batch_of_three_mixed_states(self):
+        rng = np.random.default_rng(33)
+        n, q = 2, 2
+        rhos = [_random_rho(rng, 1 + n + q) for _ in range(3)]
+        estimators = postselect_hhl(rhos, n)
+        for b, rho in enumerate(rhos):
+            for name, (want_rho, want_p) in _sequential_postselection(rho, n).items():
+                got_rho, got_p = estimators[name]
+                assert got_rho.shape == (3, 2**q, 2**q)
+                np.testing.assert_allclose(got_rho[b], want_rho, atol=1e-14)
+                assert got_p[b] == pytest.approx(want_p, abs=1e-15)
 
     def test_statevector_and_density_matrix_agree(self):
         rng = np.random.default_rng(3)
         amps = rng.normal(size=16) + 1j * rng.normal(size=16)
         psi = StateVector(4, amps / np.linalg.norm(amps))
-        pure, mixed = postselect_hhl(psi, 2), postselect_hhl(psi.to_density_matrix(), 2)
+        pure, mixed = postselect_hhl([psi], 2), postselect_hhl([psi.to_density_matrix()], 2)
         for name in ("ancilla", "uncomputed"):
-            np.testing.assert_allclose(pure[name][0].entries, mixed[name][0].entries, atol=1e-15)
-            assert pure[name][1] == pytest.approx(mixed[name][1], abs=1e-15)
+            np.testing.assert_allclose(pure[name][0], mixed[name][0], atol=1e-15)
+            np.testing.assert_allclose(pure[name][1], mixed[name][1], rtol=0, atol=1e-15)
 
     def test_uncomputed_none_when_register_never_resets(self):
-        # ancilla 1, register 1: the register = 0 block has no probability
-        estimators = postselect_hhl(qstate.basis_state(3, 0b110), 1)
-        assert estimators["ancilla"][1] == pytest.approx(1.0)
-        assert estimators["uncomputed"] is None
+        """The stack carries p = 0 where the register = 0 block has no weight
+        (ancilla 1, register 1), and an outcome then reports None."""
+        states = [qstate.basis_state(3, 0b110), qstate.basis_state(3, 0b100)]
+        estimators = postselect_hhl(states, 1)
+        assert estimators["ancilla"][1].tolist() == [1.0, 1.0]
+        rho, p = estimators["uncomputed"]
+        assert p.tolist() == [0.0, 1.0]
+        assert not rho[0].any()
+
+    def test_ancilla_never_one_is_impossible(self):
+        """One item whose ancilla never reads 1 refuses the whole batch."""
+        states = [qstate.basis_state(3, 0b100), qstate.basis_state(3, 0b010)]
+        with pytest.raises(ImpossibleOutcomeError, match="outcome 1 on qubit 0"):
+            postselect_hhl(states, 1)
+
+    def test_copies_only_the_ancilla_one_block(self):
+        """Post-selecting a density matrix holds a copy of its ancilla-1
+        quarter, not of the whole matrix."""
+        rho = _random_rho(np.random.default_rng(5), 8)
+        tracemalloc.start()
+        try:
+            postselect_hhl([rho], 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.3 * rho.entries.nbytes
 
     def test_noisy_run_needs_its_estimator(self, monkeypatch):
         problem = build_a_lambda(0.25)
         assert run_original_hhl(problem, 2).uncomputed is not None
-        monkeypatch.setattr(
-            solvers, "postselect_hhl", lambda *a: {"ancilla": None, "uncomputed": None}
-        )
+
+        def never_reset(states, n):
+            estimators = postselect_hhl(states, n)
+            rho, p = estimators["uncomputed"]
+            return {**estimators, "uncomputed": (0 * rho, 0 * p)}
+
+        monkeypatch.setattr(solvers, "postselect_hhl", never_reset)
+        assert run_original_hhl(problem, 2).uncomputed is None
         with pytest.raises(ImpossibleOutcomeError):
             run_original_hhl(problem, 2, noise=NoiseParams())
 
@@ -486,6 +544,34 @@ class TestPostselectHHL:
 # exactly no decay: 1 - exp(-t / inf) is 0.0
 ZERO_NOISE = NoiseParams(t1_ns=math.inf)
 SWEEP_GRID = [(i + 1) / 200 for i in range(199)]
+
+
+class TestNoFullDensityMatrix:
+    """Exact runs score their statevectors from the amplitudes: no density
+    matrix of the whole run and no single-state post-selection."""
+
+    @pytest.fixture(autouse=True)
+    def refuse(self, monkeypatch):
+        def fail(*args, **kwargs):
+            pytest.fail("full-size density matrix or single-state post-selection")
+
+        monkeypatch.setattr(StateVector, "to_density_matrix", fail)
+        monkeypatch.setattr(qstate, "partial_trace", fail)
+        monkeypatch.setattr(qstate, "postselect", fail)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_original_over_sweep_grid(self, k):
+        outcomes = solvers.run_original_hhl_batch([build_a_lambda(lam) for lam in SWEEP_GRID], k)
+        assert len(outcomes) == len(SWEEP_GRID)
+
+    @pytest.mark.parametrize("shots", [0, 1024])
+    def test_hybrid(self, shots):
+        outcome = run_hybrid_hhl(build_a_lambda(0.25), 2, shots=shots, seed=3)
+        assert outcome.fidelity == pytest.approx(1.0, abs=1e-9)
+
+    def test_reduced_encoding_equivalence_at_d8(self):
+        problem = random_perfectly_estimated_problem(np.random.default_rng(8), 8, 3, 1)
+        assert reduced_encoding_equivalence_check(problem, 3)
 
 
 def _assert_estimators_match(exact, noisy):
