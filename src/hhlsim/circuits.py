@@ -5,10 +5,13 @@ Gate kinds fall into two tiers. Basis kinds survive compilation: ``h``,
 :func:`compile_circuit` straight to basis gates: ``swap``, ``cphase``,
 ``unitary`` (explicit 1-qubit matrix), ``cunitary`` (one control, explicit
 1-qubit matrix), ``mry`` (multiplexed Ry: qubits ``(*controls, target)``, one
-angle per control pattern). Each kind is one ``_KINDS`` record: signature,
-matrix, lowering, CNOTs and OpenQASM name. No gate measures: every
-measurement is deferred to the end (Nielsen & Chuang 4.4), on the qubits
-``Circuit.measured`` lists.
+angle per control pattern), ``qft`` (the QFT on one or more wires, its one
+parameter a sign s: s = -1 is the inverse QFT with the bit reversal folded
+in, P F^+, and s = +1 its adjoint F P, with F the DFT and P the bit
+reversal; its lowering is the documented cphase/h sequence). Each kind is
+one ``_KINDS`` record: signature, matrix, lowering, CNOTs and OpenQASM
+name. No gate measures: every measurement is deferred to the end (Nielsen
+& Chuang 4.4), on the qubits ``Circuit.measured`` lists.
 
 The executor (:func:`noise.run_noisy`) applies every kind directly through
 :func:`gate_matrix`, on a density matrix only basis kinds; an ``mry`` is the
@@ -30,14 +33,15 @@ controlled 1-qubit unitaries use the two-CNOT ABC construction; a controlled
 phase costs 2 CNOTs; a SWAP costs 3 CNOTs when physical, 0 when absorbed by
 wire relabeling; a multiplexed Ry is a sum over control subsets, where a
 single control costs 2 CNOTs and a pair is a Toffoli conjugation (two 6-CNOT
-Toffolis), 12 CNOTs.
+Toffolis), 12 CNOTs; a QFT on n wires is n(n-1)/2 controlled phases and n
+``h``, n(n-1) CNOTs.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,7 +66,8 @@ def gate(kind, *qubits, params=(), matrix=None) -> Gate:
     parameters (``mry``: one angle per control pattern), distinct qubits, and
     a ``matrix`` exactly for ``unitary`` and ``cunitary``, unitary and fitting
     its target qubits (all of them, or all but the control of a
-    ``cunitary``); the matrix is stored read-only."""
+    ``cunitary``); the matrix is stored read-only. A ``qft`` takes one or
+    more qubits and the sign -1 or +1."""
     spec = _KINDS.get(kind)
     if spec is None:
         raise ValidationError(f"unknown gate kind {kind!r}")
@@ -73,6 +78,12 @@ def gate(kind, *qubits, params=(), matrix=None) -> Gate:
     for p in params:
         if not math.isfinite(p):
             raise ValidationError(f"non-finite gate parameter {p}")
+    if kind == "qft":
+        if not qubits:
+            raise ValidationError("a qft gate needs at least one qubit")
+        if params and params[0] not in (-1, 1):
+            raise ValidationError(f"a qft gate takes the sign -1 or +1, got {params[0]}")
+        width = len(qubits)
     if arity is None:
         width, arity = len(qubits), 2 ** (len(qubits) - 1)
         if len(params) != arity:
@@ -157,6 +168,18 @@ def _mry(angles) -> np.ndarray:
     return m
 
 
+def _qft(g: Gate) -> np.ndarray:
+    """P F^+ (s = -1) or F P (s = +1) on ``g``'s wires: entry (r, x) of
+    P F^+ is w^(-rev(r) x) / sqrt(N), with w = e^(2 pi i / N) and rev the
+    bit reversal of n bits (the qubit axes of 0..N-1 in reverse order), and
+    F P is its adjoint."""
+    n, s = len(g.qubits), g.params[0]
+    x = np.arange(2**n)
+    roots = np.exp((s * 2j * np.pi / 2**n) * x) * 2 ** (-n / 2)
+    m = roots[x.reshape((2,) * n).T.reshape(-1, 1) * x % 2**n]
+    return m if s < 0 else m.T
+
+
 def _controlled(g: Gate) -> np.ndarray:
     d = g.matrix.shape[0]
     big = np.eye(2 * d, dtype=complex)
@@ -196,9 +219,9 @@ def adjoint(gates) -> list[Gate]:
         if g.matrix is not None:
             m = g.matrix.conj().T
             m.setflags(write=False)
-            g = replace(g, matrix=m)
+            g = Gate(g.kind, g.qubits, g.params, m)
         elif g.params:
-            g = replace(g, params=tuple(-p for p in g.params))
+            g = Gate(g.kind, g.qubits, tuple(-p for p in g.params))
         out.append(g)
     return out
 
@@ -315,28 +338,35 @@ def _ccry_gates(angle: float, c1: int, c2: int, target: int) -> list[Gate]:
 
 
 def inverse_qft_gates(wires, physical_swap: bool = False):
-    """Inverse QFT on the listed wires (MSB first).
+    """Inverse QFT on the listed wires (MSB first): one ``qft`` gate of sign -1.
 
     Returns ``(gates, out_wires)``. The bit-reversal SWAP layer is absorbed by
-    relabeling by default: ``out_wires[i]`` is the wire holding logical bit i
-    afterwards. With ``physical_swap`` the swaps are emitted and the wire
-    order is unchanged.
+    relabeling by default: the gate on ``wires`` is P F^+, and
+    ``out_wires[i]`` is the wire holding logical bit i afterwards. With
+    ``physical_swap`` the swaps are emitted, then the gate on the wires
+    reversed, which is F^+ P on ``wires``, and the wire order is unchanged.
     """
     wires = list(wires)
+    if not physical_swap:
+        return [gate("qft", *wires, params=(-1,))], wires[::-1]
     n = len(wires)
-    gates_out: list[Gate] = []
-    if physical_swap:
-        for i in range(n // 2):
-            gates_out.append(gate("swap", wires[i], wires[n - 1 - i]))
-        w = wires
-    else:
-        w = list(reversed(wires))
+    swaps = [gate("swap", wires[i], wires[n - 1 - i]) for i in range(n // 2)]
+    return swaps + [gate("qft", *reversed(wires), params=(-1,))], wires
+
+
+def _qft_gates(g: Gate) -> list[Gate]:
+    """The inverse QFT P F^+ on ``g``'s wires as cphase and h gates on the
+    wires reversed (its adjoint for s = +1), each then lowered."""
+    w = g.qubits[::-1]
+    n = len(w)
+    sequence = []
     for i in reversed(range(n)):
         for j in reversed(range(i + 1, n)):
-            angle = -2 * np.pi / 2 ** (j - i + 1)
-            gates_out.append(gate("cphase", w[j], w[i], params=(angle,)))
-        gates_out.append(gate("h", w[i]))
-    return gates_out, w
+            sequence.append(Gate("cphase", (w[j], w[i]), (-2 * np.pi / 2 ** (j - i + 1),)))
+        sequence.append(Gate("h", (w[i],)))
+    if g.params[0] > 0:
+        sequence = adjoint(sequence)
+    return [b for h in sequence for b in _lower(h)]
 
 
 def _subset_angles(angles, k: int) -> list[tuple[int, float]]:
@@ -434,6 +464,8 @@ _KINDS = {
                       lower=lambda g: decompose_controlled_unitary(g.matrix, *g.qubits)),
     "mry": _Kind(None, None, lambda g: _mry(g.params), cnots=_mry_cnots,
                  lower=lambda g: controlled_ry_chain(g.params, g.qubits[:-1], g.qubits[-1])),
+    "qft": _Kind(None, 1, _qft, cnots=lambda g: len(g.qubits) * (len(g.qubits) - 1),
+                 lower=_qft_gates),
 }
 
 

@@ -1,7 +1,7 @@
 """The noise model and the circuit executor, :func:`run_noisy`: without
 noise on a statevector, with amplitude damping (T1) on a density matrix,
-for one circuit or several that share one skeleton. Readout errors are
-per-bit flips of the measured distribution.
+for one circuit or a batch of several of one width and length. Readout
+errors are per-bit flips of the measured distribution.
 
 :class:`NoiseParams` owns the gate durations, which only basis kinds have.
 Under noise each gate of a compiled circuit advances one clock by its
@@ -142,23 +142,24 @@ def run_noisy(circuit, noise: NoiseParams | None = None, initial=None):
     raises CompileError; one over ``qstate.MAX_DENSITY_BYTES`` raises
     ValidationError before it is made.
 
-    ``circuit`` may also be a sequence of circuits that share one skeleton
-    (the same gate kinds on the same qubits; DomainError otherwise), all run
-    from ``initial``: on a statevector in one pass over a leading batch axis,
-    where the items' gates are equal one matrix serves all, elsewhere a stack
-    of one matrix per item; on a density matrix one by one. A list of final
-    states is returned then, in circuit order.
+    ``circuit`` may also be a sequence of circuits of one width and one
+    length (DomainError otherwise), all run from ``initial``; a list of final
+    states is returned then, in circuit order. On a statevector they run in
+    one pass over a leading batch axis, gate position by gate position: equal
+    gates share one call, gates of one kind on the same qubits take one call
+    with a stack of one matrix per item, and any others are applied item by
+    item on their own rows. So a shared prefix runs once, on a batch of one.
+    On a density matrix the circuits run one by one.
     """
     single = hasattr(circuit, "gates")
     items = [circuit] if single else list(circuit)
     if not items:
         raise DomainError("no circuit to run")
     first = items[0]
-    n = first.num_qubits
-    skeleton = [(g.kind, g.qubits) for g in first.gates]
+    n, length = first.num_qubits, len(first.gates)
     for c in items[1:]:
-        if c.num_qubits != n or [(g.kind, g.qubits) for g in c.gates] != skeleton:
-            raise DomainError("the circuits of a batch do not share one skeleton")
+        if c.num_qubits != n or len(c.gates) != length:
+            raise DomainError("the circuits of a batch differ in width or length")
     state = qstate.basis_state(n, 0) if initial is None else initial
     if noise is not None and isinstance(state, StateVector):
         if 16 * 4**n > qstate.MAX_DENSITY_BYTES:
@@ -166,18 +167,25 @@ def run_noisy(circuit, noise: NoiseParams | None = None, initial=None):
             raise ValidationError(f"a {n}-qubit density matrix exceeds the limit of {limit} MiB")
         state = state.to_density_matrix()
     if isinstance(state, DensityMatrix):
-        for g in first.gates:
-            if not is_basis(g.kind):
-                raise CompileError(f"gate kind {g.kind!r} has no duration: compile first")
+        for kind in dict.fromkeys(g.kind for c in items for g in c.gates):
+            if not is_basis(kind):
+                raise CompileError(f"gate kind {kind!r} has no duration: compile first")
         data = state.entries[None]
         states = [DensityMatrix._trusted(n, _run_density(c, noise, data)[0]) for c in items]
         return states[0] if single else states
     data = state.amplitudes[None]
     for i, g in enumerate(first.gates):
-        u = gate_matrix(g)
-        if not single and not all(_same(c.gates[i], g) for c in items[1:]):
-            u = _stacked(u, [c.gates[i] for c in items[1:]])
-        data = qstate.apply_operator(data, u, g.qubits, n)
+        others = [c.gates[i] for c in items[1:]]
+        if all(_same(h, g) for h in others):
+            data = qstate.apply_operator(data, gate_matrix(g), g.qubits, n)
+        elif all((h.kind, h.qubits) == (g.kind, g.qubits) for h in others):
+            data = qstate.apply_operator(data, _stacked(gate_matrix(g), others), g.qubits, n)
+        else:
+            rows = np.broadcast_to(data, (len(items), 2**n))
+            data = np.concatenate([
+                qstate.apply_operator(rows[b : b + 1], gate_matrix(h), h.qubits, n)
+                for b, h in enumerate([g, *others])
+            ])
     states = [StateVector._trusted(n, item) for item in np.broadcast_to(data, (len(items), 2**n))]
     return states[0] if single else states
 
@@ -274,7 +282,7 @@ _CNOT_SUPER = np.stack([_CNOT_SUPER, _CNOT_SUPER[_FLIP[:, None], _FLIP]])
 
 
 def _stacked(first: np.ndarray, others) -> np.ndarray:
-    """The matrices of one skeleton position, one per item, filled into a
+    """The matrices of one gate position, one per item, filled into a
     single array (no list of per-item arrays held beside it)."""
     out = np.empty((1 + len(others),) + first.shape, dtype=complex)
     out[0] = first
@@ -284,8 +292,12 @@ def _stacked(first: np.ndarray, others) -> np.ndarray:
 
 
 def _same(h, g) -> bool:
-    """Whether gates of one skeleton position have equal parameters and matrices."""
-    return h.params == g.params and (h.matrix is g.matrix or np.array_equal(h.matrix, g.matrix))
+    """Whether two gates are equal: one kind on the same qubits, with equal
+    parameters and matrices."""
+    return h is g or (
+        h.params == g.params and h.qubits == g.qubits and h.kind == g.kind
+        and (h.matrix is g.matrix or np.array_equal(h.matrix, g.matrix))
+    )
 
 
 def readout_distribution(state, circuit, noise: NoiseParams | None) -> MeasurementHistogram:

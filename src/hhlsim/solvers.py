@@ -244,7 +244,7 @@ def _solve(mode, problems, n, specs, shots, seed, noise, estimate=None) -> list[
     not lower. The exact runs apply the source gates, all in one batched
     executor pass. Under noise each circuit is compiled, then runs on its
     own, because compilation drops zero angles, so compiled circuits of
-    different problems rarely share a skeleton. Both estimators are scored
+    different problems rarely share a length. Both estimators are scored
     against each problem's classical solution; the one named by
     ``postselection`` heads the outcome, with the seeded x-basis histogram.
     """
@@ -334,10 +334,12 @@ def run_original_hhl_batch(
 ) -> list[HHLOutcome]:
     """Full-register HHL on several problems at one register size; outcomes
     in problem order, each as :func:`run_original_hhl` gives it. Without
-    noise all circuits run in one batched executor pass, so they must share
-    one skeleton (DomainError otherwise): the problems share a dimension,
-    and b is |0...0> for all of them or for none (:func:`qpe.prepare_b`
-    emits no gate for it)."""
+    noise all circuits run in one batched executor pass, so they must have
+    one width and one length (DomainError otherwise): the problems share a
+    dimension, and b is |0...0> for all of them or for none
+    (:func:`qpe.prepare_b` emits no gate for it). Their gates differ only in
+    the unitary powers of QPE and the encoding's angles, each position taking
+    one executor call."""
     specs = [build_aqe(p, n) for p in problems]
     return _solve("original", problems, n, specs, shots, seed, noise)
 
@@ -462,7 +464,8 @@ def reduced_encoding_equivalence_check(problem: HermitianProblem, n: int) -> boo
     # with no fixed bit the reduced encoding is the full one: run it once
     if estimate.reducible:
         specs.append(synthesize_reduced_aqe(estimate, specs[0].c))
-    states = [noise_mod.run_noisy(build_hhl_circuit(problem, n, spec)) for spec in specs]
+    # one batch: the circuits differ only in their mry, so the QPE before it runs once
+    states = noise_mod.run_noisy([build_hhl_circuit(problem, n, spec) for spec in specs])
     rho, p = postselect_hhl(states, n)["ancilla"]
     # both states are pure here, so the trace overlap is the fidelity
     overlap = float(np.einsum("xy,yx->", rho[0], rho[-1]).real)

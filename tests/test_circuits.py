@@ -85,6 +85,14 @@ class TestGate:
             ("measure", (0,), {}, "unknown gate kind"),
             ("x", (0,), {}, "unknown gate kind"),
             ("rx", (0,), {"params": (0.1,)}, "unknown gate kind"),
+            ("qft", (), {"params": (-1,)}, "needs at least one qubit"),
+            ("qft", (0, 1), {"params": (0.5,)}, "sign -1 or \\+1"),
+            ("qft", (0,), {"params": (2,)}, "sign -1 or \\+1"),
+            ("qft", (0,), {"params": (0,)}, "sign -1 or \\+1"),
+            ("qft", (0, 1), {}, "takes 1 parameter"),
+            ("qft", (0, 1), {"params": (-1, 1)}, "takes 1 parameter"),
+            ("qft", (0, 0), {"params": (-1,)}, "repeats a qubit"),
+            ("qft", (0,), {"params": (-1,), "matrix": np.eye(2)}, "takes no matrix"),
         ],
     )
     def test_rejects_wrong_signature(self, kind, qubits, kwargs, match):
@@ -171,6 +179,53 @@ class TestInverseQft:
         lowered = compile_circuit(Circuit(2, tuple(gates), {}))
         assert lowered.cnot_count == 2
 
+    @staticmethod
+    def _sequence(wires, sign):
+        """The documented inverse QFT as cphase and h gates on ``wires``
+        reversed, or its adjoint for sign +1."""
+        w = list(reversed(wires))
+        gates = []
+        for i in reversed(range(len(w))):
+            for j in reversed(range(i + 1, len(w))):
+                gates.append(gate("cphase", w[j], w[i], params=(-2 * np.pi / 2 ** (j - i + 1),)))
+            gates.append(gate("h", w[i]))
+        return gates if sign < 0 else adjoint(gates)
+
+    @pytest.mark.parametrize("sign", [-1, 1])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_qft_gate_is_the_cphase_h_sequence(self, n, sign):
+        """The one-gate QFT equals the gate sequence exactly (no global
+        phase), lowers to exactly that sequence's basis gates, and counts
+        its n(n - 1) CNOTs."""
+        wires = [int(q) for q in np.random.default_rng(n).permutation(n)]
+        g = gate("qft", *wires, params=(sign,))
+        sequence = self._sequence(wires, sign)
+        np.testing.assert_allclose(
+            circuit_unitary([g], n), circuit_unitary(sequence, n), rtol=0, atol=1e-12
+        )
+        assert circuits._lower(g) == [b for h in sequence for b in circuits._lower(h)]
+        assert circuits.cnot_count(Circuit(n, (g,))) == n * (n - 1)
+
+    def test_qft_matrix_is_the_bit_reversed_dft(self):
+        n = 3
+        x = np.arange(2**n)
+        dft = np.exp(2j * np.pi * np.outer(x, x) / 2**n) / np.sqrt(2**n)
+        reverse = np.eye(2**n)[[int(format(v, "03b")[::-1], 2) for v in x]]
+        inverse = gate_matrix(gate("qft", 0, 1, 2, params=(-1,)))
+        np.testing.assert_allclose(inverse, reverse @ dft.conj().T, rtol=0, atol=1e-12)
+        forward = gate_matrix(gate("qft", 0, 1, 2, params=(1,)))
+        np.testing.assert_allclose(forward, dft @ reverse, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("physical_swap", [False, True])
+    def test_one_gate_per_qft(self, physical_swap):
+        gates, out = inverse_qft_gates([3, 4, 5, 6], physical_swap=physical_swap)
+        assert [g.kind for g in gates] == ["swap"] * 2 * physical_swap + ["qft"]
+        assert gates[-1].params == (-1,)
+        assert gates[-1].qubits == ((6, 5, 4, 3) if physical_swap else (3, 4, 5, 6))
+        assert out == ([3, 4, 5, 6] if physical_swap else [6, 5, 4, 3])
+        (inverse,) = adjoint(gates[-1:])
+        assert (inverse.kind, inverse.qubits, inverse.params) == ("qft", gates[-1].qubits, (1,))
+
 
 class TestMultiplexedRy:
     def _reference(self, angles, k):
@@ -241,9 +296,13 @@ _KINDS = list(circuits._KINDS)
 def _random_gate(rng, kind, n):
     """A random gate of ``kind`` on random wires of n, in a shape
     compile_circuit lowers: one target for an explicit matrix, at most two
-    controls for an mry."""
+    controls for an mry; a qft on one to three wires in random order, of
+    either sign."""
     spec = circuits._KINDS[kind]
     wires = [int(q) for q in rng.permutation(n)]
+    if kind == "qft":
+        k = int(rng.integers(1, min(3, n) + 1))
+        return gate(kind, *wires[:k], params=(int(rng.choice((-1, 1))),))
     if spec.controls is not None:
         return gate(kind, *wires[: spec.controls + 1], matrix=_random_unitary(rng))
     if spec.params is None:

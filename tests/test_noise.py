@@ -16,7 +16,7 @@ from hhlsim.noise import (
     survival_bound,
 )
 from hhlsim.problem import HermitianProblem, build_a_lambda, classical_solution
-from hhlsim.qstate import DensityMatrix, basis_state
+from hhlsim.qstate import DensityMatrix, StateVector, basis_state
 
 
 class TestNoiseParams:
@@ -270,8 +270,19 @@ def _reparametrized(circuit, rng):
     return replace(circuit, gates=gates)
 
 
+def _rewired(circuit, rng, positions):
+    """The circuit with the gate at each of ``positions`` replaced by a
+    random basis gate of another kind or on other qubits."""
+    gates = list(circuit.gates)
+    for i in positions:
+        old = (gates[i].kind, gates[i].qubits)
+        while (gates[i].kind, gates[i].qubits) == old:
+            gates[i] = _random_compiled(circuit.num_qubits, rng, 1).gates[0]
+    return replace(circuit, gates=tuple(gates))
+
+
 class TestBatch:
-    """Circuits that share a skeleton run in one pass, item by item as alone."""
+    """Circuits of one width and length run in one pass, item by item as alone."""
 
     def test_exact_batch_matches_single_runs(self):
         built = [
@@ -302,14 +313,57 @@ class TestBatch:
         one, two = run_noisy([circuit, circuit], NoiseParams())
         np.testing.assert_array_equal(one.entries, two.entries)
 
+    @pytest.mark.parametrize("noisy", [False, True], ids=["statevector", "density-matrix"])
+    def test_batch_of_other_kinds_and_qubits_matches_single_runs(self, noisy):
+        """Items that differ from the first in kind or qubits at some
+        positions run there on their own rows; equal items and other angles
+        share the batched calls."""
+        rng = np.random.default_rng(41)
+        base = _random_compiled(4, rng)
+        items = [
+            base,
+            _rewired(base, rng, (0, 7, 39)),
+            _reparametrized(base, rng),
+            base,
+            _rewired(_reparametrized(base, rng), rng, rng.choice(40, size=10, replace=False)),
+        ]
+        noise = NoiseParams(t1_ns=3000.0) if noisy else None
+        if noisy:
+            initial = DensityMatrix(4, _random_rho(4, rng))
+        else:
+            amplitudes = rng.normal(size=16) + 1j * rng.normal(size=16)
+            initial = StateVector(4, amplitudes / np.linalg.norm(amplitudes))
+        batch = run_noisy(items, noise, initial=initial)
+        assert len(batch) == len(items)
+        for circuit, state in zip(items, batch):
+            want = run_noisy(circuit, noise, initial=initial)
+            got, want = (
+                (state.entries, want.entries) if noisy else (state.amplitudes, want.amplitudes)
+            )
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_hhl_circuits_whose_mry_controls_differ(self):
+        """Source circuits of two problems: their QFTs are shared, their
+        unitary powers stacked, and their mry gates, on other controls, run
+        on their own rows."""
+        a, b = build_a_lambda(0.125), build_a_lambda(0.25)
+        estimate = solvers.estimate_from_spectral(a, 4)
+        reduced = solvers.synthesize_reduced_aqe(estimate, 1.0 / classical_solution(a)[1])
+        built = [
+            solvers.build_hhl_circuit(a, 4, reduced),
+            solvers.build_hhl_circuit(b, 4, solvers.build_aqe(b, 4)),
+        ]
+        mry = [[g.qubits for g in c.gates if g.kind == "mry"] for c in built]
+        assert mry[0] != mry[1]
+        for circuit, state in zip(built, run_noisy(built)):
+            np.testing.assert_allclose(
+                state.amplitudes, run_noisy(circuit).amplitudes, rtol=0, atol=1e-12
+            )
+
     @pytest.mark.parametrize(
         "other",
-        [
-            (gate("h", 0), gate("rz", 1, params=(0.2,))),  # another kind
-            (gate("h", 1), gate("ry", 1, params=(0.2,))),  # another qubit
-            (gate("h", 0), gate("ry", 1, params=(0.2,)), gate("h", 0)),  # longer
-        ],
-        ids=["kind", "qubits", "length"],
+        [(gate("h", 0), gate("ry", 1, params=(0.2,)), gate("h", 0))],  # longer
+        ids=["length"],
     )
     def test_rejects_circuits_whose_skeletons_differ(self, other):
         base = Circuit(2, (gate("h", 0), gate("ry", 1, params=(0.7,))), {})

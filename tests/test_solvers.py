@@ -1,12 +1,13 @@
 """Original and hybrid solver pipelines plus the reduction machinery."""
 
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from hhlsim import circuits, oracles, qstate, solvers
+from hhlsim import circuits, noise as noise_mod, oracles, qstate, solvers
 from hhlsim.errors import (
     CompileError,
     ConstraintError,
@@ -305,6 +306,19 @@ class TestCircuitBuilder:
         u_cmp = circuits.circuit_unitary(compiled.gates, circ.num_qubits)
         assert circuits.equal_up_to_phase(u_cmp, u_src, atol=1e-8)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_exact_run_makes_one_kernel_call_per_source_gate(self, monkeypatch, n):
+        """Each QPE is n h, n controlled powers and one qft gate; with the
+        encoding's mry, and b's preparation where b is not |0>, every source
+        gate is one kernel call."""
+        kernel, calls = qstate.apply_operator, []
+        monkeypatch.setattr(qstate, "apply_operator", lambda *a: calls.append(a) or kernel(*a))
+        for problem, prepared in ((build_a_lambda(0.25), 0), (random_problem(3), 1)):
+            circuit = build_hhl_circuit(problem, n, build_aqe(problem, n))
+            calls.clear()
+            noise_mod.run_noisy(circuit)
+            assert len(calls) == len(circuit.gates) == 2 * (2 * n + 1) + 1 + prepared
+
 
 class TestValidateOnce:
     @pytest.mark.parametrize("n", [2, 3])
@@ -370,6 +384,28 @@ class TestReducedEncodingEquivalence:
         monkeypatch.setattr(solvers, "build_hhl_circuit", lambda *a: calls.append(a) or build(*a))
         assert reduced_encoding_equivalence_check(build_a_lambda(lam), 2)
         assert len(calls) == circuits_built
+
+    def test_one_batch_and_a_perturbed_angle_fails(self, monkeypatch):
+        """The full and reduced circuits run as one batch. With one reduced
+        angle off by 1e-3 the check fails, so a batch that gave both items
+        one state could not pass it."""
+        problem = random_perfectly_estimated_problem(np.random.default_rng(5), d=4, n=3, k=2)
+        run, batches = noise_mod.run_noisy, []
+        monkeypatch.setattr(
+            noise_mod, "run_noisy", lambda c, *a: batches.append(c) or run(c, *a)
+        )
+        assert reduced_encoding_equivalence_check(problem, 3)
+        assert len(batches) == 1 and len(batches[0]) == 2
+        synthesize = solvers.synthesize_reduced_aqe
+
+        def perturbed(estimate, c):
+            spec = synthesize(estimate, c)
+            y = int(next(iter(estimate.peaks)), 2) - spec.y_prime  # a branch with weight
+            table = {**spec.angle_table, y: spec.angle_table[y] + 1e-3}
+            return dataclasses.replace(spec, angle_table=table)
+
+        monkeypatch.setattr(solvers, "synthesize_reduced_aqe", perturbed)
+        assert not reduced_encoding_equivalence_check(problem, 3)
 
     def test_random_problem_has_requested_structure(self):
         rng = np.random.default_rng(11)
