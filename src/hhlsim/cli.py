@@ -270,9 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_problem_flags(p)
     _add_common_flags(p)
     p.add_argument("--mode", choices=("original", "hybrid"), default="original")
-    p.add_argument("--tau", type=float, default=0.05, help="peak threshold")
-    p.add_argument("--coverage", type=float, default=0.9, help="peak-mass bound")
-    p.add_argument("--max-n", type=int, default=4, help="largest register to try")
+    policy = solvers.HybridPolicy
+    p.add_argument("--tau", type=float, default=policy.tau, help="peak threshold")
+    p.add_argument("--coverage", type=float, default=policy.coverage, help="peak-mass bound")
+    p.add_argument("--max-n", type=int, default=policy.max_n, help="largest register to try")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("sweep", help="fidelity curves over a lambda grid")

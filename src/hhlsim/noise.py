@@ -1,7 +1,7 @@
 """The noise model and the circuit executor, :func:`run_noisy`: without
 noise on a statevector, with amplitude damping (T1) on a density matrix,
-for one circuit or a batch of several of one width and length. Readout
-errors are per-bit flips of the measured distribution.
+for one circuit or a batch. Readout errors are per-bit flips of the
+measured distribution.
 
 :class:`NoiseParams` owns the gate durations, which only basis kinds have.
 Under noise each gate of a compiled circuit advances one clock by its
@@ -142,24 +142,23 @@ def run_noisy(circuit, noise: NoiseParams | None = None, initial=None):
     raises CompileError; one over ``qstate.MAX_DENSITY_BYTES`` raises
     ValidationError before it is made.
 
-    ``circuit`` may also be a sequence of circuits of one width and one
-    length (DomainError otherwise), all run from ``initial``; a list of final
-    states is returned then, in circuit order. On a statevector they run in
+    ``circuit`` may also be a sequence of circuits, all run from ``initial``;
+    a list of final states is returned then, in circuit order. A batch has
+    one width and, on a statevector, one length (DomainError otherwise). On a
+    density matrix the circuits run one by one. On a statevector they run in
     one pass over a leading batch axis, gate position by gate position: equal
     gates share one call, gates of one kind on the same qubits take one call
     with a stack of one matrix per item, and any others are applied item by
     item on their own rows. So a shared prefix runs once, on a batch of one.
-    On a density matrix the circuits run one by one.
     """
     single = hasattr(circuit, "gates")
     items = [circuit] if single else list(circuit)
     if not items:
         raise DomainError("no circuit to run")
     first = items[0]
-    n, length = first.num_qubits, len(first.gates)
-    for c in items[1:]:
-        if c.num_qubits != n or len(c.gates) != length:
-            raise DomainError("the circuits of a batch differ in width or length")
+    n = first.num_qubits
+    if any(c.num_qubits != n for c in items):
+        raise DomainError("the circuits of a batch differ in width")
     state = qstate.basis_state(n, 0) if initial is None else initial
     if noise is not None and isinstance(state, StateVector):
         if 16 * 4**n > qstate.MAX_DENSITY_BYTES:
@@ -173,6 +172,8 @@ def run_noisy(circuit, noise: NoiseParams | None = None, initial=None):
         data = state.entries[None]
         states = [DensityMatrix._trusted(n, _run_density(c, noise, data)[0]) for c in items]
         return states[0] if single else states
+    if any(len(c.gates) != len(first.gates) for c in items):
+        raise DomainError("the circuits of a statevector batch differ in length")
     data = state.amplitudes[None]
     for i, g in enumerate(first.gates):
         others = [c.gates[i] for c in items[1:]]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .qstate import _check_unitary, within_atol
+from .qstate import within_atol
 
 SPECTRUM_MARGIN = 1e-6
 
@@ -67,12 +67,12 @@ class HermitianProblem:
 
     @functools.cached_property
     def b_preparation(self) -> np.ndarray | None:
-        """A unitary with first column b, checked once, read-only; None for b = |0...0>."""
+        """A unitary with first column b, read-only; None for b = |0...0>. A QR
+        factor of the checked b: unitary by construction, not checked again."""
         if within_atol(self.b, np.eye(self.dimension)[:, 0], 1e-12):
             return None
         q_mat = np.linalg.qr(np.column_stack([self.b, np.eye(self.dimension, dtype=complex)]))[0]
         q_mat[:, 0] *= np.vdot(q_mat[:, 0], self.b)  # undo QR's column phase
-        q_mat = _check_unitary(q_mat)
         q_mat.setflags(write=False)
         return q_mat
 

@@ -5,8 +5,9 @@ Register bit 1 (most significant) controls the highest unitary power, so a
 measured register string reads directly as the n-bit eigenvalue estimate.
 The QPEA circuit prepares b (:func:`prepare_b`) as the HHL circuit does.
 :func:`run_qpea` is the one QPEA entry: exact probabilities for ``shots == 0``,
-with or without noise, and a seeded draw from them for ``shots > 0``; every
-path runs :func:`build_qpe` (its closed form is ``oracles.qpea_distribution``).
+with or without noise, and a seeded draw from them for ``shots > 0``. It
+always runs :func:`qpea_distribution_noisy`, the one run of :func:`build_qpe`
+(its closed form is ``oracles.qpea_distribution``).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import circuits, noise as noise_mod, qstate
 from .circuits import Circuit, Gate, gate
-from .errors import DomainError, ValidationError
+from .errors import DomainError
 from .problem import HermitianProblem, unitary_power
 from .qstate import MeasurementHistogram
 
@@ -28,16 +29,14 @@ class QpeConfig:
     problem: HermitianProblem
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError("register size must be >= 1")
-        qstate.check_width(self.n + self.problem.num_qubits)
+        qstate.check_width(self.n, self.problem.num_qubits)
 
 
 def prepare_b(problem: HermitianProblem, v_qubits) -> list[Gate]:
     """Gates sending |0...0> on the input wires to b: none if b is |0...0>,
-    else one ``unitary`` gate of ``problem.b_preparation``, checked once per
-    problem. Builders put it before :func:`qpe_block`, not inside: the HHL
-    circuit undoes that block."""
+    else one ``unitary`` gate of ``problem.b_preparation``, made once per
+    problem and unitary by construction, so taken unchecked. Builders put it
+    before :func:`qpe_block`, not inside: the HHL circuit undoes that block."""
     u = problem.b_preparation
     return [] if u is None else [Gate("unitary", tuple(v_qubits), (), u)]
 
@@ -77,7 +76,7 @@ def build_qpe(config: QpeConfig, physical_swap: bool = False) -> Circuit:
 
 
 def register_distribution_exact(problem: HermitianProblem, n: int) -> MeasurementHistogram:
-    """Exact QPEA outcome probabilities: the circuit run on a statevector."""
+    """Exact QPEA outcome probabilities without noise."""
     return qpea_distribution_noisy(problem, n, None)
 
 
@@ -90,16 +89,13 @@ def run_qpea(
 ) -> MeasurementHistogram:
     """The QPEA register histogram; deterministic for a fixed seed.
 
-    ``shots == 0`` gives exact probabilities: :func:`register_distribution_exact`
-    without ``noise``, :func:`qpea_distribution_noisy` with it. ``shots > 0``
-    draws that many outcomes from the same probabilities.
+    ``shots == 0`` gives the exact probabilities of
+    :func:`qpea_distribution_noisy`, with or without ``noise``; ``shots > 0``
+    draws that many outcomes from them.
     """
     if shots < 0:
         raise DomainError("shots must be >= 0")
-    if noise is None:
-        dist = register_distribution_exact(problem, n)
-    else:
-        dist = qpea_distribution_noisy(problem, n, noise)
+    dist = qpea_distribution_noisy(problem, n, noise)
     if shots == 0:
         return dist
     p = np.array([dist.outcomes[x] for x in sorted(dist.outcomes)])

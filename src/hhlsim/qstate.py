@@ -1,7 +1,8 @@
 """Exact complex-amplitude simulation substrate.
 
 State vectors and density matrices over qubit registers, gate application,
-post-selection, partial trace, fidelity, and seeded measurement sampling.
+post-selection, partial trace, the one overlap rule (:func:`overlaps`) and
+seeded measurement sampling.
 Qubit 0 is the most significant bit of a basis-state index, so the bitstring
 label of index ``x`` reads left to right as qubits 0, 1, 2, ...
 Every gate goes through one kernel, :func:`apply_operator`, which works on
@@ -40,11 +41,15 @@ MAX_DENSITY_BYTES = 16 * 4**11
 ZERO_PROBABILITY = 1e-14
 
 
-def check_width(num_qubits: int) -> None:
-    """Refuse a circuit wider than MAX_QUBITS, before anything is built."""
-    if num_qubits > MAX_QUBITS:
+def check_width(register: int, others: int) -> None:
+    """The one register-size rule, before anything is built: a register below
+    1 qubit raises DomainError, a circuit of ``register + others`` qubits
+    wider than MAX_QUBITS ValidationError."""
+    if register < 1:
+        raise DomainError("register size must be >= 1")
+    if register + others > MAX_QUBITS:
         raise ValidationError(
-            f"a {num_qubits}-qubit circuit exceeds the limit of {MAX_QUBITS} qubits"
+            f"a {register + others}-qubit circuit exceeds the limit of {MAX_QUBITS} qubits"
         )
 
 
@@ -216,14 +221,6 @@ def apply_operator(data: np.ndarray, u: np.ndarray, targets, num_qubits: int) ->
     return out.reshape(out.shape[:1] + data.shape[1:])
 
 
-def apply_on_both_sides(data: np.ndarray, u: np.ndarray, targets, num_qubits: int):
-    """``u rho u^+`` for a batch of density matrices (B, 2^n, 2^n): the kernel
-    with ``u`` on the row bits ``targets``, then with ``u*`` on the column
-    bits, ``targets`` shifted by n; no superoperator of ``u`` is formed."""
-    rows = apply_operator(data, u, targets, 2 * num_qubits)
-    return apply_operator(rows, u.conj(), [t + num_qubits for t in targets], 2 * num_qubits)
-
-
 def apply_unitary(state, u, targets):
     """Apply a unitary, checked for unitarity, on the listed target qubits.
 
@@ -238,7 +235,9 @@ def apply_unitary(state, u, targets):
     if isinstance(state, StateVector):
         return StateVector._trusted(n, apply_operator(state.amplitudes[None], u, targets, n)[0])
     if isinstance(state, DensityMatrix):
-        return DensityMatrix._trusted(n, apply_on_both_sides(state.entries[None], u, targets, n)[0])
+        rows = apply_operator(state.entries[None], u, targets, 2 * n)
+        out = apply_operator(rows, u.conj(), [t + n for t in targets], 2 * n)
+        return DensityMatrix._trusted(n, out[0])
     raise DomainError(f"unsupported state type {type(state)!r}")
 
 
@@ -322,17 +321,20 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     return DensityMatrix._trusted(m, t.copy())  # owned: keeps no chain of views alive
 
 
+def overlaps(rho: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """<k|rho|k> of each ket of ``kets`` (B, K, 2^q) against item b of ``rho``
+    (B, 2^q, 2^q), clamped to [0, 1]: the overlap fidelity the closed-form
+    curves match, not its square root (pinned in tests/test_oracles.py)."""
+    return np.clip(np.einsum("bkx,bxy,bky->bk", kets.conj(), rho, kets).real, 0.0, 1.0)
+
+
 def fidelity_pure(rho, psi) -> float:
-    """Overlap fidelity <psi|rho|psi> of a state, pure or mixed, against a pure
-    reference: the convention the Appendix-style closed-form curves match on a
-    lambda grid, not its square root (pinned in tests/test_oracles.py)."""
+    """:func:`overlaps` of one state, pure or mixed, against one pure reference."""
     if isinstance(rho, StateVector):
         rho = rho.to_density_matrix()
     if rho.num_qubits != psi.num_qubits:
         raise DomainError("dimension mismatch between rho and psi")
-    v = psi.amplitudes
-    val = float(np.real(v.conj() @ rho.entries @ v))
-    return min(max(val, 0.0), 1.0)
+    return float(overlaps(rho.entries[None], psi.amplitudes[None, None])[0, 0])
 
 
 def exact_distribution(state, qubits) -> MeasurementHistogram:

@@ -13,13 +13,13 @@ Both runs execute it with :func:`noise.run_noisy`: the exact run its source
 gates on a statevector, the noisy run its compiled form on a density matrix.
 Both take their CNOT count from the source circuit through
 :func:`circuits.cnot_count`; the exact run never compiles.
-:func:`run_original_hhl_batch` runs the exact circuits of many problems in
-one batched executor pass; :func:`run_original_hhl` is its one-problem case.
-The final states of a batch are then scored in one pass: one post-selection,
+:func:`run_original_hhl_batch` runs the circuits of many problems in one
+executor call; :func:`run_original_hhl` is its one-problem case. The final
+states of a batch are then scored in one pass: one post-selection,
 :func:`postselect_hhl`, gives both estimators of every item as stacks, read
 from a statevector's amplitudes without forming its density matrix, and one
-``einsum`` each gives their fidelities and, for a one-qubit solution, the
-x-basis weights (:func:`x_basis_weights` for a single state).
+:func:`qstate.overlaps` call each gives their fidelities and, for a
+one-qubit solution, the x-basis weights (:func:`x_basis_weights` for one).
 """
 
 from __future__ import annotations
@@ -65,9 +65,7 @@ def build_aqe(problem: HermitianProblem, n: int) -> AqeSpec:
     Refuses a register size below 1 or an HHL circuit wider than
     ``qstate.MAX_QUBITS`` before its 2^n-entry table is built.
     """
-    if n < 1:
-        raise DomainError("register size must be >= 1")
-    qstate.check_width(1 + n + problem.num_qubits)
+    qstate.check_width(n, 1 + problem.num_qubits)
     _, norm = classical_solution(problem)
     return _encoding(n, 1.0 / norm, 0, tuple(range(1, n + 1)))
 
@@ -124,8 +122,27 @@ class EigenEstimate:
         return tuple(k for k, m in enumerate(self.means, 1) if m not in (0.0, 1.0))
 
 
+@dataclass(frozen=True)
+class HybridPolicy:
+    """The hybrid solver's thresholds and restarts: the one home of their defaults."""
+
+    tau: float = 0.05
+    coverage: float = 0.9
+    max_n: int = 4
+    n_step: int = 1
+
+    def __post_init__(self):
+        for name, value in (("tau", self.tau), ("coverage", self.coverage)):
+            if not 0.0 <= value <= 1.0:
+                raise ValidationError(f"{name} must lie in [0, 1], got {value}")
+        for name, value in (("max_n", self.max_n), ("n_step", self.n_step)):
+            if value < 1:
+                raise ValidationError(f"{name} must be >= 1, got {value}")
+
+
 def analyze_qpea(
-    histogram: MeasurementHistogram, n: int, tau: float = 0.05, coverage_bound: float = 0.9
+    histogram: MeasurementHistogram, n: int,
+    tau: float = HybridPolicy.tau, coverage_bound: float = HybridPolicy.coverage,
 ) -> EigenEstimate:
     """Classify register outcomes with probability >= tau as eigenvalue peaks.
 
@@ -192,19 +209,13 @@ class HHLOutcome:
 _X_KETS = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
 
 
-def _overlaps(rho: np.ndarray, kets: np.ndarray) -> np.ndarray:
-    """<k|rho|k> of each ket of ``kets`` (B, K, 2^q) against item b of a stack
-    ``rho`` (B, 2^q, 2^q), clamped to [0, 1] as :func:`qstate.fidelity_pure`."""
-    return np.clip(np.einsum("bkx,bxy,bky->bk", kets.conj(), rho, kets).real, 0.0, 1.0)
-
-
 def x_basis_weights(state):
     """(|<+|v>|^2, |<-|v>|^2) of a one-qubit state, pure or mixed;
     (None, None) for a wider one."""
     if state.num_qubits != 1:
         return None, None
     rho = state if isinstance(state, DensityMatrix) else state.to_density_matrix()
-    return tuple(float(w) for w in _overlaps(rho.entries[None], _X_KETS[None])[0])
+    return tuple(float(w) for w in qstate.overlaps(rho.entries[None], _X_KETS[None])[0])
 
 
 def postselect_hhl(states, n: int) -> dict:
@@ -236,34 +247,32 @@ def postselect_hhl(states, n: int) -> dict:
 
 
 def _solve(mode, problems, n, specs, shots, seed, noise, estimate=None) -> list[HHLOutcome]:
-    """Build one HHL circuit per problem, run them exactly or under noise,
-    post-select and score all final states in one pass, and return one
-    outcome per problem.
+    """Build one HHL circuit per problem, run them all in one executor call,
+    exactly or under noise, post-select and score all final states in one
+    pass, and return one outcome per problem.
 
     The CNOT counts come from the source circuits, None where a circuit does
-    not lower. The exact runs apply the source gates, all in one batched
-    executor pass. Under noise each circuit is compiled, then runs on its
-    own, because compilation drops zero angles, so compiled circuits of
-    different problems rarely share a length. Both estimators are scored
-    against each problem's classical solution; the one named by
-    ``postselection`` heads the outcome, with the seeded x-basis histogram.
+    not lower. The exact runs apply the source gates in one statevector pass.
+    Under noise the compiled circuits run, which may differ in length, as
+    compilation drops zero angles; the executor runs their density matrices
+    one by one. Both estimators are scored against each problem's classical
+    solution; the one named by ``postselection`` heads the outcome, with the
+    seeded x-basis histogram.
     """
     built = [build_hhl_circuit(p, n, spec) for p, spec in zip(problems, specs)]
     cnot_counts = [_cnot_count_or_none(c) for c in built]
-    if noise is None:
-        states = noise_mod.run_noisy(built)
-        postselection = "ancilla"
-    else:
-        states = [noise_mod.run_noisy(circuits.compile_circuit(c), noise) for c in built]
-        postselection = "uncomputed"
+    if noise is not None:
+        built = [circuits.compile_circuit(c) for c in built]
+    states = noise_mod.run_noisy(built, noise)
+    postselection = "ancilla" if noise is None else "uncomputed"
     estimators = postselect_hhl(states, n)
     rho, named = estimators[postselection]
     if not named.all():
         raise ImpossibleOutcomeError("register outcome 0...0 has zero probability")
     x = np.array([classical_solution(p)[0] for p in problems])[:, None]
-    fids = {name: _overlaps(r, x)[:, 0] for name, (r, _) in estimators.items()}
+    fids = {name: qstate.overlaps(r, x)[:, 0] for name, (r, _) in estimators.items()}
     q = problems[0].num_qubits
-    weights = _overlaps(rho, np.broadcast_to(_X_KETS, (len(x), 2, 2))) if q == 1 else None
+    weights = qstate.overlaps(rho, np.broadcast_to(_X_KETS, (len(x), 2, 2))) if q == 1 else None
     outcomes = []
     for i, count in enumerate(cnot_counts):
         scores = {
@@ -333,11 +342,11 @@ def run_original_hhl_batch(
     noise: noise_mod.NoiseParams | None = None,
 ) -> list[HHLOutcome]:
     """Full-register HHL on several problems at one register size; outcomes
-    in problem order, each as :func:`run_original_hhl` gives it. Without
-    noise all circuits run in one batched executor pass, so they must have
-    one width and one length (DomainError otherwise): the problems share a
-    dimension, and b is |0...0> for all of them or for none
-    (:func:`qpe.prepare_b` emits no gate for it). Their gates differ only in
+    in problem order, each as :func:`run_original_hhl` gives it. All circuits
+    run in one executor call, so they must have one width, and without noise
+    one length (DomainError otherwise): the problems share a dimension, and
+    b is |0...0> for all of them or for none (:func:`qpe.prepare_b` emits no
+    gate for it). Their gates differ only in
     the unitary powers of QPE and the encoding's angles, each position taking
     one executor call."""
     specs = [build_aqe(p, n) for p in problems]
@@ -355,22 +364,6 @@ def run_original_hhl(
     return run_original_hhl_batch([problem], n, shots, seed, noise)[0]
 
 
-@dataclass(frozen=True)
-class HybridPolicy:
-    tau: float = 0.05
-    coverage: float = 0.9
-    max_n: int = 4
-    n_step: int = 1
-
-    def __post_init__(self):
-        for name, value in (("tau", self.tau), ("coverage", self.coverage)):
-            if not 0.0 <= value <= 1.0:
-                raise ValidationError(f"{name} must lie in [0, 1], got {value}")
-        for name, value in (("max_n", self.max_n), ("n_step", self.n_step)):
-            if value < 1:
-                raise ValidationError(f"{name} must be >= 1, got {value}")
-
-
 def run_hybrid_hhl(
     problem: HermitianProblem,
     n_init: int,
@@ -385,8 +378,6 @@ def run_hybrid_hhl(
     policy.max_n) when the analysis cannot certify a reduction; raises
     :class:`NotReducibleError` carrying the last estimate once exhausted.
     """
-    if n_init < 1:
-        raise DomainError("register size must be >= 1")
     if n_init > policy.max_n:
         raise ValidationError(
             f"initial register size {n_init} exceeds the largest allowed, {policy.max_n}"
@@ -396,7 +387,7 @@ def run_hybrid_hhl(
     n = n_init
     last_estimate = None
     while n <= policy.max_n:
-        qstate.check_width(1 + n + problem.num_qubits)
+        qstate.check_width(n, 1 + problem.num_qubits)
         hist = qpe.run_qpea(problem, n, shots, seed, noise=noise)
         estimate = analyze_qpea(hist, n, policy.tau, policy.coverage)
         if estimate.reducible:

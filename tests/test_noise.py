@@ -282,7 +282,8 @@ def _rewired(circuit, rng, positions):
 
 
 class TestBatch:
-    """Circuits of one width and length run in one pass, item by item as alone."""
+    """Circuits of one width run as one batch, item by item as alone; on a
+    statevector they run in one pass and must share one length too."""
 
     def test_exact_batch_matches_single_runs(self):
         built = [
@@ -301,6 +302,7 @@ class TestBatch:
         rng = np.random.default_rng(31)
         base = _random_compiled(4, rng)
         items = [base] + [_reparametrized(base, rng) for _ in range(3)]
+        items.append(replace(base, gates=base.gates[:-3]))  # a density matrix may differ in length
         noise = NoiseParams(t1_ns=3000.0, idle_damping=idle_damping)
         initial = DensityMatrix(4, _random_rho(4, rng))
         batch = run_noisy(items, noise, initial=initial)
@@ -366,6 +368,7 @@ class TestBatch:
         ids=["length"],
     )
     def test_rejects_circuits_whose_skeletons_differ(self, other):
+        """Only a statevector batch needs its gate positions to line up."""
         base = Circuit(2, (gate("h", 0), gate("ry", 1, params=(0.7,))), {})
         with pytest.raises(DomainError):
             run_noisy([base, Circuit(2, other, {})])

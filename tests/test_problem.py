@@ -110,6 +110,23 @@ class TestHermitianProblem:
         problem = HermitianProblem(a, b / np.linalg.norm(b))
         np.testing.assert_allclose(problem.spectral.reconstruct(), a, atol=1e-10)
 
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_b_preparation_is_a_unitary_with_first_column_b(self, d):
+        rng = np.random.default_rng(70 + d)
+        for _ in range(5):
+            b = rng.normal(size=d) + 1j * rng.normal(size=d)
+            problem = HermitianProblem(np.diag(np.linspace(0.2, 0.8, d)), b / np.linalg.norm(b))
+            u = problem.b_preparation
+            assert u is problem.b_preparation  # made once per problem
+            assert not u.flags.writeable
+            np.testing.assert_allclose(u.conj().T @ u, np.eye(d), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(u[:, 0], problem.b, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_no_b_preparation_for_the_zero_state(self, d):
+        b = np.eye(d)[0]
+        assert HermitianProblem(np.diag(np.linspace(0.2, 0.8, d)), b).b_preparation is None
+
     def test_unitary_power_diagonalizes(self):
         problem = build_a_lambda(0.25)
         u = unitary_power(problem.spectral, 1)

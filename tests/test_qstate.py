@@ -344,6 +344,21 @@ class TestFidelity:
     def test_orthogonal_states(self):
         assert fidelity_pure(basis_state(1, 0).to_density_matrix(), basis_state(1, 1)) == pytest.approx(0.0, abs=1e-12)
 
+    def test_one_state_case_of_overlaps(self):
+        rng = np.random.default_rng(8)
+        psi = _random_state(rng, 2)
+        for state in (_random_state(rng, 2), _random_state(rng, 2).to_density_matrix()):
+            rho = state if isinstance(state, DensityMatrix) else state.to_density_matrix()
+            want = qstate.overlaps(rho.entries[None], psi.amplitudes[None, None])[0, 0]
+            assert fidelity_pure(state, psi) == want
+
+    @pytest.mark.parametrize("scale,want", [(1.5, 1.0), (-0.5, 0.0)])
+    def test_clamped_to_unit_interval(self, scale, want):
+        entries = scale * basis_state(1, 0).to_density_matrix().entries
+        assert fidelity_pure(DensityMatrix._trusted(1, entries), basis_state(1, 0)) == want
+        kets = np.eye(2, dtype=complex)[None]
+        np.testing.assert_array_equal(qstate.overlaps(entries[None], kets), [[want, 0.0]])
+
 
 class TestDistributions:
     def test_exact_distribution_sums_to_one(self):

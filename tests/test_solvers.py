@@ -18,7 +18,7 @@ from hhlsim.errors import (
 )
 from hhlsim.noise import NoiseParams, damping_channel
 from hhlsim.problem import HermitianProblem, build_a_lambda, classical_solution
-from hhlsim.qpe import run_qpea
+from hhlsim.qpe import QpeConfig, run_qpea
 from hhlsim.qstate import DensityMatrix, MeasurementHistogram, StateVector
 from hhlsim.solvers import (
     HybridPolicy,
@@ -346,9 +346,9 @@ class TestWidthLimit:
     """Circuits wider than qstate.MAX_QUBITS are refused before they are built."""
 
     def test_limit_boundary(self):
-        qstate.check_width(qstate.MAX_QUBITS)
+        qstate.check_width(qstate.MAX_QUBITS - 1, 1)
         with pytest.raises(ValidationError):
-            qstate.check_width(qstate.MAX_QUBITS + 1)
+            qstate.check_width(qstate.MAX_QUBITS, 1)
 
     def test_original_refused_before_building(self, monkeypatch):
         # build_aqe refuses before its angle table or the circuit is built
@@ -369,6 +369,17 @@ class TestWidthLimit:
         with pytest.raises(ValidationError, match="13-qubit"):
             run_hybrid_hhl(build_a_lambda(0.3), 9, policy=HybridPolicy(max_n=20))
         assert tried == [9, 10]
+
+    @pytest.mark.parametrize(
+        "build",
+        [build_aqe, QpeConfig, run_hybrid_hhl],
+        ids=["build_aqe", "QpeConfig", "run_hybrid_hhl"],
+    )
+    def test_register_below_one_refused_by_the_one_rule(self, build):
+        problem = build_a_lambda(0.3)
+        args = (0, problem) if build is QpeConfig else (problem, 0)
+        with pytest.raises(DomainError, match=r"^register size must be >= 1$"):
+            build(*args)
 
 
 class TestReducedEncodingEquivalence:
@@ -469,6 +480,28 @@ class TestOriginalBatch:
             np.testing.assert_allclose(got.rho_v.entries, want.rho_v.entries, atol=1e-12)
             # each outcome owns its state: no view into the batch's stack
             assert got.rho_v.entries.base is None
+
+    def test_noisy_batch_is_one_executor_call(self, monkeypatch):
+        """Compiled circuits of different lengths run as one density-matrix
+        batch, each item as its own solve gives it."""
+        problems = [build_a_lambda(lam) for lam in (0.25, 0.3, 0.5)]
+        lengths = {
+            len(circuits.compile_circuit(build_hhl_circuit(p, 2, build_aqe(p, 2))).gates)
+            for p in problems
+        }
+        assert len(lengths) == 3
+        noise = NoiseParams(t1_ns=20_000.0)
+        want = [run_original_hhl(p, 2, noise=noise) for p in problems]
+        calls, run = [], noise_mod.run_noisy
+        monkeypatch.setattr(
+            noise_mod, "run_noisy", lambda *a, **k: calls.append(1) or run(*a, **k)
+        )
+        got = solvers.run_original_hhl_batch(problems, 2, noise=noise)
+        assert len(calls) == 1
+        for g, w in zip(got, want):
+            for name in ("ancilla", "uncomputed", "c_plus_sq", "c_minus_sq"):
+                assert getattr(g, name) == pytest.approx(getattr(w, name), abs=1e-12)
+            np.testing.assert_allclose(g.rho_v.entries, w.rho_v.entries, rtol=0, atol=1e-12)
 
     def test_batch_of_mixed_dimensions_rejected(self):
         rng = np.random.default_rng(2)
