@@ -15,12 +15,14 @@ qubit last settled, and groups the CNOTs into blocks: maximal runs on one
 qubit pair with no other 2-qubit gate on either qubit between them. Every
 superoperator is then made in a few batched calls: the 1-qubit u (x) u*,
 the decays, the chain products, the chains before each CNOT joined to it,
-the product of each block. Last, each block takes one kernel call, and
-each qubit that still owes work one more. This is exact: damping on one
-qubit commutes with gates on others, and damping for t1 then t2 is damping
-for t1 + t2. A statevector run is not fused: that made ``hybrid_random``
-15 % slower (188 -> 161 ops per kref), as a 2x2 on at most 256 amplitudes
-costs less than the Kronecker products.
+each qubit's last chain joined to its last block, the product of each
+block. Last, each block takes one call of :func:`qstate.apply_leading`,
+which keeps rho in lazy axis order, and each qubit that meets no CNOT but
+owes work one more. This is exact: damping on one qubit commutes with
+gates on others, and damping for t1 then t2 is damping for t1 + t2. A
+statevector run is not fused: that made ``hybrid_random`` 15 % slower
+(188 -> 161 ops per kref), as a 2x2 on at most 256 amplitudes costs less
+than the Kronecker products.
 """
 
 from __future__ import annotations
@@ -161,9 +163,7 @@ def run_noisy(circuit, noise: NoiseParams | None = None, initial=None):
         raise DomainError("the circuits of a batch differ in width")
     state = qstate.basis_state(n, 0) if initial is None else initial
     if noise is not None and isinstance(state, StateVector):
-        if 16 * 4**n > qstate.MAX_DENSITY_BYTES:
-            limit = qstate.MAX_DENSITY_BYTES >> 20
-            raise ValidationError(f"a {n}-qubit density matrix exceeds the limit of {limit} MiB")
+        qstate.check_width(n, 0, density=True)
         state = state.to_density_matrix()
     if isinstance(state, DensityMatrix):
         for kind in dict.fromkeys(g.kind for c in items for g in c.gates):
@@ -193,11 +193,12 @@ def run_noisy(circuit, noise: NoiseParams | None = None, initial=None):
 
 def _run_density(circuit, noise: NoiseParams | None, data: np.ndarray) -> np.ndarray:
     """A compiled circuit on a batch of one vectorized density matrix:
-    planned, its superoperators batched, one kernel call per CNOT block."""
+    planned, its superoperators batched, one kernel call per CNOT block,
+    with the axes in qubit order again at the end."""
     n, idle = circuit.num_qubits, noise is None or noise.idle_damping
     clock, since, last = 0.0, [0.0] * n, [0.0] * n  # per qubit: settled at, last gate's time
     chains = [[] for _ in range(n)]  # each qubit's items since its last CNOT
-    ones, times, runs, flips, blocks, open_block = [], [], [], [], [], [None] * n
+    ones, times, runs, flips, blocks, last_block = [], [], [], [], [], [None] * n
 
     def settle(q):  # decay j is item ~j: ops[~j], at the end of the stack
         if (t := clock - since[q] if idle else last[q]) > 0:
@@ -215,12 +216,9 @@ def _run_density(circuit, noise: NoiseParams | None, data: np.ndarray) -> np.nda
             ones.append(gate_matrix(g))
             continue
         a, b = g.qubits
-        block = open_block[a]
-        if block is None or block is not open_block[b]:
-            for closed in (open_block[a], open_block[b]):
-                for q in closed[0] if closed else ():
-                    open_block[q] = None
-            block = open_block[a] = open_block[b] = (g.qubits, [])
+        block = last_block[a]
+        if block is None or block is not last_block[b]:
+            block = last_block[a] = last_block[b] = (g.qubits, [])
             blocks.append(block)
         block[1].append(len(flips))
         flips.append(block[0] != g.qubits)
@@ -229,21 +227,29 @@ def _run_density(circuit, noise: NoiseParams | None, data: np.ndarray) -> np.nda
             chains[q] = []
     for q in range(n):
         settle(q)
-    owing = [q for q in range(n) if chains[q]]
-    runs += [chains[q] for q in owing]
+    for block in blocks:  # a qubit's last chain joins its last block, as no later one touches it
+        tails = [chains[q] if last_block[q] is block else [] for q in block[0]]
+        if any(tails):
+            block[1].append(len(flips))
+            flips.append(2)
+            runs += tails
+    lone = [q for q in range(n) if chains[q] and last_block[q] is None]
+    runs += [chains[q] for q in lone]
     u = np.array(ones).reshape(-1, 2, 2)
     decays = _decay(times[::-1], noise.t1_ns) if times else np.empty((0, 4, 4))
     ops = np.concatenate([_kron(u, u.conj()), np.eye(4)[None], decays])
     products = _products(ops, runs, len(ones))
+    order = tuple(range(2 * n))
     if flips:
         before = _kron(products[0 : 2 * len(flips) : 2], products[1 : 2 * len(flips) : 2])
         steps = _CNOT_SUPER[np.array(flips, dtype=np.intp)] @ before[:, _PAIR[:, None], _PAIR]
         steps = np.concatenate([steps, np.eye(16)[None]])
         for (pair, _), op in zip(blocks, _products(steps, [m for _, m in blocks], len(flips))):
-            data = qstate.apply_operator(data, op, (*pair, *(q + n for q in pair)), 2 * n)
-    for q, op in zip(owing, products[len(runs) - len(owing) :]):
-        data = qstate.apply_operator(data, op, (q, q + n), 2 * n)
-    return data
+            data, order = qstate.apply_leading(data, op, (*pair, *(q + n for q in pair)), order)
+    for q, op in zip(lone, products[len(runs) - len(lone) :]):
+        data, order = qstate.apply_leading(data, op, (q, q + n), order)
+    back = [1 + order.index(q) for q in range(2 * n)]
+    return data.reshape((-1,) + (2,) * (2 * n)).transpose(0, *back).reshape(-1, 2**n, 2**n)
 
 
 def _products(ops: np.ndarray, runs, identity: int) -> np.ndarray:
@@ -274,12 +280,13 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:-4] + (out.shape[-1] * out.shape[-3],) * 2)
 
 
-# u (x) u* over (row a, row b, column a, column b) of cnot(a, b), and of
-# cnot(b, a), which is the same with a's and b's bits exchanged
+# u (x) u* over (row a, row b, column a, column b) of cnot(a, b), of
+# cnot(b, a), which is the same with a's and b's bits exchanged, and of no
+# gate, for the step that joins a qubit's last chain to its last block
 _FLIP = np.arange(16).reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(-1)
 _CNOT = gate_matrix(gate("cnot", 0, 1))
 _CNOT_SUPER = _kron(_CNOT, _CNOT.conj())
-_CNOT_SUPER = np.stack([_CNOT_SUPER, _CNOT_SUPER[_FLIP[:, None], _FLIP]])
+_CNOT_SUPER = np.stack([_CNOT_SUPER, _CNOT_SUPER[_FLIP[:, None], _FLIP], np.eye(16)])
 
 
 def _stacked(first: np.ndarray, others) -> np.ndarray:

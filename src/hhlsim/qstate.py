@@ -5,9 +5,11 @@ post-selection, partial trace, the one overlap rule (:func:`overlaps`) and
 seeded measurement sampling.
 Qubit 0 is the most significant bit of a basis-state index, so the bitstring
 label of index ``x`` reads left to right as qubits 0, 1, 2, ...
-Every gate goes through one kernel, :func:`apply_operator`, which works on
-arrays with a leading batch axis. A density matrix over n qubits is, by a
-reshape, a vector over 2n qubit indices: row bits, then column bits.
+A gate goes through one of two kernels, each on arrays with a leading batch
+axis: :func:`apply_operator`, whose result is in qubit order, or, in the
+planned density-matrix run, :func:`apply_leading`, which keeps a lazy axis
+order. A density matrix over n qubits is, by a reshape, a vector over 2n
+qubit indices: row bits, then column bits.
 
 Values are checked where they enter, against an absolute tolerance
 (:func:`within_atol`): in the public state constructors, in
@@ -34,23 +36,28 @@ ATOL = 1e-10
 MAX_QUBITS = 12
 
 # Largest density matrix a run may hold, 64 MiB = 16 * 4^11 bytes of
-# complex128: at most 11 qubits, beside the kernel's few working copies.
+# complex128: at most 11 qubits. A run holds up to four at once (the initial
+# rho, and a kernel call's input, transposed copy and product): the widest
+# noisy QPEA, `qpea --n 10 --noise`, peaks at 290 MB RSS.
 MAX_DENSITY_BYTES = 16 * 4**11
 
 # A branch probability at or below this is zero: post-selecting it is refused.
 ZERO_PROBABILITY = 1e-14
 
 
-def check_width(register: int, others: int) -> None:
+def check_width(register: int, others: int, density: bool = False) -> None:
     """The one register-size rule, before anything is built: a register below
-    1 qubit raises DomainError, a circuit of ``register + others`` qubits
-    wider than MAX_QUBITS ValidationError."""
+    1 qubit raises DomainError; a circuit of ``register + others`` qubits
+    wider than MAX_QUBITS, or with ``density`` one whose density matrix is
+    over MAX_DENSITY_BYTES, raises ValidationError."""
     if register < 1:
         raise DomainError("register size must be >= 1")
-    if register + others > MAX_QUBITS:
-        raise ValidationError(
-            f"a {register + others}-qubit circuit exceeds the limit of {MAX_QUBITS} qubits"
-        )
+    width = register + others
+    if density and 16 * 4**width > MAX_DENSITY_BYTES:
+        limit = MAX_DENSITY_BYTES >> 20
+        raise ValidationError(f"a {width}-qubit density matrix exceeds the limit of {limit} MiB")
+    if width > MAX_QUBITS:
+        raise ValidationError(f"a {width}-qubit circuit exceeds the limit of {MAX_QUBITS} qubits")
 
 
 def within_atol(a, b, atol: float) -> bool:
@@ -194,7 +201,8 @@ def basis_state(num_qubits: int, index: int) -> StateVector:
 
 
 def apply_operator(data: np.ndarray, u: np.ndarray, targets, num_qubits: int) -> np.ndarray:
-    """The gate kernel: apply ``u`` on the ``targets`` of every item of a batch.
+    """The gate kernel in qubit order (the planned density-matrix run has
+    :func:`apply_leading`): apply ``u`` on the ``targets`` of every item of a batch.
 
     ``data`` has a leading batch axis; the rest of each item indexes
     ``num_qubits`` qubit axes (qubit 0 most significant), then any trailing
@@ -219,6 +227,24 @@ def apply_operator(data: np.ndarray, u: np.ndarray, targets, num_qubits: int) ->
     inverse = sorted(range(len(perm)), key=perm.__getitem__)
     out = out.reshape(out.shape[:1] + qubit_axes).transpose(inverse)
     return out.reshape(out.shape[:1] + data.shape[1:])
+
+
+def apply_leading(data: np.ndarray, u: np.ndarray, targets, order: tuple):
+    """The density-matrix kernel, in lazy axis order: one operator ``u`` on
+    the ``targets`` of each item of ``data`` (B, 2^m), whose m qubit axes
+    lie in ``order`` (``order[i]`` is the qubit of axis i, the first most
+    significant). Unless the targets lead already, a transpose brings them
+    to the front; the matmul leaves them there, and (result, its order) is
+    returned. So a call copies the array at most once, not twice as
+    :func:`apply_operator` on non-adjacent targets, and a run restores qubit
+    order once, at its end. Nothing is checked.
+    """
+    b, k, targets = data.shape[0], len(targets), tuple(targets)
+    if order[:k] != targets:
+        rest = tuple(q for q in order if q not in targets)
+        perm = [0, *(1 + order.index(q) for q in targets + rest)]
+        data, order = data.reshape((b,) + (2,) * len(order)).transpose(perm), targets + rest
+    return (u @ data.reshape(b, 2**k, -1)).reshape(b, -1), order
 
 
 def apply_unitary(state, u, targets):
@@ -324,8 +350,9 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
 def overlaps(rho: np.ndarray, kets: np.ndarray) -> np.ndarray:
     """<k|rho|k> of each ket of ``kets`` (B, K, 2^q) against item b of ``rho``
     (B, 2^q, 2^q), clamped to [0, 1]: the overlap fidelity the closed-form
-    curves match, not its square root (pinned in tests/test_oracles.py)."""
-    return np.clip(np.einsum("bkx,bxy,bky->bk", kets.conj(), rho, kets).real, 0.0, 1.0)
+    curves match, not its square root (pinned in tests/test_oracles.py). An
+    item reads the same bits in any batch: each is its own matrix product."""
+    return np.clip(((kets.conj() @ rho) * kets).sum(-1).real, 0.0, 1.0)
 
 
 def fidelity_pure(rho, psi) -> float:

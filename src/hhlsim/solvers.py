@@ -375,19 +375,27 @@ def run_hybrid_hhl(
     """QPEA, classical eigenvalue-bit analysis, then the reduced pipeline.
 
     Restarts with a larger register (policy.n_step increments up to
-    policy.max_n) when the analysis cannot certify a reduction; raises
+    policy.max_n, or the widest whose HHL circuit the width rule admits)
+    when the analysis cannot certify a reduction; raises
     :class:`NotReducibleError` carrying the last estimate once exhausted.
     """
     if n_init > policy.max_n:
         raise ValidationError(
             f"initial register size {n_init} exceeds the largest allowed, {policy.max_n}"
         )
+    qstate.check_width(n_init, 1 + problem.num_qubits, noise is not None)
+    top, widest = n_init, str(policy.max_n)
+    while top + policy.n_step <= policy.max_n:
+        try:
+            qstate.check_width(top + policy.n_step, 1 + problem.num_qubits, noise is not None)
+        except ValidationError:
+            widest = f"{top}, the widest the simulation limits admit below --max-n {policy.max_n}"
+            break
+        top += policy.n_step
     _, norm = classical_solution(problem)
     c = 1.0 / norm
-    n = n_init
     last_estimate = None
-    while n <= policy.max_n:
-        qstate.check_width(n, 1 + problem.num_qubits)
+    for n in range(n_init, top + 1, policy.n_step):
         hist = qpe.run_qpea(problem, n, shots, seed, noise=noise)
         estimate = analyze_qpea(hist, n, policy.tau, policy.coverage)
         if estimate.reducible:
@@ -396,10 +404,8 @@ def run_hybrid_hhl(
             outcome.histograms["qpea"] = hist
             return outcome
         last_estimate = estimate
-        n += policy.n_step
     raise NotReducibleError(
-        f"no reduced encoding certified up to register size {policy.max_n}",
-        estimate=last_estimate,
+        f"no reduced encoding certified up to register size {widest}", estimate=last_estimate
     )
 
 

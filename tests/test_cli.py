@@ -54,6 +54,20 @@ class TestSolve:
         )
         assert code == EXIT_NOT_REDUCIBLE
 
+    @pytest.mark.parametrize("lam,code", [("0.3", EXIT_NOT_REDUCIBLE), ("0.25", EXIT_OK)])
+    def test_restarts_end_at_the_widest_register(self, tmp_path, capsys, lam, code):
+        """Under noise the HHL circuit at n = 10 would hold a 12-qubit density
+        matrix: the restarts stop at n = 9 with a verdict, not a width error."""
+        noise = tmp_path / "noise.json"
+        noise.write_text('{"t1_ns": 30000}')
+        argv = ["solve", "--lambda", lam, "--mode", "hybrid", "--max-n", "40"]
+        assert run(tmp_path, *argv, "--noise", str(noise))[0] == code
+        if code == EXIT_NOT_REDUCIBLE:
+            assert capsys.readouterr().err == (
+                "not reducible: no reduced encoding certified up to register size 9,"
+                " the widest the simulation limits admit below --max-n 40\n"
+            )
+
     @pytest.mark.parametrize(
         "argv", [["solve", "--lambda", "1e-7"], ["compare", "--lambdas", "0.9999999"]]
     )

@@ -1,9 +1,12 @@
 """Amplitude-damping channel and noisy circuit execution."""
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hhlsim import circuits, qpe, qstate, solvers
 from hhlsim.circuits import Circuit, compile_circuit, gate
@@ -141,6 +144,26 @@ def _random_compiled(n, rng, num_gates=40):
         gates.append(gate(kind, *qubits, params=rng.uniform(-np.pi, np.pi, spec.params)))
     measured = rng.permutation(n)[: rng.integers(1, n + 1)]
     return Circuit(n, tuple(gates), {}, tuple(int(q) for q in measured))
+
+
+def _lazy_order_circuit(n, rng, cnots):
+    """Random basis gates on n qubits, CNOTs (none without ``cnots``) never
+    on the last qubit, which gets an h. With CNOTs it ends in cnot(0, 1), a
+    gate on 0, cnot(1, 2), a gate on 0: qubit 0's last gates follow its last
+    block, whose other qubit goes on into a later one."""
+    kinds = [kind for kind in _BASIS if cnots or kind != "cnot"]
+    gates = []
+    for _ in range(20):
+        kind = kinds[rng.integers(len(kinds))]
+        spec = circuits._KINDS[kind]
+        wires = n - 1 if kind == "cnot" else n
+        qubits = (int(q) for q in rng.choice(wires, size=spec.qubits, replace=False))
+        gates.append(gate(kind, *qubits, params=rng.uniform(-np.pi, np.pi, spec.params)))
+    gates.append(gate("h", n - 1))
+    if cnots:
+        gates += [gate("cnot", 0, 1), gate("ry", 0, params=(0.8,))]
+        gates += [gate("cnot", 1, 2), gate("h", 0)]
+    return Circuit(n, tuple(gates))
 
 
 class TestDampingChannel:
@@ -435,25 +458,39 @@ def _cnot_blocks(gates):
     return blocks
 
 
+def _count_kernel_calls(monkeypatch):
+    """The targets of each call of the density-matrix kernel, in call order."""
+    kernel, calls = qstate.apply_leading, []
+    monkeypatch.setattr(qstate, "apply_leading", lambda *a: calls.append(a[2]) or kernel(*a))
+    return calls
+
+
 class TestFusedExecutor:
-    """A density-matrix run takes one kernel call per CNOT block, and one per
-    qubit that still owes a superoperator after the last gate."""
+    """A density-matrix run takes one kernel call per CNOT block, each
+    qubit's last gates and decays joined to its last block, and one per
+    qubit that owes a superoperator but meets no CNOT."""
 
     @pytest.mark.parametrize("n", [2, 4])
     @pytest.mark.parametrize("idle_damping", [True, False])
     def test_one_kernel_call_per_cnot_block(self, monkeypatch, n, idle_damping):
         compiled, blocks = _hhl_compiled(n), {2: 17, 4: 31}[n]
-        kernel, calls = qstate.apply_operator, []
-        monkeypatch.setattr(
-            qstate, "apply_operator", lambda *a: calls.append(a[2]) or kernel(*a)
-        )
+        calls = _count_kernel_calls(monkeypatch)
         run_noisy(compiled, NoiseParams(idle_damping=idle_damping))
         assert _cnot_blocks(compiled.gates) == blocks < compiled.cnot_count
-        # every CNOT ages its own qubits, so all touched qubits owe decay at the end
+        # with idle damping every qubit owes decay at the end, else only the touched ones
         touched = {q for g in compiled.gates for q in g.qubits}
-        owing = compiled.num_qubits if idle_damping else len(touched)
-        assert len(calls) == blocks + owing
+        paired = {q for g in compiled.gates if g.kind == "cnot" for q in g.qubits}
+        lone = (set(range(compiled.num_qubits)) if idle_damping else touched) - paired
+        assert len(calls) == blocks + len(lone)
         assert sum(len(t) == 4 for t in calls) == blocks
+        if n == 2:
+            assert len(calls) == 17
+
+    def test_qpea_takes_one_kernel_call_per_cnot_block(self, monkeypatch):
+        compiled = compile_circuit(qpe.build_qpe(qpe.QpeConfig(4, build_a_lambda(0.3))))
+        calls = _count_kernel_calls(monkeypatch)
+        run_noisy(compiled, NoiseParams())
+        assert len(calls) == _cnot_blocks(compiled.gates) == 10
 
     @pytest.mark.parametrize("idle_damping", [True, False])
     def test_reversed_cnot_inside_a_block(self, idle_damping):
@@ -476,10 +513,7 @@ class TestFusedExecutor:
         )
         compiled = Circuit(3, gates)
         assert _cnot_blocks(gates) == 3
-        kernel, calls = qstate.apply_operator, []
-        monkeypatch.setattr(
-            qstate, "apply_operator", lambda *a: calls.append(a[2]) or kernel(*a)
-        )
+        calls = _count_kernel_calls(monkeypatch)
         noise = NoiseParams(t1_ns=700.0, idle_damping=idle_damping)
         initial = _random_rho(3, np.random.default_rng(29))
         rho = run_noisy(compiled, noise, initial=DensityMatrix(3, initial))
@@ -499,6 +533,27 @@ class TestFusedExecutor:
         noise = NoiseParams(t1_ns=900.0, idle_damping=idle_damping)
         initial = _random_rho(3, np.random.default_rng(5))
         rho = run_noisy(compiled, noise, initial=DensityMatrix(3, initial))
+        want, _ = _eager_run(compiled, noise, initial)
+        np.testing.assert_allclose(rho.entries, want, rtol=0, atol=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+    def test_lazy_order_matches_eager_reference(self, seed, idle_damping, cnots):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 6))
+        compiled = _lazy_order_circuit(n, rng, cnots)
+        noise = NoiseParams(t1_ns=1500.0, idle_damping=idle_damping)
+        initial = _random_rho(n, rng)
+        kernel, orders = qstate.apply_leading, []
+
+        def kernel_spy(*args):
+            out = kernel(*args)
+            orders.append(out[1])
+            return out
+
+        with mock.patch.object(qstate, "apply_leading", kernel_spy):
+            rho = run_noisy(compiled, noise, initial=DensityMatrix(n, initial))
+        assert orders[-1] != tuple(range(2 * n))  # the run ends in another axis order
         want, _ = _eager_run(compiled, noise, initial)
         np.testing.assert_allclose(rho.entries, want, rtol=0, atol=1e-12)
 

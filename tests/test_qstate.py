@@ -198,6 +198,26 @@ class TestKernel:
         # u (x) u* on 8 of the vectorized rho's 10 qubit indices would take 1 MiB
         assert peak < 4 * rho.entries.nbytes
 
+    def test_lazy_axis_order(self):
+        """apply_leading over a sequence of calls, each leaving its targets as
+        the leading axes, equals the oracle's product once the final order is
+        transposed back; a call whose targets lead already keeps the order."""
+        rng = np.random.default_rng(12)
+        psi = _random_state(rng, 5).amplitudes
+        data, order, want = psi[None], tuple(range(5)), psi
+        for targets in KERNEL_TARGETS + [[2, 0, 4], [2, 0], [0, 2]]:
+            u = _random_unitary(rng, 2 ** len(targets))
+            before = order
+            data, order = qstate.apply_leading(data, u, targets, order)
+            want = _kron_oracle(u, targets, 5) @ want
+            assert order[: len(targets)] == tuple(targets)
+            assert sorted(order) == list(range(5)) and data.shape == (1, 32)
+            if before[: len(targets)] == tuple(targets):
+                assert order == before
+        assert order != tuple(range(5))
+        got = data.reshape((2,) * 5).transpose([order.index(q) for q in range(5)]).reshape(32)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
     def test_real_operator_on_real_data(self):
         # the readout channel's bit flips are real
         rng = np.random.default_rng(5)
@@ -351,6 +371,22 @@ class TestFidelity:
             rho = state if isinstance(state, DensityMatrix) else state.to_density_matrix()
             want = qstate.overlaps(rho.entries[None], psi.amplitudes[None, None])[0, 0]
             assert fidelity_pure(state, psi) == want
+
+    @pytest.mark.parametrize("size", range(1, 6))
+    def test_batch_reads_each_item_alone(self, size):
+        # bit for bit; one qubit against one ket is where a batched einsum
+        # rounded by the batch's size
+        rng = np.random.default_rng(size)
+        for k, d in [(1, 2), (2, 2), (1, 4), (2, 4)] * 10:
+            kets = rng.normal(size=(size, k, d)) + 1j * rng.normal(size=(size, k, d))
+            kets /= np.linalg.norm(kets, axis=-1, keepdims=True)
+            z = rng.normal(size=(size, d, d)) + 1j * rng.normal(size=(size, d, d))
+            rho = z @ z.conj().transpose(0, 2, 1)
+            rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+            batch = qstate.overlaps(rho, kets)
+            for i in range(size):
+                alone = qstate.overlaps(rho[i : i + 1], kets[i : i + 1])[0]
+                np.testing.assert_array_equal(batch[i], alone)
 
     @pytest.mark.parametrize("scale,want", [(1.5, 1.0), (-0.5, 0.0)])
     def test_clamped_to_unit_interval(self, scale, want):

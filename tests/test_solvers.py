@@ -366,9 +366,19 @@ class TestWidthLimit:
             return MeasurementHistogram({format(x, f"0{n}b"): 2.0**-n for x in range(2**n)})
 
         monkeypatch.setattr(solvers.qpe, "run_qpea", flat_qpea)
-        with pytest.raises(ValidationError, match="13-qubit"):
+        widest = r"register size 10, the widest the simulation limits admit below --max-n 20$"
+        with pytest.raises(NotReducibleError, match=widest):
             run_hybrid_hhl(build_a_lambda(0.3), 9, policy=HybridPolicy(max_n=20))
         assert tried == [9, 10]
+        # under noise the HHL circuit's density matrix sets the widest register
+        tried.clear()
+        policy = HybridPolicy(max_n=20)
+        with pytest.raises(NotReducibleError, match=r"register size 9, .* --max-n 20$"):
+            run_hybrid_hhl(build_a_lambda(0.3), 7, policy=policy, noise=NoiseParams())
+        assert tried == [7, 8, 9]
+        with pytest.raises(ValidationError, match="12-qubit density matrix"):
+            run_hybrid_hhl(build_a_lambda(0.3), 10, policy=policy, noise=NoiseParams())
+        assert tried == [7, 8, 9]
 
     @pytest.mark.parametrize(
         "build",
