@@ -3,22 +3,26 @@
 Gate kinds fall into two tiers. Basis kinds survive compilation: ``h``,
 ``ry``, ``rz``, ``cnot``. Structured kinds are lowered by
 :func:`compile_circuit` straight to basis gates: ``swap``, ``cphase``,
-``unitary`` (explicit 1-qubit matrix), ``cunitary`` (one control, explicit
-1-qubit matrix), ``mry`` (multiplexed Ry: qubits ``(*controls, target)``, one
-angle per control pattern), ``qft`` (the QFT on one or more wires, its one
-parameter a sign s: s = -1 is the inverse QFT with the bit reversal folded
-in, P F^+, and s = +1 its adjoint F P, with F the DFT and P the bit
-reversal; its lowering is the documented cphase/h sequence). Each kind is
-one ``_KINDS`` record: signature, matrix, lowering, CNOTs and OpenQASM
-name. No gate measures: every measurement is deferred to the end (Nielsen
-& Chuang 4.4), on the qubits ``Circuit.measured`` lists.
+``unitary`` (explicit 1-qubit matrix), ``cunitary`` (controlled powers, as in
+QPE, on ``(*controls, *targets)``: the stack of the powers U^x, x = 0..2^c-1,
+of an explicit unitary U, block x applied where the c controls read x; one
+control is the controlled U; its one parameter, a sign, orders the lowering),
+``mry`` (multiplexed Ry: qubits ``(*controls, target)``, one angle per
+control pattern), ``qft`` (the QFT on one or more wires, its one parameter a
+sign s: s = -1 is the inverse QFT with the bit reversal folded in, P F^+, and
+s = +1 its adjoint F P, with F the DFT and P the bit reversal; its lowering
+is the documented cphase/h sequence). Each kind is one ``_KINDS`` record:
+signature, matrix, lowering, CNOTs and OpenQASM name. No gate measures: every
+measurement is deferred to the end (Nielsen & Chuang 4.4), on the qubits
+``Circuit.measured`` lists.
 
 The executor (:func:`noise.run_noisy`) applies every kind directly through
-:func:`gate_matrix`, on a density matrix only basis kinds; an ``mry`` is the
-block-diagonal matrix of its Ry blocks, so it runs for any number of
-controls, while its lowering supports at most two. A compiled circuit is a
-:class:`Circuit` of basis gates; :func:`cnot_count` gives its CNOT count, or
-that of a source circuit, without compiling (``Circuit.cnot_count``).
+:func:`gate_matrix`, on a density matrix only basis kinds. A multiplexed kind
+(``cunitary``, ``mry``) gives the stack of its blocks, never its dense
+matrix, so an ``mry`` runs for any number of controls, while its lowering
+supports at most two. A compiled circuit is a :class:`Circuit` of basis
+gates; :func:`cnot_count` gives its CNOT count, or that of a source circuit,
+without compiling (``Circuit.cnot_count``).
 
 A gate is checked once, when :func:`gate` makes it, or, for b's
 preparation and the unitary powers of QPE, by its problem. Lowerings build
@@ -29,12 +33,13 @@ check again.
 
 Documented decomposition set (gate-count accounting relies on it), exact up
 to global phase, so a diagonal phase on one qubit is emitted as ``rz``:
-controlled 1-qubit unitaries use the two-CNOT ABC construction; a controlled
-phase costs 2 CNOTs; a SWAP costs 3 CNOTs when physical, 0 when absorbed by
-wire relabeling; a multiplexed Ry is a sum over control subsets, where a
-single control costs 2 CNOTs and a pair is a Toffoli conjugation (two 6-CNOT
-Toffolis), 12 CNOTs; a QFT on n wires is n(n-1)/2 controlled phases and n
-``h``, n(n-1) CNOTs.
+controlled 1-qubit unitaries use the two-CNOT ABC construction, and a
+``cunitary`` on c controls and one target is c of them, 2c CNOTs; a
+controlled phase costs 2 CNOTs; a SWAP costs 3 CNOTs when physical, 0 when
+absorbed by wire relabeling; a multiplexed Ry is a sum over control subsets,
+where a single control costs 2 CNOTs and a pair is a Toffoli conjugation (two
+6-CNOT Toffolis), 12 CNOTs; a QFT on n wires is n(n-1)/2 controlled phases
+and n ``h``, n(n-1) CNOTs.
 """
 
 from __future__ import annotations
@@ -64,10 +69,12 @@ class Gate:
 def gate(kind, *qubits, params=(), matrix=None) -> Gate:
     """A checked gate: a known kind with its number of qubits and of finite
     parameters (``mry``: one angle per control pattern), distinct qubits, and
-    a ``matrix`` exactly for ``unitary`` and ``cunitary``, unitary and fitting
-    its target qubits (all of them, or all but the control of a
-    ``cunitary``); the matrix is stored read-only. A ``qft`` takes one or
-    more qubits and the sign -1 or +1."""
+    a ``matrix`` exactly for ``unitary`` and ``cunitary``, fitting its
+    target qubits (all, or all but a ``cunitary``'s c controls): a unitary,
+    or for ``cunitary`` a stack of 2^c blocks, block 0 the identity, block 1
+    a unitary U and block x + 1 block x times U, within ``ATOL``. The matrix
+    is stored read-only. A ``qft`` takes one or more qubits; it and a
+    ``cunitary`` take the sign -1 or +1."""
     spec = _KINDS.get(kind)
     if spec is None:
         raise ValidationError(f"unknown gate kind {kind!r}")
@@ -78,11 +85,11 @@ def gate(kind, *qubits, params=(), matrix=None) -> Gate:
     for p in params:
         if not math.isfinite(p):
             raise ValidationError(f"non-finite gate parameter {p}")
+    if kind in ("qft", "cunitary") and params and params[0] not in (-1, 1):
+        raise ValidationError(f"a {kind} gate takes the sign -1 or +1, got {params[0]}")
     if kind == "qft":
         if not qubits:
             raise ValidationError("a qft gate needs at least one qubit")
-        if params and params[0] not in (-1, 1):
-            raise ValidationError(f"a qft gate takes the sign -1 or +1, got {params[0]}")
         width = len(qubits)
     if arity is None:
         width, arity = len(qubits), 2 ** (len(qubits) - 1)
@@ -92,11 +99,15 @@ def gate(kind, *qubits, params=(), matrix=None) -> Gate:
     if (matrix is not None) != needs_matrix:
         raise ValidationError(f"gate {kind} {'needs a' if needs_matrix else 'takes no'} matrix")
     if matrix is not None:
-        matrix = qstate._check_unitary(matrix)
-        targets = len(qubits) - spec.controls
-        if targets < 1 or matrix.shape[0] != 2**targets:
+        if kind == "cunitary":
+            matrix = _check_powers(matrix)
+            controls = len(matrix).bit_length() - 1
+        else:
+            matrix, controls = qstate._check_unitary(matrix), spec.controls
+        targets = len(qubits) - controls
+        if targets < 1 or matrix.shape[-1] != 2**targets:
             raise ValidationError(
-                f"a {matrix.shape[0]}x{matrix.shape[0]} matrix does not fit "
+                f"a {matrix.shape[-1]}x{matrix.shape[-1]} matrix does not fit "
                 f"{targets} target qubit(s) of gate {kind}"
             )
         matrix.setflags(write=False)
@@ -106,6 +117,20 @@ def gate(kind, *qubits, params=(), matrix=None) -> Gate:
     if len(params) != arity:
         raise ValidationError(f"gate {kind} takes {arity} parameter(s), got {len(params)}")
     return Gate(kind, qubits, params, matrix)
+
+
+def _check_powers(stack) -> np.ndarray:
+    """A cunitary stack, as :func:`gate` describes it, as a complex array."""
+    stack = np.asarray(stack, dtype=complex)
+    if stack.ndim != 3 or len(stack) < 2 or len(stack) & (len(stack) - 1):
+        raise ValidationError(
+            f"a cunitary gate takes a stack of 2^c >= 2 blocks, not {stack.shape}"
+        )
+    qstate._check_unitary(stack[1])
+    powers = np.concatenate([np.eye(stack.shape[1])[None], stack[:-1] @ stack[1]])
+    if not qstate.within_atol(stack, powers, qstate.ATOL):
+        raise ValidationError("the blocks of a cunitary gate are not the powers of its block 1")
+    return stack
 
 
 @dataclass(frozen=True)
@@ -157,15 +182,10 @@ def _rz(t):
 
 
 def _mry(angles) -> np.ndarray:
-    """Block-diagonal Ry(angles[p]) over control patterns p (target last)."""
+    """The Ry(angles[p]) block of each control pattern p, a (2^c, 2, 2) stack."""
     half = np.asarray(angles) / 2
     c, s = np.cos(half), np.sin(half)
-    idx = 2 * np.arange(len(angles))
-    m = np.zeros((2 * len(angles), 2 * len(angles)), dtype=complex)
-    m[idx, idx] = m[idx + 1, idx + 1] = c
-    m[idx, idx + 1] = -s
-    m[idx + 1, idx] = s
-    return m
+    return np.array([[c, -s], [s, c]], dtype=complex).transpose(2, 0, 1)
 
 
 def _qft(g: Gate) -> np.ndarray:
@@ -174,21 +194,20 @@ def _qft(g: Gate) -> np.ndarray:
     bit reversal of n bits (the qubit axes of 0..N-1 in reverse order), and
     F P is its adjoint."""
     n, s = len(g.qubits), g.params[0]
-    x = np.arange(2**n)
+    x = np.arange(2**n, dtype=np.int32)  # rev(r) x < 2^31 for every register MAX_QUBITS admits
     roots = np.exp((s * 2j * np.pi / 2**n) * x) * 2 ** (-n / 2)
-    m = roots[x.reshape((2,) * n).T.reshape(-1, 1) * x % 2**n]
+    index = x.reshape((2,) * n).T.reshape(-1, 1) * x
+    index &= 2**n - 1  # mod 2^n, in place: at n = 11 the indices take 16 MiB, the matrix 64
+    m = roots[index]
     return m if s < 0 else m.T
 
 
-def _controlled(g: Gate) -> np.ndarray:
-    d = g.matrix.shape[0]
-    big = np.eye(2 * d, dtype=complex)
-    big[d:, d:] = g.matrix
-    return big
-
-
 def gate_matrix(g: Gate) -> np.ndarray:
-    """Unitary of a single gate on its own qubits (MSB = first listed qubit)."""
+    """Unitary of a single gate on its own qubits (MSB = first listed qubit),
+    or, for a multiplexed kind (``cunitary``, ``mry``), the stack
+    of its blocks: block x acts on the targets where the controls read x.
+    :func:`qstate.apply_operator` takes either; :func:`circuit_unitary` gives
+    the dense matrix of a stack."""
     return _KINDS[g.kind].matrix(g)
 
 
@@ -212,16 +231,16 @@ def equal_up_to_phase(a: np.ndarray, b: np.ndarray, atol: float = 1e-8) -> bool:
 
 def adjoint(gates) -> list[Gate]:
     """Adjoint of a gate sequence (reversed order, each gate inverted): a
-    gate with a matrix takes its dagger, one with parameters negates them,
-    and one with neither is its own inverse."""
+    gate's matrix, or each block of a stack, takes its dagger and its
+    parameters are negated; a gate with neither is its own inverse."""
     out = []
     for g in reversed(list(gates)):
-        if g.matrix is not None:
-            m = g.matrix.conj().T
+        m = g.matrix
+        if m is not None:
+            m = m.conj().swapaxes(-1, -2)
             m.setflags(write=False)
-            g = Gate(g.kind, g.qubits, g.params, m)
-        elif g.params:
-            g = Gate(g.kind, g.qubits, tuple(-p for p in g.params))
+        if m is not None or g.params:
+            g = Gate(g.kind, g.qubits, tuple(-p for p in g.params), m)
         out.append(g)
     return out
 
@@ -369,6 +388,15 @@ def _qft_gates(g: Gate) -> list[Gate]:
     return [b for h in sequence for b in _lower(h)]
 
 
+def _cunitary_gates(g: Gate) -> list[Gate]:
+    """The ABC construction of block 2^(c-1-i) controlled by control i, for
+    each of the c: in control order for s = +1, reversed for s = -1."""
+    c = len(g.qubits) - 1
+    order = range(c) if g.params[0] > 0 else reversed(range(c))
+    return [b for i in order for b in
+            decompose_controlled_unitary(g.matrix[2 ** (c - 1 - i)], g.qubits[i], g.qubits[c])]
+
+
 def _subset_angles(angles, k: int) -> list[tuple[int, float]]:
     """(subset, angle) of each control subset of a k-control multiplexed Ry
     whose angle is not zero. The subset angles are the Moebius inversion of
@@ -419,9 +447,10 @@ def controlled_ry_chain(angles, controls, target: int) -> list[Gate]:
 class _Kind:
     """One gate kind. Signature: ``qubits``, ``params`` (None: as many as the
     matrix fits, or for mry one angle per control pattern) and ``controls``
-    before an explicit matrix's targets (None: no matrix). ``lower`` (None
-    for a basis kind) gives a gate's basis gates, ``cnots`` their CNOTs
-    without lowering, raising CompileError where the lowering would."""
+    before an explicit matrix's targets (None: no matrix; a cunitary stack of
+    2^c blocks has c >= 1). ``lower`` (None for a basis kind) gives a gate's
+    basis gates, ``cnots`` their CNOTs without lowering, raising CompileError
+    where the lowering would."""
 
     qubits: int | None
     params: int | None
@@ -439,9 +468,10 @@ def _unitary_cnots(g: Gate) -> int:
 
 
 def _cunitary_cnots(g: Gate) -> int:
-    if len(g.qubits) != 2:
-        raise CompileError("cunitary lowering supports exactly one control and one target")
-    return 2
+    # one two-CNOT ABC construction per control
+    if g.matrix.shape[-1] != 2:
+        raise CompileError("cunitary lowering supports exactly one target qubit")
+    return 2 * (len(g.qubits) - 1)
 
 
 def _mry_cnots(g: Gate) -> int:
@@ -460,8 +490,8 @@ _KINDS = {
                     cnots=lambda g: 2, lower=_cphase_gates),
     "unitary": _Kind(None, 0, lambda g: g.matrix, controls=0, cnots=_unitary_cnots,
                      lower=_zyz_gates),
-    "cunitary": _Kind(None, 0, _controlled, controls=1, cnots=_cunitary_cnots,
-                      lower=lambda g: decompose_controlled_unitary(g.matrix, *g.qubits)),
+    "cunitary": _Kind(None, 1, lambda g: g.matrix, controls=1, cnots=_cunitary_cnots,
+                      lower=_cunitary_gates),
     "mry": _Kind(None, None, lambda g: _mry(g.params), cnots=_mry_cnots,
                  lower=lambda g: controlled_ry_chain(g.params, g.qubits[:-1], g.qubits[-1])),
     "qft": _Kind(None, 1, _qft, cnots=lambda g: len(g.qubits) * (len(g.qubits) - 1),

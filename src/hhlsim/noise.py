@@ -142,7 +142,8 @@ def run_noisy(circuit, noise: NoiseParams | None = None, initial=None):
     statevector stays one; with it the run is on a density matrix under
     amplitude damping. On a density matrix a gate of a non-basis kind
     raises CompileError; one over ``qstate.MAX_DENSITY_BYTES`` raises
-    ValidationError before it is made.
+    ValidationError before it is made. A density matrix made here for one
+    circuit is held by nothing once the first kernel call has copied it.
 
     ``circuit`` may also be a sequence of circuits, all run from ``initial``;
     a list of final states is returned then, in circuit order. A batch has
@@ -164,13 +165,13 @@ def run_noisy(circuit, noise: NoiseParams | None = None, initial=None):
     state = qstate.basis_state(n, 0) if initial is None else initial
     if noise is not None and isinstance(state, StateVector):
         qstate.check_width(n, 0, density=True)
-        state = state.to_density_matrix()
-    if isinstance(state, DensityMatrix):
+        if not single:  # a batch shares one initial rho
+            state = state.to_density_matrix()
+    if noise is not None or isinstance(state, DensityMatrix):
         for kind in dict.fromkeys(g.kind for c in items for g in c.gates):
             if not is_basis(kind):
                 raise CompileError(f"gate kind {kind!r} has no duration: compile first")
-        data = state.entries[None]
-        states = [DensityMatrix._trusted(n, _run_density(c, noise, data)[0]) for c in items]
+        states = [DensityMatrix._trusted(n, _run_density(c, noise, state)[0]) for c in items]
         return states[0] if single else states
     if any(len(c.gates) != len(first.gates) for c in items):
         raise DomainError("the circuits of a statevector batch differ in length")
@@ -191,10 +192,10 @@ def run_noisy(circuit, noise: NoiseParams | None = None, initial=None):
     return states[0] if single else states
 
 
-def _run_density(circuit, noise: NoiseParams | None, data: np.ndarray) -> np.ndarray:
-    """A compiled circuit on a batch of one vectorized density matrix:
-    planned, its superoperators batched, one kernel call per CNOT block,
-    with the axes in qubit order again at the end."""
+def _run_density(circuit, noise: NoiseParams | None, state) -> np.ndarray:
+    """A compiled circuit on the density matrix of ``state`` (made here for
+    a statevector), as a batch of one: planned, its superoperators batched,
+    one kernel call per CNOT block, the axes in qubit order at the end."""
     n, idle = circuit.num_qubits, noise is None or noise.idle_damping
     clock, since, last = 0.0, [0.0] * n, [0.0] * n  # per qubit: settled at, last gate's time
     chains = [[] for _ in range(n)]  # each qubit's items since its last CNOT
@@ -240,6 +241,7 @@ def _run_density(circuit, noise: NoiseParams | None, data: np.ndarray) -> np.nda
     ops = np.concatenate([_kron(u, u.conj()), np.eye(4)[None], decays])
     products = _products(ops, runs, len(ones))
     order = tuple(range(2 * n))
+    data = (state if isinstance(state, DensityMatrix) else state.to_density_matrix()).entries[None]
     if flips:
         before = _kron(products[0 : 2 * len(flips) : 2], products[1 : 2 * len(flips) : 2])
         steps = _CNOT_SUPER[np.array(flips, dtype=np.intp)] @ before[:, _PAIR[:, None], _PAIR]

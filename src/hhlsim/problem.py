@@ -98,11 +98,13 @@ def spectral_decompose(problem: HermitianProblem) -> SpectralData:
     return SpectralData(eigenvalues, eigenvectors, amplitudes)
 
 
-def unitary_power(spectral: SpectralData, m: int) -> np.ndarray:
-    """(e^{2 pi i A})^m from the spectral form, read-only; m may be negative.
-    Unitary by construction, V diag(phases) V^+, so gates take it unchecked."""
-    phases = np.exp(2j * np.pi * m * spectral.eigenvalues)
-    u = (spectral.eigenvectors * phases) @ spectral.eigenvectors.conj().T
+def unitary_power(spectral: SpectralData, m) -> np.ndarray:
+    """(e^{2 pi i A})^m from the spectral form, read-only; m may be negative,
+    or an integer array, which gives the stack of its powers in one product,
+    each bit-equal to its own call. Unitary by construction,
+    V diag(phases) V^+, so gates take it unchecked."""
+    phases = np.exp(2j * np.pi * np.asarray(m)[..., None] * spectral.eigenvalues)
+    u = (spectral.eigenvectors * phases[..., None, :]) @ spectral.eigenvectors.conj().T
     u.setflags(write=False)
     return u
 

@@ -42,19 +42,19 @@ def prepare_b(problem: HermitianProblem, v_qubits) -> list[Gate]:
 
 
 def qpe_block(problem: HermitianProblem, n: int, register, v_qubits, physical_swap=False):
-    """Forward QPE gate sequence on explicit wires.
+    """Forward QPE gate sequence on explicit wires: n ``h``, the controlled
+    powers as one ``cunitary`` gate, sum_x |x><x| (x) U^x over the register
+    values x (a uniformly controlled gate, Mottonen et al., PRL 93, 130502,
+    2004), and the inverse QFT.
 
     Returns ``(gates, out_register)`` where ``out_register[i]`` is the wire
     holding register bit i+1 afterwards (differs from ``register`` when the
     inverse-QFT swap layer is absorbed by relabeling).
     """
     register = list(register)
-    v_qubits = list(v_qubits)
-    spectral = problem.spectral
     gates = [gate("h", q) for q in register]
-    for i, q in enumerate(register):
-        u = unitary_power(spectral, 2 ** (n - 1 - i))  # unitary by construction
-        gates.append(Gate("cunitary", (q, *v_qubits), (), u))
+    powers = unitary_power(problem.spectral, np.arange(2**n))  # the powers of a unitary
+    gates.append(Gate("cunitary", (*register, *v_qubits), (1,), powers))
     iqft, out_register = circuits.inverse_qft_gates(register, physical_swap=physical_swap)
     gates.extend(iqft)
     return gates, out_register

@@ -30,15 +30,15 @@ from .errors import DomainError, ImpossibleOutcomeError, ValidationError
 ATOL = 1e-10
 
 # Widest circuit the solvers simulate. The largest dense array of an exact
-# run is the HHL encoding's mry matrix, 16 * 4^(n + 1) bytes of complex128
-# with n + 1 < width. A budget of 256 MiB = 2^28 bytes per array bounds
-# 4^width by 2^24, so width <= 12; a density matrix has its own budget.
+# run is the QFT gate's matrix, 16 * 4^n bytes of complex128 for an n-bit
+# register, n < width: 64 MiB at width 12 (a multiplexed gate is held as its
+# blocks, never as a dense matrix); a density matrix has its own budget.
 MAX_QUBITS = 12
 
 # Largest density matrix a run may hold, 64 MiB = 16 * 4^11 bytes of
-# complex128: at most 11 qubits. A run holds up to four at once (the initial
-# rho, and a kernel call's input, transposed copy and product): the widest
-# noisy QPEA, `qpea --n 10 --noise`, peaks at 290 MB RSS.
+# complex128: at most 11 qubits. A run holds up to three at once (a kernel
+# call's input, transposed copy and product; a batch also keeps its initial
+# rho): the widest noisy QPEA, `qpea --n 10 --noise`, peaks at 226 MB RSS.
 MAX_DENSITY_BYTES = 16 * 4**11
 
 # A branch probability at or below this is zero: post-selecting it is refused.
@@ -208,22 +208,27 @@ def apply_operator(data: np.ndarray, u: np.ndarray, targets, num_qubits: int) ->
     ``num_qubits`` qubit axes (qubit 0 most significant), then any trailing
     non-qubit axis, such as the columns of a matrix. ``u`` is one 2^k x 2^k
     operator for every item, or a stack (B, 2^k, 2^k) with one per item (a
-    batch axis of 1 in ``data`` then broadcasts to B). ``targets[0]`` is the
-    most significant bit of the operator's index. Adjacent ascending targets
-    take a reshape and one matmul; any others a transpose that brings them to
-    the front, the matmul and the inverse transpose. Nothing is checked; a
-    new array is returned.
+    batch axis of 1 in ``data`` then broadcasts to B). A block-diagonal
+    operator on c + t targets comes as its stack of 2^c blocks, (2^c, 2^t,
+    2^t), or (B, 2^c, 2^t, 2^t) with one stack per item: block x applies
+    where the first c targets read x, so no (2^(c+t))^2 matrix is made.
+    ``targets[0]`` is the most significant bit of the operator's index.
+    Adjacent ascending targets take a reshape and one matmul; any others a
+    transpose that brings them to the front, the matmul and the inverse
+    transpose. Nothing is checked; a new array is returned.
     """
     b, k, t0 = data.shape[0], len(targets), targets[0]
-    if u.ndim == 3:
-        u = u[:, None]  # one operator per item, shared by its leading qubits
+    t = u.shape[-1].bit_length() - 1
+    # a dense operator is a stack of one block; each item's own shares its leading qubits
+    u = u.reshape(-1, 1, 2 ** (k - t), 2**t, 2**t)
     if tuple(targets) == tuple(range(t0, t0 + k)):
-        out = u @ data.reshape(b, 2**t0, 2**k, -1)
+        out = u @ data.reshape(b, 2**t0, 2 ** (k - t), 2**t, -1)
         return out.reshape(out.shape[:1] + data.shape[1:])
     rest = [q for q in range(num_qubits) if q not in targets]
     perm = [0, *(1 + q for q in targets), *(1 + q for q in rest), num_qubits + 1]
     qubit_axes = (2,) * num_qubits + (-1,)
-    out = u @ data.reshape((b,) + qubit_axes).transpose(perm).reshape(b, 1, 2**k, -1)
+    moved = data.reshape((b,) + qubit_axes).transpose(perm)
+    out = u @ moved.reshape(b, 1, 2 ** (k - t), 2**t, -1)
     inverse = sorted(range(len(perm)), key=perm.__getitem__)
     out = out.reshape(out.shape[:1] + qubit_axes).transpose(inverse)
     return out.reshape(out.shape[:1] + data.shape[1:])

@@ -306,32 +306,38 @@ def _cnot_count_or_none(circuit) -> int | None:
 def build_hhl_circuit(
     problem: HermitianProblem,
     n: int,
-    aqe_spec: AqeSpec,
+    aqe_spec: AqeSpec | list[AqeSpec],
     physical_swap: bool = False,
-) -> Circuit:
+) -> Circuit | list[Circuit]:
     """Gate-level HHL circuit: QPE, conditional-rotation encoding, inverse QPE.
 
     The inverse-QFT swap layers are absorbed by wire relabeling by default;
     the encoding's controls follow the relabeled wires, and the inverse QPE is
     the literal adjoint of the forward block, so the relabelings cancel.
+    ``aqe_spec`` is one :class:`AqeSpec`, which gives its circuit, or a list
+    of them, which gives one circuit per spec; those share the gates of one
+    QPE block, so a batch of them runs those once.
     """
+    specs = [aqe_spec] if isinstance(aqe_spec, AqeSpec) else aqe_spec
     q = problem.num_qubits
     ancilla = 0
     reg = list(range(1, n + 1))
     v = list(range(n + 1, n + 1 + q))
-    gates = qpe.prepare_b(problem, v)
+    prep = qpe.prepare_b(problem, v)
     qpe_gates, out_reg = qpe.qpe_block(problem, n, reg, v, physical_swap=physical_swap)
-    gates.extend(qpe_gates)
-    # one multiplexed Ry on the ancilla, controlled by the wires of the free
-    # register bits; control pattern p gets the angle of free-bit value y(p)
-    free = aqe_spec.free_positions
-    controls = [out_reg[pos - 1] for pos in free]
-    table = aqe_spec.angle_table
-    angles = [float(table.get(y, 0.0)) for y in _pattern_values(aqe_spec.n, free)]
-    gates.append(gate("mry", *controls, ancilla, params=angles))
-    gates.extend(circuits.adjoint(qpe_gates))
+    inverse = circuits.adjoint(qpe_gates)
     roles = {"ancilla": (ancilla,), "register": tuple(reg), "input": tuple(v)}
-    return Circuit(1 + n + q, tuple(gates), roles, (ancilla, *reg))
+    built = []
+    for spec in specs:
+        # one multiplexed Ry on the ancilla, controlled by the wires of the free
+        # register bits; control pattern p gets the angle of free-bit value y(p)
+        free = spec.free_positions
+        controls = [out_reg[pos - 1] for pos in free]
+        angles = [float(spec.angle_table.get(y, 0.0)) for y in _pattern_values(spec.n, free)]
+        mry = gate("mry", *controls, ancilla, params=angles)
+        gates = (*prep, *qpe_gates, mry, *inverse)
+        built.append(Circuit(1 + n + q, gates, roles, (ancilla, *reg)))
+    return built[0] if isinstance(aqe_spec, AqeSpec) else built
 
 
 def run_original_hhl_batch(
@@ -461,8 +467,9 @@ def reduced_encoding_equivalence_check(problem: HermitianProblem, n: int) -> boo
     # with no fixed bit the reduced encoding is the full one: run it once
     if estimate.reducible:
         specs.append(synthesize_reduced_aqe(estimate, specs[0].c))
-    # one batch: the circuits differ only in their mry, so the QPE before it runs once
-    states = noise_mod.run_noisy([build_hhl_circuit(problem, n, spec) for spec in specs])
+    # one batch on one QPE block: the circuits differ only in their mry, so
+    # the gates before it run once
+    states = noise_mod.run_noisy(build_hhl_circuit(problem, n, specs))
     rho, p = postselect_hhl(states, n)["ancilla"]
     # both states are pure here, so the trace overlap is the fidelity
     overlap = float(np.einsum("xy,yx->", rho[0], rho[-1]).real)

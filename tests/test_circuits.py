@@ -40,6 +40,9 @@ def _ry(t):
     )
 
 
+_I, _X = np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
 class TestGate:
     def test_rejects_non_unitary_matrix(self):
         with pytest.raises(ValidationError):
@@ -62,9 +65,9 @@ class TestGate:
         with pytest.raises(ValidationError, match="does not fit"):
             gate("unitary", 0, matrix=np.eye(4))
         with pytest.raises(ValidationError, match="does not fit"):
-            gate("cunitary", 0, 1, matrix=np.eye(4))
+            gate("cunitary", 0, 1, params=(1,), matrix=[np.eye(4)] * 2)
         # a controlled operator on two input qubits fits: one control, two targets
-        assert gate("cunitary", 0, 1, 2, matrix=np.eye(4)).matrix.shape == (4, 4)
+        assert gate("cunitary", 0, 1, 2, params=(1,), matrix=[np.eye(4)] * 2).matrix.shape == (2, 4, 4)
 
     @pytest.mark.parametrize(
         "kind,qubits,kwargs,match",
@@ -78,7 +81,7 @@ class TestGate:
             ("cunitary", (0, 1), {}, "needs a matrix"),
             ("h", (0,), {"matrix": np.eye(2)}, "takes no matrix"),
             ("mry", (0, 1), {"params": (0.1, 0.2), "matrix": np.eye(4)}, "takes no matrix"),
-            ("cunitary", (0,), {"matrix": np.eye(1)}, "does not fit"),
+            ("cunitary", (0,), {"params": (1,), "matrix": [_I, _X]}, "does not fit"),
             ("foo", (0,), {}, "unknown gate kind"),
             ("phase", (0,), {"params": (0.1,)}, "unknown gate kind"),
             ("ccry", (0, 1, 2), {"params": (0.1,)}, "unknown gate kind"),
@@ -93,11 +96,27 @@ class TestGate:
             ("qft", (0, 1), {"params": (-1, 1)}, "takes 1 parameter"),
             ("qft", (0, 0), {"params": (-1,)}, "repeats a qubit"),
             ("qft", (0,), {"params": (-1,), "matrix": np.eye(2)}, "takes no matrix"),
+            ("cunitary", (0, 1), {"params": (1,)}, "needs a matrix"),
+            ("cunitary", (0, 1), {"matrix": [_I, _X]}, "takes 1 parameter"),
+            ("cunitary", (0, 1), {"params": (0.5,), "matrix": [_I, _X]}, "sign -1 or \\+1"),
+            ("cunitary", (0, 1, 2), {"params": (1,), "matrix": [_I, _X]}, "does not fit"),
+            ("cunitary", (0, 1), {"params": (1,), "matrix": [_I, _X, _I]}, "2\\^c >= 2 blocks"),
+            ("cunitary", (0, 1), {"params": (1,), "matrix": [_I]}, "2\\^c >= 2 blocks"),
+            ("cunitary", (0, 1), {"params": (1,), "matrix": [_X, _X]}, "not the powers"),
+            ("cunitary", (0, 1, 2), {"params": (1,), "matrix": [_I, _X, _I, _I]}, "not the powers"),
+            ("cunitary", (0, 1), {"params": (1,), "matrix": [_I, [[1, 1], [0, 1]]]}, "not unitary"),
         ],
     )
     def test_rejects_wrong_signature(self, kind, qubits, kwargs, match):
         with pytest.raises(ValidationError, match=match):
             gate(kind, *qubits, **kwargs)
+
+    def test_cunitary_takes_the_powers_of_a_unitary(self):
+        """Block x of a cunitary stack is U^x; the stack is stored read-only
+        and its controls lead."""
+        g = gate("cunitary", 2, 0, 1, params=(-1,), matrix=[_I, _X, _I, _X])
+        assert g.matrix.shape == (4, 2, 2) and not g.matrix.flags.writeable
+        assert circuits.cnot_count(Circuit(3, (g,))) == 4
 
     def test_cnot_matrix(self):
         m = gate_matrix(gate("cnot", 0, 1))
@@ -268,10 +287,11 @@ class TestMultiplexedRy:
         angles = np.random.default_rng(k).uniform(-np.pi, np.pi, size=2**k)
         g = gate("mry", *range(k + 1), params=angles)
         compiled = compile_circuit(Circuit(k + 1, (g,), {}))
-        np.testing.assert_allclose(gate_matrix(g), self._reference(angles, k), atol=1e-12)
+        dense = circuit_unitary([g], k + 1)
+        np.testing.assert_allclose(dense, self._reference(angles, k), atol=1e-12)
         assert {c.kind for c in compiled.gates} <= {"ry", "rz", "h", "cnot"}
         got = circuit_unitary(compiled.gates, k + 1)
-        assert equal_up_to_phase(got, gate_matrix(g), atol=1e-9)
+        assert equal_up_to_phase(got, dense, atol=1e-9)
 
     def test_mry_three_controls_rejected_at_compile(self):
         g = gate("mry", 0, 1, 2, 3, params=[0.1 * i for i in range(8)])
@@ -286,23 +306,36 @@ class TestMultiplexedRy:
         g = gate("mry", 0, 1, params=(0.3, -1.1))
         (inv,) = adjoint([g])
         assert inv.params == (-0.3, 1.1)
-        np.testing.assert_allclose(gate_matrix(inv), gate_matrix(g).conj().T, atol=1e-12)
+        np.testing.assert_allclose(
+            circuit_unitary([inv], 2), circuit_unitary([g], 2).conj().T, atol=1e-12
+        )
 
 
 # every kind of the table, so none can be left out
 _KINDS = list(circuits._KINDS)
 
 
+def _random_powers(rng, c):
+    """The 2^c powers U^0 .. U^(2^c - 1) of a random 2x2 unitary U."""
+    u = _random_unitary(rng)
+    return np.stack([np.linalg.matrix_power(u, x) for x in range(2**c)])
+
+
 def _random_gate(rng, kind, n):
     """A random gate of ``kind`` on random wires of n, in a shape
     compile_circuit lowers: one target for an explicit matrix, at most two
-    controls for an mry; a qft on one to three wires in random order, of
-    either sign."""
+    controls for an mry; a qft on one to three wires in random order, and
+    the powers of a random unitary on one to three controls, each of either
+    sign."""
     spec = circuits._KINDS[kind]
     wires = [int(q) for q in rng.permutation(n)]
+    sign = (int(rng.choice((-1, 1))),)
     if kind == "qft":
         k = int(rng.integers(1, min(3, n) + 1))
-        return gate(kind, *wires[:k], params=(int(rng.choice((-1, 1))),))
+        return gate(kind, *wires[:k], params=sign)
+    if kind == "cunitary":
+        c = int(rng.integers(1, min(3, n - 1) + 1))
+        return gate(kind, *wires[: c + 1], params=sign, matrix=_random_powers(rng, c))
     if spec.controls is not None:
         return gate(kind, *wires[: spec.controls + 1], matrix=_random_unitary(rng))
     if spec.params is None:
@@ -317,17 +350,20 @@ def _random_circuit(rng, n, length):
 
 @pytest.mark.parametrize("kind", _KINDS)
 def test_kind_record_agrees_with_itself(kind):
-    """Each record's matrix, adjoint, lowering and CNOT count agree."""
+    """Each record's matrix, adjoint, lowering and CNOT count agree. A
+    multiplexed kind's matrix is the stack of its blocks, each unitary."""
     rng = np.random.default_rng(_KINDS.index(kind))
     spec = circuits._KINDS[kind]
     assert (spec.lower is None) == circuits.is_basis(kind) == (spec.qasm is not None)
     for _ in range(10):
         g = _random_gate(rng, kind, 3)
         m = gate_matrix(g)
-        assert m.shape == (2 ** len(g.qubits),) * 2
-        np.testing.assert_allclose(m @ m.conj().T, np.eye(len(m)), atol=1e-12)
+        blocks = m.reshape(-1, m.shape[-1], m.shape[-1])
+        assert len(blocks) * m.shape[-1] == 2 ** len(g.qubits)
+        np.testing.assert_allclose(blocks @ blocks.conj().swapaxes(1, 2),
+                                   np.broadcast_to(np.eye(m.shape[-1]), blocks.shape), atol=1e-12)
         (inverse,) = adjoint([g])
-        np.testing.assert_allclose(gate_matrix(inverse), m.conj().T, atol=1e-12)
+        np.testing.assert_allclose(gate_matrix(inverse), m.conj().swapaxes(-1, -2), atol=1e-12)
         lowered = circuits._lower(g)
         assert all(circuits.is_basis(b.kind) for b in lowered)
         assert equal_up_to_phase(circuit_unitary(lowered, 3), circuit_unitary([g], 3), atol=1e-9)
@@ -404,6 +440,25 @@ class TestCompile:
         u = circuit_unitary(gates + adjoint(gates), 3)
         assert equal_up_to_phase(u, np.eye(8), atol=1e-9)
 
+    @pytest.mark.parametrize("sign", [-1, 1])
+    def test_cunitary_lowers_to_its_controlled_powers(self, sign):
+        """A cunitary gate lowers to the ABC construction of block 2^(c-1-i)
+        on control i, in control order for s = +1 and reversed for s = -1;
+        its adjoint lowers to the daggered blocks in the opposite order."""
+        g = gate("cunitary", 3, 0, 2, 1, params=(sign,),
+                 matrix=_random_powers(np.random.default_rng(sign + 5), 3))
+        order = [0, 1, 2] if sign > 0 else [2, 1, 0]
+
+        def controlled_powers(stack, order):
+            return [b for i in order
+                    for b in decompose_controlled_unitary(stack[2 ** (2 - i)], g.qubits[i], 1)]
+
+        assert circuits._lower(g) == controlled_powers(g.matrix, order)
+        (inverse,) = adjoint([g])
+        assert inverse.params == (-sign,)
+        daggers = g.matrix.conj().swapaxes(1, 2)
+        assert circuits._lower(inverse) == controlled_powers(daggers, order[::-1])
+
     def test_multi_qubit_unitary_rejected(self):
         circ = Circuit(2, (gate("unitary", 0, 1, matrix=np.eye(4)),), {})
         with pytest.raises(CompileError):
@@ -475,7 +530,7 @@ class TestCnotCount:
         [
             gate("mry", 0, 1, 2, 3, params=[0.1 * i for i in range(8)]),
             gate("unitary", 0, 1, matrix=np.eye(4)),
-            gate("cunitary", 0, 1, 2, matrix=np.eye(4)),
+            gate("cunitary", 0, 1, 2, params=(1,), matrix=[np.eye(4)] * 2),
         ],
         ids=["mry-3-controls", "unitary-2-qubits", "cunitary-2-targets"],
     )
@@ -499,7 +554,7 @@ def _any_gate(rng, n):
         k = int(rng.integers(1, 3))
         return gate(kind, *wires[:k], matrix=_random_unitary(rng, 2**k))
     if kind == "cunitary":
-        return gate(kind, *wires[:2], matrix=_random_unitary(rng, 2))
+        return gate(kind, *wires[:2], params=(1,), matrix=_random_powers(rng, 1))
     k = int(rng.integers(0, 4))
     return gate(kind, *wires[: k + 1], params=rng.uniform(-np.pi, np.pi, 2**k))
 
@@ -519,7 +574,7 @@ class TestValidateOnce:
         rng = np.random.default_rng(12)
         calls = self._count_checks(monkeypatch)
         u = gate("unitary", 1, matrix=_random_unitary(rng, 2))
-        cu = gate("cunitary", 0, 1, matrix=_random_unitary(rng, 2))
+        cu = gate("cunitary", 0, 1, params=(1,), matrix=[np.eye(2), _random_unitary(rng, 2)])
         assert len(calls) == 2
         gates = [u, gate("rz", 0, params=(0.4,)), cu]
         inverse = adjoint(gates)

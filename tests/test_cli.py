@@ -372,6 +372,20 @@ class TestQpea:
             "error: a 41-qubit circuit exceeds the limit of 12 qubits\n"
         )
 
+    def test_widest_exact_qpea_holds_no_dense_controlled_powers(self, tmp_path):
+        """qpea --n 11, 12 qubits: its controlled powers are 2048 blocks of
+        2x2 (64 KiB), not a 4096 x 4096 matrix (256 MiB); the largest array
+        is the QFT's 2048 x 2048 matrix (64 MiB). The peak stays at or below
+        the 96.4 MiB it read when the powers were 11 controlled gates."""
+        tracemalloc.start()
+        try:
+            code, raw = run(tmp_path, "qpea", "--lambda", "0.3", "--n", "11")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK and raw.count(b"\n") == 2**11 + 1
+        assert peak <= 96.4 * 2**20
+
     def test_density_matrix_over_budget_refused_before_allocation(self, tmp_path, capsys):
         """11 register bits and 1 input qubit pass the width limit, but their
         density matrix, 256 MiB, is refused before it is made."""

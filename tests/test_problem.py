@@ -139,6 +139,20 @@ class TestHermitianProblem:
             unitary_power(problem.spectral, -1), u.conj().T, atol=1e-12
         )
 
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_unitary_power_of_an_array_is_the_stack_of_calls(self, d):
+        """An integer array gives the read-only stack of its powers, each
+        bit-equal to its own call."""
+        rng = np.random.default_rng(d)
+        v = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+        a = (v * rng.uniform(0.05, 0.95, d)) @ v.conj().T
+        problem = HermitianProblem((a + a.conj().T) / 2, np.eye(d)[0])
+        m = np.array([-3, 0, 1, 2, 7, 64, 1023])
+        stack = unitary_power(problem.spectral, m)
+        assert stack.shape == (len(m), d, d) and not stack.flags.writeable
+        for power, u in zip(m, stack):
+            assert np.array_equal(u, unitary_power(problem.spectral, int(power)))
+
 
 class TestBinaryEstimate:
     @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ import pytest
 
 from hhlsim import circuits, noise as noise_mod, oracles, qpe, qstate, solvers
 from hhlsim.errors import DomainError, ValidationError
-from hhlsim.problem import build_a_lambda
+from hhlsim.problem import build_a_lambda, unitary_power
 from hhlsim.qpe import (
     QpeConfig,
     build_qpe,
@@ -61,7 +61,16 @@ class TestRegisterDistribution:
         register_distribution_exact(build_a_lambda(0.3), 3)
         assert len(runs) == 1
         # the source circuit, not its compiled form
-        assert [g.kind for g in runs[0].gates].count("cunitary") == 3
+        assert [g.kind for g in runs[0].gates].count("cunitary") == 1
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_one_kernel_call_per_source_gate(self, monkeypatch, n):
+        """With b = |0>, an exact QPEA is n h, one cunitary and one qft gate:
+        n + 2 kernel calls."""
+        kernel, calls = qstate.apply_operator, []
+        monkeypatch.setattr(qstate, "apply_operator", lambda *a: calls.append(a) or kernel(*a))
+        register_distribution_exact(build_a_lambda(0.3), n)
+        assert len(calls) == n + 2
 
 
 class TestBuildQpe:
@@ -85,16 +94,19 @@ class TestBuildQpe:
     @pytest.mark.parametrize("d", [2, 4, 8])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_unitary_powers_are_read_only_and_unitary(self, d, n):
-        """The cunitary gates take the unitary powers unchecked: each is
-        read-only and unitary to 1e-12."""
+        """The cunitary gate takes the stack of unitary powers unchecked: it
+        is read-only, each block is unitary to 1e-12, and the block of each
+        register bit, 2^(n - 1 - i), is bit-equal to its own unitary_power."""
         for seed in range(3):
             problem = random_problem(seed, d)
             gates, _ = qpe_block(problem, n, range(n), range(n, n + d.bit_length() - 1))
-            powers = [g.matrix for g in gates if g.kind == "cunitary"]
-            assert len(powers) == n
+            (powers,) = [g.matrix for g in gates if g.kind == "cunitary"]
+            assert powers.shape == (2**n, d, d) and not powers.flags.writeable
             for u in powers:
-                assert not u.flags.writeable
                 qstate._check_unitary(u, atol=1e-12)
+            for i in range(n):
+                m = 2 ** (n - 1 - i)
+                assert np.array_equal(powers[m], unitary_power(problem.spectral, m))
 
     def test_inverse_direction_is_adjoint(self):
         problem = build_a_lambda(0.3)

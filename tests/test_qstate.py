@@ -181,6 +181,31 @@ class TestKernel:
         assert got.shape == (1, 32, 6)
         np.testing.assert_allclose(got[0], _kron_oracle(u, targets, 5) @ m, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("targets", [t for t in KERNEL_TARGETS if len(t) > 1])
+    def test_block_stacks(self, targets):
+        """A block-diagonal operator as its stack of blocks, at every split
+        into c controls and k - c block qubits: block x applies where the
+        first c targets read x. One stack is shared by a batch, or each item
+        has its own (a batch axis of 1 in the data broadcasts)."""
+        rng = np.random.default_rng(len(targets) * 10 + targets[0] + 4)
+        k = len(targets)
+        data = np.stack([_random_state(rng, 5).amplitudes for _ in range(3)])
+        for c in range(1, k):
+            d = 2 ** (k - c)
+            stacks = np.array([[_random_unitary(rng, d) for _ in range(2**c)] for _ in range(3)])
+            dense = np.zeros((3, 2**k, 2**k), dtype=complex)
+            for x in range(2**c):
+                dense[:, x * d : (x + 1) * d, x * d : (x + 1) * d] = stacks[:, x]
+            shared = qstate.apply_operator(data, stacks[0], targets, 5)
+            own = qstate.apply_operator(data, stacks, targets, 5)
+            broadcast = qstate.apply_operator(data[:1], stacks, targets, 5)
+            for b in range(3):
+                want = _kron_oracle(dense[b], targets, 5)
+                first = _kron_oracle(dense[0], targets, 5)
+                np.testing.assert_allclose(shared[b], first @ data[b], rtol=0, atol=1e-12)
+                np.testing.assert_allclose(own[b], want @ data[b], rtol=0, atol=1e-12)
+                np.testing.assert_allclose(broadcast[b], want @ data[0], rtol=0, atol=1e-12)
+
     def test_four_qubit_unitary_on_density_matrix_forms_no_superoperator(self):
         rng = np.random.default_rng(8)
         amps = rng.normal(size=(32, 4)) + 1j * rng.normal(size=(32, 4))

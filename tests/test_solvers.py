@@ -50,7 +50,7 @@ class TestAqeSpec:
         problem = build_a_lambda(0.25)
         spec = build_aqe(problem, 2)
         (mry,) = [g for g in build_hhl_circuit(problem, 2, spec).gates if g.kind == "mry"]
-        u = circuits.gate_matrix(mry)
+        u = circuits.circuit_unitary([dataclasses.replace(mry, qubits=(0, 1, 2))], 3)
         np.testing.assert_allclose(u @ u.conj().T, np.eye(8), atol=1e-12)
         # register value 0 untouched (index = 2 * register pattern + ancilla)
         assert u[0, 0] == pytest.approx(1.0)
@@ -308,7 +308,7 @@ class TestCircuitBuilder:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_exact_run_makes_one_kernel_call_per_source_gate(self, monkeypatch, n):
-        """Each QPE is n h, n controlled powers and one qft gate; with the
+        """Each QPE is n h, one cunitary gate and one qft gate; with the
         encoding's mry, and b's preparation where b is not |0>, every source
         gate is one kernel call."""
         kernel, calls = qstate.apply_operator, []
@@ -317,14 +317,14 @@ class TestCircuitBuilder:
             circuit = build_hhl_circuit(problem, n, build_aqe(problem, n))
             calls.clear()
             noise_mod.run_noisy(circuit)
-            assert len(calls) == len(circuit.gates) == 2 * (2 * n + 1) + 1 + prepared
+            assert len(calls) == len(circuit.gates) == 2 * (n + 2) + 1 + prepared
 
 
 class TestValidateOnce:
     @pytest.mark.parametrize("n", [2, 3])
     def test_exact_run_checks_only_where_values_enter(self, monkeypatch, n):
         """No unitarity check (the input is |0>, so there is no
-        state-preparation gate, and the cunitary gates take unitary powers
+        state-preparation gate, and the cunitary gate takes unitary powers
         that are unitary by construction) and no eigenvalue check of the
         derived density matrices."""
         problem = build_a_lambda(0.3)  # the problem's own checks are not counted
@@ -400,11 +400,13 @@ class TestReducedEncodingEquivalence:
     @pytest.mark.parametrize("lam,circuits_built", [(0.3, 1), (0.25, 2)])
     def test_no_fixed_bit_builds_one_circuit(self, monkeypatch, lam, circuits_built):
         """At lambda = 0.3, n = 2 no bit is fixed, so the reduced encoding is
-        the full one and its circuit is built and run once."""
+        the full one and its circuit is built and run once. The circuits come
+        from one build call, so they share one QPE block."""
         build, calls = solvers.build_hhl_circuit, []
-        monkeypatch.setattr(solvers, "build_hhl_circuit", lambda *a: calls.append(a) or build(*a))
+        monkeypatch.setattr(solvers, "build_hhl_circuit", lambda *a: calls.append(build(*a)) or calls[-1])
         assert reduced_encoding_equivalence_check(build_a_lambda(lam), 2)
-        assert len(calls) == circuits_built
+        (built,) = calls
+        assert len(built) == circuits_built
 
     def test_one_batch_and_a_perturbed_angle_fails(self, monkeypatch):
         """The full and reduced circuits run as one batch. With one reduced
