@@ -27,8 +27,10 @@ without compiling (``Circuit.cnot_count``).
 A gate is checked once, when :func:`gate` makes it, or, for b's
 preparation and the unitary powers of QPE, by its problem. Lowerings build
 their basis gates as :class:`Gate` directly, on the checked gate's qubits
-with finite angles derived from its own; adjoints and the executor do not
-check again.
+with finite angles derived from its own, and so does QPE its ``h``, ``qft``
+and ``swap`` gates, on distinct wires of a register that
+:func:`qstate.check_width` has admitted; adjoints and the executor do not
+check again, and :class:`Circuit` range-checks every wire.
 :func:`simplify` is the one place zero rotations are dropped.
 
 Documented decomposition set (gate-count accounting relies on it), exact up
@@ -165,7 +167,7 @@ class Circuit:
 
 
 # ---------------------------------------------------------------------------
-# gate matrices and circuit evaluation
+# gate matrices
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _CNOT = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
@@ -206,27 +208,8 @@ def gate_matrix(g: Gate) -> np.ndarray:
     """Unitary of a single gate on its own qubits (MSB = first listed qubit),
     or, for a multiplexed kind (``cunitary``, ``mry``), the stack
     of its blocks: block x acts on the targets where the controls read x.
-    :func:`qstate.apply_operator` takes either; :func:`circuit_unitary` gives
-    the dense matrix of a stack."""
+    :func:`qstate.apply_operator` takes either."""
     return _KINDS[g.kind].matrix(g)
-
-
-def circuit_unitary(gates, num_qubits: int) -> np.ndarray:
-    """Composed unitary of a gate sequence."""
-    u = np.eye(2**num_qubits, dtype=complex)[None]
-    for g in gates:
-        u = qstate.apply_operator(u, gate_matrix(g), g.qubits, num_qubits)
-    return u[0]
-
-
-def equal_up_to_phase(a: np.ndarray, b: np.ndarray, atol: float = 1e-8) -> bool:
-    idx = np.unravel_index(np.argmax(np.abs(b)), b.shape)
-    if abs(b[idx]) < atol:
-        return qstate.within_atol(a, b, atol)
-    phase = a[idx] / b[idx]
-    if abs(abs(phase) - 1.0) > atol:
-        return False
-    return qstate.within_atol(a, phase * b, atol)
 
 
 def adjoint(gates) -> list[Gate]:
@@ -367,10 +350,10 @@ def inverse_qft_gates(wires, physical_swap: bool = False):
     """
     wires = list(wires)
     if not physical_swap:
-        return [gate("qft", *wires, params=(-1,))], wires[::-1]
+        return [Gate("qft", tuple(wires), (-1,))], wires[::-1]
     n = len(wires)
-    swaps = [gate("swap", wires[i], wires[n - 1 - i]) for i in range(n // 2)]
-    return swaps + [gate("qft", *reversed(wires), params=(-1,))], wires
+    swaps = [Gate("swap", (wires[i], wires[n - 1 - i])) for i in range(n // 2)]
+    return swaps + [Gate("qft", tuple(reversed(wires)), (-1,))], wires
 
 
 def _qft_gates(g: Gate) -> list[Gate]:

@@ -16,7 +16,7 @@ qubit pair with no other 2-qubit gate on either qubit between them. Every
 superoperator is then made in a few batched calls: the 1-qubit u (x) u*,
 the decays, the chain products, the chains before each CNOT joined to it,
 each qubit's last chain joined to its last block, the product of each
-block. Last, each block takes one call of :func:`qstate.apply_leading`,
+block. Last, each block takes one call of :func:`qstate.apply_operator`,
 which keeps rho in lazy axis order, and each qubit that meets no CNOT but
 owes work one more. This is exact: damping on one qubit commutes with
 gates on others, and damping for t1 then t2 is damping for t1 + t2. A
@@ -99,9 +99,9 @@ def damping_channel(rho: DensityMatrix, qubit: int, t: float, t1: float) -> Dens
         raise DomainError("elapsed time must be nonnegative")
     if t == 0:
         return rho
-    n = rho.num_qubits
-    out = qstate.apply_operator(rho.entries[None], _decay(t, t1), (qubit, qubit + n), 2 * n)
-    return DensityMatrix._trusted(n, out[0])
+    n, qubits = rho.num_qubits, tuple(range(2 * rho.num_qubits))
+    out = qstate.apply_operator(rho.entries[None], _decay(t, t1), (qubit, qubit + n), qubits)
+    return DensityMatrix._trusted(n, qstate.reorder(*out, qubits).reshape(2**n, 2**n))
 
 
 def _decay(t, t1: float) -> np.ndarray:
@@ -122,17 +122,6 @@ def survival_bound(cnot_count: int, noise: NoiseParams = NoiseParams()) -> float
     if cnot_count < 0:
         raise DomainError("cnot_count must be nonnegative")
     return float(np.exp(-(cnot_count * noise.cnot_ns) / noise.t1_ns))
-
-
-def _flip_distribution(probs: np.ndarray, k: int, flip: float) -> np.ndarray:
-    """Apply an independent binary symmetric channel to each of k outcome bits."""
-    if flip == 0.0:
-        return probs
-    m = np.array([[1 - flip, flip], [flip, 1 - flip]])
-    t = probs[None]
-    for q in range(k):
-        t = qstate.apply_operator(t, m, (q,), k)
-    return t[0]
 
 
 def run_noisy(circuit, noise: NoiseParams | None = None, initial=None):
@@ -175,20 +164,22 @@ def run_noisy(circuit, noise: NoiseParams | None = None, initial=None):
         return states[0] if single else states
     if any(len(c.gates) != len(first.gates) for c in items):
         raise DomainError("the circuits of a statevector batch differ in length")
-    data = state.amplitudes[None]
+    data, order = state.amplitudes[None], tuple(range(n))
     for i, g in enumerate(first.gates):
         others = [c.gates[i] for c in items[1:]]
         if all(_same(h, g) for h in others):
-            data = qstate.apply_operator(data, gate_matrix(g), g.qubits, n)
+            data, order = qstate.apply_operator(data, gate_matrix(g), g.qubits, order)
         elif all((h.kind, h.qubits) == (g.kind, g.qubits) for h in others):
-            data = qstate.apply_operator(data, _stacked(gate_matrix(g), others), g.qubits, n)
-        else:
-            rows = np.broadcast_to(data, (len(items), 2**n))
+            stack = _stacked(gate_matrix(g), others)
+            data, order = qstate.apply_operator(data, stack, g.qubits, order)
+        else:  # each item on its own row, brought back to the shared order
+            rows = np.broadcast_to(data, (len(items), 2**n))[:, None]
             data = np.concatenate([
-                qstate.apply_operator(rows[b : b + 1], gate_matrix(h), h.qubits, n)
-                for b, h in enumerate([g, *others])
+                qstate.reorder(*qstate.apply_operator(r, gate_matrix(h), h.qubits, order), order)
+                for r, h in zip(rows, [g, *others])
             ])
-    states = [StateVector._trusted(n, item) for item in np.broadcast_to(data, (len(items), 2**n))]
+    data = np.broadcast_to(qstate.reorder(data, order, tuple(range(n))), (len(items), 2**n))
+    states = [StateVector._trusted(n, item) for item in data]
     return states[0] if single else states
 
 
@@ -240,18 +231,17 @@ def _run_density(circuit, noise: NoiseParams | None, state) -> np.ndarray:
     decays = _decay(times[::-1], noise.t1_ns) if times else np.empty((0, 4, 4))
     ops = np.concatenate([_kron(u, u.conj()), np.eye(4)[None], decays])
     products = _products(ops, runs, len(ones))
-    order = tuple(range(2 * n))
+    order = qubits = tuple(range(2 * n))
     data = (state if isinstance(state, DensityMatrix) else state.to_density_matrix()).entries[None]
     if flips:
         before = _kron(products[0 : 2 * len(flips) : 2], products[1 : 2 * len(flips) : 2])
         steps = _CNOT_SUPER[np.array(flips, dtype=np.intp)] @ before[:, _PAIR[:, None], _PAIR]
         steps = np.concatenate([steps, np.eye(16)[None]])
         for (pair, _), op in zip(blocks, _products(steps, [m for _, m in blocks], len(flips))):
-            data, order = qstate.apply_leading(data, op, (*pair, *(q + n for q in pair)), order)
+            data, order = qstate.apply_operator(data, op, (*pair, *(q + n for q in pair)), order)
     for q, op in zip(lone, products[len(runs) - len(lone) :]):
-        data, order = qstate.apply_leading(data, op, (q, q + n), order)
-    back = [1 + order.index(q) for q in range(2 * n)]
-    return data.reshape((-1,) + (2,) * (2 * n)).transpose(0, *back).reshape(-1, 2**n, 2**n)
+        data, order = qstate.apply_operator(data, op, (q, q + n), order)
+    return qstate.reorder(data, order, qubits).reshape(-1, 2**n, 2**n)
 
 
 def _products(ops: np.ndarray, runs, identity: int) -> np.ndarray:
@@ -313,10 +303,14 @@ def _same(h, g) -> bool:
 def readout_distribution(state, circuit, noise: NoiseParams | None) -> MeasurementHistogram:
     """Exact outcome probabilities, readout flips included (none without
     ``noise``), of the qubits ``circuit`` measures, in readout order (all
-    qubits, MSB first, if none), in its final ``state`` from :func:`run_noisy`."""
+    qubits, MSB first, if none), in its final ``state`` from :func:`run_noisy`.
+    Each bit flips on its own, a binary symmetric channel: one kernel call each."""
     targets = list(circuit.measured) or list(range(state.num_qubits))
     probs = qstate._marginal_probabilities(state, targets)
-    flip = 0.0 if noise is None else noise.readout_flip
-    probs = _flip_distribution(probs / probs.sum(), len(targets), flip)
+    probs, qubits = (probs / probs.sum())[None], tuple(range(len(targets)))
+    if noise is not None and (flip := noise.readout_flip):
+        m = np.array([[1 - flip, flip], [flip, 1 - flip]])
+        for q in qubits:  # one target always lies in place, so the order stays
+            probs, _ = qstate.apply_operator(probs, m, (q,), qubits)
     labels = qstate._labels(len(targets))
-    return MeasurementHistogram({k: float(p) for k, p in zip(labels, probs)}, None)
+    return MeasurementHistogram({k: float(p) for k, p in zip(labels, probs[0])}, None)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import circuits, noise as noise_mod, qstate
-from .circuits import Circuit, Gate, gate
+from .circuits import Circuit, Gate
 from .errors import DomainError
 from .problem import HermitianProblem, unitary_power
 from .qstate import MeasurementHistogram
@@ -52,7 +52,7 @@ def qpe_block(problem: HermitianProblem, n: int, register, v_qubits, physical_sw
     inverse-QFT swap layer is absorbed by relabeling).
     """
     register = list(register)
-    gates = [gate("h", q) for q in register]
+    gates = [Gate("h", (q,)) for q in register]
     powers = unitary_power(problem.spectral, np.arange(2**n))  # the powers of a unitary
     gates.append(Gate("cunitary", (*register, *v_qubits), (1,), powers))
     iqft, out_register = circuits.inverse_qft_gates(register, physical_swap=physical_swap)
@@ -104,7 +104,9 @@ def run_qpea(
 
 def qpea_distribution_noisy(problem: HermitianProblem, n: int, noise) -> MeasurementHistogram:
     """Exact register distribution of the QPEA circuit: compiled and under
-    ``noise`` if given, else its source gates on a statevector."""
+    ``noise`` if given, else its source gates on a statevector. Its register
+    size is checked first, under noise against the density budget too."""
+    qstate.check_width(n, problem.num_qubits, noise is not None)
     circuit = build_qpe(QpeConfig(n, problem))
     if noise is not None:
         circuit = circuits.compile_circuit(circuit)

@@ -5,11 +5,11 @@ post-selection, partial trace, the one overlap rule (:func:`overlaps`) and
 seeded measurement sampling.
 Qubit 0 is the most significant bit of a basis-state index, so the bitstring
 label of index ``x`` reads left to right as qubits 0, 1, 2, ...
-A gate goes through one of two kernels, each on arrays with a leading batch
-axis: :func:`apply_operator`, whose result is in qubit order, or, in the
-planned density-matrix run, :func:`apply_leading`, which keeps a lazy axis
-order. A density matrix over n qubits is, by a reshape, a vector over 2n
-qubit indices: row bits, then column bits.
+Every gate goes through one kernel, :func:`apply_operator`, on arrays with a
+leading batch axis whose qubit axes lie in a lazy order that the caller
+carries; :func:`reorder` restores qubit order once, at the end of a run. A
+density matrix over n qubits is, by a reshape, a vector over 2n qubit
+indices: row bits, then column bits.
 
 Values are checked where they enter, against an absolute tolerance
 (:func:`within_atol`): in the public state constructors, in
@@ -49,15 +49,19 @@ def check_width(register: int, others: int, density: bool = False) -> None:
     """The one register-size rule, before anything is built: a register below
     1 qubit raises DomainError; a circuit of ``register + others`` qubits
     wider than MAX_QUBITS, or with ``density`` one whose density matrix is
-    over MAX_DENSITY_BYTES, raises ValidationError."""
+    over MAX_DENSITY_BYTES, raises ValidationError naming the largest
+    register that fits (below 1 if none) by its command-line flag, ``--n``."""
     if register < 1:
         raise DomainError("register size must be >= 1")
     width = register + others
     if density and 16 * 4**width > MAX_DENSITY_BYTES:
-        limit = MAX_DENSITY_BYTES >> 20
-        raise ValidationError(f"a {width}-qubit density matrix exceeds the limit of {limit} MiB")
-    if width > MAX_QUBITS:
-        raise ValidationError(f"a {width}-qubit circuit exceeds the limit of {MAX_QUBITS} qubits")
+        what = f"density matrix exceeds the limit of {MAX_DENSITY_BYTES >> 20} MiB"
+        widest = ((MAX_DENSITY_BYTES // 16).bit_length() - 1) // 2  # 16 * 4^widest fits
+    elif width > MAX_QUBITS:
+        what, widest = f"circuit exceeds the limit of {MAX_QUBITS} qubits", MAX_QUBITS
+    else:
+        return
+    raise ValidationError(f"a {width}-qubit {what}: --n must be at most {widest - others}")
 
 
 def within_atol(a, b, atol: float) -> bool:
@@ -200,56 +204,44 @@ def basis_state(num_qubits: int, index: int) -> StateVector:
     return StateVector._trusted(num_qubits, amps)
 
 
-def apply_operator(data: np.ndarray, u: np.ndarray, targets, num_qubits: int) -> np.ndarray:
-    """The gate kernel in qubit order (the planned density-matrix run has
-    :func:`apply_leading`): apply ``u`` on the ``targets`` of every item of a batch.
+def apply_operator(data: np.ndarray, u: np.ndarray, targets, order: tuple):
+    """The gate kernel: apply ``u`` on the ``targets`` of every item of a
+    batch ``data`` (B, ...) of 2^m entries each, whose m qubit axes lie in
+    ``order`` (``order[i]`` is the qubit of axis i, the first most
+    significant). Returns (result (B, 2^m), its order); a run restores qubit
+    order once, with :func:`reorder`.
 
-    ``data`` has a leading batch axis; the rest of each item indexes
-    ``num_qubits`` qubit axes (qubit 0 most significant), then any trailing
-    non-qubit axis, such as the columns of a matrix. ``u`` is one 2^k x 2^k
-    operator for every item, or a stack (B, 2^k, 2^k) with one per item (a
-    batch axis of 1 in ``data`` then broadcasts to B). A block-diagonal
-    operator on c + t targets comes as its stack of 2^c blocks, (2^c, 2^t,
-    2^t), or (B, 2^c, 2^t, 2^t) with one stack per item: block x applies
-    where the first c targets read x, so no (2^(c+t))^2 matrix is made.
-    ``targets[0]`` is the most significant bit of the operator's index.
-    Adjacent ascending targets take a reshape and one matmul; any others a
-    transpose that brings them to the front, the matmul and the inverse
-    transpose. Nothing is checked; a new array is returned.
+    ``u`` is one 2^k x 2^k operator for every item, or a stack (B, 2^k, 2^k)
+    with one per item (a batch axis of 1 in ``data`` then broadcasts to B).
+    A block-diagonal operator on c + t targets comes as its stack of 2^c
+    blocks, (2^c, 2^t, 2^t), or (B, 2^c, 2^t, 2^t) with one stack per item:
+    block x applies where the first c targets read x, so no (2^(c+t))^2
+    matrix is made. ``targets[0]`` is the most significant bit of the
+    operator's index. Targets adjacent in ``order``, in their own order, take
+    a reshape and one matmul; any others one transpose that brings them to
+    the front, where the result keeps them. Nothing is checked; a new array
+    is returned.
     """
-    b, k, t0 = data.shape[0], len(targets), targets[0]
+    b, k, targets = data.shape[0], len(targets), tuple(targets)
     t = u.shape[-1].bit_length() - 1
     # a dense operator is a stack of one block; each item's own shares its leading qubits
     u = u.reshape(-1, 1, 2 ** (k - t), 2**t, 2**t)
-    if tuple(targets) == tuple(range(t0, t0 + k)):
-        out = u @ data.reshape(b, 2**t0, 2 ** (k - t), 2**t, -1)
-        return out.reshape(out.shape[:1] + data.shape[1:])
-    rest = [q for q in range(num_qubits) if q not in targets]
-    perm = [0, *(1 + q for q in targets), *(1 + q for q in rest), num_qubits + 1]
-    qubit_axes = (2,) * num_qubits + (-1,)
-    moved = data.reshape((b,) + qubit_axes).transpose(perm)
-    out = u @ moved.reshape(b, 1, 2 ** (k - t), 2**t, -1)
-    inverse = sorted(range(len(perm)), key=perm.__getitem__)
-    out = out.reshape(out.shape[:1] + qubit_axes).transpose(inverse)
-    return out.reshape(out.shape[:1] + data.shape[1:])
+    i = order.index(targets[0])
+    if order[i : i + k] != targets:
+        i, want = 0, targets + tuple(q for q in order if q not in targets)
+        data, order = reorder(data, order, want), want
+    out = u @ data.reshape(b, 2**i, 2 ** (k - t), 2**t, -1)
+    return out.reshape(out.shape[0], -1), order
 
 
-def apply_leading(data: np.ndarray, u: np.ndarray, targets, order: tuple):
-    """The density-matrix kernel, in lazy axis order: one operator ``u`` on
-    the ``targets`` of each item of ``data`` (B, 2^m), whose m qubit axes
-    lie in ``order`` (``order[i]`` is the qubit of axis i, the first most
-    significant). Unless the targets lead already, a transpose brings them
-    to the front; the matmul leaves them there, and (result, its order) is
-    returned. So a call copies the array at most once, not twice as
-    :func:`apply_operator` on non-adjacent targets, and a run restores qubit
-    order once, at its end. Nothing is checked.
-    """
-    b, k, targets = data.shape[0], len(targets), tuple(targets)
-    if order[:k] != targets:
-        rest = tuple(q for q in order if q not in targets)
-        perm = [0, *(1 + order.index(q) for q in targets + rest)]
-        data, order = data.reshape((b,) + (2,) * len(order)).transpose(perm), targets + rest
-    return (u @ data.reshape(b, 2**k, -1)).reshape(b, -1), order
+def reorder(data: np.ndarray, order: tuple, want: tuple) -> np.ndarray:
+    """``data`` (B, 2^m), its qubit axes in ``order``, with them in the order
+    ``want`` instead: a transposed copy, or ``data`` itself if the two agree."""
+    if order == want:
+        return data
+    b = data.shape[0]
+    axes = data.reshape((b,) + (2,) * len(order))
+    return axes.transpose(0, *(1 + order.index(q) for q in want)).reshape(b, -1)
 
 
 def apply_unitary(state, u, targets):
@@ -264,11 +256,14 @@ def apply_unitary(state, u, targets):
         raise DomainError(f"operator dimension {u.shape[0]} does not match {len(targets)} targets")
     n = state.num_qubits
     if isinstance(state, StateVector):
-        return StateVector._trusted(n, apply_operator(state.amplitudes[None], u, targets, n)[0])
+        qubits = tuple(range(n))
+        out = reorder(*apply_operator(state.amplitudes[None], u, targets, qubits), qubits)
+        return StateVector._trusted(n, out[0])
     if isinstance(state, DensityMatrix):
-        rows = apply_operator(state.entries[None], u, targets, 2 * n)
-        out = apply_operator(rows, u.conj(), [t + n for t in targets], 2 * n)
-        return DensityMatrix._trusted(n, out[0])
+        qubits = tuple(range(2 * n))
+        rows, order = apply_operator(state.entries[None], u, targets, qubits)
+        out = reorder(*apply_operator(rows, u.conj(), [t + n for t in targets], order), qubits)
+        return DensityMatrix._trusted(n, out.reshape(2**n, 2**n))
     raise DomainError(f"unsupported state type {type(state)!r}")
 
 
@@ -293,13 +288,9 @@ def _marginal_probabilities(state, qubits: list[int]) -> np.ndarray:
         p = np.real(np.diagonal(state.entries)).reshape((2,) * n)
     else:
         raise DomainError(f"unsupported state type {type(state)!r}")
-    drop = [q for q in range(n) if q not in qubits]
-    p = p.sum(axis=tuple(drop)) if drop else p
-    # after summing, remaining axes are in ascending qubit order
-    remaining = sorted(qubits)
-    order = [remaining.index(q) for q in qubits]
-    p = np.transpose(p, order)
-    return np.maximum(p.reshape(-1), 0.0)
+    # after summing, the remaining axes are in ascending qubit order
+    p = p.sum(axis=tuple(q for q in range(n) if q not in qubits)).reshape(1, -1)
+    return np.maximum(reorder(p, tuple(sorted(qubits)), tuple(qubits))[0], 0.0)
 
 
 def postselect(state, qubit: int, outcome: int):
@@ -344,12 +335,10 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     t = rho.entries.reshape((2,) * (2 * n))
     for q in sorted(drop, reverse=True):
         t = np.trace(t, axis1=q, axis2=t.ndim // 2 + q)
-    # remaining row axes correspond to sorted(keep)
-    remaining = sorted(keep)
-    m = len(keep)
-    order = [remaining.index(q) for q in keep]
-    t = np.transpose(t, order + [m + i for i in order]).reshape(2**m, 2**m)
-    return DensityMatrix._trusted(m, t.copy())  # owned: keeps no chain of views alive
+    # the remaining row axes, then column axes, are in ascending qubit order
+    rows, m = sorted(keep), len(keep)
+    t = reorder(t.reshape(1, -1), (*rows, *(q + n for q in rows)), (*keep, *(q + n for q in keep)))
+    return DensityMatrix._trusted(m, t.reshape(2**m, 2**m).copy())  # owned: no chain of views
 
 
 def overlaps(rho: np.ndarray, kets: np.ndarray) -> np.ndarray:

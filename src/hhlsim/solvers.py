@@ -160,8 +160,8 @@ def analyze_qpea(
     if not peaks:
         return EigenEstimate(n, {}, (), False, 0.0)
     means = tuple(sum(int(s[k]) for s in peaks) / len(peaks) for k in range(n))
-    fixed = any(m in (0.0, 1.0) for m in means)  # as EigenEstimate.fixed_positions
-    return EigenEstimate(n, peaks, means, fixed and coverage >= coverage_bound, coverage)
+    fixed = EigenEstimate(n, peaks, means, False, coverage).fixed_positions
+    return EigenEstimate(n, peaks, means, bool(fixed) and coverage >= coverage_bound, coverage)
 
 
 def estimate_from_spectral(problem: HermitianProblem, n: int) -> EigenEstimate:
@@ -354,7 +354,10 @@ def run_original_hhl_batch(
     b is |0...0> for all of them or for none (:func:`qpe.prepare_b` emits no
     gate for it). Their gates differ only in
     the unitary powers of QPE and the encoding's angles, each position taking
-    one executor call."""
+    one executor call. Each register size is checked first, under noise
+    against the density budget too."""
+    for p in problems:
+        qstate.check_width(n, 1 + p.num_qubits, noise is not None)
     specs = [build_aqe(p, n) for p in problems]
     return _solve("original", problems, n, specs, shots, seed, noise)
 

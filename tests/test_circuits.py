@@ -11,12 +11,10 @@ from hhlsim import circuits, qpe, qstate, solvers
 from hhlsim.circuits import (
     Circuit,
     adjoint,
-    circuit_unitary,
     compile_circuit,
     controlled_ry_chain,
     decompose_controlled_unitary,
     emit_qasm,
-    equal_up_to_phase,
     gate,
     gate_matrix,
     inverse_qft_gates,
@@ -26,6 +24,8 @@ from hhlsim.circuits import (
 from hhlsim.errors import CompileError, DomainError, HhlError, ValidationError
 from hhlsim.noise import NoiseParams, run_noisy
 from hhlsim.problem import HermitianProblem, build_a_lambda, unitary_power
+
+from problem_helpers import circuit_unitary, equal_up_to_phase
 
 
 def _random_unitary(rng, dim=2):

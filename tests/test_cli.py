@@ -138,7 +138,32 @@ class TestSolve:
         )
         assert code == EXIT_VALIDATION and raw == b""
         assert capsys.readouterr().err == (
-            "error: a 42-qubit circuit exceeds the limit of 12 qubits\n"
+            "error: a 42-qubit circuit exceeds the limit of 12 qubits:"
+            " --n must be at most 10\n"
+        )
+
+    @pytest.mark.parametrize("extra", [(), ("--mode", "hybrid", "--max-n", "11")])
+    def test_widest_register_named(self, tmp_path, capsys, extra):
+        """The refusal names --n and the largest register that fits."""
+        code, raw = run(tmp_path, "solve", "--lambda", "0.3", "--n", "11", *extra)
+        assert code == EXIT_VALIDATION and raw == b""
+        assert capsys.readouterr().err == (
+            "error: a 13-qubit circuit exceeds the limit of 12 qubits:"
+            " --n must be at most 10\n"
+        )
+
+    @pytest.mark.parametrize("mode", ["original", "hybrid"])
+    def test_density_budget_names_widest_register(self, tmp_path, capsys, mode):
+        noise = tmp_path / "noise.json"
+        noise.write_text('{"t1_ns": 30000}')
+        code, raw = run(
+            tmp_path, "solve", "--lambda", "0.3", "--n", "10", "--max-n", "10",
+            "--mode", mode, "--noise", str(noise),
+        )
+        assert code == EXIT_VALIDATION and raw == b""
+        assert capsys.readouterr().err == (
+            "error: a 12-qubit density matrix exceeds the limit of 64 MiB:"
+            " --n must be at most 9\n"
         )
 
     def test_named_estimators_agree_at_zero_noise(self, tmp_path):
@@ -369,7 +394,8 @@ class TestQpea:
         code, raw = run(tmp_path, "qpea", "--lambda", "0.3", "--n", "40")
         assert code == EXIT_VALIDATION and raw == b""
         assert capsys.readouterr().err == (
-            "error: a 41-qubit circuit exceeds the limit of 12 qubits\n"
+            "error: a 41-qubit circuit exceeds the limit of 12 qubits:"
+            " --n must be at most 11\n"
         )
 
     def test_widest_exact_qpea_holds_no_dense_controlled_powers(self, tmp_path):
@@ -399,7 +425,8 @@ class TestQpea:
             tracemalloc.stop()
         assert (code, raw) == (EXIT_VALIDATION, b"")
         assert capsys.readouterr().err == (
-            "error: a 12-qubit density matrix exceeds the limit of 64 MiB\n"
+            "error: a 12-qubit density matrix exceeds the limit of 64 MiB:"
+            " --n must be at most 10\n"
         )
         assert peak < 10_000_000
 
@@ -467,6 +494,15 @@ class TestCompare:
                     assert set(record["estimators"]) == {"ancilla", "uncomputed"}
                     assert record["estimators"][rule]["fidelity"] == record["fidelity"]
 
+    def test_density_budget_names_widest_register(self, tmp_path, capsys):
+        f = _files(tmp_path, noise='{"t1_ns": 50000}')
+        code, raw = run(tmp_path, "compare", "--n", "10", "--noise", f["noise"])
+        assert code == EXIT_VALIDATION and raw == b""
+        assert capsys.readouterr().err == (
+            "error: a 12-qubit density matrix exceeds the limit of 64 MiB:"
+            " --n must be at most 9\n"
+        )
+
     def test_n3_without_noise_reports_null_bound(self, tmp_path):
         code, raw = run(tmp_path, "compare", "--n", "3")
         assert code == EXIT_OK
@@ -521,7 +557,9 @@ class TestEmitQasm:
     def test_register_size_checked(self, tmp_path, capsys, circuit, n, message):
         code, raw = run(tmp_path, "emit-qasm", "--lambda", "0.3", "--circuit", circuit, "--n", n)
         assert code == EXIT_VALIDATION and raw == b""
-        assert capsys.readouterr().err == f"error: {message}\n"
+        # a register too wide is refused with the largest that fits
+        tail = ": --n must be at most 10" if n == "40" else ""
+        assert capsys.readouterr().err == f"error: {message}{tail}\n"
 
     @pytest.mark.parametrize("n", ["1100", "12"])
     def test_qpea_register_too_wide(self, tmp_path, capsys, n):
@@ -530,7 +568,8 @@ class TestEmitQasm:
         assert code == EXIT_VALIDATION and raw == b""
         width = int(n) + 1
         assert capsys.readouterr().err == (
-            f"error: a {width}-qubit circuit exceeds the limit of 12 qubits\n"
+            f"error: a {width}-qubit circuit exceeds the limit of 12 qubits:"
+            " --n must be at most 11\n"
         )
 
     def test_qpea_widest_register(self, tmp_path):

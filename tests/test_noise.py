@@ -22,6 +22,8 @@ from hhlsim.noise import (
 from hhlsim.problem import HermitianProblem, build_a_lambda, classical_solution
 from hhlsim.qstate import DensityMatrix, StateVector, basis_state
 
+from problem_helpers import circuit_unitary
+
 
 class TestNoiseParams:
     def test_defaults(self):
@@ -109,7 +111,7 @@ def _eager_run(compiled, noise, rho):
     """Reference executor: after every timed gate, damp each aged qubit at once."""
     n = compiled.num_qubits
     for g in compiled.gates:
-        u = circuits.circuit_unitary([g], n)
+        u = circuit_unitary([g], n)
         rho = u @ rho @ u.conj().T
         dt = noise.duration(g)
         if dt > 0:
@@ -475,8 +477,8 @@ def _cnot_blocks(gates):
 
 def _count_kernel_calls(monkeypatch):
     """The targets of each call of the density-matrix kernel, in call order."""
-    kernel, calls = qstate.apply_leading, []
-    monkeypatch.setattr(qstate, "apply_leading", lambda *a: calls.append(a[2]) or kernel(*a))
+    kernel, calls = qstate.apply_operator, []
+    monkeypatch.setattr(qstate, "apply_operator", lambda *a: calls.append(a[2]) or kernel(*a))
     return calls
 
 
@@ -559,14 +561,14 @@ class TestFusedExecutor:
         compiled = _lazy_order_circuit(n, rng, cnots)
         noise = NoiseParams(t1_ns=1500.0, idle_damping=idle_damping)
         initial = _random_rho(n, rng)
-        kernel, orders = qstate.apply_leading, []
+        kernel, orders = qstate.apply_operator, []
 
         def kernel_spy(*args):
             out = kernel(*args)
             orders.append(out[1])
             return out
 
-        with mock.patch.object(qstate, "apply_leading", kernel_spy):
+        with mock.patch.object(qstate, "apply_operator", kernel_spy):
             rho = run_noisy(compiled, noise, initial=DensityMatrix(n, initial))
         assert orders[-1] != tuple(range(2 * n))  # the run ends in another axis order
         want, _ = _eager_run(compiled, noise, initial)
@@ -590,7 +592,7 @@ class TestFusedExecutor:
         initial = _random_rho(4, np.random.default_rng(9))
         rho = run_noisy(compile_circuit(circuit), initial=DensityMatrix(4, initial))
         # the global phase the lowering drops cancels in u rho u^+
-        u = circuits.circuit_unitary(circuit.gates, 4)
+        u = circuit_unitary(circuit.gates, 4)
         np.testing.assert_allclose(rho.entries, u @ initial @ u.conj().T, rtol=0, atol=1e-12)
 
     def test_density_matrix_refuses_uncompiled_gates_without_noise(self):

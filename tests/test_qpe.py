@@ -14,7 +14,7 @@ from hhlsim.qpe import (
     register_distribution_exact,
     run_qpea,
 )
-from problem_helpers import random_problem
+from problem_helpers import circuit_unitary, equal_up_to_phase, random_problem
 
 
 class TestRegisterDistribution:
@@ -112,8 +112,8 @@ class TestBuildQpe:
         problem = build_a_lambda(0.3)
         fwd = build_qpe(QpeConfig(2, problem))
         inv = circuits.adjoint(qpe_block(problem, 2, [0, 1], [2])[0])
-        u = circuits.circuit_unitary(fwd.gates + tuple(inv), fwd.num_qubits)
-        assert circuits.equal_up_to_phase(u, np.eye(2**fwd.num_qubits), atol=1e-9)
+        u = circuit_unitary(fwd.gates + tuple(inv), fwd.num_qubits)
+        assert equal_up_to_phase(u, np.eye(2**fwd.num_qubits), atol=1e-9)
 
 
 class TestRunQpea:

@@ -135,17 +135,57 @@ def _kron_oracle(u, targets, n):
 KERNEL_TARGETS = [[3], [0], [4], [3, 0], [0, 2], [4, 1, 2], [2, 0, 4], [1, 2], [2, 3, 4]]
 
 
+def _in_order(psi, order):
+    """Amplitudes in qubit order, rearranged so that axis i holds qubit order[i]."""
+    return psi.reshape((2,) * len(order)).transpose(order).reshape(-1)
+
+
+def _in_qubit_order(data, order):
+    """The inverse of :func:`_in_order`."""
+    return data.reshape((2,) * len(order)).transpose(np.argsort(order)).reshape(-1)
+
+
+def _start_orders(rng, targets, n=5):
+    """Two starting axis orders: one drawn at random, in which two or more
+    targets are not adjacent in their own order, and one with the targets
+    adjacent, in their own order, at a random offset."""
+    k = len(targets)
+    while True:
+        drawn = tuple(int(q) for q in rng.permutation(n))
+        i = drawn.index(targets[0])
+        if k == 1 or drawn[i : i + k] != tuple(targets):
+            break
+    rest = [int(q) for q in rng.permutation([q for q in range(n) if q not in targets])]
+    at = int(rng.integers(0, len(rest) + 1))
+    return drawn, tuple(rest[:at] + list(targets) + rest[at:])
+
+
+def _check_order(before, after, targets):
+    """The kernel's one rule: targets adjacent in ``before`` keep the order,
+    any others lead ``after``."""
+    k, targets, i = len(targets), tuple(targets), before.index(targets[0])
+    assert sorted(after) == sorted(before)
+    if before[i : i + k] == targets:
+        assert after == before
+    else:
+        assert after[:k] == targets
+
+
 class TestKernel:
-    """apply_operator against the Kronecker oracle, on 5 qubits, to 1e-12."""
+    """apply_operator from random starting axis orders, targets in place and
+    out of place, against the Kronecker oracle on 5 qubits, to 1e-12."""
 
     @pytest.mark.parametrize("targets", KERNEL_TARGETS)
     def test_statevector(self, targets):
         rng = np.random.default_rng(len(targets) * 10 + targets[0])
         psi = _random_state(rng, 5).amplitudes
         u = _random_unitary(rng, 2 ** len(targets))
-        got = qstate.apply_operator(psi[None], u, targets, 5)
-        assert got.shape == (1, 32)
-        np.testing.assert_allclose(got[0], _kron_oracle(u, targets, 5) @ psi, rtol=0, atol=1e-12)
+        want = _kron_oracle(u, targets, 5) @ psi
+        for start in _start_orders(rng, targets):
+            got, order = qstate.apply_operator(_in_order(psi, start)[None], u, targets, start)
+            assert got.shape == (1, 32)
+            _check_order(start, order, targets)
+            np.testing.assert_allclose(_in_qubit_order(got[0], order), want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("targets", KERNEL_TARGETS)
     def test_density_matrix(self, targets):
@@ -163,23 +203,37 @@ class TestKernel:
         rng = np.random.default_rng(len(targets) * 10 + targets[0] + 2)
         k = len(targets)
         stack = np.stack([_random_unitary(rng, 2**k) for _ in range(3)])
-        data = np.stack([_random_state(rng, 5).amplitudes for _ in range(3)])
-        got = qstate.apply_operator(data, stack, targets, 5)
-        # a batch axis of 1 broadcasts to the stack's three items
-        shared = qstate.apply_operator(data[:1], stack, targets, 5)
-        for b in range(3):
-            want = _kron_oracle(stack[b], targets, 5)
-            np.testing.assert_allclose(got[b], want @ data[b], rtol=0, atol=1e-12)
-            np.testing.assert_allclose(shared[b], want @ data[0], rtol=0, atol=1e-12)
+        psis = [_random_state(rng, 5).amplitudes for _ in range(3)]
+        for start in _start_orders(rng, targets):
+            data = np.stack([_in_order(psi, start) for psi in psis])
+            got, order = qstate.apply_operator(data, stack, targets, start)
+            # a batch axis of 1 broadcasts to the stack's three items
+            shared, shared_order = qstate.apply_operator(data[:1], stack, targets, start)
+            _check_order(start, order, targets)
+            assert shared_order == order and got.shape == shared.shape == (3, 32)
+            for b in range(3):
+                want = _kron_oracle(stack[b], targets, 5)
+                for out, psi in ((got[b], psis[b]), (shared[b], psis[0])):
+                    np.testing.assert_allclose(
+                        _in_qubit_order(out, order), want @ psi, rtol=0, atol=1e-12
+                    )
 
     @pytest.mark.parametrize("targets", KERNEL_TARGETS)
-    def test_trailing_non_qubit_axis(self, targets):
+    def test_matrix_columns_as_a_batch(self, targets):
+        """One dense operator on every column of a matrix, the columns run
+        as the items of a batch (as the rows of the identity make a circuit's
+        unitary in the tests)."""
         rng = np.random.default_rng(len(targets) * 10 + targets[0] + 3)
         m = rng.normal(size=(32, 6)) + 1j * rng.normal(size=(32, 6))
         u = _random_unitary(rng, 2 ** len(targets))
-        got = qstate.apply_operator(m[None], u, targets, 5)
-        assert got.shape == (1, 32, 6)
-        np.testing.assert_allclose(got[0], _kron_oracle(u, targets, 5) @ m, rtol=0, atol=1e-12)
+        want = _kron_oracle(u, targets, 5) @ m
+        for start in _start_orders(rng, targets):
+            data = np.stack([_in_order(column, start) for column in m.T])
+            got, order = qstate.apply_operator(data, u, targets, start)
+            assert got.shape == (6, 32)
+            _check_order(start, order, targets)
+            got = np.stack([_in_qubit_order(item, order) for item in got], axis=1)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("targets", [t for t in KERNEL_TARGETS if len(t) > 1])
     def test_block_stacks(self, targets):
@@ -189,22 +243,29 @@ class TestKernel:
         has its own (a batch axis of 1 in the data broadcasts)."""
         rng = np.random.default_rng(len(targets) * 10 + targets[0] + 4)
         k = len(targets)
-        data = np.stack([_random_state(rng, 5).amplitudes for _ in range(3)])
+        psis = [_random_state(rng, 5).amplitudes for _ in range(3)]
         for c in range(1, k):
             d = 2 ** (k - c)
             stacks = np.array([[_random_unitary(rng, d) for _ in range(2**c)] for _ in range(3)])
             dense = np.zeros((3, 2**k, 2**k), dtype=complex)
             for x in range(2**c):
                 dense[:, x * d : (x + 1) * d, x * d : (x + 1) * d] = stacks[:, x]
-            shared = qstate.apply_operator(data, stacks[0], targets, 5)
-            own = qstate.apply_operator(data, stacks, targets, 5)
-            broadcast = qstate.apply_operator(data[:1], stacks, targets, 5)
-            for b in range(3):
-                want = _kron_oracle(dense[b], targets, 5)
+            for start in _start_orders(rng, targets):
+                data = np.stack([_in_order(psi, start) for psi in psis])
+                shared, order = qstate.apply_operator(data, stacks[0], targets, start)
+                own, _ = qstate.apply_operator(data, stacks, targets, start)
+                broadcast, _ = qstate.apply_operator(data[:1], stacks, targets, start)
+                _check_order(start, order, targets)
                 first = _kron_oracle(dense[0], targets, 5)
-                np.testing.assert_allclose(shared[b], first @ data[b], rtol=0, atol=1e-12)
-                np.testing.assert_allclose(own[b], want @ data[b], rtol=0, atol=1e-12)
-                np.testing.assert_allclose(broadcast[b], want @ data[0], rtol=0, atol=1e-12)
+                for b in range(3):
+                    want = _kron_oracle(dense[b], targets, 5)
+                    for out, op, psi in (
+                        (shared[b], first, psis[b]), (own[b], want, psis[b]),
+                        (broadcast[b], want, psis[0]),
+                    ):
+                        np.testing.assert_allclose(
+                            _in_qubit_order(out, order), op @ psi, rtol=0, atol=1e-12
+                        )
 
     def test_four_qubit_unitary_on_density_matrix_forms_no_superoperator(self):
         rng = np.random.default_rng(8)
@@ -224,32 +285,47 @@ class TestKernel:
         assert peak < 4 * rho.entries.nbytes
 
     def test_lazy_axis_order(self):
-        """apply_leading over a sequence of calls, each leaving its targets as
-        the leading axes, equals the oracle's product once the final order is
-        transposed back; a call whose targets lead already keeps the order."""
+        """A sequence of calls, each leaving its targets adjacent, equals the
+        oracle's product once reorder restores qubit order; a call whose
+        targets are adjacent already keeps the order."""
         rng = np.random.default_rng(12)
         psi = _random_state(rng, 5).amplitudes
         data, order, want = psi[None], tuple(range(5)), psi
-        for targets in KERNEL_TARGETS + [[2, 0, 4], [2, 0], [0, 2]]:
+        for targets in KERNEL_TARGETS + [[2, 0, 4], [2, 0], [0, 2], [1, 3]]:
             u = _random_unitary(rng, 2 ** len(targets))
             before = order
-            data, order = qstate.apply_leading(data, u, targets, order)
+            data, order = qstate.apply_operator(data, u, targets, order)
             want = _kron_oracle(u, targets, 5) @ want
-            assert order[: len(targets)] == tuple(targets)
-            assert sorted(order) == list(range(5)) and data.shape == (1, 32)
-            if before[: len(targets)] == tuple(targets):
-                assert order == before
+            _check_order(before, order, targets)
+            assert data.shape == (1, 32)
         assert order != tuple(range(5))
-        got = data.reshape((2,) * 5).transpose([order.index(q) for q in range(5)]).reshape(32)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        got = qstate.reorder(data, order, tuple(range(5)))
+        np.testing.assert_allclose(got[0], want, rtol=0, atol=1e-12)
+
+    def test_reorder_round_trip(self):
+        """reorder matches a plain transpose, goes back exactly, and returns
+        its input unchanged when the two orders agree."""
+        rng = np.random.default_rng(13)
+        data = rng.normal(size=(3, 32)) + 1j * rng.normal(size=(3, 32))
+        qubits = tuple(range(5))
+        assert qstate.reorder(data, qubits, qubits) is data
+        for _ in range(5):
+            a, b = (tuple(int(q) for q in rng.permutation(5)) for _ in range(2))
+            moved = qstate.reorder(data, qubits, a)
+            assert moved.shape == data.shape
+            for item, row in zip(moved, data):
+                np.testing.assert_array_equal(item, _in_order(row, a))
+            there = qstate.reorder(moved, a, b)
+            np.testing.assert_array_equal(qstate.reorder(there, b, a), moved)
+            np.testing.assert_array_equal(qstate.reorder(there, b, qubits), data)
 
     def test_real_operator_on_real_data(self):
         # the readout channel's bit flips are real
         rng = np.random.default_rng(5)
         p = rng.random(8)
         m = np.array([[0.9, 0.1], [0.1, 0.9]])
-        got = qstate.apply_operator(p[None], m, (2,), 3)
-        assert got.dtype == np.float64
+        got, order = qstate.apply_operator(p[None], m, (2,), (0, 1, 2))
+        assert got.dtype == np.float64 and order == (0, 1, 2)
         np.testing.assert_allclose(got[0], _kron_oracle(m, [2], 3) @ p, rtol=0, atol=1e-15)
 
 

@@ -33,7 +33,7 @@ from hhlsim.solvers import (
     synthesize_reduced_aqe,
     reduced_encoding_equivalence_check,
 )
-from problem_helpers import random_problem
+from problem_helpers import circuit_unitary, equal_up_to_phase, random_problem
 
 
 class TestAqeSpec:
@@ -50,7 +50,7 @@ class TestAqeSpec:
         problem = build_a_lambda(0.25)
         spec = build_aqe(problem, 2)
         (mry,) = [g for g in build_hhl_circuit(problem, 2, spec).gates if g.kind == "mry"]
-        u = circuits.circuit_unitary([dataclasses.replace(mry, qubits=(0, 1, 2))], 3)
+        u = circuit_unitary([dataclasses.replace(mry, qubits=(0, 1, 2))], 3)
         np.testing.assert_allclose(u @ u.conj().T, np.eye(8), atol=1e-12)
         # register value 0 untouched (index = 2 * register pattern + ancilla)
         assert u[0, 0] == pytest.approx(1.0)
@@ -302,9 +302,9 @@ class TestCircuitBuilder:
         full = build_aqe(problem, 2)
         circ = build_hhl_circuit(problem, 2, full)
         compiled = circuits.compile_circuit(circ)
-        u_src = circuits.circuit_unitary(circ.gates, circ.num_qubits)
-        u_cmp = circuits.circuit_unitary(compiled.gates, circ.num_qubits)
-        assert circuits.equal_up_to_phase(u_cmp, u_src, atol=1e-8)
+        u_src = circuit_unitary(circ.gates, circ.num_qubits)
+        u_cmp = circuit_unitary(compiled.gates, circ.num_qubits)
+        assert equal_up_to_phase(u_cmp, u_src, atol=1e-8)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_exact_run_makes_one_kernel_call_per_source_gate(self, monkeypatch, n):
@@ -357,6 +357,25 @@ class TestWidthLimit:
         # ancilla + 11 register bits + 1 input qubit
         with pytest.raises(ValidationError, match="13-qubit"):
             run_original_hhl(build_a_lambda(0.3), 11)
+
+    def test_noisy_original_refused_at_register_level(self, monkeypatch):
+        """The density budget is checked before anything is built, not by the
+        executor, and the refusal names the largest register that fits."""
+        monkeypatch.setattr(solvers, "build_aqe", lambda *a: pytest.fail("built"))
+        # ancilla + 10 register bits + 1 input qubit: a 12-qubit density matrix
+        with pytest.raises(ValidationError, match="12-qubit density matrix .*: --n must be at most 9$"):
+            run_original_hhl(build_a_lambda(0.3), 10, noise=NoiseParams())
+
+    def test_noisy_qpea_refused_at_register_level(self, monkeypatch):
+        monkeypatch.setattr(solvers.qpe, "build_qpe", lambda *a: pytest.fail("built"))
+        with pytest.raises(ValidationError, match="12-qubit density matrix .*: --n must be at most 10$"):
+            run_qpea(build_a_lambda(0.3), 11, noise=NoiseParams())
+
+    def test_no_register_fits(self):
+        with pytest.raises(ValidationError, match=r"13-qubit circuit .*: --n must be at most 0$"):
+            qstate.check_width(1, 12)
+        with pytest.raises(ValidationError, match=r"12-qubit density .*: --n must be at most 0$"):
+            qstate.check_width(1, 11, density=True)
 
     def test_hybrid_checks_each_register_size(self, monkeypatch):
         tried = []
