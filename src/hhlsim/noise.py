@@ -36,6 +36,7 @@ import numpy as np
 from . import qstate
 from .circuits import gate, gate_matrix, is_basis
 from .errors import CompileError, DomainError, ValidationError
+from .problem import read_json
 from .qstate import DensityMatrix, MeasurementHistogram, StateVector
 
 
@@ -88,8 +89,7 @@ class NoiseParams:
 
     @classmethod
     def load(cls, path) -> "NoiseParams":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(read_json(path))
 
 
 def damping_channel(rho: DensityMatrix, qubit: int, t: float, t1: float) -> DensityMatrix:
@@ -130,9 +130,9 @@ def run_noisy(circuit, noise: NoiseParams | None = None, initial=None):
     final, pre-measurement state. Without ``noise`` nothing decays and a
     statevector stays one; with it the run is on a density matrix under
     amplitude damping. On a density matrix a gate of a non-basis kind
-    raises CompileError; one over ``qstate.MAX_DENSITY_BYTES`` raises
-    ValidationError before it is made. A density matrix made here for one
-    circuit is held by nothing once the first kernel call has copied it.
+    raises CompileError; one wider than :func:`qstate.widest` admits raises
+    ValidationError before it is made. Each circuit makes its own from a
+    statevector ``initial``, held by nothing after the first kernel call.
 
     ``circuit`` may also be a sequence of circuits, all run from ``initial``;
     a list of final states is returned then, in circuit order. A batch has
@@ -152,10 +152,8 @@ def run_noisy(circuit, noise: NoiseParams | None = None, initial=None):
     if any(c.num_qubits != n for c in items):
         raise DomainError("the circuits of a batch differ in width")
     state = qstate.basis_state(n, 0) if initial is None else initial
-    if noise is not None and isinstance(state, StateVector):
-        qstate.check_width(n, 0, density=True)
-        if not single:  # a batch shares one initial rho
-            state = state.to_density_matrix()
+    if noise is not None and isinstance(state, StateVector) and n > qstate.widest(0, True):
+        raise ValidationError(f"a {n}-qubit {qstate.EXCEEDS[True]}")
     if noise is not None or isinstance(state, DensityMatrix):
         for kind in dict.fromkeys(g.kind for c in items for g in c.gates):
             if not is_basis(kind):

@@ -177,6 +177,14 @@ def problem_from_dict(spec: dict) -> HermitianProblem:
     raise ValidationError(f"unknown problem kind {kind!r}")
 
 
-def load_problem(path) -> HermitianProblem:
+def read_json(path):
+    """The JSON value in the file at ``path``; one that does not parse raises ValidationError."""
     with open(path, encoding="utf-8") as fh:
-        return problem_from_dict(json.load(fh))
+        try:
+            return json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+            raise ValidationError(f"cannot read {path!r} as JSON: {exc}") from None
+
+
+def load_problem(path) -> HermitianProblem:
+    return problem_from_dict(read_json(path))

@@ -63,16 +63,16 @@ def qpe_block(problem: HermitianProblem, n: int, register, v_qubits, physical_sw
 def build_qpe(config: QpeConfig, physical_swap: bool = False) -> Circuit:
     """Standalone measured QPE(A) circuit (the QPEA): register on wires
     0..n-1, input wires after, prepared in b; the relabeled register is measured."""
-    n = config.n
-    q = config.problem.num_qubits
-    register = list(range(n))
-    v_qubits = list(range(n, n + q))
-    gates, out_register = qpe_block(
-        config.problem, n, register, v_qubits, physical_swap=physical_swap
-    )
-    gates = prepare_b(config.problem, v_qubits) + gates
+    return _qpea(config.problem, config.n, physical_swap)
+
+
+def _qpea(problem: HermitianProblem, n: int, physical_swap: bool) -> Circuit:
+    """:func:`build_qpe` on a register size already checked."""
+    register, v_qubits = list(range(n)), list(range(n, n + problem.num_qubits))
+    gates, out_register = qpe_block(problem, n, register, v_qubits, physical_swap=physical_swap)
     roles = {"register": tuple(out_register), "input": tuple(v_qubits)}
-    return Circuit(n + q, tuple(gates), roles, tuple(out_register))
+    gates = (*prepare_b(problem, v_qubits), *gates)
+    return Circuit(n + problem.num_qubits, gates, roles, tuple(out_register))
 
 
 def register_distribution_exact(problem: HermitianProblem, n: int) -> MeasurementHistogram:
@@ -105,9 +105,9 @@ def run_qpea(
 def qpea_distribution_noisy(problem: HermitianProblem, n: int, noise) -> MeasurementHistogram:
     """Exact register distribution of the QPEA circuit: compiled and under
     ``noise`` if given, else its source gates on a statevector. Its register
-    size is checked first, under noise against the density budget too."""
+    size is checked once, before it is built (under noise for a density matrix)."""
     qstate.check_width(n, problem.num_qubits, noise is not None)
-    circuit = build_qpe(QpeConfig(n, problem))
+    circuit = _qpea(problem, n, False)
     if noise is not None:
         circuit = circuits.compile_circuit(circuit)
     state = noise_mod.run_noisy(circuit, noise)

@@ -35,33 +35,33 @@ ATOL = 1e-10
 # blocks, never as a dense matrix); a density matrix has its own budget.
 MAX_QUBITS = 12
 
-# Largest density matrix a run may hold, 64 MiB = 16 * 4^11 bytes of
-# complex128: at most 11 qubits. A run holds up to three at once (a kernel
-# call's input, transposed copy and product; a batch also keeps its initial
-# rho): the widest noisy QPEA, `qpea --n 10 --noise`, peaks at 226 MB RSS.
-MAX_DENSITY_BYTES = 16 * 4**11
+# Widest density matrix a run may hold: 64 MiB = 16 * 4^11 bytes of complex128.
+# A run holds up to three at once (a kernel call's input, transposed copy and
+# product): `qpea --n 10 --noise`, the widest noisy QPEA, peaks at 226 MB RSS.
+MAX_DENSITY_QUBITS = 11
+MAX_DENSITY_BYTES = 16 * 4**MAX_DENSITY_QUBITS
+# what a run wider than :func:`widest` admits exceeds, by ``density``
+EXCEEDS = {True: f"density matrix exceeds the limit of {MAX_DENSITY_BYTES >> 20} MiB",
+           False: f"circuit exceeds the limit of {MAX_QUBITS} qubits"}
 
 # A branch probability at or below this is zero: post-selecting it is refused.
 ZERO_PROBABILITY = 1e-14
 
 
+def widest(others: int, density: bool) -> int:
+    """The one resource rule: the widest register a circuit with ``others`` more qubits admits."""
+    return (MAX_DENSITY_QUBITS if density else MAX_QUBITS) - others
+
+
 def check_width(register: int, others: int, density: bool = False) -> None:
-    """The one register-size rule, before anything is built: a register below
-    1 qubit raises DomainError; a circuit of ``register + others`` qubits
-    wider than MAX_QUBITS, or with ``density`` one whose density matrix is
-    over MAX_DENSITY_BYTES, raises ValidationError naming the largest
-    register that fits (below 1 if none) by its command-line flag, ``--n``."""
+    """A run's one register check, before anything is built: a register below
+    1 qubit raises DomainError, one wider than :func:`widest` ValidationError
+    naming the largest that fits (below 1 if none) by its flag, ``--n``."""
     if register < 1:
         raise DomainError("register size must be >= 1")
-    width = register + others
-    if density and 16 * 4**width > MAX_DENSITY_BYTES:
-        what = f"density matrix exceeds the limit of {MAX_DENSITY_BYTES >> 20} MiB"
-        widest = ((MAX_DENSITY_BYTES // 16).bit_length() - 1) // 2  # 16 * 4^widest fits
-    elif width > MAX_QUBITS:
-        what, widest = f"circuit exceeds the limit of {MAX_QUBITS} qubits", MAX_QUBITS
-    else:
-        return
-    raise ValidationError(f"a {width}-qubit {what}: --n must be at most {widest - others}")
+    if register > (top := widest(others, density)):
+        what = f"a {register + others}-qubit {EXCEEDS[density]}"
+        raise ValidationError(f"{what}: --n must be at most {top}")
 
 
 def within_atol(a, b, atol: float) -> bool:

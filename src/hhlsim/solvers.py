@@ -60,14 +60,15 @@ class AqeSpec:
 
 
 def build_aqe(problem: HermitianProblem, n: int) -> AqeSpec:
-    """Full encoding over every register value x in [1, 2^n - 1].
-
-    Refuses a register size below 1 or an HHL circuit wider than
-    ``qstate.MAX_QUBITS`` before its 2^n-entry table is built.
-    """
+    """Full encoding over every register value x in [1, 2^n - 1], its
+    register size checked (:func:`qstate.check_width`) before it is built."""
     qstate.check_width(n, 1 + problem.num_qubits)
-    _, norm = classical_solution(problem)
-    return _encoding(n, 1.0 / norm, 0, tuple(range(1, n + 1)))
+    return _full_encoding(problem, n)
+
+
+def _full_encoding(problem: HermitianProblem, n: int) -> AqeSpec:
+    """:func:`build_aqe` on a register size already checked."""
+    return _encoding(n, 1.0 / classical_solution(problem)[1], 0, tuple(range(1, n + 1)))
 
 
 def synthesize_reduced_aqe(estimate: "EigenEstimate", c: float) -> AqeSpec:
@@ -129,15 +130,14 @@ class HybridPolicy:
     tau: float = 0.05
     coverage: float = 0.9
     max_n: int = 4
-    n_step: int = 1
+    n_step = 1  # not a field: each restart widens the register by one bit
 
     def __post_init__(self):
         for name, value in (("tau", self.tau), ("coverage", self.coverage)):
             if not 0.0 <= value <= 1.0:
                 raise ValidationError(f"{name} must lie in [0, 1], got {value}")
-        for name, value in (("max_n", self.max_n), ("n_step", self.n_step)):
-            if value < 1:
-                raise ValidationError(f"{name} must be >= 1, got {value}")
+        if self.max_n < 1:
+            raise ValidationError(f"max_n must be >= 1, got {self.max_n}")
 
 
 def analyze_qpea(
@@ -352,13 +352,13 @@ def run_original_hhl_batch(
     run in one executor call, so they must have one width, and without noise
     one length (DomainError otherwise): the problems share a dimension, and
     b is |0...0> for all of them or for none (:func:`qpe.prepare_b` emits no
-    gate for it). Their gates differ only in
-    the unitary powers of QPE and the encoding's angles, each position taking
-    one executor call. Each register size is checked first, under noise
-    against the density budget too."""
-    for p in problems:
-        qstate.check_width(n, 1 + p.num_qubits, noise is not None)
-    specs = [build_aqe(p, n) for p in problems]
+    gate for it). Their gates differ only in the unitary powers of QPE and
+    the encoding's angles, each position taking one executor call. The
+    register size is checked once, for the widest problem, before anything
+    is built (under noise for a density matrix)."""
+    others = 1 + max((p.num_qubits for p in problems), default=0)
+    qstate.check_width(n, others, noise is not None)
+    specs = [_full_encoding(p, n) for p in problems]
     return _solve("original", problems, n, specs, shots, seed, noise)
 
 
@@ -383,9 +383,9 @@ def run_hybrid_hhl(
 ) -> HHLOutcome:
     """QPEA, classical eigenvalue-bit analysis, then the reduced pipeline.
 
-    Restarts with a larger register (policy.n_step increments up to
-    policy.max_n, or the widest whose HHL circuit the width rule admits)
-    when the analysis cannot certify a reduction; raises
+    Restarts with a register one bit wider, up to policy.max_n or the
+    widest that :func:`qstate.widest` admits for the HHL circuit, whichever
+    is smaller, when the analysis cannot certify a reduction; raises
     :class:`NotReducibleError` carrying the last estimate once exhausted.
     """
     if n_init > policy.max_n:
@@ -393,18 +393,10 @@ def run_hybrid_hhl(
             f"initial register size {n_init} exceeds the largest allowed, {policy.max_n}"
         )
     qstate.check_width(n_init, 1 + problem.num_qubits, noise is not None)
-    top, widest = n_init, str(policy.max_n)
-    while top + policy.n_step <= policy.max_n:
-        try:
-            qstate.check_width(top + policy.n_step, 1 + problem.num_qubits, noise is not None)
-        except ValidationError:
-            widest = f"{top}, the widest the simulation limits admit below --max-n {policy.max_n}"
-            break
-        top += policy.n_step
-    _, norm = classical_solution(problem)
-    c = 1.0 / norm
+    top = min(policy.max_n, qstate.widest(1 + problem.num_qubits, noise is not None))
+    c = 1.0 / classical_solution(problem)[1]
     last_estimate = None
-    for n in range(n_init, top + 1, policy.n_step):
+    for n in range(n_init, top + 1):
         hist = qpe.run_qpea(problem, n, shots, seed, noise=noise)
         estimate = analyze_qpea(hist, n, policy.tau, policy.coverage)
         if estimate.reducible:
@@ -413,8 +405,10 @@ def run_hybrid_hhl(
             outcome.histograms["qpea"] = hist
             return outcome
         last_estimate = estimate
+    if top < policy.max_n:
+        top = f"{top}, the widest the simulation limits admit below --max-n {policy.max_n}"
     raise NotReducibleError(
-        f"no reduced encoding certified up to register size {widest}", estimate=last_estimate
+        f"no reduced encoding certified up to register size {top}", estimate=last_estimate
     )
 
 

@@ -131,6 +131,23 @@ class TestSolve:
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flag", ["--problem-file", "--noise"])
+    @pytest.mark.parametrize(
+        "content",
+        [b'{"kind": "lambda" "lambda": 0.3}', b"\xff{}", b"[" * 100_000 + b"]" * 100_000],
+        ids=["truncated", "not-utf-8", "too-deep"],
+    )
+    def test_file_that_is_not_json_names_itself(self, tmp_path, capsys, flag, content):
+        path = tmp_path / "input.json"
+        path.write_bytes(content)
+        problem = ["--problem-file", str(path)] if flag == "--problem-file" else ["--lambda", "0.25"]
+        noise = ["--noise", str(path)] if flag == "--noise" else []
+        code, raw = run(tmp_path, "solve", *problem, *noise)
+        assert code == EXIT_VALIDATION and raw == b""
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {str(path)!r} as JSON: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     @pytest.mark.parametrize("mode", ["original", "hybrid"])
     def test_register_too_wide(self, tmp_path, capsys, mode):
         code, raw = run(

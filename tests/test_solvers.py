@@ -2,12 +2,13 @@
 
 import dataclasses
 import math
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from hhlsim import circuits, noise as noise_mod, oracles, qstate, solvers
+from hhlsim import circuits, cli, noise as noise_mod, oracles, qpe, qstate, solvers
 from hhlsim.errors import (
     CompileError,
     ConstraintError,
@@ -233,11 +234,18 @@ class TestHybridSolver:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("tau", -0.1), ("tau", 2.0), ("coverage", 1.5), ("max_n", 0), ("n_step", 0)],
+        [("tau", -0.1), ("tau", 2.0), ("coverage", 1.5), ("max_n", 0)],
     )
     def test_policy_rejects_out_of_range(self, field, value):
         with pytest.raises(ValidationError, match=f"{field} must .* got {value}"):
             HybridPolicy(**{field: value})
+
+    def test_restarts_step_by_one_bit(self):
+        """The restart step is a constant of the policy, not an option."""
+        assert HybridPolicy().n_step == 1
+        assert "n_step" not in {f.name for f in dataclasses.fields(HybridPolicy)}
+        with pytest.raises(TypeError):
+            HybridPolicy(n_step=2)
 
     def test_not_reducible_carries_estimate(self):
         with pytest.raises(NotReducibleError) as err:
@@ -398,6 +406,39 @@ class TestWidthLimit:
         with pytest.raises(ValidationError, match="12-qubit density matrix"):
             run_hybrid_hhl(build_a_lambda(0.3), 10, policy=policy, noise=NoiseParams())
         assert tried == [7, 8, 9]
+
+    def test_one_formula_sets_every_limit(self, monkeypatch):
+        """check_width, the hybrid's restart ceiling and the executor's own
+        refusal all read qstate.widest: narrowing it narrows all three."""
+        narrow = lambda others, density: (5 if density else 6) - others
+        monkeypatch.setattr(qstate, "widest", narrow)
+        with pytest.raises(ValidationError, match=r"^a 7-qubit circuit .*: --n must be at most 4$"):
+            qstate.check_width(5, 2)
+        circuit = qpe.build_qpe(QpeConfig(5, build_a_lambda(0.3)))  # 6 qubits
+        with pytest.raises(ValidationError, match=r"^a 6-qubit density matrix [^:]*$"):
+            noise_mod.run_noisy(circuits.compile_circuit(circuit), NoiseParams())
+        ceiling = r"register size 4, the widest the simulation limits admit below --max-n 9$"
+        with pytest.raises(NotReducibleError, match=ceiling):
+            run_hybrid_hhl(build_a_lambda(0.3), 2, policy=HybridPolicy(max_n=9))
+
+    @pytest.mark.parametrize(
+        "run,checks",
+        [
+            (lambda: cli.main(["sweep", "--points", "199", "--k", "1,2,3", "--out", os.devnull]), 3),
+            (lambda: run_original_hhl(build_a_lambda(0.25), 2, noise=NoiseParams()), 1),
+            (lambda: run_hybrid_hhl(build_a_lambda(0.25), 2, noise=NoiseParams()), 2),
+        ],
+        ids=["sweep", "noisy-original", "noisy-hybrid"],
+    )
+    def test_each_run_checks_its_register_once(self, monkeypatch, run, checks):
+        """One check per batch and per run, before it builds: a sweep pass is
+        one batch per register size, a noisy original solve one run, and a
+        noisy hybrid solve checks its first register, then each QPEA its own."""
+        calls = []
+        check = qstate.check_width
+        monkeypatch.setattr(qstate, "check_width", lambda *a, **k: calls.append(a) or check(*a, **k))
+        run()
+        assert len(calls) == checks
 
     @pytest.mark.parametrize(
         "build",
