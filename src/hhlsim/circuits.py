@@ -17,7 +17,8 @@ measurement is deferred to the end (Nielsen & Chuang 4.4), on the qubits
 ``Circuit.measured`` lists.
 
 The executor (:func:`noise.run_noisy`) applies every kind directly through
-:func:`gate_matrix`, on a density matrix only basis kinds. A multiplexed kind
+:func:`gate_matrix`, on a density matrix only basis kinds, whose 1-qubit
+gates it takes as one stack from :func:`gate_matrices`. A multiplexed kind
 (``cunitary``, ``mry``) gives the stack of its blocks, never its dense
 matrix, so an ``mry`` runs for any number of controls, while its lowering
 supports at most two. A compiled circuit is a :class:`Circuit` of basis
@@ -30,7 +31,8 @@ their basis gates as :class:`Gate` directly, on the checked gate's qubits
 with finite angles derived from its own, and so does QPE its ``h``, ``qft``
 and ``swap`` gates, on distinct wires of a register that
 :func:`qstate.check_width` has admitted; adjoints and the executor do not
-check again, and :class:`Circuit` range-checks every wire.
+check again, and :class:`Circuit` range-checks every wire, except in the
+compiled circuit, whose wires are its checked source's.
 :func:`simplify` is the one place zero rotations are dropped.
 
 Documented decomposition set (gate-count accounting relies on it), exact up
@@ -160,6 +162,14 @@ class Circuit:
             if q in self.measured[:i]:
                 raise DomainError(f"qubit {q} is measured more than once")
 
+    @classmethod
+    def _trusted(cls, num_qubits: int, gates: tuple, roles: dict, measured: tuple) -> "Circuit":
+        """A circuit on the wires of a checked one, as a compiled circuit is:
+        its wires are not checked again."""
+        circuit = object.__new__(cls)
+        circuit.__dict__.update(num_qubits=num_qubits, gates=gates, roles=roles, measured=measured)
+        return circuit
+
     @property
     def cnot_count(self) -> int:
         """:func:`cnot_count` of this circuit."""
@@ -174,20 +184,22 @@ _CNOT = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
 _SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
 
 
-def _ry(t):
-    c, s = np.cos(t / 2), np.sin(t / 2)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-def _rz(t):
-    return np.array([[np.exp(-1j * t / 2), 0], [0, np.exp(1j * t / 2)]])
-
-
-def _mry(angles) -> np.ndarray:
-    """The Ry(angles[p]) block of each control pattern p, a (2^c, 2, 2) stack."""
-    half = np.asarray(angles) / 2
+def _ry(t) -> np.ndarray:
+    """Ry(t), or over an array of angles the stack of their matrices."""
+    half = np.asarray(t) / 2
     c, s = np.cos(half), np.sin(half)
-    return np.array([[c, -s], [s, c]], dtype=complex).transpose(2, 0, 1)
+    out = np.empty(c.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = out[..., 1, 1] = c
+    out[..., 0, 1], out[..., 1, 0] = -s, s
+    return out
+
+
+def _rz(t) -> np.ndarray:
+    """Rz(t), or over an array of angles the stack of their matrices."""
+    t = np.asarray(t)
+    out = np.zeros(t.shape + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 1, 1] = np.exp(-1j * t / 2), np.exp(1j * t / 2)
+    return out
 
 
 def _qft(g: Gate) -> np.ndarray:
@@ -212,6 +224,20 @@ def gate_matrix(g: Gate) -> np.ndarray:
     return _KINDS[g.kind].matrix(g)
 
 
+def gate_matrices(gates) -> np.ndarray:
+    """:func:`gate_matrix` of each of a list of 1-qubit basis gates, as one
+    (k, 2, 2) stack made in one call per kind: the kind's ``stack`` on the
+    angles of its gates, the formula its ``matrix`` takes on one angle."""
+    rows, angles = {}, {}
+    for i, g in enumerate(gates):
+        rows.setdefault(g.kind, []).append(i)
+        angles.setdefault(g.kind, []).append(g.params[0] if g.params else 0.0)
+    out = np.empty((len(gates), 2, 2), dtype=complex)
+    for kind, where in rows.items():
+        out[where] = _KINDS[kind].stack(np.array(angles[kind]))
+    return out
+
+
 def adjoint(gates) -> list[Gate]:
     """Adjoint of a gate sequence (reversed order, each gate inverted): a
     gate's matrix, or each block of a stack, takes its dagger and its
@@ -231,26 +257,26 @@ def adjoint(gates) -> list[Gate]:
 # ---------------------------------------------------------------------------
 # decompositions
 
-def zyz_angles(u: np.ndarray):
-    """(alpha, beta, gamma, delta) with u = e^{i alpha} Rz(beta) Ry(gamma) Rz(delta)."""
+def zyz_angles(u):
+    """(alpha, beta, gamma, delta) with u = e^{i alpha} Rz(beta) Ry(gamma) Rz(delta):
+    floats for one 2x2 unitary, or four arrays for a (k, 2, 2) stack of them.
+    One 2x2 is taken as the stack of one, so a member's angles have the same
+    bits alone or in a stack: stacked and scalar ufuncs round differently."""
     u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2):
-        raise DomainError("zyz decomposition needs a 2x2 unitary")
-    alpha = np.angle(np.linalg.det(u)) / 2
-    v = u * np.exp(-1j * alpha)
-    gamma = 2 * np.arctan2(abs(v[1, 0]), abs(v[0, 0]))
-    if abs(v[0, 0]) > 1e-12 and abs(v[1, 0]) > 1e-12:
-        plus = 2 * np.angle(v[1, 1])
-        minus = 2 * np.angle(v[1, 0])
-        beta = (plus + minus) / 2
-        delta = (plus - minus) / 2
-    elif abs(v[0, 0]) > 1e-12:  # gamma ~ 0
-        beta = 2 * np.angle(v[1, 1])
-        delta = 0.0
-    else:  # gamma ~ pi
-        beta = 2 * np.angle(v[1, 0])
-        delta = 0.0
-    return float(alpha), float(beta), float(gamma), float(delta)
+    if u.shape[-2:] != (2, 2) or u.ndim not in (2, 3):
+        raise DomainError("zyz decomposition needs a 2x2 unitary or a stack of them")
+    alpha = np.angle(np.linalg.det(u.reshape(-1, 2, 2))) / 2
+    v = u.reshape(-1, 2, 2) * np.exp(-1j * alpha)[:, None, None]
+    c, s = np.abs(v[:, :, 0]).T  # |v00|, |v10|
+    gamma = 2 * np.arctan2(s, c)
+    minus, plus = 2 * np.angle(v[:, 1]).T  # twice the phases of v10, v11
+    beta, delta = (plus + minus) / 2, (plus - minus) / 2
+    if (edge := (c <= 1e-12) | (s <= 1e-12)).any():  # gamma ~ 0 or ~ pi: one phase is left
+        beta = np.where(edge, np.where(c > 1e-12, plus, minus), beta)
+        delta = np.where(edge, 0.0, delta)
+    if u.ndim == 2:
+        return float(alpha[0]), float(beta[0]), float(gamma[0]), float(delta[0])
+    return alpha, beta, gamma, delta
 
 
 def decompose_controlled_unitary(u, control: int, target: int) -> list[Gate]:
@@ -261,28 +287,33 @@ def decompose_controlled_unitary(u, control: int, target: int) -> list[Gate]:
     Exact up to global phase: the determinant phase e^{i alpha} on the
     control's 1 branch is emitted as rz(alpha) on the control.
     """
-    alpha, beta, gamma, delta = zyz_angles(u)
+    return _abc_gates(*zyz_angles(u), control, target)
+
+
+def _abc_gates(alpha, beta, gamma, delta, control: int, target: int) -> list[Gate]:
+    """:func:`decompose_controlled_unitary` from the unitary's ZYZ angles."""
     # application order: C, CX, B, CX, A; A B C = I and A X B X C = u (phase aside)
+    cnot = Gate("cnot", (control, target))
     return [
         Gate("rz", (target,), ((delta - beta) / 2,)),
-        Gate("cnot", (control, target)),
+        cnot,
         Gate("rz", (target,), (-(delta + beta) / 2,)),
         Gate("ry", (target,), (-gamma / 2,)),
-        Gate("cnot", (control, target)),
+        cnot,
         Gate("ry", (target,), (gamma / 2,)),
         Gate("rz", (target,), (beta,)),
         Gate("rz", (control,), (alpha,)),
     ]
 
 
-def _cphase_gates(g: Gate) -> list[Gate]:
-    half, (control, target) = g.params[0] / 2, g.qubits
+def _cphase_gates(control: int, target: int, angle: float) -> list[Gate]:
+    half, cnot = angle / 2, Gate("cnot", (control, target))
     return [
         Gate("rz", (control,), (half,)),
         Gate("rz", (target,), (half,)),
-        Gate("cnot", (control, target)),
+        cnot,
         Gate("rz", (target,), (-half,)),
-        Gate("cnot", (control, target)),
+        cnot,
     ]
 
 
@@ -357,27 +388,30 @@ def inverse_qft_gates(wires, physical_swap: bool = False):
 
 
 def _qft_gates(g: Gate) -> list[Gate]:
-    """The inverse QFT P F^+ on ``g``'s wires as cphase and h gates on the
-    wires reversed (its adjoint for s = +1), each then lowered."""
-    w = g.qubits[::-1]
+    """The inverse QFT P F^+ on ``g``'s wires as cphase and h steps on the
+    wires reversed (their adjoint for s = +1: reversed, each angle negated),
+    each then lowered."""
+    w, s = g.qubits[::-1], g.params[0]
     n = len(w)
-    sequence = []
+    steps = []
     for i in reversed(range(n)):
-        for j in reversed(range(i + 1, n)):
-            sequence.append(Gate("cphase", (w[j], w[i]), (-2 * np.pi / 2 ** (j - i + 1),)))
-        sequence.append(Gate("h", (w[i],)))
-    if g.params[0] > 0:
-        sequence = adjoint(sequence)
-    return [b for h in sequence for b in _lower(h)]
+        steps += [(w[j], w[i], -2 * np.pi / 2 ** (j - i + 1)) for j in reversed(range(i + 1, n))]
+        steps.append((w[i],))
+    out = []
+    for step in (steps if s < 0 else reversed(steps)):
+        out += [Gate("h", step)] if len(step) == 1 else _cphase_gates(*step[:2], -s * step[2])
+    return out
 
 
 def _cunitary_gates(g: Gate) -> list[Gate]:
     """The ABC construction of block 2^(c-1-i) controlled by control i, for
-    each of the c: in control order for s = +1, reversed for s = -1."""
+    each of the c: in control order for s = +1, reversed for s = -1. One
+    :func:`zyz_angles` call takes the c blocks as one stack."""
     c = len(g.qubits) - 1
+    blocks = g.matrix[2 ** np.arange(c - 1, -1, -1)]  # block 2^(c-1-i) for control i
+    angles = list(zip(*(a.tolist() for a in zyz_angles(blocks))))
     order = range(c) if g.params[0] > 0 else reversed(range(c))
-    return [b for i in order for b in
-            decompose_controlled_unitary(g.matrix[2 ** (c - 1 - i)], g.qubits[i], g.qubits[c])]
+    return [b for i in order for b in _abc_gates(*angles[i], g.qubits[i], g.qubits[c])]
 
 
 def _subset_angles(angles, k: int) -> list[tuple[int, float]]:
@@ -431,14 +465,17 @@ class _Kind:
     """One gate kind. Signature: ``qubits``, ``params`` (None: as many as the
     matrix fits, or for mry one angle per control pattern) and ``controls``
     before an explicit matrix's targets (None: no matrix; a cunitary stack of
-    2^c blocks has c >= 1). ``lower`` (None for a basis kind) gives a gate's
-    basis gates, ``cnots`` their CNOTs without lowering, raising CompileError
-    where the lowering would."""
+    2^c blocks has c >= 1). ``stack`` (1-qubit basis kinds only) gives the
+    matrices over an array of angles (h: one for all), of which ``matrix`` is
+    the case of one.
+    ``lower`` (None for a basis kind) gives a gate's basis gates, ``cnots``
+    their CNOTs without lowering, raising CompileError where the lowering would."""
 
     qubits: int | None
     params: int | None
     matrix: Callable[[Gate], np.ndarray]
     controls: int | None = None
+    stack: Callable[[np.ndarray], np.ndarray] | None = None
     cnots: Callable[[Gate], int] = lambda g: 0
     lower: Callable[[Gate], list[Gate]] | None = None
     qasm: str | None = None  # the OpenQASM name of a basis kind
@@ -464,18 +501,18 @@ def _mry_cnots(g: Gate) -> int:
 
 
 _KINDS = {
-    "h": _Kind(1, 0, lambda g: _H, qasm="h"),
-    "ry": _Kind(1, 1, lambda g: _ry(g.params[0]), qasm="ry"),
-    "rz": _Kind(1, 1, lambda g: _rz(g.params[0]), qasm="rz"),
+    "h": _Kind(1, 0, lambda g: _H, stack=lambda t: _H, qasm="h"),
+    "ry": _Kind(1, 1, lambda g: _ry(g.params[0]), stack=_ry, qasm="ry"),
+    "rz": _Kind(1, 1, lambda g: _rz(g.params[0]), stack=_rz, qasm="rz"),
     "cnot": _Kind(2, 0, lambda g: _CNOT, cnots=lambda g: 1, qasm="cx"),
     "swap": _Kind(2, 0, lambda g: _SWAP, cnots=lambda g: 3, lower=_swap_gates),
     "cphase": _Kind(2, 1, lambda g: np.diag([1, 1, 1, np.exp(1j * g.params[0])]),
-                    cnots=lambda g: 2, lower=_cphase_gates),
+                    cnots=lambda g: 2, lower=lambda g: _cphase_gates(*g.qubits, g.params[0])),
     "unitary": _Kind(None, 0, lambda g: g.matrix, controls=0, cnots=_unitary_cnots,
                      lower=_zyz_gates),
     "cunitary": _Kind(None, 1, lambda g: g.matrix, controls=1, cnots=_cunitary_cnots,
                       lower=_cunitary_gates),
-    "mry": _Kind(None, None, lambda g: _mry(g.params), cnots=_mry_cnots,
+    "mry": _Kind(None, None, lambda g: _ry(g.params), cnots=_mry_cnots,
                  lower=lambda g: controlled_ry_chain(g.params, g.qubits[:-1], g.qubits[-1])),
     "qft": _Kind(None, 1, _qft, cnots=lambda g: len(g.qubits) * (len(g.qubits) - 1),
                  lower=_qft_gates),
@@ -500,10 +537,11 @@ def simplify(gates) -> list[Gate]:
     """
     kept: list[Gate] = []
     for g in gates:
-        if len(g.qubits) == 1 and g.matrix is None:
-            if g.params and abs(g.params[0]) <= _ANGLE_TOL:
-                continue
-            if not g.params and kept and (kept[-1].kind, kept[-1].qubits) == (g.kind, g.qubits):
+        if g.matrix is None and len(g.qubits) == 1:
+            if g.params:
+                if abs(g.params[0]) <= _ANGLE_TOL:
+                    continue
+            elif kept and kept[-1].kind == g.kind and kept[-1].qubits == g.qubits:
                 kept.pop()
                 continue
         kept.append(g)
@@ -533,8 +571,8 @@ def compile_circuit(circuit: Circuit) -> Circuit:
     (asserted by the test suite, not at runtime).
     """
     cnot_count(circuit)  # raises CompileError on a gate that cannot lower
-    lowered = simplify(b for g in circuit.gates for b in _lower(g))
-    return Circuit(circuit.num_qubits, tuple(lowered), dict(circuit.roles), circuit.measured)
+    lowered = tuple(simplify(b for g in circuit.gates for b in _lower(g)))
+    return Circuit._trusted(circuit.num_qubits, lowered, dict(circuit.roles), circuit.measured)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,12 @@ SC'17). A plan in plain Python gives each qubit its chain of 1-qubit gates
 and decays (Nielsen & Chuang 8.3.5), each decay over the clock since the
 qubit last settled, and groups the CNOTs into blocks: maximal runs on one
 qubit pair with no other 2-qubit gate on either qubit between them. Every
-superoperator is then made in a few batched calls: the 1-qubit u (x) u*,
-the decays, the chain products, the chains before each CNOT joined to it,
-each qubit's last chain joined to its last block, the product of each
-block. Last, each block takes one call of :func:`qstate.apply_operator`,
+superoperator is then made in a fixed number of calls per run, none per
+gate: the 1-qubit matrices, one stack per kind (:func:`circuits.gate_matrices`),
+their u (x) u*, the decays, the chain products, the chains before each
+CNOT joined to it (a CNOT's u (x) u* is a permutation, so that is one
+gather), each qubit's last chain joined to its last block, the product of
+each block. Last, each block takes one call of :func:`qstate.apply_operator`,
 which keeps rho in lazy axis order, and each qubit that meets no CNOT but
 owes work one more. This is exact: damping on one qubit commutes with
 gates on others, and damping for t1 then t2 is damping for t1 + t2. A
@@ -34,7 +36,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import qstate
-from .circuits import gate, gate_matrix, is_basis
+from .circuits import gate, gate_matrices, gate_matrix, is_basis
 from .errors import CompileError, DomainError, ValidationError
 from .problem import read_json
 from .qstate import DensityMatrix, MeasurementHistogram, StateVector
@@ -60,11 +62,11 @@ class NoiseParams:
 
     def duration(self, g) -> float:
         """Wall-clock time of gate ``g`` in nanoseconds."""
-        if g.kind == "cnot":
-            return self.cnot_ns
-        if g.kind == "rz":
-            return self.rz_ns
-        return self.single_ns
+        return self.durations().get(g.kind, self.single_ns)
+
+    def durations(self) -> dict:
+        """:meth:`duration` of each basis kind, by kind."""
+        return {"h": self.single_ns, "ry": self.single_ns, "rz": self.rz_ns, "cnot": self.cnot_ns}
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -127,7 +129,8 @@ def survival_bound(cnot_count: int, noise: NoiseParams = NoiseParams()) -> float
 def run_noisy(circuit, noise: NoiseParams | None = None, initial=None):
     """The one circuit executor: apply the gates of a Circuit, source or
     compiled, in order, to ``initial`` (default |0...0>) and return the
-    final, pre-measurement state. Without ``noise`` nothing decays and a
+    final, pre-measurement state. ``initial`` has the circuit's width
+    (DomainError otherwise). Without ``noise`` nothing decays and a
     statevector stays one; with it the run is on a density matrix under
     amplitude damping. On a density matrix a gate of a non-basis kind
     raises CompileError; one wider than :func:`qstate.widest` admits raises
@@ -151,6 +154,8 @@ def run_noisy(circuit, noise: NoiseParams | None = None, initial=None):
     n = first.num_qubits
     if any(c.num_qubits != n for c in items):
         raise DomainError("the circuits of a batch differ in width")
+    if initial is not None and initial.num_qubits != n:
+        raise DomainError(f"a {initial.num_qubits}-qubit initial state for a {n}-qubit circuit")
     state = qstate.basis_state(n, 0) if initial is None else initial
     if noise is not None and isinstance(state, StateVector) and n > qstate.widest(0, True):
         raise ValidationError(f"a {n}-qubit {qstate.EXCEEDS[True]}")
@@ -183,40 +188,40 @@ def run_noisy(circuit, noise: NoiseParams | None = None, initial=None):
 
 def _run_density(circuit, noise: NoiseParams | None, state) -> np.ndarray:
     """A compiled circuit on the density matrix of ``state`` (made here for
-    a statevector), as a batch of one: planned, its superoperators batched,
-    one kernel call per CNOT block, the axes in qubit order at the end."""
+    a statevector), as a batch of one: planned, its superoperators built in
+    a fixed number of calls, one kernel call per CNOT block, the axes in
+    qubit order at the end."""
     n, idle = circuit.num_qubits, noise is None or noise.idle_damping
+    duration = {} if noise is None else noise.durations()
     clock, since, last = 0.0, [0.0] * n, [0.0] * n  # per qubit: settled at, last gate's time
     chains = [[] for _ in range(n)]  # each qubit's items since its last CNOT
     ones, times, runs, flips, blocks, last_block = [], [], [], [], [], [None] * n
-
-    def settle(q):  # decay j is item ~j: ops[~j], at the end of the stack
-        if (t := clock - since[q] if idle else last[q]) > 0:
-            chains[q].append(~len(times))
-            times.append(t)
-
     for g in circuit.gates:
-        dt = 0.0 if noise is None else noise.duration(g)
-        for q in g.qubits:
-            settle(q)
+        dt, qubits = duration.get(g.kind, 0.0), g.qubits
+        for q in qubits:  # q settles: decay j is item ~j, ops[~j] at the end of the stack
+            if (t := clock - since[q] if idle else last[q]) > 0:
+                chains[q].append(~len(times))
+                times.append(t)
             since[q], last[q] = clock, dt
         clock += dt
-        if len(g.qubits) == 1:
-            chains[g.qubits[0]].append(len(ones))
-            ones.append(gate_matrix(g))
+        if len(qubits) == 1:
+            chains[qubits[0]].append(len(ones))
+            ones.append(g)
             continue
-        a, b = g.qubits
+        a, b = qubits
         block = last_block[a]
         if block is None or block is not last_block[b]:
-            block = last_block[a] = last_block[b] = (g.qubits, [])
+            block = last_block[a] = last_block[b] = (qubits, [])
             blocks.append(block)
         block[1].append(len(flips))
-        flips.append(block[0] != g.qubits)
+        flips.append(int(block[0] != qubits))  # an int: a list of bools would be a mask
         for q in block[0]:
             runs.append(chains[q])
             chains[q] = []
-    for q in range(n):
-        settle(q)
+    for q, t in enumerate([clock - s for s in since] if idle else last):
+        if t > 0:
+            chains[q].append(~len(times))
+            times.append(t)
     for block in blocks:  # a qubit's last chain joins its last block, as no later one touches it
         tails = [chains[q] if last_block[q] is block else [] for q in block[0]]
         if any(tails):
@@ -225,17 +230,19 @@ def _run_density(circuit, noise: NoiseParams | None, state) -> np.ndarray:
             runs += tails
     lone = [q for q in range(n) if chains[q] and last_block[q] is None]
     runs += [chains[q] for q in lone]
-    u = np.array(ones).reshape(-1, 2, 2)
+    u = gate_matrices(ones)
     decays = _decay(times[::-1], noise.t1_ns) if times else np.empty((0, 4, 4))
     ops = np.concatenate([_kron(u, u.conj()), np.eye(4)[None], decays])
     products = _products(ops, runs, len(ones))
     order = qubits = tuple(range(2 * n))
     data = (state if isinstance(state, DensityMatrix) else state.to_density_matrix()).entries[None]
-    if flips:
-        before = _kron(products[0 : 2 * len(flips) : 2], products[1 : 2 * len(flips) : 2])
-        steps = _CNOT_SUPER[np.array(flips, dtype=np.intp)] @ before[:, _PAIR[:, None], _PAIR]
-        steps = np.concatenate([steps, np.eye(16)[None]])
-        for (pair, _), op in zip(blocks, _products(steps, [m for _, m in blocks], len(flips))):
+    if flips:  # each step a gather from the outer product of its pair's chains
+        m = len(flips)
+        pairs = products[: 2 * m].reshape(m, 2, 16)
+        outer = pairs[:, 0, :, None] * pairs[:, 1, None, :]
+        steps = outer.reshape(-1)[_STEP[flips] + np.arange(0, 256 * m, 256)[:, None]]
+        steps = np.concatenate([steps.reshape(m, 16, 16), np.eye(16)[None]])
+        for (pair, _), op in zip(blocks, _products(steps, [run for _, run in blocks], m)):
             data, order = qstate.apply_operator(data, op, (*pair, *(q + n for q in pair)), order)
     for q, op in zip(lone, products[len(runs) - len(lone) :]):
         data, order = qstate.apply_operator(data, op, (q, q + n), order)
@@ -251,11 +258,11 @@ def _products(ops: np.ndarray, runs, identity: int) -> np.ndarray:
     filled = np.arange(max(1, lengths.max(initial=0))) < lengths[:, None]
     table = np.full(filled.shape, identity)
     table[filled] = [i for run in runs for i in run]
-    order, active = np.argsort(-lengths, kind="stable"), filled.sum(axis=0)
-    table = table[order]
-    out = ops[table[:, 0]]
-    for j in range(1, table.shape[1]):
-        out[: active[j]] = ops[table[: active[j], j]] @ out[: active[j]]
+    order, active = np.argsort(-lengths, kind="stable"), filled.sum(axis=0).tolist()
+    columns = table[order].T
+    out = ops[columns[0]]
+    for column, a in zip(columns[1:], active[1:]):
+        np.matmul(ops[column[:a]], out[:a], out=out[:a])
     return out[np.argsort(order)]
 
 
@@ -277,6 +284,13 @@ _FLIP = np.arange(16).reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(-1)
 _CNOT = gate_matrix(gate("cnot", 0, 1))
 _CNOT_SUPER = _kron(_CNOT, _CNOT.conj())
 _CNOT_SUPER = np.stack([_CNOT_SUPER, _CNOT_SUPER[_FLIP[:, None], _FLIP], np.eye(16)])
+# The step _CNOT_SUPER[f] @ kron(F_a, F_b)[_PAIR[:, None], _PAIR] only moves
+# entries, as _CNOT_SUPER[f] is a permutation: its entry 16 i + j is entry
+# _STEP[f, 16 i + j] of the outer product of F_a's and F_b's entries, in which
+# kron entry (r, c) lies at _OUTER[r, c]
+_R, _C = np.arange(16)[:, None], np.arange(16)
+_OUTER = 64 * (_R >> 2) + 16 * (_C >> 2) + 4 * (_R & 3) + (_C & 3)
+_STEP = _OUTER[_PAIR[_CNOT_SUPER.argmax(-1)][..., None], _PAIR].reshape(3, 256)
 
 
 def _stacked(first: np.ndarray, others) -> np.ndarray:

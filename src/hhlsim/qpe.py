@@ -5,9 +5,10 @@ Register bit 1 (most significant) controls the highest unitary power, so a
 measured register string reads directly as the n-bit eigenvalue estimate.
 The QPEA circuit prepares b (:func:`prepare_b`) as the HHL circuit does.
 :func:`run_qpea` is the one QPEA entry: exact probabilities for ``shots == 0``,
-with or without noise, and a seeded draw from them for ``shots > 0``. It
-always runs :func:`qpea_distribution_noisy`, the one run of :func:`build_qpe`
-(its closed form is ``oracles.qpea_distribution``).
+with or without noise, and a seeded draw from them for ``shots > 0``. It,
+:func:`qpea_distribution_noisy` and the hybrid solver's restarts share one
+run of :func:`build_qpe`, ``_run_qpea`` (its closed form is
+``oracles.qpea_distribution``), each public entry checking its register first.
 """
 
 from __future__ import annotations
@@ -91,15 +92,11 @@ def run_qpea(
 
     ``shots == 0`` gives the exact probabilities of
     :func:`qpea_distribution_noisy`, with or without ``noise``; ``shots > 0``
-    draws that many outcomes from them.
+    draws that many outcomes from them. The register size is checked once,
+    before the circuit is built (under noise for a density matrix).
     """
-    if shots < 0:
-        raise DomainError("shots must be >= 0")
-    dist = qpea_distribution_noisy(problem, n, noise)
-    if shots == 0:
-        return dist
-    p = np.array([dist.outcomes[x] for x in sorted(dist.outcomes)])
-    return qstate._draw(p, shots, seed)
+    qstate.check_width(n, problem.num_qubits, noise is not None)
+    return _run_qpea(problem, n, shots, seed, noise)
 
 
 def qpea_distribution_noisy(problem: HermitianProblem, n: int, noise) -> MeasurementHistogram:
@@ -107,8 +104,20 @@ def qpea_distribution_noisy(problem: HermitianProblem, n: int, noise) -> Measure
     ``noise`` if given, else its source gates on a statevector. Its register
     size is checked once, before it is built (under noise for a density matrix)."""
     qstate.check_width(n, problem.num_qubits, noise is not None)
+    return _run_qpea(problem, n, 0, None, noise)
+
+
+def _run_qpea(problem: HermitianProblem, n: int, shots: int, seed, noise) -> MeasurementHistogram:
+    """:func:`run_qpea` on a register size already checked, as the hybrid's
+    restarts run it: their ceiling admits every register they try."""
+    if shots < 0:
+        raise DomainError("shots must be >= 0")
     circuit = _qpea(problem, n, False)
     if noise is not None:
         circuit = circuits.compile_circuit(circuit)
     state = noise_mod.run_noisy(circuit, noise)
-    return noise_mod.readout_distribution(state, circuit, noise)
+    dist = noise_mod.readout_distribution(state, circuit, noise)
+    if shots == 0:
+        return dist
+    p = np.array([dist.outcomes[x] for x in sorted(dist.outcomes)])
+    return qstate._draw(p, shots, seed)

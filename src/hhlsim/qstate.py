@@ -228,7 +228,8 @@ def apply_operator(data: np.ndarray, u: np.ndarray, targets, order: tuple):
     u = u.reshape(-1, 1, 2 ** (k - t), 2**t, 2**t)
     i = order.index(targets[0])
     if order[i : i + k] != targets:
-        i, want = 0, targets + tuple(q for q in order if q not in targets)
+        rest = set(targets)
+        i, want = 0, targets + tuple(q for q in order if q not in rest)
         data, order = reorder(data, order, want), want
     out = u @ data.reshape(b, 2**i, 2 ** (k - t), 2**t, -1)
     return out.reshape(out.shape[0], -1), order
@@ -239,9 +240,9 @@ def reorder(data: np.ndarray, order: tuple, want: tuple) -> np.ndarray:
     ``want`` instead: a transposed copy, or ``data`` itself if the two agree."""
     if order == want:
         return data
-    b = data.shape[0]
+    b, axis = data.shape[0], {q: i for i, q in enumerate(order, 1)}
     axes = data.reshape((b,) + (2,) * len(order))
-    return axes.transpose(0, *(1 + order.index(q) for q in want)).reshape(b, -1)
+    return axes.transpose(0, *map(axis.__getitem__, want)).reshape(b, -1)
 
 
 def apply_unitary(state, u, targets):

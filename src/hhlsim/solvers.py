@@ -387,6 +387,8 @@ def run_hybrid_hhl(
     widest that :func:`qstate.widest` admits for the HHL circuit, whichever
     is smaller, when the analysis cannot certify a reduction; raises
     :class:`NotReducibleError` carrying the last estimate once exhausted.
+    The first register size is checked once, for the HHL circuit; the
+    ceiling admits every QPEA after it, so none checks its own.
     """
     if n_init > policy.max_n:
         raise ValidationError(
@@ -397,7 +399,7 @@ def run_hybrid_hhl(
     c = 1.0 / classical_solution(problem)[1]
     last_estimate = None
     for n in range(n_init, top + 1):
-        hist = qpe.run_qpea(problem, n, shots, seed, noise=noise)
+        hist = qpe._run_qpea(problem, n, shots, seed, noise)  # top admits every n
         estimate = analyze_qpea(hist, n, policy.tau, policy.coverage)
         if estimate.reducible:
             aqe_spec = synthesize_reduced_aqe(estimate, c)

@@ -136,6 +136,33 @@ class TestZyz:
         np.testing.assert_allclose(rebuilt, u, atol=1e-10)
 
 
+    def test_stack_matches_its_members_bit_for_bit(self):
+        """One path serves a matrix and a stack: each member's angles carry
+        the same bits alone as in the stack, the diagonal (gamma = 0) and
+        anti-diagonal (gamma = pi) branches included."""
+        rng = np.random.default_rng(7)
+        stack = [_random_unitary(rng) for _ in range(30)]
+        phases = np.exp(1j * rng.uniform(-np.pi, np.pi, 2))
+        stack.insert(5, np.diag(phases))
+        stack.insert(17, np.diag(phases)[::-1])
+        angles = zyz_angles(np.stack(stack))
+        assert [a.shape for a in angles] == [(32,)] * 4
+        for k, u in enumerate(stack):
+            assert zyz_angles(u) == tuple(float(a[k]) for a in angles)
+        assert (angles[2][5], angles[3][5], angles[2][17], angles[3][17]) == (0.0, 0.0, np.pi, 0.0)
+
+
+class TestGateMatrices:
+    def test_stacks_match_gate_matrix(self):
+        """gate_matrices builds one stack per kind, from the formula
+        gate_matrix takes on one angle."""
+        rng = np.random.default_rng(11)
+        gates = [gate(kind, 0, params=() if kind == "h" else (rng.uniform(-4 * np.pi, 4 * np.pi),))
+                 for kind in rng.choice(["h", "ry", "rz"], 300)]
+        want = np.array([gate_matrix(g) for g in gates])
+        np.testing.assert_allclose(circuits.gate_matrices(gates), want, rtol=0, atol=1e-15)
+
+
 class TestControlledDecomposition:
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 10**9))
@@ -458,6 +485,14 @@ class TestCompile:
         assert inverse.params == (-sign,)
         daggers = g.matrix.conj().swapaxes(1, 2)
         assert circuits._lower(inverse) == controlled_powers(daggers, order[::-1])
+
+    def test_cunitary_takes_one_zyz_call(self, monkeypatch):
+        """The QPEA's controlled powers at n = 4 lower from one stacked
+        decomposition of their four blocks, not one call per block."""
+        calls, zyz = [], circuits.zyz_angles
+        monkeypatch.setattr(circuits, "zyz_angles", lambda u: calls.append(np.shape(u)) or zyz(u))
+        compile_circuit(qpe.build_qpe(qpe.QpeConfig(4, build_a_lambda(0.3))))
+        assert calls == [(4, 2, 2)]
 
     def test_multi_qubit_unitary_rejected(self):
         circ = Circuit(2, (gate("unitary", 0, 1, matrix=np.eye(4)),), {})

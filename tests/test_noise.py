@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hhlsim import circuits, qpe, qstate, solvers
+from hhlsim import noise as noise_mod
 from hhlsim.circuits import Circuit, compile_circuit, gate
 from hhlsim.errors import CompileError, DomainError, ValidationError
 from hhlsim.noise import (
@@ -296,6 +297,22 @@ class TestRunNoisy:
         assert hist.outcomes == qpe.run_qpea(build_a_lambda(0.3), 2, noise=NoiseParams()).outcomes
         assert hist.outcomes["00"] == pytest.approx(0.0399, abs=5e-5)
 
+    @pytest.mark.parametrize("noise", [None, NoiseParams()], ids=["exact", "noisy"])
+    @pytest.mark.parametrize("width", [1, 3])
+    @pytest.mark.parametrize("density", [False, True], ids=["statevector", "density"])
+    def test_initial_state_of_another_width_refused(self, monkeypatch, noise, width, density):
+        """Refused before any kernel call, naming both widths: a wider state
+        is not cut down to a slice of its rho, a narrower one raises no
+        NumPy error."""
+        circuit = Circuit(2, (gate("h", 0), gate("cnot", 0, 1)))
+        initial = basis_state(width, 0)
+        initial = initial.to_density_matrix() if density else initial
+        monkeypatch.setattr(qstate, "apply_operator", lambda *a: pytest.fail("ran a gate"))
+        message = rf"^a {width}-qubit initial state for a 2-qubit circuit$"
+        for run in (circuit, [circuit, circuit]):
+            with pytest.raises(DomainError, match=message):
+                run_noisy(run, noise, initial=initial)
+
     def test_readout_flip_changes_histogram(self):
         circ = Circuit(1, (), {}, (0,))
         compiled = compile_circuit(circ)
@@ -507,6 +524,32 @@ class TestFusedExecutor:
         assert sum(len(t) == 4 for t in calls) == blocks
         if n == 2:
             assert len(calls) == 17
+
+    def test_one_qubit_matrices_stacked_per_kind(self, monkeypatch):
+        """A density run makes its 1-qubit matrices as one stack per kind,
+        none through gate_matrix (one call per 1-qubit gate before)."""
+        compiled = compile_circuit(qpe.build_qpe(qpe.QpeConfig(4, build_a_lambda(0.3))))
+        calls, stacks = [], circuits.gate_matrices
+        for module in (circuits, noise_mod):
+            monkeypatch.setattr(module, "gate_matrix", lambda g: calls.append(g))
+        monkeypatch.setattr(noise_mod, "gate_matrices", lambda gates: calls.append(len(gates))
+                            or stacks(gates))
+        run_noisy(compiled, NoiseParams())
+        assert calls == [sum(len(g.qubits) == 1 for g in compiled.gates)] and calls[0] > 0
+
+    def test_cnot_steps_are_a_gather(self):
+        """Joining two chains to a CNOT moves entries of their Kronecker
+        product, so the gather equals the product with the CNOT's u (x) u*
+        bit for bit, for either direction and for no CNOT."""
+        rng = np.random.default_rng(31)
+        chains = rng.normal(size=(24, 2, 4, 4)) + 1j * rng.normal(size=(24, 2, 4, 4))
+        flips = [0, 1, 2] * 8
+        pair = noise_mod._PAIR
+        kron = noise_mod._kron(chains[:, 0], chains[:, 1])[:, pair[:, None], pair]
+        want = noise_mod._CNOT_SUPER[flips] @ kron
+        outer = chains[:, 0].reshape(24, 16, 1) * chains[:, 1].reshape(24, 1, 16)
+        got = np.take_along_axis(outer.reshape(24, 256), noise_mod._STEP[flips], axis=1)
+        assert np.array_equal(got.reshape(24, 16, 16), want)
 
     def test_qpea_takes_one_kernel_call_per_cnot_block(self, monkeypatch):
         compiled = compile_circuit(qpe.build_qpe(qpe.QpeConfig(4, build_a_lambda(0.3))))

@@ -392,7 +392,7 @@ class TestWidthLimit:
             tried.append(n)
             return MeasurementHistogram({format(x, f"0{n}b"): 2.0**-n for x in range(2**n)})
 
-        monkeypatch.setattr(solvers.qpe, "run_qpea", flat_qpea)
+        monkeypatch.setattr(solvers.qpe, "_run_qpea", flat_qpea)
         widest = r"register size 10, the widest the simulation limits admit below --max-n 20$"
         with pytest.raises(NotReducibleError, match=widest):
             run_hybrid_hhl(build_a_lambda(0.3), 9, policy=HybridPolicy(max_n=20))
@@ -426,14 +426,18 @@ class TestWidthLimit:
         [
             (lambda: cli.main(["sweep", "--points", "199", "--k", "1,2,3", "--out", os.devnull]), 3),
             (lambda: run_original_hhl(build_a_lambda(0.25), 2, noise=NoiseParams()), 1),
-            (lambda: run_hybrid_hhl(build_a_lambda(0.25), 2, noise=NoiseParams()), 2),
+            (lambda: run_hybrid_hhl(build_a_lambda(0.25), 2, noise=NoiseParams()), 1),
+            (lambda: pytest.raises(NotReducibleError, run_hybrid_hhl, build_a_lambda(0.3), 2,
+                                   noise=NoiseParams()), 1),
         ],
-        ids=["sweep", "noisy-original", "noisy-hybrid"],
+        ids=["sweep", "noisy-original", "noisy-hybrid", "noisy-hybrid-restarts"],
     )
     def test_each_run_checks_its_register_once(self, monkeypatch, run, checks):
         """One check per batch and per run, before it builds: a sweep pass is
         one batch per register size, a noisy original solve one run, and a
-        noisy hybrid solve checks its first register, then each QPEA its own."""
+        noisy hybrid solve one check of its first register, whose ceiling
+        admits every QPEA it restarts with (at lambda = 0.3 those at n = 2, 3
+        and 4, none reducible)."""
         calls = []
         check = qstate.check_width
         monkeypatch.setattr(qstate, "check_width", lambda *a, **k: calls.append(a) or check(*a, **k))
