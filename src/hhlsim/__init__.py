@@ -19,14 +19,12 @@ from .problem import (
     load_problem,
     problem_from_dict,
 )
-from .qpe import QpeConfig, build_qpe, register_distribution_exact, run_qpea
+from .qpe import build_qpe, run_qpea
 from .qstate import (
     DensityMatrix,
     MeasurementHistogram,
     StateVector,
     fidelity_pure,
-    partial_trace,
-    postselect,
 )
 from .solvers import (
     AqeSpec,
@@ -58,7 +56,6 @@ __all__ = [
     "MeasurementHistogram",
     "NoiseParams",
     "NotReducibleError",
-    "QpeConfig",
     "SpectralData",
     "StateVector",
     "ValidationError",
@@ -70,10 +67,7 @@ __all__ = [
     "classical_solution",
     "fidelity_pure",
     "load_problem",
-    "partial_trace",
-    "postselect",
     "problem_from_dict",
-    "register_distribution_exact",
     "run_hybrid_hhl",
     "run_original_hhl",
     "run_original_hhl_batch",

@@ -279,19 +279,12 @@ def zyz_angles(u):
     return alpha, beta, gamma, delta
 
 
-def decompose_controlled_unitary(u, control: int, target: int) -> list[Gate]:
-    """Two-CNOT ABC construction of a controlled 1-qubit unitary.
-
-    Always emits the full skeleton, zero angles included (:func:`simplify`
-    drops them), so the entangling cost is uniform across a circuit family.
-    Exact up to global phase: the determinant phase e^{i alpha} on the
-    control's 1 branch is emitted as rz(alpha) on the control.
-    """
-    return _abc_gates(*zyz_angles(u), control, target)
-
-
 def _abc_gates(alpha, beta, gamma, delta, control: int, target: int) -> list[Gate]:
-    """:func:`decompose_controlled_unitary` from the unitary's ZYZ angles."""
+    """Two-CNOT ABC construction of a controlled 1-qubit unitary from its
+    :func:`zyz_angles`: always the full skeleton, zero angles included
+    (:func:`simplify` drops them), so the entangling cost is uniform across a
+    circuit family. Exact up to global phase: the determinant phase e^{i alpha}
+    on the control's 1 branch is emitted as rz(alpha) on the control."""
     # application order: C, CX, B, CX, A; A B C = I and A X B X C = u (phase aside)
     cnot = Gate("cnot", (control, target))
     return [

@@ -219,7 +219,7 @@ def cmd_compare(args) -> int:
 def cmd_emit_qasm(args) -> int:
     problem, _ = _problem_from_args(args)
     if args.circuit == "qpea":
-        circuit = qpe.build_qpe(qpe.QpeConfig(args.n, problem))
+        circuit = qpe.build_qpe(problem, args.n)
     else:
         aqe_spec = solvers.build_aqe(problem, args.n)
         if args.circuit == "hybrid":

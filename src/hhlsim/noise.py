@@ -29,9 +29,8 @@ than the Kronecker products.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,16 +59,9 @@ class NoiseParams:
         if not (0.0 <= self.readout_flip <= 0.5):
             raise ValidationError("readout_flip must be in [0, 0.5]")
 
-    def duration(self, g) -> float:
-        """Wall-clock time of gate ``g`` in nanoseconds."""
-        return self.durations().get(g.kind, self.single_ns)
-
     def durations(self) -> dict:
-        """:meth:`duration` of each basis kind, by kind."""
+        """Wall-clock time in nanoseconds of a gate of each basis kind, by kind."""
         return {"h": self.single_ns, "ry": self.single_ns, "rz": self.rz_ns, "cnot": self.cnot_ns}
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
     def from_dict(cls, d) -> "NoiseParams":
@@ -173,7 +165,7 @@ def run_noisy(circuit, noise: NoiseParams | None = None, initial=None):
         if all(_same(h, g) for h in others):
             data, order = qstate.apply_operator(data, gate_matrix(g), g.qubits, order)
         elif all((h.kind, h.qubits) == (g.kind, g.qubits) for h in others):
-            stack = _stacked(gate_matrix(g), others)
+            stack = np.stack([gate_matrix(h) for h in (g, *others)])
             data, order = qstate.apply_operator(data, stack, g.qubits, order)
         else:  # each item on its own row, brought back to the shared order
             rows = np.broadcast_to(data, (len(items), 2**n))[:, None]
@@ -291,16 +283,6 @@ _CNOT_SUPER = np.stack([_CNOT_SUPER, _CNOT_SUPER[_FLIP[:, None], _FLIP], np.eye(
 _R, _C = np.arange(16)[:, None], np.arange(16)
 _OUTER = 64 * (_R >> 2) + 16 * (_C >> 2) + 4 * (_R & 3) + (_C & 3)
 _STEP = _OUTER[_PAIR[_CNOT_SUPER.argmax(-1)][..., None], _PAIR].reshape(3, 256)
-
-
-def _stacked(first: np.ndarray, others) -> np.ndarray:
-    """The matrices of one gate position, one per item, filled into a
-    single array (no list of per-item arrays held beside it)."""
-    out = np.empty((1 + len(others),) + first.shape, dtype=complex)
-    out[0] = first
-    for b, h in enumerate(others, 1):
-        out[b] = gate_matrix(h)
-    return out
 
 
 def _same(h, g) -> bool:

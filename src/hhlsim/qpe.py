@@ -7,13 +7,12 @@ The QPEA circuit prepares b (:func:`prepare_b`) as the HHL circuit does.
 :func:`run_qpea` is the one QPEA entry: exact probabilities for ``shots == 0``,
 with or without noise, and a seeded draw from them for ``shots > 0``. It,
 :func:`qpea_distribution_noisy` and the hybrid solver's restarts share one
-run of :func:`build_qpe`, ``_run_qpea`` (its closed form is
-``oracles.qpea_distribution``), each public entry checking its register first.
+run of the QPEA, ``_run_qpea`` (its closed form is
+``oracles.qpea_distribution``), each public entry, :func:`build_qpe` too,
+checking its register first (:func:`qstate.check_width`).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,15 +21,6 @@ from .circuits import Circuit, Gate
 from .errors import DomainError
 from .problem import HermitianProblem, unitary_power
 from .qstate import MeasurementHistogram
-
-
-@dataclass(frozen=True)
-class QpeConfig:
-    n: int
-    problem: HermitianProblem
-
-    def __post_init__(self):
-        qstate.check_width(self.n, self.problem.num_qubits)
 
 
 def prepare_b(problem: HermitianProblem, v_qubits) -> list[Gate]:
@@ -61,10 +51,12 @@ def qpe_block(problem: HermitianProblem, n: int, register, v_qubits, physical_sw
     return gates, out_register
 
 
-def build_qpe(config: QpeConfig, physical_swap: bool = False) -> Circuit:
+def build_qpe(problem: HermitianProblem, n: int, physical_swap: bool = False) -> Circuit:
     """Standalone measured QPE(A) circuit (the QPEA): register on wires
-    0..n-1, input wires after, prepared in b; the relabeled register is measured."""
-    return _qpea(config.problem, config.n, physical_swap)
+    0..n-1, input wires after, prepared in b; the relabeled register is
+    measured. Its register size is checked before any power is formed."""
+    qstate.check_width(n, problem.num_qubits)
+    return _qpea(problem, n, physical_swap)
 
 
 def _qpea(problem: HermitianProblem, n: int, physical_swap: bool) -> Circuit:

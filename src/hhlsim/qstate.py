@@ -127,9 +127,6 @@ class StateVector(_State):
             raise ValidationError(f"state norm {norm} is not 1")
         self._store(num_qubits, amps / norm)
 
-    def probability(self, index: int) -> float:
-        return float(abs(self.amplitudes[index]) ** 2)
-
     def to_density_matrix(self) -> "DensityMatrix":
         a = self.amplitudes
         return DensityMatrix._trusted(self.num_qubits, np.outer(a, a.conj()))
@@ -160,9 +157,6 @@ class DensityMatrix(_State):
         if eigs.min() < -1e-8:
             raise ValidationError(f"density matrix has negative eigenvalue {eigs.min()}")
         self._store(num_qubits, rho)
-
-    def purity(self) -> float:
-        return float(np.trace(self.entries @ self.entries).real)
 
     def __repr__(self):
         return f"DensityMatrix(num_qubits={self.num_qubits})"

@@ -355,7 +355,9 @@ def run_original_hhl_batch(
     gate for it). Their gates differ only in the unitary powers of QPE and
     the encoding's angles, each position taking one executor call. The
     register size is checked once, for the widest problem, before anything
-    is built (under noise for a density matrix)."""
+    is built (under noise for a density matrix), as is ``shots``."""
+    if shots < 0:
+        raise DomainError("shots must be >= 0")
     others = 1 + max((p.num_qubits for p in problems), default=0)
     qstate.check_width(n, others, noise is not None)
     specs = [_full_encoding(p, n) for p in problems]

@@ -108,7 +108,7 @@ def test_acceptance_6_gate_counts():
     original / reduced at lambda = 1/4) and reduced = original - 14 holds for
     both swap-handling variants."""
     problem = build_a_lambda(0.25)
-    qpea = circuits.compile_circuit(qpe.build_qpe(qpe.QpeConfig(2, problem)))
+    qpea = circuits.compile_circuit(qpe.build_qpe(problem, 2))
     assert qpea.cnot_count == 6
     full = solvers.build_aqe(problem, 2)
     reduced = solvers.synthesize_reduced_aqe(

@@ -13,7 +13,6 @@ from hhlsim.circuits import (
     adjoint,
     compile_circuit,
     controlled_ry_chain,
-    decompose_controlled_unitary,
     emit_qasm,
     gate,
     gate_matrix,
@@ -32,6 +31,13 @@ def _random_unitary(rng, dim=2):
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(z)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def _controlled(u, control, target):
+    """Basis gates of ``u`` on ``target`` controlled by ``control``: the
+    lowering of a one-control cunitary gate, the ABC construction."""
+    g = gate("cunitary", control, target, params=(1,), matrix=np.stack([np.eye(2), u]))
+    return circuits._KINDS["cunitary"].lower(g)
 
 
 def _ry(t):
@@ -169,7 +175,7 @@ class TestControlledDecomposition:
     def test_matches_controlled_matrix(self, seed):
         rng = np.random.default_rng(seed)
         u = _random_unitary(rng)
-        gates = decompose_controlled_unitary(u, 0, 1)
+        gates = _controlled(u, 0, 1)
         got = circuit_unitary(gates, 2)
         expected = np.block(
             [[np.eye(2), np.zeros((2, 2))], [np.zeros((2, 2)), u]]
@@ -177,7 +183,7 @@ class TestControlledDecomposition:
         assert equal_up_to_phase(got, expected, atol=1e-9)
 
     def test_controlled_x_equivalent_to_cnot(self):
-        gates = decompose_controlled_unitary(np.array([[0, 1], [1, 0]], dtype=complex), 0, 1)
+        gates = _controlled(np.array([[0, 1], [1, 0]], dtype=complex), 0, 1)
         got = circuit_unitary(gates, 2)
         assert equal_up_to_phase(got, gate_matrix(gate("cnot", 0, 1)), atol=1e-9)
 
@@ -185,12 +191,12 @@ class TestControlledDecomposition:
         # the entangling cost does not depend on the rotation angles
         for u in (np.eye(2, dtype=complex), -np.eye(2, dtype=complex),
                   np.array([[0, 1], [1, 0]], dtype=complex)):
-            gates = decompose_controlled_unitary(u, 0, 1)
+            gates = _controlled(u, 0, 1)
             assert sum(1 for g in gates if g.kind == "cnot") == 2
 
     def test_lambda_family_step(self):
         u = unitary_power(build_a_lambda(0.25).spectral, 1)
-        gates = decompose_controlled_unitary(u, 0, 1)
+        gates = _controlled(u, 0, 1)
         assert sum(1 for g in gates if g.kind == "cnot") == 2
         got = circuit_unitary(gates, 2)
         expected = np.block([[np.eye(2), np.zeros((2, 2))], [np.zeros((2, 2)), u]])
@@ -418,13 +424,12 @@ class TestMeasured:
 
     @pytest.mark.parametrize("physical_swap", [False, True])
     def test_qpe_circuit_measures_its_relabeled_register(self, physical_swap):
-        config = qpe.QpeConfig(3, build_a_lambda(0.3))
-        circuit = qpe.build_qpe(config, physical_swap=physical_swap)
+        circuit = qpe.build_qpe(build_a_lambda(0.3), 3, physical_swap=physical_swap)
         assert circuit.measured == circuit.roles["register"]
         assert circuit.measured == ((0, 1, 2) if physical_swap else (2, 1, 0))
 
     def test_compile_keeps_measured(self):
-        source = qpe.build_qpe(qpe.QpeConfig(2, build_a_lambda(0.25)))
+        source = qpe.build_qpe(build_a_lambda(0.25), 2)
         assert compile_circuit(source).measured == source.measured == (1, 0)
 
 
@@ -478,7 +483,7 @@ class TestCompile:
 
         def controlled_powers(stack, order):
             return [b for i in order
-                    for b in decompose_controlled_unitary(stack[2 ** (2 - i)], g.qubits[i], 1)]
+                    for b in _controlled(stack[2 ** (2 - i)], g.qubits[i], 1)]
 
         assert circuits._lower(g) == controlled_powers(g.matrix, order)
         (inverse,) = adjoint([g])
@@ -491,7 +496,7 @@ class TestCompile:
         decomposition of their four blocks, not one call per block."""
         calls, zyz = [], circuits.zyz_angles
         monkeypatch.setattr(circuits, "zyz_angles", lambda u: calls.append(np.shape(u)) or zyz(u))
-        compile_circuit(qpe.build_qpe(qpe.QpeConfig(4, build_a_lambda(0.3))))
+        compile_circuit(qpe.build_qpe(build_a_lambda(0.3), 4))
         assert calls == [(4, 2, 2)]
 
     def test_multi_qubit_unitary_rejected(self):
@@ -526,7 +531,7 @@ def _paper_corpus():
                 for spec in specs:
                     yield solvers.build_hhl_circuit(problem, n, spec, physical_swap=swap)
             for n in (1, 2, 3, 4):
-                yield qpe.build_qpe(qpe.QpeConfig(n, problem), physical_swap=swap)
+                yield qpe.build_qpe(problem, n, physical_swap=swap)
 
 
 class TestCnotCount:
@@ -649,8 +654,6 @@ class TestValidateOnce:
     def test_decompositions_still_need_a_2x2_matrix(self):
         with pytest.raises(DomainError):
             zyz_angles(np.eye(4))
-        with pytest.raises(DomainError):
-            decompose_controlled_unitary(np.eye(4), 0, 1)
 
 
 class TestQasm:

@@ -1,7 +1,8 @@
 """Amplitude-damping channel and noisy circuit execution."""
 
+import json
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 from unittest import mock
 
 import numpy as np
@@ -39,10 +40,11 @@ class TestNoiseParams:
     def test_duration(self):
         p = NoiseParams(cnot_ns=200.0, rz_ns=5.0, single_ns=60.0)
         gates = (gate("cnot", 0, 1), gate("h", 0), gate("rz", 1, params=(0.3,)))
-        assert [p.duration(g) for g in gates] == [200.0, 60.0, 5.0]
+        assert [p.durations()[g.kind] for g in gates] == [200.0, 60.0, 5.0]
         compiled = compile_circuit(Circuit(2, gates, {}))
         assert compiled.cnot_count == 1
-        assert sum(NoiseParams().duration(g) for g in compiled.gates) == pytest.approx(260.0)
+        durations = NoiseParams().durations()
+        assert sum(durations[g.kind] for g in compiled.gates) == pytest.approx(260.0)
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -84,7 +86,7 @@ class TestNoiseParams:
     def test_json_roundtrip(self, tmp_path):
         p = NoiseParams(t1_ns=30000, readout_flip=0.01)
         path = tmp_path / "noise.json"
-        path.write_text(p.to_json())
+        path.write_text(json.dumps(asdict(p)))
         q = NoiseParams.load(path)
         assert q == p
 
@@ -110,11 +112,11 @@ def _kraus_damp(rho, n, qubit, t, t1):
 
 def _eager_run(compiled, noise, rho):
     """Reference executor: after every timed gate, damp each aged qubit at once."""
-    n = compiled.num_qubits
+    n, durations = compiled.num_qubits, noise.durations()
     for g in compiled.gates:
         u = circuit_unitary([g], n)
         rho = u @ rho @ u.conj().T
-        dt = noise.duration(g)
+        dt = durations[g.kind]
         if dt > 0:
             for q in range(n) if noise.idle_damping else g.qubits:
                 rho = _kraus_damp(rho, n, q, dt, noise.t1_ns)
@@ -222,7 +224,7 @@ class TestDensityBudget:
         """A 12-qubit density matrix (256 MiB) is over the budget; the same
         circuit still runs on a statevector."""
         assert qstate.MAX_DENSITY_BYTES == 16 * 4**11
-        circuit = compile_circuit(qpe.build_qpe(qpe.QpeConfig(11, build_a_lambda(0.3))))
+        circuit = compile_circuit(qpe.build_qpe(build_a_lambda(0.3), 11))
         # the executor names no flag: its caller may have passed no register
         message = "^a 12-qubit density matrix exceeds the limit of 64 MiB$"
         with pytest.raises(ValidationError, match=message):
@@ -236,7 +238,7 @@ class TestDensityBudget:
         not a fourth for the initial one, alone or in a list: the compiled
         QPEA at n = 8 peaks at 3.25 copies (a list of one kept its initial
         rho, 4.25), at n = 10 at 193.5 MiB against 257.5 before."""
-        circuit = compile_circuit(qpe.build_qpe(qpe.QpeConfig(8, build_a_lambda(0.3))))
+        circuit = compile_circuit(qpe.build_qpe(build_a_lambda(0.3), 8))
         tracemalloc.start()
         try:
             out = run_noisy([circuit] if batch else circuit, NoiseParams())
@@ -287,7 +289,7 @@ class TestRunNoisy:
 
     def test_refuses_uncompiled_gates(self):
         # a cunitary timed as one 60 ns single-qubit gate gave Pr(00) = 0.0349, not 0.0399
-        source = qpe.build_qpe(qpe.QpeConfig(2, build_a_lambda(0.3)))
+        source = qpe.build_qpe(build_a_lambda(0.3), 2)
         with pytest.raises(CompileError, match="'cunitary' has no duration: compile first"):
             run_noisy(source, NoiseParams())
         with pytest.raises(CompileError, match="'swap'"):
@@ -528,7 +530,7 @@ class TestFusedExecutor:
     def test_one_qubit_matrices_stacked_per_kind(self, monkeypatch):
         """A density run makes its 1-qubit matrices as one stack per kind,
         none through gate_matrix (one call per 1-qubit gate before)."""
-        compiled = compile_circuit(qpe.build_qpe(qpe.QpeConfig(4, build_a_lambda(0.3))))
+        compiled = compile_circuit(qpe.build_qpe(build_a_lambda(0.3), 4))
         calls, stacks = [], circuits.gate_matrices
         for module in (circuits, noise_mod):
             monkeypatch.setattr(module, "gate_matrix", lambda g: calls.append(g))
@@ -552,7 +554,7 @@ class TestFusedExecutor:
         assert np.array_equal(got.reshape(24, 16, 16), want)
 
     def test_qpea_takes_one_kernel_call_per_cnot_block(self, monkeypatch):
-        compiled = compile_circuit(qpe.build_qpe(qpe.QpeConfig(4, build_a_lambda(0.3))))
+        compiled = compile_circuit(qpe.build_qpe(build_a_lambda(0.3), 4))
         calls = _count_kernel_calls(monkeypatch)
         run_noisy(compiled, NoiseParams())
         assert len(calls) == _cnot_blocks(compiled.gates) == 10
@@ -560,7 +562,7 @@ class TestFusedExecutor:
     @pytest.mark.parametrize("idle_damping", [True, False])
     def test_reversed_cnot_inside_a_block(self, idle_damping):
         # the physical swap lowers to cnot(a, b), cnot(b, a), cnot(a, b): one block
-        source = qpe.build_qpe(qpe.QpeConfig(3, build_a_lambda(0.3)), physical_swap=True)
+        source = qpe.build_qpe(build_a_lambda(0.3), 3, physical_swap=True)
         compiled = compile_circuit(source)
         cnots = [g.qubits for g in compiled.gates if g.kind == "cnot"]
         assert any(tuple(reversed(c)) in cnots[i + 1 : i + 2] for i, c in enumerate(cnots))

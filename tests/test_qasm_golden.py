@@ -52,7 +52,7 @@ def test_physical_swap_lowering_matches_recording(path):
     circuit, n, lam = _NAME.fullmatch(path.name).groups()
     problem, n = build_a_lambda(float(lam)), int(n)
     if circuit == "qpea":
-        built = qpe.build_qpe(qpe.QpeConfig(n, problem), physical_swap=True)
+        built = qpe.build_qpe(problem, n, physical_swap=True)
     else:
         spec = solvers.build_aqe(problem, n)
         built = solvers.build_hhl_circuit(problem, n, spec, physical_swap=True)

@@ -7,7 +7,6 @@ from hhlsim import circuits, noise as noise_mod, oracles, qpe, qstate, solvers
 from hhlsim.errors import DomainError, ValidationError
 from hhlsim.problem import build_a_lambda, unitary_power
 from hhlsim.qpe import (
-    QpeConfig,
     build_qpe,
     qpe_block,
     qpea_distribution_noisy,
@@ -83,7 +82,7 @@ class TestBuildQpe:
     def test_circuit_reproduces_distribution(self, problem, n):
         """The compiled QPEA at zero noise gives the closed-form distribution,
         also for a b that the circuit has to prepare."""
-        compiled = circuits.compile_circuit(build_qpe(QpeConfig(n, problem)))
+        compiled = circuits.compile_circuit(build_qpe(problem, n))
         noise = noise_mod.NoiseParams(t1_ns=1e18)
         hist = noise_mod.readout_distribution(noise_mod.run_noisy(compiled, noise), compiled, noise)
         ref = oracles.qpea_distribution(problem, n)
@@ -110,7 +109,7 @@ class TestBuildQpe:
 
     def test_inverse_direction_is_adjoint(self):
         problem = build_a_lambda(0.3)
-        fwd = build_qpe(QpeConfig(2, problem))
+        fwd = build_qpe(problem, 2)
         inv = circuits.adjoint(qpe_block(problem, 2, [0, 1], [2])[0])
         u = circuit_unitary(fwd.gates + tuple(inv), fwd.num_qubits)
         assert equal_up_to_phase(u, np.eye(2**fwd.num_qubits), atol=1e-9)
@@ -155,7 +154,7 @@ class TestRunQpea:
         """e^{2 pi i 2^1099 A} cannot be formed; the width check comes first."""
         monkeypatch.setattr(qpe, "unitary_power", lambda *a: pytest.fail("built"))
         with pytest.raises(ValidationError, match="1101-qubit"):
-            build_qpe(QpeConfig(1100, build_a_lambda(0.3)))
+            build_qpe(build_a_lambda(0.3), 1100)
 
     def test_noisy_distribution_keeps_peaks(self):
         problem = build_a_lambda(0.25)

@@ -19,7 +19,7 @@ from hhlsim.errors import (
 )
 from hhlsim.noise import NoiseParams, damping_channel
 from hhlsim.problem import HermitianProblem, build_a_lambda, classical_solution
-from hhlsim.qpe import QpeConfig, run_qpea
+from hhlsim.qpe import build_qpe, run_qpea
 from hhlsim.qstate import DensityMatrix, MeasurementHistogram, StateVector
 from hhlsim.solvers import (
     HybridPolicy,
@@ -375,7 +375,7 @@ class TestWidthLimit:
             run_original_hhl(build_a_lambda(0.3), 10, noise=NoiseParams())
 
     def test_noisy_qpea_refused_at_register_level(self, monkeypatch):
-        monkeypatch.setattr(solvers.qpe, "build_qpe", lambda *a: pytest.fail("built"))
+        monkeypatch.setattr(solvers.qpe, "_qpea", lambda *a: pytest.fail("built"))
         with pytest.raises(ValidationError, match="12-qubit density matrix .*: --n must be at most 10$"):
             run_qpea(build_a_lambda(0.3), 11, noise=NoiseParams())
 
@@ -414,7 +414,7 @@ class TestWidthLimit:
         monkeypatch.setattr(qstate, "widest", narrow)
         with pytest.raises(ValidationError, match=r"^a 7-qubit circuit .*: --n must be at most 4$"):
             qstate.check_width(5, 2)
-        circuit = qpe.build_qpe(QpeConfig(5, build_a_lambda(0.3)))  # 6 qubits
+        circuit = qpe.build_qpe(build_a_lambda(0.3), 5)  # 6 qubits
         with pytest.raises(ValidationError, match=r"^a 6-qubit density matrix [^:]*$"):
             noise_mod.run_noisy(circuits.compile_circuit(circuit), NoiseParams())
         ceiling = r"register size 4, the widest the simulation limits admit below --max-n 9$"
@@ -446,14 +446,12 @@ class TestWidthLimit:
 
     @pytest.mark.parametrize(
         "build",
-        [build_aqe, QpeConfig, run_hybrid_hhl],
-        ids=["build_aqe", "QpeConfig", "run_hybrid_hhl"],
+        [build_aqe, build_qpe, run_hybrid_hhl],
+        ids=["build_aqe", "build_qpe", "run_hybrid_hhl"],
     )
     def test_register_below_one_refused_by_the_one_rule(self, build):
-        problem = build_a_lambda(0.3)
-        args = (0, problem) if build is QpeConfig else (problem, 0)
         with pytest.raises(DomainError, match=r"^register size must be >= 1$"):
-            build(*args)
+            build(build_a_lambda(0.3), 0)
 
 
 class TestReducedEncodingEquivalence:
@@ -584,6 +582,18 @@ class TestOriginalBatch:
         d4 = random_perfectly_estimated_problem(rng, 4, 2, 1)
         with pytest.raises(DomainError):
             solvers.run_original_hhl_batch([build_a_lambda(0.3), d4], 2)
+
+    @pytest.mark.parametrize("noise", [None, NoiseParams()], ids=["exact", "noisy"])
+    def test_negative_shots_refused_as_the_qpea_refuses_them(self, monkeypatch, noise):
+        """shots = -1 is refused before anything is built, by every solver
+        alike, not run as an exact solve."""
+        monkeypatch.setattr(solvers, "_full_encoding", lambda *a: pytest.fail("built"))
+        problem = build_a_lambda(0.25)
+        for run in (run_original_hhl, run_hybrid_hhl, run_qpea):
+            with pytest.raises(DomainError, match=r"^shots must be >= 0$"):
+                run(problem, 2, shots=-1, noise=noise)
+        with pytest.raises(DomainError, match=r"^shots must be >= 0$"):
+            solvers.run_original_hhl_batch([problem, build_a_lambda(0.3)], 2, shots=-1)
 
 
 def _sequential_postselection(rho, n):
