@@ -21,9 +21,10 @@ The executor (:func:`noise.run_noisy`) applies every kind directly through
 gates it takes as one stack from :func:`gate_matrices`. A multiplexed kind
 (``cunitary``, ``mry``) gives the stack of its blocks, never its dense
 matrix, so an ``mry`` runs for any number of controls, while its lowering
-supports at most two. A compiled circuit is a :class:`Circuit` of basis
-gates; :func:`cnot_count` gives its CNOT count, or that of a source circuit,
-without compiling (``Circuit.cnot_count``).
+drops every control its angles ignore and supports at most two of the rest.
+A compiled circuit is a :class:`Circuit` of basis gates; :func:`cnot_count`
+gives its CNOT count, or that of a source circuit, without compiling
+(``Circuit.cnot_count``).
 
 A gate is checked once, when :func:`gate` makes it, or, for b's
 preparation and the unitary powers of QPE, by its problem. Lowerings build
@@ -411,19 +412,18 @@ def _subset_angles(angles, k: int) -> list[tuple[int, float]]:
     """(subset, angle) of each control subset of a k-control multiplexed Ry
     whose angle is not zero. The subset angles are the Moebius inversion of
     the pattern angles: those over the subsets of pattern p sum to
-    ``angles[p]``; skipping a zero one saves its CNOTs, which :func:`simplify`
-    never removes. More than two controls raise CompileError."""
-    if k > 2:
+    ``angles[p]``, taken as one difference along each control's axis, so a
+    control the angles ignore gives exactly a - a = 0 on every subset that
+    holds it. Skipping a zero subset saves its CNOTs, which :func:`simplify`
+    never removes. A non-zero angle on more than two controls raises
+    CompileError."""
+    phi = np.array(angles, dtype=float)
+    for axis in range(k):
+        pairs = phi.reshape(2**axis, 2, -1)  # a view: axis ``axis`` is the middle one
+        pairs[:, 1] -= pairs[:, 0]
+    out = [(s, a) for s, a in enumerate(phi.tolist()) if abs(a) > _ANGLE_TOL]
+    if any(bin(s).count("1") > 2 for s, _ in out):
         raise CompileError("multiplexed Ry supports at most two control qubits")
-    out = []
-    for s in range(2**k):
-        phi = sum(
-            (-1) ** bin(s ^ t).count("1") * float(angles[t])
-            for t in range(s, -1, -1)
-            if t & s == t
-        )
-        if abs(phi) > _ANGLE_TOL:
-            out.append((s, phi))
     return out
 
 
@@ -434,7 +434,8 @@ def controlled_ry_chain(angles, controls, target: int) -> list[Gate]:
 
     Realized by inclusion-exclusion over control subsets: the empty subset is a
     bare Ry, singletons are 2-CNOT controlled-Ry multiplexors, pairs are
-    Toffoli-conjugated Ry. More than two controls is not supported.
+    Toffoli-conjugated Ry. A control the angles ignore is dropped; a
+    non-zero subset of more than two controls is not supported.
     """
     controls = list(controls)
     k = len(controls)

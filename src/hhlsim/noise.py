@@ -131,12 +131,12 @@ def run_noisy(circuit, noise: NoiseParams | None = None, initial=None):
 
     ``circuit`` may also be a sequence of circuits, all run from ``initial``;
     a list of final states is returned then, in circuit order. A batch has
-    one width and, on a statevector, one length (DomainError otherwise). On a
-    density matrix the circuits run one by one. On a statevector they run in
-    one pass over a leading batch axis, gate position by gate position: equal
-    gates share one call, gates of one kind on the same qubits take one call
-    with a stack of one matrix per item, and any others are applied item by
-    item on their own rows. So a shared prefix runs once, on a batch of one.
+    one width (DomainError otherwise). On a density matrix the circuits run
+    one by one. On a statevector they share one skeleton, the same kind on
+    the same qubits at every position (DomainError otherwise), and run in one
+    pass over a leading batch axis, gate position by gate position: equal
+    gates share one call, and others take one call with a stack of one
+    matrix per item. So a shared prefix runs once, on a batch of one.
     """
     single = hasattr(circuit, "gates")
     items = [circuit] if single else list(circuit)
@@ -157,22 +157,15 @@ def run_noisy(circuit, noise: NoiseParams | None = None, initial=None):
                 raise CompileError(f"gate kind {kind!r} has no duration: compile first")
         states = [DensityMatrix._trusted(n, _run_density(c, noise, state)[0]) for c in items]
         return states[0] if single else states
-    if any(len(c.gates) != len(first.gates) for c in items):
-        raise DomainError("the circuits of a statevector batch differ in length")
+    skeleton = [(g.kind, g.qubits) for g in first.gates]
+    if any([(g.kind, g.qubits) for g in c.gates] != skeleton for c in items[1:]):
+        raise DomainError("the circuits of a statevector batch differ in skeleton")
     data, order = state.amplitudes[None], tuple(range(n))
     for i, g in enumerate(first.gates):
         others = [c.gates[i] for c in items[1:]]
-        if all(_same(h, g) for h in others):
-            data, order = qstate.apply_operator(data, gate_matrix(g), g.qubits, order)
-        elif all((h.kind, h.qubits) == (g.kind, g.qubits) for h in others):
-            stack = np.stack([gate_matrix(h) for h in (g, *others)])
-            data, order = qstate.apply_operator(data, stack, g.qubits, order)
-        else:  # each item on its own row, brought back to the shared order
-            rows = np.broadcast_to(data, (len(items), 2**n))[:, None]
-            data = np.concatenate([
-                qstate.reorder(*qstate.apply_operator(r, gate_matrix(h), h.qubits, order), order)
-                for r, h in zip(rows, [g, *others])
-            ])
+        same = all(_same(h, g) for h in others)
+        m = gate_matrix(g) if same else np.stack([gate_matrix(h) for h in (g, *others)])
+        data, order = qstate.apply_operator(data, m, g.qubits, order)
     data = np.broadcast_to(qstate.reorder(data, order, tuple(range(n))), (len(items), 2**n))
     states = [StateVector._trusted(n, item) for item in data]
     return states[0] if single else states

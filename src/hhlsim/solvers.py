@@ -8,7 +8,8 @@ untouched (it carries no weight for spectra inside (0,1) under perfect
 estimation, and post-selection discards it otherwise).
 
 There is one HHL circuit, :func:`build_hhl_circuit`: state preparation, QPE,
-the encoding as a single multiplexed Ry (``mry``) on the ancilla, inverse QPE.
+the encoding as a single multiplexed Ry (``mry``) on the ancilla, controlled
+by every register wire for the full and the reduced encoding, inverse QPE.
 Both runs execute it with :func:`noise.run_noisy`: the exact run its source
 gates on a statevector, the noisy run its compiled form on a density matrix.
 Both take their CNOT count from the source circuit through
@@ -48,8 +49,10 @@ class AqeSpec:
 
     ``angle_table`` maps the weighted free-bit value y (so the effective
     register integer is y' + y) to the rotation angle 2*arcsin(c / (y' + y));
-    an effective integer of 0 gets no rotation. The full encoding is the
-    special case with every position free and y' = 0.
+    an effective integer of 0 gets no rotation. Register value x reads the
+    angle of y = x & mask, the free positions' bits, so the fixed bits are
+    ignored. The full encoding is the special case with every position free
+    and y' = 0.
     """
 
     n: int
@@ -84,19 +87,12 @@ def synthesize_reduced_aqe(estimate: "EigenEstimate", c: float) -> AqeSpec:
 
 
 def _encoding(n: int, c: float, y_prime: int, free: tuple) -> AqeSpec:
-    """The one constructor of :class:`AqeSpec`: fixed bits worth y', controls ``free``."""
-    values = _pattern_values(n, free)
+    """The one constructor of :class:`AqeSpec`: fixed bits worth y', free
+    positions ``free``, a free-bit value y being a register value x & mask."""
+    mask = sum(2 ** (n - pos) for pos in free)  # position 1 is the register's MSB
+    values = sorted({x & mask for x in range(2**n)})
     table = {y: 2.0 * np.arcsin(c / (y_prime + y)) for y in values if y_prime + y}
     return AqeSpec(n, c, y_prime, free, table)
-
-
-def _pattern_values(n: int, free) -> list[int]:
-    """Free-bit value y of each control pattern over the 1-based register
-    positions ``free`` (pattern bit j, MSB first, is position free[j])."""
-    values = [0]
-    for pos in free:
-        values = [v + bit for v in values for bit in (0, 2 ** (n - pos))]
-    return values
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +248,8 @@ def _solve(mode, problems, n, specs, shots, seed, noise, estimate=None) -> list[
     pass, and return one outcome per problem.
 
     The CNOT counts come from the source circuits, None where a circuit does
-    not lower. The exact runs apply the source gates in one statevector pass.
+    not lower. The exact runs apply the source gates, which share one
+    skeleton, in one statevector pass.
     Under noise the compiled circuits run, which may differ in length, as
     compilation drops zero angles; the executor runs their density matrices
     one by one. Both estimators are scored against each problem's classical
@@ -314,11 +311,17 @@ def build_hhl_circuit(
     The inverse-QFT swap layers are absorbed by wire relabeling by default;
     the encoding's controls follow the relabeled wires, and the inverse QPE is
     the literal adjoint of the forward block, so the relabelings cancel.
-    ``aqe_spec`` is one :class:`AqeSpec`, which gives its circuit, or a list
-    of them, which gives one circuit per spec; those share the gates of one
-    QPE block, so a batch of them runs those once.
+    Every encoding is one ``mry`` on every register wire and the ancilla: a
+    reduced table ignores the certified bits, whose controls the lowering
+    drops. ``aqe_spec`` is one :class:`AqeSpec`, which gives its circuit, or
+    a list of them, which gives one circuit per spec; those share one
+    skeleton and the gates of one QPE block, so a batch of them runs those
+    once. A spec for another register size raises DomainError.
     """
     specs = [aqe_spec] if isinstance(aqe_spec, AqeSpec) else aqe_spec
+    for spec in specs:
+        if spec.n != n:
+            raise DomainError(f"an encoding for register size {spec.n} in a circuit of size {n}")
     q = problem.num_qubits
     ancilla = 0
     reg = list(range(1, n + 1))
@@ -329,12 +332,11 @@ def build_hhl_circuit(
     roles = {"ancilla": (ancilla,), "register": tuple(reg), "input": tuple(v)}
     built = []
     for spec in specs:
-        # one multiplexed Ry on the ancilla, controlled by the wires of the free
-        # register bits; control pattern p gets the angle of free-bit value y(p)
-        free = spec.free_positions
-        controls = [out_reg[pos - 1] for pos in free]
-        angles = [float(spec.angle_table.get(y, 0.0)) for y in _pattern_values(spec.n, free)]
-        mry = gate("mry", *controls, ancilla, params=angles)
+        # one multiplexed Ry on the ancilla, controlled by every register wire;
+        # register value x gets the angle of its free-bit value x & mask
+        mask = sum(2 ** (n - pos) for pos in spec.free_positions)
+        angles = [float(spec.angle_table.get(x & mask, 0.0)) for x in range(2**n)]
+        mry = gate("mry", *out_reg, ancilla, params=angles)
         gates = (*prep, *qpe_gates, mry, *inverse)
         built.append(Circuit(1 + n + q, gates, roles, (ancilla, *reg)))
     return built[0] if isinstance(aqe_spec, AqeSpec) else built
@@ -350,7 +352,7 @@ def run_original_hhl_batch(
     """Full-register HHL on several problems at one register size; outcomes
     in problem order, each as :func:`run_original_hhl` gives it. All circuits
     run in one executor call, so they must have one width, and without noise
-    one length (DomainError otherwise): the problems share a dimension, and
+    one skeleton (DomainError otherwise): the problems share a dimension, and
     b is |0...0> for all of them or for none (:func:`qpe.prepare_b` emits no
     gate for it). Their gates differ only in the unitary powers of QPE and
     the encoding's angles, each position taking one executor call. The
@@ -468,8 +470,8 @@ def reduced_encoding_equivalence_check(problem: HermitianProblem, n: int) -> boo
     # with no fixed bit the reduced encoding is the full one: run it once
     if estimate.reducible:
         specs.append(synthesize_reduced_aqe(estimate, specs[0].c))
-    # one batch on one QPE block: the circuits differ only in their mry, so
-    # the gates before it run once
+    # one batch on one QPE block: the circuits differ only in their mry's
+    # angles, so every other gate runs once and the mry as one stacked call
     states = noise_mod.run_noisy(build_hhl_circuit(problem, n, specs))
     rho, p = postselect_hhl(states, n)["ancilla"]
     # both states are pure here, so the trace overlap is the fidelity

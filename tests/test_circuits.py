@@ -327,9 +327,30 @@ class TestMultiplexedRy:
         assert equal_up_to_phase(got, dense, atol=1e-9)
 
     def test_mry_three_controls_rejected_at_compile(self):
-        g = gate("mry", 0, 1, 2, 3, params=[0.1 * i for i in range(8)])
+        g = gate("mry", 0, 1, 2, 3, params=[0.0] * 7 + [1.0])
         with pytest.raises(CompileError, match="at most two control"):
             compile_circuit(Circuit(4, (g,), {}))
+
+    def test_additive_table_on_three_controls_lowers_through_its_singletons(self):
+        """Angles 0.1 x are additive in the bits of x, so every subset of two
+        or three controls has angle zero: three controlled Ry, 6 CNOTs."""
+        g = gate("mry", 0, 1, 2, 3, params=[0.1 * i for i in range(8)])
+        compiled = compile_circuit(Circuit(4, (g,), {}))
+        assert compiled.cnot_count == circuits.cnot_count(Circuit(4, (g,), {})) == 6
+        dense = circuit_unitary([g], 4)
+        np.testing.assert_allclose(dense, self._reference(g.params, 3), atol=1e-12)
+        assert equal_up_to_phase(circuit_unitary(compiled.gates, 4), dense, atol=1e-9)
+
+    @pytest.mark.parametrize("ignored", [(0, 1), (0, 2), (1, 3), (2, 3), (0, 1, 3), (0, 1, 2, 3)])
+    def test_controls_the_angles_ignore_are_dropped(self, ignored):
+        """Angles equal across each ignored control lower exactly as the same
+        angles on the remaining controls: the same gates."""
+        rng = np.random.default_rng(len(ignored) + sum(ignored))
+        kept = [q for q in range(4) if q not in ignored]
+        table = rng.uniform(-np.pi, np.pi, 2 ** len(kept))
+        shape = [1 if q in ignored else 2 for q in range(4)]
+        wide = np.broadcast_to(table.reshape(shape), (2,) * 4).reshape(-1)
+        assert controlled_ry_chain(wide, range(4), 4) == controlled_ry_chain(table, kept, 4)
 
     def test_mry_needs_one_angle_per_pattern(self):
         with pytest.raises(ValidationError):
@@ -356,10 +377,11 @@ def _random_powers(rng, c):
 
 def _random_gate(rng, kind, n):
     """A random gate of ``kind`` on random wires of n, in a shape
-    compile_circuit lowers: one target for an explicit matrix, at most two
-    controls for an mry; a qft on one to three wires in random order, and
-    the powers of a random unitary on one to three controls, each of either
-    sign."""
+    compile_circuit lowers: one target for an explicit matrix; for an mry,
+    at most two controls, or one to four whose angles ignore a random set
+    of them and depend on at most two; a qft on one to three wires in random
+    order, and the powers of a random unitary on one to three controls, each
+    of either sign."""
     spec = circuits._KINDS[kind]
     wires = [int(q) for q in rng.permutation(n)]
     sign = (int(rng.choice((-1, 1))),)
@@ -371,9 +393,15 @@ def _random_gate(rng, kind, n):
         return gate(kind, *wires[: c + 1], params=sign, matrix=_random_powers(rng, c))
     if spec.controls is not None:
         return gate(kind, *wires[: spec.controls + 1], matrix=_random_unitary(rng))
-    if spec.params is None:
+    if spec.params is None and rng.integers(2):
         k = int(rng.integers(min(2, n - 1) + 1))
         return gate(kind, *wires[: k + 1], params=rng.uniform(-np.pi, np.pi, 2**k))
+    if spec.params is None:  # 1-4 controls, the angles ignoring all but at most two
+        k = int(rng.integers(1, min(4, n - 1) + 1))
+        kept = rng.permutation(k)[: rng.integers(min(2, k) + 1)]
+        table = rng.uniform(-np.pi, np.pi, [2 if i in kept else 1 for i in range(k)])
+        angles = np.broadcast_to(table, (2,) * k).reshape(-1)
+        return gate(kind, *wires[: k + 1], params=angles)
     return gate(kind, *wires[: spec.qubits], params=rng.uniform(-np.pi, np.pi, spec.params))
 
 
@@ -568,7 +596,7 @@ class TestCnotCount:
     @pytest.mark.parametrize(
         "g",
         [
-            gate("mry", 0, 1, 2, 3, params=[0.1 * i for i in range(8)]),
+            gate("mry", 0, 1, 2, 3, params=[0.0] * 7 + [1.0]),
             gate("unitary", 0, 1, matrix=np.eye(4)),
             gate("cunitary", 0, 1, 2, params=(1,), matrix=[np.eye(4)] * 2),
         ],

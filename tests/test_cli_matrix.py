@@ -25,13 +25,15 @@ COMMANDS = {
     "hybrid-G": ["solve", "--mode", "hybrid", "--noise", "G"],
     "qpea-G": ["qpea", "--noise", "G"],
     "emit-qasm-original": ["emit-qasm", "--circuit", "original"],
+    "emit-qasm-hybrid": ["emit-qasm", "--circuit", "hybrid"],
 }
 
 # "outcome 1 on qubit 0 has zero probability": the hybrid certifies a
 # register peak on 0...0, which no rotation encodes
 ZERO_PEAK = "ROADMAP item 2 (b)"
 # "multiplexed Ry supports at most two control qubits": the original
-# encoding does not lower at n >= 3
+# encoding does not lower at n >= 3, nor the hybrid's with three free bits
+# (n = 4, j = 2 mod 4)
 MRY_CONTROLS = "ROADMAP item 9"
 ALL = frozenset(LAMBDAS)
 KNOWN = {  # (command, n) -> (the js that end in exit 1, why)
@@ -43,6 +45,7 @@ KNOWN = {  # (command, n) -> (the js that end in exit 1, why)
     ("hybrid-G", 2): ({1, 31}, ZERO_PEAK),
     ("emit-qasm-original", 3): (ALL, MRY_CONTROLS),
     ("emit-qasm-original", 4): (ALL, MRY_CONTROLS),
+    ("emit-qasm-hybrid", 4): (set(range(2, 32, 4)), MRY_CONTROLS),
     # compare runs the whole grid, and stops at its first lambda in exit 1
     ("compare", 1): ({"grid"}, ZERO_PEAK),
     ("compare", 2): ({"grid"}, ZERO_PEAK),

@@ -347,7 +347,7 @@ def _rewired(circuit, rng, positions):
 
 class TestBatch:
     """Circuits of one width run as one batch, item by item as alone; on a
-    statevector they run in one pass and must share one length too."""
+    statevector they run in one pass and must share one skeleton too."""
 
     def test_exact_batch_matches_single_runs(self):
         built = [
@@ -382,8 +382,8 @@ class TestBatch:
     @pytest.mark.parametrize("noisy", [False, True], ids=["statevector", "density-matrix"])
     def test_batch_of_other_kinds_and_qubits_matches_single_runs(self, noisy):
         """Items that differ from the first in kind or qubits at some
-        positions run there on their own rows; equal items and other angles
-        share the batched calls."""
+        positions run one by one on a density matrix, each as alone; a
+        statevector batch has one skeleton, so it refuses them."""
         rng = np.random.default_rng(41)
         base = _random_compiled(4, rng)
         items = [
@@ -399,6 +399,9 @@ class TestBatch:
         else:
             amplitudes = rng.normal(size=16) + 1j * rng.normal(size=16)
             initial = StateVector(4, amplitudes / np.linalg.norm(amplitudes))
+            with pytest.raises(DomainError, match="differ in skeleton"):
+                run_noisy(items, noise, initial=initial)
+            return
         batch = run_noisy(items, noise, initial=initial)
         assert len(batch) == len(items)
         for circuit, state in zip(items, batch):
@@ -409,18 +412,20 @@ class TestBatch:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_hhl_circuits_whose_mry_controls_differ(self):
-        """Source circuits of two problems: their QFTs are shared, their
-        unitary powers stacked, and their mry gates, on other controls, run
-        on their own rows."""
+        """Source circuits of two problems, a reduced encoding whose angles
+        depend on two register bits and a full one on all four: both mry
+        gates act on every register wire, so the circuits share a skeleton.
+        Their QFTs are shared, and their unitary powers and mry gates stacked."""
         a, b = build_a_lambda(0.125), build_a_lambda(0.25)
         estimate = solvers.estimate_from_spectral(a, 4)
         reduced = solvers.synthesize_reduced_aqe(estimate, 1.0 / classical_solution(a)[1])
+        assert len(reduced.free_positions) == 2
         built = [
             solvers.build_hhl_circuit(a, 4, reduced),
             solvers.build_hhl_circuit(b, 4, solvers.build_aqe(b, 4)),
         ]
         mry = [[g.qubits for g in c.gates if g.kind == "mry"] for c in built]
-        assert mry[0] != mry[1]
+        assert mry[0] == mry[1] == [(*built[0].roles["register"][::-1], 0)]
         for circuit, state in zip(built, run_noisy(built)):
             np.testing.assert_allclose(
                 state.amplitudes, run_noisy(circuit).amplitudes, rtol=0, atol=1e-12
@@ -428,11 +433,16 @@ class TestBatch:
 
     @pytest.mark.parametrize(
         "other",
-        [(gate("h", 0), gate("ry", 1, params=(0.2,)), gate("h", 0))],  # longer
-        ids=["length"],
+        [
+            (gate("h", 0), gate("ry", 1, params=(0.2,)), gate("h", 0)),  # longer
+            (gate("ry", 0, params=(0.1,)), gate("ry", 1, params=(0.2,))),  # other kind
+            (gate("h", 1), gate("ry", 1, params=(0.2,))),  # other qubit
+        ],
+        ids=["length", "kind", "qubits"],
     )
     def test_rejects_circuits_whose_skeletons_differ(self, other):
-        """Only a statevector batch needs its gate positions to line up."""
+        """Only a statevector batch needs its gate positions to line up: the
+        same kind on the same qubits at every position."""
         base = Circuit(2, (gate("h", 0), gate("ry", 1, params=(0.7,))), {})
         with pytest.raises(DomainError):
             run_noisy([base, Circuit(2, other, {})])

@@ -274,6 +274,34 @@ class TestCircuitBuilder:
         assert c_full.cnot_count == 28
         assert c_red.cnot_count == 14
 
+    @pytest.mark.parametrize("physical_swap", [False, True])
+    def test_every_encoding_spans_the_register(self, physical_swap):
+        """The full and the reduced encoding are one mry on every register
+        wire (as QPE leaves them) and the ancilla; the reduced table ignores
+        the certified bit, and the lowering drops its control: 28 and 14
+        CNOTs, each 6 more with the swap layers emitted."""
+        problem = build_a_lambda(0.25)
+        full = build_aqe(problem, 2)
+        reduced = synthesize_reduced_aqe(estimate_from_spectral(problem, 2), full.c)
+        out_reg = qpe.qpe_block(problem, 2, [1, 2], [3], physical_swap)[1]
+        counts = []
+        for spec in (full, reduced):
+            circuit = build_hhl_circuit(problem, 2, spec, physical_swap=physical_swap)
+            (mry,) = [g for g in circuit.gates if g.kind == "mry"]
+            assert mry.qubits == (*out_reg, 0)
+            counts.append(circuits.compile_circuit(circuit).cnot_count)
+        assert counts == [28 + 6 * physical_swap, 14 + 6 * physical_swap]
+
+    def test_encoding_for_another_register_size_refused(self, monkeypatch):
+        """Refused before any gate is made, both sizes named."""
+        problem = build_a_lambda(0.25)
+        monkeypatch.setattr(qpe, "qpe_block", None)  # reached only past the check
+        for n, m in ((3, 2), (2, 3)):
+            with pytest.raises(DomainError, match=f"register size {m} in a circuit of size {n}"):
+                build_hhl_circuit(problem, n, build_aqe(problem, m))
+            with pytest.raises(DomainError):
+                build_hhl_circuit(problem, n, [build_aqe(problem, n), build_aqe(problem, m)])
+
     def test_cnot_count_unavailable_when_circuit_does_not_compile(self):
         # three free register bits exceed the multiplexed-Ry lowering
         assert run_original_hhl(build_a_lambda(0.25), 3).cnot_count is None
@@ -491,6 +519,20 @@ class TestReducedEncodingEquivalence:
 
         monkeypatch.setattr(solvers, "synthesize_reduced_aqe", perturbed)
         assert not reduced_encoding_equivalence_check(problem, 3)
+
+    def test_one_kernel_call_per_gate_position(self, monkeypatch):
+        """The full and reduced circuits share one skeleton, so each gate
+        position, their mry too, is one kernel call on the batch."""
+        problem = random_perfectly_estimated_problem(np.random.default_rng(5), d=4, n=3, k=2)
+        kernel, calls = qstate.apply_operator, []
+        monkeypatch.setattr(qstate, "apply_operator", lambda *a: calls.append(a) or kernel(*a))
+        build, built = solvers.build_hhl_circuit, []
+        monkeypatch.setattr(
+            solvers, "build_hhl_circuit", lambda *a: built.append(build(*a)) or built[-1]
+        )
+        assert reduced_encoding_equivalence_check(problem, 3)
+        ((full, reduced),) = built
+        assert len(calls) == len(full.gates) == len(reduced.gates) == 12
 
     def test_random_problem_has_requested_structure(self):
         rng = np.random.default_rng(11)
