@@ -17,8 +17,8 @@ measurement is deferred to the end (Nielsen & Chuang 4.4), on the qubits
 ``Circuit.measured`` lists.
 
 The executor (:func:`noise.run_noisy`) applies every kind directly through
-:func:`gate_matrix`, on a density matrix only basis kinds, whose 1-qubit
-gates it takes as one stack from :func:`gate_matrices`. A multiplexed kind
+:func:`gate_matrix`, on a density matrix only basis kinds, as their Pauli
+transfer matrices. A multiplexed kind
 (``cunitary``, ``mry``) gives the stack of its blocks, never its dense
 matrix, so an ``mry`` runs for any number of controls, while its lowering
 drops every control its angles ignore and supports at most two of the rest.
@@ -225,20 +225,6 @@ def gate_matrix(g: Gate) -> np.ndarray:
     return _KINDS[g.kind].matrix(g)
 
 
-def gate_matrices(gates) -> np.ndarray:
-    """:func:`gate_matrix` of each of a list of 1-qubit basis gates, as one
-    (k, 2, 2) stack made in one call per kind: the kind's ``stack`` on the
-    angles of its gates, the formula its ``matrix`` takes on one angle."""
-    rows, angles = {}, {}
-    for i, g in enumerate(gates):
-        rows.setdefault(g.kind, []).append(i)
-        angles.setdefault(g.kind, []).append(g.params[0] if g.params else 0.0)
-    out = np.empty((len(gates), 2, 2), dtype=complex)
-    for kind, where in rows.items():
-        out[where] = _KINDS[kind].stack(np.array(angles[kind]))
-    return out
-
-
 def adjoint(gates) -> list[Gate]:
     """Adjoint of a gate sequence (reversed order, each gate inverted): a
     gate's matrix, or each block of a stack, takes its dagger and its
@@ -313,6 +299,7 @@ def _cphase_gates(control: int, target: int, angle: float) -> list[Gate]:
 
 def _zyz_gates(g: Gate) -> list[Gate]:
     """rz, ry, rz of a 1-qubit unitary, its global phase dropped."""
+    _unitary_cnots(g)  # raises CompileError on a wider one
     _, beta, gamma, delta = zyz_angles(g.matrix)
     rotations = (("rz", delta), ("ry", gamma), ("rz", beta))
     return [Gate(r, g.qubits, (angle,)) for r, angle in rotations]
@@ -401,6 +388,7 @@ def _cunitary_gates(g: Gate) -> list[Gate]:
     """The ABC construction of block 2^(c-1-i) controlled by control i, for
     each of the c: in control order for s = +1, reversed for s = -1. One
     :func:`zyz_angles` call takes the c blocks as one stack."""
+    _cunitary_cnots(g)  # raises CompileError on a wider target
     c = len(g.qubits) - 1
     blocks = g.matrix[2 ** np.arange(c - 1, -1, -1)]  # block 2^(c-1-i) for control i
     angles = list(zip(*(a.tolist() for a in zyz_angles(blocks))))
@@ -459,17 +447,15 @@ class _Kind:
     """One gate kind. Signature: ``qubits``, ``params`` (None: as many as the
     matrix fits, or for mry one angle per control pattern) and ``controls``
     before an explicit matrix's targets (None: no matrix; a cunitary stack of
-    2^c blocks has c >= 1). ``stack`` (1-qubit basis kinds only) gives the
-    matrices over an array of angles (h: one for all), of which ``matrix`` is
-    the case of one.
+    2^c blocks has c >= 1).
     ``lower`` (None for a basis kind) gives a gate's basis gates, ``cnots``
-    their CNOTs without lowering, raising CompileError where the lowering would."""
+    their CNOTs without lowering; each raises the same CompileError on a
+    gate that does not lower."""
 
     qubits: int | None
     params: int | None
     matrix: Callable[[Gate], np.ndarray]
     controls: int | None = None
-    stack: Callable[[np.ndarray], np.ndarray] | None = None
     cnots: Callable[[Gate], int] = lambda g: 0
     lower: Callable[[Gate], list[Gate]] | None = None
     qasm: str | None = None  # the OpenQASM name of a basis kind
@@ -495,9 +481,9 @@ def _mry_cnots(g: Gate) -> int:
 
 
 _KINDS = {
-    "h": _Kind(1, 0, lambda g: _H, stack=lambda t: _H, qasm="h"),
-    "ry": _Kind(1, 1, lambda g: _ry(g.params[0]), stack=_ry, qasm="ry"),
-    "rz": _Kind(1, 1, lambda g: _rz(g.params[0]), stack=_rz, qasm="rz"),
+    "h": _Kind(1, 0, lambda g: _H, qasm="h"),
+    "ry": _Kind(1, 1, lambda g: _ry(g.params[0]), qasm="ry"),
+    "rz": _Kind(1, 1, lambda g: _rz(g.params[0]), qasm="rz"),
     "cnot": _Kind(2, 0, lambda g: _CNOT, cnots=lambda g: 1, qasm="cx"),
     "swap": _Kind(2, 0, lambda g: _SWAP, cnots=lambda g: 3, lower=_swap_gates),
     "cphase": _Kind(2, 1, lambda g: np.diag([1, 1, 1, np.exp(1j * g.params[0])]),
@@ -543,8 +529,8 @@ def simplify(gates) -> list[Gate]:
 
 
 def _lower(g: Gate) -> list[Gate]:
-    """Basis gates of one gate, up to global phase; :func:`cnot_count` has
-    rejected the shapes this cannot lower."""
+    """Basis gates of one gate, up to global phase; a shape it cannot lower
+    raises the CompileError :func:`cnot_count` raises."""
     lower = _KINDS[g.kind].lower
     return [g] if lower is None else lower(g)
 
@@ -562,9 +548,9 @@ def compile_circuit(circuit: Circuit) -> Circuit:
     roles and the measured qubits.
 
     The composed unitary of the output matches the source up to global phase
-    (asserted by the test suite, not at runtime).
+    (asserted by the test suite, not at runtime). The first gate that
+    cannot lower raises CompileError, as in :func:`cnot_count`.
     """
-    cnot_count(circuit)  # raises CompileError on a gate that cannot lower
     lowered = tuple(simplify(b for g in circuit.gates for b in _lower(g)))
     return Circuit._trusted(circuit.num_qubits, lowered, dict(circuit.roles), circuit.measured)
 

@@ -6,25 +6,31 @@ measured distribution.
 :class:`NoiseParams` owns the gate durations, which only basis kinds have.
 Under noise each gate of a compiled circuit advances one clock by its
 duration, and each qubit (only the gate's own, if ``idle_damping`` is off)
-decays for that long. A density matrix is run as a vector over 2n qubit
-indices, row bits then column bits, where a gate u is u (x) u* (Havel,
-J. Math. Phys. 44, 534, 2003), in three steps (after Haner & Steiger,
-SC'17). A plan in plain Python gives each qubit its chain of 1-qubit gates
-and decays (Nielsen & Chuang 8.3.5), each decay over the clock since the
-qubit last settled, and groups the CNOTs into blocks: maximal runs on one
-qubit pair with no other 2-qubit gate on either qubit between them. Every
-superoperator is then made in a fixed number of calls per run, none per
-gate: the 1-qubit matrices, one stack per kind (:func:`circuits.gate_matrices`),
-their u (x) u*, the decays, the chain products, the chains before each
-CNOT joined to it (a CNOT's u (x) u* is a permutation, so that is one
-gather), each qubit's last chain joined to its last block, the product of
-each block. Last, each block takes one call of :func:`qstate.apply_operator`,
-which keeps rho in lazy axis order, and each qubit that meets no CNOT but
-owes work one more. This is exact: damping on one qubit commutes with
-gates on others, and damping for t1 then t2 is damping for t1 + t2. A
-statevector run is not fused: that made ``hybrid_random`` 15 % slower
-(188 -> 161 ops per kref), as a 2x2 on at most 256 amplitudes costs less
-than the Kronecker products.
+decays for that long. A density matrix is run as its Pauli coefficients
+(:func:`qstate.to_pauli`), a real vector over 2n qubit indices, on which
+every gate and decay is a real matrix, its Pauli transfer matrix (PTM,
+Greenbaum, arXiv:1509.02921): rz and ry are plane rotations by their angle,
+h a signed swap, a CNOT a signed permutation of the 16 two-qubit Paulis, and
+the decay keeps I, scales X and Y by sqrt(1 - gamma) and Z by 1 - gamma and
+adds gamma I to Z. The run takes three steps (after Haner & Steiger, SC'17).
+A plan in plain Python gives each qubit its chain of 1-qubit gates and
+decays (Nielsen & Chuang 8.3.5), each decay over the clock since the qubit
+last settled, and groups the CNOTs into blocks: maximal runs on one qubit
+pair with no other 2-qubit gate on either qubit between them. Every PTM is
+then made in a fixed number of calls per run, none per gate: the 1-qubit
+ones, one stack from constant tables by kind, the decays, the chain products, the chains before
+each CNOT joined to it (one gather and one sign table, as its PTM is a
+signed permutation), each qubit's last chain joined to its last block, the
+product of each block. Last, each block takes one call of
+:func:`qstate.apply_operator`, which keeps the coefficients in lazy axis
+order, and each qubit that meets no CNOT but owes work one more. This is
+exact: damping on one qubit commutes with gates on others, and damping for
+t1 then t2 is damping for t1 + t2. The run starts from the closed form of
+|0...0> (every Z string 1, every other coefficient 0) and returns its
+coefficients; readout and post-selection read them, and no complex rho is
+made unless its entries are read. A statevector run is not fused: that made
+``hybrid_random`` 15 % slower (188 -> 161 ops per kref), as a 2x2 on at
+most 256 amplitudes costs less than the Kronecker products.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qstate
-from .circuits import gate, gate_matrices, gate_matrix, is_basis
+from .circuits import gate, gate_matrix, is_basis
 from .errors import CompileError, DomainError, ValidationError
 from .problem import read_json
 from .qstate import DensityMatrix, MeasurementHistogram, StateVector
@@ -88,26 +94,47 @@ class NoiseParams:
 
 def damping_channel(rho: DensityMatrix, qubit: int, t: float, t1: float) -> DensityMatrix:
     """Single-qubit amplitude damping for duration ``t`` with decay time
-    ``t1``: :func:`_decay` on the qubit's row and column bits."""
+    ``t1``: :func:`_decay` on the qubit's Pauli coefficients."""
     if t < 0:
         raise DomainError("elapsed time must be nonnegative")
     if t == 0:
         return rho
     n, qubits = rho.num_qubits, tuple(range(2 * rho.num_qubits))
-    out = qstate.apply_operator(rho.entries[None], _decay(t, t1), (qubit, qubit + n), qubits)
-    return DensityMatrix._trusted(n, qstate.reorder(*out, qubits).reshape(2**n, 2**n))
+    out = qstate.apply_operator(rho.pauli[None], _decay(t, t1), (qubit, qubit + n), qubits)
+    return DensityMatrix._from_pauli(n, qstate.reorder(*out, qubits)[0])
 
 
 def _decay(t, t1: float) -> np.ndarray:
-    """The Kraus sum K0 rho K0^+ + K1 rho K1^+ over (row bit, column bit),
-    for a time ``t`` or a stack over an array of them: rho_00 += gamma rho_11,
-    the coherences scale by sqrt(1 - gamma) and rho_11 by 1 - gamma, where
+    """The PTM of the Kraus sum K0 rho K0^+ + K1 rho K1^+ over (I, X, Z, Y),
+    for a time ``t`` or a stack over an array of them: I stays, X and Y
+    scale by sqrt(1 - gamma), Z by 1 - gamma and gains gamma I, where
     gamma = 1 - exp(-t / t1)."""
     gamma = 1.0 - np.exp(-np.asarray(t, dtype=float) / t1)
-    d = np.zeros(gamma.shape + (4, 4), dtype=complex)
-    d[..., 0, 0], d[..., 0, 3], d[..., 3, 3] = 1.0, gamma, 1.0 - gamma
-    d[..., 1, 1] = d[..., 2, 2] = np.sqrt(1.0 - gamma)
+    d = np.zeros(gamma.shape + (4, 4))
+    d[..., 0, 0], d[..., 2, 0], d[..., 2, 2] = 1.0, gamma, 1.0 - gamma
+    d[..., 1, 1] = d[..., 3, 3] = np.sqrt(1.0 - gamma)
     return d
+
+
+# The PTM of each 1-qubit basis kind, by its index in _ONE, over (I, X, Z, Y) is
+# _FIXED + cos(t) _COS + sin(t) _SIN at its angle t (h has none): h swaps X and
+# Z and negates Y, ry turns Z toward X, rz turns X toward Y
+_ONE = {"h": 0, "ry": 1, "rz": 2}
+_FIXED, _COS, _SIN = np.zeros((3, 3, 4, 4))
+_FIXED[:, 0, 0] = 1.0
+_FIXED[0, 1, 2] = _FIXED[0, 2, 1] = 1.0
+_FIXED[0, 3, 3], _FIXED[1, 3, 3], _FIXED[2, 2, 2] = -1.0, 1.0, 1.0
+_COS[1, 1, 1] = _COS[1, 2, 2] = _COS[2, 1, 1] = _COS[2, 3, 3] = 1.0
+_SIN[1, 1, 2], _SIN[1, 2, 1] = 1.0, -1.0  # ry: Z toward X
+_SIN[2, 3, 1], _SIN[2, 1, 3] = 1.0, -1.0  # rz: X toward Y
+
+
+def _ptms(gates) -> np.ndarray:
+    """The PTM of each of a list of 1-qubit basis gates, as one (k, 4, 4)
+    stack made in a fixed number of calls."""
+    kinds = np.array([_ONE[g.kind] for g in gates], dtype=np.intp)
+    angles = np.array([g.params[0] if g.params else 0.0 for g in gates])[:, None, None]
+    return _FIXED[kinds] + np.cos(angles) * _COS[kinds] + np.sin(angles) * _SIN[kinds]
 
 
 def survival_bound(cnot_count: int, noise: NoiseParams = NoiseParams()) -> float:
@@ -155,7 +182,7 @@ def run_noisy(circuit, noise: NoiseParams | None = None, initial=None):
         for kind in dict.fromkeys(g.kind for c in items for g in c.gates):
             if not is_basis(kind):
                 raise CompileError(f"gate kind {kind!r} has no duration: compile first")
-        states = [DensityMatrix._trusted(n, _run_density(c, noise, state)[0]) for c in items]
+        states = [DensityMatrix._from_pauli(n, _run_density(c, noise, initial)) for c in items]
         return states[0] if single else states
     skeleton = [(g.kind, g.qubits) for g in first.gates]
     if any([(g.kind, g.qubits) for g in c.gates] != skeleton for c in items[1:]):
@@ -171,11 +198,11 @@ def run_noisy(circuit, noise: NoiseParams | None = None, initial=None):
     return states[0] if single else states
 
 
-def _run_density(circuit, noise: NoiseParams | None, state) -> np.ndarray:
-    """A compiled circuit on the density matrix of ``state`` (made here for
-    a statevector), as a batch of one: planned, its superoperators built in
-    a fixed number of calls, one kernel call per CNOT block, the axes in
-    qubit order at the end."""
+def _run_density(circuit, noise: NoiseParams | None, initial) -> np.ndarray:
+    """The Pauli coefficients (4^n,) of a compiled circuit run on ``initial``
+    (None: |0...0>, made here in closed form; a statevector's are made here
+    too), as a batch of one: planned, its PTMs built in a fixed number of
+    calls, one kernel call per CNOT block, the axes in qubit order at the end."""
     n, idle = circuit.num_qubits, noise is None or noise.idle_damping
     duration = {} if noise is None else noise.durations()
     clock, since, last = 0.0, [0.0] * n, [0.0] * n  # per qubit: settled at, last gate's time
@@ -215,23 +242,29 @@ def _run_density(circuit, noise: NoiseParams | None, state) -> np.ndarray:
             runs += tails
     lone = [q for q in range(n) if chains[q] and last_block[q] is None]
     runs += [chains[q] for q in lone]
-    u = gate_matrices(ones)
     decays = _decay(times[::-1], noise.t1_ns) if times else np.empty((0, 4, 4))
-    ops = np.concatenate([_kron(u, u.conj()), np.eye(4)[None], decays])
+    ops = np.concatenate([_ptms(ones), np.eye(4)[None], decays])
     products = _products(ops, runs, len(ones))
     order = qubits = tuple(range(2 * n))
-    data = (state if isinstance(state, DensityMatrix) else state.to_density_matrix()).entries[None]
-    if flips:  # each step a gather from the outer product of its pair's chains
+    if initial is None:  # |0...0>: 1 on the Z strings, those with every "X or Y" bit 0
+        data = np.zeros((1, 2**n, 2**n))
+        data[0, :, 0] = 1.0
+        data = data.reshape(1, -1)
+    elif isinstance(initial, DensityMatrix):
+        data = initial.pauli[None]
+    else:  # a statevector's rho, held by nothing after the first kernel call
+        data = initial.to_density_matrix().pauli[None]
+    if flips:  # each step a signed gather from the outer product of its pair's chains
         m = len(flips)
         pairs = products[: 2 * m].reshape(m, 2, 16)
         outer = pairs[:, 0, :, None] * pairs[:, 1, None, :]
         steps = outer.reshape(-1)[_STEP[flips] + np.arange(0, 256 * m, 256)[:, None]]
-        steps = np.concatenate([steps.reshape(m, 16, 16), np.eye(16)[None]])
+        steps = np.concatenate([(steps * _SIGN[flips]).reshape(m, 16, 16), np.eye(16)[None]])
         for (pair, _), op in zip(blocks, _products(steps, [run for _, run in blocks], m)):
             data, order = qstate.apply_operator(data, op, (*pair, *(q + n for q in pair)), order)
     for q, op in zip(lone, products[len(runs) - len(lone) :]):
         data, order = qstate.apply_operator(data, op, (q, q + n), order)
-    return qstate.reorder(data, order, qubits).reshape(-1, 2**n, 2**n)
+    return qstate.reorder(data, order, qubits)[0]
 
 
 def _products(ops: np.ndarray, runs, identity: int) -> np.ndarray:
@@ -251,31 +284,36 @@ def _products(ops: np.ndarray, runs, identity: int) -> np.ndarray:
     return out[np.argsort(order)]
 
 
-# kron(F_a, F_b) indexes (row a, column a, row b, column b); the kernel's
-# targets (a, b, a + n, b + n) index (row a, row b, column a, column b)
+# kron(F_a, F_b) indexes (Pauli a, Pauli b), bits ("Z or Y" a, "X or Y" a,
+# "Z or Y" b, "X or Y" b); the kernel's targets (a, b, a + n, b + n) index
+# ("Z or Y" a, "Z or Y" b, "X or Y" a, "X or Y" b), as they index (row a,
+# row b, column a, column b) of the entries
 _PAIR = np.arange(16).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(-1)
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of square matrices, or of stacks of them."""
-    out = a[..., :, None, :, None] * b[..., None, :, None, :]
-    return out.reshape(out.shape[:-4] + (out.shape[-1] * out.shape[-3],) * 2)
+def _cnot_ptms() -> np.ndarray:
+    """The PTMs over the kernel's targets of cnot(a, b), of cnot(b, a),
+    which is the same with a's and b's bits exchanged, and of no gate, for
+    the step that joins a qubit's last chain to its last block: M (u (x) u*)
+    M^-1, with M :func:`qstate.to_pauli`'s matrix on both qubits."""
+    cnot = gate_matrix(gate("cnot", 0, 1))
+    m = np.kron(qstate._TO_PAULI, qstate._TO_PAULI)[_PAIR[:, None], _PAIR]
+    ptm = (m @ np.kron(cnot, cnot.conj()) @ m.conj().T / 4).real
+    flip = np.arange(16).reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(-1)
+    return np.stack([ptm, ptm[flip[:, None], flip], np.eye(16)])
 
 
-# u (x) u* over (row a, row b, column a, column b) of cnot(a, b), of
-# cnot(b, a), which is the same with a's and b's bits exchanged, and of no
-# gate, for the step that joins a qubit's last chain to its last block
-_FLIP = np.arange(16).reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(-1)
-_CNOT = gate_matrix(gate("cnot", 0, 1))
-_CNOT_SUPER = _kron(_CNOT, _CNOT.conj())
-_CNOT_SUPER = np.stack([_CNOT_SUPER, _CNOT_SUPER[_FLIP[:, None], _FLIP], np.eye(16)])
-# The step _CNOT_SUPER[f] @ kron(F_a, F_b)[_PAIR[:, None], _PAIR] only moves
-# entries, as _CNOT_SUPER[f] is a permutation: its entry 16 i + j is entry
-# _STEP[f, 16 i + j] of the outer product of F_a's and F_b's entries, in which
-# kron entry (r, c) lies at _OUTER[r, c]
+# Each CNOT PTM is a signed permutation, so the step _CNOT_PTM[f] @
+# kron(F_a, F_b)[_PAIR[:, None], _PAIR] only moves entries and flips signs:
+# its entry 16 i + j is _SIGN[f, 16 i + j] times entry _STEP[f, 16 i + j] of
+# the outer product of F_a's and F_b's entries, in which kron entry (r, c)
+# lies at _OUTER[r, c]
+_CNOT_PTM = _cnot_ptms()
 _R, _C = np.arange(16)[:, None], np.arange(16)
 _OUTER = 64 * (_R >> 2) + 16 * (_C >> 2) + 4 * (_R & 3) + (_C & 3)
-_STEP = _OUTER[_PAIR[_CNOT_SUPER.argmax(-1)][..., None], _PAIR].reshape(3, 256)
+_SOURCE = np.abs(_CNOT_PTM).argmax(-1)
+_STEP = _OUTER[_PAIR[_SOURCE][..., None], _PAIR].reshape(3, 256)
+_SIGN = np.take_along_axis(_CNOT_PTM, _SOURCE[..., None], -1).repeat(16, axis=-1).reshape(3, 256)
 
 
 def _same(h, g) -> bool:

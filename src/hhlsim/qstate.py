@@ -9,7 +9,13 @@ Every gate goes through one kernel, :func:`apply_operator`, on arrays with a
 leading batch axis whose qubit axes lie in a lazy order that the caller
 carries; :func:`reorder` restores qubit order once, at the end of a run. A
 density matrix over n qubits is, by a reshape, a vector over 2n qubit
-indices: row bits, then column bits.
+indices: row bits, then column bits. On the same 2n axes lie its Pauli
+coefficients Tr(rho P), real, on which a noisy run works (:func:`to_pauli`):
+qubit q's pair of axes (q, q + n) indexes its Pauli as ("Z or Y", "X or Y"),
+I = 00, X = 01, Z = 10, Y = 11 (Greenbaum, arXiv:1509.02921). A
+:class:`DensityMatrix` holds its entries, its coefficients or both, each
+derived from the other once, on first read; its computational-basis
+probabilities are read from the coefficients.
 
 Values are checked where they enter, against an absolute tolerance
 (:func:`within_atol`): in the public state constructors, in
@@ -36,8 +42,9 @@ ATOL = 1e-10
 MAX_QUBITS = 12
 
 # Widest density matrix a run may hold: 64 MiB = 16 * 4^11 bytes of complex128.
-# A run holds up to three at once (a kernel call's input, transposed copy and
-# product): `qpea --n 10 --noise`, the widest noisy QPEA, peaks at 226 MB RSS.
+# A run holds its Pauli coefficients, half that in float64, up to three at once
+# (a kernel call's input, transposed copy and product): `qpea --n 10 --noise`,
+# the widest noisy QPEA, peaks at 130 MiB RSS (226 as complex entries).
 MAX_DENSITY_QUBITS = 11
 MAX_DENSITY_BYTES = 16 * 4**MAX_DENSITY_QUBITS
 # what a run wider than :func:`widest` admits exceeds, by ``density``
@@ -96,10 +103,11 @@ class _State:
 
     __slots__ = ("num_qubits",)
 
-    def _store(self, num_qubits: int, data: np.ndarray):
+    def _store(self, num_qubits: int, data: np.ndarray, slot: int = 0):
         data.setflags(write=False)
         self.num_qubits = num_qubits
-        setattr(self, self.__slots__[0], data)
+        for i, name in enumerate(self.__slots__):
+            setattr(self, name, data if i == slot else None)
         return self
 
     @classmethod
@@ -136,9 +144,11 @@ class StateVector(_State):
 
 
 class DensityMatrix(_State):
-    """Mixed state; Hermitian, unit trace, positive semidefinite within tolerance."""
+    """Mixed state; Hermitian, unit trace, positive semidefinite within
+    tolerance. Held as its entries, its Pauli coefficients or both: each is
+    derived from the other once, on first read, and is read-only."""
 
-    __slots__ = ("entries",)
+    __slots__ = ("_entries", "_pauli")
 
     def __init__(self, num_qubits: int, entries):
         if num_qubits < 1:
@@ -157,6 +167,27 @@ class DensityMatrix(_State):
         if eigs.min() < -1e-8:
             raise ValidationError(f"density matrix has negative eigenvalue {eigs.min()}")
         self._store(num_qubits, rho)
+
+    @classmethod
+    def _from_pauli(cls, num_qubits: int, coefficients: np.ndarray) -> "DensityMatrix":
+        """:meth:`_trusted` for a state held as its Pauli coefficients (4^n,)."""
+        return object.__new__(cls)._store(num_qubits, coefficients, 1)
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The (2^n, 2^n) complex matrix."""
+        if self._entries is None:
+            self._entries = from_pauli(self._pauli[None])[0]
+            self._entries.setflags(write=False)
+        return self._entries
+
+    @property
+    def pauli(self) -> np.ndarray:
+        """Tr(rho P) of every Pauli string P, (4^n,) real, on the entries' 2n axes."""
+        if self._pauli is None:
+            self._pauli = to_pauli(self._entries[None])[0]
+            self._pauli.setflags(write=False)
+        return self._pauli
 
     def __repr__(self):
         return f"DensityMatrix(num_qubits={self.num_qubits})"
@@ -239,6 +270,39 @@ def reorder(data: np.ndarray, order: tuple, want: tuple) -> np.ndarray:
     return axes.transpose(0, *map(axis.__getitem__, want)).reshape(b, -1)
 
 
+# One qubit's entries (rho_00, rho_01, rho_10, rho_11), over (row bit, column
+# bit), to its Pauli coefficients (I, X, Z, Y); the rows are orthogonal, so the
+# inverse is the adjoint over 2
+_TO_PAULI = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [1, 0, 0, -1], [0, 1j, -1j, 0]])
+_FROM_PAULI = _TO_PAULI.conj().T / 2
+
+
+def _per_qubit(data: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``data`` (B, 4^n) over 2n axes in qubit order, with ``m`` on each
+    qubit's pair of axes (q, q + n): the pairs made adjacent by one
+    transpose, one matmul per qubit, and the axes put back by another."""
+    b, n = len(data), (data.shape[1].bit_length() - 1) // 2
+    axes = (0, *(1 + q + k * n for q in range(n) for k in (0, 1)))
+    x = data.reshape((b,) + (2,) * (2 * n)).transpose(axes)
+    for i in range(n):
+        x = m @ x.reshape(b * 4**i, 4, -1)
+    back = (0, *range(1, 2 * n, 2), *range(2, 2 * n + 1, 2))  # axes inverted
+    return x.reshape((b,) + (2,) * (2 * n)).transpose(back).reshape(b, -1)
+
+
+def to_pauli(entries: np.ndarray) -> np.ndarray:
+    """Pauli coefficients Tr(rho P), (B, 4^n) real, of a stack of Hermitian
+    matrices (B, 2^n, 2^n)."""
+    return _per_qubit(entries.reshape(len(entries), -1), _TO_PAULI).real.copy()
+
+
+def from_pauli(coefficients: np.ndarray) -> np.ndarray:
+    """The matrices sum_P c_P P / 2^n, (B, 2^n, 2^n) complex, of a stack of
+    Pauli coefficients (B, 4^n): :func:`to_pauli` inverted."""
+    d = 2 ** ((coefficients.shape[1].bit_length() - 1) // 2)
+    return _per_qubit(coefficients, _FROM_PAULI).reshape(-1, d, d)
+
+
 def apply_unitary(state, u, targets):
     """Apply a unitary, checked for unitarity, on the listed target qubits.
 
@@ -274,18 +338,35 @@ def apply_controlled(state, u, controls, targets):
     return apply_unitary(state, big, [*controls, *targets])
 
 
+@functools.cache
+def _walsh(k: int) -> np.ndarray:
+    """Entry (x, z) is (-1)^(x.z) / 2^k over k bits: [[1, 1], [1, -1]] / 2 on each."""
+    out = np.ones((1, 1))
+    for _ in range(k):
+        out = np.kron(out, [[0.5, 0.5], [0.5, -0.5]])
+    out.setflags(write=False)
+    return out
+
+
 def _marginal_probabilities(state, qubits: list[int]) -> np.ndarray:
-    """Probabilities of computational-basis outcomes on the listed qubits."""
-    n = state.num_qubits
+    """Probabilities of computational-basis outcomes on the listed qubits. A
+    density matrix's come from its Pauli coefficients: the Z strings (every
+    "X or Y" bit 0) with the other qubits at I, which traces them out, then
+    a Walsh-Hadamard transform over the kept qubits, as one over their
+    first half and one over the rest, so no matrix over all of them is made."""
+    n, kept = state.num_qubits, tuple(sorted(qubits))
     if isinstance(state, StateVector):
         p = (np.abs(state.amplitudes) ** 2).reshape((2,) * n)
+        p = p.sum(axis=tuple(q for q in range(n) if q not in qubits)).reshape(1, -1)
     elif isinstance(state, DensityMatrix):
-        p = np.real(np.diagonal(state.entries)).reshape((2,) * n)
+        z = state.pauli.reshape(2**n, 2**n)[:, 0].reshape((2,) * n)
+        z = z[tuple(slice(None) if q in qubits else 0 for q in range(n))]
+        half = len(kept) // 2
+        p = (_walsh(half) @ z.reshape(2**half, -1) @ _walsh(len(kept) - half)).reshape(1, -1)
     else:
         raise DomainError(f"unsupported state type {type(state)!r}")
-    # after summing, the remaining axes are in ascending qubit order
-    p = p.sum(axis=tuple(q for q in range(n) if q not in qubits)).reshape(1, -1)
-    return np.maximum(reorder(p, tuple(sorted(qubits)), tuple(qubits))[0], 0.0)
+    # the remaining axes are in ascending qubit order
+    return np.maximum(reorder(p, kept, tuple(qubits))[0], 0.0)
 
 
 def postselect(state, qubit: int, outcome: int):

@@ -12,8 +12,9 @@ the encoding as a single multiplexed Ry (``mry``) on the ancilla, controlled
 by every register wire for the full and the reduced encoding, inverse QPE.
 Both runs execute it with :func:`noise.run_noisy`: the exact run its source
 gates on a statevector, the noisy run its compiled form on a density matrix.
-Both take their CNOT count from the source circuit through
-:func:`circuits.cnot_count`; the exact run never compiles.
+Both take their CNOT count through :func:`circuits.cnot_count`: the exact
+run, which never compiles, from the source circuit, the noisy run from the
+compiled one, so each lowers its ``mry`` once.
 :func:`run_original_hhl_batch` runs the circuits of many problems in one
 executor call; :func:`run_original_hhl` is its one-problem case. The final
 states of a batch are then scored in one pass: one post-selection,
@@ -222,7 +223,9 @@ def postselect_hhl(states, n: int) -> dict:
     traced out, and with only its 0...0 block kept (p = 0 and rho_v = 0 for
     an item where that block has no weight). A statevector's ancilla-1
     amplitudes phi, as (register, input), give rho_v = phi^T phi* / p
-    (Nielsen & Chuang 2.4.3), so no density matrix of the whole run is made.
+    (Nielsen & Chuang 2.4.3), so no density matrix of the whole run is made;
+    a density matrix's Pauli coefficients give the input's, and only those
+    become complex matrices.
     """
     q, r = states[0].num_qubits - 1 - n, 2**n
     if isinstance(states[0], StateVector):
@@ -230,9 +233,15 @@ def postselect_hhl(states, n: int) -> dict:
         traced = np.einsum("brx,bry->bxy", phi, phi.conj())
         block = phi[:, 0, :, None] * phi[:, 0, None, :].conj()
     else:
-        rho = np.array([s.entries.reshape(2, r, 2**q, 2, r, 2**q)[1, :, :, 1] for s in states])
-        traced = np.einsum("brxry->bxy", rho)
-        block = rho[:, 0, :, 0]
+        # Pauli coefficients over ("Z or Y", "X or Y") bits of (ancilla, register,
+        # input), the ancilla and the register at I or Z only: the ancilla's |1><1|
+        # is (I - Z) / 2, tracing the register out keeps its I, and its
+        # |0...0><0...0| block is the mean of its Z strings
+        c = np.array([s.pauli.reshape(2, r, 2**q, 2, r, 2**q)[:, :, :, 0, 0] for s in states])
+        branch = (c[:, 0] - c[:, 1]) / 2
+        coefficients = np.concatenate([branch[:, 0], branch.sum(1) / r]).reshape(2 * len(c), -1)
+        rho = qstate.from_pauli(coefficients)
+        traced, block = rho[: len(c)], rho[len(c) :]
     p, p_reset = np.einsum("bxx->b", traced).real, np.einsum("bxx->b", block).real
     if p.min() <= qstate.ZERO_PROBABILITY:
         raise ImpossibleOutcomeError("outcome 1 on qubit 0 has zero probability")
@@ -248,8 +257,8 @@ def _solve(mode, problems, n, specs, shots, seed, noise, estimate=None) -> list[
     pass, and return one outcome per problem.
 
     The CNOT counts come from the source circuits, None where a circuit does
-    not lower. The exact runs apply the source gates, which share one
-    skeleton, in one statevector pass.
+    not lower, or under noise from the compiled ones. The exact runs apply
+    the source gates, which share one skeleton, in one statevector pass.
     Under noise the compiled circuits run, which may differ in length, as
     compilation drops zero angles; the executor runs their density matrices
     one by one. Both estimators are scored against each problem's classical
@@ -257,9 +266,11 @@ def _solve(mode, problems, n, specs, shots, seed, noise, estimate=None) -> list[
     seeded x-basis histogram.
     """
     built = [build_hhl_circuit(p, n, spec) for p, spec in zip(problems, specs)]
-    cnot_counts = [_cnot_count_or_none(c) for c in built]
-    if noise is not None:
+    if noise is None:
+        cnot_counts = [_cnot_count_or_none(c) for c in built]
+    else:  # simplify drops no CNOT, so the compiled count is the source's
         built = [circuits.compile_circuit(c) for c in built]
+        cnot_counts = [circuits.cnot_count(c) for c in built]
     states = noise_mod.run_noisy(built, noise)
     postselection = "ancilla" if noise is None else "uncomputed"
     estimators = postselect_hhl(states, n)

@@ -158,17 +158,6 @@ class TestZyz:
         assert (angles[2][5], angles[3][5], angles[2][17], angles[3][17]) == (0.0, 0.0, np.pi, 0.0)
 
 
-class TestGateMatrices:
-    def test_stacks_match_gate_matrix(self):
-        """gate_matrices builds one stack per kind, from the formula
-        gate_matrix takes on one angle."""
-        rng = np.random.default_rng(11)
-        gates = [gate(kind, 0, params=() if kind == "h" else (rng.uniform(-4 * np.pi, 4 * np.pi),))
-                 for kind in rng.choice(["h", "ry", "rz"], 300)]
-        want = np.array([gate_matrix(g) for g in gates])
-        np.testing.assert_allclose(circuits.gate_matrices(gates), want, rtol=0, atol=1e-15)
-
-
 class TestControlledDecomposition:
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 10**9))

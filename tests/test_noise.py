@@ -219,6 +219,64 @@ class TestDampingChannel:
         np.testing.assert_allclose(two_steps.entries, one_step.entries, rtol=0, atol=1e-13)
 
 
+# one qubit's Paulis by their index ("Z or Y", "X or Y"): I, X, Z, Y
+_PAULIS = [np.eye(2), np.array([[0, 1], [1, 0]]), np.diag([1, -1]), np.array([[0, -1j], [1j, 0]])]
+
+
+def _ptm_of(superoperator):
+    """T S T^-1: a superoperator over one qubit's (row bit, column bit) in
+    the Pauli basis, with T the (rho entries -> Tr(rho P)) matrix."""
+    t = qstate._TO_PAULI
+    out = t @ superoperator @ np.linalg.inv(t)
+    assert np.abs(out.imag).max() < 1e-15
+    return out.real
+
+
+class TestPauliTransferMatrices:
+    """Every PTM the executor uses equals its definition from the one
+    matrix of its gate, or from the damping's Kraus operators."""
+
+    def test_one_qubit_kinds_match_their_matrices(self):
+        rng = np.random.default_rng(12)
+        gates = [gate(kind, 0, params=() if kind == "h" else (rng.uniform(-4 * np.pi, 4 * np.pi),))
+                 for kind in rng.choice(["h", "ry", "rz"], 300)]
+        got = noise_mod._ptms(gates)
+        assert got.dtype == float and got.shape == (300, 4, 4)
+        for g, ptm in zip(gates, got):
+            u = circuits._KINDS[g.kind].matrix(g)
+            np.testing.assert_allclose(ptm, _ptm_of(np.kron(u, u.conj())), rtol=0, atol=1e-15)
+        assert {g.kind for g in gates} == set(noise_mod._ONE) == {
+            kind for kind in _BASIS if circuits._KINDS[kind].qubits == 1
+        }
+
+    def test_damping_equals_kraus_sum(self):
+        times = np.array([0.0, 13.0, 700.0, 5e4, 1e9])
+        got = noise_mod._decay(times, 3000.0)
+        for t, ptm in zip(times, got):
+            gamma = 1.0 - np.exp(-t / 3000.0)
+            kraus = (np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]]),
+                     np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]]))
+            want = _ptm_of(sum(np.kron(k, k.conj()) for k in kraus))
+            np.testing.assert_allclose(ptm, want, rtol=0, atol=1e-15)
+
+    def test_cnot_ptms_are_pauli_traces(self):
+        """Entry (i, j) of each CNOT PTM is Tr(P_i U P_j U^+) / 4, with the
+        Paulis of the kernel's targets (a, b, a + n, b + n) as indices."""
+        paulis = [np.kron(_PAULIS[2 * (k >> 3) + (k >> 1 & 1)], _PAULIS[2 * (k >> 2 & 1) + (k & 1)])
+                  for k in range(16)]
+        for ptm, pair in zip(noise_mod._CNOT_PTM, [(0, 1), (1, 0), ()]):
+            u = circuit_unitary([gate("cnot", *pair)] if pair else [], 2)
+            want = [[np.trace(p @ u @ r @ u.conj().T).real / 4 for r in paulis] for p in paulis]
+            assert np.array_equal(ptm, want)
+
+    def test_zero_state_in_closed_form(self):
+        """A noisy run with nothing to do returns |0...0>: every Z string 1."""
+        for noise in (NoiseParams(), NoiseParams(idle_damping=False)):
+            rho = run_noisy(Circuit(3, ()), noise)
+            want = qstate.to_pauli(basis_state(3, 0).to_density_matrix().entries[None])[0]
+            assert np.array_equal(rho.pauli, want)
+
+
 class TestDensityBudget:
     def test_only_the_density_matrix_run_is_refused(self):
         """A 12-qubit density matrix (256 MiB) is over the budget; the same
@@ -234,10 +292,11 @@ class TestDensityBudget:
     @pytest.mark.parametrize("batch", [False, True], ids=["circuit", "list"])
     def test_a_single_run_does_not_keep_its_initial_rho(self, batch):
         """A run that makes its own density matrix holds at most three
-        copies of it (a kernel call's input, transposed copy and product),
-        not a fourth for the initial one, alone or in a list: the compiled
-        QPEA at n = 8 peaks at 3.25 copies (a list of one kept its initial
-        rho, 4.25), at n = 10 at 193.5 MiB against 257.5 before."""
+        copies of its Pauli coefficients (a kernel call's input, transposed
+        copy and product), not a fourth for the initial one, alone or in a
+        list: the compiled QPEA at n = 8 peaks at 3.25 copies (a list of one
+        kept its initial rho, 4.25), at n = 10 at 193.5 MiB against 257.5
+        before, as complex entries (twice the bytes of the coefficients)."""
         circuit = compile_circuit(qpe.build_qpe(build_a_lambda(0.3), 8))
         tracemalloc.start()
         try:
@@ -246,7 +305,7 @@ class TestDensityBudget:
         finally:
             tracemalloc.stop()
         rho = out[0] if batch else out
-        assert peak < 3.5 * rho.entries.nbytes
+        assert peak < 3.5 * rho.pauli.nbytes
 
 
 class TestSurvivalBound:
@@ -475,6 +534,23 @@ class TestLazyDamping:
         for key, p in want_probs.items():
             assert hist.outcomes[key] == pytest.approx(p, abs=1e-12)
 
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_random_mixed_initial_states(self, n, seed):
+        """Run from a random mixed state, converted to its coefficients
+        once, the run and its readout equal the eager reference at 1e-12."""
+        rng = np.random.default_rng(100 * n + seed)
+        compiled = _random_compiled(n, rng, num_gates=30)
+        noise = NoiseParams(t1_ns=rng.uniform(500.0, 5000.0), readout_flip=0.03,
+                            idle_damping=bool(seed % 2))
+        initial = _random_rho(n, rng)
+        rho = run_noisy(compiled, noise, initial=DensityMatrix(n, initial))
+        want_rho, want_probs = _eager_run(compiled, noise, initial)
+        np.testing.assert_allclose(rho.entries, want_rho, rtol=0, atol=1e-12)
+        hist = readout_distribution(rho, compiled, noise)
+        for key, p in want_probs.items():
+            assert hist.outcomes[key] == pytest.approx(p, abs=1e-12)
+
     def test_idle_damping_off_spares_untouched_qubits(self):
         flip = (np.pi,)  # ry(pi) takes |0> to |1>
         gates = (gate("ry", 0, params=flip), gate("ry", 1, params=flip), gate("h", 0))
@@ -538,30 +614,34 @@ class TestFusedExecutor:
             assert len(calls) == 17
 
     def test_one_qubit_matrices_stacked_per_kind(self, monkeypatch):
-        """A density run makes its 1-qubit matrices as one stack per kind,
-        none through gate_matrix (one call per 1-qubit gate before)."""
+        """A density run makes the PTMs of its 1-qubit gates as one stack,
+        in a fixed number of calls, none through gate_matrix."""
         compiled = compile_circuit(qpe.build_qpe(build_a_lambda(0.3), 4))
-        calls, stacks = [], circuits.gate_matrices
+        calls, stacks = [], noise_mod._ptms
         for module in (circuits, noise_mod):
             monkeypatch.setattr(module, "gate_matrix", lambda g: calls.append(g))
-        monkeypatch.setattr(noise_mod, "gate_matrices", lambda gates: calls.append(len(gates))
+        monkeypatch.setattr(noise_mod, "_ptms", lambda gates: calls.append(len(gates))
                             or stacks(gates))
         run_noisy(compiled, NoiseParams())
         assert calls == [sum(len(g.qubits) == 1 for g in compiled.gates)] and calls[0] > 0
 
     def test_cnot_steps_are_a_gather(self):
         """Joining two chains to a CNOT moves entries of their Kronecker
-        product, so the gather equals the product with the CNOT's u (x) u*
-        bit for bit, for either direction and for no CNOT."""
+        product and flips some signs, as the CNOT's PTM is a signed
+        permutation, so the signed gather equals the product with the PTM bit
+        for bit, for either direction and for no CNOT."""
+        ptm = noise_mod._CNOT_PTM
+        assert set(np.unique(ptm)) == {-1.0, 0.0, 1.0}
+        assert (np.abs(ptm).sum(-1) == 1).all() and (np.abs(ptm).sum(-2) == 1).all()
         rng = np.random.default_rng(31)
-        chains = rng.normal(size=(24, 2, 4, 4)) + 1j * rng.normal(size=(24, 2, 4, 4))
+        chains = rng.normal(size=(24, 2, 4, 4))
         flips = [0, 1, 2] * 8
         pair = noise_mod._PAIR
-        kron = noise_mod._kron(chains[:, 0], chains[:, 1])[:, pair[:, None], pair]
-        want = noise_mod._CNOT_SUPER[flips] @ kron
+        kron = np.einsum("bij,bkl->bikjl", chains[:, 0], chains[:, 1]).reshape(24, 16, 16)
+        want = ptm[flips] @ kron[:, pair[:, None], pair]
         outer = chains[:, 0].reshape(24, 16, 1) * chains[:, 1].reshape(24, 1, 16)
         got = np.take_along_axis(outer.reshape(24, 256), noise_mod._STEP[flips], axis=1)
-        assert np.array_equal(got.reshape(24, 16, 16), want)
+        assert np.array_equal((got * noise_mod._SIGN[flips]).reshape(24, 16, 16), want)
 
     def test_qpea_takes_one_kernel_call_per_cnot_block(self, monkeypatch):
         compiled = compile_circuit(qpe.build_qpe(build_a_lambda(0.3), 4))

@@ -76,6 +76,78 @@ class TestDensityMatrix:
             DensityMatrix(1, np.eye(2))
 
 
+# one qubit's Paulis by their index ("Z or Y", "X or Y"): I, X, Z, Y
+PAULIS = [np.eye(2), X, np.diag([1.0, -1.0]), np.array([[0, -1j], [1j, 0]])]
+
+
+def _random_rho(rng, n):
+    z = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+    rho = z @ z.conj().T
+    return rho / np.trace(rho)
+
+
+def _pauli_string(index, n):
+    """The Pauli string of a coefficient index: bit q the "Z or Y" bit of
+    qubit q, bit q + n its "X or Y" bit, the first the most significant."""
+    bits = format(index, f"0{2 * n}b")
+    out = np.ones((1, 1))
+    for q in range(n):
+        out = np.kron(out, PAULIS[2 * int(bits[q]) + int(bits[q + n])])
+    return out
+
+
+class TestPauliCoefficients:
+    """A density matrix's Pauli coefficients Tr(rho P), on its 2n axes."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_coefficients_are_pauli_traces(self, n):
+        rho = _random_rho(np.random.default_rng(n), n)
+        got = qstate.to_pauli(rho[None])[0]
+        assert got.dtype == float and got.shape == (4**n,)
+        want = [np.trace(rho @ _pauli_string(i, n)) for i in range(4**n)]
+        np.testing.assert_allclose(got, np.real(want), rtol=0, atol=1e-14)
+        assert np.abs(np.imag(want)).max() < 1e-14
+
+    def test_roundtrip_of_a_batch(self):
+        rng = np.random.default_rng(7)
+        rhos = np.array([_random_rho(rng, 3) for _ in range(4)])
+        back = qstate.from_pauli(qstate.to_pauli(rhos))
+        np.testing.assert_allclose(back, rhos, rtol=0, atol=1e-15)
+
+    def test_each_form_derived_once_on_first_read(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        coefficients = qstate.to_pauli(_random_rho(rng, 2)[None])[0]
+        state = DensityMatrix._from_pauli(2, coefficients)
+        calls = []
+        convert = qstate.from_pauli
+        monkeypatch.setattr(qstate, "from_pauli", lambda c: calls.append(c.shape) or convert(c))
+        first = state.entries
+        assert state.entries is first and calls == [(1, 16)]
+        assert state.pauli is coefficients
+        assert not first.flags.writeable and not coefficients.flags.writeable
+        made = DensityMatrix(2, first)
+        assert not made.pauli.flags.writeable and made.pauli is made.pauli
+        np.testing.assert_allclose(made.pauli, coefficients, rtol=0, atol=1e-15)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_marginal_from_coefficients_equals_diagonal(self, seed):
+        """The readout marginal read from the coefficients (Z strings, the
+        other qubits at I, a Walsh-Hadamard transform) equals the diagonal
+        of the entries summed over the other qubits, in any target order."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 7))
+        rho = _random_rho(rng, n)
+        targets = [int(q) for q in rng.permutation(n)[: rng.integers(1, n + 1)]]
+        state = DensityMatrix._from_pauli(n, qstate.to_pauli(rho[None])[0])
+        got = qstate._marginal_probabilities(state, targets)
+        want = np.zeros(2 ** len(targets))
+        for x, p in enumerate(np.real(np.diag(rho))):
+            bits = format(x, f"0{n}b")
+            want[int("".join(bits[q] for q in targets), 2)] += p
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+
 class TestApplyUnitary:
     def test_hadamard(self):
         s = apply_unitary(basis_state(1, 0), H, [0])

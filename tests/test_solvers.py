@@ -700,16 +700,32 @@ class TestPostselectHHL:
             postselect_hhl(states, 1)
 
     def test_copies_only_the_ancilla_one_block(self):
-        """Post-selecting a density matrix holds a copy of its ancilla-1
-        quarter, not of the whole matrix."""
-        rho = _random_rho(np.random.default_rng(5), 8)
+        """Post-selecting a density matrix held as its Pauli coefficients, as
+        a run returns it, copies only those with the ancilla and the register
+        at I or Z (1 / 2r of them), not the whole state."""
+        entries = _random_rho(np.random.default_rng(5), 8).entries
+        rho = DensityMatrix._from_pauli(8, qstate.to_pauli(entries[None])[0])
         tracemalloc.start()
         try:
             postselect_hhl([rho], 3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 0.3 * rho.entries.nbytes
+        assert peak < 0.3 * rho.pauli.nbytes
+
+    @pytest.mark.parametrize("n,q", [(1, 1), (2, 2), (3, 1)])
+    def test_coefficients_and_entries_give_one_result(self, n, q):
+        """Both estimators of a state held only as its coefficients equal
+        those read from its entries by single-state post-selection."""
+        rng = np.random.default_rng(40 + n + q)
+        rho = _random_rho(rng, 1 + n + q)
+        held = DensityMatrix._from_pauli(1 + n + q, qstate.to_pauli(rho.entries[None])[0])
+        estimators = postselect_hhl([held], n)
+        assert held._entries is None  # no entries derived
+        for name, (want_rho, want_p) in _sequential_postselection(rho, n).items():
+            got_rho, got_p = estimators[name]
+            np.testing.assert_allclose(got_rho[0], want_rho, rtol=0, atol=1e-14)
+            assert got_p[0] == pytest.approx(want_p, abs=1e-15)
 
     def test_noisy_run_needs_its_estimator(self, monkeypatch):
         problem = build_a_lambda(0.25)
@@ -769,6 +785,46 @@ class TestNoFullDensityMatrix:
     def test_reduced_encoding_equivalence_at_d8(self):
         problem = random_perfectly_estimated_problem(np.random.default_rng(8), 8, 3, 1)
         assert reduced_encoding_equivalence_check(problem, 3)
+
+
+class TestNoisySolveMakesNoFullDensityMatrix:
+    """A noisy solve runs on Pauli coefficients from start to end: nothing
+    converts into them, and only the q input qubits' coefficients become
+    complex matrices, the two rho_v of each post-selection."""
+
+    @pytest.fixture
+    def conversions(self, monkeypatch):
+        calls, convert = [], qstate.from_pauli
+        monkeypatch.setattr(qstate, "to_pauli", lambda *a: pytest.fail("converted into"))
+        monkeypatch.setattr(qstate, "from_pauli", lambda c: calls.append(c.shape) or convert(c))
+        return calls
+
+    @pytest.mark.parametrize("mode", ["original", "hybrid"])
+    def test_only_the_input_converts(self, conversions, mode):
+        run = run_original_hhl if mode == "original" else run_hybrid_hhl
+        outcome = run(build_a_lambda(0.25), 2, noise=NoiseParams(readout_flip=0.01))
+        assert outcome.rho_v.num_qubits == 1
+        assert conversions == [(2, 4)]  # ancilla and uncomputed rho_v of one 1-qubit input
+
+    def test_noisy_qpea_converts_nothing(self, conversions):
+        hist = run_qpea(build_a_lambda(0.3), 4, noise=NoiseParams(readout_flip=0.02))
+        assert len(hist.outcomes) == 16 and conversions == []
+
+
+class TestOneMobiusInversionPerSolve:
+    """A solve takes its mry's subset angles once: a noisy one counts the
+    CNOTs of its compiled circuit instead of its source's."""
+
+    @pytest.mark.parametrize("noise", [None, NoiseParams()], ids=["exact", "noisy"])
+    @pytest.mark.parametrize("mode", ["original", "hybrid"])
+    def test_counted(self, monkeypatch, mode, noise):
+        calls, subset_angles = [], circuits._subset_angles
+        monkeypatch.setattr(circuits, "_subset_angles",
+                            lambda *a: calls.append(a) or subset_angles(*a))
+        run = run_original_hhl if mode == "original" else run_hybrid_hhl
+        outcome = run(build_a_lambda(0.25), 2, noise=noise)
+        assert len(calls) == 1
+        assert outcome.cnot_count == {"original": 28, "hybrid": 14}[mode]  # acceptance 6
 
 
 def _assert_estimators_match(exact, noisy):
