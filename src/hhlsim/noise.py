@@ -94,14 +94,19 @@ class NoiseParams:
 
 def damping_channel(rho: DensityMatrix, qubit: int, t: float, t1: float) -> DensityMatrix:
     """Single-qubit amplitude damping for duration ``t`` with decay time
-    ``t1``: :func:`_decay` on the qubit's Pauli coefficients."""
+    ``t1``: :func:`_decay` on the qubit's Pauli coefficients, or, on a state
+    held as its entries, the same map over the qubit's row and column bits."""
     if t < 0:
         raise DomainError("elapsed time must be nonnegative")
     if t == 0:
         return rho
-    n, qubits = rho.num_qubits, tuple(range(2 * rho.num_qubits))
-    out = qstate.apply_operator(rho.pauli[None], _decay(t, t1), (qubit, qubit + n), qubits)
-    return DensityMatrix._from_pauli(n, qstate.reorder(*out, qubits)[0])
+    n, qubits, held = rho.num_qubits, tuple(range(2 * rho.num_qubits)), rho._pauli is not None
+    data = rho.pauli if held else rho.entries.reshape(-1)
+    m = _decay(t, t1) if held else qstate._FROM_PAULI @ _decay(t, t1) @ qstate._TO_PAULI
+    out = qstate.reorder(*qstate.apply_operator(data[None], m, (qubit, qubit + n), qubits), qubits)
+    if held:
+        return DensityMatrix._from_pauli(n, out[0])
+    return DensityMatrix._trusted(n, out.reshape(2**n, 2**n))
 
 
 def _decay(t, t1: float) -> np.ndarray:

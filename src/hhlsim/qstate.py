@@ -15,7 +15,8 @@ qubit q's pair of axes (q, q + n) indexes its Pauli as ("Z or Y", "X or Y"),
 I = 00, X = 01, Z = 10, Y = 11 (Greenbaum, arXiv:1509.02921). A
 :class:`DensityMatrix` holds its entries, its coefficients or both, each
 derived from the other once, on first read; its computational-basis
-probabilities are read from the coefficients.
+probabilities are read from the coefficients if it holds them, else from
+its diagonal.
 
 Values are checked where they enter, against an absolute tolerance
 (:func:`within_atol`): in the public state constructors, in
@@ -99,7 +100,9 @@ def _check_targets(num_qubits: int, targets) -> list[int]:
 
 
 class _State:
-    """Base of both state kinds; a subclass's one slot holds its read-only array."""
+    """Base of both state kinds. A subclass's slots hold the forms of its
+    data: :meth:`_store` puts the read-only array in slot ``slot`` (its first
+    by default) and sets the others to None."""
 
     __slots__ = ("num_qubits",)
 
@@ -277,30 +280,24 @@ _TO_PAULI = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [1, 0, 0, -1], [0, 1j, -1j, 0]
 _FROM_PAULI = _TO_PAULI.conj().T / 2
 
 
-def _per_qubit(data: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """``data`` (B, 4^n) over 2n axes in qubit order, with ``m`` on each
-    qubit's pair of axes (q, q + n): the pairs made adjacent by one
-    transpose, one matmul per qubit, and the axes put back by another."""
-    b, n = len(data), (data.shape[1].bit_length() - 1) // 2
-    axes = (0, *(1 + q + k * n for q in range(n) for k in (0, 1)))
-    x = data.reshape((b,) + (2,) * (2 * n)).transpose(axes)
-    for i in range(n):
-        x = m @ x.reshape(b * 4**i, 4, -1)
-    back = (0, *range(1, 2 * n, 2), *range(2, 2 * n + 1, 2))  # axes inverted
-    return x.reshape((b,) + (2,) * (2 * n)).transpose(back).reshape(b, -1)
-
-
 def to_pauli(entries: np.ndarray) -> np.ndarray:
     """Pauli coefficients Tr(rho P), (B, 4^n) real, of a stack of Hermitian
-    matrices (B, 2^n, 2^n)."""
-    return _per_qubit(entries.reshape(len(entries), -1), _TO_PAULI).real.copy()
+    matrices (B, 2^n, 2^n): one kernel call on each qubit's pair of axes."""
+    data, n = entries.reshape(len(entries), -1), entries.shape[1].bit_length() - 1
+    order = qubits = tuple(range(2 * n))
+    for q in range(n):
+        data, order = apply_operator(data, _TO_PAULI, (q, q + n), order)
+    return reorder(data, order, qubits).real.copy()
 
 
 def from_pauli(coefficients: np.ndarray) -> np.ndarray:
     """The matrices sum_P c_P P / 2^n, (B, 2^n, 2^n) complex, of a stack of
     Pauli coefficients (B, 4^n): :func:`to_pauli` inverted."""
-    d = 2 ** ((coefficients.shape[1].bit_length() - 1) // 2)
-    return _per_qubit(coefficients, _FROM_PAULI).reshape(-1, d, d)
+    data, n = coefficients, (coefficients.shape[1].bit_length() - 1) // 2
+    order = qubits = tuple(range(2 * n))
+    for q in range(n):
+        data, order = apply_operator(data, _FROM_PAULI, (q, q + n), order)
+    return reorder(data, order, qubits).reshape(-1, 2**n, 2**n)
 
 
 def apply_unitary(state, u, targets):
@@ -350,21 +347,27 @@ def _walsh(k: int) -> np.ndarray:
 
 def _marginal_probabilities(state, qubits: list[int]) -> np.ndarray:
     """Probabilities of computational-basis outcomes on the listed qubits. A
-    density matrix's come from its Pauli coefficients: the Z strings (every
-    "X or Y" bit 0) with the other qubits at I, which traces them out, then
-    a Walsh-Hadamard transform over the kept qubits, as one over their
-    first half and one over the rest, so no matrix over all of them is made."""
+    density matrix held as its Pauli coefficients has them read from those:
+    the Z strings (every "X or Y" bit 0) with the other qubits at I, which
+    traces them out, then a Walsh-Hadamard transform over the kept qubits,
+    as one over their first half and one over the rest, so no matrix over
+    all of them is made. One held as its entries has them read from its
+    diagonal."""
     n, kept = state.num_qubits, tuple(sorted(qubits))
-    if isinstance(state, StateVector):
-        p = (np.abs(state.amplitudes) ** 2).reshape((2,) * n)
-        p = p.sum(axis=tuple(q for q in range(n) if q not in qubits)).reshape(1, -1)
-    elif isinstance(state, DensityMatrix):
+    if isinstance(state, DensityMatrix) and state._pauli is not None:
         z = state.pauli.reshape(2**n, 2**n)[:, 0].reshape((2,) * n)
         z = z[tuple(slice(None) if q in qubits else 0 for q in range(n))]
         half = len(kept) // 2
         p = (_walsh(half) @ z.reshape(2**half, -1) @ _walsh(len(kept) - half)).reshape(1, -1)
     else:
-        raise DomainError(f"unsupported state type {type(state)!r}")
+        if isinstance(state, StateVector):
+            p = np.abs(state.amplitudes) ** 2
+        elif isinstance(state, DensityMatrix):
+            p = np.real(np.diagonal(state.entries))
+        else:
+            raise DomainError(f"unsupported state type {type(state)!r}")
+        p = p.reshape((2,) * n).sum(axis=tuple(q for q in range(n) if q not in qubits))
+        p = p.reshape(1, -1)
     # the remaining axes are in ascending qubit order
     return np.maximum(reorder(p, kept, tuple(qubits))[0], 0.0)
 

@@ -223,15 +223,20 @@ def postselect_hhl(states, n: int) -> dict:
     traced out, and with only its 0...0 block kept (p = 0 and rho_v = 0 for
     an item where that block has no weight). A statevector's ancilla-1
     amplitudes phi, as (register, input), give rho_v = phi^T phi* / p
-    (Nielsen & Chuang 2.4.3), so no density matrix of the whole run is made;
-    a density matrix's Pauli coefficients give the input's, and only those
-    become complex matrices.
+    (Nielsen & Chuang 2.4.3), so no density matrix of the whole run is made.
+    Density matrices held as their Pauli coefficients, as a run returns them,
+    give the input's, and only those become complex matrices; others give
+    their entries' ancilla-1 quarter.
     """
     q, r = states[0].num_qubits - 1 - n, 2**n
     if isinstance(states[0], StateVector):
         phi = np.array([s.amplitudes.reshape(2, r, 2**q)[1] for s in states])
         traced = np.einsum("brx,bry->bxy", phi, phi.conj())
         block = phi[:, 0, :, None] * phi[:, 0, None, :].conj()
+    elif any(s._pauli is None for s in states):  # held as entries: their ancilla-1 quarter
+        rho = np.array([s.entries.reshape(2, r, 2**q, 2, r, 2**q)[1, :, :, 1] for s in states])
+        traced = np.einsum("brxry->bxy", rho)
+        block = rho[:, 0, :, 0]
     else:
         # Pauli coefficients over ("Z or Y", "X or Y") bits of (ancilla, register,
         # input), the ancilla and the register at I or Z only: the ancilla's |1><1|

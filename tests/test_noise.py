@@ -212,6 +212,20 @@ class TestDampingChannel:
         np.testing.assert_allclose(out.entries, want, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("qubit", [0, 1, 2])
+    def test_keeps_the_held_form(self, qubit):
+        """A state held as its entries decays as entries and one held as its
+        coefficients as coefficients: neither converts, and both give the
+        Kraus sum."""
+        rho = _random_rho(3, np.random.default_rng(20 + qubit))
+        want = _kraus_damp(rho, 3, qubit, 7000.0, 50000.0)
+        made = damping_channel(DensityMatrix(3, rho), qubit, 7000.0, 50000.0)
+        held = DensityMatrix._from_pauli(3, qstate.to_pauli(rho[None])[0])
+        run = damping_channel(held, qubit, 7000.0, 50000.0)
+        assert made._pauli is None and run._entries is None
+        np.testing.assert_allclose(run.entries, want, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(made.entries, want, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("qubit", [0, 1, 2])
     def test_durations_compose(self, qubit):
         rho = DensityMatrix(3, _random_rho(3, np.random.default_rng(10 + qubit)))
         two_steps = damping_channel(damping_channel(rho, qubit, 900.0, 5000.0), qubit, 2300.0, 5000.0)
@@ -670,10 +684,12 @@ class TestFusedExecutor:
         )
         compiled = Circuit(3, gates)
         assert _cnot_blocks(gates) == 3
-        calls = _count_kernel_calls(monkeypatch)
         noise = NoiseParams(t1_ns=700.0, idle_damping=idle_damping)
         initial = _random_rho(3, np.random.default_rng(29))
-        rho = run_noisy(compiled, noise, initial=DensityMatrix(3, initial))
+        start = DensityMatrix(3, initial)
+        start.pauli  # converted in first, one kernel call per qubit, not counted
+        calls = _count_kernel_calls(monkeypatch)
+        rho = run_noisy(compiled, noise, initial=start)
         assert calls[:3] == [(0, 1, 3, 4), (1, 2, 4, 5), (0, 1, 3, 4)]
         want, _ = _eager_run(compiled, noise, initial)
         np.testing.assert_allclose(rho.entries, want, rtol=0, atol=1e-12)

@@ -134,7 +134,8 @@ class TestPauliCoefficients:
     def test_marginal_from_coefficients_equals_diagonal(self, seed):
         """The readout marginal read from the coefficients (Z strings, the
         other qubits at I, a Walsh-Hadamard transform) equals the diagonal
-        of the entries summed over the other qubits, in any target order."""
+        of the entries summed over the other qubits, in any target order,
+        which is what a state held as its entries reads, converting nothing."""
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 7))
         rho = _random_rho(rng, n)
@@ -146,6 +147,9 @@ class TestPauliCoefficients:
             bits = format(x, f"0{n}b")
             want[int("".join(bits[q] for q in targets), 2)] += p
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+        made = DensityMatrix._trusted(n, rho)  # held as entries: its diagonal is read
+        np.testing.assert_allclose(qstate._marginal_probabilities(made, targets), want, atol=1e-14)
+        assert made._pauli is None
 
 
 class TestApplyUnitary:

@@ -700,6 +700,19 @@ class TestPostselectHHL:
             postselect_hhl(states, 1)
 
     def test_copies_only_the_ancilla_one_block(self):
+        """Post-selecting a density matrix holds a copy of its ancilla-1
+        quarter, not of the whole matrix."""
+        rho = _random_rho(np.random.default_rng(5), 8)
+        tracemalloc.start()
+        try:
+            postselect_hhl([rho], 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.3 * rho.entries.nbytes
+        assert rho._pauli is None  # no coefficients derived
+
+    def test_coefficients_copied_only_at_i_or_z(self):
         """Post-selecting a density matrix held as its Pauli coefficients, as
         a run returns it, copies only those with the ancilla and the register
         at I or Z (1 / 2r of them), not the whole state."""
@@ -712,6 +725,7 @@ class TestPostselectHHL:
         finally:
             tracemalloc.stop()
         assert peak < 0.3 * rho.pauli.nbytes
+        assert rho._entries is None  # no entries derived
 
     @pytest.mark.parametrize("n,q", [(1, 1), (2, 2), (3, 1)])
     def test_coefficients_and_entries_give_one_result(self, n, q):
