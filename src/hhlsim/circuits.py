@@ -23,8 +23,8 @@ transfer matrices. A multiplexed kind
 matrix, so an ``mry`` runs for any number of controls, while its lowering
 drops every control its angles ignore and supports at most two of the rest.
 A compiled circuit is a :class:`Circuit` of basis gates; :func:`cnot_count`
-gives its CNOT count, or that of a source circuit, without compiling
-(``Circuit.cnot_count``).
+gives its CNOT count, or a source circuit's without compiling, and
+:func:`cnot_counts` those of a batch of one skeleton in one pass.
 
 A gate is checked once, when :func:`gate` makes it, or, for b's
 preparation and the unitary powers of QPE, by its problem. Lowerings build
@@ -299,7 +299,7 @@ def _cphase_gates(control: int, target: int, angle: float) -> list[Gate]:
 
 def _zyz_gates(g: Gate) -> list[Gate]:
     """rz, ry, rz of a 1-qubit unitary, its global phase dropped."""
-    _unitary_cnots(g)  # raises CompileError on a wider one
+    _check_lowers(g)  # raises CompileError on a wider one
     _, beta, gamma, delta = zyz_angles(g.matrix)
     rotations = (("rz", delta), ("ry", gamma), ("rz", beta))
     return [Gate(r, g.qubits, (angle,)) for r, angle in rotations]
@@ -388,7 +388,7 @@ def _cunitary_gates(g: Gate) -> list[Gate]:
     """The ABC construction of block 2^(c-1-i) controlled by control i, for
     each of the c: in control order for s = +1, reversed for s = -1. One
     :func:`zyz_angles` call takes the c blocks as one stack."""
-    _cunitary_cnots(g)  # raises CompileError on a wider target
+    _check_lowers(g)  # raises CompileError on a wider target
     c = len(g.qubits) - 1
     blocks = g.matrix[2 ** np.arange(c - 1, -1, -1)]  # block 2^(c-1-i) for control i
     angles = list(zip(*(a.tolist() for a in zyz_angles(blocks))))
@@ -396,23 +396,17 @@ def _cunitary_gates(g: Gate) -> list[Gate]:
     return [b for i in order for b in _abc_gates(*angles[i], g.qubits[i], g.qubits[c])]
 
 
-def _subset_angles(angles, k: int) -> list[tuple[int, float]]:
-    """(subset, angle) of each control subset of a k-control multiplexed Ry
-    whose angle is not zero. The subset angles are the Moebius inversion of
-    the pattern angles: those over the subsets of pattern p sum to
-    ``angles[p]``, taken as one difference along each control's axis, so a
-    control the angles ignore gives exactly a - a = 0 on every subset that
-    holds it. Skipping a zero subset saves its CNOTs, which :func:`simplify`
-    never removes. A non-zero angle on more than two controls raises
-    CompileError."""
+def _subset_angles(angles) -> np.ndarray:
+    """The subset angles of a multiplexed Ry's angle table, or of each table
+    of a stack (..., 2^k): the Moebius inversion, those over the subsets of
+    pattern p summing to ``angles[p]``, as one difference along each control's
+    axis, so a control the angles ignore gives exactly a - a = 0 on every
+    subset that holds it. A non-zero subset costs gates (never simplified)."""
     phi = np.array(angles, dtype=float)
-    for axis in range(k):
-        pairs = phi.reshape(2**axis, 2, -1)  # a view: axis ``axis`` is the middle one
+    for axis in range(phi.shape[-1].bit_length() - 1):
+        pairs = phi.reshape(-1, 2, phi.shape[-1] >> (axis + 1))  # a view: this axis in the middle
         pairs[:, 1] -= pairs[:, 0]
-    out = [(s, a) for s, a in enumerate(phi.tolist()) if abs(a) > _ANGLE_TOL]
-    if any(bin(s).count("1") > 2 for s, _ in out):
-        raise CompileError("multiplexed Ry supports at most two control qubits")
-    return out
+    return phi
 
 
 def controlled_ry_chain(angles, controls, target: int) -> list[Gate]:
@@ -427,8 +421,12 @@ def controlled_ry_chain(angles, controls, target: int) -> list[Gate]:
     """
     controls = list(controls)
     k = len(controls)
+    subsets = [(s, a) for s, a in enumerate(_subset_angles(angles).tolist())
+               if abs(a) > _ANGLE_TOL]
+    if any(bin(s).count("1") > 2 for s, _ in subsets):
+        raise CompileError(_KINDS["mry"].refusal)
     out: list[Gate] = []
-    for s, phi in _subset_angles(angles, k):
+    for s, phi in subsets:
         members = [controls[i] for i in range(k) if s & (1 << (k - 1 - i))]
         if not members:
             out.append(Gate("ry", (target,), (phi,)))
@@ -449,35 +447,25 @@ class _Kind:
     before an explicit matrix's targets (None: no matrix; a cunitary stack of
     2^c blocks has c >= 1).
     ``lower`` (None for a basis kind) gives a gate's basis gates, ``cnots``
-    their CNOTs without lowering; each raises the same CompileError on a
-    gate that does not lower."""
+    their CNOTs without lowering, or NaN for a gate that does not lower, on
+    which the lowering raises CompileError(``refusal``)."""
 
     qubits: int | None
     params: int | None
     matrix: Callable[[Gate], np.ndarray]
     controls: int | None = None
-    cnots: Callable[[Gate], int] = lambda g: 0
+    cnots: Callable[[Gate], float] = lambda g: 0
     lower: Callable[[Gate], list[Gate]] | None = None
     qasm: str | None = None  # the OpenQASM name of a basis kind
+    refusal: str | None = None
 
 
-def _unitary_cnots(g: Gate) -> int:
-    if len(g.qubits) != 1:
-        raise CompileError("unitary lowering supports exactly one qubit")
-    return 0
-
-
-def _cunitary_cnots(g: Gate) -> int:
-    # one two-CNOT ABC construction per control
-    if g.matrix.shape[-1] != 2:
-        raise CompileError("cunitary lowering supports exactly one target qubit")
-    return 2 * (len(g.qubits) - 1)
-
-
-def _mry_cnots(g: Gate) -> int:
-    # per non-zero subset angle: bare Ry 0, controlled Ry 2, Toffoli-conjugated Ry 12
-    subsets = _subset_angles(g.params, len(g.qubits) - 1)
-    return sum((0, 2, 12)[bin(s).count("1")] for s, _ in subsets)
+def _mry_cnots(tables) -> np.ndarray:
+    """CNOTs of the mry lowering of each table of a stack (..., 2^k): per non-zero
+    subset angle 0 (bare Ry), 2 (one control), 12 (a Toffoli pair), NaN on more."""
+    phi = _subset_angles(tables)
+    cost = [(0, 2, 12, math.nan)[min(bin(s).count("1"), 3)] for s in range(phi.shape[-1])]
+    return np.where(np.abs(phi) > _ANGLE_TOL, cost, 0.0).sum(-1)
 
 
 _KINDS = {
@@ -488,12 +476,16 @@ _KINDS = {
     "swap": _Kind(2, 0, lambda g: _SWAP, cnots=lambda g: 3, lower=_swap_gates),
     "cphase": _Kind(2, 1, lambda g: np.diag([1, 1, 1, np.exp(1j * g.params[0])]),
                     cnots=lambda g: 2, lower=lambda g: _cphase_gates(*g.qubits, g.params[0])),
-    "unitary": _Kind(None, 0, lambda g: g.matrix, controls=0, cnots=_unitary_cnots,
-                     lower=_zyz_gates),
-    "cunitary": _Kind(None, 1, lambda g: g.matrix, controls=1, cnots=_cunitary_cnots,
-                      lower=_cunitary_gates),
-    "mry": _Kind(None, None, lambda g: _ry(g.params), cnots=_mry_cnots,
-                 lower=lambda g: controlled_ry_chain(g.params, g.qubits[:-1], g.qubits[-1])),
+    "unitary": _Kind(None, 0, lambda g: g.matrix, controls=0,
+                     cnots=lambda g: 0 if len(g.qubits) == 1 else math.nan, lower=_zyz_gates,
+                     refusal="unitary lowering supports exactly one qubit"),
+    "cunitary": _Kind(
+        None, 1, lambda g: g.matrix, controls=1, lower=_cunitary_gates,
+        cnots=lambda g: 2 * (len(g.qubits) - 1) if g.matrix.shape[-1] == 2 else math.nan,
+        refusal="cunitary lowering supports exactly one target qubit"),
+    "mry": _Kind(None, None, lambda g: _ry(g.params), cnots=lambda g: _mry_cnots(g.params),
+                 lower=lambda g: controlled_ry_chain(g.params, g.qubits[:-1], g.qubits[-1]),
+                 refusal="multiplexed Ry supports at most two control qubits"),
     "qft": _Kind(None, 1, _qft, cnots=lambda g: len(g.qubits) * (len(g.qubits) - 1),
                  lower=_qft_gates),
 }
@@ -535,12 +527,38 @@ def _lower(g: Gate) -> list[Gate]:
     return [g] if lower is None else lower(g)
 
 
+def _check_lowers(g: Gate) -> None:
+    """Raise the CompileError of ``g``'s kind where ``g`` does not lower."""
+    if math.isnan(_KINDS[g.kind].cnots(g)):
+        raise CompileError(_KINDS[g.kind].refusal)
+
+
 def cnot_count(circuit) -> int:
-    """CNOTs in the compiled form of ``circuit``, counted per gate without
-    lowering it. Raises the CompileError that :func:`compile_circuit` raises
-    on a gate it cannot lower. :func:`simplify` drops rotations and h pairs,
-    never a CNOT, so the count equals the compiled one."""
-    return sum(_KINDS[g.kind].cnots(g) for g in circuit.gates)
+    """CNOTs in the compiled form of ``circuit``, its :func:`cnot_counts` as a
+    batch of one, counted without lowering; where a gate does not lower, the
+    CompileError :func:`compile_circuit` raises. :func:`simplify` drops no
+    CNOT, so the count equals the compiled one."""
+    (count,) = cnot_counts([circuit])
+    if count is None:
+        compile_circuit(circuit)  # raises at the first gate that does not lower
+    return count
+
+
+def cnot_counts(batch) -> list[int | None]:
+    """:func:`cnot_count` of each circuit of a batch with one skeleton, None
+    where it raises, raising nothing. Every kind's count but an ``mry``'s
+    follows the gate's shape, so the first circuit gives it; an ``mry``'s
+    comes from one :func:`_subset_angles` call over the stacked tables (B, 2^k)."""
+    fixed, tables = 0.0, []
+    for i, g in enumerate(batch[0].gates):
+        if g.kind == "mry":
+            tables.append([c.gates[i].params for c in batch])
+        else:
+            fixed += _KINDS[g.kind].cnots(g)
+    if math.isnan(fixed):  # no circuit lowers, whatever its angles
+        return [None] * len(batch)
+    total = sum(map(_mry_cnots, tables), np.full(len(batch), fixed))
+    return [None if math.isnan(t) else int(t) for t in total.tolist()]
 
 
 def compile_circuit(circuit: Circuit) -> Circuit:

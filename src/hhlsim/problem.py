@@ -33,7 +33,8 @@ class SpectralData:
 
 
 class HermitianProblem:
-    """A Hermitian system matrix, a unit vector b and their spectral data, made once."""
+    """A Hermitian system matrix, a unit vector b and their spectral data, made
+    once; b's preparation and the classical solution are made on first read."""
 
     def __init__(self, matrix, b):
         a = np.array(matrix, dtype=complex)
@@ -75,6 +76,15 @@ class HermitianProblem:
         q_mat[:, 0] *= np.vdot(q_mat[:, 0], self.b)  # undo QR's column phase
         q_mat.setflags(write=False)
         return q_mat
+
+    @functools.cached_property
+    def solution(self) -> tuple[np.ndarray, float]:
+        """:func:`classical_solution`, the state read-only."""
+        x = self.spectral.eigenvectors @ (self.spectral.amplitudes / self.spectral.eigenvalues)
+        norm = float(np.linalg.norm(x))
+        x = x / norm
+        x.setflags(write=False)
+        return x, norm
 
     def __repr__(self):
         return f"HermitianProblem(dimension={self.dimension})"
@@ -128,11 +138,8 @@ def binary_estimate(lam: float, n: int) -> str:
 
 def classical_solution(problem: HermitianProblem):
     """Normalized solution state A^{-1} b / ||A^{-1} b|| and the norm ||A^{-1} b||,
-    read from the eigendecomposition: A^{-1} b = V (alpha / lambda)."""
-    spectral = problem.spectral
-    x = spectral.eigenvectors @ (spectral.amplitudes / spectral.eigenvalues)
-    norm = float(np.linalg.norm(x))
-    return x / norm, norm
+    A^{-1} b = V (alpha / lambda), computed once: the problem keeps it (``solution``)."""
+    return problem.solution
 
 
 def _integer(v) -> int:

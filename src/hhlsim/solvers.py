@@ -12,9 +12,9 @@ the encoding as a single multiplexed Ry (``mry``) on the ancilla, controlled
 by every register wire for the full and the reduced encoding, inverse QPE.
 Both runs execute it with :func:`noise.run_noisy`: the exact run its source
 gates on a statevector, the noisy run its compiled form on a density matrix.
-Both take their CNOT count through :func:`circuits.cnot_count`: the exact
-run, which never compiles, from the source circuit, the noisy run from the
-compiled one, so each lowers its ``mry`` once.
+The exact run, which never compiles, counts the CNOTs of its source
+circuits, a batch's in one :func:`circuits.cnot_counts` pass, and the noisy
+run its compiled ones: either takes its ``mry``'s subset angles once.
 :func:`run_original_hhl_batch` runs the circuits of many problems in one
 executor call; :func:`run_original_hhl` is its one-problem case. The final
 states of a batch are then scored in one pass: one post-selection,
@@ -33,7 +33,6 @@ import numpy as np
 from . import circuits, noise as noise_mod, qpe, qstate
 from .circuits import Circuit, gate
 from .errors import (
-    CompileError,
     ConstraintError,
     DomainError,
     ImpossibleOutcomeError,
@@ -261,22 +260,20 @@ def _solve(mode, problems, n, specs, shots, seed, noise, estimate=None) -> list[
     exactly or under noise, post-select and score all final states in one
     pass, and return one outcome per problem.
 
-    The CNOT counts come from the source circuits, None where a circuit does
-    not lower, or under noise from the compiled ones. The exact runs apply
-    the source gates, which share one skeleton, in one statevector pass.
-    Under noise the compiled circuits run, which may differ in length, as
-    compilation drops zero angles; the executor runs their density matrices
-    one by one. Both estimators are scored against each problem's classical
-    solution; the one named by ``postselection`` heads the outcome, with the
-    seeded x-basis histogram.
+    The exact runs apply the source gates, which share one skeleton, in one
+    statevector pass and count their CNOTs in one :func:`circuits.cnot_counts`
+    pass, None where a circuit does not lower. Under noise the compiled
+    circuits run, which may differ in length, as compilation drops zero
+    angles; they run and count their CNOTs one by one. Both estimators are
+    scored against each problem's classical solution; the one named by
+    ``postselection`` heads the outcome, with the seeded x-basis histogram.
     """
     built = [build_hhl_circuit(p, n, spec) for p, spec in zip(problems, specs)]
-    if noise is None:
-        cnot_counts = [_cnot_count_or_none(c) for c in built]
-    else:  # simplify drops no CNOT, so the compiled count is the source's
+    if noise is not None:
         built = [circuits.compile_circuit(c) for c in built]
-        cnot_counts = [circuits.cnot_count(c) for c in built]
-    states = noise_mod.run_noisy(built, noise)
+    states = noise_mod.run_noisy(built, noise)  # checks an exact batch's one skeleton
+    cnot_counts = (circuits.cnot_counts(built) if noise is None
+                   else [circuits.cnot_count(c) for c in built])
     postselection = "ancilla" if noise is None else "uncomputed"
     estimators = postselect_hhl(states, n)
     rho, named = estimators[postselection]
@@ -307,13 +304,6 @@ def _solve(mode, problems, n, specs, shots, seed, noise, estimate=None) -> list[
             scores["ancilla"], scores["uncomputed"], histograms, estimate,
         ))
     return outcomes
-
-
-def _cnot_count_or_none(circuit) -> int | None:
-    try:
-        return circuits.cnot_count(circuit)
-    except CompileError:
-        return None
 
 
 def build_hhl_circuit(

@@ -291,6 +291,19 @@ class TestMultiplexedRy:
         got = circuit_unitary(gates, k + 1)
         assert equal_up_to_phase(got, self._reference(angles, k), atol=1e-9)
 
+    @pytest.mark.parametrize("k", range(5))
+    def test_stacked_inversion_equals_each_table_alone(self, k):
+        """A leading batch axis takes the same float operations per table, so
+        each table's subset angles, zeros included, are bit-equal to its own."""
+        rng = np.random.default_rng(k)
+        tables = rng.uniform(-np.pi, np.pi, size=(5, 2**k))
+        if k:  # table 1 ignores its last control: patterns p and p ^ 1 share an angle
+            tables[1] = np.repeat(tables[1, ::2], 2)
+        stacked = circuits._subset_angles(tables)
+        for row, table in zip(stacked, tables):
+            assert np.array_equal(row, circuits._subset_angles(table))
+        assert not (k and stacked[1, 1::2].any())
+
     def test_cnot_costs(self):
         chain0 = controlled_ry_chain([0.4], [], 0)
         chain1 = controlled_ry_chain([0.3, 0.7], [0], 1)

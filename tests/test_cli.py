@@ -5,7 +5,8 @@ import tracemalloc
 
 import pytest
 
-from hhlsim import cli, solvers
+from hhlsim import circuits, cli, solvers
+from hhlsim.errors import CompileError
 from hhlsim.cli import EXIT_NOT_REDUCIBLE, EXIT_OK, EXIT_VALIDATION, main
 from hhlsim.noise import survival_bound
 from hhlsim.problem import build_a_lambda, classical_solution
@@ -250,6 +251,30 @@ class TestSweep:
         rows = [line.split(",") for line in raw.decode().strip().split("\n")[1:]]
         assert len(rows) == 300
         assert all(float(row[4]) <= 1e-8 for row in rows)
+
+    def test_per_batch_work_done_once(self, tmp_path, monkeypatch):
+        """The paper's pass, 597 exact solves in three batches, takes one
+        subset-angle inversion per batch and raises no CompileError, though
+        no original circuit lowers at k = 3."""
+        inversions, raised = [], []
+        subset_angles, init = circuits._subset_angles, CompileError.__init__
+        monkeypatch.setattr(circuits, "_subset_angles",
+                            lambda *a: inversions.append(a) or subset_angles(*a))
+        monkeypatch.setattr(CompileError, "__init__",
+                            lambda self, *a: raised.append(a) or init(self, *a))
+        code, raw = run(tmp_path, "sweep", "--points", "199", "--k", "1,2,3")
+        assert code == EXIT_OK and raw.count(b"\n") == 598
+        assert (len(inversions), len(raised)) == (3, 0)
+
+    def test_one_classical_solution_per_problem(self, tmp_path, monkeypatch):
+        """Each of the pass's 199 problems computes A^-1 b once: its 6 reads
+        (an encoding and a scoring per k) return one array."""
+        solutions, solve = [], solvers.classical_solution
+        monkeypatch.setattr(solvers, "classical_solution",
+                            lambda p: solutions.append(solve(p)) or solutions[-1])
+        code, _ = run(tmp_path, "sweep", "--points", "199", "--k", "1,2,3")
+        assert code == EXIT_OK
+        assert (len(solutions), len({id(x) for x, _ in solutions})) == (1194, 199)
 
     def test_grid_made_batch_by_batch(self, monkeypatch):
         """The largest grid accepted is never held as one list of floats

@@ -1,6 +1,8 @@
 """Problem family, spectral analysis, and binary eigenvalue estimates."""
 
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -78,6 +80,33 @@ class TestHermitianProblem:
             x, norm = classical_solution(problem)
             assert norm == pytest.approx(np.linalg.norm(direct), rel=1e-12)
             np.testing.assert_allclose(x, direct / np.linalg.norm(direct), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", [None, 5])
+    def test_solution_made_once_and_read_only(self, seed):
+        """Every call returns the same read-only state, bit-equal to
+        V (alpha / lambda) / ||V (alpha / lambda)||."""
+        if seed is None:
+            problem = build_a_lambda(0.3)
+        else:
+            rng = np.random.default_rng(seed)
+            b = rng.normal(size=4) + 1j * rng.normal(size=4)
+            problem = HermitianProblem(np.diag([0.1, 0.3, 0.6, 0.9]), b / np.linalg.norm(b))
+        x, norm = classical_solution(problem)
+        assert classical_solution(problem)[0] is x and classical_solution(problem)[1] == norm
+        assert not x.flags.writeable
+        s = problem.spectral
+        v = s.eigenvectors @ (s.amplitudes / s.eigenvalues)
+        assert norm == float(np.linalg.norm(v))
+        assert np.array_equal(x, v / np.linalg.norm(v))
+
+    def test_solution_held_by_the_problem_alone(self):
+        """Nothing outside a problem keeps it alive once its solution is made."""
+        problem = build_a_lambda(0.3)
+        classical_solution(problem)
+        ref = weakref.ref(problem)
+        del problem
+        gc.collect()
+        assert ref() is None
 
     def test_rejects_unnormalized_b(self):
         with pytest.raises(ValidationError):

@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hhlsim import circuits, cli, noise as noise_mod, oracles, qpe, qstate, solvers
 from hhlsim.errors import (
@@ -839,6 +841,72 @@ class TestOneMobiusInversionPerSolve:
         outcome = run(build_a_lambda(0.25), 2, noise=noise)
         assert len(calls) == 1
         assert outcome.cnot_count == {"original": 28, "hybrid": 14}[mode]  # acceptance 6
+
+
+def _counted_or_none(circuit):
+    try:
+        return circuits.cnot_count(circuit)
+    except CompileError:
+        return None
+
+
+def _hhl_batches(problems, n):
+    """The exact batches of ``problems`` at register size ``n``: their
+    original circuits, and their hybrid circuits where the spectrum certifies
+    a reduction. Each shares one skeleton, as the reduced mry keeps every
+    register wire."""
+    full = [build_aqe(p, n) for p in problems]
+    yield [build_hhl_circuit(p, n, spec) for p, spec in zip(problems, full)]
+    estimates = [estimate_from_spectral(p, n) for p in problems]
+    reduced = [(p, synthesize_reduced_aqe(e, spec.c))
+               for p, e, spec in zip(problems, estimates, full) if e.reducible]
+    if reduced:
+        yield [build_hhl_circuit(p, n, spec) for p, spec in reduced]
+
+
+class TestStackedCnotCounts:
+    """An exact batch counts the CNOTs of all its circuits in one pass: each
+    item reads cnot_count of its circuit, and None exactly where that raises
+    CompileError, with no exception raised."""
+
+    @staticmethod
+    def _check(batch):
+        raised, init = [], CompileError.__init__
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(CompileError, "__init__", lambda self, *a: raised.append(a) or init(self, *a))
+            counts = circuits.cnot_counts(batch)
+        assert raised == []
+        assert counts == [_counted_or_none(c) for c in batch]
+        return counts
+
+    @pytest.mark.parametrize("n,expected", [(1, 6), (2, 28), (3, None), (4, None)])
+    def test_lambda_family(self, n, expected):
+        problems = [build_a_lambda(i / 200) for i in range(1, 200, 6)]
+        problems += [build_a_lambda(lam) for lam in (0.125, 0.25, 0.5, 0.75)]
+        original, *hybrid = _hhl_batches(problems, n)
+        assert set(self._check(original)) == {expected}
+        for batch in hybrid:
+            self._check(batch)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 10**9), st.sampled_from([1, 2, 3]), st.sampled_from([2, 4]))
+    def test_random_problems_with_a_prepared_b(self, seed, n, d):
+        # a d = 4 b is prepared by a 2-qubit unitary, which does not lower
+        rng = np.random.default_rng(seed)
+        problems = [random_problem(rng, d) for _ in range(4)]
+        for batch in _hhl_batches(problems, n):
+            counts = self._check(batch)
+            if d == 4:
+                assert counts == [None] * len(batch)
+
+    def test_one_inversion_per_batch(self, monkeypatch):
+        problems = [build_a_lambda(lam) for lam in (0.1, 0.25, 0.3, 0.5, 0.9)]
+        batch = next(_hhl_batches(problems, 3))  # the original circuits
+        calls, subset_angles = [], circuits._subset_angles
+        monkeypatch.setattr(circuits, "_subset_angles",
+                            lambda *a: calls.append(a) or subset_angles(*a))
+        assert circuits.cnot_counts(batch) == [None] * 5
+        assert len(calls) == 1 and np.shape(calls[0][0]) == (5, 8)
 
 
 def _assert_estimators_match(exact, noisy):
