@@ -2,19 +2,19 @@
 
 Gate kinds fall into two tiers. Basis kinds survive compilation: ``h``,
 ``ry``, ``rz``, ``cnot``. Structured kinds are lowered by
-:func:`compile_circuit` straight to basis gates: ``swap``, ``cphase``,
-``unitary`` (explicit 1-qubit matrix), ``cunitary`` (controlled powers, as in
-QPE, on ``(*controls, *targets)``: the stack of the powers U^x, x = 0..2^c-1,
-of an explicit unitary U, block x applied where the c controls read x; one
-control is the controlled U; its one parameter, a sign, orders the lowering),
-``mry`` (multiplexed Ry: qubits ``(*controls, target)``, one angle per
-control pattern), ``qft`` (the QFT on one or more wires, its one parameter a
-sign s: s = -1 is the inverse QFT with the bit reversal folded in, P F^+, and
-s = +1 its adjoint F P, with F the DFT and P the bit reversal; its lowering
-is the documented cphase/h sequence). Each kind is one ``_KINDS`` record:
-signature, matrix, lowering, CNOTs and OpenQASM name. No gate measures: every
-measurement is deferred to the end (Nielsen & Chuang 4.4), on the qubits
-``Circuit.measured`` lists.
+:func:`compile_circuit` straight to basis gates: ``unitary`` (explicit
+1-qubit matrix), ``cunitary`` (controlled powers, as in QPE, on
+``(*controls, *targets)``: the stack of the powers U^x, x = 0..2^c-1, of an
+explicit unitary U, block x applied where the c controls read x; one
+control is the controlled U; its one parameter, a sign, orders the
+lowering), ``mry`` (multiplexed Ry: qubits ``(*controls, target)``, one
+angle per control pattern), ``qft`` (the QFT on one or more wires, its one
+parameter a sign s: s = -1 is the inverse QFT with the bit reversal folded
+in, P F^+, and s = +1 its adjoint F P, with F the DFT and P the bit
+reversal; its lowering is the documented controlled-phase/h sequence). Each
+kind is one ``_KINDS`` record: signature, matrix, lowering, CNOTs and
+OpenQASM name. No gate measures: every measurement is deferred to the end
+(Nielsen & Chuang 4.4), on the qubits ``Circuit.measured`` lists.
 
 The executor (:func:`noise.run_noisy`) applies every kind directly through
 :func:`gate_matrix`, on a density matrix only basis kinds, as their Pauli
@@ -29,9 +29,9 @@ gives its CNOT count, or a source circuit's without compiling, and
 A gate is checked once, when :func:`gate` makes it, or, for b's
 preparation and the unitary powers of QPE, by its problem. Lowerings build
 their basis gates as :class:`Gate` directly, on the checked gate's qubits
-with finite angles derived from its own, and so does QPE its ``h``, ``qft``
-and ``swap`` gates, on distinct wires of a register that
-:func:`qstate.check_width` has admitted; adjoints and the executor do not
+with finite angles derived from its own, and so does QPE its ``h``,
+``qft`` and physical swaps' ``cnot`` gates, on distinct wires of a register
+that :func:`qstate.check_width` has admitted; adjoints and the executor do not
 check again, and :class:`Circuit` range-checks every wire, except in the
 compiled circuit, whose wires are its checked source's.
 :func:`simplify` is the one place zero rotations are dropped.
@@ -39,12 +39,12 @@ compiled circuit, whose wires are its checked source's.
 Documented decomposition set (gate-count accounting relies on it), exact up
 to global phase, so a diagonal phase on one qubit is emitted as ``rz``:
 controlled 1-qubit unitaries use the two-CNOT ABC construction, and a
-``cunitary`` on c controls and one target is c of them, 2c CNOTs; a
-controlled phase costs 2 CNOTs; a SWAP costs 3 CNOTs when physical, 0 when
+``cunitary`` on c controls and one target is c of them, 2c CNOTs; a SWAP
+costs 3 CNOTs when physical (emitted as three ``cnot`` gates), 0 when
 absorbed by wire relabeling; a multiplexed Ry is a sum over control subsets,
 where a single control costs 2 CNOTs and a pair is a Toffoli conjugation (two
-6-CNOT Toffolis), 12 CNOTs; a QFT on n wires is n(n-1)/2 controlled phases
-and n ``h``, n(n-1) CNOTs.
+6-CNOT Toffolis), 12 CNOTs; a QFT on n wires is n(n-1)/2 controlled-phase
+steps of 2 CNOTs each and n ``h``, n(n-1) CNOTs.
 """
 
 from __future__ import annotations
@@ -182,7 +182,6 @@ class Circuit:
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _CNOT = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
-_SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
 
 
 def _ry(t) -> np.ndarray:
@@ -228,7 +227,7 @@ def gate_matrix(g: Gate) -> np.ndarray:
 def adjoint(gates) -> list[Gate]:
     """Adjoint of a gate sequence (reversed order, each gate inverted): a
     gate's matrix, or each block of a stack, takes its dagger and its
-    parameters are negated; a gate with neither is its own inverse."""
+    parameters are negated; ``h`` and ``cnot``, with neither, self-invert."""
     out = []
     for g in reversed(list(gates)):
         m = g.matrix
@@ -287,6 +286,7 @@ def _abc_gates(alpha, beta, gamma, delta, control: int, target: int) -> list[Gat
 
 
 def _cphase_gates(control: int, target: int, angle: float) -> list[Gate]:
+    """A QFT step: diag(1, 1, 1, e^{i angle}) on (control, target), 2 CNOTs."""
     half, cnot = angle / 2, Gate("cnot", (control, target))
     return [
         Gate("rz", (control,), (half,)),
@@ -305,8 +305,7 @@ def _zyz_gates(g: Gate) -> list[Gate]:
     return [Gate(r, g.qubits, (angle,)) for r, angle in rotations]
 
 
-def _swap_gates(g: Gate) -> list[Gate]:
-    a, b = g.qubits
+def _swap_gates(a: int, b: int) -> list[Gate]:
     return [Gate("cnot", (a, b)), Gate("cnot", (b, a)), Gate("cnot", (a, b))]
 
 
@@ -357,21 +356,21 @@ def inverse_qft_gates(wires, physical_swap: bool = False):
     Returns ``(gates, out_wires)``. The bit-reversal SWAP layer is absorbed by
     relabeling by default: the gate on ``wires`` is P F^+, and
     ``out_wires[i]`` is the wire holding logical bit i afterwards. With
-    ``physical_swap`` the swaps are emitted, then the gate on the wires
-    reversed, which is F^+ P on ``wires``, and the wire order is unchanged.
+    ``physical_swap`` three ``cnot`` gates per swap come first, then the gate
+    on the wires reversed, which is F^+ P on ``wires``; wires keep their order.
     """
     wires = list(wires)
     if not physical_swap:
         return [Gate("qft", tuple(wires), (-1,))], wires[::-1]
     n = len(wires)
-    swaps = [Gate("swap", (wires[i], wires[n - 1 - i])) for i in range(n // 2)]
+    swaps = [c for i in range(n // 2) for c in _swap_gates(wires[i], wires[n - 1 - i])]
     return swaps + [Gate("qft", tuple(reversed(wires)), (-1,))], wires
 
 
 def _qft_gates(g: Gate) -> list[Gate]:
-    """The inverse QFT P F^+ on ``g``'s wires as cphase and h steps on the
-    wires reversed (their adjoint for s = +1: reversed, each angle negated),
-    each then lowered."""
+    """The inverse QFT P F^+ on ``g``'s wires as controlled-phase and h steps
+    on the wires reversed (their adjoint for s = +1: reversed, each angle
+    negated), each then lowered."""
     w, s = g.qubits[::-1], g.params[0]
     n = len(w)
     steps = []
@@ -473,9 +472,6 @@ _KINDS = {
     "ry": _Kind(1, 1, lambda g: _ry(g.params[0]), qasm="ry"),
     "rz": _Kind(1, 1, lambda g: _rz(g.params[0]), qasm="rz"),
     "cnot": _Kind(2, 0, lambda g: _CNOT, cnots=lambda g: 1, qasm="cx"),
-    "swap": _Kind(2, 0, lambda g: _SWAP, cnots=lambda g: 3, lower=_swap_gates),
-    "cphase": _Kind(2, 1, lambda g: np.diag([1, 1, 1, np.exp(1j * g.params[0])]),
-                    cnots=lambda g: 2, lower=lambda g: _cphase_gates(*g.qubits, g.params[0])),
     "unitary": _Kind(None, 0, lambda g: g.matrix, controls=0,
                      cnots=lambda g: 0 if len(g.qubits) == 1 else math.nan, lower=_zyz_gates,
                      refusal="unitary lowering supports exactly one qubit"),
@@ -502,8 +498,8 @@ def is_basis(kind: str) -> bool:
 def simplify(gates) -> list[Gate]:
     """Drop zero rotations (only here) and cancel adjacent self-inverse pairs:
     on one qubit, a gate with a parameter and no matrix is a rotation, and
-    one with neither is its own inverse (as in :func:`adjoint`). CNOT/SWAP
-    pairs are kept, so the compiled entangling-gate count reflects the fixed
+    one with neither is its own inverse (as in :func:`adjoint`). CNOT pairs
+    are kept, so the compiled entangling-gate count reflects the fixed
     skeleton, independent of the problem parameters. One stack pass
     suffices: a cancellation exposes a gate checked against its predecessor.
     """

@@ -322,12 +322,10 @@ _SIGN = np.take_along_axis(_CNOT_PTM, _SOURCE[..., None], -1).repeat(16, axis=-1
 
 
 def _same(h, g) -> bool:
-    """Whether two gates are equal: one kind on the same qubits, with equal
-    parameters and matrices."""
-    return h is g or (
-        h.params == g.params and h.qubits == g.qubits and h.kind == g.kind
-        and (h.matrix is g.matrix or np.array_equal(h.matrix, g.matrix))
-    )
+    """Whether two gates at one position of a skeleton are equal: equal
+    parameters and one matrix object, as batch builders share their matrices
+    (a copied matrix only costs its gate a stacked call)."""
+    return h is g or (h.params == g.params and h.matrix is g.matrix)
 
 
 def readout_distribution(state, circuit, noise: NoiseParams | None) -> MeasurementHistogram:

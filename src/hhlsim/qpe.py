@@ -5,11 +5,11 @@ Register bit 1 (most significant) controls the highest unitary power, so a
 measured register string reads directly as the n-bit eigenvalue estimate.
 The QPEA circuit prepares b (:func:`prepare_b`) as the HHL circuit does.
 :func:`run_qpea` is the one QPEA entry: exact probabilities for ``shots == 0``,
-with or without noise, and a seeded draw from them for ``shots > 0``. It,
-:func:`qpea_distribution_noisy` and the hybrid solver's restarts share one
-run of the QPEA, ``_run_qpea`` (its closed form is
-``oracles.qpea_distribution``), each public entry, :func:`build_qpe` too,
-checking its register first (:func:`qstate.check_width`).
+with or without noise, and a seeded draw from them for ``shots > 0``;
+:func:`register_distribution_exact` and :func:`qpea_distribution_noisy` call
+it. It and the hybrid solver's restarts share one run of the QPEA,
+``_run_qpea`` (its closed form is ``oracles.qpea_distribution``); it and
+:func:`build_qpe` check the register first (:func:`qstate.check_width`).
 """
 
 from __future__ import annotations
@@ -69,8 +69,8 @@ def _qpea(problem: HermitianProblem, n: int, physical_swap: bool) -> Circuit:
 
 
 def register_distribution_exact(problem: HermitianProblem, n: int) -> MeasurementHistogram:
-    """Exact QPEA outcome probabilities without noise."""
-    return qpea_distribution_noisy(problem, n, None)
+    """Exact QPEA outcome probabilities without noise: :func:`run_qpea`."""
+    return run_qpea(problem, n)
 
 
 def run_qpea(
@@ -82,21 +82,19 @@ def run_qpea(
 ) -> MeasurementHistogram:
     """The QPEA register histogram; deterministic for a fixed seed.
 
-    ``shots == 0`` gives the exact probabilities of
-    :func:`qpea_distribution_noisy`, with or without ``noise``; ``shots > 0``
-    draws that many outcomes from them. The register size is checked once,
-    before the circuit is built (under noise for a density matrix).
+    ``shots == 0`` gives the exact probabilities, of the compiled circuit
+    under ``noise`` if given, else of its source gates on a statevector;
+    ``shots > 0`` draws that many outcomes from them. The register size is
+    checked once, before the circuit is built (under noise for a density matrix).
     """
     qstate.check_width(n, problem.num_qubits, noise is not None)
     return _run_qpea(problem, n, shots, seed, noise)
 
 
 def qpea_distribution_noisy(problem: HermitianProblem, n: int, noise) -> MeasurementHistogram:
-    """Exact register distribution of the QPEA circuit: compiled and under
-    ``noise`` if given, else its source gates on a statevector. Its register
-    size is checked once, before it is built (under noise for a density matrix)."""
-    qstate.check_width(n, problem.num_qubits, noise is not None)
-    return _run_qpea(problem, n, 0, None, noise)
+    """Exact register distribution of the QPEA circuit under ``noise``, if
+    given: :func:`run_qpea` with no shots."""
+    return run_qpea(problem, n, noise=noise)
 
 
 def _run_qpea(problem: HermitianProblem, n: int, shots: int, seed, noise) -> MeasurementHistogram:
@@ -111,5 +109,4 @@ def _run_qpea(problem: HermitianProblem, n: int, shots: int, seed, noise) -> Mea
     dist = noise_mod.readout_distribution(state, circuit, noise)
     if shots == 0:
         return dist
-    p = np.array([dist.outcomes[x] for x in sorted(dist.outcomes)])
-    return qstate._draw(p, shots, seed)
+    return qstate._draw(np.fromiter(dist.outcomes.values(), float), shots, seed)

@@ -134,7 +134,7 @@ class StateVector(_State):
                 f"expected {2**num_qubits} amplitudes, got {amps.size}"
             )
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > 1e-8:
+        if not abs(norm - 1.0) <= 1e-8:  # NaN fails
             raise ValidationError(f"state norm {norm} is not 1")
         self._store(num_qubits, amps / norm)
 
@@ -200,13 +200,16 @@ class DensityMatrix(_State):
 class MeasurementHistogram:
     """Outcome bitstrings (MSB first) mapped to counts or exact probabilities.
 
-    ``shots`` is None in exact-probability mode.
+    ``shots`` is None in exact-probability mode; every entry is finite and >= 0.
     """
 
     outcomes: dict = field(default_factory=dict)
     shots: int | None = None
 
     def __post_init__(self):
+        for label, v in self.outcomes.items():
+            if not 0 <= v < np.inf:  # NaN fails
+                raise ValidationError(f"outcome {label!r} has weight {v}, not finite and >= 0")
         total = sum(self.outcomes.values())
         if self.shots is not None:
             if total != self.shots:

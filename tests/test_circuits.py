@@ -24,7 +24,7 @@ from hhlsim.errors import CompileError, DomainError, HhlError, ValidationError
 from hhlsim.noise import NoiseParams, run_noisy
 from hhlsim.problem import HermitianProblem, build_a_lambda, unitary_power
 
-from problem_helpers import circuit_unitary, equal_up_to_phase
+from problem_helpers import circuit_unitary, equal_up_to_phase, random_problem
 
 
 def _random_unitary(rng, dim=2):
@@ -111,6 +111,9 @@ class TestGate:
             ("cunitary", (0, 1), {"params": (1,), "matrix": [_X, _X]}, "not the powers"),
             ("cunitary", (0, 1, 2), {"params": (1,), "matrix": [_I, _X, _I, _I]}, "not the powers"),
             ("cunitary", (0, 1), {"params": (1,), "matrix": [_I, [[1, 1], [0, 1]]]}, "not unitary"),
+            # a physical swap is three cnot gates, a controlled phase a step of the qft lowering
+            ("swap", (0, 1), {}, "unknown gate kind 'swap'"),
+            ("cphase", (0, 1), {"params": (0.3,)}, "unknown gate kind 'cphase'"),
         ],
     )
     def test_rejects_wrong_signature(self, kind, qubits, kwargs, match):
@@ -212,6 +215,7 @@ class TestInverseQft:
         u = circuit_unitary(gates, 2)
         dft = np.exp(2j * np.pi * np.outer(np.arange(4), np.arange(4)) / 4) / 2
         assert equal_up_to_phase(u, dft.conj().T, atol=1e-10)
+        assert circuits.cnot_count(Circuit(2, tuple(gates), {})) == 5
         lowered = compile_circuit(Circuit(2, tuple(gates), {}))
         assert lowered.cnot_count == 5  # 3 for the swap + 2 for the controlled phase
 
@@ -221,30 +225,42 @@ class TestInverseQft:
         assert lowered.cnot_count == 2
 
     @staticmethod
-    def _sequence(wires, sign):
-        """The documented inverse QFT as cphase and h gates on ``wires``
-        reversed, or its adjoint for sign +1."""
+    def _steps(wires, sign):
+        """The documented inverse QFT as controlled-phase steps (control,
+        target, angle) and h steps (wire,) on ``wires`` reversed, or its
+        adjoint for sign +1: the steps reversed, each angle negated."""
         w = list(reversed(wires))
-        gates = []
+        steps = []
         for i in reversed(range(len(w))):
             for j in reversed(range(i + 1, len(w))):
-                gates.append(gate("cphase", w[j], w[i], params=(-2 * np.pi / 2 ** (j - i + 1),)))
-            gates.append(gate("h", w[i]))
-        return gates if sign < 0 else adjoint(gates)
+                steps.append((w[j], w[i], -2 * np.pi / 2 ** (j - i + 1)))
+            steps.append((w[i],))
+        return steps if sign < 0 else [(*s[:2], -s[2]) if len(s) == 3 else s for s in steps[::-1]]
 
     @pytest.mark.parametrize("sign", [-1, 1])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_qft_gate_is_the_cphase_h_sequence(self, n, sign):
-        """The one-gate QFT equals the gate sequence exactly (no global
-        phase), lowers to exactly that sequence's basis gates, and counts
-        its n(n - 1) CNOTs."""
+        """The one-gate QFT equals the sequence of explicit
+        diag(1, 1, 1, e^{i phi}) and h gates exactly (no global phase),
+        lowers to each controlled phase's two-CNOT lowering and each h in
+        that order, and counts its n(n - 1) CNOTs."""
         wires = [int(q) for q in np.random.default_rng(n).permutation(n)]
         g = gate("qft", *wires, params=(sign,))
-        sequence = self._sequence(wires, sign)
+        steps = self._steps(wires, sign)
+        sequence = [
+            gate("h", *s) if len(s) == 1
+            else gate("unitary", *s[:2], matrix=np.diag([1, 1, 1, np.exp(1j * s[2])]))
+            for s in steps
+        ]
         np.testing.assert_allclose(
             circuit_unitary([g], n), circuit_unitary(sequence, n), rtol=0, atol=1e-12
         )
-        assert circuits._lower(g) == [b for h in sequence for b in circuits._lower(h)]
+        lowered = circuits._lower(g)
+        assert lowered == [
+            b for s in steps
+            for b in ([gate("h", *s)] if len(s) == 1 else circuits._cphase_gates(*s))
+        ]
+        assert equal_up_to_phase(circuit_unitary(lowered, n), circuit_unitary(sequence, n))
         assert circuits.cnot_count(Circuit(n, (g,))) == n * (n - 1)
 
     def test_qft_matrix_is_the_bit_reversed_dft(self):
@@ -260,7 +276,9 @@ class TestInverseQft:
     @pytest.mark.parametrize("physical_swap", [False, True])
     def test_one_gate_per_qft(self, physical_swap):
         gates, out = inverse_qft_gates([3, 4, 5, 6], physical_swap=physical_swap)
-        assert [g.kind for g in gates] == ["swap"] * 2 * physical_swap + ["qft"]
+        assert [g.kind for g in gates] == ["cnot"] * 6 * physical_swap + ["qft"]
+        swaps = [((3, 6), (6, 3), (3, 6)), ((4, 5), (5, 4), (4, 5))] if physical_swap else []
+        assert [g.qubits for g in gates[:-1]] == [q for s in swaps for q in s]
         assert gates[-1].params == (-1,)
         assert gates[-1].qubits == ((6, 5, 4, 3) if physical_swap else (3, 4, 5, 6))
         assert out == ([3, 4, 5, 6] if physical_swap else [6, 5, 4, 3])
@@ -434,6 +452,33 @@ def test_kind_record_agrees_with_itself(kind):
         assert circuits.cnot_count(Circuit(3, (g,))) == emitted
 
 
+def test_every_kind_is_reached():
+    """The circuit families the package builds, source and compiled, use
+    every kind of the table and nothing else: original and reduced HHL at
+    n = 1..4 and the QPEA, each with the swap layer relabeled and physical,
+    and a d = 4 problem's preparation of b."""
+    problem, built = build_a_lambda(0.25), []
+    for swap in (False, True):
+        for n in (1, 2, 3, 4):
+            full = solvers.build_aqe(problem, n)
+            specs = [full]
+            estimate = solvers.estimate_from_spectral(problem, n)
+            if estimate.reducible:
+                specs.append(solvers.synthesize_reduced_aqe(estimate, full.c))
+            built += solvers.build_hhl_circuit(problem, n, specs, physical_swap=swap)
+        built.append(qpe.build_qpe(problem, 2, physical_swap=swap))
+    built.append(Circuit(2, tuple(qpe.prepare_b(random_problem(4, d=4), (0, 1)))))
+    seen = set()
+    for circuit in built:
+        seen.update(g.kind for g in circuit.gates)
+        try:
+            seen.update(g.kind for g in compile_circuit(circuit).gates)
+        except CompileError:
+            pass
+    assert seen == set(circuits._KINDS)
+    assert set(circuits._KINDS) == {"h", "ry", "rz", "cnot", "unitary", "cunitary", "mry", "qft"}
+
+
 class TestMeasured:
     """The qubits a circuit reads out after its last gate."""
 
@@ -466,9 +511,10 @@ class TestMeasured:
 class TestCompile:
     def test_compiled_circuit_is_a_checked_circuit(self):
         """A compiled circuit is a Circuit, so its qubit range is checked too."""
-        compiled = compile_circuit(Circuit(2, (gate("swap", 0, 1),), {"c": (1,)}, (1,)))
+        qft = gate("qft", 0, 1, params=(1,))
+        compiled = compile_circuit(Circuit(2, (qft,), {"c": (1,)}, (1,)))
         assert type(compiled) is Circuit
-        assert compiled.roles == {"c": (1,)} and compiled.cnot_count == 3
+        assert compiled.roles == {"c": (1,)} and compiled.cnot_count == 2
         assert compiled.measured == (1,)
         with pytest.raises(DomainError, match="outside"):
             replace(compiled, num_qubits=1)

@@ -365,8 +365,9 @@ class TestRunNoisy:
         source = qpe.build_qpe(build_a_lambda(0.3), 2)
         with pytest.raises(CompileError, match="'cunitary' has no duration: compile first"):
             run_noisy(source, NoiseParams())
-        with pytest.raises(CompileError, match="'swap'"):
-            run_noisy([Circuit(2, (gate("h", 0), gate("swap", 0, 1)))] * 2, NoiseParams())
+        qft = gate("qft", 0, 1, params=(-1,))
+        with pytest.raises(CompileError, match="'qft'"):
+            run_noisy([Circuit(2, (gate("h", 0), qft))] * 2, NoiseParams())
         compiled = compile_circuit(source)
         hist = readout_distribution(run_noisy(compiled, NoiseParams()), compiled, NoiseParams())
         assert hist.outcomes == qpe.run_qpea(build_a_lambda(0.3), 2, noise=NoiseParams()).outcomes
@@ -665,7 +666,7 @@ class TestFusedExecutor:
 
     @pytest.mark.parametrize("idle_damping", [True, False])
     def test_reversed_cnot_inside_a_block(self, idle_damping):
-        # the physical swap lowers to cnot(a, b), cnot(b, a), cnot(a, b): one block
+        # the physical swap is cnot(a, b), cnot(b, a), cnot(a, b): one block
         source = qpe.build_qpe(build_a_lambda(0.3), 3, physical_swap=True)
         compiled = compile_circuit(source)
         cnots = [g.qubits for g in compiled.gates if g.kind == "cnot"]
@@ -752,10 +753,10 @@ class TestFusedExecutor:
         np.testing.assert_allclose(rho.entries, u @ initial @ u.conj().T, rtol=0, atol=1e-12)
 
     def test_density_matrix_refuses_uncompiled_gates_without_noise(self):
-        circuit = Circuit(2, (gate("h", 0), gate("swap", 0, 1)))
+        circuit = Circuit(2, (gate("h", 0), gate("qft", 0, 1, params=(-1,))))
         initial = DensityMatrix(2, _random_rho(2, np.random.default_rng(3)))
-        with pytest.raises(CompileError, match="'swap' has no duration: compile first"):
+        with pytest.raises(CompileError, match="'qft' has no duration: compile first"):
             run_noisy(circuit, initial=initial)
-        with pytest.raises(CompileError, match="'swap'"):
+        with pytest.raises(CompileError, match="'qft'"):
             run_noisy([circuit, circuit], initial=initial)
         run_noisy(circuit, initial=basis_state(2, 1))  # a statevector runs it

@@ -141,6 +141,21 @@ class TestRunQpea:
         for key, count in a.outcomes.items():
             assert count / 4000 == pytest.approx(exact[key], abs=0.05)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_the_three_names_give_one_histogram(self, n):
+        """register_distribution_exact and qpea_distribution_noisy return
+        run_qpea's histogram exactly, without noise and under NoiseParams();
+        a seeded draw is the one from the exact probabilities in label order."""
+        problem, noise = random_problem(n), noise_mod.NoiseParams()
+        exact, noisy = run_qpea(problem, n), run_qpea(problem, n, noise=noise)
+        assert register_distribution_exact(problem, n) == exact
+        assert qpea_distribution_noisy(problem, n, None) == exact
+        assert qpea_distribution_noisy(problem, n, noise) == noisy != exact
+        for dist, kwargs in ((exact, {}), (noisy, {"noise": noise})):
+            p = np.array([dist.outcomes[x] for x in sorted(dist.outcomes)])
+            drawn = run_qpea(problem, n, shots=700, seed=9, **kwargs)
+            assert drawn == qstate._draw(p, 700, 9) and drawn.shots == 700
+
     def test_negative_shots_rejected(self):
         with pytest.raises(DomainError):
             run_qpea(build_a_lambda(0.25), 2, shots=-1)

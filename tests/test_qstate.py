@@ -46,6 +46,12 @@ class TestStateVector:
         with pytest.raises(ValidationError):
             StateVector(2, [1.0, 0.0])
 
+    @pytest.mark.parametrize("amps", [[np.nan, 0], [np.nan, 1], [np.inf, 0], [1, np.nan * 1j]])
+    def test_rejects_non_finite_amplitudes(self, amps):
+        # the norm is NaN or infinite, and a NaN norm once passed as "not far from 1"
+        with pytest.raises(ValidationError, match="state norm"):
+            StateVector(1, amps)
+
     def test_basis_state(self):
         s = basis_state(2, 3)
         assert abs(s.amplitudes[3]) ** 2 == 1.0
@@ -571,6 +577,30 @@ class TestFidelity:
         assert fidelity_pure(DensityMatrix._trusted(1, entries), basis_state(1, 0)) == want
         kets = np.eye(2, dtype=complex)[None]
         np.testing.assert_array_equal(qstate.overlaps(entries[None], kets), [[want, 0.0]])
+
+
+class TestMeasurementHistogram:
+    @pytest.mark.parametrize(
+        "outcomes,shots",
+        [
+            ({"00": 1.5, "01": -0.5}, None),
+            ({"00": np.inf, "01": -np.inf}, None),
+            ({"00": np.nan}, None),
+            ({"00": 1.0, "01": np.nan}, None),
+            ({"00": np.inf}, None),
+            ({"00": 3, "01": -1}, 2),
+            ({"00": 2, "01": np.nan}, 2),
+        ],
+    )
+    def test_rejects_negative_and_non_finite_entries(self, outcomes, shots):
+        with pytest.raises(ValidationError, match="not finite and >= 0"):
+            qstate.MeasurementHistogram(outcomes, shots)
+
+    def test_accepts_zero_entries(self):
+        assert qstate.MeasurementHistogram({"0": 0.0, "1": 1.0}).probabilities() == {
+            "0": 0.0, "1": 1.0
+        }
+        assert qstate.MeasurementHistogram({"0": 0, "1": 4}, 4).probabilities()["1"] == 1.0
 
 
 class TestDistributions:

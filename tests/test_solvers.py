@@ -89,6 +89,17 @@ class TestAnalyzeQpea:
         with pytest.raises(DomainError):
             analyze_qpea(MeasurementHistogram({"0": 1.0}, None), 2)
 
+    @pytest.mark.parametrize(
+        "outcomes,shots",
+        [({"00": 1.5, "01": -0.5}, None), ({"00": math.inf, "01": -math.inf}, None),
+         ({"00": 3, "01": -1}, 2)],
+    )
+    def test_no_reduction_from_negative_or_infinite_weights(self, outcomes, shots):
+        """Each once certified a reduction, the first with coverage 1.5: the
+        histogram itself refuses them."""
+        with pytest.raises(ValidationError, match="not finite and >= 0"):
+            analyze_qpea(MeasurementHistogram(outcomes, shots), 2)
+
 
 class TestEigenEstimate:
     """Per-position bit means over the peaks, and the positions they fix."""
@@ -524,7 +535,10 @@ class TestReducedEncodingEquivalence:
 
     def test_one_kernel_call_per_gate_position(self, monkeypatch):
         """The full and reduced circuits share one skeleton, so each gate
-        position, their mry too, is one kernel call on the batch."""
+        position, their mry too, is one kernel call on the batch. They share
+        every gate but their mry, as the same objects, so each shared
+        position's call takes that gate's own matrix, and only the mry's call
+        a stack of two."""
         problem = random_perfectly_estimated_problem(np.random.default_rng(5), d=4, n=3, k=2)
         kernel, calls = qstate.apply_operator, []
         monkeypatch.setattr(qstate, "apply_operator", lambda *a: calls.append(a) or kernel(*a))
@@ -535,6 +549,13 @@ class TestReducedEncodingEquivalence:
         assert reduced_encoding_equivalence_check(problem, 3)
         ((full, reduced),) = built
         assert len(calls) == len(full.gates) == len(reduced.gates) == 12
+        mry = [g.kind == "mry" for g in full.gates]
+        assert [g is not h for g, h in zip(full.gates, reduced.gates)] == mry
+        stacked = [
+            m.shape == (2, *circuits.gate_matrix(g).shape)
+            for (_, m, *_), g in zip(calls, full.gates)
+        ]
+        assert stacked == mry and sum(mry) == 1
 
     def test_random_problem_has_requested_structure(self):
         rng = np.random.default_rng(11)
