@@ -19,7 +19,7 @@ import numpy as np
 from . import circuits, noise as noise_mod, oracles, qpe, solvers
 from .errors import HhlError, NotReducibleError, ValidationError
 from .problem import SPECTRUM_MARGIN, build_a_lambda, classical_solution, load_problem
-from .qstate import MeasurementHistogram, StateVector
+from .qstate import MAX_SHOTS, MeasurementHistogram, StateVector
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -96,8 +96,8 @@ def _dump_json(payload: dict) -> str:
 # subcommands
 
 def _check_shots(args) -> None:
-    if args.shots < 0:
-        raise ValidationError("--shots must be >= 0")
+    if not 0 <= args.shots <= MAX_SHOTS:
+        raise ValidationError(f"--shots must be in [0, 2^63 - 1], got {args.shots}")
     if args.seed is not None and args.seed < 0:
         raise ValidationError(f"--seed must be >= 0, got {args.seed}")
     if args.shots > 0 and args.seed is None:

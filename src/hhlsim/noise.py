@@ -1,36 +1,26 @@
-"""The noise model and the circuit executor, :func:`run_noisy`: without
-noise on a statevector, with amplitude damping (T1) on a density matrix,
-for one circuit or a batch. Readout errors are per-bit flips of the
-measured distribution.
+"""The noise model and the circuit executor, :func:`run_noisy`: without noise
+on a statevector, with amplitude damping (T1) on a density matrix, for one
+circuit or a batch. Readout errors are per-bit flips of the measured
+distribution.
 
 :class:`NoiseParams` owns the gate durations, which only basis kinds have.
 Under noise each gate of a compiled circuit advances one clock by its
 duration, and each qubit (only the gate's own, if ``idle_damping`` is off)
-decays for that long. A density matrix is run as its Pauli coefficients
-(:func:`qstate.to_pauli`), a real vector over 2n qubit indices, on which
-every gate and decay is a real matrix, its Pauli transfer matrix (PTM,
-Greenbaum, arXiv:1509.02921): rz and ry are plane rotations by their angle,
-h a signed swap, a CNOT a signed permutation of the 16 two-qubit Paulis, and
-the decay keeps I, scales X and Y by sqrt(1 - gamma) and Z by 1 - gamma and
-adds gamma I to Z. The run takes three steps (after Haner & Steiger, SC'17).
-A plan in plain Python gives each qubit its chain of 1-qubit gates and
-decays (Nielsen & Chuang 8.3.5), each decay over the clock since the qubit
-last settled, and groups the CNOTs into blocks: maximal runs on one qubit
-pair with no other 2-qubit gate on either qubit between them. Every PTM is
-then made in a fixed number of calls per run, none per gate: the 1-qubit
-ones, one stack from constant tables by kind, the decays, the chain products, the chains before
-each CNOT joined to it (one gather and one sign table, as its PTM is a
-signed permutation), each qubit's last chain joined to its last block, the
-product of each block. Last, each block takes one call of
-:func:`qstate.apply_operator`, which keeps the coefficients in lazy axis
-order, and each qubit that meets no CNOT but owes work one more. This is
-exact: damping on one qubit commutes with gates on others, and damping for
-t1 then t2 is damping for t1 + t2. The run starts from the closed form of
-|0...0> (every Z string 1, every other coefficient 0) and returns its
-coefficients; readout and post-selection read them, and no complex rho is
-made unless its entries are read. A statevector run is not fused: that made
-``hybrid_random`` 15 % slower (188 -> 161 ops per kref), as a 2x2 on at
-most 256 amplitudes costs less than the Kronecker products.
+decays for that long. A density matrix runs as its Pauli coefficients
+(:func:`qstate.to_pauli`), on which every gate and decay is a real matrix, its
+Pauli transfer matrix (PTM, Greenbaum, arXiv:1509.02921), as a plan and its
+execution (after Haner & Steiger, SC'17). :func:`_plan`, the one walk over the
+gates, gives each qubit its chain of 1-qubit gates and decays (Nielsen &
+Chuang 8.3.5) and groups the CNOTs into blocks: maximal runs on one qubit pair
+with no other 2-qubit gate on either qubit between them. :func:`_execute`
+makes the PTMs in a fixed number of calls, none per gate, joins each chain to
+its CNOT (a signed gather: a CNOT's PTM is a signed permutation) and applies
+each block in one :func:`qstate.apply_operator` call, and one more per qubit
+that meets no CNOT but owes work. This is exact: damping on one qubit commutes
+with gates on others, and damping for t1 then t2 is damping for t1 + t2.
+Readout and post-selection read the coefficients, so a run makes no complex
+rho. A statevector run is not fused: that made ``hybrid_random`` 15 % slower,
+as a 2x2 on at most 256 amplitudes costs less than the Kronecker products.
 """
 
 from __future__ import annotations
@@ -41,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qstate
-from .circuits import gate, gate_matrix, is_basis
+from .circuits import gate, gate_matrix
 from .errors import CompileError, DomainError, ValidationError
 from .problem import read_json
 from .qstate import DensityMatrix, MeasurementHistogram, StateVector
@@ -114,7 +104,8 @@ def _decay(t, t1: float) -> np.ndarray:
     for a time ``t`` or a stack over an array of them: I stays, X and Y
     scale by sqrt(1 - gamma), Z by 1 - gamma and gains gamma I, where
     gamma = 1 - exp(-t / t1)."""
-    gamma = 1.0 - np.exp(-np.asarray(t, dtype=float) / t1)
+    with np.errstate(over="ignore"):  # t / t1 beyond the largest float: gamma = 1, its limit
+        gamma = 1.0 - np.exp(-np.asarray(t, dtype=float) / t1)
     d = np.zeros(gamma.shape + (4, 4))
     d[..., 0, 0], d[..., 2, 0], d[..., 2, 2] = 1.0, gamma, 1.0 - gamma
     d[..., 1, 1] = d[..., 3, 3] = np.sqrt(1.0 - gamma)
@@ -163,12 +154,13 @@ def run_noisy(circuit, noise: NoiseParams | None = None, initial=None):
 
     ``circuit`` may also be a sequence of circuits, all run from ``initial``;
     a list of final states is returned then, in circuit order. A batch has
-    one width (DomainError otherwise). On a density matrix the circuits run
-    one by one. On a statevector they share one skeleton, the same kind on
-    the same qubits at every position (DomainError otherwise), and run in one
-    pass over a leading batch axis, gate position by gate position: equal
-    gates share one call, and others take one call with a stack of one
-    matrix per item. So a shared prefix runs once, on a batch of one.
+    one width (DomainError otherwise). On a density matrix all are planned,
+    so checked, before they run one by one. On a statevector they share one
+    skeleton, the same kind on the same qubits at every position
+    (DomainError otherwise), and run in one pass over a leading batch axis,
+    gate position by gate position: equal gates share one call, and others
+    take one call with a stack of one matrix per item. So a shared prefix
+    runs once, on a batch of one.
     """
     single = hasattr(circuit, "gates")
     items = [circuit] if single else list(circuit)
@@ -184,10 +176,10 @@ def run_noisy(circuit, noise: NoiseParams | None = None, initial=None):
     if noise is not None and isinstance(state, StateVector) and n > qstate.widest(0, True):
         raise ValidationError(f"a {n}-qubit {qstate.EXCEEDS[True]}")
     if noise is not None or isinstance(state, DensityMatrix):
-        for kind in dict.fromkeys(g.kind for c in items for g in c.gates):
-            if not is_basis(kind):
-                raise CompileError(f"gate kind {kind!r} has no duration: compile first")
-        states = [DensityMatrix._from_pauli(n, _run_density(c, noise, initial)) for c in items]
+        if noise is None:  # no gate takes time, and nothing would decay if one did
+            noise = NoiseParams(t1_ns=math.inf, cnot_ns=0.0, rz_ns=0.0, single_ns=0.0)
+        plans = [_plan(c, noise) for c in items]  # each checked before any runs
+        states = [DensityMatrix._from_pauli(n, _execute(p, noise.t1_ns, initial)) for p in plans]
         return states[0] if single else states
     skeleton = [(g.kind, g.qubits) for g in first.gates]
     if any([(g.kind, g.qubits) for g in c.gates] != skeleton for c in items[1:]):
@@ -203,18 +195,18 @@ def run_noisy(circuit, noise: NoiseParams | None = None, initial=None):
     return states[0] if single else states
 
 
-def _run_density(circuit, noise: NoiseParams | None, initial) -> np.ndarray:
-    """The Pauli coefficients (4^n,) of a compiled circuit run on ``initial``
-    (None: |0...0>, made here in closed form; a statevector's are made here
-    too), as a batch of one: planned, its PTMs built in a fixed number of
-    calls, one kernel call per CNOT block, the axes in qubit order at the end."""
-    n, idle = circuit.num_qubits, noise is None or noise.idle_damping
-    duration = {} if noise is None else noise.durations()
+def _plan(circuit, noise: NoiseParams) -> tuple:
+    """The one walk over a compiled circuit's gates, which reads only them and
+    ``noise``'s durations and ``idle_damping`` (CompileError for a kind with
+    none): n, the 1-qubit gates, decay times, index runs, CNOT flips, blocks and lone qubits."""
+    n, idle, duration = circuit.num_qubits, noise.idle_damping, noise.durations()
     clock, since, last = 0.0, [0.0] * n, [0.0] * n  # per qubit: settled at, last gate's time
     chains = [[] for _ in range(n)]  # each qubit's items since its last CNOT
     ones, times, runs, flips, blocks, last_block = [], [], [], [], [], [None] * n
     for g in circuit.gates:
-        dt, qubits = duration.get(g.kind, 0.0), g.qubits
+        if (dt := duration.get(g.kind)) is None:
+            raise CompileError(f"gate kind {g.kind!r} has no duration: compile first")
+        qubits = g.qubits
         for q in qubits:  # q settles: decay j is item ~j, ops[~j] at the end of the stack
             if (t := clock - since[q] if idle else last[q]) > 0:
                 chains[q].append(~len(times))
@@ -246,27 +238,30 @@ def _run_density(circuit, noise: NoiseParams | None, initial) -> np.ndarray:
             flips.append(2)
             runs += tails
     lone = [q for q in range(n) if chains[q] and last_block[q] is None]
-    runs += [chains[q] for q in lone]
-    decays = _decay(times[::-1], noise.t1_ns) if times else np.empty((0, 4, 4))
-    ops = np.concatenate([_ptms(ones), np.eye(4)[None], decays])
+    return n, ones, times, runs + [chains[q] for q in lone], flips, blocks, lone
+
+
+def _execute(plan: tuple, t1: float, initial) -> np.ndarray:
+    """The Pauli coefficients (4^n,) of a :func:`_plan` run with decay time ``t1``
+    on ``initial`` (None: |0...0>, in closed form), as a batch of one: PTMs made
+    in a fixed number of calls, one kernel call per block and per lone qubit."""
+    n, ones, times, runs, flips, blocks, lone = plan
+    ops = np.concatenate([_ptms(ones), np.eye(4)[None], _decay(times[::-1], t1)])
     products = _products(ops, runs, len(ones))
     order = qubits = tuple(range(2 * n))
     if initial is None:  # |0...0>: 1 on the Z strings, those with every "X or Y" bit 0
-        data = np.zeros((1, 2**n, 2**n))
-        data[0, :, 0] = 1.0
-        data = data.reshape(1, -1)
+        data = np.tile(np.eye(1, 2**n), 2**n)
     elif isinstance(initial, DensityMatrix):
         data = initial.pauli[None]
     else:  # a statevector's rho, held by nothing after the first kernel call
         data = initial.to_density_matrix().pauli[None]
-    if flips:  # each step a signed gather from the outer product of its pair's chains
-        m = len(flips)
-        pairs = products[: 2 * m].reshape(m, 2, 16)
-        outer = pairs[:, 0, :, None] * pairs[:, 1, None, :]
-        steps = outer.reshape(-1)[_STEP[flips] + np.arange(0, 256 * m, 256)[:, None]]
-        steps = np.concatenate([(steps * _SIGN[flips]).reshape(m, 16, 16), np.eye(16)[None]])
-        for (pair, _), op in zip(blocks, _products(steps, [run for _, run in blocks], m)):
-            data, order = qstate.apply_operator(data, op, (*pair, *(q + n for q in pair)), order)
+    m = len(flips)  # each step a signed gather from the outer product of its pair's chains
+    pairs = products[: 2 * m].reshape(m, 2, 16)
+    outer = pairs[:, 0, :, None] * pairs[:, 1, None, :]
+    steps = outer.reshape(-1)[_STEP[flips] + np.arange(0, 256 * m, 256)[:, None]]
+    steps = np.concatenate([(steps * _SIGN[flips]).reshape(m, 16, 16), np.eye(16)[None]])
+    for (pair, _), op in zip(blocks, _products(steps, [run for _, run in blocks], m)):
+        data, order = qstate.apply_operator(data, op, (*pair, *(q + n for q in pair)), order)
     for q, op in zip(lone, products[len(runs) - len(lone) :]):
         data, order = qstate.apply_operator(data, op, (q, q + n), order)
     return qstate.reorder(data, order, qubits)[0]

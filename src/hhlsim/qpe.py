@@ -18,7 +18,6 @@ import numpy as np
 
 from . import circuits, noise as noise_mod, qstate
 from .circuits import Circuit, Gate
-from .errors import DomainError
 from .problem import HermitianProblem, unitary_power
 from .qstate import MeasurementHistogram
 
@@ -84,7 +83,8 @@ def run_qpea(
 
     ``shots == 0`` gives the exact probabilities, of the compiled circuit
     under ``noise`` if given, else of its source gates on a statevector;
-    ``shots > 0`` draws that many outcomes from them. The register size is
+    ``shots > 0`` draws that many outcomes from them, at most 2^63 - 1
+    (:func:`qstate.check_shots`). The register size is
     checked once, before the circuit is built (under noise for a density matrix).
     """
     qstate.check_width(n, problem.num_qubits, noise is not None)
@@ -100,8 +100,7 @@ def qpea_distribution_noisy(problem: HermitianProblem, n: int, noise) -> Measure
 def _run_qpea(problem: HermitianProblem, n: int, shots: int, seed, noise) -> MeasurementHistogram:
     """:func:`run_qpea` on a register size already checked, as the hybrid's
     restarts run it: their ceiling admits every register they try."""
-    if shots < 0:
-        raise DomainError("shots must be >= 0")
+    qstate.check_shots(shots)
     circuit = _qpea(problem, n, False)
     if noise is not None:
         circuit = circuits.compile_circuit(circuit)

@@ -13,10 +13,9 @@ indices: row bits, then column bits. On the same 2n axes lie its Pauli
 coefficients Tr(rho P), real, on which a noisy run works (:func:`to_pauli`):
 qubit q's pair of axes (q, q + n) indexes its Pauli as ("Z or Y", "X or Y"),
 I = 00, X = 01, Z = 10, Y = 11 (Greenbaum, arXiv:1509.02921). A
-:class:`DensityMatrix` holds its entries, its coefficients or both, each
-derived from the other once, on first read; its computational-basis
-probabilities are read from the coefficients if it holds them, else from
-its diagonal.
+:class:`DensityMatrix` holds the one form it was made in and derives the
+other on each read, so it never changes; its computational-basis
+probabilities are read from the form it holds.
 
 Values are checked where they enter, against an absolute tolerance
 (:func:`within_atol`): in the public state constructors, in
@@ -148,8 +147,8 @@ class StateVector(_State):
 
 class DensityMatrix(_State):
     """Mixed state; Hermitian, unit trace, positive semidefinite within
-    tolerance. Held as its entries, its Pauli coefficients or both: each is
-    derived from the other once, on first read, and is read-only."""
+    tolerance. Held in the one form it was made in, entries or Pauli
+    coefficients; each read of the other derives it again, read-only."""
 
     __slots__ = ("_entries", "_pauli")
 
@@ -179,18 +178,12 @@ class DensityMatrix(_State):
     @property
     def entries(self) -> np.ndarray:
         """The (2^n, 2^n) complex matrix."""
-        if self._entries is None:
-            self._entries = from_pauli(self._pauli[None])[0]
-            self._entries.setflags(write=False)
-        return self._entries
+        return self._entries if self._pauli is None else from_pauli(self._pauli[None])[0]
 
     @property
     def pauli(self) -> np.ndarray:
         """Tr(rho P) of every Pauli string P, (4^n,) real, on the entries' 2n axes."""
-        if self._pauli is None:
-            self._pauli = to_pauli(self._entries[None])[0]
-            self._pauli.setflags(write=False)
-        return self._pauli
+        return self._pauli if self._entries is None else to_pauli(self._entries[None])[0]
 
     def __repr__(self):
         return f"DensityMatrix(num_qubits={self.num_qubits})"
@@ -201,6 +194,7 @@ class MeasurementHistogram:
     """Outcome bitstrings (MSB first) mapped to counts or exact probabilities.
 
     ``shots`` is None in exact-probability mode; every entry is finite and >= 0.
+    In counts mode ``shots`` and every count are integers (NumPy's too).
     """
 
     outcomes: dict = field(default_factory=dict)
@@ -212,6 +206,9 @@ class MeasurementHistogram:
                 raise ValidationError(f"outcome {label!r} has weight {v}, not finite and >= 0")
         total = sum(self.outcomes.values())
         if self.shots is not None:
+            for v in (self.shots, *self.outcomes.values()):
+                if not isinstance(v, (int, np.integer)):
+                    raise ValidationError(f"counts and shots must be integers, got {v!r}")
             if total != self.shots:
                 raise ValidationError(f"counts sum to {total}, expected {self.shots}")
         elif self.outcomes and abs(total - 1.0) > 1e-9:
@@ -284,23 +281,27 @@ _FROM_PAULI = _TO_PAULI.conj().T / 2
 
 
 def to_pauli(entries: np.ndarray) -> np.ndarray:
-    """Pauli coefficients Tr(rho P), (B, 4^n) real, of a stack of Hermitian
-    matrices (B, 2^n, 2^n): one kernel call on each qubit's pair of axes."""
+    """Pauli coefficients Tr(rho P), (B, 4^n) real and read-only, of a stack of
+    Hermitian matrices (B, 2^n, 2^n): one kernel call on each qubit's pair of axes."""
     data, n = entries.reshape(len(entries), -1), entries.shape[1].bit_length() - 1
     order = qubits = tuple(range(2 * n))
     for q in range(n):
         data, order = apply_operator(data, _TO_PAULI, (q, q + n), order)
-    return reorder(data, order, qubits).real.copy()
+    out = reorder(data, order, qubits).real.copy()
+    out.setflags(write=False)
+    return out
 
 
 def from_pauli(coefficients: np.ndarray) -> np.ndarray:
-    """The matrices sum_P c_P P / 2^n, (B, 2^n, 2^n) complex, of a stack of
-    Pauli coefficients (B, 4^n): :func:`to_pauli` inverted."""
+    """The matrices sum_P c_P P / 2^n, (B, 2^n, 2^n) complex and read-only, of
+    a stack of Pauli coefficients (B, 4^n): :func:`to_pauli` inverted."""
     data, n = coefficients, (coefficients.shape[1].bit_length() - 1) // 2
     order = qubits = tuple(range(2 * n))
     for q in range(n):
         data, order = apply_operator(data, _FROM_PAULI, (q, q + n), order)
-    return reorder(data, order, qubits).reshape(-1, 2**n, 2**n)
+    out = reorder(data, order, qubits).reshape(-1, 2**n, 2**n)
+    out.setflags(write=False)
+    return out
 
 
 def apply_unitary(state, u, targets):
@@ -447,6 +448,15 @@ def exact_distribution(state, qubits) -> MeasurementHistogram:
     outcomes = {label: float(x) for label, x in zip(_labels(len(qubits)), p)}
     total = sum(outcomes.values())
     return MeasurementHistogram({k_: v / total for k_, v in outcomes.items()}, None)
+
+
+MAX_SHOTS = 2**63 - 1  # the most draws NumPy's multinomial takes: it counts in int64
+
+
+def check_shots(shots: int) -> None:
+    """The one shots rule: 0 (exact) to :data:`MAX_SHOTS` draws, else DomainError."""
+    if not 0 <= shots <= MAX_SHOTS:
+        raise DomainError(f"shots must be in [0, 2^63 - 1], got {shots}")
 
 
 def _draw(p: np.ndarray, shots: int, seed) -> MeasurementHistogram:

@@ -223,19 +223,15 @@ def postselect_hhl(states, n: int) -> dict:
     an item where that block has no weight). A statevector's ancilla-1
     amplitudes phi, as (register, input), give rho_v = phi^T phi* / p
     (Nielsen & Chuang 2.4.3), so no density matrix of the whole run is made.
-    Density matrices held as their Pauli coefficients, as a run returns them,
-    give the input's, and only those become complex matrices; others give
-    their entries' ancilla-1 quarter.
+    A density matrix is read through its Pauli coefficients, the form a run
+    returns: only the input's with the ancilla and the register at I or Z
+    are copied, and only those become complex matrices.
     """
     q, r = states[0].num_qubits - 1 - n, 2**n
     if isinstance(states[0], StateVector):
         phi = np.array([s.amplitudes.reshape(2, r, 2**q)[1] for s in states])
         traced = np.einsum("brx,bry->bxy", phi, phi.conj())
         block = phi[:, 0, :, None] * phi[:, 0, None, :].conj()
-    elif any(s._pauli is None for s in states):  # held as entries: their ancilla-1 quarter
-        rho = np.array([s.entries.reshape(2, r, 2**q, 2, r, 2**q)[1, :, :, 1] for s in states])
-        traced = np.einsum("brxry->bxy", rho)
-        block = rho[:, 0, :, 0]
     else:
         # Pauli coefficients over ("Z or Y", "X or Y") bits of (ancilla, register,
         # input), the ancilla and the register at I or Z only: the ancilla's |1><1|
@@ -364,8 +360,7 @@ def run_original_hhl_batch(
     the encoding's angles, each position taking one executor call. The
     register size is checked once, for the widest problem, before anything
     is built (under noise for a density matrix), as is ``shots``."""
-    if shots < 0:
-        raise DomainError("shots must be >= 0")
+    qstate.check_shots(shots)
     others = 1 + max((p.num_qubits for p in problems), default=0)
     qstate.check_width(n, others, noise is not None)
     specs = [_full_encoding(p, n) for p in problems]

@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -652,3 +653,42 @@ class TestDeterminism:
         out_b = tmp_path / "b.txt"
         main(list(argv) + ["--out", str(out_b)])
         assert first == out_b.read_bytes()
+
+
+class TestLimits:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["qpea", "--lambda", "0.25", "--n", "1", "--shots", "10000000000000000000000"],
+            ["solve", "--lambda", "0.25", "--mode", "hybrid", "--shots", "100000000000000000000"],
+            ["solve", "--lambda", "0.25", "--mode", "original", "--shots", "9223372036854775808"],
+        ],
+        ids=["qpea", "hybrid", "original-2^63"],
+    )
+    def test_shots_beyond_the_multinomial(self, tmp_path, capsys, argv):
+        """More draws than NumPy's multinomial counts in int64 ended in an
+        OverflowError traceback; the flag check refuses them."""
+        code, raw = run(tmp_path, *argv, "--seed", "1")
+        assert (code, raw) == (EXIT_VALIDATION, b"")
+        assert capsys.readouterr().err == f"error: --shots must be in [0, 2^63 - 1], got {argv[-1]}\n"
+
+    def test_largest_shots_drawn(self, tmp_path):
+        code, raw = run(tmp_path, "qpea", "--lambda", "0.25", "--n", "1",
+                        "--shots", "9223372036854775807", "--seed", "1")
+        assert code == EXIT_OK and raw.startswith(b"outcome,value\n0,")
+
+    def test_tiny_t1_decays_without_a_warning(self, tmp_path, capsys):
+        """t / T1 beyond the largest float is full decay, gamma = 1, with no
+        overflow warning: the QPEA runs, and the original HHL, whose ancilla
+        then never reads 1, ends in one error line."""
+        noise = tmp_path / "noise.json"
+        noise.write_text('{"t1_ns": 5e-324}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _ = run(tmp_path, "qpea", "--lambda", "0.25", "--n", "2", "--noise", str(noise))
+            assert (code, capsys.readouterr().err) == (EXIT_OK, "")
+            code, _ = run(tmp_path, "solve", "--lambda", "0.25", "--mode", "original",
+                          "--noise", str(noise))
+            err = capsys.readouterr().err
+            assert code == EXIT_VALIDATION
+            assert err.startswith("error: ") and err.count("\n") == 1

@@ -64,7 +64,7 @@ def _flag(name, values):
 
 LAMBDAS = ["0.25", "0.3", "0.5", "0.03125", "0.7", "0", "1", "-0.5", "nan", "inf", "abc"]
 REGISTERS = [-2, -1, 0, 1, 2, 3, 4, 5, 13, 40, "two"]
-SHOTS = [0, 10, -1]
+SHOTS = [0, 10, -1, 2**63]
 SEEDS = [0, 7, -1]
 PROBLEMS = ["problem:" + name for name in PROBLEM_FILES] + ["missing"]
 NOISES = ["noise:" + name for name in NOISE_FILES] + ["missing"]

@@ -628,6 +628,19 @@ class TestFusedExecutor:
         if n == 2:
             assert len(calls) == 17
 
+    def test_plan_holds_the_counted_blocks(self, monkeypatch):
+        """The plan alone gives the blocks the kernel calls count, and a batch
+        plans every circuit before it runs any: an uncompiled second circuit
+        is refused before the first takes a kernel call."""
+        qpea = compile_circuit(qpe.build_qpe(build_a_lambda(0.3), 4))
+        for compiled, want in ((_hhl_compiled(2), 17), (_hhl_compiled(4), 31), (qpea, 10)):
+            *_, blocks, lone = noise_mod._plan(compiled, NoiseParams())
+            assert len(blocks) == want == _cnot_blocks(compiled.gates)
+        calls = _count_kernel_calls(monkeypatch)
+        with pytest.raises(CompileError, match="'cunitary' has no duration: compile first"):
+            run_noisy([qpea, qpe.build_qpe(build_a_lambda(0.3), 4)], NoiseParams())
+        assert calls == []
+
     def test_one_qubit_matrices_stacked_per_kind(self, monkeypatch):
         """A density run makes the PTMs of its 1-qubit gates as one stack,
         in a fixed number of calls, none through gate_matrix."""
@@ -687,8 +700,8 @@ class TestFusedExecutor:
         assert _cnot_blocks(gates) == 3
         noise = NoiseParams(t1_ns=700.0, idle_damping=idle_damping)
         initial = _random_rho(3, np.random.default_rng(29))
-        start = DensityMatrix(3, initial)
-        start.pauli  # converted in first, one kernel call per qubit, not counted
+        # held as its coefficients, so no conversion falls among the counted calls
+        start = DensityMatrix._from_pauli(3, qstate.to_pauli(initial[None])[0])
         calls = _count_kernel_calls(monkeypatch)
         rho = run_noisy(compiled, noise, initial=start)
         assert calls[:3] == [(0, 1, 3, 4), (1, 2, 4, 5), (0, 1, 3, 4)]

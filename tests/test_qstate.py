@@ -120,20 +120,23 @@ class TestPauliCoefficients:
         back = qstate.from_pauli(qstate.to_pauli(rhos))
         np.testing.assert_allclose(back, rhos, rtol=0, atol=1e-15)
 
-    def test_each_form_derived_once_on_first_read(self, monkeypatch):
+    def test_reads_leave_the_form_it_was_made_in(self):
+        """Reading either form, twice, derives the other on each read, read
+        only, and stores nothing: what the state reports stays bit for bit
+        the same. Were the coefficients kept after a read, the marginal would
+        switch from the diagonal to the Walsh transform and move by ~1e-17."""
         rng = np.random.default_rng(8)
-        coefficients = qstate.to_pauli(_random_rho(rng, 2)[None])[0]
-        state = DensityMatrix._from_pauli(2, coefficients)
-        calls = []
-        convert = qstate.from_pauli
-        monkeypatch.setattr(qstate, "from_pauli", lambda c: calls.append(c.shape) or convert(c))
-        first = state.entries
-        assert state.entries is first and calls == [(1, 16)]
-        assert state.pauli is coefficients
-        assert not first.flags.writeable and not coefficients.flags.writeable
-        made = DensityMatrix(2, first)
-        assert not made.pauli.flags.writeable and made.pauli is made.pauli
-        np.testing.assert_allclose(made.pauli, coefficients, rtol=0, atol=1e-15)
+        rho = _random_rho(rng, 4)
+        coefficients = qstate.to_pauli(rho[None])[0]
+        for state in (DensityMatrix(4, rho), DensityMatrix._from_pauli(4, coefficients)):
+            held = (state._entries, state._pauli)
+            before = exact_distribution(state, [0, 2, 3]).outcomes
+            reads = [state.entries, state.pauli, state.entries, state.pauli]
+            assert exact_distribution(state, [0, 2, 3]).outcomes == before
+            assert state._entries is held[0] and state._pauli is held[1]
+            assert all(not a.flags.writeable for a in reads)
+            np.testing.assert_allclose(reads[0], rho, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(reads[1], coefficients, rtol=0, atol=1e-15)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -601,6 +604,18 @@ class TestMeasurementHistogram:
             "0": 0.0, "1": 1.0
         }
         assert qstate.MeasurementHistogram({"0": 0, "1": 4}, 4).probabilities()["1"] == 1.0
+
+    @pytest.mark.parametrize(
+        "outcomes,shots",
+        [({"0": 0.5, "1": 1.5}, 2), ({"0": 1, "1": 1}, 2.0), ({"0": 1.0, "1": 1}, 2)],
+    )
+    def test_counts_mode_takes_integers_only(self, outcomes, shots):
+        with pytest.raises(ValidationError, match="counts and shots must be integers"):
+            qstate.MeasurementHistogram(outcomes, shots)
+
+    def test_numpy_integers_count(self):
+        hist = qstate.MeasurementHistogram({"0": np.int64(1), "1": 3}, np.int64(4))
+        assert hist.probabilities() == {"0": 0.25, "1": 0.75}
 
 
 class TestDistributions:
