@@ -49,9 +49,11 @@ steps of 2 CNOTs each and n ``h``, n(n-1) CNOTs.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,9 +63,9 @@ from .errors import CompileError, DomainError, ValidationError
 _ANGLE_TOL = 1e-12
 
 
-@dataclass(frozen=True, slots=True)
-class Gate:
-    """One gate; make it with :func:`gate`, which checks it."""
+class Gate(NamedTuple):
+    """One gate; make it with :func:`gate`, which checks it. Immutable, so
+    lowerings share theirs, and a tuple: half the cost of a frozen dataclass."""
 
     kind: str
     qubits: tuple
@@ -202,17 +204,19 @@ def _rz(t) -> np.ndarray:
     return out
 
 
-def _qft(g: Gate) -> np.ndarray:
-    """P F^+ (s = -1) or F P (s = +1) on ``g``'s wires: entry (r, x) of
-    P F^+ is w^(-rev(r) x) / sqrt(N), with w = e^(2 pi i / N) and rev the
-    bit reversal of n bits (the qubit axes of 0..N-1 in reverse order), and
-    F P is its adjoint."""
-    n, s = len(g.qubits), g.params[0]
+@functools.cache
+def _dft(n: int, s) -> np.ndarray:
+    """P F^+ (s = -1) or F P (s = +1) on n wires, made once per shape and
+    read-only: entry (r, x) of P F^+ is w^(-rev(r) x) / sqrt(N), with
+    w = e^(2 pi i / N) and rev the bit reversal of n bits (the qubit axes of
+    0..N-1 in reverse order), and F P is its adjoint. A process keeps each
+    shape it meets: 64 MiB at the widest, n = 11."""
     x = np.arange(2**n, dtype=np.int32)  # rev(r) x < 2^31 for every register MAX_QUBITS admits
     roots = np.exp((s * 2j * np.pi / 2**n) * x) * 2 ** (-n / 2)
     index = x.reshape((2,) * n).T.reshape(-1, 1) * x
     index &= 2**n - 1  # mod 2^n, in place: at n = 11 the indices take 16 MiB, the matrix 64
     m = roots[index]
+    m.setflags(write=False)
     return m if s < 0 else m.T
 
 
@@ -367,11 +371,13 @@ def inverse_qft_gates(wires, physical_swap: bool = False):
     return swaps + [Gate("qft", tuple(reversed(wires)), (-1,))], wires
 
 
-def _qft_gates(g: Gate) -> list[Gate]:
-    """The inverse QFT P F^+ on ``g``'s wires as controlled-phase and h steps
+@functools.cache
+def _qft_gates(wires: tuple, s) -> tuple[Gate, ...]:
+    """The inverse QFT P F^+ on ``wires`` as controlled-phase and h steps
     on the wires reversed (their adjoint for s = +1: reversed, each angle
-    negated), each then lowered."""
-    w, s = g.qubits[::-1], g.params[0]
+    negated), each then lowered; made once per shape and shared, so callers
+    copy it (:func:`_lower`)."""
+    w = wires[::-1]
     n = len(w)
     steps = []
     for i in reversed(range(n)):
@@ -380,7 +386,7 @@ def _qft_gates(g: Gate) -> list[Gate]:
     out = []
     for step in (steps if s < 0 else reversed(steps)):
         out += [Gate("h", step)] if len(step) == 1 else _cphase_gates(*step[:2], -s * step[2])
-    return out
+    return tuple(out)
 
 
 def _cunitary_gates(g: Gate) -> list[Gate]:
@@ -482,8 +488,9 @@ _KINDS = {
     "mry": _Kind(None, None, lambda g: _ry(g.params), cnots=lambda g: _mry_cnots(g.params),
                  lower=lambda g: controlled_ry_chain(g.params, g.qubits[:-1], g.qubits[-1]),
                  refusal="multiplexed Ry supports at most two control qubits"),
-    "qft": _Kind(None, 1, _qft, cnots=lambda g: len(g.qubits) * (len(g.qubits) - 1),
-                 lower=_qft_gates),
+    "qft": _Kind(None, 1, lambda g: _dft(len(g.qubits), g.params[0]),
+                 cnots=lambda g: len(g.qubits) * (len(g.qubits) - 1),
+                 lower=lambda g: list(_qft_gates(g.qubits, g.params[0]))),
 }
 
 

@@ -50,10 +50,10 @@ def _noise_from_args(args):
 
 
 def _histogram_json(hist: MeasurementHistogram) -> dict:
-    return {
-        "outcomes": {k: _float(v) for k, v in sorted(hist.outcomes.items())},
-        "shots": hist.shots,
-    }
+    """Outcomes in label order, counts as the drawn integers, and shots."""
+    number = _float if hist.shots is None else int
+    return {"outcomes": {k: number(v) for k, v in sorted(hist.outcomes.items())},
+            "shots": hist.shots}
 
 
 def _optional(x):
@@ -178,9 +178,8 @@ def cmd_qpea(args) -> int:
     noise = _noise_from_args(args)
     _check_shots(args)
     hist = qpe.run_qpea(problem, args.n, args.shots, args.seed, noise=noise)
-    lines = ["outcome,value"]
-    for key in sorted(hist.outcomes):
-        lines.append(f"{key},{_float(hist.outcomes[key])!r}")
+    outcomes = _histogram_json(hist)["outcomes"]
+    lines = ["outcome,value", *(f"{key},{v!r}" for key, v in outcomes.items())]
     _write(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -13,11 +13,15 @@ execution (after Haner & Steiger, SC'17). :func:`_plan`, the one walk over the
 gates, gives each qubit its chain of 1-qubit gates and decays (Nielsen &
 Chuang 8.3.5) and groups the CNOTs into blocks: maximal runs on one qubit pair
 with no other 2-qubit gate on either qubit between them. :func:`_execute`
-makes the PTMs in a fixed number of calls, none per gate, joins each chain to
-its CNOT (a signed gather: a CNOT's PTM is a signed permutation) and applies
-each block in one :func:`qstate.apply_operator` call, and one more per qubit
-that meets no CNOT but owes work. This is exact: damping on one qubit commutes
-with gates on others, and damping for t1 then t2 is damping for t1 + t2.
+makes every 1-qubit gate's and decay's PTM in one stack from one formula,
+multiplies the chains as a log-depth tree, joins each chain to its CNOT (a
+signed gather: a CNOT's PTM is a signed permutation), multiplies each block as
+a second tree and applies it in one :func:`qstate.apply_operator` call, and
+one more per qubit that meets no CNOT but owes work: about 50 NumPy operations,
+3 more per tree level (log2 of the longest chain and block) and 1 kernel call
+per block, so the count grows with the blocks, not the gates. This is exact:
+damping on one qubit commutes with gates on others, and damping for t1 then t2
+is damping for t1 + t2.
 Readout and post-selection read the coefficients, so a run makes no complex
 rho. A statevector run is not fused: that made ``hybrid_random`` 15 % slower,
 as a 2x2 on at most 256 amplitudes costs less than the Kronecker products.
@@ -101,36 +105,41 @@ def damping_channel(rho: DensityMatrix, qubit: int, t: float, t1: float) -> Dens
 
 def _decay(t, t1: float) -> np.ndarray:
     """The PTM of the Kraus sum K0 rho K0^+ + K1 rho K1^+ over (I, X, Z, Y),
-    for a time ``t`` or a stack over an array of them: I stays, X and Y
-    scale by sqrt(1 - gamma), Z by 1 - gamma and gains gamma I, where
-    gamma = 1 - exp(-t / t1)."""
-    with np.errstate(over="ignore"):  # t / t1 beyond the largest float: gamma = 1, its limit
-        gamma = 1.0 - np.exp(-np.asarray(t, dtype=float) / t1)
-    d = np.zeros(gamma.shape + (4, 4))
-    d[..., 0, 0], d[..., 2, 0], d[..., 2, 2] = 1.0, gamma, 1.0 - gamma
-    d[..., 1, 1] = d[..., 3, 3] = np.sqrt(1.0 - gamma)
-    return d
+    for a time ``t`` or a stack over an array of them: :func:`_ptms` of decays."""
+    return _ptms(np.full(np.shape(t), _DECAY), np.asarray(t, dtype=float), t1)
 
 
-# The PTM of each 1-qubit basis kind, by its index in _ONE, over (I, X, Z, Y) is
-# _FIXED + cos(t) _COS + sin(t) _SIN at its angle t (h has none): h swaps X and
-# Z and negates Y, ry turns Z toward X, rz turns X toward Y
+# The PTM over (I, X, Z, Y) of a 1-qubit item of code k is _BASE[k] + x _A[k]
+# + y _B[k]. h, ry, rz (k in _ONE) at an angle t take x, y = cos t, sin t: h
+# swaps X and Z and negates Y, ry turns Z toward X, rz X toward Y. A decay
+# for a time t takes x, y = gamma, sqrt(1 - gamma), gamma = 1 - exp(-t / t1):
+# I stays, Z scales by 1 - gamma and gains gamma I, X and Y by sqrt(1 - gamma)
 _ONE = {"h": 0, "ry": 1, "rz": 2}
-_FIXED, _COS, _SIN = np.zeros((3, 3, 4, 4))
-_FIXED[:, 0, 0] = 1.0
-_FIXED[0, 1, 2] = _FIXED[0, 2, 1] = 1.0
-_FIXED[0, 3, 3], _FIXED[1, 3, 3], _FIXED[2, 2, 2] = -1.0, 1.0, 1.0
-_COS[1, 1, 1] = _COS[1, 2, 2] = _COS[2, 1, 1] = _COS[2, 3, 3] = 1.0
-_SIN[1, 1, 2], _SIN[1, 2, 1] = 1.0, -1.0  # ry: Z toward X
-_SIN[2, 3, 1], _SIN[2, 1, 3] = 1.0, -1.0  # rz: X toward Y
+_IDENTITY, _DECAY = 3, 4
+_BASE, _A, _B = np.zeros((3, 5, 4, 4))
+_BASE[:, 0, 0] = 1.0
+_BASE[0, 1, 2] = _BASE[0, 2, 1] = 1.0
+_BASE[0, 3, 3], _BASE[1, 3, 3], _BASE[2, 2, 2] = -1.0, 1.0, 1.0
+_BASE[_IDENTITY], _BASE[_DECAY, 2, 2] = np.eye(4), 1.0
+_A[1, 1, 1] = _A[1, 2, 2] = _A[2, 1, 1] = _A[2, 3, 3] = 1.0
+_B[1, 1, 2], _B[1, 2, 1] = 1.0, -1.0  # ry: Z toward X
+_B[2, 3, 1], _B[2, 1, 3] = 1.0, -1.0  # rz: X toward Y
+_A[_DECAY, 2, 0], _A[_DECAY, 2, 2] = 1.0, -1.0
+_B[_DECAY, 1, 1] = _B[_DECAY, 3, 3] = 1.0
 
 
-def _ptms(gates) -> np.ndarray:
-    """The PTM of each of a list of 1-qubit basis gates, as one (k, 4, 4)
-    stack made in a fixed number of calls."""
-    kinds = np.array([_ONE[g.kind] for g in gates], dtype=np.intp)
-    angles = np.array([g.params[0] if g.params else 0.0 for g in gates])[:, None, None]
-    return _FIXED[kinds] + np.cos(angles) * _COS[kinds] + np.sin(angles) * _SIN[kinds]
+def _ptms(codes: np.ndarray, values: np.ndarray, t1: float) -> np.ndarray:
+    """The PTM of each 1-qubit item, by its code and value (a gate's angle, a
+    decay's time; the identity's is ignored), as one stack made in a fixed
+    number of calls from one formula."""
+    # t / t1 beyond the largest float: gamma = 1, its limit; an item reads only its kind's x, y
+    with np.errstate(over="ignore", invalid="ignore"):
+        gamma = 1.0 - np.exp(-values / t1)
+        cos, sin = np.cos(values), np.sin(values)
+    decay = codes == _DECAY
+    x = np.where(decay, gamma, cos)[..., None, None]
+    y = np.where(decay, np.sqrt(1.0 - gamma), sin)[..., None, None]
+    return _BASE[codes] + x * _A[codes] + y * _B[codes]
 
 
 def survival_bound(cnot_count: int, noise: NoiseParams = NoiseParams()) -> float:
@@ -198,24 +207,29 @@ def run_noisy(circuit, noise: NoiseParams | None = None, initial=None):
 def _plan(circuit, noise: NoiseParams) -> tuple:
     """The one walk over a compiled circuit's gates, which reads only them and
     ``noise``'s durations and ``idle_damping`` (CompileError for a kind with
-    none): n, the 1-qubit gates, decay times, index runs, CNOT flips, blocks and lone qubits."""
-    n, idle, duration = circuit.num_qubits, noise.idle_damping, noise.durations()
+    none): n, the 1-qubit items' codes and values (:func:`_ptms`, item 0 the
+    identity), index runs, CNOT flips, blocks and lone qubits."""
+    n, idle = circuit.num_qubits, noise.idle_damping
+    kinds = {kind: (dt, _ONE.get(kind)) for kind, dt in noise.durations().items()}
     clock, since, last = 0.0, [0.0] * n, [0.0] * n  # per qubit: settled at, last gate's time
     chains = [[] for _ in range(n)]  # each qubit's items since its last CNOT
-    ones, times, runs, flips, blocks, last_block = [], [], [], [], [], [None] * n
+    codes, values, runs, flips, blocks, last_block = [_IDENTITY], [0.0], [], [], [], [None] * n
     for g in circuit.gates:
-        if (dt := duration.get(g.kind)) is None:
+        if (spec := kinds.get(g.kind)) is None:
             raise CompileError(f"gate kind {g.kind!r} has no duration: compile first")
+        dt, code = spec
         qubits = g.qubits
-        for q in qubits:  # q settles: decay j is item ~j, ops[~j] at the end of the stack
+        for q in qubits:  # q settles
             if (t := clock - since[q] if idle else last[q]) > 0:
-                chains[q].append(~len(times))
-                times.append(t)
+                chains[q].append(len(codes))
+                codes.append(_DECAY)
+                values.append(t)
             since[q], last[q] = clock, dt
         clock += dt
-        if len(qubits) == 1:
-            chains[qubits[0]].append(len(ones))
-            ones.append(g)
+        if code is not None:
+            chains[qubits[0]].append(len(codes))
+            codes.append(code)
+            values.append(g.params[0] if g.params else 0.0)
             continue
         a, b = qubits
         block = last_block[a]
@@ -223,14 +237,15 @@ def _plan(circuit, noise: NoiseParams) -> tuple:
             block = last_block[a] = last_block[b] = (qubits, [])
             blocks.append(block)
         block[1].append(len(flips))
-        flips.append(int(block[0] != qubits))  # an int: a list of bools would be a mask
+        flips.append(block[0] != qubits)
         for q in block[0]:
             runs.append(chains[q])
             chains[q] = []
     for q, t in enumerate([clock - s for s in since] if idle else last):
         if t > 0:
-            chains[q].append(~len(times))
-            times.append(t)
+            chains[q].append(len(codes))
+            codes.append(_DECAY)
+            values.append(t)
     for block in blocks:  # a qubit's last chain joins its last block, as no later one touches it
         tails = [chains[q] if last_block[q] is block else [] for q in block[0]]
         if any(tails):
@@ -238,28 +253,29 @@ def _plan(circuit, noise: NoiseParams) -> tuple:
             flips.append(2)
             runs += tails
     lone = [q for q in range(n) if chains[q] and last_block[q] is None]
-    return n, ones, times, runs + [chains[q] for q in lone], flips, blocks, lone
+    return n, codes, values, runs + [chains[q] for q in lone], flips, blocks, lone
 
 
 def _execute(plan: tuple, t1: float, initial) -> np.ndarray:
     """The Pauli coefficients (4^n,) of a :func:`_plan` run with decay time ``t1``
     on ``initial`` (None: |0...0>, in closed form), as a batch of one: PTMs made
-    in a fixed number of calls, one kernel call per block and per lone qubit."""
-    n, ones, times, runs, flips, blocks, lone = plan
-    ops = np.concatenate([_ptms(ones), np.eye(4)[None], _decay(times[::-1], t1)])
-    products = _products(ops, runs, len(ones))
+    in one stack, both products as trees, one kernel call per block and per lone qubit."""
+    n, codes, values, runs, flips, blocks, lone = plan
+    products = _products(_ptms(np.array(codes), np.array(values), t1), runs, 0)
     order = qubits = tuple(range(2 * n))
     if initial is None:  # |0...0>: 1 on the Z strings, those with every "X or Y" bit 0
-        data = np.tile(np.eye(1, 2**n), 2**n)
+        data = np.zeros((1, 4**n))
+        data[:, :: 2**n] = 1.0
     elif isinstance(initial, DensityMatrix):
         data = initial.pauli[None]
     else:  # a statevector's rho, held by nothing after the first kernel call
         data = initial.to_density_matrix().pauli[None]
-    m = len(flips)  # each step a signed gather from the outer product of its pair's chains
-    pairs = products[: 2 * m].reshape(m, 2, 16)
-    outer = pairs[:, 0, :, None] * pairs[:, 1, None, :]
+    m, flips = len(flips), np.array(flips, dtype=np.intp)
+    pairs = products[: 2 * m].reshape(m, 2, 16)  # each step a signed gather from the
+    outer = pairs[:, 0, :, None] * pairs[:, 1, None, :]  # outer product of its pair's chains
     steps = outer.reshape(-1)[_STEP[flips] + np.arange(0, 256 * m, 256)[:, None]]
-    steps = np.concatenate([(steps * _SIGN[flips]).reshape(m, 16, 16), np.eye(16)[None]])
+    # step m is no gate's PTM, the identity that pads the blocks' runs
+    steps = np.concatenate([(steps * _SIGN[flips]).reshape(m, 16, 16), _CNOT_PTM[2:]])
     for (pair, _), op in zip(blocks, _products(steps, [run for _, run in blocks], m)):
         data, order = qstate.apply_operator(data, op, (*pair, *(q + n for q in pair)), order)
     for q, op in zip(lone, products[len(runs) - len(lone) :]):
@@ -269,19 +285,15 @@ def _execute(plan: tuple, t1: float, initial) -> np.ndarray:
 
 def _products(ops: np.ndarray, runs, identity: int) -> np.ndarray:
     """The product of each run of indices into the stack ``ops``, its first
-    applied first: the runs, padded with ``identity`` into one table with the
-    longest first, are scanned column by column, each step one batched
-    matmul over the runs that long."""
-    lengths = np.array([len(run) for run in runs], dtype=np.intp)
-    filled = np.arange(max(1, lengths.max(initial=0))) < lengths[:, None]
-    table = np.full(filled.shape, identity)
-    table[filled] = [i for run in runs for i in run]
-    order, active = np.argsort(-lengths, kind="stable"), filled.sum(axis=0).tolist()
-    columns = table[order].T
-    out = ops[columns[0]]
-    for column, a in zip(columns[1:], active[1:]):
-        np.matmul(ops[column[:a]], out[:a], out=out[:a])
-    return out[np.argsort(order)]
+    applied first, as a tree: the runs, padded with ``identity`` to one
+    power-of-two width, are gathered in one call, and each level multiplies
+    every odd column onto the even one before it in one batched matmul."""
+    width = 1 << (max(map(len, runs), default=1) - 1).bit_length()
+    out = ops[np.array([run + [identity] * (width - len(run)) for run in runs],
+                       dtype=np.intp).reshape(-1, width)]
+    while out.shape[1] > 1:
+        out = out[:, 1::2] @ out[:, ::2]
+    return out[:, 0]
 
 
 # kron(F_a, F_b) indexes (Pauli a, Pauli b), bits ("Z or Y" a, "X or Y" a,

@@ -263,6 +263,19 @@ class TestInverseQft:
         assert equal_up_to_phase(circuit_unitary(lowered, n), circuit_unitary(sequence, n))
         assert circuits.cnot_count(Circuit(n, (g,))) == n * (n - 1)
 
+    def test_qft_lowering_is_shared_but_each_caller_gets_its_own_list(self):
+        """The lowering of a qft shape is made once and shared as a tuple of
+        immutable gates; _lower hands out a fresh list, so a caller that
+        changes it changes no later lowering."""
+        g = gate("qft", 2, 0, 1, params=(-1,))
+        first = circuits._lower(g)
+        shared = circuits._qft_gates((2, 0, 1), -1)
+        assert first == list(shared) and first is not circuits._lower(g)
+        first.clear()
+        assert circuits._lower(g) == list(shared) and len(shared) == 3 * 5 + 3
+        with pytest.raises(AttributeError):
+            shared[0].kind = "cnot"
+
     def test_qft_matrix_is_the_bit_reversed_dft(self):
         n = 3
         x = np.arange(2**n)

@@ -43,6 +43,9 @@ class TestSolve:
         assert record["fidelity"] == pytest.approx(1.0, abs=1e-9)
         assert record["cnot_count"] == 14
         assert record["mode"] == "hybrid"
+        for hist in record["histograms"].values():  # counts print as the drawn integers
+            assert all(type(v) is int for v in hist["outcomes"].values())
+            assert sum(hist["outcomes"].values()) == hist["shots"] == 1024
 
     def test_original_half_exact(self, tmp_path):
         code, raw = run(tmp_path, "solve", "--lambda", "0.5", "--n", "2", "--mode", "original")
@@ -433,6 +436,16 @@ class TestQpea:
         assert float(rows["01"]) >= 0.3
         assert float(rows["11"]) >= 0.3
 
+    def test_counts_print_as_the_drawn_integers(self, tmp_path):
+        """Counts print as integers, exact beyond 2^53 where a float is not:
+        the largest draw NumPy makes prints counts that sum to its shots."""
+        shots = 2**63 - 1
+        argv = ["qpea", "--lambda", "0.25", "--n", "1", "--shots", str(shots), "--seed", "1"]
+        code, raw = run(tmp_path, *argv)
+        rows = [line.split(",") for line in raw.decode().split("\n")[1:-1]]
+        assert code == EXIT_OK and [key for key, _ in rows] == ["0", "1"]
+        assert all(v.isdigit() for _, v in rows) and sum(int(v) for _, v in rows) == shots
+
     def test_register_too_wide(self, tmp_path, capsys):
         code, raw = run(tmp_path, "qpea", "--lambda", "0.3", "--n", "40")
         assert code == EXIT_VALIDATION and raw == b""
@@ -653,6 +666,19 @@ class TestDeterminism:
         out_b = tmp_path / "b.txt"
         main(list(argv) + ["--out", str(out_b)])
         assert first == out_b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv", [["compare", "--lambdas", "0.25,0.5"], ["qpea", "--lambda", "0.3", "--n", "3"]]
+    )
+    def test_noisy_invocations_byte_identical_with_a_warm_memo(self, tmp_path, argv):
+        """A noisy command run twice in one process, first with the shared QFT
+        lowerings and DFTs cleared, then with them made, writes the same bytes."""
+        noise = tmp_path / "noise.json"
+        noise.write_text('{"t1_ns": 30000}')
+        circuits._qft_gates.cache_clear()
+        circuits._dft.cache_clear()
+        cold, warm = (run(tmp_path, *argv, "--noise", str(noise)) for _ in range(2))
+        assert cold == warm and cold[0] == EXIT_OK and cold[1]
 
 
 class TestLimits:

@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+import warnings
 from dataclasses import asdict, replace
 from unittest import mock
 
@@ -254,7 +255,9 @@ class TestPauliTransferMatrices:
         rng = np.random.default_rng(12)
         gates = [gate(kind, 0, params=() if kind == "h" else (rng.uniform(-4 * np.pi, 4 * np.pi),))
                  for kind in rng.choice(["h", "ry", "rz"], 300)]
-        got = noise_mod._ptms(gates)
+        codes = np.array([noise_mod._ONE[g.kind] for g in gates])
+        angles = np.array([g.params[0] if g.params else 0.0 for g in gates])
+        got = noise_mod._ptms(codes, angles, 3000.0)
         assert got.dtype == float and got.shape == (300, 4, 4)
         for g, ptm in zip(gates, got):
             u = circuits._KINDS[g.kind].matrix(g)
@@ -272,6 +275,21 @@ class TestPauliTransferMatrices:
                      np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]]))
             want = _ptm_of(sum(np.kron(k, k.conj()) for k in kraus))
             np.testing.assert_allclose(ptm, want, rtol=0, atol=1e-15)
+
+    def test_tiny_t1_is_full_decay_without_a_warning(self):
+        """t / t1 beyond the largest float is full decay, gamma = 1, its
+        limit; a zero time is no decay, and a gate in the same stack keeps
+        its PTM, all without a floating-point warning."""
+        codes = np.array([noise_mod._DECAY, noise_mod._DECAY, noise_mod._ONE["ry"], noise_mod._IDENTITY])
+        values = np.array([0.0, 60.0, -2.5, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = noise_mod._ptms(codes, values, 5e-324)
+        full = np.zeros((4, 4))
+        full[0, 0] = full[2, 0] = 1.0
+        assert np.array_equal(got[0], np.eye(4)) and np.array_equal(got[1], full)
+        assert np.array_equal(got[2], noise_mod._ptms(codes[2:3], values[2:3], 3000.0)[0])
+        assert np.array_equal(got[3], np.eye(4))
 
     def test_cnot_ptms_are_pauli_traces(self):
         """Entry (i, j) of each CNOT PTM is Tr(P_i U P_j U^+) / 4, with the
@@ -403,7 +421,7 @@ class TestRunNoisy:
 def _reparametrized(circuit, rng):
     """The same skeleton with fresh random angles on every rotation."""
     gates = tuple(
-        replace(g, params=(rng.uniform(-np.pi, np.pi),)) if g.params else g for g in circuit.gates
+        g._replace(params=(rng.uniform(-np.pi, np.pi),)) if g.params else g for g in circuit.gates
     )
     return replace(circuit, gates=gates)
 
@@ -642,16 +660,18 @@ class TestFusedExecutor:
         assert calls == []
 
     def test_one_qubit_matrices_stacked_per_kind(self, monkeypatch):
-        """A density run makes the PTMs of its 1-qubit gates as one stack,
-        in a fixed number of calls, none through gate_matrix."""
+        """A density run makes the PTMs of its 1-qubit gates, its decays and
+        the identity as one stack, in one call, none through gate_matrix."""
         compiled = compile_circuit(qpe.build_qpe(build_a_lambda(0.3), 4))
         calls, stacks = [], noise_mod._ptms
         for module in (circuits, noise_mod):
             monkeypatch.setattr(module, "gate_matrix", lambda g: calls.append(g))
-        monkeypatch.setattr(noise_mod, "_ptms", lambda gates: calls.append(len(gates))
-                            or stacks(gates))
+        monkeypatch.setattr(noise_mod, "_ptms", lambda codes, values, t1: calls.append(
+            np.bincount(codes, minlength=5).tolist()) or stacks(codes, values, t1))
         run_noisy(compiled, NoiseParams())
-        assert calls == [sum(len(g.qubits) == 1 for g in compiled.gates)] and calls[0] > 0
+        *_, decays = calls[0]
+        ones = [sum(g.kind == kind for g in compiled.gates) for kind in noise_mod._ONE]
+        assert calls == [[*ones, 1, decays]] and sum(ones) > 0 and decays > 0
 
     def test_cnot_steps_are_a_gather(self):
         """Joining two chains to a CNOT moves entries of their Kronecker
@@ -670,6 +690,25 @@ class TestFusedExecutor:
         outer = chains[:, 0].reshape(24, 16, 1) * chains[:, 1].reshape(24, 1, 16)
         got = np.take_along_axis(outer.reshape(24, 256), noise_mod._STEP[flips], axis=1)
         assert np.array_equal((got * noise_mod._SIGN[flips]).reshape(24, 16, 16), want)
+
+    @pytest.mark.parametrize("d", [4, 16])
+    def test_tree_products_equal_a_left_fold(self, d):
+        """The tree over the padded table multiplies each run as a left fold
+        does, its first item applied first, to 1e-15 on orthogonal matrices
+        (entries at most 1, as a PTM's): empty runs, runs of one and lengths
+        that are no power of two, and no run at all."""
+        rng = np.random.default_rng(d)
+        ops = np.linalg.qr(rng.normal(size=(30, d, d)))[0]
+        ops[0] = np.eye(d)
+        runs = [rng.integers(1, 30, length).tolist() for length in [0, 1, 2, 3, 5, 6, 7, 8, 9, 0]]
+        got = noise_mod._products(ops, runs, 0)
+        assert got.shape == (len(runs), d, d)
+        for run, product in zip(runs, got):
+            want = np.eye(d)
+            for i in run:
+                want = ops[i] @ want
+            np.testing.assert_allclose(product, want, rtol=0, atol=1e-15)
+        assert noise_mod._products(ops, [], 0).shape == (0, d, d)
 
     def test_qpea_takes_one_kernel_call_per_cnot_block(self, monkeypatch):
         compiled = compile_circuit(qpe.build_qpe(build_a_lambda(0.3), 4))

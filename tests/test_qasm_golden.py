@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from hhlsim import cli, qpe, solvers
+from hhlsim import circuits, cli, qpe, solvers
 from hhlsim.circuits import compile_circuit, emit_qasm
 from hhlsim.problem import build_a_lambda
 
@@ -57,6 +57,27 @@ def test_physical_swap_lowering_matches_recording(path):
         spec = solvers.build_aqe(problem, n)
         built = solvers.build_hhl_circuit(problem, n, spec, physical_swap=True)
     _assert_same_qasm(emit_qasm(compile_circuit(built)), path.read_text())
+
+
+@pytest.mark.parametrize("path", _FILES + _SWAP_FILES, ids=lambda p: f"{p.parent.name}-{p.stem}")
+def test_compiles_alike_with_a_cold_and_a_warm_memo(path):
+    """The QFT's lowering is made once per shape and shared: every recorded
+    circuit compiles to the same gates with the memo cleared and with it
+    filled, and emits its recording."""
+    circuit, n, lam = _NAME.fullmatch(path.name).groups()
+    problem, n, swap = build_a_lambda(float(lam)), int(n), path in _SWAP_FILES
+    if circuit == "qpea":
+        built = qpe.build_qpe(problem, n, physical_swap=swap)
+    else:
+        spec = solvers.build_aqe(problem, n)
+        if circuit == "hybrid":
+            spec = solvers.synthesize_reduced_aqe(solvers.estimate_from_spectral(problem, n), spec.c)
+        built = solvers.build_hhl_circuit(problem, n, spec, physical_swap=swap)
+    circuits._qft_gates.cache_clear()
+    cold = compile_circuit(built)
+    warm = compile_circuit(built)
+    assert cold.gates == warm.gates
+    _assert_same_qasm(emit_qasm(warm), path.read_text())
 
 
 def _assert_same_qasm(got_text, want_text):

@@ -53,7 +53,7 @@ class TestAqeSpec:
         problem = build_a_lambda(0.25)
         spec = build_aqe(problem, 2)
         (mry,) = [g for g in build_hhl_circuit(problem, 2, spec).gates if g.kind == "mry"]
-        u = circuit_unitary([dataclasses.replace(mry, qubits=(0, 1, 2))], 3)
+        u = circuit_unitary([mry._replace(qubits=(0, 1, 2))], 3)
         np.testing.assert_allclose(u @ u.conj().T, np.eye(8), atol=1e-12)
         # register value 0 untouched (index = 2 * register pattern + ancilla)
         assert u[0, 0] == pytest.approx(1.0)
