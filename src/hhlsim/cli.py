@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import circuits, noise as noise_mod, oracles, qpe, solvers
-from .errors import HhlError, NotReducibleError, ValidationError
+from .errors import HhlError, ImpossibleOutcomeError, NotReducibleError, ValidationError
 from .problem import SPECTRUM_MARGIN, build_a_lambda, classical_solution, load_problem
 from .qstate import MAX_SHOTS, MeasurementHistogram, StateVector
 
@@ -204,7 +204,12 @@ def cmd_compare(args) -> int:
             except NotReducibleError as exc:
                 modes[mode] = {"verdict": "not_reducible", "message": str(exc)}
                 print(f"not reducible: {mode} at lambda {lam!r}: {exc}", file=sys.stderr)
-                code = EXIT_NOT_REDUCIBLE
+                code = code or EXIT_NOT_REDUCIBLE  # a row that raised ranks above it
+                continue
+            except ImpossibleOutcomeError as exc:
+                modes[mode] = {"verdict": "impossible_outcome", "message": str(exc)}
+                print(f"error: {mode} at lambda {lam!r}: {exc}", file=sys.stderr)
+                code = EXIT_VALIDATION
                 continue
             bound = None if outcome.cnot_count is None else noise_mod.survival_bound(
                 outcome.cnot_count, noise or noise_mod.NoiseParams()

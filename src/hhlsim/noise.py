@@ -6,18 +6,20 @@ distribution.
 :class:`NoiseParams` owns the gate durations, which only basis kinds have.
 Under noise each gate of a compiled circuit advances one clock by its
 duration, and each qubit (only the gate's own, if ``idle_damping`` is off)
-decays for that long. A density matrix runs as its Pauli coefficients
-(:func:`qstate.to_pauli`), on which every gate and decay is a real matrix, its
-Pauli transfer matrix (PTM, Greenbaum, arXiv:1509.02921), as a plan and its
-execution (after Haner & Steiger, SC'17). :func:`_plan`, the one walk over the
-gates, gives each qubit its chain of 1-qubit gates and decays (Nielsen &
-Chuang 8.3.5) and groups the CNOTs into blocks: maximal runs on one qubit pair
-with no other 2-qubit gate on either qubit between them. :func:`_execute`
-makes every 1-qubit gate's and decay's PTM in one stack from one formula,
-multiplies the chains as a log-depth tree, joins each chain to its CNOT (a
-signed gather: a CNOT's PTM is a signed permutation), multiplies each block as
-a second tree and applies it in one :func:`qstate.apply_operator` call, and
-one more per qubit that meets no CNOT but owes work: about 50 NumPy operations,
+decays for that long. A density matrix is held as its Pauli coefficients
+(:mod:`qstate`), on which every gate and decay is a real matrix, its Pauli
+transfer matrix (PTM, Greenbaum, arXiv:1509.02921); a run works on them as a
+plan and its execution (after Haner & Steiger, SC'17). :func:`_plan`, the one
+walk over the gates, gives each qubit its chain of 1-qubit gates and decays
+(Nielsen & Chuang 8.3.5) and groups the CNOTs into blocks: maximal runs on one
+qubit pair with no other 2-qubit gate on either qubit between them. It stores
+each item once, in the order the run reads it, so a chain or a block is its
+length. :func:`_execute` makes every 1-qubit gate's and decay's PTM in one
+stack from one formula, multiplies the chains as a log-depth tree, joins each
+chain to its CNOT (a signed gather: a CNOT's PTM is a signed permutation),
+multiplies each block as a second tree and applies it in one
+:func:`qstate.apply_operator` call, and one more per qubit that meets no CNOT
+but owes work: about 50 NumPy operations,
 3 more per tree level (log2 of the longest chain and block) and 1 kernel call
 per block, so the count grows with the blocks, not the gates. This is exact:
 damping on one qubit commutes with gates on others, and damping for t1 then t2
@@ -88,19 +90,14 @@ class NoiseParams:
 
 def damping_channel(rho: DensityMatrix, qubit: int, t: float, t1: float) -> DensityMatrix:
     """Single-qubit amplitude damping for duration ``t`` with decay time
-    ``t1``: :func:`_decay` on the qubit's Pauli coefficients, or, on a state
-    held as its entries, the same map over the qubit's row and column bits."""
+    ``t1``: :func:`_decay` on the qubit's Pauli coefficients."""
     if t < 0:
         raise DomainError("elapsed time must be nonnegative")
     if t == 0:
         return rho
-    n, qubits, held = rho.num_qubits, tuple(range(2 * rho.num_qubits)), rho._pauli is not None
-    data = rho.pauli if held else rho.entries.reshape(-1)
-    m = _decay(t, t1) if held else qstate._FROM_PAULI @ _decay(t, t1) @ qstate._TO_PAULI
-    out = qstate.reorder(*qstate.apply_operator(data[None], m, (qubit, qubit + n), qubits), qubits)
-    if held:
-        return DensityMatrix._from_pauli(n, out[0])
-    return DensityMatrix._trusted(n, out.reshape(2**n, 2**n))
+    n, qubits = rho.num_qubits, tuple(range(2 * rho.num_qubits))
+    out, order = qstate.apply_operator(rho.pauli[None], _decay(t, t1), (qubit, qubit + n), qubits)
+    return DensityMatrix._trusted(n, qstate.reorder(out, order, qubits)[0])
 
 
 def _decay(t, t1: float) -> np.ndarray:
@@ -188,7 +185,7 @@ def run_noisy(circuit, noise: NoiseParams | None = None, initial=None):
         if noise is None:  # no gate takes time, and nothing would decay if one did
             noise = NoiseParams(t1_ns=math.inf, cnot_ns=0.0, rz_ns=0.0, single_ns=0.0)
         plans = [_plan(c, noise) for c in items]  # each checked before any runs
-        states = [DensityMatrix._from_pauli(n, _execute(p, noise.t1_ns, initial)) for p in plans]
+        states = [DensityMatrix._trusted(n, _execute(p, noise.t1_ns, initial)) for p in plans]
         return states[0] if single else states
     skeleton = [(g.kind, g.qubits) for g in first.gates]
     if any([(g.kind, g.qubits) for g in c.gates] != skeleton for c in items[1:]):
@@ -207,13 +204,15 @@ def run_noisy(circuit, noise: NoiseParams | None = None, initial=None):
 def _plan(circuit, noise: NoiseParams) -> tuple:
     """The one walk over a compiled circuit's gates, which reads only them and
     ``noise``'s durations and ``idle_damping`` (CompileError for a kind with
-    none): n, the 1-qubit items' codes and values (:func:`_ptms`, item 0 the
-    identity), index runs, CNOT flips, blocks and lone qubits."""
+    none). Each item is stored once, in the order the run reads it: n; the
+    1-qubit items as code, value, code, value, ... (:func:`_ptms`), chain by
+    chain, the identity last; the chains' lengths; the CNOT flips, block by
+    block; the blocks, each (its pair, its number of steps); and the lone qubits."""
     n, idle = circuit.num_qubits, noise.idle_damping
     kinds = {kind: (dt, _ONE.get(kind)) for kind, dt in noise.durations().items()}
     clock, since, last = 0.0, [0.0] * n, [0.0] * n  # per qubit: settled at, last gate's time
-    chains = [[] for _ in range(n)]  # each qubit's items since its last CNOT
-    codes, values, runs, flips, blocks, last_block = [_IDENTITY], [0.0], [], [], [], [None] * n
+    chains = [[] for _ in range(n)]  # each qubit's codes and values since its last CNOT
+    blocks, last_block = [], [None] * n  # a block: its pair, flips and two chains per flip
     for g in circuit.gates:
         if (spec := kinds.get(g.kind)) is None:
             raise CompileError(f"gate kind {g.kind!r} has no duration: compile first")
@@ -221,47 +220,47 @@ def _plan(circuit, noise: NoiseParams) -> tuple:
         qubits = g.qubits
         for q in qubits:  # q settles
             if (t := clock - since[q] if idle else last[q]) > 0:
-                chains[q].append(len(codes))
-                codes.append(_DECAY)
-                values.append(t)
+                chains[q] += _DECAY, t
             since[q], last[q] = clock, dt
         clock += dt
         if code is not None:
-            chains[qubits[0]].append(len(codes))
-            codes.append(code)
-            values.append(g.params[0] if g.params else 0.0)
+            chains[qubits[0]] += code, g.params[0] if g.params else 0.0
             continue
         a, b = qubits
         block = last_block[a]
         if block is None or block is not last_block[b]:
-            block = last_block[a] = last_block[b] = (qubits, [])
+            block = last_block[a] = last_block[b] = (qubits, [], [])
             blocks.append(block)
-        block[1].append(len(flips))
-        flips.append(block[0] != qubits)
-        for q in block[0]:
-            runs.append(chains[q])
-            chains[q] = []
+        pair, flips, runs = block
+        flips.append(pair != qubits)
+        runs += chains[pair[0]], chains[pair[1]]
+        chains[a], chains[b] = [], []
     for q, t in enumerate([clock - s for s in since] if idle else last):
         if t > 0:
-            chains[q].append(len(codes))
-            codes.append(_DECAY)
-            values.append(t)
+            chains[q] += _DECAY, t
     for block in blocks:  # a qubit's last chain joins its last block, as no later one touches it
         tails = [chains[q] if last_block[q] is block else [] for q in block[0]]
         if any(tails):
-            block[1].append(len(flips))
-            flips.append(2)
-            runs += tails
+            block[1].append(2)
+            block[2].extend(tails)
     lone = [q for q in range(n) if chains[q] and last_block[q] is None]
-    return n, codes, values, runs + [chains[q] for q in lone], flips, blocks, lone
+    runs = [run for *_, block_runs in blocks for run in block_runs] + [chains[q] for q in lone]
+    items = []
+    for run in runs:
+        items += run
+    items += _IDENTITY, 0.0
+    flips = [flip for _, block_flips, _ in blocks for flip in block_flips]
+    blocks = [(pair, len(block_flips)) for pair, block_flips, _ in blocks]
+    return n, items, [len(run) // 2 for run in runs], flips, blocks, lone
 
 
 def _execute(plan: tuple, t1: float, initial) -> np.ndarray:
     """The Pauli coefficients (4^n,) of a :func:`_plan` run with decay time ``t1``
     on ``initial`` (None: |0...0>, in closed form), as a batch of one: PTMs made
     in one stack, both products as trees, one kernel call per block and per lone qubit."""
-    n, codes, values, runs, flips, blocks, lone = plan
-    products = _products(_ptms(np.array(codes), np.array(values), t1), runs, 0)
+    n, items, lengths, flips, blocks, lone = plan
+    items = np.array(items).reshape(-1, 2)
+    products = _products(_ptms(items[:, 0].astype(np.intp), items[:, 1], t1), lengths)
     order = qubits = tuple(range(2 * n))
     if initial is None:  # |0...0>: 1 on the Z strings, those with every "X or Y" bit 0
         data = np.zeros((1, 4**n))
@@ -274,23 +273,26 @@ def _execute(plan: tuple, t1: float, initial) -> np.ndarray:
     pairs = products[: 2 * m].reshape(m, 2, 16)  # each step a signed gather from the
     outer = pairs[:, 0, :, None] * pairs[:, 1, None, :]  # outer product of its pair's chains
     steps = outer.reshape(-1)[_STEP[flips] + np.arange(0, 256 * m, 256)[:, None]]
-    # step m is no gate's PTM, the identity that pads the blocks' runs
+    # the identity, no gate's PTM, pads the blocks' runs
     steps = np.concatenate([(steps * _SIGN[flips]).reshape(m, 16, 16), _CNOT_PTM[2:]])
-    for (pair, _), op in zip(blocks, _products(steps, [run for _, run in blocks], m)):
+    for (pair, _), op in zip(blocks, _products(steps, [count for _, count in blocks])):
         data, order = qstate.apply_operator(data, op, (*pair, *(q + n for q in pair)), order)
-    for q, op in zip(lone, products[len(runs) - len(lone) :]):
+    for q, op in zip(lone, products[2 * m :]):
         data, order = qstate.apply_operator(data, op, (q, q + n), order)
     return qstate.reorder(data, order, qubits)[0]
 
 
-def _products(ops: np.ndarray, runs, identity: int) -> np.ndarray:
-    """The product of each run of indices into the stack ``ops``, its first
-    applied first, as a tree: the runs, padded with ``identity`` to one
-    power-of-two width, are gathered in one call, and each level multiplies
-    every odd column onto the even one before it in one batched matmul."""
-    width = 1 << (max(map(len, runs), default=1) - 1).bit_length()
-    out = ops[np.array([run + [identity] * (width - len(run)) for run in runs],
-                       dtype=np.intp).reshape(-1, width)]
+def _products(ops: np.ndarray, lengths) -> np.ndarray:
+    """The product of each run of the stack ``ops``, run i its ``lengths[i]``
+    items after run i - 1's, its first applied first, as a tree: the runs,
+    padded with the last item of ``ops``, the identity, to one power-of-two
+    width, are gathered in one call, and each level multiplies every odd
+    column onto the even one before it in one batched matmul."""
+    lengths = np.array(lengths, dtype=np.intp)
+    width = 1 << (int(lengths.max(initial=1)) - 1).bit_length()
+    column = np.arange(width)
+    start = lengths.cumsum() - lengths
+    out = ops[np.where(column < lengths[:, None], start[:, None] + column, -1)]
     while out.shape[1] > 1:
         out = out[:, 1::2] @ out[:, ::2]
     return out[:, 0]
@@ -307,7 +309,7 @@ def _cnot_ptms() -> np.ndarray:
     """The PTMs over the kernel's targets of cnot(a, b), of cnot(b, a),
     which is the same with a's and b's bits exchanged, and of no gate, for
     the step that joins a qubit's last chain to its last block: M (u (x) u*)
-    M^-1, with M :func:`qstate.to_pauli`'s matrix on both qubits."""
+    M^-1, with M :func:`qstate.pauli_of`'s matrix on both qubits."""
     cnot = gate_matrix(gate("cnot", 0, 1))
     m = np.kron(qstate._TO_PAULI, qstate._TO_PAULI)[_PAIR[:, None], _PAIR]
     ptm = (m @ np.kron(cnot, cnot.conj()) @ m.conj().T / 4).real

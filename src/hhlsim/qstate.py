@@ -10,12 +10,12 @@ leading batch axis whose qubit axes lie in a lazy order that the caller
 carries; :func:`reorder` restores qubit order once, at the end of a run. A
 density matrix over n qubits is, by a reshape, a vector over 2n qubit
 indices: row bits, then column bits. On the same 2n axes lie its Pauli
-coefficients Tr(rho P), real, on which a noisy run works (:func:`to_pauli`):
-qubit q's pair of axes (q, q + n) indexes its Pauli as ("Z or Y", "X or Y"),
-I = 00, X = 01, Z = 10, Y = 11 (Greenbaum, arXiv:1509.02921). A
-:class:`DensityMatrix` holds the one form it was made in and derives the
-other on each read, so it never changes; its computational-basis
-probabilities are read from the form it holds.
+coefficients Tr(rho P), real (:func:`pauli_of`): qubit q's pair of axes
+(q, q + n) indexes its Pauli as ("Z or Y", "X or Y"), I = 00, X = 01,
+Z = 10, Y = 11 (Greenbaum, arXiv:1509.02921). A :class:`DensityMatrix`
+holds its coefficients alone, converted once by whatever makes it. Every
+path reads them: its probabilities, post-selection and partial trace are
+slices of them, and its entries are derived on each read.
 
 Values are checked where they enter, against an absolute tolerance
 (:func:`within_atol`): in the public state constructors, in
@@ -99,17 +99,15 @@ def _check_targets(num_qubits: int, targets) -> list[int]:
 
 
 class _State:
-    """Base of both state kinds. A subclass's slots hold the forms of its
-    data: :meth:`_store` puts the read-only array in slot ``slot`` (its first
-    by default) and sets the others to None."""
+    """Base of both state kinds. A subclass's one slot holds its data:
+    :meth:`_store` puts the read-only array there."""
 
     __slots__ = ("num_qubits",)
 
-    def _store(self, num_qubits: int, data: np.ndarray, slot: int = 0):
+    def _store(self, num_qubits: int, data: np.ndarray):
         data.setflags(write=False)
         self.num_qubits = num_qubits
-        for i, name in enumerate(self.__slots__):
-            setattr(self, name, data if i == slot else None)
+        setattr(self, self.__slots__[0], data)
         return self
 
     @classmethod
@@ -138,8 +136,7 @@ class StateVector(_State):
         self._store(num_qubits, amps / norm)
 
     def to_density_matrix(self) -> "DensityMatrix":
-        a = self.amplitudes
-        return DensityMatrix._trusted(self.num_qubits, np.outer(a, a.conj()))
+        return DensityMatrix._trusted(self.num_qubits, pauli_of(_matrix(self)[None])[0])
 
     def __repr__(self):
         return f"StateVector(num_qubits={self.num_qubits})"
@@ -147,10 +144,10 @@ class StateVector(_State):
 
 class DensityMatrix(_State):
     """Mixed state; Hermitian, unit trace, positive semidefinite within
-    tolerance. Held in the one form it was made in, entries or Pauli
-    coefficients; each read of the other derives it again, read-only."""
+    tolerance. Held as its Pauli coefficients, ``pauli``: Tr(rho P) of every
+    Pauli string P, (4^n,) float64 and read-only, on the entries' 2n axes."""
 
-    __slots__ = ("_entries", "_pauli")
+    __slots__ = ("pauli",)
 
     def __init__(self, num_qubits: int, entries):
         if num_qubits < 1:
@@ -168,22 +165,12 @@ class DensityMatrix(_State):
         eigs = np.linalg.eigvalsh(rho)
         if eigs.min() < -1e-8:
             raise ValidationError(f"density matrix has negative eigenvalue {eigs.min()}")
-        self._store(num_qubits, rho)
-
-    @classmethod
-    def _from_pauli(cls, num_qubits: int, coefficients: np.ndarray) -> "DensityMatrix":
-        """:meth:`_trusted` for a state held as its Pauli coefficients (4^n,)."""
-        return object.__new__(cls)._store(num_qubits, coefficients, 1)
+        self._store(num_qubits, pauli_of(rho[None])[0])
 
     @property
     def entries(self) -> np.ndarray:
-        """The (2^n, 2^n) complex matrix."""
-        return self._entries if self._pauli is None else from_pauli(self._pauli[None])[0]
-
-    @property
-    def pauli(self) -> np.ndarray:
-        """Tr(rho P) of every Pauli string P, (4^n,) real, on the entries' 2n axes."""
-        return self._pauli if self._entries is None else to_pauli(self._entries[None])[0]
+        """The (2^n, 2^n) complex matrix, derived from ``pauli`` on each read, read-only."""
+        return entries_of(self.pauli[None])[0]
 
     def __repr__(self):
         return f"DensityMatrix(num_qubits={self.num_qubits})"
@@ -280,7 +267,7 @@ _TO_PAULI = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [1, 0, 0, -1], [0, 1j, -1j, 0]
 _FROM_PAULI = _TO_PAULI.conj().T / 2
 
 
-def to_pauli(entries: np.ndarray) -> np.ndarray:
+def pauli_of(entries: np.ndarray) -> np.ndarray:
     """Pauli coefficients Tr(rho P), (B, 4^n) real and read-only, of a stack of
     Hermitian matrices (B, 2^n, 2^n): one kernel call on each qubit's pair of axes."""
     data, n = entries.reshape(len(entries), -1), entries.shape[1].bit_length() - 1
@@ -292,9 +279,9 @@ def to_pauli(entries: np.ndarray) -> np.ndarray:
     return out
 
 
-def from_pauli(coefficients: np.ndarray) -> np.ndarray:
+def entries_of(coefficients: np.ndarray) -> np.ndarray:
     """The matrices sum_P c_P P / 2^n, (B, 2^n, 2^n) complex and read-only, of
-    a stack of Pauli coefficients (B, 4^n): :func:`to_pauli` inverted."""
+    a stack of Pauli coefficients (B, 4^n): :func:`pauli_of` inverted."""
     data, n = coefficients, (coefficients.shape[1].bit_length() - 1) // 2
     order = qubits = tuple(range(2 * n))
     for q in range(n):
@@ -323,7 +310,7 @@ def apply_unitary(state, u, targets):
         qubits = tuple(range(2 * n))
         rows, order = apply_operator(state.entries[None], u, targets, qubits)
         out = reorder(*apply_operator(rows, u.conj(), [t + n for t in targets], order), qubits)
-        return DensityMatrix._trusted(n, out.reshape(2**n, 2**n))
+        return DensityMatrix._trusted(n, pauli_of(out.reshape(1, 2**n, 2**n))[0])
     raise DomainError(f"unsupported state type {type(state)!r}")
 
 
@@ -351,27 +338,21 @@ def _walsh(k: int) -> np.ndarray:
 
 def _marginal_probabilities(state, qubits: list[int]) -> np.ndarray:
     """Probabilities of computational-basis outcomes on the listed qubits. A
-    density matrix held as its Pauli coefficients has them read from those:
-    the Z strings (every "X or Y" bit 0) with the other qubits at I, which
-    traces them out, then a Walsh-Hadamard transform over the kept qubits,
-    as one over their first half and one over the rest, so no matrix over
-    all of them is made. One held as its entries has them read from its
-    diagonal."""
+    density matrix has them read from its Pauli coefficients: the Z strings
+    (every "X or Y" bit 0) with the other qubits at I, which traces them out,
+    then a Walsh-Hadamard transform over the kept qubits, as one over their
+    first half and one over the rest, so no matrix over all of them is made."""
     n, kept = state.num_qubits, tuple(sorted(qubits))
-    if isinstance(state, DensityMatrix) and state._pauli is not None:
+    if isinstance(state, DensityMatrix):
         z = state.pauli.reshape(2**n, 2**n)[:, 0].reshape((2,) * n)
         z = z[tuple(slice(None) if q in qubits else 0 for q in range(n))]
         half = len(kept) // 2
         p = (_walsh(half) @ z.reshape(2**half, -1) @ _walsh(len(kept) - half)).reshape(1, -1)
+    elif isinstance(state, StateVector):
+        p = np.abs(state.amplitudes.reshape((2,) * n)) ** 2
+        p = p.sum(axis=tuple(q for q in range(n) if q not in qubits)).reshape(1, -1)
     else:
-        if isinstance(state, StateVector):
-            p = np.abs(state.amplitudes) ** 2
-        elif isinstance(state, DensityMatrix):
-            p = np.real(np.diagonal(state.entries))
-        else:
-            raise DomainError(f"unsupported state type {type(state)!r}")
-        p = p.reshape((2,) * n).sum(axis=tuple(q for q in range(n) if q not in qubits))
-        p = p.reshape(1, -1)
+        raise DomainError(f"unsupported state type {type(state)!r}")
     # the remaining axes are in ascending qubit order
     return np.maximum(reorder(p, kept, tuple(qubits))[0], 0.0)
 
@@ -380,6 +361,8 @@ def postselect(state, qubit: int, outcome: int):
     """Project one qubit onto ``outcome``, drop it, and renormalize.
 
     Returns the conditioned state on the remaining qubits and the branch
+    probability. A density matrix's branch keeps the qubit's I and Z
+    coefficients, as its |o><o| is (I +- Z) / 2; the branch's I string is its
     probability.
     """
     if outcome not in (0, 1):
@@ -394,10 +377,10 @@ def postselect(state, qubit: int, outcome: int):
         prob = float(np.sum(np.abs(branch) ** 2))
         scale = np.sqrt(prob)
     elif isinstance(state, DensityMatrix):
-        v = state.entries.reshape(hi, 2, lo, hi, 2, lo)
-        branch = v[:, outcome, :, :, outcome, :].reshape(m, m)
-        prob = float(np.trace(branch).real)
-        scale = prob
+        # ("Z or Y" bits, then "X or Y" bits): the qubit's "X or Y" bit at 0, I or Z
+        c = state.pauli.reshape(hi, 2, lo, hi, 2, lo)[:, :, :, :, 0]
+        branch = ((c[:, 0] + (1 - 2 * outcome) * c[:, 1]) / 2).reshape(m * m)
+        prob = scale = float(branch[0])
     else:
         raise DomainError(f"unsupported state type {type(state)!r}")
     if prob <= ZERO_PROBABILITY:
@@ -408,20 +391,18 @@ def postselect(state, qubit: int, outcome: int):
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Trace out every qubit not in ``keep``; result qubit order follows ``keep``."""
+    """Trace out every qubit not in ``keep``; result qubit order follows
+    ``keep``. Tracing a qubit out keeps the coefficients where it is at I."""
     keep = list(keep)
     if not keep:
         raise DomainError("keep must be nonempty")
     _check_targets(rho.num_qubits, keep)
-    n = rho.num_qubits
-    drop = [q for q in range(n) if q not in keep]
-    t = rho.entries.reshape((2,) * (2 * n))
-    for q in sorted(drop, reverse=True):
-        t = np.trace(t, axis1=q, axis2=t.ndim // 2 + q)
-    # the remaining row axes, then column axes, are in ascending qubit order
-    rows, m = sorted(keep), len(keep)
-    t = reorder(t.reshape(1, -1), (*rows, *(q + n for q in rows)), (*keep, *(q + n for q in keep)))
-    return DensityMatrix._trusted(m, t.reshape(2**m, 2**m).copy())  # owned: no chain of views
+    n, rows, m = rho.num_qubits, sorted(keep), len(keep)
+    at_i = tuple(slice(None) if q in keep else 0 for q in range(n))
+    c = rho.pauli.reshape((2,) * (2 * n))[at_i + at_i].reshape(1, -1)
+    # the remaining "Z or Y" axes, then "X or Y" axes, are in ascending qubit order
+    c = reorder(c, (*rows, *(q + n for q in rows)), (*keep, *(q + n for q in keep)))
+    return DensityMatrix._trusted(m, c[0].copy())  # owned: no chain of views
 
 
 def overlaps(rho: np.ndarray, kets: np.ndarray) -> np.ndarray:
@@ -432,13 +413,19 @@ def overlaps(rho: np.ndarray, kets: np.ndarray) -> np.ndarray:
     return np.clip(((kets.conj() @ rho) * kets).sum(-1).real, 0.0, 1.0)
 
 
+def _matrix(state) -> np.ndarray:
+    """The (2^n, 2^n) matrix of a state: a density matrix's entries, or a
+    statevector's outer product, read from its amplitudes."""
+    if isinstance(state, DensityMatrix):
+        return state.entries
+    return np.outer(state.amplitudes, state.amplitudes.conj())
+
+
 def fidelity_pure(rho, psi) -> float:
     """:func:`overlaps` of one state, pure or mixed, against one pure reference."""
-    if isinstance(rho, StateVector):
-        rho = rho.to_density_matrix()
     if rho.num_qubits != psi.num_qubits:
         raise DomainError("dimension mismatch between rho and psi")
-    return float(overlaps(rho.entries[None], psi.amplitudes[None, None])[0, 0])
+    return float(overlaps(_matrix(rho)[None], psi.amplitudes[None, None])[0, 0])
 
 
 def exact_distribution(state, qubits) -> MeasurementHistogram:

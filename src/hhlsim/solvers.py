@@ -210,8 +210,8 @@ def x_basis_weights(state):
     (None, None) for a wider one."""
     if state.num_qubits != 1:
         return None, None
-    rho = state if isinstance(state, DensityMatrix) else state.to_density_matrix()
-    return tuple(float(w) for w in qstate.overlaps(rho.entries[None], _X_KETS[None])[0])
+    weights = qstate.overlaps(qstate._matrix(state)[None], _X_KETS[None])[0]
+    return tuple(float(w) for w in weights)
 
 
 def postselect_hhl(states, n: int) -> dict:
@@ -223,8 +223,8 @@ def postselect_hhl(states, n: int) -> dict:
     an item where that block has no weight). A statevector's ancilla-1
     amplitudes phi, as (register, input), give rho_v = phi^T phi* / p
     (Nielsen & Chuang 2.4.3), so no density matrix of the whole run is made.
-    A density matrix is read through its Pauli coefficients, the form a run
-    returns: only the input's with the ancilla and the register at I or Z
+    A density matrix is read through its Pauli coefficients, the one form it
+    is held in: only the input's with the ancilla and the register at I or Z
     are copied, and only those become complex matrices.
     """
     q, r = states[0].num_qubits - 1 - n, 2**n
@@ -240,7 +240,7 @@ def postselect_hhl(states, n: int) -> dict:
         c = np.array([s.pauli.reshape(2, r, 2**q, 2, r, 2**q)[:, :, :, 0, 0] for s in states])
         branch = (c[:, 0] - c[:, 1]) / 2
         coefficients = np.concatenate([branch[:, 0], branch.sum(1) / r]).reshape(2 * len(c), -1)
-        rho = qstate.from_pauli(coefficients)
+        rho = qstate.entries_of(coefficients)
         traced, block = rho[: len(c)], rho[len(c) :]
     p, p_reset = np.einsum("bxx->b", traced).real, np.einsum("bxx->b", block).real
     if p.min() <= qstate.ZERO_PROBABILITY:
@@ -279,7 +279,7 @@ def _solve(mode, problems, n, specs, shots, seed, noise, estimate=None) -> list[
     fids = {name: qstate.overlaps(r, x)[:, 0] for name, (r, _) in estimators.items()}
     q = problems[0].num_qubits
     weights = qstate.overlaps(rho, np.broadcast_to(_X_KETS, (len(x), 2, 2))) if q == 1 else None
-    outcomes = []
+    paulis, outcomes = qstate.pauli_of(rho), []
     for i, count in enumerate(cnot_counts):
         scores = {
             name: (float(fids[name][i]), float(p[i])) if p[i] else None
@@ -294,7 +294,7 @@ def _solve(mode, problems, n, specs, shots, seed, noise, estimate=None) -> list[
                 {"+": int(draws[0]), "-": int(draws[1])}, shots
             )
         fid, prob = scores[postselection]
-        rho_v = DensityMatrix._trusted(q, rho[i].copy())  # owned, not a view into the stack
+        rho_v = DensityMatrix._trusted(q, paulis[i].copy())  # owned, not a view into the stack
         outcomes.append(HHLOutcome(
             mode, n, prob, rho_v, fid, cplus, cminus, count, postselection,
             scores["ancilla"], scores["uncomputed"], histograms, estimate,

@@ -581,6 +581,34 @@ class TestCompare:
         assert "register size 4" in rows[0.3]["hybrid"]["message"]
         assert capsys.readouterr().err.startswith("not reducible: hybrid at lambda 0.3")
 
+    def test_impossible_outcome_keeps_every_row(self, tmp_path, capsys):
+        """Under a T1 so short that every qubit decays fully, no run's ancilla
+        reads 1: each mode's row records the error, one error line each,
+        and the command exits 1 after writing every row."""
+        f = _files(tmp_path, noise='{"t1_ns": 5e-324}')
+        code, raw = run(tmp_path, "compare", "--lambdas", "0.25,0.5", "--noise", f["noise"])
+        assert code == EXIT_VALIDATION
+        rows = {row["lambda"]: row["modes"] for row in json.loads(raw)["rows"]}
+        assert set(rows) == {0.25, 0.5}
+        for modes in rows.values():
+            assert set(modes) == {"original", "hybrid"}
+            for record in modes.values():
+                assert record == {"verdict": "impossible_outcome",
+                                  "message": "outcome 1 on qubit 0 has zero probability"}
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 4 and all(line.startswith("error: ") for line in err)
+        assert err[0] == "error: original at lambda 0.25: outcome 1 on qubit 0 has zero probability"
+
+    @pytest.mark.parametrize("lambdas", ["0.3,0.03125", "0.03125,0.3"])
+    def test_a_row_that_raised_ranks_above_not_reducible(self, tmp_path, lambdas):
+        """The hybrid at 0.3 is not certified (exit 2); at 1/32 it certifies a
+        register peak on 0...0, which no rotation encodes: exit 1 in either order."""
+        code, raw = run(tmp_path, "compare", "--lambdas", lambdas)
+        assert code == EXIT_VALIDATION
+        rows = {row["lambda"]: row["modes"]["hybrid"] for row in json.loads(raw)["rows"]}
+        assert rows[0.3]["verdict"] == "not_reducible"
+        assert rows[0.03125]["verdict"] == "impossible_outcome"
+
     def test_n3_noisy_original_is_a_config_error(self, tmp_path, capsys):
         noise = tmp_path / "noise.json"
         noise.write_text('{"t1_ns":50000}')

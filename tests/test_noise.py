@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hhlsim import circuits, qpe, qstate, solvers
+from hhlsim import circuits, oracles, qpe, qstate, solvers
 from hhlsim import noise as noise_mod
 from hhlsim.circuits import Circuit, compile_circuit, gate
 from hhlsim.errors import CompileError, DomainError, ValidationError
@@ -213,18 +213,18 @@ class TestDampingChannel:
         np.testing.assert_allclose(out.entries, want, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("qubit", [0, 1, 2])
-    def test_keeps_the_held_form(self, qubit):
-        """A state held as its entries decays as entries and one held as its
-        coefficients as coefficients: neither converts, and both give the
-        Kraus sum."""
+    def test_keeps_the_held_form(self, monkeypatch, qubit):
+        """A state decays as its coefficients: nothing converts either way,
+        the result holds coefficients alone, and it gives the Kraus sum."""
         rho = _random_rho(3, np.random.default_rng(20 + qubit))
         want = _kraus_damp(rho, 3, qubit, 7000.0, 50000.0)
-        made = damping_channel(DensityMatrix(3, rho), qubit, 7000.0, 50000.0)
-        held = DensityMatrix._from_pauli(3, qstate.to_pauli(rho[None])[0])
-        run = damping_channel(held, qubit, 7000.0, 50000.0)
-        assert made._pauli is None and run._entries is None
+        state = DensityMatrix(3, rho)
+        with monkeypatch.context() as patch:
+            for name in ("pauli_of", "entries_of"):
+                patch.setattr(qstate, name, lambda *a: pytest.fail("converted"))
+            run = damping_channel(state, qubit, 7000.0, 50000.0)
+        assert run.pauli.shape == (64,) and not run.pauli.flags.writeable
         np.testing.assert_allclose(run.entries, want, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(made.entries, want, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("qubit", [0, 1, 2])
     def test_durations_compose(self, qubit):
@@ -305,7 +305,7 @@ class TestPauliTransferMatrices:
         """A noisy run with nothing to do returns |0...0>: every Z string 1."""
         for noise in (NoiseParams(), NoiseParams(idle_damping=False)):
             rho = run_noisy(Circuit(3, ()), noise)
-            want = qstate.to_pauli(basis_state(3, 0).to_density_matrix().entries[None])[0]
+            want = qstate.pauli_of(basis_state(3, 0).to_density_matrix().entries[None])[0]
             assert np.array_equal(rho.pauli, want)
 
 
@@ -652,8 +652,13 @@ class TestFusedExecutor:
         is refused before the first takes a kernel call."""
         qpea = compile_circuit(qpe.build_qpe(build_a_lambda(0.3), 4))
         for compiled, want in ((_hhl_compiled(2), 17), (_hhl_compiled(4), 31), (qpea, 10)):
-            *_, blocks, lone = noise_mod._plan(compiled, NoiseParams())
+            _, items, lengths, flips, blocks, lone = noise_mod._plan(compiled, NoiseParams())
             assert len(blocks) == want == _cnot_blocks(compiled.gates)
+            # each item stored once, chain after chain, so a run is its length:
+            # two chains per step, each block's steps in a row, then the lone qubits
+            assert len(items) == 2 * sum(lengths) + 2
+            assert len(lengths) == 2 * len(flips) + len(lone)
+            assert sum(count for _, count in blocks) == len(flips)
         calls = _count_kernel_calls(monkeypatch)
         with pytest.raises(CompileError, match="'cunitary' has no duration: compile first"):
             run_noisy([qpea, qpe.build_qpe(build_a_lambda(0.3), 4)], NoiseParams())
@@ -693,22 +698,25 @@ class TestFusedExecutor:
 
     @pytest.mark.parametrize("d", [4, 16])
     def test_tree_products_equal_a_left_fold(self, d):
-        """The tree over the padded table multiplies each run as a left fold
-        does, its first item applied first, to 1e-15 on orthogonal matrices
-        (entries at most 1, as a PTM's): empty runs, runs of one and lengths
-        that are no power of two, and no run at all."""
+        """The tree over the padded table multiplies each run, its items
+        consecutive in the stack, as a left fold does, its first item applied
+        first, to 1e-15 on orthogonal matrices (entries at most 1, as a
+        PTM's): empty runs, runs of one and lengths that are no power of two,
+        and no run at all."""
         rng = np.random.default_rng(d)
-        ops = np.linalg.qr(rng.normal(size=(30, d, d)))[0]
-        ops[0] = np.eye(d)
-        runs = [rng.integers(1, 30, length).tolist() for length in [0, 1, 2, 3, 5, 6, 7, 8, 9, 0]]
-        got = noise_mod._products(ops, runs, 0)
-        assert got.shape == (len(runs), d, d)
-        for run, product in zip(runs, got):
+        lengths = [0, 1, 2, 3, 5, 6, 7, 8, 9, 0]
+        ops = np.linalg.qr(rng.normal(size=(sum(lengths) + 1, d, d)))[0]
+        ops[-1] = np.eye(d)
+        got = noise_mod._products(ops, lengths)
+        assert got.shape == (len(lengths), d, d)
+        start = 0
+        for length, product in zip(lengths, got):
             want = np.eye(d)
-            for i in run:
-                want = ops[i] @ want
+            for op in ops[start : start + length]:
+                want = op @ want
+            start += length
             np.testing.assert_allclose(product, want, rtol=0, atol=1e-15)
-        assert noise_mod._products(ops, [], 0).shape == (0, d, d)
+        assert noise_mod._products(ops, []).shape == (0, d, d)
 
     def test_qpea_takes_one_kernel_call_per_cnot_block(self, monkeypatch):
         compiled = compile_circuit(qpe.build_qpe(build_a_lambda(0.3), 4))
@@ -739,8 +747,7 @@ class TestFusedExecutor:
         assert _cnot_blocks(gates) == 3
         noise = NoiseParams(t1_ns=700.0, idle_damping=idle_damping)
         initial = _random_rho(3, np.random.default_rng(29))
-        # held as its coefficients, so no conversion falls among the counted calls
-        start = DensityMatrix._from_pauli(3, qstate.to_pauli(initial[None])[0])
+        start = DensityMatrix(3, initial)  # converted before the calls are counted
         calls = _count_kernel_calls(monkeypatch)
         rho = run_noisy(compiled, noise, initial=start)
         assert calls[:3] == [(0, 1, 3, 4), (1, 2, 4, 5), (0, 1, 3, 4)]
@@ -812,3 +819,99 @@ class TestFusedExecutor:
         with pytest.raises(CompileError, match="'qft'"):
             run_noisy([circuit, circuit], initial=initial)
         run_noisy(circuit, initial=basis_state(2, 1))  # a statevector runs it
+
+
+def _bra(n, qubit, bit):
+    """<bit| on ``qubit``, the identity on the other n - 1 qubits: (2^(n-1), 2^n)."""
+    return np.kron(np.kron(np.eye(2**qubit), np.eye(2)[bit]), np.eye(2 ** (n - qubit - 1)))
+
+
+class TestEveryProducerHoldsOneForm:
+    """Every place that makes a density matrix makes it as its Pauli
+    coefficients alone, a read-only float64 (4^n,) array in its one slot,
+    and its entries match a Kronecker or Kraus reference."""
+
+    def _check(self, state, want):
+        assert isinstance(state, DensityMatrix) and DensityMatrix.__slots__ == ("pauli",)
+        assert not hasattr(state, "__dict__")
+        c = state.pauli
+        assert type(c) is np.ndarray and c.dtype == np.float64
+        assert c.shape == (4**state.num_qubits,) and not c.flags.writeable
+        np.testing.assert_allclose(state.entries, want, rtol=0, atol=1e-12)
+
+    def test_constructor_and_to_density_matrix(self):
+        rng = np.random.default_rng(41)
+        rho = _random_rho(3, rng)
+        self._check(DensityMatrix(3, rho), rho)
+        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+        psi = StateVector(3, amps / np.linalg.norm(amps))
+        self._check(psi.to_density_matrix(), np.outer(psi.amplitudes, psi.amplitudes.conj()))
+
+    @pytest.mark.parametrize("start", ["zero", "density"])
+    def test_run_noisy(self, start):
+        rng = np.random.default_rng(42)
+        compiled, noise = _random_compiled(3, rng), NoiseParams(t1_ns=900.0)
+        rho = _random_rho(3, rng) if start == "density" else np.diag(np.eye(8)[0]).astype(complex)
+        initial = DensityMatrix(3, rho) if start == "density" else None
+        want, _ = _eager_run(compiled, noise, rho)
+        self._check(run_noisy(compiled, noise, initial=initial), want)
+
+    def test_apply_unitary(self):
+        rng = np.random.default_rng(43)
+        rho = _random_rho(3, rng)
+        u = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+        big = np.kron(np.eye(2), u)
+        got = qstate.apply_unitary(DensityMatrix(3, rho), u, [1, 2])
+        self._check(got, big @ rho @ big.conj().T)
+
+    @pytest.mark.parametrize("qubit", [0, 1, 2])
+    @pytest.mark.parametrize("outcome", [0, 1])
+    def test_postselect(self, qubit, outcome):
+        rho = _random_rho(3, np.random.default_rng(44))
+        k = _bra(3, qubit, outcome)
+        branch = k @ rho @ k.conj().T
+        got, p = qstate.postselect(DensityMatrix(3, rho), qubit, outcome)
+        self._check(got, branch / np.trace(branch))
+        assert p == pytest.approx(np.trace(branch).real, abs=1e-14)
+
+    @pytest.mark.parametrize("keep", [[2, 0], [0, 2], [1], [2, 1, 0]])
+    def test_partial_trace(self, keep):
+        rho = _random_rho(3, np.random.default_rng(45))
+        # trace out the others, one at a time from the last, then permute to keep's order
+        sigma, wires = rho, [0, 1, 2]
+        for q in sorted(set(wires) - set(keep), reverse=True):
+            sigma = sum(k @ sigma @ k.conj().T for k in (_bra(len(wires), q, b) for b in (0, 1)))
+            wires.remove(q)
+        perm = np.eye(2 ** len(keep))[
+            [int("".join(format(x, f"0{len(keep)}b")[keep.index(w)] for w in wires), 2)
+             for x in range(2 ** len(keep))]
+        ]
+        self._check(qstate.partial_trace(DensityMatrix(3, rho), keep), perm @ sigma @ perm.T)
+
+    def test_damping_channel(self):
+        rho = _random_rho(3, np.random.default_rng(46))
+        got = damping_channel(DensityMatrix(3, rho), 1, 700.0, 5000.0)
+        self._check(got, _kraus_damp(rho, 3, 1, 700.0, 5000.0))
+
+    @pytest.mark.parametrize("lam", [0.25, 0.5])
+    def test_exact_rho_v_and_the_brute_force_oracle(self, lam):
+        """Where the register estimates every eigenvalue exactly, both give
+        the classical solution's projector."""
+        problem = build_a_lambda(lam)
+        x, _ = classical_solution(problem)
+        want = np.outer(x, x.conj())
+        self._check(solvers.run_original_hhl(problem, 2).rho_v, want)
+        self._check(oracles.brute_force_hhl(problem, 2)[0], want)
+
+    def test_noisy_rho_v(self):
+        """The named estimator under noise: the ancilla at 1 and the register
+        at 00 in the state the Kraus reference runs to."""
+        problem, noise = build_a_lambda(0.25), NoiseParams(t1_ns=30000.0)
+        spec = solvers.build_aqe(problem, 2)
+        compiled = compile_circuit(solvers.build_hhl_circuit(problem, 2, spec))
+        final, _ = _eager_run(compiled, noise, np.diag(np.eye(16)[0]).astype(complex))
+        k = np.kron(np.kron(np.eye(2)[1], np.eye(4)[0]), np.eye(2))
+        block = k @ final @ k.conj().T
+        outcome = solvers.run_original_hhl(problem, 2, noise=noise)
+        assert outcome.postselection == "uncomputed"
+        self._check(outcome.rho_v, block / np.trace(block))

@@ -108,7 +108,7 @@ class TestPauliCoefficients:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_coefficients_are_pauli_traces(self, n):
         rho = _random_rho(np.random.default_rng(n), n)
-        got = qstate.to_pauli(rho[None])[0]
+        got = qstate.pauli_of(rho[None])[0]
         assert got.dtype == float and got.shape == (4**n,)
         want = [np.trace(rho @ _pauli_string(i, n)) for i in range(4**n)]
         np.testing.assert_allclose(got, np.real(want), rtol=0, atol=1e-14)
@@ -117,48 +117,45 @@ class TestPauliCoefficients:
     def test_roundtrip_of_a_batch(self):
         rng = np.random.default_rng(7)
         rhos = np.array([_random_rho(rng, 3) for _ in range(4)])
-        back = qstate.from_pauli(qstate.to_pauli(rhos))
+        back = qstate.entries_of(qstate.pauli_of(rhos))
         np.testing.assert_allclose(back, rhos, rtol=0, atol=1e-15)
 
     def test_reads_leave_the_form_it_was_made_in(self):
-        """Reading either form, twice, derives the other on each read, read
-        only, and stores nothing: what the state reports stays bit for bit
-        the same. Were the coefficients kept after a read, the marginal would
-        switch from the diagonal to the Walsh transform and move by ~1e-17."""
+        """A state is held as its coefficients alone, however it was made.
+        Reading its entries, twice, derives them on each read, read only, and
+        stores nothing: the state keeps the same array and reports the same
+        bits after the reads as before."""
         rng = np.random.default_rng(8)
         rho = _random_rho(rng, 4)
-        coefficients = qstate.to_pauli(rho[None])[0]
-        for state in (DensityMatrix(4, rho), DensityMatrix._from_pauli(4, coefficients)):
-            held = (state._entries, state._pauli)
+        coefficients = qstate.pauli_of(rho[None])[0]
+        assert DensityMatrix.__slots__ == ("pauli",)
+        for state in (DensityMatrix(4, rho), DensityMatrix._trusted(4, coefficients.copy())):
+            held = state.pauli
             before = exact_distribution(state, [0, 2, 3]).outcomes
-            reads = [state.entries, state.pauli, state.entries, state.pauli]
+            reads = [state.entries, state.entries]
             assert exact_distribution(state, [0, 2, 3]).outcomes == before
-            assert state._entries is held[0] and state._pauli is held[1]
-            assert all(not a.flags.writeable for a in reads)
+            assert state.pauli is held and reads[0] is not reads[1]
+            assert all(not a.flags.writeable for a in (held, *reads))
             np.testing.assert_allclose(reads[0], rho, rtol=0, atol=1e-15)
-            np.testing.assert_allclose(reads[1], coefficients, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(held, coefficients, rtol=0, atol=1e-15)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_marginal_from_coefficients_equals_diagonal(self, seed):
         """The readout marginal read from the coefficients (Z strings, the
         other qubits at I, a Walsh-Hadamard transform) equals the diagonal
-        of the entries summed over the other qubits, in any target order,
-        which is what a state held as its entries reads, converting nothing."""
+        of the entries summed over the other qubits, in any target order."""
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 7))
         rho = _random_rho(rng, n)
         targets = [int(q) for q in rng.permutation(n)[: rng.integers(1, n + 1)]]
-        state = DensityMatrix._from_pauli(n, qstate.to_pauli(rho[None])[0])
+        state = DensityMatrix._trusted(n, qstate.pauli_of(rho[None])[0])
         got = qstate._marginal_probabilities(state, targets)
         want = np.zeros(2 ** len(targets))
         for x, p in enumerate(np.real(np.diag(rho))):
             bits = format(x, f"0{n}b")
             want[int("".join(bits[q] for q in targets), 2)] += p
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
-        made = DensityMatrix._trusted(n, rho)  # held as entries: its diagonal is read
-        np.testing.assert_allclose(qstate._marginal_probabilities(made, targets), want, atol=1e-14)
-        assert made._pauli is None
 
 
 class TestApplyUnitary:
@@ -366,8 +363,9 @@ class TestKernel:
             tracemalloc.stop()
         big = _kron_oracle(u, targets, 5)
         np.testing.assert_allclose(got.entries, big @ rho.entries @ big.conj().T, rtol=0, atol=1e-12)
-        # u (x) u* on 8 of the vectorized rho's 10 qubit indices would take 1 MiB
-        assert peak < 4 * rho.entries.nbytes
+        # u (x) u* on 8 of the vectorized rho's 10 qubit indices would take 1 MiB,
+        # 64 times the entries; the call derives the entries and returns coefficients
+        assert peak < 8 * rho.entries.nbytes
 
     def test_lazy_axis_order(self):
         """A sequence of calls, each leaving its targets adjacent, equals the
@@ -554,8 +552,11 @@ class TestFidelity:
         rng = np.random.default_rng(8)
         psi = _random_state(rng, 2)
         for state in (_random_state(rng, 2), _random_state(rng, 2).to_density_matrix()):
-            rho = state if isinstance(state, DensityMatrix) else state.to_density_matrix()
-            want = qstate.overlaps(rho.entries[None], psi.amplitudes[None, None])[0, 0]
+            if isinstance(state, DensityMatrix):
+                rho = state.entries
+            else:  # a statevector's outer product, read from its amplitudes
+                rho = np.outer(state.amplitudes, state.amplitudes.conj())
+            want = qstate.overlaps(rho[None], psi.amplitudes[None, None])[0, 0]
             assert fidelity_pure(state, psi) == want
 
     @pytest.mark.parametrize("size", range(1, 6))
@@ -577,7 +578,8 @@ class TestFidelity:
     @pytest.mark.parametrize("scale,want", [(1.5, 1.0), (-0.5, 0.0)])
     def test_clamped_to_unit_interval(self, scale, want):
         entries = scale * basis_state(1, 0).to_density_matrix().entries
-        assert fidelity_pure(DensityMatrix._trusted(1, entries), basis_state(1, 0)) == want
+        state = DensityMatrix._trusted(1, qstate.pauli_of(entries[None])[0])
+        assert fidelity_pure(state, basis_state(1, 0)) == want
         kets = np.eye(2, dtype=complex)[None]
         np.testing.assert_array_equal(qstate.overlaps(entries[None], kets), [[want, 0.0]])
 

@@ -618,7 +618,7 @@ class TestOriginalBatch:
             assert (got.c_plus_sq is None) == (d > 2)
             np.testing.assert_allclose(got.rho_v.entries, want.rho_v.entries, atol=1e-12)
             # each outcome owns its state: no view into the batch's stack
-            assert got.rho_v.entries.base is None
+            assert got.rho_v.pauli.base is None
 
     def test_noisy_batch_is_one_executor_call(self, monkeypatch):
         """Compiled circuits of different lengths run as one density-matrix
@@ -734,11 +734,10 @@ class TestPostselectHHL:
             postselect_hhl(states, 1)
 
     def test_coefficients_copied_only_at_i_or_z(self):
-        """Post-selecting a density matrix held as its Pauli coefficients, as
-        a run returns it, copies only those with the ancilla and the register
-        at I or Z (1 / 2r of them), not the whole state."""
-        entries = _random_rho(np.random.default_rng(5), 8).entries
-        rho = DensityMatrix._from_pauli(8, qstate.to_pauli(entries[None])[0])
+        """Post-selecting a density matrix copies only the Pauli coefficients
+        with the ancilla and the register at I or Z (1 / 2r of them), not the
+        whole state, and derives no entries (twice the coefficients' bytes)."""
+        rho = _random_rho(np.random.default_rng(5), 8)
         tracemalloc.start()
         try:
             postselect_hhl([rho], 3)
@@ -746,21 +745,6 @@ class TestPostselectHHL:
         finally:
             tracemalloc.stop()
         assert peak < 0.3 * rho.pauli.nbytes
-        assert rho._entries is None  # no entries derived
-
-    @pytest.mark.parametrize("n,q", [(1, 1), (2, 2), (3, 1)])
-    def test_coefficients_and_entries_give_one_result(self, n, q):
-        """Both estimators of a state held only as its coefficients equal
-        those read from its entries by single-state post-selection."""
-        rng = np.random.default_rng(40 + n + q)
-        rho = _random_rho(rng, 1 + n + q)
-        held = DensityMatrix._from_pauli(1 + n + q, qstate.to_pauli(rho.entries[None])[0])
-        estimators = postselect_hhl([held], n)
-        assert held._entries is None  # no entries derived
-        for name, (want_rho, want_p) in _sequential_postselection(rho, n).items():
-            got_rho, got_p = estimators[name]
-            np.testing.assert_allclose(got_rho[0], want_rho, rtol=0, atol=1e-14)
-            assert got_p[0] == pytest.approx(want_p, abs=1e-15)
 
     def test_noisy_run_needs_its_estimator(self, monkeypatch):
         problem = build_a_lambda(0.25)
@@ -823,15 +807,17 @@ class TestNoFullDensityMatrix:
 
 
 class TestNoisySolveMakesNoFullDensityMatrix:
-    """A noisy solve runs on Pauli coefficients from start to end: nothing
-    converts into them, and only the q input qubits' coefficients become
-    complex matrices, the two rho_v of each post-selection."""
+    """A noisy solve runs on Pauli coefficients from start to end: only the q
+    input qubits' coefficients become complex matrices, the two rho_v of each
+    post-selection, and only the named rho_v stack converts back."""
 
     @pytest.fixture
     def conversions(self, monkeypatch):
-        calls, convert = [], qstate.from_pauli
-        monkeypatch.setattr(qstate, "to_pauli", lambda *a: pytest.fail("converted into"))
-        monkeypatch.setattr(qstate, "from_pauli", lambda c: calls.append(c.shape) or convert(c))
+        calls = []
+        for name in ("pauli_of", "entries_of"):
+            convert = getattr(qstate, name)
+            monkeypatch.setattr(qstate, name, lambda c, name=name, convert=convert:
+                                calls.append((name, c.shape)) or convert(c))
         return calls
 
     @pytest.mark.parametrize("mode", ["original", "hybrid"])
@@ -839,7 +825,8 @@ class TestNoisySolveMakesNoFullDensityMatrix:
         run = run_original_hhl if mode == "original" else run_hybrid_hhl
         outcome = run(build_a_lambda(0.25), 2, noise=NoiseParams(readout_flip=0.01))
         assert outcome.rho_v.num_qubits == 1
-        assert conversions == [(2, 4)]  # ancilla and uncomputed rho_v of one 1-qubit input
+        # ancilla and uncomputed rho_v of one 1-qubit input, then the named one back
+        assert conversions == [("entries_of", (2, 4)), ("pauli_of", (1, 2, 2))]
 
     def test_noisy_qpea_converts_nothing(self, conversions):
         hist = run_qpea(build_a_lambda(0.3), 4, noise=NoiseParams(readout_flip=0.02))
