@@ -22,7 +22,7 @@ transfer matrices. A multiplexed kind
 (``cunitary``, ``mry``) gives the stack of its blocks, never its dense
 matrix, so an ``mry`` runs for any number of controls, while its lowering
 drops every control its angles ignore and supports at most two of the rest.
-A compiled circuit is a :class:`Circuit` of basis gates; :func:`cnot_count`
+A compiled circuit is a :class:`Circuit` of basis gates; ``Circuit.cnot_count``
 gives its CNOT count, or a source circuit's without compiling, and
 :func:`cnot_counts` those of a batch of one skeleton in one pass.
 
@@ -175,8 +175,14 @@ class Circuit:
 
     @property
     def cnot_count(self) -> int:
-        """:func:`cnot_count` of this circuit."""
-        return cnot_count(self)
+        """CNOTs in the compiled form of this circuit, its :func:`cnot_counts`
+        as a batch of one, counted without lowering; where a gate does not
+        lower, the CompileError :func:`compile_circuit` raises.
+        :func:`simplify` drops no CNOT, so the count equals the compiled one."""
+        (count,) = cnot_counts([self])
+        if count is None:
+            compile_circuit(self)  # raises at the first gate that does not lower
+        return count
 
 
 # ---------------------------------------------------------------------------
@@ -494,11 +500,6 @@ _KINDS = {
 }
 
 
-def is_basis(kind: str) -> bool:
-    """Whether gates of ``kind`` survive compilation."""
-    return _KINDS[kind].lower is None
-
-
 # ---------------------------------------------------------------------------
 # compilation
 
@@ -525,7 +526,7 @@ def simplify(gates) -> list[Gate]:
 
 def _lower(g: Gate) -> list[Gate]:
     """Basis gates of one gate, up to global phase; a shape it cannot lower
-    raises the CompileError :func:`cnot_count` raises."""
+    raises the CompileError ``Circuit.cnot_count`` raises."""
     lower = _KINDS[g.kind].lower
     return [g] if lower is None else lower(g)
 
@@ -536,19 +537,8 @@ def _check_lowers(g: Gate) -> None:
         raise CompileError(_KINDS[g.kind].refusal)
 
 
-def cnot_count(circuit) -> int:
-    """CNOTs in the compiled form of ``circuit``, its :func:`cnot_counts` as a
-    batch of one, counted without lowering; where a gate does not lower, the
-    CompileError :func:`compile_circuit` raises. :func:`simplify` drops no
-    CNOT, so the count equals the compiled one."""
-    (count,) = cnot_counts([circuit])
-    if count is None:
-        compile_circuit(circuit)  # raises at the first gate that does not lower
-    return count
-
-
 def cnot_counts(batch) -> list[int | None]:
-    """:func:`cnot_count` of each circuit of a batch with one skeleton, None
+    """``Circuit.cnot_count`` of each circuit of a batch with one skeleton, None
     where it raises, raising nothing. Every kind's count but an ``mry``'s
     follows the gate's shape, so the first circuit gives it; an ``mry``'s
     comes from one :func:`_subset_angles` call over the stacked tables (B, 2^k)."""
@@ -570,7 +560,7 @@ def compile_circuit(circuit: Circuit) -> Circuit:
 
     The composed unitary of the output matches the source up to global phase
     (asserted by the test suite, not at runtime). The first gate that
-    cannot lower raises CompileError, as in :func:`cnot_count`.
+    cannot lower raises CompileError, as in ``Circuit.cnot_count``.
     """
     lowered = tuple(simplify(b for g in circuit.gates for b in _lower(g)))
     return Circuit._trusted(circuit.num_qubits, lowered, dict(circuit.roles), circuit.measured)

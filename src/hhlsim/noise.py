@@ -218,9 +218,9 @@ def _plan(circuit, noise: NoiseParams) -> tuple:
             raise CompileError(f"gate kind {g.kind!r} has no duration: compile first")
         dt, code = spec
         qubits = g.qubits
-        for q in qubits:  # q settles
-            if (t := clock - since[q] if idle else last[q]) > 0:
-                chains[q] += _DECAY, t
+        for q in qubits:  # q settles; past a clock that overflowed, inf - inf is NaN
+            if not (t := clock - since[q] if idle else last[q]) <= 0:
+                chains[q] += _DECAY, t if t == t else math.inf  # an overflowed time decays fully
             since[q], last[q] = clock, dt
         clock += dt
         if code is not None:
@@ -236,8 +236,8 @@ def _plan(circuit, noise: NoiseParams) -> tuple:
         runs += chains[pair[0]], chains[pair[1]]
         chains[a], chains[b] = [], []
     for q, t in enumerate([clock - s for s in since] if idle else last):
-        if t > 0:
-            chains[q] += _DECAY, t
+        if not t <= 0:
+            chains[q] += _DECAY, t if t == t else math.inf
     for block in blocks:  # a qubit's last chain joins its last block, as no later one touches it
         tails = [chains[q] if last_block[q] is block else [] for q in block[0]]
         if any(tails):
@@ -265,10 +265,8 @@ def _execute(plan: tuple, t1: float, initial) -> np.ndarray:
     if initial is None:  # |0...0>: 1 on the Z strings, those with every "X or Y" bit 0
         data = np.zeros((1, 4**n))
         data[:, :: 2**n] = 1.0
-    elif isinstance(initial, DensityMatrix):
+    else:  # a statevector's are derived on this read, held by nothing after the first kernel call
         data = initial.pauli[None]
-    else:  # a statevector's rho, held by nothing after the first kernel call
-        data = initial.to_density_matrix().pauli[None]
     m, flips = len(flips), np.array(flips, dtype=np.intp)
     pairs = products[: 2 * m].reshape(m, 2, 16)  # each step a signed gather from the
     outer = pairs[:, 0, :, None] * pairs[:, 1, None, :]  # outer product of its pair's chains

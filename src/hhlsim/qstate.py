@@ -15,7 +15,10 @@ coefficients Tr(rho P), real (:func:`pauli_of`): qubit q's pair of axes
 Z = 10, Y = 11 (Greenbaum, arXiv:1509.02921). A :class:`DensityMatrix`
 holds its coefficients alone, converted once by whatever makes it. Every
 path reads them: its probabilities, post-selection and partial trace are
-slices of them, and its entries are derived on each read.
+slices of them, and its entries are derived on each read, as a
+:class:`StateVector`'s coefficients are from its amplitudes. Two states
+compare by their coefficients alone: Tr(rho sigma) = c_rho . c_sigma / 2^n
+(:func:`overlaps`).
 
 Values are checked where they enter, against an absolute tolerance
 (:func:`within_atol`): in the public state constructors, in
@@ -135,8 +138,14 @@ class StateVector(_State):
             raise ValidationError(f"state norm {norm} is not 1")
         self._store(num_qubits, amps / norm)
 
+    @property
+    def pauli(self) -> np.ndarray:
+        """The Pauli coefficients (4^n,) of its |psi><psi|, derived from the
+        amplitudes on each read, read-only."""
+        return pauli_of(np.outer(self.amplitudes, self.amplitudes.conj())[None])[0]
+
     def to_density_matrix(self) -> "DensityMatrix":
-        return DensityMatrix._trusted(self.num_qubits, pauli_of(_matrix(self)[None])[0])
+        return DensityMatrix._trusted(self.num_qubits, self.pauli)
 
     def __repr__(self):
         return f"StateVector(num_qubits={self.num_qubits})"
@@ -405,27 +414,20 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     return DensityMatrix._trusted(m, c[0].copy())  # owned: no chain of views
 
 
-def overlaps(rho: np.ndarray, kets: np.ndarray) -> np.ndarray:
-    """<k|rho|k> of each ket of ``kets`` (B, K, 2^q) against item b of ``rho``
-    (B, 2^q, 2^q), clamped to [0, 1]: the overlap fidelity the closed-form
-    curves match, not its square root (pinned in tests/test_oracles.py). An
-    item reads the same bits in any batch: each is its own matrix product."""
-    return np.clip(((kets.conj() @ rho) * kets).sum(-1).real, 0.0, 1.0)
-
-
-def _matrix(state) -> np.ndarray:
-    """The (2^n, 2^n) matrix of a state: a density matrix's entries, or a
-    statevector's outer product, read from its amplitudes."""
-    if isinstance(state, DensityMatrix):
-        return state.entries
-    return np.outer(state.amplitudes, state.amplitudes.conj())
+def overlaps(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Tr(rho sigma) = c_rho . c_sigma / 2^n of two stacks of Pauli
+    coefficients (..., 4^n), broadcast against each other, clamped to [0, 1]:
+    against a pure sigma the overlap fidelity <k|rho|k> the closed-form curves
+    match, not its square root (pinned in tests/test_oracles.py). An item
+    reads the same bits in any batch: each is its own sum."""
+    return np.clip((rho * sigma).sum(-1) / rho.shape[-1] ** 0.5, 0.0, 1.0)
 
 
 def fidelity_pure(rho, psi) -> float:
     """:func:`overlaps` of one state, pure or mixed, against one pure reference."""
     if rho.num_qubits != psi.num_qubits:
         raise DomainError("dimension mismatch between rho and psi")
-    return float(overlaps(_matrix(rho)[None], psi.amplitudes[None, None])[0, 0])
+    return float(overlaps(rho.pauli, psi.pauli))
 
 
 def exact_distribution(state, qubits) -> MeasurementHistogram:

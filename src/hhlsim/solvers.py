@@ -17,11 +17,14 @@ circuits, a batch's in one :func:`circuits.cnot_counts` pass, and the noisy
 run its compiled ones: either takes its ``mry``'s subset angles once.
 :func:`run_original_hhl_batch` runs the circuits of many problems in one
 executor call; :func:`run_original_hhl` is its one-problem case. The final
-states of a batch are then scored in one pass: one post-selection,
-:func:`postselect_hhl`, gives both estimators of every item as stacks, read
-from a statevector's amplitudes without forming its density matrix, and one
-:func:`qstate.overlaps` call each gives their fidelities and, for a
-one-qubit solution, the x-basis weights (:func:`x_basis_weights` for one).
+states of a batch are then scored in one pass, in the one form a state is
+held in from post-selection to ``rho_v``, its Pauli coefficients: one
+post-selection, :func:`postselect_hhl`, gives both estimators of every item
+as coefficient stacks, read from a statevector's amplitudes without forming
+its density matrix, and one :func:`qstate.overlaps` call each gives their
+fidelities against the solutions' coefficients. For a one-qubit solution
+the x-basis weights are (1 +- <X>) / 2, read from the X coefficient
+(:func:`x_basis_weights` for one state).
 """
 
 from __future__ import annotations
@@ -202,56 +205,58 @@ class HHLOutcome:
     estimate: EigenEstimate | None = None
 
 
-_X_KETS = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-
-
 def x_basis_weights(state):
     """(|<+|v>|^2, |<-|v>|^2) of a one-qubit state, pure or mixed;
     (None, None) for a wider one."""
     if state.num_qubits != 1:
         return None, None
-    weights = qstate.overlaps(qstate._matrix(state)[None], _X_KETS[None])[0]
-    return tuple(float(w) for w in weights)
+    return tuple(float(w) for w in _x_weights(state.pauli[None])[0])
+
+
+def _x_weights(coefficients: np.ndarray) -> np.ndarray:
+    """The x-basis weights (1 +- <X>) / 2, clamped to [0, 1], of each item of
+    a stack of one-qubit Pauli coefficients (B, 4), (B, 2): <X> is its X coefficient."""
+    return np.clip((1.0 + coefficients[:, 1, None] * [1.0, -1.0]) / 2, 0.0, 1.0)
 
 
 def postselect_hhl(states, n: int) -> dict:
     """Post-select the final states of one batch of HHL runs, all
     statevectors or all density matrices, on ancilla = 1. Returns
-    ``{"ancilla": (rho_v, p), "uncomputed": (rho_v, p)}``, stacks of input
-    states (B, 2^q, 2^q) and success probabilities (B,): with the register
-    traced out, and with only its 0...0 block kept (p = 0 and rho_v = 0 for
-    an item where that block has no weight). A statevector's ancilla-1
-    amplitudes phi, as (register, input), give rho_v = phi^T phi* / p
-    (Nielsen & Chuang 2.4.3), so no density matrix of the whole run is made.
-    A density matrix is read through its Pauli coefficients, the one form it
-    is held in: only the input's with the ancilla and the register at I or Z
-    are copied, and only those become complex matrices.
+    ``{"ancilla": (rho_v, p), "uncomputed": (rho_v, p)}``, each rho_v a stack
+    of the input's Pauli coefficients (B, 4^q) and p the success
+    probabilities (B,), each its stack's I coefficient before normalizing:
+    with the register traced out, and with only its 0...0 block kept (p = 0
+    and rho_v = 0 for an item where that block has no weight). A
+    statevector's ancilla-1 amplitudes phi, as (register, input), give
+    rho_v = phi^T phi* / p (Nielsen & Chuang 2.4.3), so no density matrix of
+    the whole run is made; both stacks then convert in one
+    :func:`qstate.pauli_of` call. A density matrix is read through its Pauli
+    coefficients, the one form it is held in: only the input's with the
+    ancilla and the register at I or Z are copied, and nothing converts.
     """
     q, r = states[0].num_qubits - 1 - n, 2**n
     if isinstance(states[0], StateVector):
         phi = np.array([s.amplitudes.reshape(2, r, 2**q)[1] for s in states])
         traced = np.einsum("brx,bry->bxy", phi, phi.conj())
         block = phi[:, 0, :, None] * phi[:, 0, None, :].conj()
+        c = qstate.pauli_of(np.concatenate([traced, block])).reshape(2, len(phi), -1)
     else:
         # Pauli coefficients over ("Z or Y", "X or Y") bits of (ancilla, register,
         # input), the ancilla and the register at I or Z only: the ancilla's |1><1|
         # is (I - Z) / 2, tracing the register out keeps its I, and its
         # |0...0><0...0| block is the mean of its Z strings
         c = np.array([s.pauli.reshape(2, r, 2**q, 2, r, 2**q)[:, :, :, 0, 0] for s in states])
-        branch = (c[:, 0] - c[:, 1]) / 2
-        coefficients = np.concatenate([branch[:, 0], branch.sum(1) / r]).reshape(2 * len(c), -1)
-        rho = qstate.entries_of(coefficients)
-        traced, block = rho[: len(c)], rho[len(c) :]
-    p, p_reset = np.einsum("bxx->b", traced).real, np.einsum("bxx->b", block).real
+        branch = ((c[:, 0] - c[:, 1]) / 2).reshape(len(c), r, -1)
+        c = np.stack([branch[:, 0], branch.sum(1) / r])
+    (traced, block), (p, p_reset) = c, c[:, :, 0]
     if p.min() <= qstate.ZERO_PROBABILITY:
         raise ImpossibleOutcomeError("outcome 1 on qubit 0 has zero probability")
-    p_reset[p_reset <= qstate.ZERO_PROBABILITY * p] = 0.0
+    p_reset = np.where(p_reset > qstate.ZERO_PROBABILITY * p, p_reset, 0.0)
     scale = np.divide(1.0, p_reset, out=np.zeros_like(p), where=p_reset > 0)
-    uncomputed = (block * scale[:, None, None], p_reset)
-    return {"ancilla": (traced / p[:, None, None], p), "uncomputed": uncomputed}
+    return {"ancilla": (traced / p[:, None], p), "uncomputed": (block * scale[:, None], p_reset)}
 
 
-def _solve(mode, problems, n, specs, shots, seed, noise, estimate=None) -> list[HHLOutcome]:
+def _solve(mode, problems, n, specs, shots, seed, noise) -> list[HHLOutcome]:
     """Build one HHL circuit per problem, run them all in one executor call,
     exactly or under noise, post-select and score all final states in one
     pass, and return one outcome per problem.
@@ -260,26 +265,29 @@ def _solve(mode, problems, n, specs, shots, seed, noise, estimate=None) -> list[
     statevector pass and count their CNOTs in one :func:`circuits.cnot_counts`
     pass, None where a circuit does not lower. Under noise the compiled
     circuits run, which may differ in length, as compilation drops zero
-    angles; they run and count their CNOTs one by one. Both estimators are
-    scored against each problem's classical solution; the one named by
-    ``postselection`` heads the outcome, with the seeded x-basis histogram.
+    angles; they run and count their CNOTs one by one, each a batch of one,
+    so the ``mry``'s subset angles are taken once, by the compilation.
+    Both estimators are scored against each problem's classical solution by
+    their Pauli coefficients; the one named by ``postselection`` heads the
+    outcome, with its x-basis weights and their seeded histogram.
     """
     built = [build_hhl_circuit(p, n, spec) for p, spec in zip(problems, specs)]
     if noise is not None:
         built = [circuits.compile_circuit(c) for c in built]
     states = noise_mod.run_noisy(built, noise)  # checks an exact batch's one skeleton
     cnot_counts = (circuits.cnot_counts(built) if noise is None
-                   else [circuits.cnot_count(c) for c in built])
+                   else [c.cnot_count for c in built])
     postselection = "ancilla" if noise is None else "uncomputed"
     estimators = postselect_hhl(states, n)
     rho, named = estimators[postselection]
     if not named.all():
         raise ImpossibleOutcomeError("register outcome 0...0 has zero probability")
-    x = np.array([classical_solution(p)[0] for p in problems])[:, None]
-    fids = {name: qstate.overlaps(r, x)[:, 0] for name, (r, _) in estimators.items()}
+    x = np.array([classical_solution(p)[0] for p in problems])
+    solutions = qstate.pauli_of(x[:, :, None] * x[:, None, :].conj())
+    fids = {name: qstate.overlaps(r, solutions) for name, (r, _) in estimators.items()}
     q = problems[0].num_qubits
-    weights = qstate.overlaps(rho, np.broadcast_to(_X_KETS, (len(x), 2, 2))) if q == 1 else None
-    paulis, outcomes = qstate.pauli_of(rho), []
+    weights = _x_weights(rho) if q == 1 else None
+    outcomes = []
     for i, count in enumerate(cnot_counts):
         scores = {
             name: (float(fids[name][i]), float(p[i])) if p[i] else None
@@ -294,10 +302,10 @@ def _solve(mode, problems, n, specs, shots, seed, noise, estimate=None) -> list[
                 {"+": int(draws[0]), "-": int(draws[1])}, shots
             )
         fid, prob = scores[postselection]
-        rho_v = DensityMatrix._trusted(q, paulis[i].copy())  # owned, not a view into the stack
+        rho_v = DensityMatrix._trusted(q, rho[i].copy())  # owned, not a view into the stack
         outcomes.append(HHLOutcome(
             mode, n, prob, rho_v, fid, cplus, cminus, count, postselection,
-            scores["ancilla"], scores["uncomputed"], histograms, estimate,
+            scores["ancilla"], scores["uncomputed"], histograms,
         ))
     return outcomes
 
@@ -408,8 +416,8 @@ def run_hybrid_hhl(
         estimate = analyze_qpea(hist, n, policy.tau, policy.coverage)
         if estimate.reducible:
             aqe_spec = synthesize_reduced_aqe(estimate, c)
-            (outcome,) = _solve("hybrid", [problem], n, [aqe_spec], shots, seed, noise, estimate)
-            outcome.histograms["qpea"] = hist
+            (outcome,) = _solve("hybrid", [problem], n, [aqe_spec], shots, seed, noise)
+            outcome.histograms["qpea"], outcome.estimate = hist, estimate
             return outcome
         last_estimate = estimate
     if top < policy.max_n:
@@ -476,7 +484,6 @@ def reduced_encoding_equivalence_check(problem: HermitianProblem, n: int) -> boo
     states = noise_mod.run_noisy(build_hhl_circuit(problem, n, specs))
     rho, p = postselect_hhl(states, n)["ancilla"]
     # both states are pure here, so the trace overlap is the fidelity
-    overlap = float(np.einsum("xy,yx->", rho[0], rho[-1]).real)
-    purity = float(np.einsum("bxy,byx->b", rho, rho).real.min())
-    fid = overlap / purity if purity > 0 else 0.0
+    overlap, purity = qstate.overlaps(rho[0], rho[-1]), qstate.overlaps(rho, rho).min()
+    fid = float(overlap / purity) if purity > 0 else 0.0
     return fid >= 1.0 - 1e-9 and float(abs(p[0] - p[-1])) <= 1e-10

@@ -125,7 +125,7 @@ class TestGate:
         and its controls lead."""
         g = gate("cunitary", 2, 0, 1, params=(-1,), matrix=[_I, _X, _I, _X])
         assert g.matrix.shape == (4, 2, 2) and not g.matrix.flags.writeable
-        assert circuits.cnot_count(Circuit(3, (g,))) == 4
+        assert Circuit(3, (g,)).cnot_count == 4
 
     def test_cnot_matrix(self):
         m = gate_matrix(gate("cnot", 0, 1))
@@ -215,7 +215,7 @@ class TestInverseQft:
         u = circuit_unitary(gates, 2)
         dft = np.exp(2j * np.pi * np.outer(np.arange(4), np.arange(4)) / 4) / 2
         assert equal_up_to_phase(u, dft.conj().T, atol=1e-10)
-        assert circuits.cnot_count(Circuit(2, tuple(gates), {})) == 5
+        assert Circuit(2, tuple(gates), {}).cnot_count == 5
         lowered = compile_circuit(Circuit(2, tuple(gates), {}))
         assert lowered.cnot_count == 5  # 3 for the swap + 2 for the controlled phase
 
@@ -261,7 +261,7 @@ class TestInverseQft:
             for b in ([gate("h", *s)] if len(s) == 1 else circuits._cphase_gates(*s))
         ]
         assert equal_up_to_phase(circuit_unitary(lowered, n), circuit_unitary(sequence, n))
-        assert circuits.cnot_count(Circuit(n, (g,))) == n * (n - 1)
+        assert Circuit(n, (g,)).cnot_count == n * (n - 1)
 
     def test_qft_lowering_is_shared_but_each_caller_gets_its_own_list(self):
         """The lowering of a qft shape is made once and shared as a tuple of
@@ -369,7 +369,7 @@ class TestMultiplexedRy:
         or three controls has angle zero: three controlled Ry, 6 CNOTs."""
         g = gate("mry", 0, 1, 2, 3, params=[0.1 * i for i in range(8)])
         compiled = compile_circuit(Circuit(4, (g,), {}))
-        assert compiled.cnot_count == circuits.cnot_count(Circuit(4, (g,), {})) == 6
+        assert compiled.cnot_count == Circuit(4, (g,), {}).cnot_count == 6
         dense = circuit_unitary([g], 4)
         np.testing.assert_allclose(dense, self._reference(g.params, 3), atol=1e-12)
         assert equal_up_to_phase(circuit_unitary(compiled.gates, 4), dense, atol=1e-9)
@@ -448,7 +448,7 @@ def test_kind_record_agrees_with_itself(kind):
     multiplexed kind's matrix is the stack of its blocks, each unitary."""
     rng = np.random.default_rng(_KINDS.index(kind))
     spec = circuits._KINDS[kind]
-    assert (spec.lower is None) == circuits.is_basis(kind) == (spec.qasm is not None)
+    assert (spec.lower is None) == (spec.qasm is not None)
     for _ in range(10):
         g = _random_gate(rng, kind, 3)
         m = gate_matrix(g)
@@ -459,10 +459,10 @@ def test_kind_record_agrees_with_itself(kind):
         (inverse,) = adjoint([g])
         np.testing.assert_allclose(gate_matrix(inverse), m.conj().swapaxes(-1, -2), atol=1e-12)
         lowered = circuits._lower(g)
-        assert all(circuits.is_basis(b.kind) for b in lowered)
+        assert all(circuits._KINDS[b.kind].lower is None for b in lowered)
         assert equal_up_to_phase(circuit_unitary(lowered, 3), circuit_unitary([g], 3), atol=1e-9)
         emitted = sum(1 for b in lowered if b.kind == "cnot")
-        assert circuits.cnot_count(Circuit(3, (g,))) == emitted
+        assert Circuit(3, (g,)).cnot_count == emitted
 
 
 def test_every_kind_is_reached():
@@ -538,7 +538,7 @@ class TestCompile:
         rng = np.random.default_rng(seed)
         gates = _random_circuit(rng, n, length)
         compiled = compile_circuit(Circuit(n, tuple(gates), {}))
-        assert all(circuits.is_basis(g.kind) for g in compiled.gates)
+        assert all(circuits._KINDS[g.kind].lower is None for g in compiled.gates)
         u_src = circuit_unitary(gates, n)
         u_cmp = circuit_unitary([g for g in compiled.gates], n)
         assert equal_up_to_phase(u_cmp, u_src, atol=1e-8)
@@ -624,7 +624,7 @@ def _paper_corpus():
 
 
 class TestCnotCount:
-    """cnot_count counts without compiling what compile_circuit emits."""
+    """Circuit.cnot_count counts without compiling what compile_circuit emits."""
 
     def test_equals_compiled_count_on_paper_corpus(self):
         lowered = failed = 0
@@ -633,11 +633,11 @@ class TestCnotCount:
                 compiled = compile_circuit(circuit)
             except CompileError:
                 with pytest.raises(CompileError):
-                    circuits.cnot_count(circuit)
+                    circuit.cnot_count
                 failed += 1
                 continue
             emitted = sum(1 for g in compiled.gates if g.kind == "cnot")
-            assert circuits.cnot_count(circuit) == emitted == compiled.cnot_count
+            assert circuit.cnot_count == emitted == compiled.cnot_count
             lowered += 1
         assert lowered > 500 and failed > 100
 
@@ -647,12 +647,12 @@ class TestCnotCount:
         rng = np.random.default_rng(seed)
         circuit = Circuit(4, tuple(_random_circuit(rng, 4, 30)), {})
         emitted = sum(1 for g in compile_circuit(circuit).gates if g.kind == "cnot")
-        assert circuits.cnot_count(circuit) == emitted
+        assert circuit.cnot_count == emitted
 
     def test_zero_angle_subsets_cost_nothing(self):
         # pattern angles (0, a, 0, a): only the subset of the second control is non-zero
         g = gate("mry", 0, 1, 2, params=(0.0, 0.4, 0.0, 0.4))
-        assert circuits.cnot_count(Circuit(3, (g,), {})) == 2
+        assert Circuit(3, (g,), {}).cnot_count == 2
 
     @pytest.mark.parametrize(
         "g",
@@ -666,7 +666,7 @@ class TestCnotCount:
     def test_raises_where_lowering_does(self, g):
         circuit = Circuit(4, (gate("h", 0), g), {})
         with pytest.raises(CompileError) as counted:
-            circuits.cnot_count(circuit)
+            circuit.cnot_count
         with pytest.raises(CompileError) as compiled:
             compile_circuit(circuit)
         assert str(counted.value) == str(compiled.value)

@@ -746,3 +746,17 @@ class TestLimits:
             err = capsys.readouterr().err
             assert code == EXIT_VALIDATION
             assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("ns", ["1e300", "1e308"])
+    def test_overflowing_durations_decay_fully(self, tmp_path, capsys, ns):
+        """Gate durations whose sum overflows the noise clock (1e308) decay
+        fully, as those that stay just below it (1e300) do: the QPEA reads
+        00 with certainty, and the original HHL, whose ancilla then never
+        reads 1, ends in one error line."""
+        noise = tmp_path / "noise.json"
+        noise.write_text(f'{{"cnot_ns": {ns}, "single_ns": {ns}}}')
+        code, raw = run(tmp_path, "qpea", "--lambda", "0.3", "--n", "2", "--noise", str(noise))
+        assert (code, raw) == (EXIT_OK, b"outcome,value\n00,1.0\n01,0.0\n10,0.0\n11,0.0\n")
+        code, _ = run(tmp_path, "solve", "--lambda", "0.25", "--n", "2", "--noise", str(noise))
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: outcome 1 on qubit 0 has zero probability\n"

@@ -137,7 +137,7 @@ def _eager_run(compiled, noise, rho):
     return rho, {format(y, f"0{k}b"): p for y, p in enumerate(seen)}
 
 
-_BASIS = [kind for kind in circuits._KINDS if circuits.is_basis(kind)]
+_BASIS = [kind for kind, spec in circuits._KINDS.items() if spec.lower is None]
 
 
 def _random_compiled(n, rng, num_gates=40):
@@ -592,6 +592,18 @@ class TestLazyDamping:
         # qubit 1 aged only during its own ry gate: excited population e^{-60/100}
         excited = np.real(rho.entries[1, 1] + rho.entries[3, 3])
         assert excited == pytest.approx(np.exp(-0.6), abs=1e-12)
+
+    def test_an_overflowed_clock_decays_fully(self):
+        """Once the clock overflows, a qubit settled since then has waited
+        inf - inf: that time overflowed too and decays fully, gamma = 1, as
+        one measured from before the overflow does. So the last ry(pi) on
+        qubit 0 decays away by the end, and both qubits end in |0>."""
+        flip = (np.pi,)
+        gates = tuple(gate("ry", q, params=flip) for q in (0, 1, 0, 1, 0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rho = run_noisy(Circuit(2, gates), NoiseParams(single_ns=1e308))
+        np.testing.assert_allclose(rho.entries, np.diag([1.0, 0, 0, 0]), rtol=0, atol=1e-15)
 
 
 def _hhl_compiled(n):

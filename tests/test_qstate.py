@@ -549,15 +549,23 @@ class TestFidelity:
         assert fidelity_pure(basis_state(1, 0).to_density_matrix(), basis_state(1, 1)) == pytest.approx(0.0, abs=1e-12)
 
     def test_one_state_case_of_overlaps(self):
+        """One state against one ket is the overlap rule on their Pauli
+        coefficients, and that is <psi|rho|psi> read from the matrix."""
         rng = np.random.default_rng(8)
         psi = _random_state(rng, 2)
         for state in (_random_state(rng, 2), _random_state(rng, 2).to_density_matrix()):
-            if isinstance(state, DensityMatrix):
-                rho = state.entries
-            else:  # a statevector's outer product, read from its amplitudes
-                rho = np.outer(state.amplitudes, state.amplitudes.conj())
-            want = qstate.overlaps(rho[None], psi.amplitudes[None, None])[0, 0]
+            want = qstate.overlaps(state.pauli[None], psi.pauli[None])[0]
             assert fidelity_pure(state, psi) == want
+            rho = state.to_density_matrix() if isinstance(state, StateVector) else state
+            matrix = (psi.amplitudes.conj() @ rho.entries @ psi.amplitudes).real
+            assert want == pytest.approx(matrix, abs=1e-14)
+
+    def test_statevector_coefficients_are_its_density_matrix(self):
+        """A statevector's ``pauli``, derived on each read, is its outer product's."""
+        psi = _random_state(np.random.default_rng(9), 3)
+        rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
+        np.testing.assert_allclose(psi.pauli, qstate.pauli_of(rho[None])[0], rtol=0, atol=1e-15)
+        assert not psi.pauli.flags.writeable
 
     @pytest.mark.parametrize("size", range(1, 6))
     def test_batch_reads_each_item_alone(self, size):
@@ -565,23 +573,25 @@ class TestFidelity:
         # rounded by the batch's size
         rng = np.random.default_rng(size)
         for k, d in [(1, 2), (2, 2), (1, 4), (2, 4)] * 10:
-            kets = rng.normal(size=(size, k, d)) + 1j * rng.normal(size=(size, k, d))
+            kets = rng.normal(size=(size * k, d)) + 1j * rng.normal(size=(size * k, d))
             kets /= np.linalg.norm(kets, axis=-1, keepdims=True)
+            kets = qstate.pauli_of(kets[:, :, None] * kets[:, None, :].conj()).reshape(size, k, -1)
             z = rng.normal(size=(size, d, d)) + 1j * rng.normal(size=(size, d, d))
             rho = z @ z.conj().transpose(0, 2, 1)
-            rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
-            batch = qstate.overlaps(rho, kets)
+            rho = qstate.pauli_of(rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None])
+            batch = qstate.overlaps(rho[:, None], kets)
+            assert batch.shape == (size, k)
             for i in range(size):
-                alone = qstate.overlaps(rho[i : i + 1], kets[i : i + 1])[0]
+                alone = qstate.overlaps(rho[i : i + 1, None], kets[i : i + 1])[0]
                 np.testing.assert_array_equal(batch[i], alone)
 
     @pytest.mark.parametrize("scale,want", [(1.5, 1.0), (-0.5, 0.0)])
     def test_clamped_to_unit_interval(self, scale, want):
-        entries = scale * basis_state(1, 0).to_density_matrix().entries
-        state = DensityMatrix._trusted(1, qstate.pauli_of(entries[None])[0])
+        coefficients = scale * basis_state(1, 0).pauli
+        state = DensityMatrix._trusted(1, coefficients)
         assert fidelity_pure(state, basis_state(1, 0)) == want
-        kets = np.eye(2, dtype=complex)[None]
-        np.testing.assert_array_equal(qstate.overlaps(entries[None], kets), [[want, 0.0]])
+        kets = np.stack([basis_state(1, 0).pauli, basis_state(1, 1).pauli])
+        np.testing.assert_array_equal(qstate.overlaps(coefficients, kets), [want, 0.0])
 
 
 class TestMeasurementHistogram:

@@ -535,19 +535,30 @@ class TestReducedEncodingEquivalence:
 
     def test_one_kernel_call_per_gate_position(self, monkeypatch):
         """The full and reduced circuits share one skeleton, so each gate
-        position, their mry too, is one kernel call on the batch. They share
+        position, their mry too, is one kernel call on the batch (counted
+        inside the executor; scoring converts on its own). They share
         every gate but their mry, as the same objects, so each shared
         position's call takes that gate's own matrix, and only the mry's call
         a stack of two."""
         problem = random_perfectly_estimated_problem(np.random.default_rng(5), d=4, n=3, k=2)
         kernel, calls = qstate.apply_operator, []
         monkeypatch.setattr(qstate, "apply_operator", lambda *a: calls.append(a) or kernel(*a))
+        run, spans = noise_mod.run_noisy, []
+
+        def run_noisy(*args):
+            start = len(calls)
+            states = run(*args)
+            spans.append((start, len(calls)))
+            return states
+
+        monkeypatch.setattr(noise_mod, "run_noisy", run_noisy)
         build, built = solvers.build_hhl_circuit, []
         monkeypatch.setattr(
             solvers, "build_hhl_circuit", lambda *a: built.append(build(*a)) or built[-1]
         )
         assert reduced_encoding_equivalence_check(problem, 3)
-        ((full, reduced),) = built
+        ((full, reduced),), ((start, end),) = built, spans
+        calls = calls[start:end]
         assert len(calls) == len(full.gates) == len(reduced.gates) == 12
         mry = [g.kind == "mry" for g in full.gates]
         assert [g is not h for g, h in zip(full.gates, reduced.gates)] == mry
@@ -673,17 +684,17 @@ class TestOriginalBatch:
 
 
 def _sequential_postselection(rho, n):
-    """Reference estimators of one density matrix: ``qstate.postselect`` on
-    the ancilla, then ``partial_trace`` of the register, or ``postselect`` on
-    each register bit."""
+    """Reference estimators of one density matrix, as (state, probability):
+    ``qstate.postselect`` on the ancilla, then ``partial_trace`` of the
+    register, or ``postselect`` on each register bit."""
     q = rho.num_qubits - 1 - n
     post, p_ancilla = qstate.postselect(rho, 0, 1)
-    ancilla = (qstate.partial_trace(post, range(n, n + q)).entries, p_ancilla)
+    ancilla = (qstate.partial_trace(post, range(n, n + q)), p_ancilla)
     prob = p_ancilla
     for _ in range(n):
         post, p_reg = qstate.postselect(post, 0, 0)
         prob *= p_reg
-    return {"ancilla": ancilla, "uncomputed": (post.entries, prob)}
+    return {"ancilla": ancilla, "uncomputed": (post, prob)}
 
 
 class TestPostselectHHL:
@@ -693,7 +704,7 @@ class TestPostselectHHL:
         estimators = postselect_hhl([rho], n)
         for name, (want_rho, want_p) in _sequential_postselection(rho, n).items():
             got_rho, got_p = estimators[name]
-            np.testing.assert_allclose(got_rho[0], want_rho, atol=1e-14)
+            np.testing.assert_allclose(got_rho[0], want_rho.pauli, atol=1e-14)
             assert got_p[0] == pytest.approx(want_p, abs=1e-15)
 
     def test_batch_of_three_mixed_states(self):
@@ -704,8 +715,8 @@ class TestPostselectHHL:
         for b, rho in enumerate(rhos):
             for name, (want_rho, want_p) in _sequential_postselection(rho, n).items():
                 got_rho, got_p = estimators[name]
-                assert got_rho.shape == (3, 2**q, 2**q)
-                np.testing.assert_allclose(got_rho[b], want_rho, atol=1e-14)
+                assert got_rho.shape == (3, 4**q)
+                np.testing.assert_allclose(got_rho[b], want_rho.pauli, atol=1e-14)
                 assert got_p[b] == pytest.approx(want_p, abs=1e-15)
 
     def test_statevector_and_density_matrix_agree(self):
@@ -807,9 +818,9 @@ class TestNoFullDensityMatrix:
 
 
 class TestNoisySolveMakesNoFullDensityMatrix:
-    """A noisy solve runs on Pauli coefficients from start to end: only the q
-    input qubits' coefficients become complex matrices, the two rho_v of each
-    post-selection, and only the named rho_v stack converts back."""
+    """A noisy solve runs on Pauli coefficients from start to end: no state
+    becomes a complex matrix, and the only conversion is of the classical
+    solutions' kets into coefficients, to be scored against."""
 
     @pytest.fixture
     def conversions(self, monkeypatch):
@@ -825,12 +836,44 @@ class TestNoisySolveMakesNoFullDensityMatrix:
         run = run_original_hhl if mode == "original" else run_hybrid_hhl
         outcome = run(build_a_lambda(0.25), 2, noise=NoiseParams(readout_flip=0.01))
         assert outcome.rho_v.num_qubits == 1
-        # ancilla and uncomputed rho_v of one 1-qubit input, then the named one back
-        assert conversions == [("entries_of", (2, 4)), ("pauli_of", (1, 2, 2))]
+        # the one 1-qubit solution's outer product, (B, 2^q, 2^q)
+        assert conversions == [("pauli_of", (1, 2, 2))]
 
     def test_noisy_qpea_converts_nothing(self, conversions):
         hist = run_qpea(build_a_lambda(0.3), 4, noise=NoiseParams(readout_flip=0.02))
         assert len(hist.outcomes) == 16 and conversions == []
+
+
+class TestScoredAsCoefficients:
+    """Scoring on Pauli coefficients gives what the matrices give, against
+    post-selection on the whole run's density matrix: each estimator's
+    state, fidelity <x|rho|x> and success probability, and the x-basis
+    weights <+-|rho_v|+-> of the named one."""
+
+    # a d = 4 circuit does not compile (its cunitary has two targets), so it
+    # cannot run under noise
+    @pytest.mark.parametrize("d,noisy", [(2, False), (4, False), (2, True)],
+                             ids=["d2-exact", "d4-exact", "d2-noisy"])
+    def test_matches_a_matrix_reference(self, d, noisy):
+        rng = np.random.default_rng(40 + 2 * d + noisy)
+        problems, n = [random_problem(rng, d) for _ in range(3)], 2
+        noise = NoiseParams(t1_ns=30000.0) if noisy else None
+        outcomes = solvers.run_original_hhl_batch(problems, n, noise=noise)
+        kets = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        for problem, got in zip(problems, outcomes):
+            circuit = build_hhl_circuit(problem, n, build_aqe(problem, n))
+            final = noise_mod.run_noisy(circuits.compile_circuit(circuit) if noisy else circuit, noise)
+            rho = final if noisy else final.to_density_matrix()
+            x, held = classical_solution(problem)[0], postselect_hhl([final], n)
+            reference = _sequential_postselection(rho, n)
+            for name, (state, p) in reference.items():
+                np.testing.assert_allclose(held[name][0][0], state.pauli, rtol=0, atol=1e-12)
+                fid = (x.conj() @ state.entries @ x).real
+                assert getattr(got, name) == pytest.approx((fid, p), abs=1e-12)
+            v = got.rho_v.entries
+            np.testing.assert_allclose(v, reference[got.postselection][0].entries, atol=1e-12)
+            weights = (None, None) if d > 2 else [(k @ v @ k).real for k in kets]
+            assert (got.c_plus_sq, got.c_minus_sq) == pytest.approx(weights, abs=1e-12)
 
 
 class TestOneMobiusInversionPerSolve:
@@ -851,7 +894,7 @@ class TestOneMobiusInversionPerSolve:
 
 def _counted_or_none(circuit):
     try:
-        return circuits.cnot_count(circuit)
+        return circuit.cnot_count
     except CompileError:
         return None
 
