@@ -26,14 +26,14 @@ A compiled circuit is a :class:`Circuit` of basis gates; ``Circuit.cnot_count``
 gives its CNOT count, or a source circuit's without compiling, and
 :func:`cnot_counts` those of a batch of one skeleton in one pass.
 
-A gate is checked once, when :func:`gate` makes it, or, for b's
-preparation and the unitary powers of QPE, by its problem. Lowerings build
-their basis gates as :class:`Gate` directly, on the checked gate's qubits
-with finite angles derived from its own, and so does QPE its ``h``,
-``qft`` and physical swaps' ``cnot`` gates, on distinct wires of a register
-that :func:`qstate.check_width` has admitted; adjoints and the executor do not
-check again, and :class:`Circuit` range-checks every wire, except in the
-compiled circuit, whose wires are its checked source's.
+A gate is checked once, when :func:`gate` makes it, or, for b's preparation
+and QPE's powers, by its problem, for the HHL ``mry`` by its builder.
+Lowerings build their basis gates as :class:`Gate` directly, on the checked
+gate's qubits with finite angles derived from its own, and so does QPE its
+``h``, ``qft`` and physical swaps' ``cnot`` gates, on distinct wires of a
+register that :func:`qstate.check_width` has admitted; adjoints and the
+executor do not check again. :class:`Circuit` range-checks every wire, except where they are
+a checked source's (compiled circuits) or ranges (the QPEA and HHL circuits).
 :func:`simplify` is the one place zero rotations are dropped.
 
 Documented decomposition set (gate-count accounting relies on it), exact up

@@ -309,7 +309,7 @@ def _cnot_ptms() -> np.ndarray:
     the step that joins a qubit's last chain to its last block: M (u (x) u*)
     M^-1, with M :func:`qstate.pauli_of`'s matrix on both qubits."""
     cnot = gate_matrix(gate("cnot", 0, 1))
-    m = np.kron(qstate._TO_PAULI, qstate._TO_PAULI)[_PAIR[:, None], _PAIR]
+    m = qstate._conversion(2, False)
     ptm = (m @ np.kron(cnot, cnot.conj()) @ m.conj().T / 4).real
     flip = np.arange(16).reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(-1)
     return np.stack([ptm, ptm[flip[:, None], flip], np.eye(16)])
@@ -348,4 +348,4 @@ def readout_distribution(state, circuit, noise: NoiseParams | None) -> Measureme
         for q in qubits:  # one target always lies in place, so the order stays
             probs, _ = qstate.apply_operator(probs, m, (q,), qubits)
     labels = qstate._labels(len(targets))
-    return MeasurementHistogram({k: float(p) for k, p in zip(labels, probs[0])}, None)
+    return MeasurementHistogram._trusted(dict(zip(labels, probs[0].tolist())), None)

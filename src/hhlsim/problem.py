@@ -34,7 +34,7 @@ class SpectralData:
 
 class HermitianProblem:
     """A Hermitian system matrix, a unit vector b and their spectral data, made
-    once; b's preparation and the classical solution are made on first read."""
+    once; b's preparation, the classical solution and the powers are made on first read."""
 
     def __init__(self, matrix, b):
         a = np.array(matrix, dtype=complex)
@@ -58,6 +58,7 @@ class HermitianProblem:
         vec.setflags(write=False)
         self.matrix = a
         self.b = vec
+        self._powers = ()
         self.dimension = d
         self.num_qubits = d.bit_length() - 1
         self.spectral = spectral_decompose(self)
@@ -85,6 +86,13 @@ class HermitianProblem:
         x = x / norm
         x.setflags(write=False)
         return x, norm
+
+    def powers(self, n: int) -> np.ndarray:
+        """U^x, U = e^{2 pi i A}, x = 0..2^n - 1, read-only: the leading 2^n of one
+        kept stack, one :func:`unitary_power` product made again only for a wider n."""
+        if len(self._powers) < 2**n:
+            self._powers = unitary_power(self.spectral, np.arange(2**n))
+        return self._powers[: 2**n]
 
     def __repr__(self):
         return f"HermitianProblem(dimension={self.dimension})"

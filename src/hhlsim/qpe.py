@@ -9,7 +9,8 @@ with or without noise, and a seeded draw from them for ``shots > 0``;
 :func:`register_distribution_exact` and :func:`qpea_distribution_noisy` call
 it. It and the hybrid solver's restarts share one run of the QPEA,
 ``_run_qpea`` (its closed form is ``oracles.qpea_distribution``); it and
-:func:`build_qpe` check the register first (:func:`qstate.check_width`).
+:func:`build_qpe` check the register first (:func:`qstate.check_width`), then
+build unchecked, with the powers the problem keeps (``HermitianProblem.powers``).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import circuits, noise as noise_mod, qstate
 from .circuits import Circuit, Gate
-from .problem import HermitianProblem, unitary_power
+from .problem import HermitianProblem
 from .qstate import MeasurementHistogram
 
 
@@ -43,7 +44,7 @@ def qpe_block(problem: HermitianProblem, n: int, register, v_qubits, physical_sw
     """
     register = list(register)
     gates = [Gate("h", (q,)) for q in register]
-    powers = unitary_power(problem.spectral, np.arange(2**n))  # the powers of a unitary
+    powers = problem.powers(n)  # the powers of a unitary, kept by the problem
     gates.append(Gate("cunitary", (*register, *v_qubits), (1,), powers))
     iqft, out_register = circuits.inverse_qft_gates(register, physical_swap=physical_swap)
     gates.extend(iqft)
@@ -59,12 +60,12 @@ def build_qpe(problem: HermitianProblem, n: int, physical_swap: bool = False) ->
 
 
 def _qpea(problem: HermitianProblem, n: int, physical_swap: bool) -> Circuit:
-    """:func:`build_qpe` on a register size already checked."""
+    """:func:`build_qpe` on a register size already checked, built unchecked."""
     register, v_qubits = list(range(n)), list(range(n, n + problem.num_qubits))
     gates, out_register = qpe_block(problem, n, register, v_qubits, physical_swap=physical_swap)
     roles = {"register": tuple(out_register), "input": tuple(v_qubits)}
     gates = (*prepare_b(problem, v_qubits), *gates)
-    return Circuit(n + problem.num_qubits, gates, roles, tuple(out_register))
+    return Circuit._trusted(n + problem.num_qubits, gates, roles, tuple(out_register))
 
 
 def register_distribution_exact(problem: HermitianProblem, n: int) -> MeasurementHistogram:

@@ -10,21 +10,21 @@ leading batch axis whose qubit axes lie in a lazy order that the caller
 carries; :func:`reorder` restores qubit order once, at the end of a run. A
 density matrix over n qubits is, by a reshape, a vector over 2n qubit
 indices: row bits, then column bits. On the same 2n axes lie its Pauli
-coefficients Tr(rho P), real (:func:`pauli_of`): qubit q's pair of axes
-(q, q + n) indexes its Pauli as ("Z or Y", "X or Y"), I = 00, X = 01,
-Z = 10, Y = 11 (Greenbaum, arXiv:1509.02921). A :class:`DensityMatrix`
-holds its coefficients alone, converted once by whatever makes it. Every
-path reads them: its probabilities, post-selection and partial trace are
-slices of them, and its entries are derived on each read, as a
-:class:`StateVector`'s coefficients are from its amplitudes. Two states
-compare by their coefficients alone: Tr(rho sigma) = c_rho . c_sigma / 2^n
-(:func:`overlaps`).
+coefficients Tr(rho P), real (:func:`pauli_of`, three qubits per kernel
+call): qubit q's pair of axes (q, q + n) indexes its Pauli as ("Z or Y",
+"X or Y"), I = 00, X = 01, Z = 10, Y = 11 (Greenbaum, arXiv:1509.02921). A
+:class:`DensityMatrix` holds its coefficients alone, converted once by
+whatever makes it. Every path reads them: its probabilities, post-selection
+and partial trace are slices of them, and its entries are derived on each
+read, as a :class:`StateVector`'s coefficients are from its amplitudes.
+Two states compare by their coefficients alone: Tr(rho sigma) = c_rho .
+c_sigma / 2^n (:func:`overlaps`).
 
 Values are checked where they enter, against an absolute tolerance
-(:func:`within_atol`): in the public state constructors, in
-:func:`circuits.gate` and in :class:`problem.HermitianProblem`. States
-derived from checked states are built by ``_State._trusted``: not copied,
-renormalized or checked again.
+(:func:`within_atol`): in the public state and histogram constructors, in
+:func:`circuits.gate` and in :class:`problem.HermitianProblem`. What derives
+from them is built unchecked: states by ``_State._trusted``, the histograms
+of :func:`noise.readout_distribution` and :func:`_draw` by ``MeasurementHistogram._trusted``.
 """
 
 from __future__ import annotations
@@ -210,6 +210,14 @@ class MeasurementHistogram:
         elif self.outcomes and abs(total - 1.0) > 1e-9:
             raise ValidationError(f"probabilities sum to {total}, expected 1")
 
+    @classmethod
+    def _trusted(cls, outcomes: dict, shots: int | None) -> "MeasurementHistogram":
+        """A histogram of values from a checked state or NumPy's multinomial, unchecked."""
+        histogram = object.__new__(cls)
+        object.__setattr__(histogram, "outcomes", outcomes)
+        object.__setattr__(histogram, "shots", shots)
+        return histogram
+
     def probabilities(self) -> dict:
         """Normalized view, identical for counts and exact modes."""
         if self.shots is None:
@@ -276,14 +284,32 @@ _TO_PAULI = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [1, 0, 0, -1], [0, 1j, -1j, 0]
 _FROM_PAULI = _TO_PAULI.conj().T / 2
 
 
+@functools.cache
+def _conversion(k: int, inverse: bool) -> np.ndarray:
+    """k qubits' ``_TO_PAULI`` (``_FROM_PAULI`` if ``inverse``) as one read-only operator."""
+    out = functools.reduce(np.kron, [_FROM_PAULI if inverse else _TO_PAULI] * k)
+    bits = (*range(0, 2 * k, 2), *range(1, 2 * k, 2))  # every row bit, then every column bit
+    grouped = np.arange(4**k).reshape((2,) * 2 * k).transpose(bits).reshape(-1)
+    out = out[grouped[:, None], grouped]
+    out.setflags(write=False)
+    return out
+
+
+def _convert(data: np.ndarray, inverse: bool) -> np.ndarray:
+    """A stack (B, 4^n) on 2n axes converted, up to three qubits per kernel
+    call: one call for every state an exact run holds (n <= 3)."""
+    n = (data.shape[1].bit_length() - 1) // 2
+    order = qubits = tuple(range(2 * n))
+    for q in range(0, n, 3):
+        targets = (*range(q, min(q + 3, n)), *range(q + n, min(q + 3, n) + n))
+        data, order = apply_operator(data, _conversion(len(targets) // 2, inverse), targets, order)
+    return reorder(data, order, qubits)
+
+
 def pauli_of(entries: np.ndarray) -> np.ndarray:
     """Pauli coefficients Tr(rho P), (B, 4^n) real and read-only, of a stack of
-    Hermitian matrices (B, 2^n, 2^n): one kernel call on each qubit's pair of axes."""
-    data, n = entries.reshape(len(entries), -1), entries.shape[1].bit_length() - 1
-    order = qubits = tuple(range(2 * n))
-    for q in range(n):
-        data, order = apply_operator(data, _TO_PAULI, (q, q + n), order)
-    out = reorder(data, order, qubits).real.copy()
+    Hermitian matrices (B, 2^n, 2^n): ceil(n / 3) kernel calls."""
+    out = _convert(entries.reshape(len(entries), -1), False).real.copy()
     out.setflags(write=False)
     return out
 
@@ -291,11 +317,8 @@ def pauli_of(entries: np.ndarray) -> np.ndarray:
 def entries_of(coefficients: np.ndarray) -> np.ndarray:
     """The matrices sum_P c_P P / 2^n, (B, 2^n, 2^n) complex and read-only, of
     a stack of Pauli coefficients (B, 4^n): :func:`pauli_of` inverted."""
-    data, n = coefficients, (coefficients.shape[1].bit_length() - 1) // 2
-    order = qubits = tuple(range(2 * n))
-    for q in range(n):
-        data, order = apply_operator(data, _FROM_PAULI, (q, q + n), order)
-    out = reorder(data, order, qubits).reshape(-1, 2**n, 2**n)
+    n = (coefficients.shape[1].bit_length() - 1) // 2
+    out = _convert(coefficients, True).reshape(-1, 2**n, 2**n)
     out.setflags(write=False)
     return out
 
@@ -451,11 +474,9 @@ def check_shots(shots: int) -> None:
 def _draw(p: np.ndarray, shots: int, seed) -> MeasurementHistogram:
     """Seeded multinomial draw of ``shots`` outcomes from ``p``, indexed by
     k-bit outcome; zero counts are left out."""
-    rng = np.random.default_rng(seed)
-    draws = rng.multinomial(shots, p / p.sum())
+    draws = np.random.default_rng(seed).multinomial(shots, p / p.sum())
     labels = _labels(p.size.bit_length() - 1)
-    outcomes = {labels[i]: int(c) for i, c in enumerate(draws) if c > 0}
-    return MeasurementHistogram(outcomes, shots)
+    return MeasurementHistogram._trusted({k: int(c) for k, c in zip(labels, draws) if c}, shots)
 
 
 @functools.cache

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import circuits, noise as noise_mod, qpe, qstate
-from .circuits import Circuit, gate
+from .circuits import Circuit, Gate
 from .errors import (
     ConstraintError,
     DomainError,
@@ -151,14 +151,15 @@ def analyze_qpea(
     probs = histogram.probabilities()
     if not probs:
         raise DomainError("empty histogram")
-    for key in probs:
-        if len(key) != n or set(key) - {"0", "1"}:
-            raise DomainError(f"outcome {key!r} is not an {n}-bit string")
+    if not 0 <= n <= qstate.MAX_QUBITS or probs.keys() - qstate._labels(n):
+        for key in probs:
+            if len(key) != n or set(key) - {"0", "1"}:
+                raise DomainError(f"outcome {key!r} is not an {n}-bit string")
     peaks = {k: p for k, p in sorted(probs.items()) if p >= tau}
     coverage = sum(peaks.values())
     if not peaks:
         return EigenEstimate(n, {}, (), False, 0.0)
-    means = tuple(sum(int(s[k]) for s in peaks) / len(peaks) for k in range(n))
+    means = tuple(column.count("1") / len(peaks) for column in zip(*peaks))
     fixed = EigenEstimate(n, peaks, means, False, coverage).fixed_positions
     return EigenEstimate(n, peaks, means, bool(fixed) and coverage >= coverage_bound, coverage)
 
@@ -326,12 +327,19 @@ def build_hhl_circuit(
     drops. ``aqe_spec`` is one :class:`AqeSpec`, which gives its circuit, or
     a list of them, which gives one circuit per spec; those share one
     skeleton and the gates of one QPE block, so a batch of them runs those
-    once. A spec for another register size raises DomainError.
+    once. A spec for another register size raises DomainError, a non-finite
+    angle ValidationError, both checked here; the circuits are built unchecked.
     """
     specs = [aqe_spec] if isinstance(aqe_spec, AqeSpec) else aqe_spec
+    tables = []
     for spec in specs:
         if spec.n != n:
             raise DomainError(f"an encoding for register size {spec.n} in a circuit of size {n}")
+        # register value x gets the angle of its free-bit value x & mask
+        mask = sum(2 ** (n - pos) for pos in spec.free_positions)
+        tables.append(tuple(float(spec.angle_table.get(x & mask, 0.0)) for x in range(2**n)))
+    if not np.isfinite(tables).all():
+        raise ValidationError("non-finite gate parameter in an encoding's angle table")
     q = problem.num_qubits
     ancilla = 0
     reg = list(range(1, n + 1))
@@ -341,14 +349,10 @@ def build_hhl_circuit(
     inverse = circuits.adjoint(qpe_gates)
     roles = {"ancilla": (ancilla,), "register": tuple(reg), "input": tuple(v)}
     built = []
-    for spec in specs:
-        # one multiplexed Ry on the ancilla, controlled by every register wire;
-        # register value x gets the angle of its free-bit value x & mask
-        mask = sum(2 ** (n - pos) for pos in spec.free_positions)
-        angles = [float(spec.angle_table.get(x & mask, 0.0)) for x in range(2**n)]
-        mry = gate("mry", *out_reg, ancilla, params=angles)
-        gates = (*prep, *qpe_gates, mry, *inverse)
-        built.append(Circuit(1 + n + q, gates, roles, (ancilla, *reg)))
+    for angles in tables:
+        # one multiplexed Ry on the ancilla, controlled by every register wire
+        gates = (*prep, *qpe_gates, Gate("mry", (*out_reg, ancilla), angles), *inverse)
+        built.append(Circuit._trusted(1 + n + q, gates, roles, (ancilla, *reg)))
     return built[0] if isinstance(aqe_spec, AqeSpec) else built
 
 
@@ -409,6 +413,7 @@ def run_hybrid_hhl(
         )
     qstate.check_width(n_init, 1 + problem.num_qubits, noise is not None)
     top = min(policy.max_n, qstate.widest(1 + problem.num_qubits, noise is not None))
+    problem.powers(top)  # one product: every restart reads its leading slice
     c = 1.0 / classical_solution(problem)[1]
     last_estimate = None
     for n in range(n_init, top + 1):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hhlsim import circuits, noise as noise_mod, oracles, qpe, qstate, solvers
+from hhlsim import circuits, noise as noise_mod, oracles, problem as problem_mod, qstate, solvers
 from hhlsim.errors import DomainError, ValidationError
 from hhlsim.problem import build_a_lambda, unitary_power
 from hhlsim.qpe import (
@@ -167,7 +167,7 @@ class TestRunQpea:
 
     def test_config_refuses_width_before_any_power(self, monkeypatch):
         """e^{2 pi i 2^1099 A} cannot be formed; the width check comes first."""
-        monkeypatch.setattr(qpe, "unitary_power", lambda *a: pytest.fail("built"))
+        monkeypatch.setattr(problem_mod, "unitary_power", lambda *a: pytest.fail("built"))
         with pytest.raises(ValidationError, match="1101-qubit"):
             build_qpe(build_a_lambda(0.3), 1100)
 

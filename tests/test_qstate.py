@@ -114,6 +114,27 @@ class TestPauliCoefficients:
         np.testing.assert_allclose(got, np.real(want), rtol=0, atol=1e-14)
         assert np.abs(np.imag(want)).max() < 1e-14
 
+    @pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 6])
+    def test_conversions_take_three_qubits_per_kernel_call(self, monkeypatch, q):
+        """ceil(q / 3) kernel calls each way, agreeing within 1e-15 with one
+        call on each qubit's pair of axes."""
+
+        def per_qubit(data, op):
+            order = qubits = tuple(range(2 * q))
+            for k in range(q):
+                data, order = qstate.apply_operator(data, op, (k, k + q), order)
+            return qstate.reorder(data, order, qubits)
+
+        rng = np.random.default_rng(q)
+        rhos = np.array([_random_rho(rng, q) for _ in range(3)])
+        coefficients = per_qubit(rhos.reshape(3, -1), qstate._TO_PAULI).real
+        entries = per_qubit(coefficients, qstate._FROM_PAULI).reshape(rhos.shape)
+        calls, kernel = [], qstate.apply_operator
+        monkeypatch.setattr(qstate, "apply_operator", lambda *a: calls.append(1) or kernel(*a))
+        np.testing.assert_allclose(qstate.pauli_of(rhos), coefficients, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(qstate.entries_of(coefficients), entries, rtol=0, atol=1e-15)
+        assert len(calls) == 2 * -(-q // 3)
+
     def test_roundtrip_of_a_batch(self):
         rng = np.random.default_rng(7)
         rhos = np.array([_random_rho(rng, 3) for _ in range(4)])

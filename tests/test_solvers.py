@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hhlsim import circuits, cli, noise as noise_mod, oracles, qpe, qstate, solvers
+from hhlsim import circuits, cli, noise as noise_mod, oracles, problem as problem_mod, qpe, qstate
+from hhlsim import solvers
 from hhlsim.errors import (
     CompileError,
     ConstraintError,
@@ -88,6 +89,11 @@ class TestAnalyzeQpea:
     def test_bad_outcome_key_rejected(self):
         with pytest.raises(DomainError):
             analyze_qpea(MeasurementHistogram({"0": 1.0}, None), 2)
+
+    @pytest.mark.parametrize("outcomes", [{"0a": 1.0}, {"00": 0.5, "0a": 0.5}])
+    def test_non_binary_outcome_key_rejected(self, outcomes):
+        with pytest.raises(DomainError, match="'0a' is not an 2-bit string"):
+            analyze_qpea(MeasurementHistogram(outcomes, None), 2)
 
     @pytest.mark.parametrize(
         "outcomes,shots",
@@ -278,6 +284,16 @@ class TestHybridSolver:
 
 
 class TestCircuitBuilder:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_refuses_an_encoding_with_a_non_finite_angle(self, bad):
+        """An AqeSpec can be made by hand; its angles are checked once, at the entry."""
+        problem = build_a_lambda(0.25)
+        spec = dataclasses.replace(build_aqe(problem, 2), angle_table={1: 0.5, 2: bad, 3: 0.25})
+        with pytest.raises(ValidationError, match="non-finite"):
+            build_hhl_circuit(problem, 2, spec)
+        with pytest.raises(ValidationError, match="non-finite"):
+            build_hhl_circuit(problem, 2, [build_aqe(problem, 2), spec])
+
     def test_compiled_counts(self):
         problem = build_a_lambda(0.25)
         full = build_aqe(problem, 2)
@@ -389,6 +405,56 @@ class TestValidateOnce:
         run_original_hhl(problem, n)
         assert len(unitary_checks) == 0
         assert len(eig_checks) == 0
+
+
+class TestOnePowerStackPerProblem:
+    """A problem makes its unitary powers once: the hybrid asks for the stack
+    at its ceiling, so its restarts, its solve and a later equivalence check
+    read one product; a problem used at one register size makes its 2^n."""
+
+    @staticmethod
+    def _products(monkeypatch) -> list:
+        """The number of powers of each product made from here on."""
+        made, power = [], problem_mod.unitary_power
+        monkeypatch.setattr(problem_mod, "unitary_power",
+                            lambda spectral, m: made.append(np.size(m)) or power(spectral, m))
+        return made
+
+    @pytest.mark.parametrize("d,n,k", [(2, 2, 1), (4, 3, 1), (4, 3, 2), (8, 4, 2)])
+    def test_hybrid_and_its_equivalence_check_make_one(self, monkeypatch, d, n, k):
+        made = self._products(monkeypatch)
+        rng = np.random.default_rng(d * n * k)
+        for seed in range(4):
+            problem = random_perfectly_estimated_problem(rng, d, n, k)
+            made.clear()
+            try:
+                run_hybrid_hhl(problem, 1, shots=1024, seed=seed)
+            except (NotReducibleError, ImpossibleOutcomeError):
+                pass
+            assert reduced_encoding_equivalence_check(problem, n)
+            assert made == [2**HybridPolicy.max_n]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_one_register_size_makes_its_powers(self, monkeypatch, n):
+        made = self._products(monkeypatch)
+        runs = (
+            lambda p: solvers.run_original_hhl_batch([p, random_problem(1)], n),
+            lambda p: run_qpea(p, n, noise=NoiseParams()),
+            lambda p: run_qpea(p, n, shots=100, seed=1),
+            lambda p: reduced_encoding_equivalence_check(p, n),
+        )
+        for run in runs:
+            made.clear()
+            run(random_problem(n))
+            assert made == [2**n] * (2 if run is runs[0] else 1)
+
+    def test_stack_items_are_their_own_calls(self):
+        """The slice a narrower register reads is bit-equal to its own product."""
+        problem = random_problem(3, 4)
+        wide = problem.powers(4)
+        assert problem.powers(2).base is wide.base and not problem.powers(2).flags.writeable
+        np.testing.assert_array_equal(
+            problem.powers(2), problem_mod.unitary_power(problem.spectral, np.arange(4)))
 
 
 class TestWidthLimit:
